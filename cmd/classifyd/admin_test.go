@@ -145,7 +145,15 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server records a request's latency after it has flushed the reply,
+	// so the client can be here before the ninth sample lands: scrape until
+	// it has.
+	const v1Count = `neurocuts_server_request_latency_seconds_count{proto="v1"} 9`
 	code, body := adminGet(t, adminAddr, "/metrics")
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(body, v1Count+"\n") && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		code, body = adminGet(t, adminAddr, "/metrics")
+	}
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
@@ -159,7 +167,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"# TYPE neurocuts_server_request_latency_seconds histogram",
 		`neurocuts_lookup_latency_seconds_count{path="single"} 8`,
 		`neurocuts_update_latency_seconds_count{op="insert"} 1`,
-		`neurocuts_server_request_latency_seconds_count{proto="v1"} 9`,
+		v1Count,
 		`neurocuts_lookup_latency_seconds_bucket{path="single",le="+Inf"} 8`,
 	} {
 		if !strings.Contains(body, want+"\n") {

@@ -620,16 +620,10 @@ func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
 	// Clamp before journaling so replay applies the position actually used.
-	if pos < 0 {
-		pos = 0
-	}
-	if pos > cur.set.Len() {
-		pos = cur.set.Len()
-	}
+	pos = max(0, min(pos, cur.set.Len()))
+	r.ID = e.nextID
 	if e.updaterOn && cur.base != nil {
-		r.ID = e.nextID
-		next := cur.set.Clone()
-		next.Insert(pos, r)
+		next := cur.set.CloneInsert(pos, r)
 		res, err := e.applyOverlayLocked(cur, next, updater.Op{Kind: updater.OpInsert, Pos: pos, ID: r.ID, Rule: r})
 		if err == nil {
 			e.nextID++
@@ -640,9 +634,7 @@ func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
 			fmt.Errorf("engine: backend %q is not registered; updates unavailable on this artifact-served engine", cur.backend)
 	}
-	next := cur.set.Clone()
-	r.ID = e.nextID
-	next.Insert(pos, r)
+	next := cur.set.CloneInsert(pos, r)
 	cls, err := cur.build(next, e.opts)
 	if err != nil {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
@@ -672,32 +664,41 @@ func (e *Engine) Delete(id int) (UpdateResult, error) {
 	return res, err
 }
 
+// indexOfID returns the index in s.set of the live rule with the given ID, or
+// -1. With the updater on it resolves through the ID index the view or base
+// already holds; without one it scans the list.
+func (s *snapshot) indexOfID(id int) int {
+	if oc, ok := s.cls.(*overlayClassifier); ok {
+		return oc.view.IndexOf(id)
+	}
+	if s.base != nil {
+		return s.base.IndexOf(id) // no pending updates: the base's set is s.set
+	}
+	for i, r := range s.set.Rules() {
+		if r.ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
 func (e *Engine) doDelete(id int) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
-	idx := -1
-	for i, r := range cur.set.Rules() {
-		if r.ID == id {
-			idx = i
-			break
-		}
-	}
+	idx := cur.indexOfID(id)
 	if idx < 0 {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
 			fmt.Errorf("engine: delete rule %d: %w (%d rules live)", id, ErrRuleNotFound, cur.set.Len())
 	}
 	if e.updaterOn && cur.base != nil {
-		next := cur.set.Clone()
-		next.Remove(idx)
-		return e.applyOverlayLocked(cur, next, updater.Op{Kind: updater.OpDelete, ID: id})
+		return e.applyOverlayLocked(cur, cur.set.CloneRemove(idx), updater.Op{Kind: updater.OpDelete, ID: id})
 	}
 	if cur.build == nil {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
 			fmt.Errorf("engine: backend %q is not registered; updates unavailable on this artifact-served engine", cur.backend)
 	}
-	next := cur.set.Clone()
-	next.Remove(idx)
+	next := cur.set.CloneRemove(idx)
 	cls, err := cur.build(next, e.opts)
 	if err != nil {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},

@@ -11,12 +11,14 @@ import (
 // This file wires the delta-overlay update subsystem (internal/updater)
 // into the Engine. With Options.OnlineUpdates (or a JournalPath) set,
 // Insert/Delete no longer rebuild the backend: the update lands in a small
-// TSS overlay (inserts) or a tombstone set (deletes), a fresh immutable
-// View is derived and published through the usual RCU snapshot swap, and a
-// background compactor goroutine folds the overlay back into a rebuilt base
-// off the critical path. Every update is journaled (when a journal is
-// configured) before its snapshot is published, so acknowledged updates
-// survive a crash and replay at the next warm start.
+// sorted overlay of packed rules (inserts) or a tombstone set (deletes), a
+// fresh immutable View is derived and published through the usual RCU
+// snapshot swap, and a background compactor goroutine folds the overlay back
+// into a rebuilt base off the critical path. A lookup pays the base lookup
+// plus a scan of the overlay rules ranked at or above the base winner, so the
+// compaction threshold bounds the overlay's cost. Every update is journaled
+// (when a journal is configured) before its snapshot is published, so
+// acknowledged updates survive a crash and replay at the next warm start.
 
 // DefaultCompactThreshold is the pending-update count (overlay rules plus
 // tombstones) at which background compaction kicks in when
@@ -174,27 +176,12 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	}
 	view, err := updater.NewView(cur.base, merged)
 	if err != nil {
-		// The replayed delta does not fit the overlay (rank-space or TSS
-		// expansion limits): fold it into a full rebuild instead.
-		if cur.build == nil {
-			return fmt.Errorf("engine: journal replay needs a rebuild but backend %q is not registered: %w", cur.backend, err)
-		}
-		cls, berr := cur.build(merged, e.opts)
-		if berr != nil {
-			return fmt.Errorf("engine: rebuild during journal replay: %w", berr)
-		}
-		base, berr := newBase(cls, merged)
-		if berr != nil {
-			return berr
-		}
-		e.snap.Store(&snapshot{cls: cls, baseCls: cls, set: merged,
-			version: cur.version + uint64(len(ops)), backend: cur.backend, build: cur.build, base: base})
-	} else {
-		m := cur.baseCls.Metrics()
-		m.Rules = merged.Len()
-		e.snap.Store(&snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-			set: merged, version: cur.version + uint64(len(ops)), backend: cur.backend, build: cur.build, base: cur.base})
+		return fmt.Errorf("engine: journal replay: %w", err)
 	}
+	m := cur.baseCls.Metrics()
+	m.Rules = merged.Len()
+	e.snap.Store(&snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
+		set: merged, version: cur.version + uint64(len(ops)), backend: cur.backend, build: cur.build, base: cur.base})
 	if maxID >= e.nextID {
 		e.nextID = maxID + 1
 	}
@@ -203,34 +190,19 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 }
 
 // applyOverlayLocked publishes one update through the overlay path: derive
-// the next view, journal the op, swap the snapshot. When the view cannot be
-// derived (rank space exhausted, or a rule the TSS overlay cannot hold) the
-// update falls back to a synchronous rebuild, which also resets the base.
-// Caller holds e.mu.
+// the next view, journal the op, swap the snapshot. Any rule fits the
+// overlay, so no update needs the backend's builder; NewView fails only on a
+// merged list the engine's own edits cannot produce. Caller holds e.mu.
 func (e *Engine) applyOverlayLocked(cur *snapshot, next *rule.Set, op updater.Op) (UpdateResult, error) {
 	fail := UpdateResult{Version: cur.version, Rules: cur.set.Len()}
-	var ns *snapshot
-	view, verr := updater.NewView(cur.base, next)
-	if verr == nil {
-		m := cur.baseCls.Metrics()
-		m.Rules = next.Len()
-		ns = &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-			set: next, version: cur.version + 1, backend: cur.backend, build: cur.build, base: cur.base}
-	} else {
-		if cur.build == nil {
-			return fail, fmt.Errorf("engine: overlay update unavailable and backend %q is not registered for rebuild: %w", cur.backend, verr)
-		}
-		cls, err := cur.build(next, e.opts)
-		if err != nil {
-			return fail, fmt.Errorf("engine: rebuild after overlay fallback (%v): %w", verr, err)
-		}
-		base, err := newBase(cls, next)
-		if err != nil {
-			return fail, err
-		}
-		ns = &snapshot{cls: cls, baseCls: cls, set: next,
-			version: cur.version + 1, backend: cur.backend, build: cur.build, base: base}
+	view, err := updater.NewView(cur.base, next)
+	if err != nil {
+		return fail, fmt.Errorf("engine: overlay update: %w", err)
 	}
+	m := cur.baseCls.Metrics()
+	m.Rules = next.Len()
+	ns := &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
+		set: next, version: cur.version + 1, backend: cur.backend, build: cur.build, base: cur.base}
 	// Journal before publish: an update is acknowledged only once durable.
 	if e.journal != nil {
 		if err := e.journal.Append(op); err != nil {
@@ -345,10 +317,10 @@ func (e *Engine) compactOnce() {
 	now := e.snap.Load()
 	if now.base != cur.base {
 		// The base generation changed while we were building — a
-		// LoadArtifact, a synchronous compaction or a rebuild fallback
-		// swapped in a different rule universe (overlay updates carry the
-		// base pointer forward unchanged, so this only trips on real base
-		// swaps). Rebasing now.set onto the classifier built from the old
+		// LoadArtifact or a synchronous compaction swapped in a different
+		// rule universe (overlay updates carry the base pointer forward
+		// unchanged, so this only trips on real base swaps). Rebasing
+		// now.set onto the classifier built from the old
 		// list would anchor the wrong rules (artifact IDs overlap), so drop
 		// this build; the next signal compacts against the new base.
 		return

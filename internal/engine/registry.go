@@ -60,10 +60,12 @@ type Options struct {
 	// as an escape hatch; compiled is the default serve path.
 	LegacyTreeLookup bool
 	// OnlineUpdates routes Insert/Delete through the delta-overlay update
-	// subsystem (internal/updater): inserts land in a small TSS overlay,
-	// deletes become tombstones, and a background compactor folds the delta
-	// into a rebuilt base off the critical path. Without it every update
-	// rebuilds the backend synchronously.
+	// subsystem (internal/updater): inserts land in a small rank-sorted
+	// overlay of packed rules that lookups scan after the base (at most
+	// CompactThreshold 32-byte compares a packet), deletes become
+	// tombstones, and a background compactor folds the delta into a rebuilt
+	// base off the critical path. Without it every update rebuilds the
+	// backend synchronously.
 	OnlineUpdates bool
 	// JournalPath enables the durable update journal at this path (and
 	// implies OnlineUpdates): every acknowledged update is appended (and

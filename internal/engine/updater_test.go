@@ -79,6 +79,51 @@ func TestOverlayUpdatesNeverBuild(t *testing.T) {
 	}
 }
 
+// TestOverlayHoldsWideRangeRule: a rule with non-prefix ranges in both
+// addresses and both ports expands into far more than 4 096 prefix tuples,
+// which the Tuple Space Search overlay refused — the insert then silently
+// took a full rebuild under the writer lock. The sorted overlay holds any
+// rule: the insert must land in the overlay with the builder poisoned, and
+// the rule must win exactly the packets linear search gives it.
+func TestOverlayHoldsWideRangeRule(t *testing.T) {
+	set := overlayTestSet(t, 10000)
+	eng, err := NewEngine("hicuts", set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	poisonBuild(eng)
+
+	wide := rule.NewWildcardRule(0)
+	wide.Ranges[rule.DimSrcIP] = rule.Range{Lo: 1, Hi: 0xFFFFFFFE}
+	wide.Ranges[rule.DimDstIP] = rule.Range{Lo: 1, Hi: 0xFFFFFFFE}
+	wide.Ranges[rule.DimSrcPort] = rule.Range{Lo: 1, Hi: 65534}
+	wide.Ranges[rule.DimDstPort] = rule.Range{Lo: 1, Hi: 65534}
+	res, err := eng.Insert(set.Len()/2, wide)
+	if err != nil {
+		t.Fatalf("Insert of a wide-range rule left the overlay path: %v", err)
+	}
+	if st := eng.UpdaterStats(); st.OverlayRules != 1 || st.Compactions != 0 {
+		t.Fatalf("stats %+v: want the rule in the overlay and no compaction", st)
+	}
+
+	merged := eng.Rules()
+	wins := 0
+	for _, e := range classbench.GenerateTrace(merged, 3000, 17) {
+		want := merged.MatchIndex(e.Key)
+		got, ok := eng.Classify(e.Key)
+		if (want < 0) != !ok || (ok && got.Priority != want) {
+			t.Fatalf("packet %v: engine (prio %d, %v), linear search index %d", e.Key, got.Priority, ok, want)
+		}
+		if ok && got.ID == res.ID {
+			wins++
+		}
+	}
+	if wins == 0 {
+		t.Fatal("the inserted rule never won a packet; the trace does not exercise it")
+	}
+}
+
 // TestOverlayDifferential interleaves 1k updates with 12k ClassBench
 // packets and checks every lookup against linear search over the engine's
 // current merged rule list — for a compiled tree base and for tss and
@@ -237,31 +282,31 @@ func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 	}
 }
 
-// TestOverlayZeroAllocLookups pins the merged lookup path at zero heap
-// allocations per op with a live overlay and tombstones, on a compiled tree
-// base and on the fallback bases the CI alloc gate has always pinned.
+// TestOverlayZeroAllocLookups pins the merged lookup path, scalar and
+// batched, at zero heap allocations per op at the fill the benchmark's
+// overlay averages between compactions (128 overlay rules + 128 tombstones),
+// on a compiled tree base and on the fallback bases the CI alloc gate has
+// always pinned.
 func TestOverlayZeroAllocLookups(t *testing.T) {
-	set := overlayTestSet(t, 256)
+	set := overlayTestSet(t, 1024)
 	ps := allocTestPackets(set, 64)
+	out := make([]Result, len(ps))
 	for _, backend := range []string{"linear", "tss", "hicuts", "cutsplit"} {
 		eng, err := NewEngine(backend, set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
-		// Populate the delta: a few overlay inserts and base tombstones.
-		for i := 0; i < 8; i++ {
-			if _, err := eng.Insert(i*20, set.Rule(i)); err != nil {
+		for i := 0; i < 128; i++ {
+			if _, err := eng.Insert(i*8, set.Rule(i)); err != nil {
 				t.Fatalf("%s: %v", backend, err)
 			}
-		}
-		for i := 0; i < 4; i++ {
-			if _, err := eng.Delete(set.Rule(i*3 + 1).ID); err != nil {
+			if _, err := eng.Delete(set.Rule(i*7 + 1).ID); err != nil {
 				t.Fatalf("%s: %v", backend, err)
 			}
 		}
 		st := eng.UpdaterStats()
-		if st.OverlayRules == 0 || st.Tombstones == 0 {
-			t.Fatalf("%s: overlay=%d tombstones=%d", backend, st.OverlayRules, st.Tombstones)
+		if st.OverlayRules != 128 || st.Tombstones != 128 {
+			t.Fatalf("%s: overlay=%d tombstones=%d, want 128/128", backend, st.OverlayRules, st.Tombstones)
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(200, func() {
@@ -269,10 +314,14 @@ func TestOverlayZeroAllocLookups(t *testing.T) {
 			i++
 			eng.Classify(p)
 		})
-		eng.Close()
 		if allocs != 0 {
 			t.Errorf("%s: overlay Classify allocates %.1f allocs/op, want 0", backend, allocs)
 		}
+		eng.ClassifyBatch(ps, out) // warm the scratch freelists
+		if allocs := testing.AllocsPerRun(50, func() { eng.ClassifyBatch(ps, out) }); allocs != 0 {
+			t.Errorf("%s: overlay ClassifyBatch allocates %.1f allocs/op, want 0", backend, allocs)
+		}
+		eng.Close()
 	}
 }
 

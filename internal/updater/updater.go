@@ -3,33 +3,43 @@
 // O(full build + compile) per rule), updates land in a small delta overlay
 // on top of an immutable base classifier.
 //
-// The split is the classic base+delta design TSS-style classifiers use
-// around build-once tree structures:
+// The split is the classic base+delta design used around build-once tree
+// structures:
 //
-//   - Inserts go into a Tuple Space Search overlay (O(1)-ish hash inserts,
-//     no tree rebuild).
+//   - Inserts go into the overlay: one slice of 32-byte match-only records
+//     (the shape internal/compiled scans in its leaves) in merged-list order.
 //   - Deletes of base rules become tombstones (a bitset over base rule
 //     indices); deletes of overlay rules simply leave the overlay.
-//   - A merged lookup consults overlay + tombstones + base and resolves
-//     the winner by a global priority rank, staying allocation-free. The
-//     base winner is checked against the tombstone set; only when the
-//     winner was deleted does the lookup rescan the base list (see
-//     LookupFunc for why that cannot be pushed into the base structure).
+//   - A merged lookup asks the base first and checks its winner against the
+//     tombstone set (only a deleted winner costs a rescan of the base list;
+//     see LookupFunc for why that cannot be pushed into the base structure),
+//     then scans the overlay in order, stopping at the first match or at the
+//     first overlay rule that sorts behind the base winner. No allocations.
 //
-// Rank scheme: the base rule at index i anchors at rank (i+1)*rankGap, and
-// every overlay rule receives a rank strictly between its merged-order
-// neighbours' ranks (evenly spaced within the gap). Ranks are re-derived on
-// every update from the logical merged rule list, so a View is a pure
-// function of (base, merged list) — the same derivation serves normal
-// updates, journal replay and post-compaction rebasing. A winner's rank maps
-// back to its canonical merged rule (with its up-to-date index priority) by
-// binary search over the per-View rank array.
+// Rank scheme: a rule's rank is the number of live (non-tombstoned) base
+// rules ahead of it in the merged list. Live base rules therefore have ranks
+// 0, 1, 2, ...; an overlay rule shares the rank of the base rule it sits
+// directly in front of and beats it on the tie. Overlay records are stored in
+// merged order, so their ranks ascend, and merged index = rank + number of
+// overlay rules at or ahead of the rule — which is the scan position itself.
+// Nothing in the scheme can run out: any rule fits the overlay, and any
+// number of them fit between two base rules.
 //
-// Views are immutable: the engine publishes each new View through its
-// RCU snapshot machinery, so concurrent readers never see a torn update and
-// never block. A background compactor (driven by the engine) periodically
-// rebuilds the base from the merged list and rebases the overlay, bounding
-// overlay size and restoring base lookup speed.
+// Cost model: the overlay adds O(overlay rules ranked at or above the base
+// winner) 32-byte compares per packet, at most the whole overlay, which the
+// engine's compaction threshold bounds (256 pending updates by default: 8 KB,
+// L1-resident). Tuple Space Search, the structure the overlay used to be,
+// loses at this size: ClassBench port ranges expand into prefix tuples, so
+// 256 rules spread over ~400 hash tables and every lookup pays one 40-byte
+// key hash per table whether or not the table can match.
+//
+// A View is a pure function of (base, merged list) — the same derivation
+// serves normal updates, journal replay and post-compaction rebasing — and is
+// immutable: the engine publishes each new View through its RCU snapshot
+// machinery, so concurrent readers never see a torn update and never block.
+// A background compactor (driven by the engine) periodically rebuilds the
+// base from the merged list and rebases the overlay, bounding overlay size
+// and restoring base lookup speed.
 //
 // The package also provides the durable update journal (journal.go): a
 // length-prefixed, CRC-checked write-ahead log of updates that, replayed
@@ -40,29 +50,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"sort"
 
 	"neurocuts/internal/rule"
-	"neurocuts/internal/tss"
 )
-
-// rankGap is the rank distance between consecutive base rules. Up to
-// rankGap-1 overlay rules fit between two adjacent base anchors before rank
-// space is exhausted; compaction keeps overlays orders of magnitude
-// smaller. Ranks are carried through rule.Priority inside the overlay TSS
-// (an int), so the gap also bounds the base size on 32-bit platforms:
-// (len+1)*rankGap must fit a platform int (~32k base rules at 1<<16 on
-// 32-bit; unbounded in practice on 64-bit). NewView checks this and errors
-// rather than overflowing, which makes the engine fall back to
-// rebuild-per-update.
-const rankGap = int64(1) << 16
-
-// maxIntRank is the largest rank representable in a platform int.
-const maxIntRank = int64(^uint(0) >> 1)
-
-// ErrRankSpace is returned by NewView when the overlay rules between two
-// adjacent base anchors no longer fit in the rank gap. The caller should
-// compact (rebuild the base from the merged list) and retry.
-var ErrRankSpace = errors.New("updater: rank space exhausted between base anchors; compaction required")
 
 // LookupFunc is a base classifier's single-packet lookup. The returned
 // rule's Priority must be its index in the base rule set, and the lookup
@@ -102,6 +94,9 @@ func NewBase(set *rule.Set, lookup LookupFunc) (*Base, error) {
 	if lookup == nil {
 		return nil, errors.New("updater: base lookup is nil")
 	}
+	if set.Len() >= math.MaxInt32 {
+		return nil, fmt.Errorf("updater: base of %d rules exceeds the 32-bit rank space", set.Len())
+	}
 	idx := make(map[int]int, set.Len())
 	for i, r := range set.Rules() {
 		if r.Priority != i {
@@ -127,11 +122,60 @@ func NewBaseBatch(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Bas
 	return b, nil
 }
 
-// Set returns the base's rule set.
-func (b *Base) Set() *rule.Set { return b.set }
+// IndexOf returns the index in the base's rule set of the rule with the
+// given ID, or -1.
+func (b *Base) IndexOf(id int) int {
+	if bi, ok := b.indexByID[id]; ok {
+		return bi
+	}
+	return -1
+}
 
-// baseRank is the rank anchor of the base rule at index i.
-func baseRank(i int) int64 { return int64(i+1) * rankGap }
+// overlayRule is the match-only projection of one overlay rule — the 32-byte
+// shape internal/compiled scans in its leaves — with the rule's rank where
+// compiled keeps the priority. Two records share a cache line and a scan
+// touches nothing but small integers.
+type overlayRule struct {
+	srcLo, srcHi uint32
+	dstLo, dstHi uint32
+	// rank is the number of live base rules ahead of this rule in the merged
+	// list (see the package comment).
+	rank       int32
+	spLo, spHi uint16
+	dpLo, dpHi uint16
+	prLo, prHi uint8
+}
+
+// packOverlay projects r to its overlay record. Ranges are clipped to their
+// field's width, and a rule with a range no packet can satisfy (empty, or
+// wholly beyond the width) becomes a record that matches nothing, so the
+// record agrees with rule.Matches on every packet even for rules that would
+// fail rule.Validate (journals are outside input).
+func packOverlay(r *rule.Rule, rank int) overlayRule {
+	var lo, hi [rule.NumDims]uint64
+	for d, rg := range r.Ranges {
+		lo[d], hi[d] = rg.Lo, min(rg.Hi, rule.Dimension(d).MaxValue())
+		if lo[d] > hi[d] {
+			return overlayRule{rank: int32(rank), srcLo: 1}
+		}
+	}
+	return overlayRule{
+		srcLo: uint32(lo[rule.DimSrcIP]), srcHi: uint32(hi[rule.DimSrcIP]),
+		dstLo: uint32(lo[rule.DimDstIP]), dstHi: uint32(hi[rule.DimDstIP]),
+		rank: int32(rank),
+		spLo: uint16(lo[rule.DimSrcPort]), spHi: uint16(hi[rule.DimSrcPort]),
+		dpLo: uint16(lo[rule.DimDstPort]), dpHi: uint16(hi[rule.DimDstPort]),
+		prLo: uint8(lo[rule.DimProto]), prHi: uint8(hi[rule.DimProto]),
+	}
+}
+
+// tombWord is 64 base rules' worth of tombstone bits plus the number of
+// tombstones in all earlier words, so the count of tombstones ahead of any
+// base rule is one load and one popcount.
+type tombWord struct {
+	bits   uint64
+	before uint32
+}
 
 // View is one immutable merged (base + overlay + tombstones) generation.
 // All fields are read-only after NewView; lookups are safe for concurrent
@@ -141,109 +185,75 @@ type View struct {
 	// merged is the logical rule list this view serves (priorities are
 	// indices, as everywhere else in the repository).
 	merged *rule.Set
-	// ranks[i] is the rank of merged rule i; strictly ascending.
-	ranks []int64
-	// overlay holds the non-base rules, each stored with Priority = rank so
-	// TSS's own priority resolution orders overlay rules correctly.
-	overlay  *tss.Classifier
-	overlayN int
-	// tombs is the bitset of deleted base rule indices.
-	tombs  []uint64
+	// overlay holds the non-base rules in merged order, so ranks ascend and
+	// overlay[j] is merged rule overlay[j].rank+j.
+	overlay []overlayRule
+	// tombs marks the deleted base rule indices.
+	tombs  []tombWord
 	tombsN int
 }
+
+// stackOverlay is how many overlay positions NewView collects without a heap
+// allocation: twice the engine's default compaction threshold. Larger
+// overlays are still served; their derivation just allocates more.
+const stackOverlay = 512
 
 // NewView derives the immutable serving view for a merged rule list over a
 // base. merged must be canonical (rule i has Priority i) and must preserve
 // the relative order of the base rules it retains. The derivation is one
-// O(len(merged)) pass; overlay rules are re-inserted into a fresh TSS.
+// pass over merged that walks the base list beside it, so only overlay rules
+// and the first survivor after a deleted run need the base's ID index; it
+// allocates the view, its overlay and its tombstone words, whatever the
+// overlay's size (up to stackOverlay rules).
 func NewView(b *Base, merged *rule.Set) (*View, error) {
-	if baseRank(b.set.Len()) > maxIntRank {
-		// Every rank in this view is at most the top anchor; refusing here
-		// keeps int(rank) conversions exact on 32-bit platforms (the engine
-		// falls back to rebuild-per-update).
-		return nil, fmt.Errorf("updater: base of %d rules exceeds this platform's int rank space", b.set.Len())
-	}
-	n := merged.Len()
-	v := &View{
-		base:   b,
-		merged: merged,
-		ranks:  make([]int64, n),
-		tombs:  make([]uint64, (b.set.Len()+63)/64),
-	}
-	ov := tss.NewClassifier()
-
-	// Walk the merged list: base rules become rank anchors, runs of overlay
-	// rules between anchors are evenly spaced inside the gap.
-	lastBaseIdx := -1
-	prevRank := int64(0)
-	runStart := -1 // first merged index of the pending overlay run
-	assign := func(hi int64, end int) error {
-		if runStart < 0 {
-			return nil
-		}
-		k := int64(end - runStart)
-		if hi-prevRank <= k {
-			return ErrRankSpace
-		}
-		for j := int64(0); j < k; j++ {
-			rk := prevRank + (hi-prevRank)*(j+1)/(k+1)
-			v.ranks[runStart+int(j)] = rk
-			r := merged.Rule(runStart + int(j))
-			r.Priority = int(rk)
-			if err := ov.Insert(r); err != nil {
-				return fmt.Errorf("updater: overlay insert rule %d: %w", r.ID, err)
-			}
-			v.overlayN++
-		}
-		runStart = -1
-		return nil
-	}
-	live := make([]bool, b.set.Len())
-	for i := 0; i < n; i++ {
-		r := merged.Rule(i)
+	baseRules, rules := b.set.Rules(), merged.Rules()
+	v := &View{base: b, merged: merged, tombs: make([]tombWord, (len(baseRules)+63)/64)}
+	var stack [stackOverlay]int32
+	overlayAt := stack[:0] // merged indices of the overlay rules
+	next := 0              // base rules before next are anchored or tombstoned
+	for i := range rules {
+		r := &rules[i]
 		if r.Priority != i {
 			return nil, fmt.Errorf("updater: merged set not canonical: rule %d has priority %d", i, r.Priority)
 		}
-		bi, isBase := b.indexByID[r.ID]
-		if !isBase {
-			if runStart < 0 {
-				runStart = i
+		bi := next
+		if bi == len(baseRules) || baseRules[bi].ID != r.ID {
+			var isBase bool
+			if bi, isBase = b.indexByID[r.ID]; !isBase {
+				overlayAt = append(overlayAt, int32(i))
+				continue
 			}
-			continue
+			if bi < next {
+				return nil, fmt.Errorf("updater: merged list reorders base rules (id %d)", r.ID)
+			}
 		}
-		if bi <= lastBaseIdx {
-			return nil, fmt.Errorf("updater: merged list reorders base rules (id %d)", r.ID)
-		}
-		anchor := baseRank(bi)
-		if err := assign(anchor, i); err != nil {
-			return nil, err
-		}
-		v.ranks[i] = anchor
-		live[bi] = true
-		lastBaseIdx = bi
-		prevRank = anchor
+		v.tombstone(next, bi)
+		next = bi + 1
 	}
-	if err := assign(baseRank(b.set.Len()), n); err != nil {
-		return nil, err
+	v.tombstone(next, len(baseRules))
+	for w := 1; w < len(v.tombs); w++ {
+		v.tombs[w].before = v.tombs[w-1].before + uint32(bits.OnesCount64(v.tombs[w-1].bits))
 	}
-	for bi, alive := range live {
-		if !alive {
-			v.tombs[bi>>6] |= 1 << (uint(bi) & 63)
-			v.tombsN++
-		}
+	v.overlay = make([]overlayRule, len(overlayAt))
+	for j, i := range overlayAt {
+		v.overlay[j] = packOverlay(&rules[i], int(i)-j)
 	}
-	v.overlay = ov
 	return v, nil
+}
+
+// tombstone marks base rules [lo, hi) deleted.
+func (v *View) tombstone(lo, hi int) {
+	for bi := lo; bi < hi; bi++ {
+		v.tombs[bi>>6].bits |= 1 << (uint(bi) & 63)
+	}
+	v.tombsN += hi - lo
 }
 
 // Merged returns the logical rule list the view serves.
 func (v *View) Merged() *rule.Set { return v.merged }
 
-// Base returns the view's base generation.
-func (v *View) Base() *Base { return v.base }
-
 // OverlayLen returns the number of rules held in the delta overlay.
-func (v *View) OverlayLen() int { return v.overlayN }
+func (v *View) OverlayLen() int { return len(v.overlay) }
 
 // FromOverlay reports whether the rule with the given ID lives in the
 // delta overlay rather than the base — i.e. it was inserted after the last
@@ -260,13 +270,41 @@ func (v *View) Tombstones() int { return v.tombsN }
 
 // tombstoned reports whether base rule index bi is deleted.
 func (v *View) tombstoned(bi int) bool {
-	return v.tombs[bi>>6]&(1<<(uint(bi)&63)) != 0
+	return v.tombs[bi>>6].bits&(1<<(uint(bi)&63)) != 0
+}
+
+// baseRank is the rank of live base rule bi: the live base rules ahead of it.
+func (v *View) baseRank(bi int) int {
+	if v.tombsN == 0 {
+		return bi
+	}
+	w := v.tombs[bi>>6]
+	return bi - int(w.before) - bits.OnesCount64(w.bits&(1<<(uint(bi)&63)-1))
+}
+
+// IndexOf returns the merged-list index of the live rule with the given ID,
+// or -1. Base rules resolve through the base's ID index and a binary search
+// over the overlay's ranks; only overlay rules are scanned for.
+func (v *View) IndexOf(id int) int {
+	if bi, inBase := v.base.indexByID[id]; inBase {
+		if v.tombstoned(bi) {
+			return -1
+		}
+		rank := v.baseRank(bi)
+		return rank + sort.Search(len(v.overlay), func(j int) bool { return int(v.overlay[j].rank) > rank })
+	}
+	for j := range v.overlay {
+		if i := int(v.overlay[j].rank) + j; v.merged.Rule(i).ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Classify returns the highest-priority rule of the merged list matching p,
-// or ok=false. The path is allocation-free: one overlay TSS probe, one base
-// lookup (with a tombstone check on its winner), a rank comparison and a
-// binary search back to the canonical merged rule.
+// or ok=false. The path is allocation-free: one base lookup (with a
+// tombstone check on its winner) and a scan of the overlay rules that could
+// beat it.
 func (v *View) Classify(p rule.Packet) (rule.Rule, bool) {
 	br, bok := v.base.lookup(p)
 	return v.resolve(p, br, bok)
@@ -308,9 +346,9 @@ func putBatchScratch(sc *batchScratch) {
 // ClassifyBatch classifies ps[i] into (rules[i], oks[i]) for every i,
 // result-identical to per-packet Classify calls. The base lookups run as one
 // batched call when the base provides one (so a compiled tree base serves
-// the span through its grouped prefetching traversal); the overlay probe,
-// tombstone resolution and rank mapping stay scalar per packet — the overlay
-// is small by construction, the base is where the memory latency lives.
+// the span through its grouped prefetching traversal); tombstone resolution
+// and the overlay scan stay scalar per packet — the overlay is small by
+// construction, the base is where the memory latency lives.
 func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
 	if v.base.batch == nil || len(ps) < 2 {
 		for i, p := range ps {
@@ -328,63 +366,50 @@ func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
 }
 
 // resolve merges one packet's precomputed base lookup result with the
-// overlay probe and tombstone set, mapping the winning rank back to the
-// canonical merged rule. It is the shared back half of Classify and
+// tombstone set and the overlay. It is the shared back half of Classify and
 // ClassifyBatch.
 func (v *View) resolve(p rule.Packet, baseRule rule.Rule, baseOK bool) (rule.Rule, bool) {
-	bestRank := int64(math.MaxInt64)
-	found := false
-
-	if v.overlayN > 0 {
-		if r, ok := v.overlay.Classify(p); ok {
-			bestRank = int64(r.Priority) // overlay entries store rank as priority
-			found = true
-		}
-	}
-
-	if r, ok := baseRule, baseOK; ok {
-		bi := r.Priority
+	// rank is the base winner's; without one it sorts behind every rule.
+	rank := math.MaxInt32
+	if baseOK {
+		bi := baseRule.Priority
 		if v.tombsN > 0 && v.tombstoned(bi) {
 			// The base's best match is deleted: rescan the base list past
 			// the tombstones. This cannot be pushed into the base structure
 			// itself (see LookupFunc); it is the slow path and only runs
 			// when a deleted rule would have won.
-			bi = -1
-			for i := r.Priority + 1; i < v.base.set.Len(); i++ {
-				if v.tombstoned(i) {
-					continue
-				}
-				if v.base.set.Rule(i).Matches(p) {
-					bi = i
+			baseRules := v.base.set.Rules()
+			for bi++; bi < len(baseRules); bi++ {
+				if !v.tombstoned(bi) && baseRules[bi].Matches(p) {
 					break
 				}
 			}
+			baseOK = bi < len(baseRules)
 		}
-		if bi >= 0 {
-			if rk := baseRank(bi); rk < bestRank {
-				bestRank = rk
-				found = true
-			}
+		if baseOK {
+			rank = v.baseRank(bi)
 		}
 	}
-
-	if !found {
+	// Overlay rules whose rank does not exceed the base winner's sit ahead
+	// of it in the merged list; the first of them to match wins.
+	j := 0
+	for ; j < len(v.overlay); j++ {
+		o := &v.overlay[j]
+		if int(o.rank) > rank {
+			break
+		}
+		if p.SrcIP < o.srcLo || p.SrcIP > o.srcHi ||
+			p.DstIP < o.dstLo || p.DstIP > o.dstHi ||
+			p.SrcPort < o.spLo || p.SrcPort > o.spHi ||
+			p.DstPort < o.dpLo || p.DstPort > o.dpHi ||
+			p.Proto < o.prLo || p.Proto > o.prHi {
+			continue
+		}
+		return v.merged.Rule(int(o.rank) + j), true
+	}
+	if !baseOK {
 		return rule.Rule{}, false
 	}
-	// Binary search the winner's rank back to its merged index; the ranks
-	// slice is strictly ascending and contains every live rule's rank.
-	lo, hi := 0, len(v.ranks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v.ranks[mid] < bestRank {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(v.ranks) || v.ranks[lo] != bestRank {
-		// Unreachable by construction; fail closed rather than panic.
-		return rule.Rule{}, false
-	}
-	return v.merged.Rule(lo), true
+	// j overlay rules sit ahead of the base winner.
+	return v.merged.Rule(rank + j), true
 }

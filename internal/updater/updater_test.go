@@ -18,6 +18,21 @@ func testBase(t *testing.T, set *rule.Set) *Base {
 	return b
 }
 
+// testBaseBatch is testBase with the batched lookup as a loop over the same
+// linear search, so views take their batch path.
+func testBaseBatch(t *testing.T, set *rule.Set) *Base {
+	t.Helper()
+	b, err := NewBaseBatch(set, set.Match, func(ps []rule.Packet, rules []rule.Rule, oks []bool) {
+		for i, p := range ps {
+			rules[i], oks[i] = set.Match(p)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func genSet(t *testing.T, size int, seed int64) *rule.Set {
 	t.Helper()
 	fam, err := classbench.FamilyByName("acl1")
@@ -120,26 +135,32 @@ func TestViewAllBaseDeleted(t *testing.T) {
 	}
 }
 
-// TestRankAssignment: overlay rules stacked in one gap get strictly
-// ascending, unique ranks, and the guard that protects uniqueness
-// (gap strictly greater than the run length) holds at the boundary.
+// TestRankAssignment: any number of overlay rules fit in front of one base
+// rule (there is no rank space to exhaust); they share its rank, stay in
+// merged order, and map back to their own merged index.
 func TestRankAssignment(t *testing.T) {
 	set := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)})
 	b := testBase(t, set)
-	merged := set.Clone()
-	// Pile many overlay rules into the single gap before the base rule.
-	for i := 0; i < 512; i++ {
-		r := rule.NewWildcardRule(0)
-		r.ID = 1000 + i
-		merged.Insert(0, r)
+	// Pile more overlay rules in front of the single base rule than the old
+	// 1<<16 rank gap between two base anchors could number.
+	const overlay = 70000
+	rules := make([]rule.Rule, overlay+1)
+	for i := range rules {
+		rules[i] = rule.NewWildcardRule(i)
+		rules[i].ID = 1000 + i
 	}
+	rules[overlay].ID = set.Rule(0).ID
+	merged := rule.NewSetKeepPriorities(rules)
 	v, err := NewView(b, merged)
 	if err != nil {
-		t.Fatalf("512 overlay rules in one gap must fit: %v", err)
+		t.Fatalf("%d overlay rules in one gap must fit: %v", merged.Len()-1, err)
 	}
-	for i := 1; i < len(v.ranks); i++ {
-		if v.ranks[i] <= v.ranks[i-1] {
-			t.Fatalf("ranks not strictly ascending at %d: %d <= %d", i, v.ranks[i], v.ranks[i-1])
+	if v.OverlayLen() != merged.Len()-1 {
+		t.Fatalf("overlay holds %d rules, want %d", v.OverlayLen(), merged.Len()-1)
+	}
+	for j, o := range v.overlay {
+		if o.rank != 0 {
+			t.Fatalf("overlay rule %d has rank %d, want 0 (no live base rule ahead)", j, o.rank)
 		}
 	}
 	// The top-of-list overlay rule (highest priority, most recent insert)
@@ -191,23 +212,80 @@ func TestNewBaseRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// TestViewAllocationFree: the merged lookup performs zero heap allocations
-// on both base paths once the view is built.
-func TestViewAllocationFree(t *testing.T) {
-	set := genSet(t, 200, 6)
-	merged, _ := mutateMerged(set, 20, 10, 50000)
-	trace := classbench.GenerateTrace(merged, 256, 11)
-	b := testBase(t, set)
-	v, err := NewView(b, merged)
+// overlayLoad derives a view over b (built on set) carrying the given number
+// of overlay rules and tombstones, both spread evenly over the table.
+func overlayLoad(t testing.TB, set *rule.Set, b *Base, overlay, tombstones int) *View {
+	t.Helper()
+	n := set.Len()
+	rules := make([]rule.Rule, 0, n+overlay)
+	o, d := 0, 0
+	for i, r := range set.Rules() {
+		if o < overlay && i >= o*n/overlay {
+			ins := set.Rule((i*13 + 7) % n)
+			ins.ID = n + o
+			rules = append(rules, ins)
+			o++
+		}
+		if d < tombstones && i >= d*n/tombstones {
+			d++
+			continue
+		}
+		rules = append(rules, r)
+	}
+	for i := range rules {
+		rules[i].Priority = i
+	}
+	v, err := NewView(b, rule.NewSetKeepPriorities(rules))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v.OverlayLen() != overlay || v.Tombstones() != tombstones {
+		t.Fatalf("overlay=%d tombstones=%d, want %d/%d", v.OverlayLen(), v.Tombstones(), overlay, tombstones)
+	}
+	return v
+}
+
+// TestViewAllocationFree: the merged lookup performs zero heap allocations,
+// scalar and batched, at the benchmark's mid-compaction fill (128 overlay
+// rules + 128 tombstones).
+func TestViewAllocationFree(t *testing.T) {
+	set := genSet(t, 2000, 6)
+	v := overlayLoad(t, set, testBaseBatch(t, set), 128, 128)
+	trace := classbench.GenerateTrace(v.Merged(), 256, 11)
+	keys := make([]rule.Packet, len(trace))
+	for i, e := range trace {
+		keys[i] = e.Key
+	}
 	i := 0
 	allocs := testing.AllocsPerRun(500, func() {
-		v.Classify(trace[i%len(trace)].Key)
+		v.Classify(keys[i%len(keys)])
 		i++
 	})
 	if allocs != 0 {
 		t.Errorf("Classify allocates %.1f allocs/op, want 0", allocs)
+	}
+	rules, oks := make([]rule.Rule, len(keys)), make([]bool, len(keys))
+	v.ClassifyBatch(keys, rules, oks) // warm the scratch freelist
+	if allocs := testing.AllocsPerRun(50, func() { v.ClassifyBatch(keys, rules, oks) }); allocs != 0 {
+		t.Errorf("ClassifyBatch allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestNewViewAllocsBounded: deriving a view allocates the view, its overlay
+// slice and its tombstone words — the same count whatever the overlay holds,
+// so the update stream's garbage does not grow with the pending delta.
+func TestNewViewAllocsBounded(t *testing.T) {
+	set := genSet(t, 10000, 7)
+	b := testBase(t, set)
+	for _, overlay := range []int{1, 64, 256} {
+		merged := overlayLoad(t, set, b, overlay, overlay).Merged()
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := NewView(b, merged); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 3 {
+			t.Errorf("NewView with %d overlay rules: %.0f allocs, want 3", overlay, allocs)
+		}
 	}
 }
