@@ -75,8 +75,8 @@ func usage() {
                         compare v1 text vs v2 binary server batch throughput
   perflab dataplane     [-family F -size N -backend B -cores N -submitters N -batch N -min-factor X]
                         compare worker-pool vs run-to-completion dataplane batch p99
-  perflab checkcompiledbatch [-families F,F -size N -backend B -batches N -batch N -min-factor X]
-                        assert grouped LookupBatch p50 beats scalar lookup by >= X per family
+  perflab checkcompiledbatch [-families F,F -size N -backends B,B -batches N -batch N -min-factor X]
+                        assert LookupBatch p50 beats scalar lookup by >= X per backend and family
   perflab checktelemetry [-family F -size N -backend B -batches N -batch N -max-overhead-pct X]
                         assert full telemetry taxes batch p50 by <= X% with zero hot-path allocs
   perflab realtrace     [-families F,F -size N -backend B -packets N -batch N -min-fraction X]
@@ -416,18 +416,20 @@ func dataplaneCmd(args []string) {
 	}
 }
 
-// checkCompiledBatchCmd runs the compiledbatch perf cell per family: the same
-// zipf + worst-case-depth trace through the compiled scalar lookup and the
-// grouped interleaved LookupBatch, gating on batch-vs-scalar p50 (-min-factor;
-// 1.0 asserts the grouped path is at least as fast at the median). Like the
-// other check commands it re-measures on violation and exits 2 only when the
-// violation persists.
+// checkCompiledBatchCmd runs the compiledbatch perf cell per backend and
+// family: the same zipf + worst-case-depth trace through the compiled scalar
+// lookup and the frontier-walk LookupBatch, gating on batch-vs-scalar p50
+// (-min-factor; 1.0 asserts the batch path is at least as fast at the
+// median). The default backends are one single-tree builder and one
+// multi-root one, because the walk's cost profile differs between them. Like
+// the other check commands it re-measures on violation and exits 2 only when
+// the violation persists.
 func checkCompiledBatchCmd(args []string) {
 	fs := flag.NewFlagSet("checkcompiledbatch", flag.ExitOnError)
 	var (
 		families  = fs.String("families", "acl1,fw1,ipc1", "comma-separated ClassBench families")
 		size      = fs.Int("size", 10000, "rule-set size")
-		backend   = fs.String("backend", "hicuts", "tree backend to compile (hicuts, hypercuts, efficuts, cutsplit)")
+		backends  = fs.String("backends", "hicuts,cutsplit", "comma-separated tree backends to compile (hicuts, hypercuts, efficuts, cutsplit)")
 		batches   = fs.Int("batches", 96, "measured batches per pass")
 		batch     = fs.Int("batch", 512, "packets per batch")
 		runs      = fs.Int("runs", 3, "measurement passes per path (best-of)")
@@ -440,36 +442,34 @@ func checkCompiledBatchCmd(args []string) {
 
 	var results []perf.CompiledBatchComparison
 	var failures []string
-	for _, fam := range splitCSV(*families) {
-		var res perf.CompiledBatchComparison
-		var violation string
-		for attempt := 0; ; attempt++ {
-			var err error
-			res, err = perf.MeasureCompiledBatch(fam, *size, *backend, *batches, *batch, *runs, perf.RunConfig{Seed: *seed})
-			if err != nil {
-				fatal(err)
+	for _, backend := range splitCSV(*backends) {
+		for _, fam := range splitCSV(*families) {
+			var res perf.CompiledBatchComparison
+			var violation string
+			for attempt := 0; ; attempt++ {
+				var err error
+				res, err = perf.MeasureCompiledBatch(fam, *size, backend, *batches, *batch, *runs, perf.RunConfig{Seed: *seed})
+				if err != nil {
+					fatal(err)
+				}
+				violation = perf.CheckCompiledBatch(res, *minFactor)
+				if violation == "" || attempt >= *retries {
+					break
+				}
+				fmt.Fprintf(os.Stderr, "perflab: attempt %d/%d: %s — re-measuring\n", attempt+1, *retries+1, violation)
 			}
-			violation = perf.CheckCompiledBatch(res, *minFactor)
-			if violation == "" || attempt >= *retries {
-				break
+			verdict := "ok"
+			if violation != "" {
+				verdict = "REGRESSION"
+				failures = append(failures, violation)
 			}
-			fmt.Fprintf(os.Stderr, "perflab: attempt %d/%d: %s — re-measuring\n", attempt+1, *retries+1, violation)
+			fmt.Printf("%s_%d_%s  G=%d batch=%d  scalar p50 %9.0fns  batch p50 %9.0fns  %5.2fx  (p99 %9.0fns vs %9.0fns, %9.0f vs %9.0f pps)  %s\n",
+				res.Family, res.Size, res.Backend, res.Group, res.BatchSize,
+				res.ScalarP50Nanos, res.BatchP50Nanos, res.Factor,
+				res.ScalarP99Nanos, res.BatchP99Nanos,
+				res.ScalarPacketsPerSec, res.BatchPacketsPerSec, verdict)
+			results = append(results, res)
 		}
-		verdict := "ok"
-		if violation != "" {
-			verdict = "REGRESSION"
-			failures = append(failures, violation)
-		}
-		mode := "grouped"
-		if !res.Grouped {
-			mode = "scalar-fallback"
-		}
-		fmt.Printf("%s_%d_%s  G=%d batch=%d %s  scalar p50 %9.0fns  batch p50 %9.0fns  %5.2fx  (p99 %9.0fns vs %9.0fns, %9.0f vs %9.0f pps)  %s\n",
-			res.Family, res.Size, res.Backend, res.Group, res.BatchSize, mode,
-			res.ScalarP50Nanos, res.BatchP50Nanos, res.Factor,
-			res.ScalarP99Nanos, res.BatchP99Nanos,
-			res.ScalarPacketsPerSec, res.BatchPacketsPerSec, verdict)
-		results = append(results, res)
 	}
 	if *out != "" {
 		if err := writeJSON(*out, results); err != nil {

@@ -1,326 +1,128 @@
 package compiled
 
-import (
-	"math"
-	"unsafe"
+import "neurocuts/internal/rule"
 
-	"neurocuts/internal/rule"
-)
+// batchGroup is G: how many packets LookupBatch walks through a tree
+// together.
+const batchGroup = 32
 
-// batchGroup is G: the number of packets advanced in lockstep by
-// LookupBatch. Each round issues one traversal step per live lane and a
-// prefetch for that lane's next node, so up to G node-line fills are in
-// flight at once and each lane's dependent-load latency is hidden behind
-// the other lanes' compute. Benchmarked against 4 and 16 on the 10k-rule
-// cells (BenchmarkLookupScalarVsBatch): 8 edges out 4 and matches 16 while
-// keeping the scratch footprint — dominated by the G fixed-size lane stacks
-// — at half of 16's.
-const batchGroup = 8
-
-// batchMinLen is the shortest batch worth the grouped machinery; below it
-// LookupBatch degrades to the scalar path.
-const batchMinLen = 2
-
-// batchMinVisits is the adaptive-dispatch threshold: the grouped traversal
-// engages only when the compile-time worst-case lookup visits at least this
-// many nodes. The interleave earns its keep by keeping up to G node-line
-// fills in flight across lanes; a forest whose longest chain is shorter than
-// the group width (fw1-shaped rule sets compile to a handful of L1-resident
-// nodes) never accumulates that overlap, and the lane bookkeeping becomes
-// pure overhead over the scalar loop — measured ~0.8x on the 10k-rule fw1
-// cell before this gate existed. WorstCaseVisits is computed by both Compile
-// and Load, so the artifact format is unaffected.
-const batchMinVisits = batchGroup
-
-// BatchEligible reports whether LookupBatch will use the grouped interleaved
-// traversal for this classifier, or fall back to per-packet scalar lookups
-// (shallow cache-resident forests, or a worst-case traversal stack beyond
-// the fixed lane stacks). The perf lab reports it so the compiledbatch gate
-// can tell a measured grouped win from an adaptive fallback.
-func (c *Classifier) BatchEligible() bool {
-	return len(c.roots) > 0 &&
-		c.stats.MaxStack <= lookupStackSize &&
-		c.stats.WorstCaseVisits >= batchMinVisits
-}
-
-// BatchGroup exports G for callers sizing batches to group boundaries and
-// for the differential tests probing lengths around them.
+// BatchGroup exports G for the differential tests probing batch lengths
+// around it.
 const BatchGroup = batchGroup
 
-// batchScratch is the per-call traversal state of up to batchGroup in-flight
-// packets, kept as struct-of-arrays so each round's inner loop walks small
-// dense arrays. It is pooled: a LookupBatch call allocates nothing after the
-// pool has warmed.
-type batchScratch struct {
-	// vals caches each lane's packet fields widened to uint64, indexed by
-	// rule.Dimension, replacing the per-step Field switch with one load.
+// walkCap is the fixed capacity of a group's frontier: the walkers one group
+// may put on one tree — one per packet, plus one per extra partition child
+// met on the way down. A group that would need more falls back to the scalar
+// lookup.
+const walkCap = 8 * batchGroup
+
+// walker is one (packet, subtree) pair of a group: pkt indexes the group's
+// packets, node is where in the slab the pair currently stands.
+type walker struct {
+	node uint32
+	pkt  uint32
+}
+
+// walkScratch is one LookupBatch call's working state. It lives on the
+// caller's stack: no pool, no allocation, nothing shared between calls.
+type walkScratch struct {
+	// vals and keys hold each packet in its two operand forms: fields by
+	// dimension for the cut dispatch, the kernel's key for the leaf scans.
 	vals [batchGroup][rule.NumDims]uint64
-	// pkt is the lane's packet in native widths, for the leaf match scan.
-	pkt [batchGroup]rule.Packet
-	// cur is the lane's current node index.
-	cur [batchGroup]uint32
-	// oidx is where the lane's result lands in the caller's out slice.
-	oidx [batchGroup]int32
-	// best/bestPrio track the lane's best match so far (-1 / MaxInt32).
-	best     [batchGroup]int32
-	bestPrio [batchGroup]int32
-	// sp/stack hold the lane's pending subtree roots (partition children and
-	// multi-tree roots), exactly like the scalar traversal stack.
-	sp   [batchGroup]int32
-	live [batchGroup]bool
-	// scanning/scanPos carry a partially-scanned leaf across rounds: long
-	// leaf spans are consumed leafScanChunk rules per step so their
-	// packed-rule misses overlap across lanes instead of stalling one round
-	// per leaf (see laneLeaf).
-	scanning [batchGroup]bool
-	scanPos  [batchGroup]uint32
-	stack    [batchGroup][lookupStackSize]uint32
-}
-
-// batchScratches is a fixed-capacity freelist of traversal scratches. A
-// buffered channel rather than sync.Pool: Pool deliberately drops a fraction
-// of Puts under the race detector, which would turn the batch path's
-// steady-state 0 allocs/op into a probabilistic property exactly where CI
-// measures it (the engine alloc gates run under -race). The freelist is
-// deterministic in both build modes; if more batches than its capacity are
-// ever in flight at once the extras simply allocate.
-var batchScratches = make(chan *batchScratch, 64)
-
-func getBatchScratch() *batchScratch {
-	select {
-	case s := <-batchScratches:
-		return s
-	default:
-		return new(batchScratch)
-	}
-}
-
-func putBatchScratch(s *batchScratch) {
-	select {
-	case batchScratches <- s:
-	default:
-	}
+	keys [batchGroup]rule.PackedKey
+	// best is each packet's best match so far.
+	best [batchGroup]uint32
+	// front and next are the current and the following frontier.
+	front, next [walkCap]walker
 }
 
 // LookupBatch classifies every packet of ps, writing each packet's best rule
-// index (into Rules()) or -1 to the corresponding out element. It is the
-// grouped counterpart of LookupIndex: packets advance through the node slab
-// in an interleaved group of batchGroup lanes, a finished lane immediately
-// refills from the remaining packets, and every lane advance prefetches the
-// lane's next node. Results are identical to per-packet LookupIndex calls
-// (the lanes replicate the scalar traversal order exactly), allocation-free
-// once the scratch pool is warm, and safe for concurrent use.
+// index (into Rules()) or -1 to the corresponding out element. Results are
+// identical to per-packet LookupIndex calls; the call is allocation-free and
+// safe for concurrent use.
 //
-// Batches shorter than batchMinLen and classifiers that are not
-// BatchEligible (shallow forests below batchMinVisits, or a compile-time
-// MaxStack beyond the fixed lane stacks) fall back to the scalar path.
+// It is a frontier walk. A group of G packets puts one walker per packet on a
+// tree's root; a pass advances every walker by one node in a single tight
+// loop (partition nodes add a walker per extra child), and a walker that
+// reaches a leaf scans it with the shared kernel and retires. Consecutive
+// iterations of a pass belong to different packets, so the out-of-order core
+// overlaps their loads, divides and leaf scans on its own — there is no
+// software prefetch and no per-packet state machine.
 func (c *Classifier) LookupBatch(ps []rule.Packet, out []int32) {
 	out = out[:len(ps)]
-	if len(ps) < batchMinLen || !c.BatchEligible() {
-		for i := range ps {
-			out[i] = int32(c.LookupIndex(ps[i]))
-		}
+	if len(ps) == 1 {
+		// A lone packet has nothing to overlap with: spare it the scratch.
+		out[0] = int32(c.LookupIndex(ps[0]))
 		return
 	}
-	s := getBatchScratch()
-	next, active := 0, 0
-	for l := 0; l < batchGroup && next < len(ps); l++ {
-		c.initLane(s, l, ps[next], int32(next))
-		next++
-		active++
-	}
-	for active > 0 {
-		for l := 0; l < batchGroup; l++ {
-			if !s.live[l] {
-				continue
-			}
-			if !laneSteps[c.nodes[s.cur[l]].kind](c, s, l) {
-				continue
-			}
-			// The lane finished its packet: retire the result and refill.
-			out[s.oidx[l]] = s.best[l]
-			if next < len(ps) {
-				c.initLane(s, l, ps[next], int32(next))
-				next++
-			} else {
-				s.live[l] = false
-				active--
+	var s walkScratch
+	for len(ps) > 0 {
+		n := min(len(ps), batchGroup)
+		if !c.walkGroup(&s, ps[:n], out) {
+			for i, p := range ps[:n] {
+				out[i] = int32(c.LookupIndex(p))
 			}
 		}
+		ps, out = ps[n:], out[n:]
 	}
-	putBatchScratch(s)
 }
 
-// initLane points lane l at packet p: fields widened, best match cleared,
-// all per-tree roots staged (the last root becomes the current node, the
-// rest wait on the lane stack — the same LIFO order the scalar path uses).
-func (c *Classifier) initLane(s *batchScratch, l int, p rule.Packet, oidx int32) {
-	s.pkt[l] = p
-	s.vals[l][rule.DimSrcIP] = uint64(p.SrcIP)
-	s.vals[l][rule.DimDstIP] = uint64(p.DstIP)
-	s.vals[l][rule.DimSrcPort] = uint64(p.SrcPort)
-	s.vals[l][rule.DimDstPort] = uint64(p.DstPort)
-	s.vals[l][rule.DimProto] = uint64(p.Proto)
-	s.oidx[l] = oidx
-	s.best[l] = -1
-	s.bestPrio[l] = math.MaxInt32
-	s.live[l] = true
-	s.scanning[l] = false
-	// MaxStack <= lookupStackSize (checked by LookupBatch) bounds the root
-	// count too, so the copy always fits.
-	n := copy(s.stack[l][:], c.roots)
-	s.sp[l] = int32(n - 1)
-	cur := s.stack[l][n-1]
-	s.cur[l] = cur
-	prefetchT0(unsafe.Pointer(&c.nodes[cur]))
-}
-
-// laneSteps dispatches one traversal step by node kind. The batch stepper
-// indexes straight into this table with the node's kind byte instead of
-// re-predicting a switch per lane per round; each handler is a small flat
-// function that advances the lane by exactly one node and reports whether
-// the lane's packet is finished.
-var laneSteps = [kindMax + 1]func(*Classifier, *batchScratch, int) bool{
-	kindLeaf:      laneLeaf,
-	kindCut:       laneCut,
-	kindCustomCut: laneCustomCut,
-	kindPartition: lanePartition,
-}
-
-// laneCut descends one equal-cut node: single-dimension cuts (the common
-// case) dispatch branch-free from the node's inline descriptor, touching
-// only the node's own cache line; multi-dimension cuts fold every
-// dimension's piece over the descriptor slab exactly like the scalar path.
-func laneCut(c *Classifier, s *batchScratch, l int) bool {
-	nd := &c.nodes[s.cur[l]]
-	var child uint32
-	if nd.ndims == 1 {
-		child = nd.a + cutPiece(s.vals[l][nd.dim0], nd.lo0, nd.step0, nd.b)
-	} else {
-		idx := uint32(0)
-		base := nd.cut
-		for k := uint32(0); k < uint32(nd.ndims); k++ {
-			d := &c.cutDescs[base+k]
-			v := s.vals[l][d.dim]
-			var piece uint32
-			if v > d.lo && d.step > 0 {
-				piece = uint32((v - d.lo) / d.step)
-				if piece >= d.count {
-					piece = d.count - 1
+// walkGroup classifies one group of at most G packets into out. It reports
+// false, having written nothing, when a tree needs more than walkCap walkers.
+func (c *Classifier) walkGroup(s *walkScratch, ps []rule.Packet, out []int32) bool {
+	for i, p := range ps {
+		setFields(&s.vals[i], p)
+		s.keys[i] = p.Key()
+		s.best[i] = noMatch
+	}
+	// The trees are walked one after the other, last root first: the order
+	// the scalar lookup visits them in. Which leaf is scanned first decides
+	// how many rules the running best cuts off in the others, so keeping the
+	// scalar order keeps the walk from ever comparing more rules than the
+	// lookup it replaces.
+	front, next := &s.front, &s.next
+	for r := len(c.roots) - 1; r >= 0; r-- {
+		n := len(ps)
+		for i := range ps {
+			front[i] = walker{node: c.roots[r], pkt: uint32(i)}
+		}
+		created := n
+		for n > 0 {
+			m := 0
+			for _, w := range front[:n] {
+				nd := &c.nodes[w.node]
+				switch nd.kind {
+				case kindLeaf:
+					s.best[w.pkt] = c.scanLeaf(nd, s.keys[w.pkt], s.best[w.pkt])
+					continue
+				case kindCut:
+					if nd.ndims == 1 {
+						w.node = nd.a + cutPiece(s.vals[w.pkt][nd.dim0], nd.lo0, nd.step0, nd.b)
+					} else {
+						w.node = c.multiCutChild(nd, &s.vals[w.pkt])
+					}
+				case kindCustomCut:
+					w.node = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], s.vals[w.pkt][nd.ndims]))
+				default: // kindPartition: every child holds part of the rules.
+					created += int(nd.b) - 1
+					if created > walkCap {
+						return false
+					}
+					for j := uint32(1); j < nd.b; j++ {
+						next[m] = walker{node: nd.a + j, pkt: w.pkt}
+						m++
+					}
+					w.node = nd.a
 				}
+				next[m] = w
+				m++
 			}
-			idx = idx*d.count + piece
-		}
-		child = nd.a + idx
-	}
-	s.cur[l] = child
-	prefetchT0(unsafe.Pointer(&c.nodes[child]))
-	return false
-}
-
-// laneCustomCut descends one equi-dense cut node by binary search over its
-// boundary points (child index = number of boundaries <= v).
-func laneCustomCut(c *Classifier, s *batchScratch, l int) bool {
-	nd := &c.nodes[s.cur[l]]
-	v := s.vals[l][nd.ndims]
-	pts := c.cutPoints[nd.cut : nd.cut+nd.b-1]
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
+			front, next = next, front
+			n = m
 		}
 	}
-	child := nd.a + uint32(lo)
-	s.cur[l] = child
-	prefetchT0(unsafe.Pointer(&c.nodes[child]))
-	return false
-}
-
-// leafScanChunk is how many leaf rules one lane step consumes. Short spans
-// (the common case — binth-sized leaves) still finish in their first visit
-// with no extra dispatch; longer spans yield after each chunk with the next
-// chunk's packed-rule line prefetched, so heavyweight leaf scans overlap
-// across lanes instead of each stalling a whole round.
-const leafScanChunk = 8
-
-// laneLeaf scans (a chunk of) the leaf's priority-sorted rule span against
-// the lane's packet, then either yields with the rest of the span pending,
-// pops the lane's next subtree, or reports the lane done.
-func laneLeaf(c *Classifier, s *batchScratch, l int) bool {
-	nd := &c.nodes[s.cur[l]]
-	end := nd.a + nd.b
-	i := nd.a
-	if s.scanning[l] {
-		i = s.scanPos[l]
+	for i := range ps {
+		out[i] = int32(s.best[i])
 	}
-	chunkEnd := i + leafScanChunk
-	if chunkEnd > end {
-		chunkEnd = end
-	}
-	p := s.pkt[l]
-	bestPrio := s.bestPrio[l]
-	for ; i < chunkEnd; i++ {
-		ri := c.leafRules[i]
-		r := &c.packed[ri]
-		if r.prio >= bestPrio {
-			// Priority-sorted span: nothing later can improve the best.
-			i = end
-			break
-		}
-		if p.SrcIP < r.srcLo || p.SrcIP > r.srcHi ||
-			p.DstIP < r.dstLo || p.DstIP > r.dstHi ||
-			p.SrcPort < r.spLo || p.SrcPort > r.spHi ||
-			p.DstPort < r.dpLo || p.DstPort > r.dpHi ||
-			p.Proto < r.prLo || p.Proto > r.prHi {
-			continue
-		}
-		s.best[l] = int32(ri)
-		s.bestPrio[l] = r.prio
-		i = end
-		break
-	}
-	if i < end {
-		// More span left: remember the position and get the next chunk's
-		// rule lines in flight while other lanes run.
-		s.scanning[l] = true
-		s.scanPos[l] = i
-		prefetchT0(unsafe.Pointer(&c.packed[c.leafRules[i]]))
-		if i+2 < end {
-			prefetchT0(unsafe.Pointer(&c.packed[c.leafRules[i+2]]))
-		}
-		return false
-	}
-	s.scanning[l] = false
-	sp := s.sp[l]
-	if sp == 0 {
-		return true
-	}
-	sp--
-	s.sp[l] = sp
-	cur := s.stack[l][sp]
-	s.cur[l] = cur
-	prefetchT0(unsafe.Pointer(&c.nodes[cur]))
-	return false
-}
-
-// lanePartition stages a partition node's children: the last child becomes
-// the lane's current node and the rest are pushed, giving the identical
-// LIFO visit order to the scalar path (which pushes all b children and pops
-// the last first). The lane stack never exceeds the scalar MaxStack bound
-// because one staged child rides in cur instead of on the stack.
-func lanePartition(c *Classifier, s *batchScratch, l int) bool {
-	nd := &c.nodes[s.cur[l]]
-	sp := s.sp[l]
-	for j := uint32(0); j+1 < nd.b; j++ {
-		s.stack[l][sp] = nd.a + j
-		sp++
-	}
-	s.sp[l] = sp
-	cur := nd.a + nd.b - 1
-	s.cur[l] = cur
-	prefetchT0(unsafe.Pointer(&c.nodes[cur]))
-	return false
+	return true
 }

@@ -1,56 +1,100 @@
 package compiled_test
 
 import (
+	"strconv"
 	"testing"
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/compiled"
 	"neurocuts/internal/core"
+	"neurocuts/internal/cutsplit"
 	"neurocuts/internal/env"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
 
-// buildAllBackendTrees extends the shared buildTrees harness with the
-// learned backend, so the batch differential covers all 5 tree shapes. The
-// trained tree is skipped in -short mode (training is the only expensive
-// build).
+// trainTree trains a small NeuroCuts policy over set and returns its best
+// tree. Training is the only expensive build, so callers skip it in -short.
+func trainTree(t *testing.T, set *rule.Set, partition env.PartitionMode) *tree.Tree {
+	t.Helper()
+	cfg := core.Scaled(1000)
+	cfg.MaxTimesteps = 600
+	cfg.BatchTimesteps = 256
+	cfg.Workers = 2
+	cfg.Seed = 42
+	cfg.Partition = partition
+	trainer := core.NewTrainer(set, cfg)
+	if _, err := trainer.Train(); err != nil {
+		t.Fatal(err)
+	}
+	nt, _ := trainer.BestTree()
+	if nt == nil {
+		t.Fatal("neurocuts training produced no tree")
+	}
+	return nt
+}
+
+// partitionTree hand-builds a single tree whose root is a partition node
+// with `groups` children, each holding an interleaved share of the rules and
+// cut once where it is still too big. With enough groups a packet reaches
+// more leaves than a full group's share of the walker arrays, so LookupBatch
+// must notice mid-walk and fall back to the scalar lookup.
+func partitionTree(t *testing.T, set *rule.Set, groups int) *tree.Tree {
+	t.Helper()
+	tr := tree.New(set, 8)
+	parts := make([][]rule.Rule, groups)
+	labels := make([]string, groups)
+	for i, r := range set.Rules() {
+		parts[i%groups] = append(parts[i%groups], r)
+	}
+	for g := range labels {
+		labels[g] = "part" + strconv.Itoa(g)
+	}
+	children, err := tr.Partition(tr.Root, parts, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range children {
+		if tr.IsTerminal(ch) {
+			continue
+		}
+		if _, err := tr.Cut(ch, rule.DimSrcIP, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// buildAllBackendTrees extends the shared buildTrees harness (single trees,
+// and the multi-root forests of EffiCuts and CutSplit) with partition
+// forests: hand-built partition roots narrow enough to walk and wide enough
+// to overflow the walker arrays, and — outside -short — trained NeuroCuts
+// trees with and without the partition action.
 func buildAllBackendTrees(t *testing.T, set *rule.Set) map[string][]*tree.Tree {
 	t.Helper()
 	out := buildTrees(t, set)
+	out["partition3"] = []*tree.Tree{partitionTree(t, set, 3)}
+	out["partition20"] = []*tree.Tree{partitionTree(t, set, 20)}
 	if !testing.Short() {
-		cfg := core.Scaled(1000)
-		cfg.MaxTimesteps = 600
-		cfg.BatchTimesteps = 256
-		cfg.Workers = 2
-		cfg.Seed = 42
-		cfg.Partition = env.PartitionNone
-		trainer := core.NewTrainer(set, cfg)
-		if _, err := trainer.Train(); err != nil {
-			t.Fatal(err)
-		}
-		nt, _ := trainer.BestTree()
-		if nt == nil {
-			t.Fatal("neurocuts training produced no tree")
-		}
-		out["neurocuts"] = []*tree.Tree{nt}
+		out["neurocuts"] = []*tree.Tree{trainTree(t, set, env.PartitionNone)}
+		out["neurocuts-partition"] = []*tree.Tree{trainTree(t, set, env.PartitionEffiCuts)}
 	}
 	return out
 }
 
-// TestDifferentialLookupBatch is the grouped-traversal differential:
-// LookupBatch must return byte-identical results to per-packet LookupIndex
-// — and both must agree with reference linear search — over a 12k-packet
-// sample, for every tree backend, at batch lengths straddling the group
-// width (1, G-1, G, G+1, 3G+2) so lane refill, the sub-group scalar
-// fallback and partially-filled groups are all crossed.
+// TestDifferentialLookupBatch is the frontier-walk differential: LookupBatch
+// must return byte-identical results to per-packet LookupIndex — and both
+// must agree with reference linear search — over a 12k-packet sample, for
+// every forest shape (single tree, multi-root, partition nodes, a partition
+// too wide for the walker arrays), at batch lengths straddling the group
+// width (1, G-1, G, G+1, 3G+2, 256) so single-packet groups, partial groups
+// and many full groups are all crossed.
 func TestDifferentialLookupBatch(t *testing.T) {
 	const g = compiled.BatchGroup
-	lengths := []int{1, g - 1, g, g + 1, 3*g + 2}
+	lengths := []int{1, g - 1, g, g + 1, 3*g + 2, 256}
 
 	total := 0
-	grouped, fallback := 0, 0
 	for _, family := range []string{"acl1", "fw1"} {
 		fam, err := classbench.FamilyByName(family)
 		if err != nil {
@@ -70,11 +114,6 @@ func TestDifferentialLookupBatch(t *testing.T) {
 			c, err := compiled.Compile(set, trees...)
 			if err != nil {
 				t.Fatalf("%s/%s: compile: %v", backend, family, err)
-			}
-			if c.BatchEligible() {
-				grouped++
-			} else {
-				fallback++
 			}
 			// Scalar reference over the whole sample, checked against linear
 			// search once; the batch runs below then compare against it.
@@ -111,12 +150,47 @@ func TestDifferentialLookupBatch(t *testing.T) {
 	if total < 12000 {
 		t.Fatalf("sample too small: %d packets", total)
 	}
-	// The adaptive dispatch must leave both code paths covered: some built
-	// forests deep enough to engage the grouped traversal, some shallow
-	// enough to take the scalar fallback. If a threshold change collapses
-	// either bucket to zero, this differential stops testing that path.
-	if grouped == 0 || fallback == 0 {
-		t.Fatalf("adaptive dispatch coverage lost: %d grouped, %d fallback forests", grouped, fallback)
+}
+
+// TestLookupTiedPriorities is the regression test for tie order: two
+// overlapping rules with the same Priority, held by different trees, must
+// resolve to the first in the rule list (what rule.Set.MatchIndex returns)
+// whichever tree the traversal reaches first. Leaf scans used to compare
+// priorities and stop on a tie, so the answer depended on tree order.
+func TestLookupTiedPriorities(t *testing.T) {
+	a := rule.NewWildcardRule(5)
+	a.ID = 1
+	a.Ranges[rule.DimDstPort] = rule.Range{Lo: 0, Hi: 1023}
+	b := rule.NewWildcardRule(5)
+	b.ID = 2
+	b.Ranges[rule.DimProto] = rule.Range{Lo: 6, Hi: 6}
+	hit := rule.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80, Proto: 6} // matches both
+
+	for _, order := range [][]rule.Rule{{a, b}, {b, a}} {
+		set := rule.NewSetKeepPriorities(order)
+		if got := set.MatchIndex(hit); got != 0 {
+			t.Fatalf("linear search returned %d, want the first of the tied rules", got)
+		}
+		// One single-leaf tree per rule, compiled in both tree orders.
+		first := tree.New(rule.NewSetKeepPriorities(order[:1]), 8)
+		second := tree.New(rule.NewSetKeepPriorities(order[1:]), 8)
+		for _, trees := range [][]*tree.Tree{{first, second}, {second, first}} {
+			c, err := compiled.Compile(set, trees...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.LookupIndex(hit); got != 0 {
+				t.Errorf("rules %d,%d: LookupIndex = %d, want 0 (first in list)", order[0].ID, order[1].ID, got)
+			}
+			ps := []rule.Packet{hit, hit, hit}
+			out := make([]int32, len(ps))
+			c.LookupBatch(ps, out)
+			for i, got := range out {
+				if got != 0 {
+					t.Errorf("rules %d,%d: LookupBatch[%d] = %d, want 0 (first in list)", order[0].ID, order[1].ID, i, got)
+				}
+			}
+		}
 	}
 }
 
@@ -156,43 +230,60 @@ func TestLookupBatchDegenerate(t *testing.T) {
 	}
 }
 
-// BenchmarkLookupScalarVsBatch compares per-packet cost of the scalar and
-// grouped paths on a mid-size compiled tree with a rule-directed trace —
-// the quick local proxy for the perf lab's compiledbatch cell.
+// BenchmarkLookupScalarVsBatch compares per-packet cost of the scalar lookup
+// and the frontier walk on 10k-rule forests with a rule-directed trace: the
+// single HiCuts tree and the multi-root CutSplit forests the serving
+// benchmarks run on. It is the quick local proxy for the perf lab's
+// compiledbatch cell; MB/s reads as million packets per second.
 func BenchmarkLookupScalarVsBatch(b *testing.B) {
-	fam, err := classbench.FamilyByName("acl1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := classbench.Generate(fam, 10000, 5)
-	ht, err := hicuts.Build(set, hicuts.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := compiled.Compile(set, ht)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ps []rule.Packet
-	for _, e := range classbench.GenerateTrace(set, 4096, 21) {
-		ps = append(ps, e.Key)
-	}
-	out := make([]int32, len(ps))
-
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range ps {
-				out[j] = int32(c.LookupIndex(ps[j]))
+	for _, cell := range []struct{ family, backend string }{
+		{"acl1", "hicuts"}, {"acl1", "cutsplit"}, {"fw1", "cutsplit"}, {"ipc1", "cutsplit"},
+	} {
+		fam, err := classbench.FamilyByName(cell.family)
+		if err != nil {
+			b.Fatal(err)
+		}
+		set := classbench.Generate(fam, 10000, 5)
+		var trees []*tree.Tree
+		if cell.backend == "hicuts" {
+			ht, err := hicuts.Build(set, hicuts.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
 			}
+			trees = []*tree.Tree{ht}
+		} else {
+			cs, err := cutsplit.Build(set, cutsplit.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			trees = cs.Trees
 		}
-		b.SetBytes(int64(len(ps)))
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.LookupBatch(ps, out)
+		c, err := compiled.Compile(set, trees...)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(ps)))
-	})
+		var ps []rule.Packet
+		for _, e := range classbench.GenerateTrace(set, 4096, 21) {
+			ps = append(ps, e.Key)
+		}
+		out := make([]int32, len(ps))
+
+		name := cell.family + "-" + cell.backend
+		b.Run(name+"/scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range ps {
+					out[j] = int32(c.LookupIndex(ps[j]))
+				}
+			}
+			b.SetBytes(int64(len(ps)))
+		})
+		b.Run(name+"/batch", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.LookupBatch(ps, out)
+			}
+			b.SetBytes(int64(len(ps)))
+		})
+	}
 }

@@ -50,7 +50,7 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 	}
 
 	c.nodes = alignNodeSlab(c.nodes)
-	c.packed = packRules(c.rules)
+	c.packed = rule.PackRules(c.rules)
 	if err := c.validate(); err != nil {
 		return nil, fmt.Errorf("compiled: internal inconsistency: %w", err)
 	}
@@ -63,16 +63,14 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 func (c *Classifier) compileNode(pn *tree.Node, ruleIdx map[rule.Rule]uint32, queue *[]*tree.Node) (node, error) {
 	if pn.IsLeaf() {
 		nd := node{kind: kindLeaf, a: uint32(len(c.leafRules)), b: uint32(len(pn.Rules))}
-		prev := math.MinInt
-		for _, r := range pn.Rules {
+		for j, r := range pn.Rules {
 			idx, ok := ruleIdx[r]
 			if !ok {
 				return node{}, fmt.Errorf("compiled: leaf rule %v not found in classifier set", r)
 			}
-			if r.Priority < prev {
-				return node{}, fmt.Errorf("compiled: leaf rules out of priority order at %v", r)
+			if j > 0 && idx <= c.leafRules[len(c.leafRules)-1] {
+				return node{}, fmt.Errorf("compiled: leaf rules out of list order at %v", r)
 			}
-			prev = r.Priority
 			c.leafRules = append(c.leafRules, idx)
 		}
 		return nd, nil
@@ -153,7 +151,10 @@ func (c *Classifier) compileNode(pn *tree.Node, ruleIdx map[rule.Rule]uint32, qu
 // validate checks every structural invariant the lookup path relies on:
 // all spans in bounds, child indices strictly greater than the parent's
 // (termination), cut fan-outs consistent with child counts, boundary points
-// increasing, leaf spans priority-ordered, and rule ranges within their
+// increasing, leaf spans strictly ascending by rule index (the rule list is
+// priority-sorted, so list position is what "better match" means — across
+// leaves and trees too, which is how tied priorities resolve to the first in
+// the list exactly like rule.Set.MatchIndex), and rule ranges within their
 // dimension widths. Load calls it on untrusted bytes; Compile calls it as a
 // cheap self-check.
 func (c *Classifier) validate() error {
@@ -204,17 +205,14 @@ func (c *Classifier) validate() error {
 			if uint64(nd.a)+uint64(nd.b) > nLeafRules {
 				return fmt.Errorf("node %d: leaf span [%d,+%d) out of range (%d refs)", i, nd.a, nd.b, nLeafRules)
 			}
-			prev := int32(math.MinInt32)
 			for j := nd.a; j < nd.a+nd.b; j++ {
 				ri := c.leafRules[j]
 				if uint64(ri) >= nRules {
 					return fmt.Errorf("node %d: leaf rule ref %d out of range (%d rules)", i, ri, nRules)
 				}
-				prio := int32(c.rules[ri].Priority)
-				if prio < prev {
-					return fmt.Errorf("node %d: leaf rules not in priority order", i)
+				if j > nd.a && ri <= c.leafRules[j-1] {
+					return fmt.Errorf("node %d: leaf rules not in ascending rule-index order", i)
 				}
-				prev = prio
 			}
 		case kindCut:
 			if err := checkChildren(i, nd); err != nil {

@@ -15,8 +15,9 @@
 //     indices into the classifier's rule list, so rule replication costs 4
 //     bytes per reference instead of a 96-byte rule copy;
 //   - cut geometry (origin, step, fan-out per dimension) is stored in flat
-//     descriptor arrays, and rules are additionally packed into a 32-byte
-//     match-only form so the leaf scan touches nothing but small integers.
+//     descriptor arrays, and rules are additionally packed into the 32-byte
+//     match-only records of rule.Packed, so the leaf scan touches nothing
+//     but small integers and spends one branch per rule.
 //
 // Lookup is iterative and allocation-free: a fixed-size index stack replaces
 // recursion (partition nodes and multi-tree classifiers push work onto it),
@@ -101,26 +102,16 @@ type cutDesc struct {
 	dim   uint8
 }
 
-// packedRule is the match-only projection of a rule: 32 bytes of unsigned
-// bounds plus the priority, laid out so a leaf scan compares machine words
-// without touching the full 96-byte rule.Rule.
-type packedRule struct {
-	srcLo, srcHi uint32
-	dstLo, dstHi uint32
-	prio         int32
-	spLo, spHi   uint16
-	dpLo, dpHi   uint16
-	prLo, prHi   uint8
-}
-
 // Classifier is the immutable compiled form of one classifier: one or more
 // flattened decision trees over a shared rule list. It is safe for
 // concurrent use; all fields are read-only after Compile or Load.
 type Classifier struct {
 	// rules is the full classifier in priority order (what Lookup returns).
 	rules []rule.Rule
-	// packed is rules projected to the match-only form, index-aligned.
-	packed []packedRule
+	// packed is rules projected to the match-only form, index-aligned. It
+	// carries no priority: the rule list is priority-sorted, so a rule's
+	// index is its rank, and leaf spans ascend by index (see validate).
+	packed []rule.Packed
 	// nodes is the flat node slab across all trees, children contiguous.
 	nodes []node
 	// leafRules is the shared slab of rule indices referenced by leaves.
@@ -167,32 +158,15 @@ func (c *Classifier) Stats() Stats { return c.stats }
 // must not be modified.
 func (c *Classifier) Rules() []rule.Rule { return c.rules }
 
+// Packed returns the rule list's match-only projection, index-aligned with
+// Rules. The update overlay shares it for its tombstone rescans instead of
+// packing a second copy. The slice must not be modified.
+func (c *Classifier) Packed() []rule.Packed { return c.packed }
+
 // RuleSet reconstructs a rule.Set over the classifier's rules, preserving
 // priorities and IDs. Engine warm starts use it as the update base.
 func (c *Classifier) RuleSet() *rule.Set {
 	return rule.NewSetKeepPriorities(c.rules)
-}
-
-// packRules projects rules to their match-only form. Callers must have
-// validated that every range fits its dimension's width.
-func packRules(rules []rule.Rule) []packedRule {
-	out := make([]packedRule, len(rules))
-	for i, r := range rules {
-		out[i] = packedRule{
-			srcLo: uint32(r.Ranges[rule.DimSrcIP].Lo),
-			srcHi: uint32(r.Ranges[rule.DimSrcIP].Hi),
-			dstLo: uint32(r.Ranges[rule.DimDstIP].Lo),
-			dstHi: uint32(r.Ranges[rule.DimDstIP].Hi),
-			prio:  int32(r.Priority),
-			spLo:  uint16(r.Ranges[rule.DimSrcPort].Lo),
-			spHi:  uint16(r.Ranges[rule.DimSrcPort].Hi),
-			dpLo:  uint16(r.Ranges[rule.DimDstPort].Lo),
-			dpHi:  uint16(r.Ranges[rule.DimDstPort].Hi),
-			prLo:  uint8(r.Ranges[rule.DimProto].Lo),
-			prHi:  uint8(r.Ranges[rule.DimProto].Hi),
-		}
-	}
-	return out
 }
 
 // computeStats fills c.stats: sizes, worst-case lookup cost and the

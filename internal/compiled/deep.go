@@ -9,9 +9,9 @@ import (
 // This file reconstructs the header-space boxes of a compiled tree's deepest
 // leaves and synthesizes packets inside them. The perf lab uses it to build
 // adversarial worst-case-depth traces: every packet is steered down a
-// maximum-length dependent-load chain, the workload where the grouped batch
-// traversal's prefetch overlap matters most (and where a rule-directed trace,
-// which lands on popular mid-depth leaves, measures least).
+// maximum-length dependent-load chain, the workload where the batched walk's
+// overlap of independent chains matters most (and where a rule-directed
+// trace, which lands on popular mid-depth leaves, measures least).
 
 // dimBox is one dimension's inclusive packet-value interval.
 type dimBox struct{ lo, hi uint64 }

@@ -280,7 +280,7 @@ func LoadBytes(data []byte) (*Classifier, Metadata, error) {
 		return nil, meta, fmt.Errorf("compiled: invalid artifact: %w", err)
 	}
 	c.nodes = alignNodeSlab(c.nodes)
-	c.packed = packRules(c.rules)
+	c.packed = rule.PackRules(c.rules)
 	c.computeStats()
 	return c, meta, nil
 }

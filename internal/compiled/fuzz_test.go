@@ -23,7 +23,9 @@ func fixChecksum(artifact []byte) {
 }
 
 // FuzzLoad drives compiled.LoadBytes with arbitrary bytes: it must either
-// return an error or return a classifier whose lookups cannot panic.
+// return an error or return a classifier whose lookups cannot panic, whose
+// batched walk agrees with its scalar lookup, and whose every answer the
+// reference rule.Matches confirms (the leaf scans run the packed kernel).
 // Truncations, bit flips, version skews and checksum-repaired structural
 // mutations are all seeded so the fuzzer starts at the interesting paths.
 func FuzzLoad(f *testing.F) {
@@ -79,9 +81,17 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		// A classifier that passed validation must serve lookups safely.
-		for _, p := range probes {
+		batch := make([]int32, len(probes))
+		c.LookupBatch(probes, batch)
+		for i, p := range probes {
 			c.Lookup(p)
-			c.LookupIndex(p)
+			idx := c.LookupIndex(p)
+			if idx >= 0 && !c.Rules()[idx].Matches(p) {
+				t.Fatalf("packet %v: lookup returned rule %d, which does not match", p, idx)
+			}
+			if int(batch[i]) != idx {
+				t.Fatalf("packet %v: batch=%d scalar=%d", p, batch[i], idx)
+			}
 		}
 		_ = c.Stats()
 		_ = c.RuleSet()

@@ -1,15 +1,15 @@
 package compiled
 
 import (
-	"math"
 	"testing"
 	"unsafe"
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/hicuts"
+	"neurocuts/internal/rule"
 )
 
-// TestNodeLayout pins the hot-struct geometry the batch traversal is built
+// TestNodeLayout pins the hot-struct geometry the traversals are built
 // around: a 32-byte node (two per cache line, so one line fill exposes every
 // dispatch-relevant field), a 32-byte packed match record, and accounting
 // constants that match the real struct sizes. A future field addition that
@@ -25,8 +25,8 @@ func TestNodeLayout(t *testing.T) {
 	if nodeLineAlign%nodeBytes != 0 {
 		t.Errorf("node size %d does not pack the %d-byte line evenly", nodeBytes, nodeLineAlign)
 	}
-	if got := unsafe.Sizeof(packedRule{}); got != packedRuleBytes {
-		t.Errorf("packedRule size = %d bytes, layout pinned at %d", got, packedRuleBytes)
+	if got := unsafe.Sizeof(rule.Packed{}); got != packedRuleBytes {
+		t.Errorf("rule.Packed size = %d bytes, layout pinned at %d", got, packedRuleBytes)
 	}
 	if got := unsafe.Sizeof(cutDesc{}); got != cutDescBytes {
 		t.Errorf("cutDesc size = %d bytes, accounting uses %d", got, cutDescBytes)
@@ -61,12 +61,12 @@ func TestNodeSlabAlignment(t *testing.T) {
 	}
 }
 
-// TestLeafSpansPriorityOrdered pins the property the early-exit leaf scan
-// (scalar and batch alike) depends on: every leaf's rule span is contiguous
-// in the shared slab and sorted by ascending priority. validate() enforces
-// it on load; this test keeps the guarantee visible (and tested) against a
-// real compiled tree.
-func TestLeafSpansPriorityOrdered(t *testing.T) {
+// TestLeafSpansIndexOrdered pins the property the early-exit leaf scan
+// (scanLeaf, scalar and batch alike) depends on: every leaf's rule span is
+// contiguous in the shared slab and strictly ascending by rule index.
+// validate() enforces it on load; this test keeps the guarantee visible (and
+// tested) against a real compiled tree.
+func TestLeafSpansIndexOrdered(t *testing.T) {
 	fam, err := classbench.FamilyByName("acl1")
 	if err != nil {
 		t.Fatal(err)
@@ -87,16 +87,37 @@ func TestLeafSpansPriorityOrdered(t *testing.T) {
 			continue
 		}
 		leaves++
-		prev := int32(math.MinInt32)
-		for j := nd.a; j < nd.a+nd.b; j++ {
-			prio := c.packed[c.leafRules[j]].prio
-			if prio < prev {
-				t.Fatalf("node %d: leaf span not priority-sorted (%d after %d)", i, prio, prev)
+		for j := nd.a + 1; j < nd.a+nd.b; j++ {
+			if c.leafRules[j] <= c.leafRules[j-1] {
+				t.Fatalf("node %d: leaf span not ascending by rule index (%d after %d)", i, c.leafRules[j], c.leafRules[j-1])
 			}
-			prev = prio
 		}
 	}
 	if leaves == 0 {
 		t.Fatal("compiled tree has no leaves")
+	}
+}
+
+// TestValidateRejectsUnorderedLeaf pins the load-side half of the tie-order
+// fix: a leaf span must ascend by rule index, not merely by priority, so an
+// artifact whose tied-priority rules sit in a leaf against list order is
+// refused instead of served with the wrong tie winner.
+func TestValidateRejectsUnorderedLeaf(t *testing.T) {
+	a, b := rule.NewWildcardRule(5), rule.NewWildcardRule(5)
+	a.ID, b.ID = 1, 2
+	c := &Classifier{
+		rules: []rule.Rule{a, b},
+		nodes: []node{{kind: kindLeaf, a: 0, b: 2}},
+		roots: []uint32{0},
+	}
+	c.leafRules = []uint32{0, 1}
+	if err := c.validate(); err != nil {
+		t.Fatalf("list-ordered leaf rejected: %v", err)
+	}
+	for _, span := range [][]uint32{{1, 0}, {1, 1}} {
+		c.leafRules = span
+		if err := c.validate(); err == nil {
+			t.Errorf("leaf span %v accepted, want an ascending-rule-index error", span)
+		}
 	}
 }

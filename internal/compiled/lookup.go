@@ -1,10 +1,6 @@
 package compiled
 
-import (
-	"math"
-
-	"neurocuts/internal/rule"
-)
+import "neurocuts/internal/rule"
 
 // lookupStackSize is the traversal stack capacity kept on the goroutine
 // stack. Classifiers whose compile-time MaxStack exceeds it (pathological
@@ -53,8 +49,8 @@ func (c *Classifier) Lookup(p rule.Packet) (rule.Rule, bool) {
 //
 // The traversal is iterative: cut nodes descend directly (one arithmetic
 // child computation per step), while partition nodes and the per-tree roots
-// push pending node indices onto a small stack. Leaf rule spans are sorted
-// by priority, so a leaf scan stops at the first match and whole leaves are
+// push pending node indices onto a small stack. Leaf rule spans ascend by
+// rule index, so a leaf scan stops at the first match and whole leaves are
 // skipped once a better match is already held.
 func (c *Classifier) LookupIndex(p rule.Packet) int {
 	var stackArr [lookupStackSize]uint32
@@ -83,14 +79,60 @@ func cutPiece(v, lo, step uint64, count uint32) uint32 {
 	return q
 }
 
+// setFields widens a packet's fields to uint64, indexed by rule.Dimension, so
+// a cut dispatch is one load instead of a field switch.
+func setFields(v *[rule.NumDims]uint64, p rule.Packet) {
+	v[rule.DimSrcIP] = uint64(p.SrcIP)
+	v[rule.DimDstIP] = uint64(p.DstIP)
+	v[rule.DimSrcPort] = uint64(p.SrcPort)
+	v[rule.DimDstPort] = uint64(p.DstPort)
+	v[rule.DimProto] = uint64(p.Proto)
+}
+
+// multiCutChild locates the child of a multi-dimension equal cut: the pieces
+// of every cut dimension fold into one mixed-radix child offset.
+func (c *Classifier) multiCutChild(nd *node, v *[rule.NumDims]uint64) uint32 {
+	idx := uint32(0)
+	for _, d := range c.cutDescs[nd.cut : nd.cut+uint32(nd.ndims)] {
+		idx = idx*d.count + cutPiece(v[d.dim], d.lo, normStep(d.step), d.count)
+	}
+	return nd.a + idx
+}
+
+// countLE returns how many of the ascending pts are <= v; pts is not empty.
+// It locates the child of an equi-dense cut: child offset = number of
+// boundary points <= the packet's value. The binary search is branch-free —
+// its trip count depends on len(pts) alone and each step is a conditional
+// add — because which half a packet falls in is a coin toss no predictor
+// wins. It inlines into both traversals.
+func countLE(pts []uint64, v uint64) int {
+	// The answer stays within [base, base+n].
+	base := 0
+	for n := len(pts); n > 1; n -= n >> 1 {
+		base += n >> 1 & -b2i(pts[base+n>>1-1] <= v)
+	}
+	return base + b2i(pts[base] <= v)
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a flag-to-register
+// move for it, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // lookupIndex is the traversal core behind LookupIndex; the caller supplies
 // the (empty) stack so the fixed-size fast path and the pooled overflow path
 // share one implementation.
 func (c *Classifier) lookupIndex(p rule.Packet, stack []uint32) int {
 	stack = append(stack, c.roots...)
 
-	best := -1
-	bestPrio := int32(math.MaxInt32)
+	var v [rule.NumDims]uint64
+	setFields(&v, p)
+	k := p.Key()
+	best := noMatch
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -103,65 +145,16 @@ func (c *Classifier) lookupIndex(p rule.Packet, stack []uint32) int {
 					// Single-dimension cut: the fan-out is the child count
 					// and the descriptor is inline, so dispatch touches only
 					// the node's own cache line.
-					v := p.Field(rule.Dimension(nd.dim0))
-					cur = nd.a + cutPiece(v, nd.lo0, nd.step0, nd.b)
-					continue descend
+					cur = nd.a + cutPiece(v[nd.dim0], nd.lo0, nd.step0, nd.b)
+				} else {
+					cur = c.multiCutChild(nd, &v)
 				}
-				idx := uint32(0)
-				base := nd.cut
-				for k := uint32(0); k < uint32(nd.ndims); k++ {
-					d := &c.cutDescs[base+k]
-					v := p.Field(rule.Dimension(d.dim))
-					var piece uint32
-					if v > d.lo && d.step > 0 {
-						piece = uint32((v - d.lo) / d.step)
-						if piece >= d.count {
-							// The final piece absorbs the division remainder.
-							piece = d.count - 1
-						}
-					}
-					idx = idx*d.count + piece
-				}
-				cur = nd.a + idx
-				continue descend
 
 			case kindCustomCut:
-				v := p.Field(rule.Dimension(nd.ndims))
-				pts := c.cutPoints[nd.cut : nd.cut+nd.b-1]
-				// Child index = number of boundaries <= v.
-				lo, hi := 0, len(pts)
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if pts[mid] <= v {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-				cur = nd.a + uint32(lo)
-				continue descend
+				cur = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], v[nd.ndims]))
 
 			case kindLeaf:
-				end := nd.a + nd.b
-				for i := nd.a; i < end; i++ {
-					ri := c.leafRules[i]
-					r := &c.packed[ri]
-					if r.prio >= bestPrio {
-						// Rules in a leaf are priority-sorted: nothing later
-						// in this leaf can improve on the current best.
-						break
-					}
-					if p.SrcIP < r.srcLo || p.SrcIP > r.srcHi ||
-						p.DstIP < r.dstLo || p.DstIP > r.dstHi ||
-						p.SrcPort < r.spLo || p.SrcPort > r.spHi ||
-						p.DstPort < r.dpLo || p.DstPort > r.dpHi ||
-						p.Proto < r.prLo || p.Proto > r.prHi {
-						continue
-					}
-					best = int(ri)
-					bestPrio = r.prio
-					break
-				}
+				best = c.scanLeaf(nd, k, best)
 				break descend
 
 			default: // kindPartition: every child holds part of the rules.
@@ -170,6 +163,27 @@ func (c *Classifier) lookupIndex(p rule.Packet, stack []uint32) int {
 				}
 				break descend
 			}
+		}
+	}
+	return int(int32(best))
+}
+
+// noMatch is the running best before any rule matched. It sorts behind every
+// rule index and converts to the -1 the lookups report.
+const noMatch = ^uint32(0)
+
+// scanLeaf returns the first rule of leaf nd that matches k and sits ahead of
+// best in the rule list, or best when there is none. The span ascends by rule
+// index, so nothing past the first rule at or behind best can improve on it.
+// Every leaf scan of the package, scalar and batched, is this loop.
+func (c *Classifier) scanLeaf(nd *node, k rule.PackedKey, best uint32) uint32 {
+	packed := c.packed
+	for _, ri := range c.leafRules[nd.a : nd.a+nd.b] {
+		if ri >= best {
+			break
+		}
+		if packed[ri].Matches(k) {
+			return ri
 		}
 	}
 	return best

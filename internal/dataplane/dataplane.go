@@ -102,7 +102,7 @@ type loop struct {
 
 	// missPs/missOut/missPos stage one span's cache misses (or, with no
 	// cache, the whole span) so the View classifies them as a single batch —
-	// compiled snapshots then run their grouped prefetching traversal.
+	// compiled snapshots then run their frontier walk.
 	// Touched only by the loop goroutine; grown to the largest span seen.
 	missPs  []rule.Packet
 	missOut []engine.Result

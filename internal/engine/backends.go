@@ -73,10 +73,10 @@ func putIdxBuf(bp *[]int32) {
 	}
 }
 
-// ClassifyBatch serves the whole span through the grouped compiled traversal
-// (compiled.LookupBatch): packets advance through the node slab in an
-// interleaved prefetching group instead of one dependent-load chain at a
-// time. Results are identical to per-packet Classify calls.
+// ClassifyBatch serves the whole span through the compiled frontier walk
+// (compiled.LookupBatch): a group of packets advances through each tree
+// together instead of one dependent-load chain at a time. Results are
+// identical to per-packet Classify calls.
 func (a *compiledClassifier) ClassifyBatch(ps []rule.Packet, out []Result) {
 	bp := getIdxBuf(len(ps))
 	idx := (*bp)[:len(ps)]

@@ -274,8 +274,7 @@ func (v View) Classify(p rule.Packet) (rule.Rule, bool) { return v.s.cls.Classif
 // Like Classify it bypasses the engine's shared flow cache and worker pool —
 // dataplane loops shard and cache themselves — but the backend sees the
 // whole span at once, so compiled tree snapshots serve it through the
-// grouped prefetching traversal instead of one dependent-load chain per
-// packet. out must be at least as long as ps.
+// frontier walk instead of one dependent-load chain per packet. out must be at least as long as ps.
 func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.cls.ClassifyBatch(ps, out) }
 
 // EngineStats is an operator-visible snapshot of an engine's serving state:
@@ -412,8 +411,8 @@ func (e *Engine) classifyOne(s *snapshot, p rule.Packet) (rule.Rule, bool) {
 }
 
 // missScratch holds one chunk's cache misses so they can be classified as a
-// single backend batch (and so reach the compiled backends' grouped
-// traversal) instead of one packet at a time.
+// single backend batch (and so reach the compiled backends' frontier walk)
+// instead of one packet at a time.
 type missScratch struct {
 	ps  []rule.Packet
 	out []Result
@@ -451,7 +450,7 @@ func putMissScratch(ms *missScratch) {
 // through the flow cache when one is configured. With a cache, hits are
 // served in place and the misses are gathered into one backend batch — the
 // backend sees a dense span either way, so compiled classifiers run their
-// grouped prefetching traversal even behind the cache.
+// frontier walk even behind the cache.
 func (e *Engine) classifyChunk(s *snapshot, ps []rule.Packet, out []Result) {
 	if e.cache == nil {
 		s.cls.ClassifyBatch(ps, out)

@@ -71,8 +71,8 @@ func putOverlayScratch(sc *overlayScratch) {
 }
 
 // ClassifyBatch serves the span through the updater view's batched merge, so
-// the base lookups underneath run as one backend batch (the grouped compiled
-// traversal for tree backends) instead of one packet at a time.
+// the base lookups underneath run as one backend batch (the compiled frontier
+// walk for tree backends) instead of one packet at a time.
 func (o *overlayClassifier) ClassifyBatch(ps []rule.Packet, out []Result) {
 	sc := getOverlayScratch(len(ps))
 	rules, oks := sc.rules[:len(ps)], sc.oks[:len(ps)]
@@ -87,7 +87,8 @@ func (o *overlayClassifier) Metrics() Metrics { return o.m }
 
 // newBase wraps a built classifier as an overlay base, handing the updater
 // both the scalar and the batched lookup so merged views can classify spans
-// through the backend's batch path.
+// through the backend's batch path. A compiled classifier also lends the
+// base its packed rule records, so tombstone rescans cost no second copy.
 func newBase(cls Classifier, set *rule.Set) (*updater.Base, error) {
 	batch := func(ps []rule.Packet, rules []rule.Rule, oks []bool) {
 		sc := getOverlayScratch(len(ps))
@@ -103,7 +104,11 @@ func newBase(cls Classifier, set *rule.Set) (*updater.Base, error) {
 		}
 		putOverlayScratch(sc)
 	}
-	return updater.NewBaseBatch(set, cls.Classify, batch)
+	var packed []rule.Packed
+	if cp, ok := cls.(CompiledProvider); ok {
+		packed = cp.Compiled().Packed()
+	}
+	return updater.NewBasePacked(set, cls.Classify, batch, packed)
 }
 
 // initUpdater turns the freshly built engine into an overlay-updating one:

@@ -19,24 +19,18 @@ import (
 
 // CompiledBatchComparison is the outcome of the compiledbatch perf cell: the
 // same trace classified through the compiled form's scalar per-packet lookup
-// (LookupIndex) and through the grouped interleaved traversal (LookupBatch),
-// on one tree backend at serving scale. The gated quantity is batch latency
-// at the median: the grouped path's claim is that overlapping G packets'
-// node fetches hides the per-node dependent-load latency, and that shows up
-// as a lower per-batch p50 on trees deep enough for the memory stalls to
-// dominate.
+// (LookupIndex) and through the frontier walk (LookupBatch), on one tree
+// backend at serving scale. The gated quantity is batch latency at the
+// median: every serving path hands its cache misses to LookupBatch, so it
+// must never be slower than the scalar loop it replaces, on single trees and
+// on multi-root forests alike.
 type CompiledBatchComparison struct {
 	Family  string `json:"family"`
 	Size    int    `json:"size"`
 	Backend string `json:"backend"`
-	// Group is the grouped path's lane width (compiled.BatchGroup).
+	// Group is how many packets the walk advances together
+	// (compiled.BatchGroup).
 	Group int `json:"group"`
-	// Grouped records whether the adaptive dispatch engaged the interleaved
-	// traversal for this forest. Shallow cache-resident forests (fw1-shaped
-	// sets compile to a handful of nodes) fall back to scalar inside
-	// LookupBatch; for those the gate asserts no-regression rather than a
-	// win, since both paths run the same code modulo one predicate.
-	Grouped bool `json:"grouped"`
 	// Batches and BatchSize describe the measured workload: Batches windows
 	// of BatchSize packets per pass.
 	Batches   int `json:"batches"`
@@ -54,8 +48,8 @@ type CompiledBatchComparison struct {
 	// Aggregate throughput, packets per second, best pass.
 	ScalarPacketsPerSec float64 `json:"scalar_packets_per_sec"`
 	BatchPacketsPerSec  float64 `json:"batch_packets_per_sec"`
-	// Factor is ScalarP50Nanos / BatchP50Nanos: above 1, the grouped
-	// traversal beats per-packet lookups at the median.
+	// Factor is ScalarP50Nanos / BatchP50Nanos: above 1, the walk beats
+	// per-packet lookups at the median.
 	Factor float64 `json:"factor"`
 }
 
@@ -65,7 +59,7 @@ var compiledBatchSink int
 // MeasureCompiledBatch builds one tree backend over a generated rule set,
 // compiles it, and classifies the same mixed trace — half Zipf-skewed
 // rule-directed traffic, half worst-case-depth packets steered to the
-// deepest leaves — through the scalar and the grouped compiled lookup,
+// deepest leaves — through the scalar and the batched compiled lookup,
 // measuring per-batch latency (best of `runs` passes per path).
 func MeasureCompiledBatch(family string, size int, backend string, batches, batchSize, runs int, cfg RunConfig) (CompiledBatchComparison, error) {
 	cfg = cfg.WithDefaults()
@@ -92,7 +86,6 @@ func MeasureCompiledBatch(family string, size int, backend string, batches, batc
 	if err != nil {
 		return res, err
 	}
-	res.Grouped = c.BatchEligible()
 
 	// Trace: a flow-skewed half (the cache-miss traffic a serving path
 	// actually batches) and a worst-depth half (every packet rides a
@@ -191,8 +184,8 @@ func buildCompiledBackend(backend string, set *rule.Set, binth int) (*compiled.C
 // measureCompiledPasses drives classify over `batches` disjoint windows of
 // the trace per pass, returning the sorted per-batch latencies of the best
 // pass (lowest p50 — the gated percentile) and the best pass's aggregate
-// packet rate. The first pass doubles as warmup for the pooled scratch
-// freelists; best-of-N then discards its cold-start cost.
+// packet rate. The first pass doubles as cache warmup; best-of-N then
+// discards its cold-start cost.
 func measureCompiledPasses(keys []rule.Packet, batches, batchSize, runs int, classify func([]rule.Packet)) ([]int64, float64) {
 	var bestLats []int64
 	bestPPS := 0.0
@@ -223,36 +216,16 @@ func measureCompiledPasses(keys []rule.Packet, batches, batchSize, runs int, cla
 	return bestLats, bestPPS
 }
 
-// batchFallbackFloor is the no-regression bound applied when the adaptive
-// dispatch declined the grouped traversal: LookupBatch then runs the same
-// scalar loop as the baseline plus one predicate, so anything below this is
-// a broken fallback, not measurement noise.
-const batchFallbackFloor = 0.9
-
-// CheckCompiledBatch asserts the grouped traversal's headline claim: when
-// the adaptive dispatch engaged (r.Grouped), batch p50 must reach minFactor
-// times the scalar p50 (Factor = ScalarP50 / BatchP50, so minFactor 1.0
-// means "at least as fast"). When the forest fell back to scalar, the cell
-// instead asserts the fallback costs nothing (batchFallbackFloor). Returns a
-// violation message when the claim does not hold.
+// CheckCompiledBatch asserts the walk's headline claim: batch p50 must reach
+// minFactor times the scalar p50 (Factor = ScalarP50 / BatchP50, so minFactor
+// 1.0 means "at least as fast"). Returns a violation message when the claim
+// does not hold.
 func CheckCompiledBatch(r CompiledBatchComparison, minFactor float64) (violation string) {
-	if minFactor <= 0 {
+	if minFactor <= 0 || r.Factor >= minFactor {
 		return ""
 	}
-	if !r.Grouped {
-		if r.Factor < batchFallbackFloor {
-			return fmt.Sprintf(
-				"%s_%d_%s batch=%d: scalar-fallback LookupBatch p50 %.0fns vs scalar %.0fns is %.2fx (want >= %.2fx — the fallback should be free)",
-				r.Family, r.Size, r.Backend, r.BatchSize,
-				r.BatchP50Nanos, r.ScalarP50Nanos, r.Factor, batchFallbackFloor)
-		}
-		return ""
-	}
-	if r.Factor < minFactor {
-		return fmt.Sprintf(
-			"%s_%d_%s batch=%d: grouped batch p50 %.0fns vs scalar %.0fns is only %.2fx (want >= %.2fx)",
-			r.Family, r.Size, r.Backend, r.BatchSize,
-			r.BatchP50Nanos, r.ScalarP50Nanos, r.Factor, minFactor)
-	}
-	return ""
+	return fmt.Sprintf(
+		"%s_%d_%s batch=%d: batch p50 %.0fns vs scalar %.0fns is only %.2fx (want >= %.2fx)",
+		r.Family, r.Size, r.Backend, r.BatchSize,
+		r.BatchP50Nanos, r.ScalarP50Nanos, r.Factor, minFactor)
 }

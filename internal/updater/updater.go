@@ -6,8 +6,9 @@
 // The split is the classic base+delta design used around build-once tree
 // structures:
 //
-//   - Inserts go into the overlay: one slice of 32-byte match-only records
-//     (the shape internal/compiled scans in its leaves) in merged-list order.
+//   - Inserts go into the overlay: one slice of packed match-only records
+//     (rule.Packed, what internal/compiled scans in its leaves) in
+//     merged-list order.
 //   - Deletes of base rules become tombstones (a bitset over base rule
 //     indices); deletes of overlay rules simply leave the overlay.
 //   - A merged lookup asks the base first and checks its winner against the
@@ -26,9 +27,9 @@
 // number of them fit between two base rules.
 //
 // Cost model: the overlay adds O(overlay rules ranked at or above the base
-// winner) 32-byte compares per packet, at most the whole overlay, which the
-// engine's compaction threshold bounds (256 pending updates by default: 8 KB,
-// L1-resident). Tuple Space Search, the structure the overlay used to be,
+// winner) packed-record compares per packet, at most the whole overlay, which
+// the engine's compaction threshold bounds (256 pending updates by default:
+// 10 KB, L1-resident). Tuple Space Search, the structure the overlay used to be,
 // loses at this size: ClassBench port ranges expand into prefix tuples, so
 // 256 rules spread over ~400 hash tables and every lookup pays one 40-byte
 // key hash per table whether or not the table can match.
@@ -71,8 +72,8 @@ type LookupFunc func(p rule.Packet) (rule.Rule, bool)
 // ps[i] into (rules[i], oks[i]) for every i. It must be result-identical to
 // len(ps) LookupFunc calls and carries the same soundness contract (full
 // base list, tombstoned rules included). Bases built from the engine's
-// compiled tree backends route this through the grouped prefetching
-// traversal, which is why View.ClassifyBatch exists at all.
+// compiled tree backends route this through the compiled frontier walk
+// (compiled.LookupBatch), which is why View.ClassifyBatch exists at all.
 type BatchLookupFunc func(ps []rule.Packet, rules []rule.Rule, oks []bool)
 
 // Base is one immutable base generation: a built classifier, the rule set
@@ -82,8 +83,11 @@ type Base struct {
 	lookup LookupFunc
 	// batch is the optional batched lookup (nil bases serve batches as a
 	// scalar loop).
-	batch     BatchLookupFunc
-	set       *rule.Set
+	batch BatchLookupFunc
+	set   *rule.Set
+	// packed is set's rules in the match kernel's form, index-aligned: what
+	// the tombstoned-winner rescan walks instead of the 96-byte rules.
+	packed    []rule.Packed
 	indexByID map[int]int
 }
 
@@ -91,6 +95,21 @@ type Base struct {
 // canonical form (rule i has Priority i), which every engine-built and
 // artifact-loaded set satisfies.
 func NewBase(set *rule.Set, lookup LookupFunc) (*Base, error) {
+	return NewBasePacked(set, lookup, nil, nil)
+}
+
+// NewBaseBatch is NewBase with an additional batched base lookup, which
+// View.ClassifyBatch uses to classify whole spans against the base in one
+// call. batch may be nil, in which case batches degrade to scalar lookups.
+func NewBaseBatch(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Base, error) {
+	return NewBasePacked(set, lookup, batch, nil)
+}
+
+// NewBasePacked is NewBaseBatch for a caller that already holds the packed
+// projection of set's rules (rule.PackRules order — a compiled classifier
+// does): the base shares it instead of packing a second copy. A nil packed
+// makes the base pack its own.
+func NewBasePacked(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc, packed []rule.Packed) (*Base, error) {
 	if lookup == nil {
 		return nil, errors.New("updater: base lookup is nil")
 	}
@@ -107,19 +126,12 @@ func NewBase(set *rule.Set, lookup LookupFunc) (*Base, error) {
 		}
 		idx[r.ID] = i
 	}
-	return &Base{lookup: lookup, set: set, indexByID: idx}, nil
-}
-
-// NewBaseBatch is NewBase with an additional batched base lookup, which
-// View.ClassifyBatch uses to classify whole spans against the base in one
-// call. batch may be nil, in which case batches degrade to scalar lookups.
-func NewBaseBatch(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Base, error) {
-	b, err := NewBase(set, lookup)
-	if err != nil {
-		return nil, err
+	if packed == nil {
+		packed = rule.PackRules(set.Rules())
+	} else if len(packed) != set.Len() {
+		return nil, fmt.Errorf("updater: %d packed records for a base of %d rules", len(packed), set.Len())
 	}
-	b.batch = batch
-	return b, nil
+	return &Base{lookup: lookup, batch: batch, set: set, packed: packed, indexByID: idx}, nil
 }
 
 // IndexOf returns the index in the base's rule set of the rule with the
@@ -131,42 +143,15 @@ func (b *Base) IndexOf(id int) int {
 	return -1
 }
 
-// overlayRule is the match-only projection of one overlay rule — the 32-byte
-// shape internal/compiled scans in its leaves — with the rule's rank where
-// compiled keeps the priority. Two records share a cache line and a scan
-// touches nothing but small integers.
+// overlayRule is one overlay rule as the lookup scans it: its packed
+// match-only projection (the record internal/compiled scans in its leaves,
+// tested by the same kernel) and its rank. A rule no packet can satisfy packs
+// to a record that matches nothing (see rule.Pack).
 type overlayRule struct {
-	srcLo, srcHi uint32
-	dstLo, dstHi uint32
+	match rule.Packed
 	// rank is the number of live base rules ahead of this rule in the merged
 	// list (see the package comment).
-	rank       int32
-	spLo, spHi uint16
-	dpLo, dpHi uint16
-	prLo, prHi uint8
-}
-
-// packOverlay projects r to its overlay record. Ranges are clipped to their
-// field's width, and a rule with a range no packet can satisfy (empty, or
-// wholly beyond the width) becomes a record that matches nothing, so the
-// record agrees with rule.Matches on every packet even for rules that would
-// fail rule.Validate (journals are outside input).
-func packOverlay(r *rule.Rule, rank int) overlayRule {
-	var lo, hi [rule.NumDims]uint64
-	for d, rg := range r.Ranges {
-		lo[d], hi[d] = rg.Lo, min(rg.Hi, rule.Dimension(d).MaxValue())
-		if lo[d] > hi[d] {
-			return overlayRule{rank: int32(rank), srcLo: 1}
-		}
-	}
-	return overlayRule{
-		srcLo: uint32(lo[rule.DimSrcIP]), srcHi: uint32(hi[rule.DimSrcIP]),
-		dstLo: uint32(lo[rule.DimDstIP]), dstHi: uint32(hi[rule.DimDstIP]),
-		rank: int32(rank),
-		spLo: uint16(lo[rule.DimSrcPort]), spHi: uint16(hi[rule.DimSrcPort]),
-		dpLo: uint16(lo[rule.DimDstPort]), dpHi: uint16(hi[rule.DimDstPort]),
-		prLo: uint8(lo[rule.DimProto]), prHi: uint8(hi[rule.DimProto]),
-	}
+	rank int32
 }
 
 // tombWord is 64 base rules' worth of tombstone bits plus the number of
@@ -236,7 +221,7 @@ func NewView(b *Base, merged *rule.Set) (*View, error) {
 	}
 	v.overlay = make([]overlayRule, len(overlayAt))
 	for j, i := range overlayAt {
-		v.overlay[j] = packOverlay(&rules[i], int(i)-j)
+		v.overlay[j] = overlayRule{match: rule.Pack(&rules[i]), rank: i - int32(j)}
 	}
 	return v, nil
 }
@@ -346,7 +331,7 @@ func putBatchScratch(sc *batchScratch) {
 // ClassifyBatch classifies ps[i] into (rules[i], oks[i]) for every i,
 // result-identical to per-packet Classify calls. The base lookups run as one
 // batched call when the base provides one (so a compiled tree base serves
-// the span through its grouped prefetching traversal); tombstone resolution
+// the span through its frontier walk); tombstone resolution
 // and the overlay scan stay scalar per packet — the overlay is small by
 // construction, the base is where the memory latency lives.
 func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
@@ -369,6 +354,7 @@ func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
 // tombstone set and the overlay. It is the shared back half of Classify and
 // ClassifyBatch.
 func (v *View) resolve(p rule.Packet, baseRule rule.Rule, baseOK bool) (rule.Rule, bool) {
+	k := p.Key()
 	// rank is the base winner's; without one it sorts behind every rule.
 	rank := math.MaxInt32
 	if baseOK {
@@ -378,13 +364,13 @@ func (v *View) resolve(p rule.Packet, baseRule rule.Rule, baseOK bool) (rule.Rul
 			// the tombstones. This cannot be pushed into the base structure
 			// itself (see LookupFunc); it is the slow path and only runs
 			// when a deleted rule would have won.
-			baseRules := v.base.set.Rules()
-			for bi++; bi < len(baseRules); bi++ {
-				if !v.tombstoned(bi) && baseRules[bi].Matches(p) {
+			packed := v.base.packed
+			for bi++; bi < len(packed); bi++ {
+				if packed[bi].Matches(k) && !v.tombstoned(bi) {
 					break
 				}
 			}
-			baseOK = bi < len(baseRules)
+			baseOK = bi < len(packed)
 		}
 		if baseOK {
 			rank = v.baseRank(bi)
@@ -398,14 +384,9 @@ func (v *View) resolve(p rule.Packet, baseRule rule.Rule, baseOK bool) (rule.Rul
 		if int(o.rank) > rank {
 			break
 		}
-		if p.SrcIP < o.srcLo || p.SrcIP > o.srcHi ||
-			p.DstIP < o.dstLo || p.DstIP > o.dstHi ||
-			p.SrcPort < o.spLo || p.SrcPort > o.spHi ||
-			p.DstPort < o.dpLo || p.DstPort > o.dpHi ||
-			p.Proto < o.prLo || p.Proto > o.prHi {
-			continue
+		if o.match.Matches(k) {
+			return v.merged.Rule(int(o.rank) + j), true
 		}
-		return v.merged.Rule(int(o.rank) + j), true
 	}
 	if !baseOK {
 		return rule.Rule{}, false

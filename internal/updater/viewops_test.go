@@ -204,7 +204,16 @@ func runViewOps(t *testing.T, data []byte) {
 		for i := 0; i < 4; i++ {
 			pkts = append(pkts, s.steer(s.rule()))
 		}
+		// The view's overlay scan and tombstone rescan run the packed kernel;
+		// hold it to Rule.Matches on every rule of the run, rules Validate
+		// would reject included.
+		packed := rule.PackRules(merged.Rules())
 		for _, p := range pkts {
+			for i, r := range merged.Rules() {
+				if packed[i].Matches(p.Key()) != r.Matches(p) {
+					t.Fatalf("step %d: packet %v rule %v: packed kernel disagrees with Rule.Matches", step, p, r)
+				}
+			}
 			want := merged.MatchIndex(p)
 			got, ok := v.Classify(p)
 			if ok != (want >= 0) || (ok && (got.Priority != want || got.ID != merged.Rule(want).ID)) {
