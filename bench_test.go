@@ -377,25 +377,31 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFlowCache measures the sharded flow cache on Zipf-skewed
-// traffic against the uncached engine on the same trace. The skewed rows
-// should show the cache collapsing lookup cost toward a hash + array read;
-// the uniform rows show its overhead when traffic has no locality.
+// BenchmarkEngineFlowCache measures the flow cache on Zipf-skewed traffic
+// against the uncached engine on the same trace. The skewed rows should
+// show the cache collapsing lookup cost toward a hash + slot read; the
+// uniform rows show its overhead when traffic has no locality. The batch
+// row is the flow_zipf shape: 256-packet calls on a Shards: 2 engine, which
+// probe the cache for the whole batch and classify the few misses on the
+// caller (too little work for a handoff).
 func BenchmarkEngineFlowCache(b *testing.B) {
 	set := benchSet(b, "acl1", 1000)
 	for _, tc := range []struct {
 		name   string
 		cache  int
 		skewed bool
+		shards int
+		batch  int
 	}{
-		{"zipf/uncached", 0, true},
-		{"zipf/cached", 4096, true},
-		{"uniform/uncached", 0, false},
-		{"uniform/cached", 4096, false},
+		{"zipf/uncached", 0, true, 1, 1},
+		{"zipf/cached", 4096, true, 1, 1},
+		{"uniform/uncached", 0, false, 1, 1},
+		{"uniform/cached", 4096, false, 1, 1},
+		{"zipf/cached/shards=2/batch=256", 4096, true, 2, 256},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			eng, err := engine.NewEngine("hicuts", set,
-				engine.Options{Shards: 1, FlowCacheEntries: tc.cache})
+				engine.Options{Shards: tc.shards, FlowCacheEntries: tc.cache})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -410,13 +416,57 @@ func BenchmarkEngineFlowCache(b *testing.B) {
 					keys = append(keys, e.Key)
 				}
 			}
+			out := make([]engine.Result, tc.batch)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Classify(keys[i%len(keys)])
+			if tc.batch == 1 {
+				for i := 0; i < b.N; i++ {
+					eng.Classify(keys[i%len(keys)])
+				}
+				return
 			}
+			for i := 0; i < b.N; i++ {
+				lo := i * tc.batch % len(keys)
+				eng.ClassifyBatch(keys[lo:lo+tc.batch], out)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.batch), "ns/packet")
 		})
 	}
+}
+
+// BenchmarkFlowCacheHit measures the cache alone: one probe that hits, as
+// Get and as one packet's share of a 256-packet GetBatch. 16 384 entries are
+// the benchmark's flow_zipf size (512 KB of slots).
+func BenchmarkFlowCacheHit(b *testing.B) {
+	set := benchSet(b, "acl1", 1000)
+	var keys []rule.Packet
+	for _, e := range classbench.ZipfTrace(set, 8192, 2048, 1.1, 2) {
+		keys = append(keys, e.Key)
+	}
+	c := engine.NewFlowCache(16384)
+	for i, k := range keys {
+		c.Put(k, 1, int32(i))
+	}
+	b.Run("get", func(b *testing.B) {
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			if _, hit := c.Get(keys[i%len(keys)], 1); hit {
+				hits++
+			}
+		}
+		if hits == 0 {
+			b.Fatal("no probe hit")
+		}
+	})
+	b.Run("batch=256", func(b *testing.B) {
+		idx := make([]int32, 256)
+		for i := 0; i < b.N; i++ {
+			lo := i * 256 % len(keys)
+			c.GetBatch(keys[lo:lo+256], 1, idx)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256), "ns/packet")
+	})
 }
 
 // BenchmarkEngineParallel measures single-packet lookup under concurrent

@@ -21,9 +21,9 @@
 //
 //	classifyd -artifact policy.ncaf -journal auto -listen 127.0.0.1:9099
 //
-// Serve lookups through the run-to-completion dataplane instead of the
-// worker pool: per-core classify loops fed by a flow-hash demux over SPSC
-// rings, with lock-free per-core flow caches (see internal/dataplane and
+// Serve lookups through the run-to-completion dataplane instead of on the
+// connection goroutines: per-core classify loops fed by a flow-hash demux
+// over SPSC rings, with private per-core flow caches (see internal/dataplane and
 // docs/ARCHITECTURE.md):
 //
 //	classifyd -family acl1 -size 1000 -cores 8 -flow-cache 65536 -listen 127.0.0.1:9099
@@ -140,7 +140,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		timesteps = fs.Int("timesteps", 20000, "NeuroCuts training budget (neurocuts only)")
 		binth     = fs.Int("binth", 16, "leaf threshold for tree backends")
 		shards    = fs.Int("shards", 0, "batch lookup shards (0 = GOMAXPROCS)")
-		cores     = fs.Int("cores", 0, "serve lookups through the run-to-completion dataplane with this many per-core classify loops (0 = default worker-pool path; -1 = GOMAXPROCS loops)")
+		cores     = fs.Int("cores", 0, "serve lookups through the run-to-completion dataplane with this many per-core classify loops (0 = classify on the calling goroutine; -1 = GOMAXPROCS loops)")
 		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (sharded engine cache, or per-core caches with -cores; 0 disables)")
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
 		online    = fs.Bool("online", false, "route live updates through the delta-overlay subsystem instead of rebuild-per-update")
@@ -214,7 +214,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		}, *listen, *adminAddr, *drain, sig)
 	}
 
-	// With the dataplane in front, the engine's sharded flow cache would
+	// With the dataplane in front, the engine's own flow cache would
 	// never be consulted; route the -flow-cache budget to whichever layer
 	// actually serves lookups.
 	engineCache, dpCache := *flowCache, 0
@@ -276,7 +276,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 
 	// The server talks to whichever serving surface was selected: the engine
-	// directly (worker-pool path), or a dataplane fronting it. The dataplane
+	// directly, or a dataplane fronting it. The dataplane
 	// implements the same server interfaces, so nothing downstream changes.
 	var cls server.Classifier = eng
 	var dp *dataplane.Dataplane

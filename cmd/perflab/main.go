@@ -74,7 +74,7 @@ func usage() {
   perflab proto         [-family F -size N -backend B -packets N -batch N -min-factor X]
                         compare v1 text vs v2 binary server batch throughput
   perflab dataplane     [-family F -size N -backend B -cores N -submitters N -batch N -min-factor X]
-                        compare worker-pool vs run-to-completion dataplane batch p99
+                        compare direct-engine vs run-to-completion dataplane batch p99
   perflab checkcompiledbatch [-families F,F -size N -backends B,B -batches N -batch N -min-factor X]
                         assert LookupBatch p50 beats scalar lookup by >= X per backend and family
   perflab checktelemetry [-family F -size N -backend B -batches N -batch N -max-overhead-pct X]
@@ -358,7 +358,7 @@ func protoCmd(args []string) {
 }
 
 // dataplaneCmd measures the same concurrent batched lookup workload served
-// by the worker-pool engine and by the run-to-completion dataplane (the
+// by the engine called directly and by the run-to-completion dataplane (the
 // dataplane perf cell), gating on tail batch latency: PoolP99/DataplaneP99
 // must reach -min-factor. Like the other check commands it re-measures on
 // violation and exits 2 only when the violation persists.

@@ -3,19 +3,18 @@
 // outright, fed by bounded single-producer/single-consumer rings behind a
 // flow-hash demux.
 //
-// The worker-pool engine (internal/engine) already keeps the lookup path
-// lock-free via RCU snapshots, but every request still crosses shared
-// machinery: the sharded flow cache takes a shard mutex per packet, batch
-// fan-out rendezvouses on a WaitGroup barrier, and each worker re-loads the
-// snapshot pointer per span. This package removes even that residual
-// sharing. Ingress hashes each packet's 5-tuple (engine.HashPacket — the
-// same flow identity the engine uses) and routes it to the core that owns
-// the flow; that core's loop classifies the span against a View it pinned
-// once and re-pins only when told to, writes results straight into the
-// caller's output slice, and signals a per-batch completion vector. Between
-// the demux handoff and the completion signal there are no locks, no shared
-// caches, and no snapshot loads — the loop runs each span to completion
-// against state only it touches.
+// The engine (internal/engine) runs a lookup to completion on whichever
+// goroutine called it: that scales with the callers, but they all share one
+// flow cache and load the snapshot pointer per call. This package is the
+// other deployment shape — dedicated cores. Ingress hashes each packet's
+// 5-tuple (engine.HashPacket — the same flow identity the engine uses) and
+// routes it to the core that owns the flow; that core's loop classifies the
+// span against a View it pinned once and re-pins only when told to, through
+// a flow cache only it touches (the engine's own engine.FlowCache type, one
+// instance per core, so its atomics are never contended), writes results
+// straight into the caller's output slice, and signals a per-batch
+// completion vector. Between the demux handoff and the completion signal
+// there are no locks, no shared cache lines, and no snapshot loads.
 //
 // Rule updates ride the same rings as traffic: when the engine publishes a
 // new snapshot generation, the publish hook enqueues an epoch message on
@@ -23,12 +22,12 @@
 // submission. Per-ring FIFO order then gives the only update guarantee that
 // matters: a batch submitted after an update returned is classified entirely
 // against the new generation, and a single flow (pinned to one core) never
-// observes generations out of order. Per-core caches version-check their
-// entries against the loop's View, so stale entries expire by missing — no
-// invalidation pass, no stop-the-world.
+// observes generations out of order. Cache entries carry the rules
+// generation of the View that filled them, so stale entries expire by
+// missing — no invalidation pass, no stop-the-world.
 //
-// The dataplane is opt-in (classifier.WithDataplane, classifyd -cores); the
-// worker-pool path remains the default. See docs/ARCHITECTURE.md for where
+// The dataplane is opt-in (classifier.WithDataplane, classifyd -cores);
+// calling the engine directly remains the default. See docs/ARCHITECTURE.md for where
 // this sits in the full picture.
 package dataplane
 
@@ -53,7 +52,7 @@ type Config struct {
 	// defaultRingSize.
 	RingSize int
 	// CacheEntries is the per-core flow cache size in entries; 0 disables
-	// the per-core caches. Callers moving from the engine's sharded cache
+	// the per-core caches. Callers moving from the engine's shared cache
 	// should disable that cache (engine.Options.FlowCacheEntries = 0) and
 	// put the budget here instead — with the dataplane in front the engine
 	// cache would never be consulted, only allocated.
@@ -96,17 +95,11 @@ type Dataplane struct {
 // View are the loop's published counters — written only by the loop, read
 // by Stats.
 type loop struct {
-	ring  *ring
-	cache *coreCache
+	ring *ring
+	// cache is this core's private flow cache (nil: uncached); it also
+	// keeps the loop's hit/miss counters.
+	cache *engine.FlowCache
 	view  engine.View
-
-	// missPs/missOut/missPos stage one span's cache misses (or, with no
-	// cache, the whole span) so the View classifies them as a single batch —
-	// compiled snapshots then run their frontier walk.
-	// Touched only by the loop goroutine; grown to the largest span seen.
-	missPs  []rule.Packet
-	missOut []engine.Result
-	missPos []int32
 
 	// Telemetry wiring, fixed at Attach (nil tel disables all recording).
 	// core doubles as the loop's histogram stripe; tableID/backendID are
@@ -121,8 +114,6 @@ type loop struct {
 	batches atomic.Uint64
 	packets atomic.Uint64
 	epochs  atomic.Uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
 	// parks/wakes are bumped only at park/unpark transitions, never on the
 	// pop-and-handle hot path; viewVer mirrors the pinned View's generation
 	// (written on epoch reloads) so Stats can report epoch lag without
@@ -236,7 +227,7 @@ func Attach(eng *engine.Engine, cfg Config) (*Dataplane, error) {
 	for i := range d.loops {
 		d.loops[i] = &loop{
 			ring:      newRing(ringSize),
-			cache:     newCoreCache(perCoreCache),
+			cache:     engine.NewFlowCache(perCoreCache),
 			view:      view,
 			core:      i,
 			tel:       tel,
@@ -374,10 +365,10 @@ func (d *Dataplane) ClassifyBatch(ps []rule.Packet, out []engine.Result) {
 	if d.closed.Load() {
 		d.ingressMu.Unlock()
 		d.release(sc)
-		// Inline against the current snapshot rather than through the
-		// engine's worker pool: the pool may already be torn down when the
-		// dataplane was closed by the engine's own Close, and the snapshot
-		// outlives both.
+		// Inline against the current snapshot rather than through
+		// Engine.ClassifyBatch: its batch workers may already be torn down
+		// when the dataplane was closed by the engine's own Close, and the
+		// snapshot outlives both.
 		v := d.eng.CurrentView()
 		for i := range ps {
 			out[i].Rule, out[i].OK = v.Classify(ps[i])
@@ -501,52 +492,9 @@ func (d *Dataplane) handle(lp *loop, it *item) {
 			start = time.Now()
 		}
 		v := lp.view
-		ver := v.Version()
 		n := len(it.ps)
-		if cap(lp.missPs) < n {
-			lp.missPs = make([]rule.Packet, n)
-			lp.missOut = make([]engine.Result, n)
-			lp.missPos = make([]int32, n)
-		}
-		var hits uint64
-		miss := 0
-		if lp.cache != nil {
-			// Serve hits in place; gather the misses into the loop's staging
-			// buffers so they hit the backend as one dense span.
-			for i := range it.ps {
-				p := it.ps[i]
-				if cr, cok, hit := lp.cache.get(p, ver); hit {
-					o := &it.out[it.idx[i]]
-					o.Rule, o.OK = cr, cok
-					hits++
-					continue
-				}
-				lp.missPs[miss] = p
-				lp.missPos[miss] = it.idx[i]
-				miss++
-			}
-		} else {
-			copy(lp.missPs[:n], it.ps)
-			copy(lp.missPos[:n], it.idx)
-			miss = n
-		}
-		if miss > 0 {
-			v.ClassifyBatch(lp.missPs[:miss], lp.missOut[:miss])
-			for j := 0; j < miss; j++ {
-				r := &lp.missOut[j]
-				it.out[lp.missPos[j]] = *r
-				if lp.cache != nil {
-					lp.cache.put(lp.missPs[j], ver, r.Rule, r.OK)
-				}
-			}
-		}
-		if hits != 0 {
-			lp.hits.Add(hits)
-		}
-		if lp.cache != nil && miss != 0 {
-			lp.misses.Add(uint64(miss))
-		}
-		lp.packets.Add(uint64(len(it.ps)))
+		miss := v.ClassifyScatter(lp.cache, it.ps, it.idx, it.out)
+		lp.packets.Add(uint64(n))
 		lp.batches.Add(1)
 		if lp.tel != nil {
 			// Record from locals only — never from *it — so the completion
@@ -563,7 +511,7 @@ func (d *Dataplane) handle(lp *loop, it *item) {
 					Packets:      int32(n),
 					Visits:       int32(v.Metrics().LookupCost),
 					RuleID:       -1,
-					Version:      ver,
+					Version:      v.Version(),
 					CacheHit:     lp.cache != nil && miss == 0,
 				})
 			}
@@ -662,13 +610,14 @@ func (d *Dataplane) Stats() Stats {
 	}
 	engVer := d.eng.Version()
 	for i, lp := range d.loops {
+		hits, misses := lp.cache.Stats()
 		cs := CoreStats{
 			Core:              i,
 			Batches:           lp.batches.Load(),
 			Packets:           lp.packets.Load(),
 			Epochs:            lp.epochs.Load(),
-			CacheHits:         lp.hits.Load(),
-			CacheMisses:       lp.misses.Load(),
+			CacheHits:         hits,
+			CacheMisses:       misses,
 			RingLen:           lp.ring.len(),
 			RingHighWatermark: lp.ring.highWatermark(),
 			Parks:             lp.parks.Load(),

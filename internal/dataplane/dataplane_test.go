@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -315,6 +316,56 @@ func TestPerCoreCacheHits(t *testing.T) {
 	}
 	if st.CacheHits+st.CacheMisses != st.Packets {
 		t.Fatalf("cache accounting: hits %d + misses %d != packets %d", st.CacheHits, st.CacheMisses, st.Packets)
+	}
+}
+
+// TestPerCoreCacheSurvivesCompaction: the epoch a compaction publishes
+// carries the same rule list, so the loops re-pin their Views and keep their
+// caches; the epoch of an Insert empties them.
+func TestPerCoreCacheSurvivesCompaction(t *testing.T) {
+	set := testSet(t, 200, 1)
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{OnlineUpdates: true, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dp, err := Attach(eng, Config{Cores: 2, CacheEntries: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := testPackets(set, 256, 7)
+	out := make([]engine.Result, len(ps))
+	// pass returns the misses one more run of the trace costs.
+	pass := func() uint64 {
+		before := dp.Stats().CacheMisses
+		dp.ClassifyBatch(ps, out)
+		return dp.Stats().CacheMisses - before
+	}
+	if _, err := eng.Insert(0, set.Rule(3)); err != nil {
+		t.Fatal(err)
+	}
+	cold, warm := pass(), pass()
+	if cold == 0 || warm*8 > cold {
+		t.Fatalf("cold pass missed %d, warm pass %d: the trace does not warm the caches", cold, warm)
+	}
+	// SaveArtifact folds the pending insert in by a synchronous compaction.
+	if err := dp.SaveArtifact(filepath.Join(t.TempDir(), "a.ncaf")); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.UpdaterStats(); st.Compactions != 1 {
+		t.Fatalf("%d compactions, want 1", st.Compactions)
+	}
+	if m := pass(); m > warm {
+		t.Errorf("a pass after compaction missed %d, a warm pass %d", m, warm)
+	}
+	if st := dp.Stats(); st.PerCore[0].Epochs != 2 || st.PerCore[0].EpochLag != 0 {
+		t.Errorf("core 0 saw %d epochs (lag %d), want the insert's and the compaction's", st.PerCore[0].Epochs, st.PerCore[0].EpochLag)
+	}
+	if _, err := eng.Insert(0, set.Rule(4)); err != nil {
+		t.Fatal(err)
+	}
+	if m := pass(); m != cold {
+		t.Errorf("a pass after an Insert missed %d, a cold pass %d", m, cold)
 	}
 }
 

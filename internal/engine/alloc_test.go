@@ -87,11 +87,46 @@ func TestZeroAllocSinglePacketWithFlowCache(t *testing.T) {
 	}
 }
 
+// TestZeroAllocBatchWithFlowCache asserts the cached batch path — probe,
+// hits served from the rule list, misses gathered, classified and filled —
+// stays allocation-free, both when the misses run on the caller and when
+// the work gate hands them off (linear over a cache that holds next to
+// nothing).
+func TestZeroAllocBatchWithFlowCache(t *testing.T) {
+	set := allocTestSet(t, 128)
+	ps := allocTestPackets(set, 1024)
+	out := make([]Result, len(ps))
+	for _, backend := range zeroAllocBackends {
+		for _, entries := range []int{8, 4096} {
+			eng, err := NewEngine(backend, set, Options{Shards: 4, FlowCacheEntries: entries})
+			if err != nil {
+				t.Fatalf("%s: %v", backend, err)
+			}
+			eng.ClassifyBatch(ps, out) // warm up: size the scratch, start workers
+			allocs := testing.AllocsPerRun(100, func() {
+				eng.ClassifyBatch(ps, out)
+			})
+			hits, _ := eng.CacheStats()
+			handoffs := eng.Stats().Handoffs
+			eng.Close()
+			if allocs != 0 {
+				t.Errorf("%s/cache=%d: cached ClassifyBatch allocates %.1f allocs/batch, want 0", backend, entries, allocs)
+			}
+			if hits == 0 {
+				t.Errorf("%s/cache=%d: flow cache never hit", backend, entries)
+			}
+			if backend == "linear" && entries == 8 && handoffs == 0 {
+				t.Errorf("linear/cache=8: the miss set never fanned out")
+			}
+		}
+	}
+}
+
 // TestZeroAllocBatchInline asserts the inline (small-batch) ClassifyBatch
 // path performs zero allocations per batch.
 func TestZeroAllocBatchInline(t *testing.T) {
 	set := allocTestSet(t, 128)
-	ps := allocTestPackets(set, 64) // below 2*minShardBatch: inline path
+	ps := allocTestPackets(set, 64) // too little work for a handoff: inline path
 	out := make([]Result, len(ps))
 	for _, backend := range zeroAllocBackends {
 		eng, err := NewEngine(backend, set, Options{Shards: 4})
@@ -124,9 +159,15 @@ func TestZeroAllocBatchSharded(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			eng.ClassifyBatch(ps, out)
 		})
+		handoffs := eng.Stats().Handoffs
 		eng.Close()
 		if allocs != 0 {
 			t.Errorf("%s: sharded ClassifyBatch allocates %.1f allocs/batch, want 0", backend, allocs)
+		}
+		// 1024 packets x 128 rules scanned is well past the work gate; the
+		// small trees may run on the caller, which the inline test covers.
+		if backend == "linear" && handoffs == 0 {
+			t.Errorf("linear: a 1024-packet batch never fanned out")
 		}
 	}
 }
@@ -177,7 +218,7 @@ func TestZeroAllocTelemetrySingle(t *testing.T) {
 // capture).
 func TestZeroAllocTelemetryBatch(t *testing.T) {
 	set := allocTestSet(t, 128)
-	small := allocTestPackets(set, 64) // below 2*minShardBatch: inline path
+	small := allocTestPackets(set, 64) // too little work for a handoff: inline path
 	big := allocTestPackets(set, 1024) // fan-out path
 	outSmall := make([]Result, len(small))
 	outBig := make([]Result, len(big))

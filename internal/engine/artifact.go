@@ -40,13 +40,13 @@ func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{opts: opts, shards: shards}
-	e.cache = newFlowCache(opts.FlowCacheEntries, opts.FlowCacheShards)
+	e.cache = NewFlowCache(opts.FlowCacheEntries)
 	var build Builder
 	if entry, err := lookupBackend(meta.Backend); err == nil {
 		build = entry.build
 	}
 	e.artifactPath = path
-	e.snap.Store(&snapshot{cls: cls, set: set, version: 1, backend: meta.Backend, build: build, baseCls: cls})
+	e.snap.Store(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: meta.Backend, build: build, baseCls: cls})
 	for _, r := range set.Rules() {
 		if r.ID >= e.nextID {
 			e.nextID = r.ID + 1
@@ -169,7 +169,8 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	if entry, err := lookupBackend(meta.Backend); err == nil {
 		build = entry.build
 	}
-	ns := &snapshot{cls: cls, set: set, version: cur.version + 1, backend: meta.Backend, build: build, baseCls: cls}
+	ns := &snapshot{cls: cls, set: set, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
+		backend: meta.Backend, build: build, baseCls: cls}
 	if e.updaterOn {
 		base, err := newBase(cls, set)
 		if err != nil {

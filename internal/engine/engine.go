@@ -11,11 +11,13 @@
 //     Metrics). Adapters in backends.go register every algorithm in a
 //     name-keyed registry, so callers select backends by string
 //     ("hicuts", "tss", ...) instead of switching over packages.
-//   - Engine wraps a Classifier with a serving runtime: batch lookups are
-//     sharded across a pool of workers, and rule updates (Insert / Delete)
-//     rebuild the structure off-line and swap it in atomically
-//     (RCU-style, via atomic.Pointer), so readers are never blocked and
-//     every lookup observes one coherent snapshot.
+//   - Engine wraps a Classifier with a serving runtime: lookups run to
+//     completion on the caller behind an optional lock-free flow cache,
+//     batches whose misses are worth a handoff are split across persistent
+//     workers, and rule updates (Insert / Delete) rebuild the structure
+//     off-line and swap it in atomically (RCU-style, via atomic.Pointer), so
+//     readers are never blocked and every lookup observes one coherent
+//     snapshot.
 //
 // Engine itself satisfies Classifier, so anything that serves a backend
 // (internal/server, cmd/classify, the benchmarks) can serve an Engine
@@ -89,6 +91,11 @@ type snapshot struct {
 	cls     Classifier
 	set     *rule.Set
 	version uint64
+	// rulesGen tags flow-cache entries. It advances with every snapshot
+	// whose rule list differs from its predecessor's and stays put across a
+	// compaction, which republishes the same list under a new version — so
+	// cached rule positions stay valid exactly as long as they are right.
+	rulesGen uint64
 	// backend is the registry name of the backend that produced cls.
 	backend string
 	// build rebuilds the backend after a rule update. It is nil for engines
@@ -105,8 +112,8 @@ type snapshot struct {
 	base *updater.Base
 }
 
-// Engine serves a registered backend with sharded batch lookups and
-// non-blocking atomic rule updates.
+// Engine serves a registered backend with cached, work-gated batch lookups
+// and non-blocking atomic rule updates.
 type Engine struct {
 	opts Options
 
@@ -120,17 +127,19 @@ type Engine struct {
 
 	shards int
 
-	// cache is the optional sharded flow cache (nil when disabled).
-	cache *flowCache
+	// cache is the optional flow cache (nil when disabled).
+	cache *FlowCache
 
-	// Persistent batch workers. Spawning a goroutine per shard per call
-	// allocates on every batch; instead the first large batch starts a
-	// fixed pool of workers that live for the engine's lifetime and pull
-	// work spans off a preallocated channel. workersUp gates the fast path
-	// with a single atomic load.
+	// Persistent batch workers. Spawning a goroutine per span per call
+	// allocates on every batch; instead the first batch worth a handoff
+	// starts shards-1 workers (the caller classifies one span itself) that
+	// live for the engine's lifetime and pull spans off a preallocated
+	// channel. workersUp gates the fast path with a single atomic load;
+	// handoffs counts the spans sent (see EngineStats).
 	workersUp atomic.Bool
 	workOnce  sync.Once
 	work      chan batchTask
+	handoffs  atomic.Uint64
 	closeOnce sync.Once
 
 	// Online-update subsystem state (see overlay.go). updaterOn and
@@ -264,18 +273,24 @@ func (v View) Backend() string { return v.s.backend }
 // struct).
 func (v View) Metrics() Metrics { return v.s.cls.Metrics() }
 
-// Classify looks one packet up in the pinned snapshot. It bypasses the
-// engine's shared flow cache: dataplane loops keep their own per-core
-// caches, so consulting the shared one would reintroduce the very lock the
-// per-core design removes.
+// Classify looks one packet up in the pinned snapshot, bypassing the
+// engine's own flow cache: a dataplane loop brings its own (ClassifyScatter).
 func (v View) Classify(p rule.Packet) (rule.Rule, bool) { return v.s.cls.Classify(p) }
 
-// ClassifyBatch classifies ps[i] into out[i] against the pinned snapshot.
-// Like Classify it bypasses the engine's shared flow cache and worker pool —
-// dataplane loops shard and cache themselves — but the backend sees the
-// whole span at once, so compiled tree snapshots serve it through the
-// frontier walk instead of one dependent-load chain per packet. out must be at least as long as ps.
+// ClassifyBatch classifies ps[i] into out[i] against the pinned snapshot,
+// uncached and on the caller. The backend sees the whole span at once, so
+// compiled tree snapshots serve it through the frontier walk instead of one
+// dependent-load chain per packet. out must be at least as long as ps.
 func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.cls.ClassifyBatch(ps, out) }
+
+// ClassifyScatter classifies ps against the pinned snapshot through the
+// caller's own flow cache c (nil: uncached), writing ps[i]'s result to
+// out[pos[i]]. It is a dataplane loop's whole lookup: it runs to completion
+// on the caller, never touches the engine's cache or workers, and returns
+// how many packets the cache did not answer.
+func (v View) ClassifyScatter(c *FlowCache, ps []rule.Packet, pos []int32, out []Result) (misses int) {
+	return v.s.classifyCached(c, ps, pos, out, nil)
+}
 
 // EngineStats is an operator-visible snapshot of an engine's serving state:
 // identity, counters, flow-cache effectiveness and the online-update
@@ -300,6 +315,9 @@ type EngineStats struct {
 	// (zero when the engine runs without a cache).
 	CacheHits   uint64
 	CacheMisses uint64
+	// Handoffs is the number of batch spans handed to a worker goroutine;
+	// batches whose misses are not worth one run on the caller alone.
+	Handoffs uint64
 	// Updater is the online-update subsystem's state.
 	Updater UpdaterStats
 }
@@ -318,12 +336,13 @@ func (e *Engine) Stats() EngineStats {
 		UpdateFailures: e.updateFailures.Load(),
 		CacheHits:      hits,
 		CacheMisses:    misses,
+		Handoffs:       e.handoffs.Load(),
 		Updater:        e.UpdaterStats(),
 	}
 }
 
-// batchTask is one span of a batch dispatched to a shard worker. The struct
-// is sent by value over a buffered channel, so dispatch does not allocate.
+// batchTask is one span of a batch handed to a worker. The struct is sent
+// by value over a buffered channel, so the handoff does not allocate.
 type batchTask struct {
 	snap *snapshot
 	ps   []rule.Packet
@@ -331,14 +350,24 @@ type batchTask struct {
 	wg   *sync.WaitGroup
 }
 
-// wgPool recycles the per-call WaitGroups of sharded batches so the fan-out
-// path stays allocation-free in steady state.
+// wgPool recycles the per-call WaitGroups of fanned-out batches so the
+// fan-out path stays allocation-free in steady state.
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
-// minShardBatch is the smallest per-shard slice worth dispatching to a
-// worker; batches below 2*minShardBatch run inline on the caller's
-// goroutine.
-const minShardBatch = 64
+// handoffWork is the least estimated work — packets the backend must answer
+// times its Metrics().LookupCost (node visits, tuple probes, rules scanned)
+// — each span must carry before splitting a batch across goroutines beats
+// running it on the caller. A handoff costs a channel send, a goroutine
+// wake-up and a WaitGroup barrier, and every result a worker writes is a
+// cache line the caller then pulls across cores. Measured on acl1/10k
+// CutSplit (LookupCost 12, ~13 ns a unit) with two shards, fan-out loses
+// below ~1 400 packets and wins 1.45x at 4 096; fanning out the 2 200 misses
+// of a cached 16 384-packet batch still loses. This value picks the faster
+// side in every cell of that table (ROADMAP.md, "Collapse the duplicates"
+// (a)). The estimate is a property of the input and the table, not a packet
+// count: 256 packets of any tree backend run on the caller, 256 packets of
+// a 10k-rule linear scan do not.
+const handoffWork = 16384
 
 // NewEngine builds the named backend over the rule set and wraps it in an
 // Engine. Shard count comes from opts.Shards (0 selects GOMAXPROCS).
@@ -357,8 +386,8 @@ func NewEngine(name string, set *rule.Set, opts Options) (*Engine, error) {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{opts: opts, shards: shards}
-	e.cache = newFlowCache(opts.FlowCacheEntries, opts.FlowCacheShards)
-	e.snap.Store(&snapshot{cls: cls, set: set, version: 1, backend: entry.name, build: entry.build, baseCls: cls})
+	e.cache = NewFlowCache(opts.FlowCacheEntries)
+	e.snap.Store(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: entry.name, build: entry.build, baseCls: cls})
 	for _, r := range set.Rules() {
 		if r.ID >= e.nextID {
 			e.nextID = r.ID + 1
@@ -390,33 +419,54 @@ func (e *Engine) Classify(p rule.Packet) (rule.Rule, bool) {
 	e.lookups.Add(1)
 	s := e.snap.Load()
 	if e.tel == nil {
-		return e.classifyOne(s, p)
+		r, ok, _ := e.classifyOne(s, p)
+		return r, ok
 	}
 	return e.classifyOneTimed(s, p)
 }
 
 // classifyOne is the cache-aware single-packet path against a pinned
-// snapshot.
-func (e *Engine) classifyOne(s *snapshot, p rule.Packet) (rule.Rule, bool) {
-	if e.cache != nil {
-		if r, ok, hit := e.cache.get(p, s.version); hit {
-			return r, ok
+// snapshot; hit reports whether the flow cache answered.
+func (e *Engine) classifyOne(s *snapshot, p rule.Packet) (r rule.Rule, ok, hit bool) {
+	c := e.cache
+	if c == nil {
+		r, ok = s.cls.Classify(p)
+		return r, ok, false
+	}
+	if idx, cached := c.Get(p, s.rulesGen); cached {
+		c.Count(1, 0)
+		if idx < 0 {
+			return rule.Rule{}, false, true
 		}
+		return s.set.Rule(int(idx)), true, true
 	}
-	r, ok := s.cls.Classify(p)
-	if e.cache != nil {
-		e.cache.put(p, s.version, r, ok)
-	}
-	return r, ok
+	c.Count(0, 1)
+	r, ok = s.cls.Classify(p)
+	s.fill(c, p, &r, ok)
+	return r, ok, false
 }
 
-// missScratch holds one chunk's cache misses so they can be classified as a
+// fill caches the backend's answer for p as a position in the snapshot's
+// rule list. A winner the list does not hold (no backend returns one) is
+// left uncached rather than cached wrong.
+func (s *snapshot) fill(c *FlowCache, p rule.Packet, r *rule.Rule, ok bool) {
+	idx := -1
+	if ok {
+		if idx = s.set.IndexOf(*r); idx < 0 {
+			return
+		}
+	}
+	c.Put(p, s.rulesGen, int32(idx))
+}
+
+// missScratch holds one batch's cache misses so they can be classified as a
 // single backend batch (and so reach the compiled backends' frontier walk)
 // instead of one packet at a time.
 type missScratch struct {
 	ps  []rule.Packet
 	out []Result
 	pos []int32
+	idx []int32 // the cache's answer per packet of the batch
 }
 
 // missScratches recycles miss-collection scratches. A buffered channel rather
@@ -435,6 +485,7 @@ func getMissScratch(n int) *missScratch {
 		ms.ps = make([]rule.Packet, n)
 		ms.out = make([]Result, n)
 		ms.pos = make([]int32, n)
+		ms.idx = make([]int32, n)
 	}
 	return ms
 }
@@ -446,104 +497,148 @@ func putMissScratch(ms *missScratch) {
 	}
 }
 
-// classifyChunk classifies one span of a batch against a pinned snapshot,
-// through the flow cache when one is configured. With a cache, hits are
-// served in place and the misses are gathered into one backend batch — the
-// backend sees a dense span either way, so compiled classifiers run their
-// frontier walk even behind the cache.
-func (e *Engine) classifyChunk(s *snapshot, ps []rule.Packet, out []Result) {
-	if e.cache == nil {
-		s.cls.ClassifyBatch(ps, out)
-		return
-	}
+// classifyCached serves ps through the flow cache c and returns the number
+// of misses. A hit is one slot read and one copy out of the rule list; the
+// misses are gathered so the backend sees one dense span — compiled
+// classifiers run their frontier walk even behind the cache — which fan,
+// when set, may split across its workers. ps[i]'s result lands in
+// out[pos[i]], or out[i] when pos is nil. A nil c makes every packet a
+// miss: an uncached dataplane loop still needs the scatter.
+func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, out []Result, fan *Engine) int {
 	ms := getMissScratch(len(ps))
-	miss := 0
-	for i, p := range ps {
-		if r, ok, hit := e.cache.get(p, s.version); hit {
-			out[i].Rule, out[i].OK = r, ok
-			continue
+	rules := s.set.Rules()
+	idx := ms.idx[:len(ps)]
+	if c != nil {
+		c.GetBatch(ps, s.rulesGen, idx)
+	} else {
+		for i := range idx {
+			idx[i] = FlowMiss
 		}
-		ms.ps[miss] = p
-		ms.pos[miss] = int32(i)
-		miss++
+	}
+	miss := 0
+	for i := range ps {
+		o := int32(i)
+		if pos != nil {
+			o = pos[i]
+		}
+		switch ix := idx[i]; {
+		case ix >= 0:
+			out[o].Rule, out[o].OK = rules[ix], true
+		case ix != FlowMiss:
+			out[o] = Result{} // cached "no rule matches"
+		default:
+			ms.ps[miss], ms.pos[miss] = ps[i], o
+			miss++
+		}
 	}
 	if miss > 0 {
-		s.cls.ClassifyBatch(ms.ps[:miss], ms.out[:miss])
-		for j := 0; j < miss; j++ {
-			out[ms.pos[j]] = ms.out[j]
-			e.cache.put(ms.ps[j], s.version, ms.out[j].Rule, ms.out[j].OK)
+		mps, mout := ms.ps[:miss], ms.out[:miss]
+		if fan != nil {
+			fan.classifySpan(s, mps, mout)
+		} else {
+			s.cls.ClassifyBatch(mps, mout)
+		}
+		for j := range mout {
+			out[ms.pos[j]] = mout[j]
+			if c != nil {
+				s.fill(c, mps[j], &mout[j].Rule, mout[j].OK)
+			}
 		}
 	}
+	if c != nil {
+		c.Count(len(ps)-miss, miss)
+	}
 	putMissScratch(ms)
+	return miss
 }
 
 // Metrics reports the current snapshot's metrics.
 func (e *Engine) Metrics() Metrics { return e.snap.Load().cls.Metrics() }
 
 // ClassifyBatch classifies every packet of the batch against one coherent
-// snapshot, splitting the batch across the engine's persistent worker pool.
-// Small batches run inline: fanning out costs more than it saves below
-// roughly a hundred packets. The fan-out path reuses pooled WaitGroups and
-// sends fixed-size task structs over a preallocated channel, so steady-state
-// dispatch performs no heap allocations.
+// snapshot, running to completion on the caller: the flow cache (when
+// configured) is probed for the whole batch in line, and only the packets
+// it cannot answer reach the backend — split across the engine's workers
+// when, and only when, they are worth a handoff (see classifySpan).
+// Steady-state the path performs no heap allocations.
 func (e *Engine) ClassifyBatch(ps []rule.Packet, out []Result) {
-	snap := e.snap.Load()
-	n := len(ps)
+	s := e.snap.Load()
 	e.batches.Add(1)
-	e.batchPackets.Add(uint64(n))
-	if e.shards <= 1 || n < 2*minShardBatch {
-		e.classifyChunkTimed(snap, ps, out)
+	e.batchPackets.Add(uint64(len(ps)))
+	if e.tel != nil {
+		e.classifyBatchTimed(s, ps, out)
 		return
 	}
-	if !e.workersUp.Load() {
-		e.startWorkers()
-		if !e.workersUp.Load() {
-			// The engine was closed before its first large batch; degrade
-			// to the inline path instead of touching the dead worker pool.
-			e.classifyChunkTimed(snap, ps, out)
-			return
-		}
+	e.classifyBatch(s, ps, out)
+}
+
+func (e *Engine) classifyBatch(s *snapshot, ps []rule.Packet, out []Result) {
+	if e.cache == nil {
+		e.classifySpan(s, ps, out)
+		return
 	}
-	shards := e.shards
-	if max := (n + minShardBatch - 1) / minShardBatch; shards > max {
-		shards = max
+	s.classifyCached(e.cache, ps, nil, out, e)
+}
+
+// classifySpan puts a dense span no cache could answer to the backend. It
+// fans out only when each span carries at least handoffWork of estimated
+// work, and then the caller classifies the first span itself: Shards: n
+// means n goroutines busy and n-1 handoffs. Below the gate — every
+// Shards: 1 engine, every small or mostly-cached batch — it is one backend
+// call in line.
+func (e *Engine) classifySpan(s *snapshot, ps []rule.Packet, out []Result) {
+	n := len(ps)
+	spans := 1
+	if e.shards > 1 {
+		spans = min(e.shards, n, n*s.cls.Metrics().LookupCost/handoffWork)
 	}
-	chunk := (n + shards - 1) / shards
+	if spans < 2 || !e.workersReady() {
+		s.cls.ClassifyBatch(ps, out)
+		return
+	}
+	chunk := (n + spans - 1) / spans
 	wg := wgPool.Get().(*sync.WaitGroup)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	handed := uint64(0)
+	for lo := chunk; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		e.work <- batchTask{snap: snap, ps: ps[lo:hi], out: out[lo:hi], wg: wg}
+		e.work <- batchTask{snap: s, ps: ps[lo:hi], out: out[lo:hi], wg: wg}
+		handed++
 	}
+	e.handoffs.Add(handed)
+	s.cls.ClassifyBatch(ps[:chunk], out[:chunk])
 	wg.Wait()
 	wgPool.Put(wg)
 }
 
-// startWorkers spawns the engine's persistent shard workers exactly once.
-func (e *Engine) startWorkers() {
+// workersReady starts the engine's shards-1 persistent workers on first
+// use and reports whether they are up; false means the engine was closed
+// first, and the caller classifies in line instead of touching a dead pool.
+func (e *Engine) workersReady() bool {
+	if e.workersUp.Load() {
+		return true
+	}
 	e.workOnce.Do(func() {
-		// Buffer one full fan-out's worth of tasks per worker so dispatch
+		// Buffer a few fan-outs' worth of spans per worker so a handoff
 		// rarely blocks even with several concurrent batch callers.
 		e.work = make(chan batchTask, 4*e.shards)
-		for i := 0; i < e.shards; i++ {
+		for i := 1; i < e.shards; i++ {
 			go func() {
 				for t := range e.work {
-					e.classifyChunkTimed(t.snap, t.ps, t.out)
+					t.snap.cls.ClassifyBatch(t.ps, t.out)
 					t.wg.Done()
 				}
 			}()
 		}
 		e.workersUp.Store(true)
 	})
+	return e.workersUp.Load()
 }
 
 // Close releases the engine's worker goroutines, stops the background
 // compactor and closes the update journal. It is safe to call more than
 // once; the engine must not be used for batch classification after Close.
-// Engines that never saw a large batch hold no batch goroutines, so Close
+// Engines that never handed a span off hold no batch goroutines, so Close
 // is optional for short-lived engines without the updater.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
@@ -640,7 +735,8 @@ func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 			fmt.Errorf("engine: rebuild after insert of rule %d: %w", r.ID, err)
 	}
 	e.nextID++
-	ns := &snapshot{cls: cls, set: next, version: cur.version + 1, backend: cur.backend, build: cur.build, baseCls: cls}
+	ns := &snapshot{cls: cls, set: next, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
+		backend: cur.backend, build: cur.build, baseCls: cls}
 	e.publishSnap(ns)
 	return UpdateResult{ID: r.ID, Version: ns.version, Rules: next.Len()}, nil
 }
@@ -703,7 +799,8 @@ func (e *Engine) doDelete(id int) (UpdateResult, error) {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
 			fmt.Errorf("engine: rebuild after delete of rule %d: %w", id, err)
 	}
-	ns := &snapshot{cls: cls, set: next, version: cur.version + 1, backend: cur.backend, build: cur.build, baseCls: cls}
+	ns := &snapshot{cls: cls, set: next, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
+		backend: cur.backend, build: cur.build, baseCls: cls}
 	e.publishSnap(ns)
 	return UpdateResult{ID: id, Version: ns.version, Rules: next.Len()}, nil
 }

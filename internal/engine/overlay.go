@@ -26,7 +26,7 @@ import (
 const DefaultCompactThreshold = 256
 
 // overlayClassifier adapts an updater.View to the Classifier interface so
-// the engine's read path (sharded batches, flow cache, pools) serves merged
+// the engine's read path (flow cache, batch fan-out, pools) serves merged
 // base+overlay lookups unchanged.
 type overlayClassifier struct {
 	view *updater.View
@@ -186,7 +186,8 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	m := cur.baseCls.Metrics()
 	m.Rules = merged.Len()
 	e.snap.Store(&snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-		set: merged, version: cur.version + uint64(len(ops)), backend: cur.backend, build: cur.build, base: cur.base})
+		set: merged, version: cur.version + uint64(len(ops)), rulesGen: cur.rulesGen + 1,
+		backend: cur.backend, build: cur.build, base: cur.base})
 	if maxID >= e.nextID {
 		e.nextID = maxID + 1
 	}
@@ -207,7 +208,8 @@ func (e *Engine) applyOverlayLocked(cur *snapshot, next *rule.Set, op updater.Op
 	m := cur.baseCls.Metrics()
 	m.Rules = next.Len()
 	ns := &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-		set: next, version: cur.version + 1, backend: cur.backend, build: cur.build, base: cur.base}
+		set: next, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
+		backend: cur.backend, build: cur.build, base: cur.base}
 	// Journal before publish: an update is acknowledged only once durable.
 	if e.journal != nil {
 		if err := e.journal.Append(op); err != nil {
@@ -335,11 +337,13 @@ func (e *Engine) compactOnce() {
 		e.noteCompactFailure(err)
 		return
 	}
+	// Either way the published rule list is now.set, so the rules generation
+	// — and with it every flow-cache entry — carries over.
 	var ns *snapshot
 	if now.set == frozen {
 		// No updates landed during the rebuild: the new base serves directly.
-		ns = &snapshot{cls: cls, baseCls: cls, set: frozen,
-			version: now.version + 1, backend: now.backend, build: now.build, base: base}
+		ns = &snapshot{cls: cls, baseCls: cls, set: frozen, version: now.version + 1, rulesGen: now.rulesGen,
+			backend: now.backend, build: now.build, base: base}
 	} else {
 		view, verr := updater.NewView(base, now.set)
 		if verr != nil {
@@ -349,7 +353,8 @@ func (e *Engine) compactOnce() {
 		m := cls.Metrics()
 		m.Rules = now.set.Len()
 		ns = &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cls,
-			set: now.set, version: now.version + 1, backend: now.backend, build: now.build, base: base}
+			set: now.set, version: now.version + 1, rulesGen: now.rulesGen,
+			backend: now.backend, build: now.build, base: base}
 	}
 	e.publishSnap(ns)
 	e.compactions.Add(1)
@@ -393,8 +398,8 @@ func (e *Engine) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: cur.set,
-		version: cur.version + 1, backend: cur.backend, build: cur.build, base: base})
+	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: cur.set, version: cur.version + 1, rulesGen: cur.rulesGen,
+		backend: cur.backend, build: cur.build, base: base})
 	e.compactions.Add(1)
 	e.lastCompactNanos.Store(time.Since(t0).Nanoseconds())
 	if e.tel != nil {

@@ -43,17 +43,17 @@ type Options struct {
 	// TCAMExpandLimit bounds per-rule range expansion for the TCAM backend
 	// (0 selects the tcam package default of 1024).
 	TCAMExpandLimit int
-	// Shards is the Engine's batch-lookup shard count (0 selects
-	// GOMAXPROCS). It does not affect the underlying data structure.
+	// Shards is the most goroutines one ClassifyBatch call may keep busy,
+	// the caller included (0 selects GOMAXPROCS); a batch fans out only when
+	// its cache misses are worth the handoffs. It does not affect the
+	// underlying data structure.
 	Shards int
-	// FlowCacheEntries sizes the engine's sharded flow cache (rounded up to
-	// a power of two per shard). 0 disables the cache. The cache memoises
-	// (5-tuple -> result) per snapshot version, which pays off on skewed
-	// traffic where few flows carry most packets.
+	// FlowCacheEntries sizes the engine's lock-free flow cache (rounded up
+	// to a power of two, 32 bytes an entry). 0 disables the cache. The cache
+	// memoises (5-tuple -> winning rule's position) per rule-list
+	// generation, which pays off on skewed traffic where few flows carry
+	// most packets.
 	FlowCacheEntries int
-	// FlowCacheShards overrides the flow cache's lock-shard count
-	// (0 selects 64). Only meaningful when FlowCacheEntries > 0.
-	FlowCacheShards int
 	// LegacyTreeLookup makes tree backends serve lookups from the
 	// build-time pointer-linked tree instead of the compiled flat-array
 	// form. It exists for the perf lab's compiled-vs-legacy comparison and

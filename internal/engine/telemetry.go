@@ -47,20 +47,7 @@ func (e *Engine) TelemetrySlowIDs() (table, backend uint32) {
 // sample crosses the slow threshold. Only called when e.tel != nil.
 func (e *Engine) classifyOneTimed(s *snapshot, p rule.Packet) (rule.Rule, bool) {
 	start := time.Now()
-	var (
-		r   rule.Rule
-		ok  bool
-		hit bool
-	)
-	if e.cache != nil {
-		r, ok, hit = e.cache.get(p, s.version)
-	}
-	if !hit {
-		r, ok = s.cls.Classify(p)
-		if e.cache != nil {
-			e.cache.put(p, s.version, r, ok)
-		}
-	}
+	r, ok, hit := e.classifyOne(s, p)
 	ns := time.Since(start).Nanoseconds()
 	// The sample's own low bits spread concurrent callers across stripes
 	// without any goroutine identity.
@@ -71,18 +58,15 @@ func (e *Engine) classifyOneTimed(s *snapshot, p rule.Packet) (rule.Rule, bool) 
 	return r, ok
 }
 
-// classifyChunkTimed is classifyChunk plus telemetry: one per-span sample
-// into the batch histogram (the span is the serving unit — per-packet
-// timing inside a batch would put a clock read on every packet), and a
-// flight-recorder capture when the span's per-packet average crosses the
-// slow threshold.
-func (e *Engine) classifyChunkTimed(s *snapshot, ps []rule.Packet, out []Result) {
-	if e.tel == nil {
-		e.classifyChunk(s, ps, out)
-		return
-	}
+// classifyBatchTimed is classifyBatch plus telemetry: one sample per call
+// into the batch histogram, taken on the caller and so covering cache
+// probe, fan-out and barrier alike (the call is the serving unit —
+// per-packet timing inside a batch would put a clock read on every
+// packet), and a flight-recorder capture when the call's per-packet average
+// crosses the slow threshold. Only called when e.tel != nil.
+func (e *Engine) classifyBatchTimed(s *snapshot, ps []rule.Packet, out []Result) {
 	start := time.Now()
-	e.classifyChunk(s, ps, out)
+	e.classifyBatch(s, ps, out)
 	ns := time.Since(start).Nanoseconds()
 	e.tel.LookupBatch.RecordNanos(uint64(ns), ns)
 	if n := int64(len(ps)); n > 0 && e.tel.SlowEnough(ns/n) {

@@ -30,7 +30,7 @@
 //	"load <path>\n" -> "ok version=<v> rules=<n>\n"
 //
 // The served classifier is any Classifier implementation: an engine.Engine
-// directly (the worker-pool path), or a dataplane.Dataplane fronting one
+// directly, or a dataplane.Dataplane fronting one
 // (classifyd -cores) — the dataplane satisfies every optional interface
 // below, so handlers submit batches to its per-core rings without knowing
 // which serving architecture is behind them.

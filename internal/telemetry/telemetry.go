@@ -54,8 +54,8 @@ type Config struct {
 // must nil-check before touching the histogram fields.
 type Telemetry struct {
 	// Lookup holds per-packet latencies from the engine's single-lookup
-	// path; LookupBatch holds per-shard span latencies from the sharded
-	// batch path (one sample per chunk, not per packet).
+	// path; LookupBatch holds whole-call latencies from the engine's batch
+	// path (one sample per ClassifyBatch call, not per packet).
 	Lookup      *Histogram
 	LookupBatch *Histogram
 	// DataplaneBatch holds per-core loop span latencies (one sample per

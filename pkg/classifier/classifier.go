@@ -99,7 +99,7 @@ var ErrClosed = errors.New("classifier: closed")
 var ErrNotSupported = errors.New("classifier: operation not supported over the shared-memory transport")
 
 // Classifier is an open classification engine: a built (or artifact-loaded)
-// backend with sharded batch lookup, atomic rule updates and optional
+// backend with cached batch lookup, atomic rule updates and optional
 // online-update durability. Lookups and updates are safe for concurrent
 // use from any number of goroutines. Close releases the classifier's
 // background resources; call it once outstanding operations have returned
@@ -143,9 +143,9 @@ func Open(rules *RuleSet, opts ...Option) (*Classifier, error) {
 		}
 		return &Classifier{shm: shm}, nil
 	}
-	// With the dataplane in front, the engine's sharded flow cache would
-	// never be consulted — move the WithFlowCache budget to the dataplane's
-	// lock-free per-core caches instead of allocating it twice.
+	// With the dataplane in front, the engine's own flow cache would never
+	// be consulted — move the WithFlowCache budget to the dataplane's
+	// per-core caches instead of allocating it twice.
 	dpCache := 0
 	if cfg.dataplane {
 		dpCache = cfg.opts.FlowCacheEntries
@@ -227,8 +227,9 @@ func (c *Classifier) Classify(ctx context.Context, key Packet) (match Rule, ok b
 }
 
 // ClassifyBatch classifies every packet against one coherent rule-set
-// snapshot per chunk, sharding large chunks across the engine's worker
-// pool. The context is checked between chunks: on cancellation the results
+// snapshot per chunk, on the calling goroutine; a chunk is split across the
+// engine's workers only when the packets the flow cache cannot answer are
+// worth the handoff. The context is checked between chunks: on cancellation the results
 // so far are discarded and the context's error returned.
 func (c *Classifier) ClassifyBatch(ctx context.Context, keys []Packet) ([]Result, error) {
 	if c.closed.Load() {
@@ -337,7 +338,7 @@ type Stats struct {
 	JournalPath    string
 	JournalRecords int
 	// DataplaneCores is the number of run-to-completion classify loops when
-	// the classifier was opened WithDataplane (0 on the worker-pool path).
+	// the classifier was opened WithDataplane (0 otherwise).
 	DataplaneCores int
 	// Telemetry summarises the online latency telemetry (nil unless the
 	// classifier was opened WithTelemetry or WithSlowThreshold).
@@ -368,7 +369,7 @@ func summarise(s telemetry.HistogramSnapshot) LatencySummary {
 // summary per serving path plus the flight recorder's state.
 type TelemetryStats struct {
 	// Lookup covers single-packet Classify calls; LookupBatch covers
-	// per-shard ClassifyBatch spans (one sample per chunk, not per packet);
+	// whole engine batch calls (one sample per chunk, not per packet);
 	// DataplaneBatch covers per-core loop spans when WithDataplane is on.
 	Lookup         LatencySummary
 	LookupBatch    LatencySummary

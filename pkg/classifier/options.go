@@ -77,14 +77,14 @@ func WithCompactMaxAge(d time.Duration) Option {
 }
 
 // WithDataplane serves lookups through a run-to-completion dataplane
-// instead of the default worker pool: long-lived per-core classify loops,
+// instead of on the calling goroutine: long-lived per-core classify loops,
 // each owning its slice of the flow space outright, fed over bounded
 // single-producer/single-consumer rings by a demux stage that hashes the
 // 5-tuple — so a flow always lands on the same core and per-flow state
 // needs no locks. cores sets the loop count (0 selects GOMAXPROCS).
 //
-// With the dataplane enabled, a WithFlowCache budget funds lock-free
-// per-core caches instead of the engine's sharded cache (which the
+// With the dataplane enabled, a WithFlowCache budget funds private
+// per-core caches instead of the engine's shared one (which the
 // dataplane would bypass). Updates, artifacts and stats are unaffected;
 // rule updates reach the loops as epoch messages on the same rings that
 // carry traffic, so a batch submitted after Insert or Delete returns is
@@ -138,15 +138,18 @@ func WithSlowThreshold(d time.Duration) Option {
 	}
 }
 
-// WithShards sets the batch-lookup shard count (0 selects GOMAXPROCS). It
-// affects only the serving runtime, not the built data structure.
+// WithShards sets the most goroutines one batch lookup may keep busy, the
+// caller included (0 selects GOMAXPROCS); a batch is split only when it
+// carries enough uncached work to repay the handoffs. It affects only the
+// serving runtime, not the built data structure.
 func WithShards(n int) Option {
 	return func(c *config) { c.opts.Shards = n }
 }
 
-// WithFlowCache enables the sharded flow cache with the given entry budget.
-// The cache memoises (5-tuple -> result) per rule-set version, which pays
-// off on skewed traffic where few flows carry most packets.
+// WithFlowCache enables the lock-free flow cache with the given entry budget
+// (32 bytes an entry). The cache memoises (5-tuple -> winning rule) per
+// rule-list generation, which pays off on skewed traffic where few flows
+// carry most packets.
 func WithFlowCache(entries int) Option {
 	return func(c *config) { c.opts.FlowCacheEntries = entries }
 }
