@@ -13,6 +13,7 @@ package neurocuts
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"neurocuts/internal/bench"
@@ -165,15 +166,32 @@ func BenchmarkTrafficAblation(b *testing.B) {
 // Micro-benchmarks: per-algorithm tree construction.
 // ---------------------------------------------------------------------------
 
-func BenchmarkHiCutsBuild(b *testing.B) {
-	set := benchSet(b, "acl1", 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hicuts.Build(set, hicuts.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
+// buildBench runs one tree build per iteration over a 1k table (the family
+// the cell has always used) and over acl1 at 10k rules, the table tree_cold,
+// update_churn and paper_grid build.
+func buildBench(b *testing.B, family string, build func(*rule.Set) error) {
+	for _, cell := range []struct {
+		family string
+		size   int
+	}{{family, 1000}, {"acl1", 10_000}} {
+		b.Run(fmt.Sprintf("%s_%d", cell.family, cell.size), func(b *testing.B) {
+			set := benchSet(b, cell.family, cell.size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := build(set); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+func BenchmarkHiCutsBuild(b *testing.B) {
+	buildBench(b, "acl1", func(set *rule.Set) error {
+		_, err := hicuts.Build(set, hicuts.DefaultConfig())
+		return err
+	})
 }
 
 func BenchmarkHyperCutsBuild(b *testing.B) {
@@ -188,25 +206,17 @@ func BenchmarkHyperCutsBuild(b *testing.B) {
 }
 
 func BenchmarkEffiCutsBuild(b *testing.B) {
-	set := benchSet(b, "fw1", 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := efficuts.Build(set, efficuts.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	buildBench(b, "fw1", func(set *rule.Set) error {
+		_, err := efficuts.Build(set, efficuts.DefaultConfig())
+		return err
+	})
 }
 
 func BenchmarkCutSplitBuild(b *testing.B) {
-	set := benchSet(b, "fw1", 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cutsplit.Build(set, cutsplit.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	buildBench(b, "fw1", func(set *rule.Set) error {
+		_, err := cutsplit.Build(set, cutsplit.DefaultConfig())
+		return err
+	})
 }
 
 func BenchmarkTSSBuild(b *testing.B) {
@@ -239,6 +249,33 @@ func BenchmarkLookupTSS(b *testing.B) {
 		b.Fatal(err)
 	}
 	lookupBench(b, c.Classify, trace)
+}
+
+// BenchmarkEnvRollout measures the NeuroCuts environment alone: one 500-step
+// rollout of a uniformly random policy over acl1 at 10k rules (the
+// paper_grid cell; the rollout is truncated, as the trained ones are), with
+// no network in the loop. steps/s is the ceiling on trainer throughput.
+func BenchmarkEnvRollout(b *testing.B) {
+	set := benchSet(b, "acl1", 10_000)
+	e := env.New(set, env.Config{MaxStepsPerRollout: 500})
+	steps := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		e.Reset()
+		for !e.Done() {
+			dim := rule.Dimension(rng.Intn(rule.NumDims))
+			if err := e.Step(dim, rng.Intn(env.NumCutActions), env.Experience{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, _, err := e.FinishRollout(); err != nil {
+			b.Fatal(err)
+		}
+		steps += e.Steps()
+	}
+	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 }
 
 // BenchmarkNeuroCutsTrainingIteration measures one small training run

@@ -106,6 +106,10 @@ func main() {
 		time.Since(start).Round(time.Millisecond), trainer.TreesBuilt(), trainer.TotalSteps())
 	fmt.Printf("best tree: objective=%.2f time=%d bytes/rule=%.1f nodes=%d depth=%d\n",
 		objective, m.ClassificationTime, m.BytesPerRule, m.Nodes, m.MaxDepth)
+	if m.UnfinishedLeaves > 0 {
+		fmt.Printf("warning: the best tree is incomplete (its rollout was truncated): %d leaves hold more than %d rules, the largest %d of %d; time=%d counts each as one visit, a lookup scans them\n",
+			m.UnfinishedLeaves, *binth, m.MaxLeafRules, set.Len(), m.ClassificationTime)
+	}
 
 	if *checkpoint != "" {
 		if err := trainer.SaveCheckpoint(*checkpoint); err != nil {

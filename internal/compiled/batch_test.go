@@ -43,10 +43,10 @@ func trainTree(t *testing.T, set *rule.Set, partition env.PartitionMode) *tree.T
 func partitionTree(t *testing.T, set *rule.Set, groups int) *tree.Tree {
 	t.Helper()
 	tr := tree.New(set, 8)
-	parts := make([][]rule.Rule, groups)
+	parts := make([][]int32, groups)
 	labels := make([]string, groups)
-	for i, r := range set.Rules() {
-		parts[i%groups] = append(parts[i%groups], r)
+	for i := range set.Rules() {
+		parts[i%groups] = append(parts[i%groups], int32(i))
 	}
 	for g := range labels {
 		labels[g] = "part" + strconv.Itoa(g)
@@ -172,8 +172,8 @@ func TestLookupTiedPriorities(t *testing.T) {
 			t.Fatalf("linear search returned %d, want the first of the tied rules", got)
 		}
 		// One single-leaf tree per rule, compiled in both tree orders.
-		first := tree.New(rule.NewSetKeepPriorities(order[:1]), 8)
-		second := tree.New(rule.NewSetKeepPriorities(order[1:]), 8)
+		first := tree.NewFromRules(set.Rules(), []int32{0}, 8)
+		second := tree.NewFromRules(set.Rules(), []int32{1}, 8)
 		for _, trees := range [][]*tree.Tree{{first, second}, {second, first}} {
 			c, err := compiled.Compile(set, trees...)
 			if err != nil {

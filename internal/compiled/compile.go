@@ -10,10 +10,17 @@ import (
 )
 
 // Compile flattens one or more finished decision trees over the classifier
-// set into the immutable serving form. Every rule referenced by a tree leaf
-// must exist in the set (trees are built from the set, so this holds by
-// construction); multi-tree backends pass all their trees and lookups take
-// the best match across them.
+// set into the immutable serving form. Tree leaves hold positions in the
+// rule list the tree was built over, and they are copied out as they stand,
+// so that list must be the set's: a tree over the set's own slice is taken
+// at its word, any other has every rule its leaves reference compared with
+// the set's rule at that position. Multi-tree backends pass all their trees
+// and lookups take the best match across them.
+//
+// The classifier keeps the set's rule slice rather than a copy of it — like
+// the trees, it holds the rule list once — so the set must not be modified
+// in place afterwards. The engine never does: an update publishes a cloned
+// list, and its snapshot retains the set beside the classifier anyway.
 func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 	if set == nil {
 		return nil, errors.New("compiled: nil rule set")
@@ -21,12 +28,7 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 	if len(trees) == 0 {
 		return nil, errors.New("compiled: no trees to compile")
 	}
-	ruleIdx := make(map[rule.Rule]uint32, set.Len())
-	for i, r := range set.Rules() {
-		ruleIdx[r] = uint32(i)
-	}
-
-	c := &Classifier{rules: append([]rule.Rule(nil), set.Rules()...)}
+	c := &Classifier{rules: set.Rules()}
 
 	// BFS across all trees: the pointer queue parallels c.nodes, children
 	// are appended contiguously when their parent is processed, so child
@@ -36,13 +38,17 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 		if t == nil || t.Root == nil {
 			return nil, fmt.Errorf("compiled: tree %d is nil", ti)
 		}
+		if sr := set.Rules(); len(t.Rules) != len(sr) || (len(sr) > 0 && &t.Rules[0] != &sr[0]) {
+			if err := checkLeafRules(t, sr); err != nil {
+				return nil, err
+			}
+		}
 		c.roots = append(c.roots, uint32(len(queue)))
 		queue = append(queue, t.Root)
 		c.nodes = append(c.nodes, node{})
 	}
 	for i := 0; i < len(queue); i++ {
-		pn := queue[i]
-		nd, err := c.compileNode(pn, ruleIdx, &queue)
+		nd, err := c.compileNode(queue[i], &queue)
 		if err != nil {
 			return nil, err
 		}
@@ -58,20 +64,32 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 	return c, nil
 }
 
+// checkLeafRules reports whether every rule a leaf of t references is the
+// rule at the same position of rules, for a tree built over another slice.
+func checkLeafRules(t *tree.Tree, rules []rule.Rule) error {
+	var err error
+	t.Walk(func(n *tree.Node) bool {
+		if !n.IsLeaf() {
+			return true
+		}
+		for _, ri := range n.Rules {
+			if ri < 0 || int(ri) >= len(t.Rules) || int(ri) >= len(rules) || t.Rules[ri] != rules[ri] {
+				err = fmt.Errorf("compiled: leaf rule at position %d of the tree's list is not the classifier set's", ri)
+				return false
+			}
+		}
+		return true
+	})
+	return err
+}
+
 // compileNode converts one pointer node, appending its children to the
 // shared BFS queue (and reserving their slots in c.nodes).
-func (c *Classifier) compileNode(pn *tree.Node, ruleIdx map[rule.Rule]uint32, queue *[]*tree.Node) (node, error) {
+func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, error) {
 	if pn.IsLeaf() {
 		nd := node{kind: kindLeaf, a: uint32(len(c.leafRules)), b: uint32(len(pn.Rules))}
-		for j, r := range pn.Rules {
-			idx, ok := ruleIdx[r]
-			if !ok {
-				return node{}, fmt.Errorf("compiled: leaf rule %v not found in classifier set", r)
-			}
-			if j > 0 && idx <= c.leafRules[len(c.leafRules)-1] {
-				return node{}, fmt.Errorf("compiled: leaf rules out of list order at %v", r)
-			}
-			c.leafRules = append(c.leafRules, idx)
+		for _, ri := range pn.Rules {
+			c.leafRules = append(c.leafRules, uint32(ri)) // range and order are validate's to check
 		}
 		return nd, nil
 	}

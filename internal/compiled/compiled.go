@@ -4,7 +4,7 @@
 //
 // The build-time representation (internal/tree) is a pointer-linked tree:
 // convenient to grow one action at a time, but hostile to the serve path —
-// every step of a lookup chases a pointer, leaves hold their own rule slices,
+// every step of a lookup chases a pointer, every leaf holds its own slice,
 // and partition nodes force recursion. Compile flattens one or more finished
 // trees into contiguous arrays:
 //
@@ -13,7 +13,10 @@
 //     parent's, so traversal provably terminates);
 //   - leaves reference rules as spans into one shared []uint32 slab of
 //     indices into the classifier's rule list, so rule replication costs 4
-//     bytes per reference instead of a 96-byte rule copy;
+//     bytes per reference. A tree node's rule list is the same thing —
+//     positions in the list the tree was built over — so Compile copies
+//     leaf lists out as they stand and only checks that the list is the
+//     set's;
 //   - cut geometry (origin, step, fan-out per dimension) is stored in flat
 //     descriptor arrays, and rules are additionally packed into the 32-byte
 //     match-only records of rule.Packed, so the leaf scan touches nothing

@@ -133,14 +133,64 @@ func TestCompilePartitionNodes(t *testing.T) {
 }
 
 // TestCompileRejectsForeignRules ensures Compile refuses trees whose leaves
-// reference rules outside the classifier set.
+// reference rules outside the classifier set. Leaves hold positions, so a
+// tree over list A compiled against set B would silently serve B's rules at
+// A's positions: it is refused wherever a referenced rule differs, whether
+// B is as long as A, shorter, or differs in one rule; a tree over an equal
+// copy of the set's list is the same tree and is accepted.
 func TestCompileRejectsForeignRules(t *testing.T) {
 	fam, _ := classbench.FamilyByName("acl1")
 	set := classbench.Generate(fam, 50, 1)
-	other := classbench.Generate(fam, 50, 99)
-	tr := tree.New(other, 16)
-	if _, err := compiled.Compile(set, tr); err == nil {
-		t.Fatal("Compile accepted a tree over a different rule set")
+	build := func(s *rule.Set) *tree.Tree {
+		tr, err := hicuts.Build(s, hicuts.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	oneOff := set.Clone().Rules()
+	oneOff[len(oneOff)-1].Ranges[rule.DimProto] = rule.Range{Lo: 17, Hi: 17}
+	for name, other := range map[string]*rule.Set{
+		"same length":  classbench.Generate(fam, 50, 99),
+		"longer":       classbench.Generate(fam, 80, 1),
+		"one rule off": rule.NewSetKeepPriorities(oneOff),
+	} {
+		if _, err := compiled.Compile(set, build(other)); err == nil {
+			t.Errorf("%s: Compile accepted a tree over a different rule set", name)
+		}
+	}
+	if _, err := compiled.Compile(set, build(set.Clone())); err != nil {
+		t.Errorf("Compile refused a tree over an equal copy of the set's list: %v", err)
+	}
+}
+
+// TestCompileRejectsBadLeafLists: leaf lists are copied out as they stand,
+// so one that is out of list order or points outside the set must be caught
+// by the structural check Compile ends with.
+func TestCompileRejectsBadLeafLists(t *testing.T) {
+	fam, _ := classbench.FamilyByName("acl1")
+	set := classbench.Generate(fam, 50, 1)
+	for name, list := range map[string][]int32{
+		"descending": {3, 1}, "repeated": {2, 2}, "negative": {-1}, "past the end": {50},
+	} {
+		if _, err := compiled.Compile(set, tree.NewFromRules(set.Rules(), list, 16)); err == nil {
+			t.Errorf("%s: Compile accepted leaf list %v", name, list)
+		}
+	}
+}
+
+// TestCompileSharesRuleList pins the ownership contract: a compiled
+// classifier serves from the set's own rule slice, so an engine holds the
+// list once per snapshot, not once for the set and once for the classifier.
+func TestCompileSharesRuleList(t *testing.T) {
+	fam, _ := classbench.FamilyByName("acl1")
+	set := classbench.Generate(fam, 50, 1)
+	c, err := compiled.Compile(set, tree.New(set, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c.Rules()[0] != &set.Rules()[0] {
+		t.Error("Compile copied the rule list")
 	}
 }
 

@@ -26,6 +26,8 @@ type Trainer struct {
 	mu            sync.Mutex
 	bestTree      *tree.Tree
 	bestObjective float64
+	bestTruncated bool
+	bestMetrics   tree.Metrics
 	totalSteps    int
 	treesBuilt    int
 	history       []IterationStats
@@ -44,6 +46,14 @@ type IterationStats struct {
 	MeanReturn float64
 	// BestObjective is the best (lowest) tree objective seen so far.
 	BestObjective float64
+	// BestTruncated reports whether the rollout that built that best tree hit
+	// a truncation limit; BestUnfinishedLeaves and BestMaxLeafRules are the
+	// tree's count of leaves still over Binth and the size of its largest
+	// leaf. The objective's time term counts any leaf as one visit, so a
+	// truncated tree can win on it while lookups scan thousands of rules.
+	BestTruncated        bool
+	BestUnfinishedLeaves int
+	BestMaxLeafRules     int
 	// MeanTreeDepth and MeanTreeBytes average the finished trees of this
 	// iteration.
 	MeanTreeDepth float64
@@ -73,7 +83,9 @@ func (t *Trainer) Config() Config { return t.cfg }
 func (t *Trainer) Policy() *nn.ActorCritic { return t.learner.Policy }
 
 // BestTree returns the best tree found so far and its objective value
-// (lower is better), or nil before any rollout completed.
+// (lower is better), or nil before any rollout completed. The tree may be
+// incomplete — its ComputeMetrics().UnfinishedLeaves says so — because the
+// objective's time term counts any leaf as one visit.
 func (t *Trainer) BestTree() (*tree.Tree, float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -108,6 +120,7 @@ type rolloutResult struct {
 	experiences []env.Experience
 	objective   float64
 	metrics     tree.Metrics
+	truncated   bool
 	tr          *tree.Tree
 }
 
@@ -116,10 +129,8 @@ type rolloutResult struct {
 func (t *Trainer) runRollout(e *env.Env, rng *rand.Rand, greedy bool) rolloutResult {
 	e.Reset()
 	for !e.Done() {
-		n := e.Current()
-		obs := e.Observation(n)
-		mask := e.ActionMask(n)
-		d := t.learner.SelectAction(obs, mask, rng, greedy)
+		obs, mask := e.Observe()
+		d := t.learner.SelectAction(obs, mask[:], rng, greedy)
 		exp := env.Experience{LogProb: d.LogProb, Value: d.Value}
 		if err := e.Step(rule.Dimension(d.Dim), d.Act, exp); err != nil {
 			// Step only fails for masked/out-of-range actions, which
@@ -135,6 +146,7 @@ func (t *Trainer) runRollout(e *env.Env, rng *rand.Rand, greedy bool) rolloutRes
 		experiences: exps,
 		objective:   e.TreeObjective(tr),
 		metrics:     tr.ComputeMetrics(),
+		truncated:   e.Truncated(),
 		tr:          tr,
 	}
 }
@@ -164,12 +176,13 @@ func (t *Trainer) collectBatch() ([]rl.Sample, IterationStats) {
 				res := t.runRollout(e, rng, false)
 
 				mu.Lock()
-				for _, x := range res.experiences {
+				for i := range res.experiences {
+					x := &res.experiences[i]
 					samples = append(samples, rl.Sample{
 						Obs:     x.Obs,
 						Dim:     x.Dim,
 						Act:     x.Act,
-						ActMask: x.Mask,
+						ActMask: x.Mask[:],
 						Return:  x.Return,
 						Value:   x.Value,
 						LogProb: x.LogProb,
@@ -228,6 +241,8 @@ func (t *Trainer) recordTree(res rolloutResult) {
 	if res.objective < t.bestObjective {
 		t.bestObjective = res.objective
 		t.bestTree = res.tr
+		t.bestTruncated = res.truncated
+		t.bestMetrics = res.metrics
 	}
 }
 
@@ -257,6 +272,9 @@ func (t *Trainer) Train() ([]IterationStats, error) {
 		t.mu.Lock()
 		stats.Timesteps = t.totalSteps
 		stats.BestObjective = t.bestObjective
+		stats.BestTruncated = t.bestTruncated
+		stats.BestUnfinishedLeaves = t.bestMetrics.UnfinishedLeaves
+		stats.BestMaxLeafRules = t.bestMetrics.MaxLeafRules
 		t.history = append(t.history, stats)
 		t.mu.Unlock()
 	}

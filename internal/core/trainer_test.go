@@ -256,3 +256,42 @@ func TestTrainedNeuroCutsCompetitiveWithHiCutsOnTinyProblem(t *testing.T) {
 		t.Errorf("NeuroCuts time %d is far worse than HiCuts %d on a small problem", nc, hc)
 	}
 }
+
+// TestHistoryReportsTruncatedBest pins the visibility of truncated winners:
+// with a rollout cap far below what the classifier needs, the best tree is
+// an incomplete one, and the iteration history says so with the numbers the
+// tree itself reports.
+func TestHistoryReportsTruncatedBest(t *testing.T) {
+	set := testSet(t, "acl1", 2000, 1)
+	cfg := tinyConfig()
+	cfg.MaxTimesteps = 60
+	cfg.BatchTimesteps = 20
+	cfg.MaxTimestepsPerRollout = 20
+	trainer := NewTrainer(set, cfg)
+	history, err := trainer.Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, _ := trainer.BestTree()
+	if best.IsComplete() {
+		t.Fatal("a 20-step rollout over 2000 rules finished")
+	}
+	m := best.ComputeMetrics()
+	if m.UnfinishedLeaves != len(best.UnfinishedLeaves()) || m.UnfinishedLeaves == 0 || m.MaxLeafRules <= cfg.Binth {
+		t.Errorf("unfinished leaves %d (tree says %d), largest leaf %d", m.UnfinishedLeaves, len(best.UnfinishedLeaves()), m.MaxLeafRules)
+	}
+	last := history[len(history)-1]
+	if !last.BestTruncated || last.BestUnfinishedLeaves != m.UnfinishedLeaves || last.BestMaxLeafRules != m.MaxLeafRules {
+		t.Errorf("history says truncated=%v unfinished=%d largest=%d, the tree says %d/%d",
+			last.BestTruncated, last.BestUnfinishedLeaves, last.BestMaxLeafRules, m.UnfinishedLeaves, m.MaxLeafRules)
+	}
+
+	// A classifier the rollouts finish: nothing to report.
+	history, err = NewTrainer(testSet(t, "acl1", 60, 1), tinyConfig()).Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := history[len(history)-1]; last.BestTruncated || last.BestUnfinishedLeaves != 0 {
+		t.Errorf("complete tree reported as truncated=%v with %d unfinished leaves", last.BestTruncated, last.BestUnfinishedLeaves)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"neurocuts/internal/rule"
@@ -46,31 +47,48 @@ func (u *Updater) Updates() int { return u.updates }
 // caller should re-run training on the updated classifier.
 func (u *Updater) NeedsRetrain() bool { return u.updates >= u.RetrainThreshold }
 
-// InsertRule adds a rule to the existing tree structure: the rule is pushed
-// into every leaf whose box it overlaps, keeping each leaf's rule list in
-// priority order. The tree's rule count grows by one.
+// InsertRule adds a rule to the existing tree structure: the rule takes the
+// place its Priority gives it in the tree's rule list (after any rule of
+// equal Priority) and is pushed into every leaf whose box it overlaps,
+// keeping each leaf's rule list in priority order. The tree's rule count
+// grows by one.
 func (u *Updater) InsertRule(r rule.Rule) error {
 	if u.Tree == nil || u.Tree.Root == nil {
 		return fmt.Errorf("core: updater has no tree")
 	}
-	inserted := insertIntoSubtree(u.Tree.Root, r)
-	if !inserted {
+	t := u.Tree
+	if !r.OverlapsBox(t.Root.Box) {
 		return fmt.Errorf("core: rule %v does not overlap the tree's root box", r)
 	}
-	u.Tree.RuleCount++
+	// Node rule lists are positions in t.Rules, so making room at pos moves
+	// every later reference up by one. The list itself belongs to the
+	// classifier the tree was built over; the tree gets its own copy.
+	pos := sort.Search(len(t.Rules), func(i int) bool { return t.Rules[i].Priority > r.Priority })
+	t.Rules = slices.Insert(slices.Clone(t.Rules), pos, r)
+	t.Walk(func(n *tree.Node) bool {
+		for i, ri := range n.Rules {
+			if int(ri) >= pos {
+				n.Rules[i]++
+			}
+		}
+		return true
+	})
+	insertIntoSubtree(t, t.Root, int32(pos))
+	t.RuleCount++
 	u.updates++
 	return nil
 }
 
-// insertIntoSubtree inserts r into every overlapping leaf below n and
-// reports whether at least one leaf received it.
-func insertIntoSubtree(n *tree.Node, r rule.Rule) bool {
-	if !r.OverlapsBox(n.Box) {
+// insertIntoSubtree inserts the rule at position pos of the tree's list into
+// every overlapping leaf below n and reports whether at least one leaf
+// received it.
+func insertIntoSubtree(t *tree.Tree, n *tree.Node, pos int32) bool {
+	if !t.Rules[pos].OverlapsBox(n.Box) {
 		return false
 	}
 	if n.IsLeaf() {
-		n.Rules = append(n.Rules, r)
-		sort.SliceStable(n.Rules, func(i, j int) bool { return n.Rules[i].Priority < n.Rules[j].Priority })
+		at, _ := slices.BinarySearch(n.Rules, pos)
+		n.Rules = slices.Insert(n.Rules, at, pos)
 		return true
 	}
 	if n.Kind == tree.KindPartition {
@@ -89,12 +107,12 @@ func insertIntoSubtree(n *tree.Node, r rule.Rule) bool {
 		if best < 0 {
 			return false
 		}
-		return insertIntoSubtree(n.Children[best], r)
+		return insertIntoSubtree(t, n.Children[best], pos)
 	}
 	// Cut node: descend into every overlapping child.
 	any := false
 	for _, c := range n.Children {
-		if insertIntoSubtree(c, r) {
+		if insertIntoSubtree(t, c, pos) {
 			any = true
 		}
 	}
@@ -124,12 +142,12 @@ func (u *Updater) RemoveRule(match func(rule.Rule) bool) int {
 	rec = func(n *tree.Node) {
 		if n.IsLeaf() {
 			kept := n.Rules[:0]
-			for _, r := range n.Rules {
-				if match(r) {
+			for _, ri := range n.Rules {
+				if r := u.Tree.Rules[ri]; match(r) {
 					removedPriorities[r.Priority] = struct{}{}
 					continue
 				}
-				kept = append(kept, r)
+				kept = append(kept, ri)
 			}
 			n.Rules = kept
 			return

@@ -89,7 +89,7 @@ func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 		if len(g) == 0 {
 			continue
 		}
-		t := tree.NewFromRules(g, cfg.Binth, len(g))
+		t := tree.NewFromRules(s.Rules(), g, cfg.Binth)
 		if err := buildNode(t, t.Root, dims[i], cfg); err != nil {
 			return nil, fmt.Errorf("cutsplit: building tree %q: %w", labels[i], err)
 		}
@@ -106,34 +106,33 @@ func isSmall(r rule.Rule, d rule.Dimension, smallLen uint) bool {
 	return r.Ranges[d].Size() <= maxSize
 }
 
-// partitionRules splits rules into the CutSplit subsets and records, per
-// subset, the dimensions FiCuts should pre-cut.
-func partitionRules(rules []rule.Rule, smallLen uint) ([][]rule.Rule, []string, [][]rule.Dimension) {
-	var saDA, sa, da, big []rule.Rule
-	for _, r := range rules {
+// partitionRules splits rules into the CutSplit subsets — each a list of
+// ascending positions in rules — and records, per subset, the dimensions
+// FiCuts should pre-cut.
+func partitionRules(rules []rule.Rule, smallLen uint) ([][]int32, []string, [][]rule.Dimension) {
+	var saDA, sa, da, big []int32
+	for i, r := range rules {
+		ri := int32(i)
 		srcSmall := isSmall(r, rule.DimSrcIP, smallLen)
 		dstSmall := isSmall(r, rule.DimDstIP, smallLen)
 		switch {
 		case srcSmall && dstSmall:
-			saDA = append(saDA, r)
+			saDA = append(saDA, ri)
 		case srcSmall:
-			sa = append(sa, r)
+			sa = append(sa, ri)
 		case dstSmall:
-			da = append(da, r)
+			da = append(da, ri)
 		default:
-			big = append(big, r)
+			big = append(big, ri)
 		}
 	}
-	groups := [][]rule.Rule{saDA, sa, da, big}
+	groups := [][]int32{saDA, sa, da, big}
 	labels := []string{"sa-da", "sa", "da", "big"}
 	dims := [][]rule.Dimension{
 		{rule.DimSrcIP, rule.DimDstIP},
 		{rule.DimSrcIP},
 		{rule.DimDstIP},
 		nil,
-	}
-	for i := range groups {
-		sort.SliceStable(groups[i], func(a, b int) bool { return groups[i][a].Priority < groups[i][b].Priority })
 	}
 	return groups, labels, dims
 }
@@ -222,7 +221,7 @@ func hyperSplit(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
 		if n.Box[d].Size() < 2 {
 			continue
 		}
-		points := endpointCandidates(n, d)
+		points := endpointCandidates(t, n, d)
 		if len(points) == 0 {
 			continue
 		}
@@ -245,11 +244,11 @@ func hyperSplit(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
 
 // endpointCandidates returns the sorted split-point candidates for dim: the
 // clipped rule-range boundaries strictly inside the node's box.
-func endpointCandidates(n *tree.Node, dim rule.Dimension) []uint64 {
+func endpointCandidates(t *tree.Tree, n *tree.Node, dim rule.Dimension) []uint64 {
 	box := n.Box[dim]
 	set := map[uint64]struct{}{}
-	for _, r := range n.Rules {
-		rr, ok := r.Ranges[dim].Intersect(box)
+	for _, ri := range n.Rules {
+		rr, ok := t.Rules[ri].Ranges[dim].Intersect(box)
 		if !ok {
 			continue
 		}

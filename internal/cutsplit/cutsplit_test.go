@@ -65,7 +65,7 @@ func TestPartitionRules(t *testing.T) {
 	for i, g := range groups {
 		total += len(g)
 		for j := 1; j < len(g); j++ {
-			if g[j].Priority < g[j-1].Priority {
+			if g[j] <= g[j-1] {
 				t.Fatalf("group %s not in priority order", labels[i])
 			}
 		}

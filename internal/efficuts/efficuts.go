@@ -23,6 +23,7 @@ package efficuts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"neurocuts/internal/rule"
@@ -91,10 +92,10 @@ func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 	if cfg.MaxCuts < 2 {
 		cfg.MaxCuts = 16
 	}
-	groups, labels := PartitionRules(s.Rules(), cfg.EnableTreeMerging)
+	groups, labels := PartitionRules(s.Rules(), tree.AllRules(s.Len()), cfg.EnableTreeMerging)
 	c := &Classifier{}
 	for i, g := range groups {
-		t := tree.NewFromRules(g, cfg.Binth, len(g))
+		t := tree.NewFromRules(s.Rules(), g, cfg.Binth)
 		if err := buildNode(t, t.Root, cfg); err != nil {
 			return nil, fmt.Errorf("efficuts: building tree %q: %w", labels[i], err)
 		}
@@ -147,9 +148,11 @@ func PatternOf(r rule.Rule) Pattern {
 // remains).
 const MaxMergedTrees = 8
 
-// PartitionRules splits rules into separable categories by largeness
-// pattern, optionally merging categories. It returns the rule groups (each
-// in priority order) and a label per group. The groups are returned in a
+// PartitionRules splits the rules at positions members of rules (a node's
+// rule list, or tree.AllRules for a whole classifier) into separable
+// categories by largeness pattern, optionally merging categories. It returns
+// the rule groups (each a list of ascending positions in rules, which is
+// priority order) and a label per group. The groups are returned in a
 // deterministic order (by label).
 //
 // Tree merging follows EffiCuts' compatibility rule: two categories may only
@@ -158,15 +161,15 @@ const MaxMergedTrees = 8
 // extra replication introduced by the merge is bounded. Merging repeatedly
 // joins the smallest compatible pair until at most MaxMergedTrees categories
 // remain or no compatible pair exists.
-func PartitionRules(rules []rule.Rule, merge bool) ([][]rule.Rule, []string) {
-	byPattern := map[Pattern][]rule.Rule{}
-	for _, r := range rules {
-		p := PatternOf(r)
-		byPattern[p] = append(byPattern[p], r)
+func PartitionRules(rules []rule.Rule, members []int32, merge bool) ([][]int32, []string) {
+	byPattern := map[Pattern][]int32{}
+	for _, ri := range members {
+		p := PatternOf(rules[ri])
+		byPattern[p] = append(byPattern[p], ri)
 	}
 	type category struct {
 		pattern Pattern
-		rules   []rule.Rule
+		rules   []int32
 	}
 	var cats []category
 	for p, rs := range byPattern {
@@ -194,7 +197,7 @@ func PartitionRules(rules []rule.Rule, merge bool) ([][]rule.Rule, []string) {
 			}
 			merged := category{
 				pattern: unionPattern(cats[bestI].pattern, cats[bestJ].pattern),
-				rules:   append(append([]rule.Rule(nil), cats[bestI].rules...), cats[bestJ].rules...),
+				rules:   append(append([]int32(nil), cats[bestI].rules...), cats[bestJ].rules...),
 			}
 			// Remove j first (larger index), then i, then append the merge.
 			cats = append(cats[:bestJ], cats[bestJ+1:]...)
@@ -204,10 +207,10 @@ func PartitionRules(rules []rule.Rule, merge bool) ([][]rule.Rule, []string) {
 		sort.Slice(cats, func(i, j int) bool { return cats[i].pattern.String() < cats[j].pattern.String() })
 	}
 
-	out := make([][]rule.Rule, 0, len(cats))
+	out := make([][]int32, 0, len(cats))
 	labels := make([]string, 0, len(cats))
 	for _, c := range cats {
-		sort.SliceStable(c.rules, func(i, j int) bool { return c.rules[i].Priority < c.rules[j].Priority })
+		slices.Sort(c.rules) // a merged category is two ascending runs
 		out = append(out, c.rules)
 		labels = append(labels, c.pattern.String())
 	}
@@ -243,14 +246,14 @@ func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
 	if cfg.MaxDepth > 0 && n.Depth >= cfg.MaxDepth {
 		return nil
 	}
-	dim, ok := chooseDimension(n)
+	dim, ok := chooseDimension(t, n)
 	if !ok {
 		return nil
 	}
 	var children []*tree.Node
 	var err error
 	if cfg.EquiDense {
-		points := equiDensePoints(n, dim, cfg.MaxCuts)
+		points := equiDensePoints(t, n, dim, cfg.MaxCuts)
 		if len(points) == 0 {
 			// Cannot place a meaningful boundary: fall back to an equal cut.
 			children, err = t.Cut(n, dim, 2)
@@ -284,7 +287,7 @@ func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
 
 // chooseDimension picks the cuttable dimension with the most distinct
 // range endpoints inside the node's box.
-func chooseDimension(n *tree.Node) (rule.Dimension, bool) {
+func chooseDimension(t *tree.Tree, n *tree.Node) (rule.Dimension, bool) {
 	best := rule.DimSrcIP
 	bestCount := -1
 	found := false
@@ -292,7 +295,7 @@ func chooseDimension(n *tree.Node) (rule.Dimension, bool) {
 		if n.Box[d].Size() < 2 {
 			continue
 		}
-		count := rule.DistinctValueCount(n.Rules, d, n.Box[d])
+		count := rule.DistinctValueCount(t.Rules, n.Rules, d, n.Box[d])
 		if count > bestCount {
 			best, bestCount, found = d, count, true
 		}
@@ -303,13 +306,13 @@ func chooseDimension(n *tree.Node) (rule.Dimension, bool) {
 // equiDensePoints returns up to maxCuts-1 cut boundaries for dimension dim
 // placed at rule-range endpoints so that each child receives a roughly equal
 // share of the node's rules.
-func equiDensePoints(n *tree.Node, dim rule.Dimension, maxCuts int) []uint64 {
+func equiDensePoints(t *tree.Tree, n *tree.Node, dim rule.Dimension, maxCuts int) []uint64 {
 	box := n.Box[dim]
 	// Candidate boundaries: the starts of rule ranges (clipped), plus the
 	// positions just after range ends, excluding the box's own start.
 	candSet := map[uint64]struct{}{}
-	for _, r := range n.Rules {
-		rr, ok := r.Ranges[dim].Intersect(box)
+	for _, ri := range n.Rules {
+		rr, ok := t.Rules[ri].Ranges[dim].Intersect(box)
 		if !ok {
 			continue
 		}

@@ -58,7 +58,7 @@ func TestPatternOf(t *testing.T) {
 func TestPartitionRules(t *testing.T) {
 	f, _ := classbench.FamilyByName("fw1")
 	set := classbench.Generate(f, 300, 1)
-	groups, labels := PartitionRules(set.Rules(), true)
+	groups, labels := PartitionRules(set.Rules(), tree.AllRules(set.Len()), true)
 	if len(groups) != len(labels) {
 		t.Fatal("groups/labels mismatch")
 	}
@@ -73,7 +73,7 @@ func TestPartitionRules(t *testing.T) {
 		total += len(g)
 		// Rules inside a group stay in priority order.
 		for i := 1; i < len(g); i++ {
-			if g[i].Priority < g[i-1].Priority {
+			if g[i] <= g[i-1] {
 				t.Fatal("group not in priority order")
 			}
 		}
@@ -82,7 +82,7 @@ func TestPartitionRules(t *testing.T) {
 		t.Errorf("partition lost rules: %d vs %d", total, set.Len())
 	}
 	// Without merging there are at least as many categories.
-	unmerged, _ := PartitionRules(set.Rules(), false)
+	unmerged, _ := PartitionRules(set.Rules(), tree.AllRules(set.Len()), false)
 	if len(unmerged) < len(groups) {
 		t.Errorf("unmerged categories (%d) should be >= merged (%d)", len(unmerged), len(groups))
 	}
@@ -174,8 +174,8 @@ func TestUnseparableRulesTerminate(t *testing.T) {
 func TestEquiDensePointsRespectMaxCuts(t *testing.T) {
 	f, _ := classbench.FamilyByName("acl1")
 	set := classbench.Generate(f, 400, 2)
-	tr := tree.NewFromRules(set.Rules(), 16, set.Len())
-	points := equiDensePoints(tr.Root, rule.DimSrcIP, 8)
+	tr := tree.New(set, 16)
+	points := equiDensePoints(tr, tr.Root, rule.DimSrcIP, 8)
 	if len(points) > 7 {
 		t.Errorf("got %d points for maxCuts=8", len(points))
 	}
@@ -185,8 +185,8 @@ func TestEquiDensePointsRespectMaxCuts(t *testing.T) {
 		}
 	}
 	// A node with no endpoints inside its box yields no points.
-	empty := tree.NewFromRules([]rule.Rule{rule.NewWildcardRule(0)}, 16, 1)
-	if got := equiDensePoints(empty.Root, rule.DimSrcIP, 8); len(got) != 0 {
+	empty := tree.New(rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)}), 16)
+	if got := equiDensePoints(empty, empty.Root, rule.DimSrcIP, 8); len(got) != 0 {
 		t.Errorf("wildcard-only node produced points %v", got)
 	}
 }

@@ -132,9 +132,17 @@ func DefaultConfig() Config {
 type Env struct {
 	cfg Config
 	set *rule.Set
+	// large[i] has bit d set when rule i is large in dimension d (EffiCuts'
+	// largeness, the coverage-band signal of the observation).
+	large []uint8
 
 	builder *tree.Builder
-	steps   int
+	// seen is the node Observe last encoded, with its observation and mask,
+	// so that the Step that follows records them without encoding again.
+	seen     *tree.Node
+	seenObs  []float64
+	seenMask [NumActions]bool
+	steps    int
 	// experiences collects the per-node decisions of the current rollout.
 	experiences []Experience
 	// nodes[i] is the node experiences[i] expanded.
@@ -152,7 +160,7 @@ type Experience struct {
 	Dim int
 	Act int
 	// Mask is the action mask that applied.
-	Mask []bool
+	Mask [NumActions]bool
 	// Return is the 1-step return: the negated scaled objective of the
 	// subtree rooted at the expanded node.
 	Return float64
@@ -179,7 +187,14 @@ func New(s *rule.Set, cfg Config) *Env {
 	if cfg.TimeSpaceCoeff > 1 {
 		cfg.TimeSpaceCoeff = 1
 	}
-	e := &Env{cfg: cfg, set: s}
+	e := &Env{cfg: cfg, set: s, large: make([]uint8, s.Len())}
+	for i, r := range s.Rules() {
+		for d, isLarge := range efficuts.PatternOf(r) {
+			if isLarge {
+				e.large[i] |= 1 << d
+			}
+		}
+	}
 	e.Reset()
 	return e
 }
@@ -194,6 +209,7 @@ func (e *Env) Reset() {
 	e.experiences = e.experiences[:0]
 	e.nodes = e.nodes[:0]
 	e.truncated = false
+	e.seen = nil
 }
 
 // Done reports whether the current rollout has finished (tree complete or
@@ -216,8 +232,8 @@ func (e *Env) Current() *tree.Node { return e.builder.Current() }
 // cut actions are always allowed; partition actions are allowed only at the
 // root node and only when the configured partition mode enables them (the
 // "top-node partitioning" hyperparameter).
-func (e *Env) ActionMask(n *tree.Node) []bool {
-	mask := make([]bool, NumActions)
+func (e *Env) ActionMask(n *tree.Node) [NumActions]bool {
+	var mask [NumActions]bool
 	for i := 0; i < NumCutActions; i++ {
 		mask[i] = true
 	}
@@ -245,6 +261,24 @@ func (e *Env) ActionMask(n *tree.Node) []bool {
 //     "not inside an EffiCuts partition", slots 1-9 identify the category).
 //   - The action mask itself, so the policy can see which actions are legal.
 func (e *Env) Observation(n *tree.Node) []float64 {
+	return e.encode(n, e.ActionMask(n))
+}
+
+// Observe returns the observation and action mask of the current node — what
+// the policy needs to choose the next Step, which records both as they are.
+// There is no current node once the rollout is Done.
+func (e *Env) Observe() ([]float64, [NumActions]bool) {
+	n := e.builder.Current()
+	if e.seen != n {
+		e.seenMask = e.ActionMask(n)
+		e.seenObs = e.encode(n, e.seenMask)
+		e.seen = n
+	}
+	return e.seenObs, e.seenMask
+}
+
+// encode builds the observation of n given its action mask.
+func (e *Env) encode(n *tree.Node, mask [NumActions]bool) []float64 {
 	obs := make([]float64, ObsSize)
 	pos := 0
 	for _, d := range rule.Dimensions() {
@@ -255,20 +289,19 @@ func (e *Env) Observation(n *tree.Node) []float64 {
 		pos += bits
 	}
 	// Coverage bands.
-	for _, d := range rule.Dimensions() {
-		level := coverageBand(n, d)
+	for _, level := range e.coverageBands(n) {
 		obs[pos+level] = 1
 		pos += coverageLevels
 	}
 	// EffiCuts partition identity.
-	id := partitionID(n)
+	id := e.partitionID(n)
 	if id >= partitionIDSlots {
 		id = partitionIDSlots - 1
 	}
 	obs[pos+id] = 1
 	pos += partitionIDSlots
 	// Action mask.
-	for i, ok := range e.ActionMask(n) {
+	for i, ok := range mask {
 		if ok {
 			obs[pos+i] = 1
 		}
@@ -285,39 +318,33 @@ func writeBits(dst []float64, v uint64, bits int) {
 	}
 }
 
-// coverageBand buckets the fraction of the node's rules that are large in
-// dimension d into one of coverageLevels levels.
-func coverageBand(n *tree.Node, d rule.Dimension) int {
+// coverageBands buckets, per dimension, the fraction of the node's rules
+// that are large in it into one of coverageLevels levels.
+func (e *Env) coverageBands(n *tree.Node) [rule.NumDims]int {
+	var large, levels [rule.NumDims]int
 	if len(n.Rules) == 0 {
-		return 0
+		return levels
 	}
-	large := 0
-	for _, r := range n.Rules {
-		if r.Coverage(d) > efficuts.LargenessFraction {
-			large++
+	for _, ri := range n.Rules {
+		for d := range large {
+			large[d] += int(e.large[ri] >> d & 1)
 		}
 	}
-	frac := float64(large) / float64(len(n.Rules))
-	level := int(frac * float64(coverageLevels))
-	if level >= coverageLevels {
-		level = coverageLevels - 1
+	for d := range levels {
+		frac := float64(large[d]) / float64(len(n.Rules))
+		levels[d] = min(int(frac*float64(coverageLevels)), coverageLevels-1)
 	}
-	return level
+	return levels
 }
 
-// partitionID returns 1+index of the EffiCuts category label carried by the
-// node (propagated to partition children), or 0 when the node is not inside
-// an EffiCuts partition.
-func partitionID(n *tree.Node) int {
-	if n.PartitionLabel == "" {
-		return 0
+// partitionID returns 1+index of the EffiCuts category the node holds, 1 for
+// either side of a simple partition, or 0 when the node is not a partition
+// child. Partitions happen at the root only, so the mode says which it was.
+func (e *Env) partitionID(n *tree.Node) int {
+	if e.cfg.Partition == PartitionEffiCuts {
+		return n.PartitionGroup
 	}
-	// Labels produced by the EffiCuts partition action are "effi-<i>".
-	var idx int
-	if _, err := fmt.Sscanf(n.PartitionLabel, "effi-%d", &idx); err == nil {
-		return idx + 1
-	}
-	return 1
+	return min(n.PartitionGroup, 1)
 }
 
 // Step applies the agent's (dimension, action) choice to the current node.
@@ -335,12 +362,12 @@ func (e *Env) Step(dim rule.Dimension, act int, exp Experience) error {
 	if act < 0 || act >= NumActions {
 		return fmt.Errorf("env: action %d out of range", act)
 	}
-	mask := e.ActionMask(n)
+	obs, mask := e.Observe()
 	if !mask[act] {
 		return fmt.Errorf("env: action %d is masked at this node", act)
 	}
 
-	exp.Obs = e.Observation(n)
+	exp.Obs = obs
 	exp.Dim = int(dim)
 	exp.Act = act
 	exp.Mask = mask
@@ -360,7 +387,7 @@ func (e *Env) Step(dim rule.Dimension, act int, exp Experience) error {
 			applied = true
 		}
 	case act == ActEffiCutsPartition:
-		groups, _ := efficuts.PartitionRules(n.Rules, true)
+		groups, _ := efficuts.PartitionRules(e.set.Rules(), n.Rules, true)
 		if len(groups) >= 2 {
 			labels := make([]string, len(groups))
 			for i := range labels {

@@ -202,6 +202,49 @@ func TestRandomRolloutProducesValidTree(t *testing.T) {
 	}
 }
 
+// TestObserveFeedsStep pins the once-per-step encoding: Observe returns what
+// Observation and ActionMask compute for the current node, the Step that
+// follows records that very observation, and the coverage bands — counted
+// from a per-rule largeness mask — are the ones a direct count of
+// Rule.Coverage over the node's rules gives.
+func TestObserveFeedsStep(t *testing.T) {
+	set := testSet(t, "fw1", 300, 4)
+	e := New(set, DefaultConfig())
+	rng := rand.New(rand.NewSource(2))
+	for step := 0; !e.Done() && step < 200; step++ {
+		n := e.Current()
+		obs, mask := e.Observe()
+		if mask != e.ActionMask(n) {
+			t.Fatalf("step %d: Observe mask %v, ActionMask %v", step, mask, e.ActionMask(n))
+		}
+		direct := e.Observation(n)
+		for i := range obs {
+			if obs[i] != direct[i] {
+				t.Fatalf("step %d: Observe[%d] = %v, Observation = %v", step, i, obs[i], direct[i])
+			}
+		}
+		for d := 0; d < rule.NumDims; d++ {
+			large := 0
+			for _, ri := range n.Rules {
+				if set.Rule(int(ri)).Coverage(rule.Dimension(d)) > 0.5 {
+					large++
+				}
+			}
+			level := min(int(float64(large)/float64(len(n.Rules))*8), 7)
+			if obs[208+8*d+level] != 1 {
+				t.Fatalf("step %d: dimension %d coverage band is not %d (%d of %d rules large)",
+					step, d, level, large, len(n.Rules))
+			}
+		}
+		if err := e.Step(rule.Dimension(rng.Intn(rule.NumDims)), rng.Intn(NumCutActions), Experience{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.experiences[len(e.experiences)-1].Obs; &got[0] != &obs[0] {
+			t.Fatalf("step %d: Step encoded the node again", step)
+		}
+	}
+}
+
 func TestFinishRolloutBeforeDoneFails(t *testing.T) {
 	set := testSet(t, "acl1", 200, 3)
 	e := New(set, DefaultConfig())
@@ -272,6 +315,12 @@ func TestSimplePartitionAction(t *testing.T) {
 	if e.Tree().Root.Kind != tree.KindPartition {
 		t.Errorf("root kind = %s, want partition", e.Tree().Root.Kind)
 	}
+	// Both sides of a simple partition sit in identity slot 1.
+	for i, c := range e.Tree().Root.Children {
+		if id := e.Observation(c)[208+40 : 208+40+10]; id[1] != 1 {
+			t.Errorf("simple-partition child %d identity block = %v, want slot 1", i, id)
+		}
+	}
 }
 
 func TestEffiCutsPartitionAction(t *testing.T) {
@@ -298,6 +347,13 @@ func TestEffiCutsPartitionAction(t *testing.T) {
 		idBlock := obs[208+40 : 208+40+10]
 		if idBlock[0] != 0 {
 			t.Error("partition child should not be in slot 0")
+		}
+	}
+	// Category i (label "effi-<i>") sits in slot i+1, the last slot taking
+	// the overflow.
+	for i, c := range root.Children {
+		if id := e.Observation(c)[208+40 : 208+40+10]; id[min(i+1, 9)] != 1 {
+			t.Errorf("category %d (%s) identity block = %v", i, c.PartitionLabel, id)
 		}
 	}
 	// Finish with random cuts and verify log-scaled space returns.

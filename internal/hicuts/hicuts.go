@@ -69,11 +69,11 @@ func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
 		// whose rules cannot be separated (e.g. identical boxes).
 		return nil
 	}
-	dim, ok := chooseDimension(n)
+	dim, ok := chooseDimension(t, n)
 	if !ok {
 		return nil
 	}
-	k := chooseCutCount(n, dim, cfg)
+	k := chooseCutCount(t, n, dim, cfg)
 	if k < 2 {
 		return nil
 	}
@@ -104,7 +104,7 @@ func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
 // chooseDimension returns the dimension with the most distinct rule ranges
 // among those where the node's box can actually be subdivided. The boolean
 // is false when no dimension can be cut.
-func chooseDimension(n *tree.Node) (rule.Dimension, bool) {
+func chooseDimension(t *tree.Tree, n *tree.Node) (rule.Dimension, bool) {
 	best := rule.DimSrcIP
 	bestCount := -1
 	found := false
@@ -112,7 +112,7 @@ func chooseDimension(n *tree.Node) (rule.Dimension, bool) {
 		if n.Box[d].Size() < 2 {
 			continue
 		}
-		count := rule.DistinctRangeCount(n.Rules, d)
+		count := rule.DistinctRangeCount(t.Rules, n.Rules, d)
 		if count > bestCount {
 			best, bestCount, found = d, count, true
 		}
@@ -123,7 +123,7 @@ func chooseDimension(n *tree.Node) (rule.Dimension, bool) {
 // chooseCutCount grows the fan-out geometrically from 4 (or the square root
 // of the rule count, whichever is larger) while the space measure stays
 // within the spfac budget.
-func chooseCutCount(n *tree.Node, dim rule.Dimension, cfg Config) int {
+func chooseCutCount(t *tree.Tree, n *tree.Node, dim rule.Dimension, cfg Config) int {
 	budget := cfg.SpFac * float64(n.NumRules())
 	// Initial guess from the original paper: max(4, sqrt(#rules)).
 	k := 4
@@ -137,13 +137,13 @@ func chooseCutCount(n *tree.Node, dim rule.Dimension, cfg Config) int {
 		k = cfg.MaxCuts
 	}
 	// Shrink if even the initial guess blows the budget, then try doubling.
-	for k >= 2 && spaceMeasure(n, dim, k) > budget {
+	for k >= 2 && spaceMeasure(t, n, dim, k) > budget {
 		k /= 2
 	}
 	if k < 2 {
 		return 2
 	}
-	for k*2 <= cfg.MaxCuts && spaceMeasure(n, dim, k*2) <= budget {
+	for k*2 <= cfg.MaxCuts && spaceMeasure(t, n, dim, k*2) <= budget {
 		k *= 2
 	}
 	return k
@@ -152,7 +152,7 @@ func chooseCutCount(n *tree.Node, dim rule.Dimension, cfg Config) int {
 // spaceMeasure computes sm(v) for cutting node n along dim into k pieces:
 // the total number of rule replicas across the children plus the number of
 // children. It evaluates the cut without materialising child nodes.
-func spaceMeasure(n *tree.Node, dim rule.Dimension, k int) float64 {
+func spaceMeasure(t *tree.Tree, n *tree.Node, dim rule.Dimension, k int) float64 {
 	box := n.Box[dim]
 	size := box.Size()
 	if uint64(k) > size {
@@ -170,8 +170,8 @@ func spaceMeasure(n *tree.Node, dim rule.Dimension, k int) float64 {
 			hi = box.Hi
 		}
 		piece := rule.Range{Lo: lo, Hi: hi}
-		for _, r := range n.Rules {
-			if r.Ranges[dim].Overlaps(piece) {
+		for _, ri := range n.Rules {
+			if t.Rules[ri].Ranges[dim].Overlaps(piece) {
 				total++
 			}
 		}

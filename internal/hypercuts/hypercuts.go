@@ -72,9 +72,9 @@ func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
 		return nil
 	}
 	if cfg.RegionCompaction {
-		compactRegion(n)
+		compactRegion(t, n)
 	}
-	candidates := chooseDimensions(n)
+	candidates := chooseDimensions(t, n)
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -109,15 +109,15 @@ func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
 // box still covers every rule in the node, so classification is unaffected
 // for packets routed to this node; packets falling in the trimmed dead space
 // match no rule here, exactly as before.
-func compactRegion(n *tree.Node) {
+func compactRegion(t *tree.Tree, n *tree.Node) {
 	if len(n.Rules) == 0 {
 		return
 	}
 	for _, d := range rule.Dimensions() {
 		lo := n.Box[d].Hi
 		hi := n.Box[d].Lo
-		for _, r := range n.Rules {
-			rr, ok := r.Ranges[d].Intersect(n.Box[d])
+		for _, ri := range n.Rules {
+			rr, ok := t.Rules[ri].Ranges[d].Intersect(n.Box[d])
 			if !ok {
 				continue
 			}
@@ -137,7 +137,7 @@ func compactRegion(n *tree.Node) {
 // chooseDimensions selects every cuttable dimension whose distinct-range
 // count is at least the mean across cuttable dimensions, capped at three
 // dimensions (larger products explode the fan-out without helping).
-func chooseDimensions(n *tree.Node) []rule.Dimension {
+func chooseDimensions(t *tree.Tree, n *tree.Node) []rule.Dimension {
 	type dimCount struct {
 		d rule.Dimension
 		c int
@@ -148,7 +148,7 @@ func chooseDimensions(n *tree.Node) []rule.Dimension {
 		if n.Box[d].Size() < 2 {
 			continue
 		}
-		c := rule.DistinctRangeCount(n.Rules, d)
+		c := rule.DistinctRangeCount(t.Rules, n.Rules, d)
 		if c < 2 {
 			continue
 		}

@@ -247,24 +247,24 @@ func (s *Set) ComputeStats() Stats {
 	return st
 }
 
-// DistinctRangeCount returns the number of distinct ranges the rules in
-// `rules` project onto dimension d. This is the statistic HiCuts and
-// HyperCuts use to pick cut dimensions.
-func DistinctRangeCount(rules []Rule, d Dimension) int {
-	seen := make(map[Range]struct{}, len(rules))
-	for _, r := range rules {
-		seen[r.Ranges[d]] = struct{}{}
+// DistinctRangeCount returns the number of distinct ranges the rules at
+// positions members of rules project onto dimension d. This is the
+// statistic HiCuts and HyperCuts use to pick cut dimensions.
+func DistinctRangeCount(rules []Rule, members []int32, d Dimension) int {
+	seen := make(map[Range]struct{}, len(members))
+	for _, i := range members {
+		seen[rules[i].Ranges[d]] = struct{}{}
 	}
 	return len(seen)
 }
 
-// DistinctValueCount returns the number of distinct range endpoints projected
-// by rules onto dimension d, clipped to the box range. Used by equal-dense
-// cutting heuristics.
-func DistinctValueCount(rules []Rule, d Dimension, box Range) int {
-	seen := make(map[uint64]struct{}, 2*len(rules))
-	for _, r := range rules {
-		if rr, ok := r.Ranges[d].Intersect(box); ok {
+// DistinctValueCount returns the number of distinct range endpoints the
+// rules at positions members of rules project onto dimension d, clipped to
+// the box range. Used by equal-dense cutting heuristics.
+func DistinctValueCount(rules []Rule, members []int32, d Dimension, box Range) int {
+	seen := make(map[uint64]struct{}, 2*len(members))
+	for _, i := range members {
+		if rr, ok := rules[i].Ranges[d].Intersect(box); ok {
 			seen[rr.Lo] = struct{}{}
 			seen[rr.Hi] = struct{}{}
 		}

@@ -271,14 +271,18 @@ func TestDistinctCounts(t *testing.T) {
 		r.Ranges[DimSrcPort] = Range{Lo: uint64(i * 10), Hi: uint64(i*10 + 5)}
 		rules = append(rules, r)
 	}
-	if got := DistinctRangeCount(rules, DimSrcPort); got != 4 {
+	all := []int32{0, 1, 2, 3}
+	if got := DistinctRangeCount(rules, all, DimSrcPort); got != 4 {
 		t.Errorf("DistinctRangeCount = %d", got)
 	}
-	if got := DistinctRangeCount(rules, DimDstPort); got != 1 {
+	if got := DistinctRangeCount(rules, all[1:3], DimSrcPort); got != 2 {
+		t.Errorf("DistinctRangeCount(two members) = %d", got)
+	}
+	if got := DistinctRangeCount(rules, all, DimDstPort); got != 1 {
 		t.Errorf("DistinctRangeCount(wildcard dim) = %d", got)
 	}
 	box := Range{Lo: 0, Hi: 15}
-	if got := DistinctValueCount(rules, DimSrcPort, box); got != 4 {
+	if got := DistinctValueCount(rules, all, DimSrcPort, box); got != 4 {
 		// endpoints 0,5,10,15 within the box
 		t.Errorf("DistinctValueCount = %d", got)
 	}

@@ -104,7 +104,7 @@ func (b *Builder) ApplyCutAtPoints(dim rule.Dimension, points []uint64) error {
 }
 
 // ApplyPartition expands the current node with an explicit rule partition.
-func (b *Builder) ApplyPartition(groups [][]rule.Rule, labels []string) error {
+func (b *Builder) ApplyPartition(groups [][]int32, labels []string) error {
 	n := b.Current()
 	if n == nil {
 		return fmt.Errorf("tree: builder is done")

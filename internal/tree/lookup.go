@@ -7,12 +7,8 @@ import "neurocuts/internal/rule"
 // classifier carries a default rule). The walk also works on partially built
 // trees, where oversized leaves simply fall back to linear search.
 func (t *Tree) Classify(p rule.Packet) (rule.Rule, bool) {
-	best, depth := t.classifyNode(t.Root, p)
-	_ = depth
-	if best == nil {
-		return rule.Rule{}, false
-	}
-	return *best, true
+	r, _, ok := t.ClassifyWithDepth(p)
+	return r, ok
 }
 
 // ClassifyWithDepth is Classify but also reports the number of node visits
@@ -20,40 +16,41 @@ func (t *Tree) Classify(p rule.Packet) (rule.Rule, bool) {
 // memory accesses along the path, summed across partition sub-lookups).
 func (t *Tree) ClassifyWithDepth(p rule.Packet) (rule.Rule, int, bool) {
 	best, visits := t.classifyNode(t.Root, p)
-	if best == nil {
+	if best < 0 {
 		return rule.Rule{}, visits, false
 	}
-	return *best, visits, true
+	return t.Rules[best], visits, true
 }
 
-// classifyNode returns the best matching rule in the subtree rooted at n (or
-// nil) and the number of nodes visited.
-func (t *Tree) classifyNode(n *Node, p rule.Packet) (*rule.Rule, int) {
+// classifyNode returns the position in the tree's rule list of the best
+// matching rule in the subtree rooted at n (or -1) and the number of nodes
+// visited.
+func (t *Tree) classifyNode(n *Node, p rule.Packet) (int32, int) {
 	visits := 1
 	switch {
 	case n.IsLeaf():
-		for i := range n.Rules {
-			if n.Rules[i].Matches(p) {
-				return &n.Rules[i], visits
+		for _, ri := range n.Rules {
+			if t.Rules[ri].Matches(p) {
+				return ri, visits
 			}
 		}
-		return nil, visits
+		return -1, visits
 
 	case n.Kind == KindCut:
 		child := n.childForPacket(p)
 		if child == nil {
-			return nil, visits
+			return -1, visits
 		}
 		best, v := t.classifyNode(child, p)
 		return best, visits + v
 
 	default: // KindPartition: the packet must be checked against every child.
-		var best *rule.Rule
+		best := int32(-1)
 		for _, c := range n.Children {
-			r, v := t.classifyNode(c, p)
+			ri, v := t.classifyNode(c, p)
 			visits += v
-			if r != nil && (best == nil || r.Priority < best.Priority) {
-				best = r
+			if ri >= 0 && (best < 0 || ri < best) {
+				best = ri
 			}
 		}
 		return best, visits

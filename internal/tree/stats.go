@@ -7,7 +7,8 @@ import "neurocuts/internal/rule"
 // HiCuts/EffiCuts line of work: an internal node stores a small fixed header
 // (region boundaries, cut description) plus one pointer per child; a leaf
 // stores a header plus one rule pointer per rule it holds (so rule
-// replication is what drives the metric up).
+// replication is what drives the metric up). The model is the paper's, not
+// this package's own layout: a node's rule list here holds 4-byte positions.
 const (
 	// NodeHeaderBytes is charged once per tree node.
 	NodeHeaderBytes = 16
@@ -35,6 +36,11 @@ type Metrics struct {
 	MaxDepth int
 	// MaxLeafRules is the largest number of rules held by any leaf.
 	MaxLeafRules int
+	// UnfinishedLeaves counts the leaves still holding more than Binth rules:
+	// none in a complete tree, the leaves a truncated rollout left behind
+	// otherwise. ClassificationTime charges such a leaf one visit like any
+	// other, while a lookup scans its whole list.
+	UnfinishedLeaves int
 	// RuleRefs is the total number of rule references stored in leaves
 	// (RuleRefs / classifier size is the replication factor).
 	RuleRefs int
@@ -58,6 +64,9 @@ func (t *Tree) ComputeMetrics() Metrics {
 			m.RuleRefs += len(n.Rules)
 			if len(n.Rules) > m.MaxLeafRules {
 				m.MaxLeafRules = len(n.Rules)
+			}
+			if !t.IsTerminal(n) {
+				m.UnfinishedLeaves++
 			}
 		}
 		return true
@@ -169,6 +178,7 @@ func MultiMetrics(trees []*Tree) Metrics {
 		m.Nodes += tm.Nodes
 		m.Leaves += tm.Leaves
 		m.RuleRefs += tm.RuleRefs
+		m.UnfinishedLeaves += tm.UnfinishedLeaves
 		if tm.MaxDepth > m.MaxDepth {
 			m.MaxDepth = tm.MaxDepth
 		}

@@ -49,15 +49,15 @@ func TestTrafficStatsOnFigure2Tree(t *testing.T) {
 func TestTrafficStatsWithPartition(t *testing.T) {
 	set := rule.NewSet(fig2Rules())
 	tr := New(set, 2)
-	var wide, narrow []rule.Rule
-	for _, r := range set.Rules() {
+	var wide, narrow []int32
+	for i, r := range set.Rules() {
 		if r.Coverage(rule.DimSrcPort) > 0.5 {
-			wide = append(wide, r)
+			wide = append(wide, int32(i))
 		} else {
-			narrow = append(narrow, r)
+			narrow = append(narrow, int32(i))
 		}
 	}
-	parts, err := tr.Partition(tr.Root, [][]rule.Rule{narrow, wide}, nil)
+	parts, err := tr.Partition(tr.Root, [][]int32{narrow, wide}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

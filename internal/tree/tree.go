@@ -10,6 +10,13 @@
 // searched linearly. Using one engine for all algorithms mirrors the paper's
 // methodology and guarantees that depth and memory metrics are computed
 // identically for learned and hand-crafted trees.
+//
+// A tree holds the classifier's rule list once (Tree.Rules, shared with the
+// classifier, never copied) and every node's rule list is a []int32 of
+// positions in it, ascending, which is priority order. Rule replication —
+// what drives the paper's memory metric up — therefore costs four bytes per
+// reference while a tree is being built, as it does in the compiled form,
+// and internal/compiled copies leaf lists out as they stand.
 package tree
 
 import (
@@ -51,8 +58,9 @@ func (k NodeKind) String() string {
 type Node struct {
 	// Box is the region of header space the node is responsible for.
 	Box [rule.NumDims]rule.Range
-	// Rules are the rules intersecting Box, in priority order.
-	Rules []rule.Rule
+	// Rules are the rules intersecting Box, as ascending positions in the
+	// tree's rule list (Tree.Rules): ascending is priority order.
+	Rules []int32
 	// Kind says whether the node is a leaf or how it was expanded.
 	Kind NodeKind
 	// Children are the node's children (empty for leaves).
@@ -73,6 +81,9 @@ type Node struct {
 	// PartitionLabel optionally names the partition a child represents (used
 	// by EffiCuts-style category partitioning and for inspection).
 	PartitionLabel string
+	// PartitionGroup is 1 + the index, in the Partition call that created
+	// this node, of the rule group it holds; 0 for every other node.
+	PartitionGroup int
 }
 
 // IsLeaf reports whether the node has no children.
@@ -85,6 +96,9 @@ func (n *Node) NumRules() int { return len(n.Rules) }
 type Tree struct {
 	// Root is the tree's root node; its box is the full header space.
 	Root *Node
+	// Rules is the rule list node rule lists index: the classifier's own
+	// slice, shared and never modified in place.
+	Rules []rule.Rule
 	// Binth is the leaf threshold: nodes with at most Binth rules are
 	// terminal.
 	Binth int
@@ -101,33 +115,33 @@ const DefaultBinth = 16
 // New creates a tree whose root covers the full header space and holds every
 // rule of the classifier. binth <= 0 selects DefaultBinth.
 func New(s *rule.Set, binth int) *Tree {
-	if binth <= 0 {
-		binth = DefaultBinth
-	}
-	root := &Node{Kind: KindLeaf}
-	for _, d := range rule.Dimensions() {
-		root.Box[d] = rule.FullRange(d)
-	}
-	root.Rules = append(root.Rules, s.Rules()...)
-	return &Tree{Root: root, Binth: binth, RuleCount: s.Len()}
+	return NewFromRules(s.Rules(), AllRules(s.Len()), binth)
 }
 
-// NewFromRules is like New but takes a plain rule slice (already in priority
-// order). ruleCount sets the bytes-per-rule denominator; when zero it
-// defaults to len(rules).
-func NewFromRules(rules []rule.Rule, binth, ruleCount int) *Tree {
+// AllRules returns the positions 0..n-1: the rule list of a node that holds
+// a whole n-rule classifier.
+func AllRules(n int) []int32 {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
+}
+
+// NewFromRules creates a tree over the classifier's rule list whose root
+// holds the rules at positions members (ascending) — the whole classifier
+// for a single tree, one rule group for a tree of a multi-tree classifier.
+// The root keeps the members slice; len(members) is the bytes-per-rule
+// denominator.
+func NewFromRules(rules []rule.Rule, members []int32, binth int) *Tree {
 	if binth <= 0 {
 		binth = DefaultBinth
 	}
-	if ruleCount <= 0 {
-		ruleCount = len(rules)
-	}
-	root := &Node{Kind: KindLeaf}
+	root := &Node{Kind: KindLeaf, Rules: members}
 	for _, d := range rule.Dimensions() {
 		root.Box[d] = rule.FullRange(d)
 	}
-	root.Rules = append(root.Rules, rules...)
-	return &Tree{Root: root, Binth: binth, RuleCount: ruleCount}
+	return &Tree{Root: root, Rules: rules, Binth: binth, RuleCount: len(members)}
 }
 
 // IsTerminal reports whether the node needs no further expansion under the

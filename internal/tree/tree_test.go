@@ -29,10 +29,12 @@ func fig2Rules() []rule.Rule {
 	}
 }
 
-func ruleIDs(rules []rule.Rule) []int {
+// ruleIDs widens a node's rule list; over a rule.NewSet classifier a rule's
+// position is its priority.
+func ruleIDs(rules []int32) []int {
 	ids := make([]int, len(rules))
-	for i, r := range rules {
-		ids[i] = r.Priority
+	for i, ri := range rules {
+		ids[i] = int(ri)
 	}
 	return ids
 }
@@ -81,11 +83,11 @@ func TestPaperFigure2(t *testing.T) {
 	// R1 and R4 are replicated into all four children, as the paper notes.
 	for i, c := range xChildren {
 		found1, found4 := false, false
-		for _, r := range c.Rules {
-			if r.Priority == 1 {
+		for _, ri := range c.Rules {
+			if ri == 1 {
 				found1 = true
 			}
-			if r.Priority == 4 {
+			if ri == 4 {
 				found4 = true
 			}
 		}
@@ -137,19 +139,19 @@ func TestPaperFigure3(t *testing.T) {
 	set := rule.NewSet(fig2Rules())
 	tr := New(set, 2)
 
-	var wide, narrow []rule.Rule
-	for _, r := range set.Rules() {
+	var wide, narrow []int32
+	for i, r := range set.Rules() {
 		if r.Coverage(rule.DimSrcPort) > 0.5 {
-			wide = append(wide, r)
+			wide = append(wide, int32(i))
 		} else {
-			narrow = append(narrow, r)
+			narrow = append(narrow, int32(i))
 		}
 	}
 	if len(wide) != 2 || len(narrow) != 4 {
 		t.Fatalf("partition sizes %d/%d, want 2/4", len(wide), len(narrow))
 	}
 
-	children, err := tr.Partition(tr.Root, [][]rule.Rule{narrow, wide}, []string{"narrow", "wide"})
+	children, err := tr.Partition(tr.Root, [][]int32{narrow, wide}, []string{"narrow", "wide"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,23 +227,23 @@ func TestPartitionErrors(t *testing.T) {
 	set := rule.NewSet(fig2Rules())
 	tr := New(set, 2)
 	rules := tr.Root.Rules
-	if _, err := tr.Partition(tr.Root, [][]rule.Rule{rules}, nil); err == nil {
+	if _, err := tr.Partition(tr.Root, [][]int32{rules}, nil); err == nil {
 		t.Error("single-group partition should fail")
 	}
-	if _, err := tr.Partition(tr.Root, [][]rule.Rule{rules[:2], rules[:2]}, nil); err == nil {
+	if _, err := tr.Partition(tr.Root, [][]int32{rules[:2], rules[:2]}, nil); err == nil {
 		t.Error("partition losing rules should fail")
 	}
-	if _, err := tr.Partition(tr.Root, [][]rule.Rule{rules, nil}, nil); err == nil {
+	if _, err := tr.Partition(tr.Root, [][]int32{rules, nil}, nil); err == nil {
 		t.Error("partition with an empty side should fail")
 	}
 	// Degenerate coverage partition (everything on one side).
 	if _, err := tr.PartitionByCoverage(tr.Root, rule.DimProto, 2.0); err == nil {
 		t.Error("degenerate coverage partition should fail")
 	}
-	if _, err := tr.Partition(tr.Root, [][]rule.Rule{rules[:3], rules[3:]}, []string{"a", "b"}); err != nil {
+	if _, err := tr.Partition(tr.Root, [][]int32{rules[:3], rules[3:]}, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Partition(tr.Root, [][]rule.Rule{rules[:3], rules[3:]}, nil); err == nil {
+	if _, err := tr.Partition(tr.Root, [][]int32{rules[:3], rules[3:]}, nil); err == nil {
 		t.Error("partitioning an expanded node should fail")
 	}
 }
@@ -416,7 +418,7 @@ func TestBuilderSkipAndPartition(t *testing.T) {
 	// Explicit group partition through the builder.
 	b2 := NewBuilder(set, 2)
 	rules := b2.Tree().Root.Rules
-	if err := b2.ApplyPartition([][]rule.Rule{rules[:3], rules[3:]}, nil); err != nil {
+	if err := b2.ApplyPartition([][]int32{rules[:3], rules[3:]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := b2.ApplyCutMulti([]rule.Dimension{rule.DimSrcPort, rule.DimDstPort}, []int{2, 2}); err != nil {
@@ -509,16 +511,16 @@ func TestRewardMatchesObjective(t *testing.T) {
 
 func TestMultiTreeMetricsAndClassify(t *testing.T) {
 	set := rule.NewSet(fig2Rules())
-	var wide, narrow []rule.Rule
-	for _, r := range set.Rules() {
+	var wide, narrow []int32
+	for i, r := range set.Rules() {
 		if r.Coverage(rule.DimSrcPort) > 0.5 {
-			wide = append(wide, r)
+			wide = append(wide, int32(i))
 		} else {
-			narrow = append(narrow, r)
+			narrow = append(narrow, int32(i))
 		}
 	}
-	t1 := NewFromRules(narrow, 2, 0)
-	t2 := NewFromRules(wide, 2, 0)
+	t1 := NewFromRules(set.Rules(), narrow, 2)
+	t2 := NewFromRules(set.Rules(), wide, 2)
 	if _, err := t1.Cut(t1.Root, rule.DimSrcPort, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +562,7 @@ func TestNodeKindString(t *testing.T) {
 }
 
 func TestNewFromRulesDefaults(t *testing.T) {
-	tr := NewFromRules(fig2Rules(), 0, 0)
+	tr := NewFromRules(fig2Rules(), AllRules(6), 0)
 	if tr.Binth != DefaultBinth || tr.RuleCount != 6 {
 		t.Errorf("defaults wrong: binth=%d count=%d", tr.Binth, tr.RuleCount)
 	}
