@@ -6,15 +6,21 @@
 //
 // The figure benchmarks run the same harness code as cmd/evalbench but at a
 // reduced scale so `go test -bench=.` finishes in minutes; pass larger
-// scales through cmd/evalbench for full reproductions. EXPERIMENTS.md maps
-// each benchmark to the corresponding paper result.
+// scales through cmd/evalbench for full reproductions.
+//
+// The BenchmarkGate* functions at the end are CI's perf gates: the three
+// ratios no benchmarks/e2e workload records, failed past a bound.
 package neurocuts
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"neurocuts/internal/bench"
 	"neurocuts/internal/classbench"
@@ -25,9 +31,11 @@ import (
 	"neurocuts/internal/env"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/hypercuts"
+	"neurocuts/internal/iface"
 	"neurocuts/internal/packet"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tcam"
+	"neurocuts/internal/telemetry"
 	"neurocuts/internal/tree"
 	"neurocuts/internal/tss"
 )
@@ -610,5 +618,180 @@ func BenchmarkTreeBuilderRandom(b *testing.B) {
 			}
 			step++
 		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Gates. Benchmarks rather than tests, so `go test ./...` never compares two
+// wall clocks; CI runs `go test -run '^$' -bench '^BenchmarkGate'
+// -benchtime=1x .`. A ratio of two wall clocks on a shared runner is noisy, so
+// each is re-measured up to gateAttempts times before it fails.
+// ---------------------------------------------------------------------------
+
+const gateAttempts = 3
+
+// gate reports the first measurement that passes as the metric unit and
+// fails the benchmark when gateAttempts measurements in a row do not.
+func gate(b *testing.B, unit string, pass func(float64) bool, measure func() float64) {
+	for i := 0; i < b.N; i++ {
+		v := measure()
+		for attempt := 1; !pass(v); attempt++ {
+			if attempt == gateAttempts {
+				b.Fatalf("%s = %.3f on attempt %d of %d", unit, v, attempt, gateAttempts)
+			}
+			v = measure()
+		}
+		b.ReportMetric(v, unit)
+	}
+}
+
+func gateEngine(b *testing.B, family string, size int, opts engine.Options) (*rule.Set, *engine.Engine) {
+	set := benchSet(b, family, size)
+	eng, err := engine.NewEngine("hicuts", set, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	return set, eng
+}
+
+// p50 sorts lat in place.
+func p50(lat []int64) float64 {
+	slices.Sort(lat)
+	return float64(lat[len(lat)/2])
+}
+
+// BenchmarkGateOverlayVsRebuild: on a 2k-rule acl1 HiCuts table a single-rule
+// update through the delta overlay (compaction off, so only the write path is
+// timed) must be at least 10x faster at the median than rebuild-per-update.
+func BenchmarkGateOverlayVsRebuild(b *testing.B) {
+	updateP50 := func(opts engine.Options) float64 {
+		set, eng := gateEngine(b, "acl1", 2000, opts)
+		lat := make([]int64, 0, 202)
+		for len(lat) < cap(lat) { // alternating insert/delete at rotating positions
+			t0 := time.Now()
+			res, err := eng.Insert(len(lat)*37%(eng.Rules().Len()+1), set.Rule(0))
+			t1 := time.Now()
+			if err == nil {
+				_, err = eng.Delete(res.ID)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			lat = append(lat, t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds())
+		}
+		return p50(lat[2:]) // the first pair warms the write path
+	}
+	gate(b, "rebuild/overlay", func(x float64) bool { return x >= 10 }, func() float64 {
+		overlay := updateP50(engine.Options{Shards: 1, Seed: 1, OnlineUpdates: true, CompactThreshold: -1})
+		return updateP50(engine.Options{Shards: 1, Seed: 1}) / overlay
+	})
+}
+
+// BenchmarkGatePcapReplay: decoding a 50k-packet in-memory pcap and
+// classifying it in 512-packet batches (the classifyd -pcap loop) must keep at
+// least a quarter of the throughput of ClassifyBatch over the pre-decoded
+// keys, and must match exactly as many packets.
+func BenchmarkGatePcapReplay(b *testing.B) {
+	for _, family := range []string{"acl1", "fw1", "ipc1"} {
+		b.Run(family, func(b *testing.B) {
+			set, eng := gateEngine(b, family, 1000, engine.Options{Seed: 1})
+			trace := classbench.GenerateTrace(set, 50_000, 8)
+			var pcap bytes.Buffer
+			if err := iface.WriteTracePcap(&pcap, trace); err != nil {
+				b.Fatal(err)
+			}
+			keys := make([]rule.Packet, len(trace))
+			for i, e := range trace {
+				keys[i] = iface.CanonicalKey(e.Key) // what the decoder will produce
+			}
+			ps, out := make([]rule.Packet, 512), make([]engine.Result, 512)
+			matched := func(ps []rule.Packet) (n int) {
+				eng.ClassifyBatch(ps, out[:len(ps)])
+				for _, r := range out[:len(ps)] {
+					if r.OK {
+						n++
+					}
+				}
+				return n
+			}
+			direct := func() (n int) {
+				for lo := 0; lo < len(keys); lo += len(ps) {
+					n += matched(keys[lo:min(lo+len(ps), len(keys))])
+				}
+				return n
+			}
+			replay := func() (n int) {
+				r, err := iface.NewPcapReader(bytes.NewReader(pcap.Bytes()), iface.PcapConfig{})
+				for err == nil {
+					var got int
+					got, err = r.ReadBatch(ps)
+					n += matched(ps[:got])
+				}
+				if err != io.EOF {
+					b.Fatal(err)
+				}
+				return n
+			}
+			want := direct()
+			gate(b, "replay/direct", func(x float64) bool { return x >= 0.25 }, func() float64 {
+				best := [2]time.Duration{1 << 62, 1 << 62}
+				for pass := 0; pass < 6; pass++ { // alternating, best of 3 each
+					t0 := time.Now()
+					got := [2]func() int{direct, replay}[pass%2]()
+					best[pass%2] = min(best[pass%2], time.Since(t0))
+					if got != want {
+						b.Fatalf("pass %d matched %d packets, direct matched %d", pass, got, want)
+					}
+				}
+				return float64(best[0]) / float64(best[1])
+			})
+		})
+	}
+}
+
+// BenchmarkGateTelemetryOverhead: on a 10k-rule acl1 HiCuts table, latency
+// histograms on every span plus the flight recorder capturing every lookup
+// (threshold 0) may cost at most 5% of the 512-packet batch p50 and no
+// allocation. Off and armed passes alternate: this box's batch p50 sits in one
+// of two modes for seconds at a time, and measuring all of one engine before
+// the other reads that drift as overhead (-26% to +2% over eight runs).
+func BenchmarkGateTelemetryOverhead(b *testing.B) {
+	const batches, batch, rounds = 96, 512, 9
+	tel := telemetry.New(telemetry.Config{})
+	tel.SetSlowThreshold(0)
+	set, off := gateEngine(b, "acl1", 10_000, engine.Options{Shards: 1})
+	_, armed := gateEngine(b, "acl1", 10_000, engine.Options{Shards: 1, Telemetry: tel})
+	engines := [2]*engine.Engine{off, armed}
+	trace := classbench.ZipfTrace(set, batches*batch, 256, 1.2, 8)
+	keys := make([]rule.Packet, len(trace))
+	for i, e := range trace {
+		keys[i] = e.Key
+	}
+	out, lat := make([]engine.Result, batch), make([]int64, batches)
+	gate(b, "armed/off", func(x float64) bool { return x <= 1.05 }, func() float64 {
+		best, mallocs := [2]float64{1e18, 1e18}, [2]uint64{1 << 62, 1 << 62}
+		for pass := 0; pass < 2*(rounds+1); pass++ { // the first pass of each engine is warm-up
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := range lat {
+				t0 := time.Now()
+				engines[pass%2].ClassifyBatch(keys[i*batch:(i+1)*batch], out)
+				lat[i] = time.Since(t0).Nanoseconds()
+			}
+			runtime.ReadMemStats(&m1)
+			if pass < 2 {
+				continue
+			}
+			best[pass%2] = min(best[pass%2], p50(lat))
+			mallocs[pass%2] = min(mallocs[pass%2], m1.Mallocs-m0.Mallocs)
+		}
+		if mallocs != [2]uint64{} {
+			b.Fatalf("steady-state mallocs per %d batches: off %d, armed %d, want 0 and 0", batches, mallocs[0], mallocs[1])
+		}
+		return best[1] / best[0]
+	})
+	if n, c := tel.LookupBatch.Snapshot().Count(), tel.Slow.Captured(); n == 0 || c == 0 {
+		b.Fatalf("armed engine recorded %d histogram samples and %d captures: the ratio is void", n, c)
 	}
 }

@@ -31,7 +31,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		families  = flag.String("families", "", "comma-separated family subset (default: all 12)")
 		backends  = flag.String("backends", "", "comma-separated engine backend subset for -fig ablation (default: trees+tss+tcam); 'list' prints the registry")
-		jsonOut   = flag.String("json", "", "also write results as JSON to this file (the ablation emits a perf-lab report; figures emit their result structs)")
+		jsonOut   = flag.String("json", "", "also write the result structs as JSON to this file")
 	)
 	flag.Parse()
 
@@ -175,7 +175,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			jsonResults["ablation"] = res.Report
+			jsonResults["ablation"] = res
 			res.Write(os.Stdout)
 			return nil
 		})

@@ -83,7 +83,7 @@ type Options struct {
 // (own listener + background serve loop, shut down with Shutdown) or embed
 // Handler into an existing HTTP server.
 type Server struct {
-	mu      sync.Mutex
+	// The sources are fixed at New.
 	tables  *engine.Tables
 	eng     *engine.Engine
 	engName string
@@ -91,8 +91,10 @@ type Server struct {
 	tel     *telemetry.Telemetry
 	dp      *dataplane.Dataplane
 	ready   func() error
-	httpSrv *http.Server
 	start   time.Time
+
+	mu      sync.Mutex // guards httpSrv
+	httpSrv *http.Server
 }
 
 // New builds an admin server over the given sources.
@@ -111,19 +113,6 @@ func New(opts Options) *Server {
 		ready:   opts.Ready,
 		start:   time.Now(),
 	}
-}
-
-// SetEngine (re-)points the single-engine source at eng, labelled name.
-// The perf lab uses it to expose whichever cell's engine is currently under
-// measurement; passing nil detaches the source.
-func (s *Server) SetEngine(name string, eng *engine.Engine) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if name == "" {
-		name = "default"
-	}
-	s.engName = name
-	s.eng = eng
 }
 
 // Handler returns the admin plane's route mux. It is safe to serve from any
@@ -220,9 +209,7 @@ type snapshot struct {
 
 // snapshot collects the current state of every source.
 func (s *Server) snapshot() snapshot {
-	s.mu.Lock()
 	tables, eng, engName, wire, tel, dp := s.tables, s.eng, s.engName, s.wire, s.tel, s.dp
-	s.mu.Unlock()
 
 	snap := snapshot{retired: -1, start: s.start}
 	switch {
@@ -273,9 +260,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // readyErr reports why the daemon is not ready, or nil.
 func (s *Server) readyErr() error {
-	s.mu.Lock()
 	ready, tables, eng := s.ready, s.tables, s.eng
-	s.mu.Unlock()
 	if ready != nil {
 		return ready()
 	}
@@ -314,9 +299,7 @@ type slowDump struct {
 // With no telemetry attached it serves an empty dump with threshold -1, so
 // probers need not special-case a daemon running without -slow-threshold.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
 	tel := s.tel
-	s.mu.Unlock()
 	dump := slowDump{ThresholdNanos: tel.SlowThresholdNanos()}
 	dump.Entries = tel.SlowEntries() // nil-safe
 	if dump.Entries == nil {

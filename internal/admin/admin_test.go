@@ -307,30 +307,6 @@ func TestAdminTablesMode(t *testing.T) {
 	}
 }
 
-// TestAdminSetEngine exercises the perf lab's rotating-source hook.
-func TestAdminSetEngine(t *testing.T) {
-	set := adminTestSet(t, 40)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	adm := New(Options{})
-	ts := httptest.NewServer(adm.Handler())
-	defer ts.Close()
-
-	adm.SetEngine("cell-0", eng)
-	_, body := get(t, ts, "/metrics")
-	if got := metricValue(t, body, "neurocuts_engine_rules", `{table="cell-0"}`); got != float64(set.Len()) {
-		t.Errorf("after SetEngine: rules = %v, want %d", got, set.Len())
-	}
-	adm.SetEngine("", nil)
-	if code, _ := get(t, ts, "/readyz"); code != http.StatusServiceUnavailable {
-		t.Errorf("/readyz after detaching the engine = %d, want 503", code)
-	}
-}
-
 // TestAdminListenShutdown exercises the real listener path used by the
 // daemons: bind, scrape over TCP, shut down, observe refusal.
 func TestAdminListenShutdown(t *testing.T) {

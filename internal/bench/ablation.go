@@ -8,7 +8,6 @@ import (
 	"neurocuts/internal/core"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/env"
-	"neurocuts/internal/perf"
 	"neurocuts/internal/rule"
 )
 
@@ -31,7 +30,7 @@ type ApproachRow struct {
 	Results []ApproachResult
 }
 
-// ApproachResult is one approach's cost profile on one classifier.
+// ApproachResult is one approach's modelled cost profile on one classifier.
 type ApproachResult struct {
 	Approach string
 	// LookupCost is the approach's sequential lookup cost: node visits for
@@ -43,38 +42,21 @@ type ApproachResult struct {
 	// Entries is the number of stored elements (tree rule refs, TSS/TCAM
 	// entries after expansion).
 	Entries int
-	// P50Nanos / P99Nanos / ThroughputPPS are live measurements from the
-	// perf lab (uniform traffic, read-only), so the ablation reports wall
-	// clock next to the modelled costs.
-	P50Nanos      float64
-	P99Nanos      float64
-	ThroughputPPS float64
 }
 
-// ApproachAblationResult holds every row of the ablation plus the underlying
-// perf-lab report the rows were rendered from; the text table and the JSON
-// artifact are two views of the same measurement.
+// ApproachAblationResult holds every row of the ablation.
 type ApproachAblationResult struct {
 	Rows []ApproachRow
-	// Report is the perf-lab measurement backing the rows, ready for
-	// perf.WriteArtifact / perf.Compare.
-	Report perf.Report
 }
 
 // ablationBackends is the default approach set, by engine registry name.
 var ablationBackends = []string{"hicuts", "hypercuts", "efficuts", "cutsplit", "tss", "tcam"}
 
-// Measurement effort per ablation cell; modest because the ablation runs
-// over many (scenario, backend) pairs inside tests.
-const (
-	ablationOps     = 2000
-	ablationPackets = 1024
-	ablationWarmup  = 200
-)
-
-// ApproachAblation measures every selected backend over the scenarios
-// through the perf lab. opts.Backends restricts the set; the default covers
-// the four tree algorithms, TSS and TCAM.
+// ApproachAblation builds every selected backend over the scenarios through
+// the engine registry and reads its modelled costs. opts.Backends restricts
+// the set; the default covers the four tree algorithms, TSS and TCAM. Wall
+// clock is deliberately absent: a software TCAM's measures nothing, and the
+// trees' and TSS's belong to the repository benchmark (benchmarks/e2e).
 func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResult, error) {
 	opts = opts.withDefaults()
 	backends := opts.Backends
@@ -82,77 +64,39 @@ func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResul
 		backends = ablationBackends
 	}
 	var out ApproachAblationResult
-	grid := perf.Grid{Skews: []perf.Skew{perf.SkewUniform}, Churns: []perf.Churn{perf.ChurnNone}, Backends: backends}
-	seenFam, seenSize := map[string]bool{}, map[int]bool{}
 	for _, sc := range scenarios {
-		if !seenFam[sc.Family] {
-			seenFam[sc.Family] = true
-			grid.Families = append(grid.Families, sc.Family)
+		set, err := sc.Generate()
+		if err != nil {
+			return out, err
 		}
-		if !seenSize[sc.Size] {
-			seenSize[sc.Size] = true
-			grid.Sizes = append(grid.Sizes, sc.Size)
-		}
-	}
-	out.Report = perf.Report{
-		SchemaVersion: perf.SchemaVersion,
-		Tool:          "evalbench-ablation",
-		Grid:          grid,
-	}
-	// Record the shared measurement config once. The per-cell seed follows
-	// each scenario's own Seed; scenarios built by this package share it, so
-	// the recorded config is faithful (and MeasureCell receives the
-	// scenario-accurate value either way).
-	if len(scenarios) > 0 {
-		out.Report.Config = perf.RunConfig{Seed: scenarios[0].Seed, Ops: ablationOps,
-			Packets: ablationPackets, Warmup: ablationWarmup, Binth: opts.Binth, Shards: 1}.WithDefaults()
-	}
-	for _, sc := range scenarios {
 		row := ApproachRow{Scenario: sc}
 		for _, name := range backends {
-			cell := perf.Cell{Family: sc.Family, Size: sc.Size,
-				Skew: perf.SkewUniform, Churn: perf.ChurnNone, Backend: name}
-			cfg := perf.RunConfig{Seed: sc.Seed, Ops: ablationOps, Packets: ablationPackets,
-				Warmup: ablationWarmup, Binth: opts.Binth, Shards: 1}
-			res, err := perf.MeasureCell(cell, cfg)
+			cls, err := engine.NewWithOptions(name, set, engine.Options{Binth: opts.Binth})
 			if err != nil {
 				return out, fmt.Errorf("%s: %s: %w", sc.Name(), engine.DisplayName(name), err)
 			}
-			out.Report.Cells = append(out.Report.Cells, res)
-			m := res.Metrics
+			m := cls.Metrics()
 			row.Results = append(row.Results, ApproachResult{
-				Approach:      engine.DisplayName(name),
-				LookupCost:    m.LookupCost,
-				MemoryBytes:   m.MemoryBytes,
-				Entries:       m.Entries,
-				P50Nanos:      m.P50Nanos,
-				P99Nanos:      m.P99Nanos,
-				ThroughputPPS: m.ThroughputPPS,
+				Approach:    engine.DisplayName(name),
+				LookupCost:  m.LookupCost,
+				MemoryBytes: m.MemoryBytes,
+				Entries:     m.Entries,
 			})
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	out.Report.SortCells()
 	return out, nil
 }
 
-// WriteJSON writes the ablation's perf-lab report as a versioned JSON
-// artifact.
-func (a ApproachAblationResult) WriteJSON(path string) error {
-	return perf.WriteArtifact(path, a.Report)
-}
-
-// Write renders the ablation as a text table — the human view of the same
-// measurements the JSON artifact carries.
+// Write renders the ablation as a text table.
 func (a ApproachAblationResult) Write(w io.Writer) {
 	fmt.Fprintln(w, "Ablation: decision trees vs Tuple Space Search vs TCAM")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "classifier\tapproach\tlookup cost\tp50 ns\tp99 ns\tMpps\tmemory bytes\tentries")
+	fmt.Fprintln(tw, "classifier\tapproach\tlookup cost\tmemory bytes\tentries")
 	for _, row := range a.Rows {
 		for _, r := range row.Results {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.0f\t%.2f\t%d\t%d\n",
-				row.Scenario.Name(), r.Approach, r.LookupCost,
-				r.P50Nanos, r.P99Nanos, r.ThroughputPPS/1e6, r.MemoryBytes, r.Entries)
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\n",
+				row.Scenario.Name(), r.Approach, r.LookupCost, r.MemoryBytes, r.Entries)
 		}
 	}
 	tw.Flush()

@@ -98,22 +98,6 @@ func ZipfTrace(s *rule.Set, n, flows int, skew float64, seed int64) []packet.Tra
 	return out
 }
 
-// WorstCaseTrace wraps adversarially chosen packets into a ground-truth
-// trace: each entry's MatchRule is recomputed by linear search, so the
-// result plugs into every consumer of the ClassBench traces (differential
-// harnesses, the perf lab). The packets typically come from a structure-
-// aware generator — compiled.WorstCaseDepthPackets steers them to a tree's
-// maximum-depth leaves, the longest dependent-load chains a lookup can take.
-// (The generator lives with the compiled form and this wrapper here, because
-// this package cannot import internal/compiled without a test import cycle.)
-func WorstCaseTrace(s *rule.Set, packets []rule.Packet) []packet.TraceEntry {
-	out := make([]packet.TraceEntry, len(packets))
-	for i, p := range packets {
-		out[i] = packet.TraceEntry{Key: p, MatchRule: s.MatchIndex(p)}
-	}
-	return out
-}
-
 // UniformTrace builds a trace of packets drawn uniformly from the whole
 // header space, useful as an adversarial workload where most packets match
 // only the default rule.

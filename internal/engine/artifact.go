@@ -72,10 +72,9 @@ func (e *Engine) artifactMetadata(s *snapshot) compiled.Metadata {
 
 // SaveArtifact persists the current snapshot's compiled classifier (and its
 // rule set) as a versioned artifact at path. It fails for backends that have
-// no compiled form (linear, tss, tcam) and for engines running with
-// LegacyTreeLookup. With the online-update subsystem enabled, any pending
-// overlay updates are first folded in by a synchronous compaction so the
-// artifact embodies every acknowledged update.
+// no compiled form (linear, tss, tcam). With the online-update subsystem
+// enabled, any pending overlay updates are first folded in by a synchronous
+// compaction so the artifact embodies every acknowledged update.
 //
 // The journal rotates (resets to empty over the new checkpoint) only when
 // the save targets the engine's own pair: path is the journal's co-located

@@ -191,13 +191,4 @@ func TestSaveArtifactUnsupportedBackend(t *testing.T) {
 	if err := eng.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); err == nil {
 		t.Fatal("linear backend saved an artifact")
 	}
-	// Legacy pointer-tree mode keeps no compiled form either.
-	leg, err := NewEngine("hicuts", set, Options{Shards: 1, LegacyTreeLookup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leg.Close()
-	if err := leg.SaveArtifact(filepath.Join(t.TempDir(), "y.ncaf")); err == nil {
-		t.Fatal("legacy-mode engine saved an artifact")
-	}
 }

@@ -104,21 +104,10 @@ type CompiledProvider interface {
 }
 
 // newTreeClassifier is the shared back half of every tree backend: compute
-// the paper's tree metrics once, then either compile the trees into the
-// flat serving form (default) or keep the pointer trees (legacy mode, for
-// the perf lab's compiled-vs-legacy axis).
-func newTreeClassifier(backend string, set *rule.Set, trees []*tree.Tree, opts Options) (Classifier, error) {
+// the paper's tree metrics once, then compile the trees into the flat
+// serving form.
+func newTreeClassifier(backend string, set *rule.Set, trees []*tree.Tree) (Classifier, error) {
 	m := treeMetrics(backend, set.Len(), tree.MultiMetrics(trees))
-	if opts.LegacyTreeLookup {
-		classify := trees[0].Classify
-		if len(trees) > 1 {
-			classify = func(p rule.Packet) (rule.Rule, bool) { return tree.ClassifyMulti(trees, p) }
-		}
-		return &adapter{
-			classify: classify,
-			metrics:  func() Metrics { return m },
-		}, nil
-	}
 	cc, err := compiled.Compile(set, trees...)
 	if err != nil {
 		return nil, fmt.Errorf("engine: compiling %s: %w", backend, err)
@@ -186,7 +175,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newTreeClassifier("hicuts", set, []*tree.Tree{t}, opts)
+		return newTreeClassifier("hicuts", set, []*tree.Tree{t})
 	})
 
 	Register("hypercuts", "HyperCuts", func(set *rule.Set, opts Options) (Classifier, error) {
@@ -196,7 +185,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newTreeClassifier("hypercuts", set, []*tree.Tree{t}, opts)
+		return newTreeClassifier("hypercuts", set, []*tree.Tree{t})
 	})
 
 	Register("efficuts", "EffiCuts", func(set *rule.Set, opts Options) (Classifier, error) {
@@ -206,7 +195,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newTreeClassifier("efficuts", set, c.Trees, opts)
+		return newTreeClassifier("efficuts", set, c.Trees)
 	})
 
 	Register("cutsplit", "CutSplit", func(set *rule.Set, opts Options) (Classifier, error) {
@@ -216,7 +205,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newTreeClassifier("cutsplit", set, c.Trees, opts)
+		return newTreeClassifier("cutsplit", set, c.Trees)
 	})
 
 	Register("tss", "TSS", func(set *rule.Set, opts Options) (Classifier, error) {
@@ -289,7 +278,7 @@ func init() {
 		if t == nil {
 			return nil, errors.New("engine: neurocuts training produced no tree")
 		}
-		return newTreeClassifier("neurocuts", set, []*tree.Tree{t}, opts)
+		return newTreeClassifier("neurocuts", set, []*tree.Tree{t})
 	})
 }
 

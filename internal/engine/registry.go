@@ -54,11 +54,6 @@ type Options struct {
 	// generation, which pays off on skewed traffic where few flows carry
 	// most packets.
 	FlowCacheEntries int
-	// LegacyTreeLookup makes tree backends serve lookups from the
-	// build-time pointer-linked tree instead of the compiled flat-array
-	// form. It exists for the perf lab's compiled-vs-legacy comparison and
-	// as an escape hatch; compiled is the default serve path.
-	LegacyTreeLookup bool
 	// OnlineUpdates routes Insert/Delete through the delta-overlay update
 	// subsystem (internal/updater): inserts land in a small rank-sorted
 	// overlay of packed rules that lookups scan after the base (at most

@@ -114,8 +114,8 @@ const TraceInterval = time.Microsecond
 
 // WriteTracePcap exports a synthetic header trace as a pcap file: each
 // entry becomes a minimal Ethernet/IPv4 frame, timestamped TraceInterval
-// apart. This is how perflab and the tests fabricate "real traffic"
-// fixtures from ClassBench traces without committing binaries.
+// apart. This is how genrules, the benchmarks and the tests fabricate "real
+// traffic" fixtures from ClassBench traces without committing binaries.
 func WriteTracePcap(w io.Writer, entries []packet.TraceEntry) error {
 	pw, err := NewPcapWriter(w)
 	if err != nil {

@@ -9,10 +9,16 @@
 // repository can verify hermetically, it does — in a plain test
 // (internal/linkcheck) that runs in `go test ./...` and as an explicit CI
 // step.
+//
+// Commands rot the same way: a package is deleted and the `go run ./cmd/x`
+// lines in the README, the verify notes and CI keep looking plausible.
+// CheckCommands resolves every ./package argument of a go run|build|test
+// command to a directory that holds Go files.
 package linkcheck
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -139,6 +145,55 @@ func CheckFiles(root string, files []string) ([]Problem, error) {
 			}
 			if !anchors(string(tRaw))[frag] {
 				problems = append(problems, Problem{rel, target, fmt.Sprintf("no heading with anchor #%s in %s", frag, targetFile)})
+			}
+		}
+	}
+	return problems, nil
+}
+
+// goCmdRE matches a go run|build|test command up to the end of its line or
+// the next shell separator or closing backtick, stepping over quoted
+// arguments (-run 'TestA|TestB'); pkgArgRE picks out its ./package arguments.
+var (
+	goCmdRE  = regexp.MustCompile("\\bgo (?:run|build|test)\\b(?:'[^'\n]*'|\"[^\"\n]*\"|[^\n|;&`])*")
+	pkgArgRE = regexp.MustCompile(`(?:^|\s)(\./[\w./-]*)`)
+)
+
+// holdsGo reports whether dir (with its subdirectories when deep, the
+// meaning of a trailing /...) contains a Go file.
+func holdsGo(dir string, deep bool) bool {
+	found := false
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil || found:
+			return fs.SkipAll
+		case d.IsDir() && path != dir && !deep:
+			return fs.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			found = true
+		}
+		return nil
+	})
+	return found
+}
+
+// CheckCommands finds the go run|build|test commands in the given files
+// (Markdown, code fences included, or shell-bearing YAML; paths relative to
+// root, which the commands are taken to run from) and returns one Problem
+// per ./package argument that names no directory holding Go files.
+func CheckCommands(root string, files []string) ([]Problem, error) {
+	var problems []Problem
+	for _, rel := range files {
+		raw, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			return nil, err
+		}
+		for _, cmd := range goCmdRE.FindAllString(string(raw), -1) {
+			for _, m := range pkgArgRE.FindAllStringSubmatch(cmd, -1) {
+				dir, deep := strings.CutSuffix(m[1], "...")
+				if !holdsGo(filepath.Join(root, dir), deep) {
+					problems = append(problems, Problem{rel, m[1], "no Go files there, in: " + strings.TrimSpace(cmd)})
+				}
 			}
 		}
 	}

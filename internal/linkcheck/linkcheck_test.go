@@ -76,6 +76,27 @@ func TestMarkdownLinks(t *testing.T) {
 	t.Logf("checked %d markdown files", len(files))
 }
 
+// TestCommandPackagePaths is the same gate for commands: every ./package
+// argument of a go run|build|test command in a committed Markdown file or in
+// the CI workflow names a directory that holds Go files. CHANGES.md and
+// ISSUE.md are exempt: they record what a PR removes, by name.
+func TestCommandPackagePaths(t *testing.T) {
+	root := repoRoot(t)
+	files := []string{".github/workflows/ci.yml"}
+	for _, f := range markdownFiles(t, root) {
+		if f != "CHANGES.md" && f != "ISSUE.md" {
+			files = append(files, f)
+		}
+	}
+	problems, err := CheckCommands(root, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p.String())
+	}
+}
+
 // TestSlugify pins the anchor algorithm against GitHub's observed output.
 func TestSlugify(t *testing.T) {
 	cases := []struct{ heading, want string }{
@@ -130,5 +151,40 @@ func TestCheckFilesCatchesBreakage(t *testing.T) {
 	}
 	if len(problems) != 3 {
 		t.Errorf("want exactly 3 problems, got %d: %v", len(problems), problems)
+	}
+}
+
+// TestCheckCommandsCatchesBreakage: a deleted package, a misspelt one and an
+// empty tree are reported; real packages, ./... and flag values are not.
+func TestCheckCommandsCatchesBreakage(t *testing.T) {
+	dir := t.TempDir()
+	for _, f := range []string{"cmd/tool/main.go", "internal/lib/lib.go", "docs/only.txt"} {
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(f)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := strings.Join([]string{
+		"Run `go run ./cmd/tool -out /tmp/x.json` or `go run ./cmd/gone sub -flag 1`.",
+		"```sh",
+		"go build -o /tmp/bin/ ./cmd/... && go test -race -run 'TestA|TestB' ./internal/lib ./internal/libb",
+		"        run: go test ./... ; go test ./docs/...",
+		"```",
+	}, "\n")
+	if err := os.WriteFile(filepath.Join(dir, "a.md"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	problems, err := CheckCommands(dir, []string{"a.md"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range problems {
+		got = append(got, p.Link)
+	}
+	if want := "./cmd/gone ./internal/libb ./docs/..."; strings.Join(got, " ") != want {
+		t.Errorf("problems = %v, want %s", problems, want)
 	}
 }
