@@ -53,8 +53,7 @@ func main() {
 		journal   = flag.String("journal", "", "replay this update journal on top of -artifact before classifying ('auto' = <artifact>.journal)")
 		artVer    = flag.Bool("artifact-version", false, "print the compiled artifact schema version and exit")
 		serverAt  = flag.String("server", "", "classify through a running classifyd at this address instead of in-process (results are checked against the local rules, which must match the served table)")
-		proto     = flag.String("proto", "v1", "wire protocol for -server: v1 (text) or v2 (framed binary)")
-		table     = flag.String("table", "", "table name to address with -server (v2 only; empty = default table)")
+		table     = flag.String("table", "", "table name to address with -server (empty = default table)")
 	)
 	flag.Parse()
 
@@ -76,7 +75,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := classifyViaServer(*serverAt, strings.ToLower(*proto), *table, set, trace, *batch); err != nil {
+		if err := classifyViaServer(*serverAt, *table, set, trace, *batch); err != nil {
 			fatal(err)
 		}
 		return
@@ -194,52 +193,29 @@ func main() {
 	fmt.Println("all classifications match linear search")
 }
 
-// remoteBatcher is the protocol-independent face of the two clients.
-type remoteBatcher interface {
-	ClassifyBatch(ps []rule.Packet) ([]engine.Result, error)
-	Close() error
-}
-
 // classifyViaServer pushes the trace through a running server in batches
 // and checks every response against linear search over the local rules.
 // The local rule set must describe the served table for the check to be
 // meaningful (the typical use: the server was started from the same -rules
 // or -family/-size/-seed).
-func classifyViaServer(addr, proto, table string, set *rule.Set, trace []packet.TraceEntry, batch int) error {
+func classifyViaServer(addr, table string, set *rule.Set, trace []packet.TraceEntry, batch int) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	if batch <= 0 {
 		batch = 1024
 	}
-	var client remoteBatcher
-	switch proto {
-	case "", "v1":
-		if table != "" {
-			return fmt.Errorf("-table needs -proto v2 (v1 always addresses the default table)")
-		}
-		c, err := server.Dial(ctx, addr)
-		if err != nil {
-			return err
-		}
-		client = c
-	case "v2":
-		c, err := server.DialV2(ctx, addr)
-		if err != nil {
-			return err
-		}
-		if table != "" {
-			id, err := c.ResolveTable(table)
-			if err != nil {
-				c.Close()
-				return err
-			}
-			c.UseTable(id)
-		}
-		client = c
-	default:
-		return fmt.Errorf("unknown -proto %q (want v1 or v2)", proto)
+	client, err := server.DialV2(ctx, addr)
+	if err != nil {
+		return err
 	}
 	defer client.Close()
+	if table != "" {
+		id, err := client.ResolveTable(table)
+		if err != nil {
+			return err
+		}
+		client.UseTable(id)
+	}
 
 	keys := make([]rule.Packet, len(trace))
 	for i, e := range trace {
@@ -269,8 +245,8 @@ func classifyViaServer(addr, proto, table string, set *rule.Set, trace []packet.
 		done += hi - lo
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("classified %d packets via %s %s in %s (%.0f packets/sec, batch=%d)\n",
-		done, addr, protoName(proto), elapsed.Round(time.Millisecond),
+	fmt.Printf("classified %d packets via %s in %s (%.0f packets/sec, batch=%d)\n",
+		done, addr, elapsed.Round(time.Millisecond),
 		float64(done)/elapsed.Seconds(), batch)
 	if mismatches > 0 {
 		fmt.Printf("MISMATCHES: %d packets classified differently from local linear search\n", mismatches)
@@ -278,13 +254,6 @@ func classifyViaServer(addr, proto, table string, set *rule.Set, trace []packet.
 	}
 	fmt.Println("all server classifications match local linear search")
 	return nil
-}
-
-func protoName(proto string) string {
-	if proto == "v2" {
-		return "proto v2 (binary)"
-	}
-	return "proto v1 (text)"
 }
 
 func loadClassifier(path, family string, size int, seed int64) (*rule.Set, error) {

@@ -66,7 +66,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 	if _, _, _, err := client.Classify(parsePacket(t, "10.0.0.1 192.168.1.1 1234 80 6")); err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := client.AddRule(0, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF")
+	id, _, err := client.AddRule(0, wireRule(t, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +141,16 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := client.AddRule(0, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF"); err != nil {
+	if _, _, err := client.AddRule(0, wireRule(t, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF")); err != nil {
 		t.Fatal(err)
 	}
 
 	// The server records a request's latency after it has flushed the reply,
 	// so the client can be here before the ninth sample lands: scrape until
 	// it has.
-	const v1Count = `neurocuts_server_request_latency_seconds_count{proto="v1"} 9`
+	const frameCount = `neurocuts_server_request_latency_seconds_count{proto="v2"} 9`
 	code, body := adminGet(t, adminAddr, "/metrics")
-	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(body, v1Count+"\n") && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(body, frameCount+"\n") && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 		code, body = adminGet(t, adminAddr, "/metrics")
 	}
@@ -167,7 +167,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"# TYPE neurocuts_server_request_latency_seconds histogram",
 		`neurocuts_lookup_latency_seconds_count{path="single"} 8`,
 		`neurocuts_update_latency_seconds_count{op="insert"} 1`,
-		v1Count,
+		frameCount,
 		`neurocuts_lookup_latency_seconds_bucket{path="single",le="+Inf"} 8`,
 	} {
 		if !strings.Contains(body, want+"\n") {
@@ -204,7 +204,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Errorf("entry %d: table=%q backend=%q, want default/tss", i, e.Table, e.Backend)
 		}
 		if e.Path != "single" {
-			t.Errorf("entry %d: path=%q, want single (v1 classify)", i, e.Path)
+			t.Errorf("entry %d: path=%q, want single (OpClassify)", i, e.Path)
 		}
 		if e.WorstCaseVisits <= 0 || e.DepthBucket <= 0 {
 			t.Errorf("entry %d: visits=%d depth_bucket=%d, want positive", i, e.WorstCaseVisits, e.DepthBucket)

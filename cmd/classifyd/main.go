@@ -1,5 +1,5 @@
-// Command classifyd serves a packet classifier over TCP using the line
-// protocol of internal/server, or queries a running server. The served
+// Command classifyd serves a packet classifier over TCP using the framed
+// wire protocol of internal/server, or queries a running server. The served
 // classifier is an engine.Engine, so any registered backend is available by
 // name, batch requests are sharded across workers, and rules can be added
 // and removed live (RCU snapshot swaps — readers are never blocked).
@@ -58,13 +58,12 @@
 //	classifyd -query 127.0.0.1:9099 -load /var/lib/classifyd/policy.ncaf
 //
 // Serve several independent rule sets — tables — from one daemon. Each
-// table gets its own engine (backend, rules, journal); v1 clients see the
-// first (default) table, and wire-protocol-v2 clients address any table by
-// name:
+// table gets its own engine (backend, rules, journal); clients address any
+// table by name, or the first (default) table when they name none:
 //
 //	classifyd -tables "acl=backend:hicuts,family:acl1,size:1000;fw=backend:tss,family:fw2,size:500"
-//	classifyd -query 127.0.0.1:9099 -proto v2 -list-tables
-//	classifyd -query 127.0.0.1:9099 -proto v2 -table fw -packet "10.0.0.1 192.168.1.1 1234 80 6"
+//	classifyd -query 127.0.0.1:9099 -list-tables
+//	classifyd -query 127.0.0.1:9099 -table fw -packet "10.0.0.1 192.168.1.1 1234 80 6"
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: in-flight (batch)
 // requests are drained and answered before the process exits 0.
@@ -158,9 +157,8 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		slowThr   = fs.Duration("slow-threshold", -1, "capture lookups at or above this latency into the slow-lookup flight recorder (/debug/slow; 0 captures everything, negative disables capture; latency histograms are recorded whenever -admin or this flag enables telemetry)")
 		drain     = fs.Duration("drain-timeout", 5*time.Second, "max time to drain in-flight requests on shutdown")
 		query     = fs.String("query", "", "query a running server at this address instead of serving")
-		proto     = fs.String("proto", "v1", "wire protocol for -query: v1 (text) or v2 (framed binary)")
-		table     = fs.String("table", "", "table name to address with -query (v2 only; empty = default table)")
-		listTabs  = fs.Bool("list-tables", false, "list the server's tables (with -query; v2)")
+		table     = fs.String("table", "", "table name to address with -query (empty = default table)")
+		listTabs  = fs.Bool("list-tables", false, "list the server's tables (with -query)")
 		packetStr = fs.String("packet", "", "packet to query: \"src dst sport dport proto\"")
 		addRule   = fs.String("add", "", "ClassBench rule line to insert live (with -query)")
 		pos       = fs.Int("pos", 0, "priority position for -add (0 = top)")
@@ -177,7 +175,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 
 	if *query != "" {
 		q := queryArgs{
-			addr: *query, proto: strings.ToLower(*proto), table: *table, listTables: *listTabs,
+			addr: *query, table: *table, listTables: *listTabs,
 			packet: *packetStr, addRule: *addRule, pos: *pos, delID: *delID,
 			savePath: *savePath, loadPath: *loadPath,
 		}
@@ -363,7 +361,6 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 // queryArgs bundles the client-mode flags.
 type queryArgs struct {
 	addr       string
-	proto      string
 	table      string
 	listTables bool
 	packet     string
@@ -374,93 +371,26 @@ type queryArgs struct {
 	loadPath   string
 }
 
+// runQuery connects to a running server and performs the one requested
+// action.
 func runQuery(stdout io.Writer, q queryArgs) error {
-	switch q.proto {
-	case "", "v1":
-		if q.table != "" {
-			return fmt.Errorf("-table needs -proto v2 (the v1 text protocol always addresses the default table)")
-		}
-		if q.listTables {
-			return fmt.Errorf("-list-tables needs -proto v2")
-		}
-		return runQueryV1(stdout, q)
-	case "v2":
-		return runQueryV2(stdout, q)
-	default:
-		return fmt.Errorf("unknown -proto %q (want v1 or v2)", q.proto)
-	}
-}
-
-// queryOps is the protocol-independent face of the two wire clients, so
-// the query subcommand's action switch exists once. listTables is nil for
-// v1, which cannot enumerate tables.
-type queryOps struct {
-	classify   func(p rule.Packet) (id, priority int, ok bool, err error)
-	addRule    func(pos int, classBenchLine string) (id int, version uint64, err error)
-	deleteRule func(id int) (version uint64, err error)
-	save       func(path string) error
-	load       func(path string) (version uint64, rules int, err error)
-	listTables func() ([]server.TableInfo, error)
-	close      func() error
-}
-
-func runQueryV1(stdout io.Writer, q queryArgs) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	client, err := server.Dial(ctx, q.addr)
-	if err != nil {
-		return err
-	}
-	return runQueryOps(stdout, q, queryOps{
-		classify:   client.Classify,
-		addRule:    client.AddRule,
-		deleteRule: client.DeleteRule,
-		save:       client.SaveArtifact,
-		load:       client.LoadArtifact,
-		close:      client.Close,
-	})
-}
-
-func runQueryV2(stdout io.Writer, q queryArgs) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	client, err := server.DialV2(ctx, q.addr)
 	if err != nil {
 		return err
 	}
+	defer client.Close()
 	if q.table != "" {
 		id, err := client.ResolveTable(q.table)
 		if err != nil {
-			client.Close()
 			return err
 		}
 		client.UseTable(id)
 	}
-	return runQueryOps(stdout, q, queryOps{
-		classify: client.Classify,
-		addRule: func(pos int, line string) (int, uint64, error) {
-			// v2 carries rules in binary; parse the ClassBench line here.
-			r, err := rule.ParseClassBenchLine(strings.TrimSpace(line))
-			if err != nil {
-				return 0, 0, err
-			}
-			return client.AddRule(pos, r)
-		},
-		deleteRule: client.DeleteRule,
-		save:       client.SaveArtifact,
-		load:       client.LoadArtifact,
-		listTables: client.ListTables,
-		close:      client.Close,
-	})
-}
-
-// runQueryOps performs the one requested action through the connected
-// client.
-func runQueryOps(stdout io.Writer, q queryArgs, ops queryOps) error {
-	defer ops.close()
 	switch {
 	case q.listTables:
-		tables, err := ops.listTables()
+		tables, err := client.ListTables()
 		if err != nil {
 			return err
 		}
@@ -473,38 +403,43 @@ func runQueryOps(stdout io.Writer, q queryArgs, ops queryOps) error {
 		}
 		return nil
 	case q.addRule != "":
-		id, version, err := ops.addRule(q.pos, q.addRule)
+		// Rules travel in binary; parse the ClassBench line here.
+		r, err := rule.ParseClassBenchLine(q.addRule)
+		if err != nil {
+			return err
+		}
+		id, version, err := client.AddRule(q.pos, r)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "added rule id=%d at position %d (version %d)\n", id, q.pos, version)
 		return nil
 	case q.delID >= 0:
-		version, err := ops.deleteRule(q.delID)
+		version, err := client.DeleteRule(q.delID)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "deleted rule id=%d (version %d)\n", q.delID, version)
 		return nil
 	case q.savePath != "":
-		if err := ops.save(q.savePath); err != nil {
+		if err := client.SaveArtifact(q.savePath); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "server saved artifact to %s\n", q.savePath)
 		return nil
 	case q.loadPath != "":
-		version, rules, err := ops.load(q.loadPath)
+		version, rules, err := client.LoadArtifact(q.loadPath)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "server loaded artifact %s (version %d, %d rules)\n", q.loadPath, version, rules)
 		return nil
 	case q.packet != "":
-		key, err := server.ParseRequest(q.packet)
+		key, err := rule.ParsePacket(q.packet)
 		if err != nil {
 			return err
 		}
-		id, priority, ok, err := ops.classify(key)
+		id, priority, ok, err := client.Classify(key)
 		if err != nil {
 			return err
 		}

@@ -64,16 +64,26 @@ func startDaemon(t *testing.T, args []string) (net.Addr, chan os.Signal, <-chan 
 	return nil, nil, nil, nil
 }
 
-func dialDaemon(t *testing.T, addr net.Addr) *server.Client {
+func dialDaemon(t *testing.T, addr net.Addr) *server.ClientV2 {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	c, err := server.Dial(ctx, addr.String())
+	c, err := server.DialV2(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// wireRule parses a ClassBench rule line into the form ClientV2.AddRule sends.
+func wireRule(t *testing.T, line string) rule.Rule {
+	t.Helper()
+	r, err := rule.ParseClassBenchLine(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestGracefulShutdown: SIGTERM must drain in-flight work and return nil
@@ -207,7 +217,7 @@ func TestDataplaneKillUnderLoad(t *testing.T) {
 	}
 
 	const streamers = 3
-	clients := make([]*server.Client, streamers)
+	clients := make([]*server.ClientV2, streamers)
 	for i := range clients {
 		clients[i] = dialDaemon(t, addr)
 	}
@@ -215,7 +225,7 @@ func TestDataplaneKillUnderLoad(t *testing.T) {
 	var batches atomic.Int64
 	for _, client := range clients {
 		wg.Add(1)
-		go func(c *server.Client) {
+		go func(c *server.ClientV2) {
 			defer wg.Done()
 			for {
 				res, err := c.ClassifyBatch(packets)
@@ -294,7 +304,7 @@ func TestJournalKillRestart(t *testing.T) {
 
 	// A top-priority wildcard-ish rule added live: acknowledged means
 	// journaled.
-	id, _, err := client.AddRule(0, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF")
+	id, _, err := client.AddRule(0, wireRule(t, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +328,7 @@ func TestJournalKillRestart(t *testing.T) {
 		t.Fatalf("restart did not replay the journal:\n%s", out2.String())
 	}
 	client2 := dialDaemon(t, addr2)
-	p, err := server.ParseRequest("10.9.8.7 1.2.3.4 4321 80 6")
+	p, err := rule.ParsePacket("10.9.8.7 1.2.3.4 4321 80 6")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,8 @@ type tableSpec struct {
 // Tables are separated by ';', settings within a table by ',', and each
 // setting is key:val. Keys: backend, family, size, rules (path), artifact,
 // journal ('auto' co-locates with the table's artifact), online (true),
-// binth, seed. The first table becomes the default (the target of v1
-// requests).
+// binth, seed. The first table becomes the default (the target of frames
+// addressed to table 0).
 func parseTableSpecs(spec string) ([]tableSpec, error) {
 	var specs []tableSpec
 	seen := map[string]bool{}
@@ -195,7 +195,7 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 
 	srv := server.NewTables(tabs)
 	srv.Telemetry = d.tel
-	// Tables created live over the v2 protocol share the process telemetry;
+	// Tables created live over the wire share the process telemetry;
 	// their flight-recorder entries carry the instance's default table label.
 	srv.TableCreateOptions = engine.Options{
 		Binth: d.binth, Seed: d.seed, Shards: d.shards, CompactThreshold: d.compactAt,
@@ -206,7 +206,7 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 		return err
 	}
 	def, _ := tabs.Default()
-	fmt.Fprintf(stdout, "classifyd: serving %d tables on %s (default table %q; v1 text and v2 binary protocols)\n",
+	fmt.Fprintf(stdout, "classifyd: serving %d tables on %s (default table %q)\n",
 		tabs.Len(), addr, def.Name)
 	stopAdmin, err := startAdmin(stdout, adminAddr, admin.Options{Tables: tabs, Server: srv, Telemetry: d.tel})
 	if err != nil {

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"context"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"neurocuts/internal/rule"
-	"neurocuts/internal/server"
 )
 
 func TestParseTableSpecs(t *testing.T) {
@@ -35,29 +33,22 @@ func TestParseTableSpecs(t *testing.T) {
 	}
 }
 
-// TestTablesDaemon boots a two-table daemon, exercises both protocols
-// against it — v1 hits the default table, v2 addresses each by name — and
-// shuts it down gracefully.
+// TestTablesDaemon boots a two-table daemon, queries the default table
+// (table 0) and a named one over one connection, and shuts it down
+// gracefully.
 func TestTablesDaemon(t *testing.T) {
 	addr, sig, errCh, out := startDaemon(t, []string{
 		"-tables", "acl=backend:tss,family:acl1,size:150;fw=backend:linear,family:fw2,size:80",
 		"-listen", "127.0.0.1:0",
 	})
 
-	// v1: default table (acl).
-	v1 := dialDaemon(t, addr)
-	if _, _, _, err := v1.Classify(parsePacket(t, "10.0.0.1 192.168.1.1 1234 80 6")); err != nil {
+	// Table 0 is the default table (acl).
+	v2 := dialDaemon(t, addr)
+	if _, _, _, err := v2.Classify(parsePacket(t, "10.0.0.1 192.168.1.1 1234 80 6")); err != nil {
 		t.Fatal(err)
 	}
 
-	// v2: list tables and classify against the non-default table.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	v2, err := server.DialV2(ctx, addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
+	// List tables and classify against the non-default table.
 	tables, err := v2.ListTables()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +81,7 @@ func TestTablesDaemon(t *testing.T) {
 
 func parsePacket(t *testing.T, s string) rule.Packet {
 	t.Helper()
-	key, err := server.ParseRequest(s)
+	key, err := rule.ParsePacket(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func renderMetrics(snap snapshot) []byte {
 		p.sample("neurocuts_server_matches_total", nil, float64(s.Matches))
 		p.family("neurocuts_server_parse_failures_total", "counter", "Requests rejected as unparsable.")
 		p.sample("neurocuts_server_parse_failures_total", nil, float64(s.ParseFails))
-		p.family("neurocuts_server_batch_requests_total", "counter", "Batch requests served (v1 text and v2 framed).")
+		p.family("neurocuts_server_batch_requests_total", "counter", "Batch requests served.")
 		p.sample("neurocuts_server_batch_requests_total", nil, float64(s.Batches))
 		p.family("neurocuts_server_update_requests_total", "counter", "Live rule-update requests (add/del, insert/delete).")
 		p.sample("neurocuts_server_update_requests_total", nil, float64(s.Updates))

@@ -32,8 +32,8 @@ type tableState struct {
 	byID   map[uint32]*Table
 	// names is the sorted name list (computed once per mutation).
 	names []string
-	// def is the default table (the target of v1 requests and of v2 frames
-	// addressed to table ID 0); nil only while the manager is empty.
+	// def is the default table (the target of frames addressed to table
+	// ID 0); nil only while the manager is empty.
 	def *Table
 }
 
@@ -189,9 +189,9 @@ func (t *Tables) Swap(name string, eng *Engine) (*Table, error) {
 
 // Drop atomically removes the named table. Its wire ID is never reused, and
 // its engine is retired (kept open until the reaper's grace expires, or
-// CloseAll) so in-flight requests can finish. Dropping the default table always fails — it is the target of
-// every v1 request and of v2 frames addressed to table 0, so it must be
-// re-pointed first with SetDefault (which means the last remaining table
+// CloseAll) so in-flight requests can finish. Dropping the default table
+// always fails — it is the target of frames addressed to table 0, so it
+// must be re-pointed first with SetDefault (which means the last remaining table
 // can never be dropped: a serving manager never loses its default).
 func (t *Tables) Drop(name string) error {
 	t.mu.Lock()
@@ -213,8 +213,8 @@ func (t *Tables) Drop(name string) error {
 	return nil
 }
 
-// SetDefault re-points the default table (the target of v1 requests and of
-// v2 frames addressed to table ID 0) at the named table.
+// SetDefault re-points the default table (the target of frames addressed
+// to table ID 0) at the named table.
 func (t *Tables) SetDefault(name string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

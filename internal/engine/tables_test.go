@@ -90,7 +90,7 @@ func TestTablesCreateGetDrop(t *testing.T) {
 		t.Fatal("double drop must fail")
 	}
 	// The last remaining table is necessarily the default and can never be
-	// dropped: a serving manager never loses its v1 / table-0 target.
+	// dropped: a serving manager never loses its table-0 target.
 	if err := tabs.Drop("fw"); err == nil {
 		t.Fatal("dropping the last (default) table must fail")
 	}

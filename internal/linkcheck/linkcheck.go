@@ -13,7 +13,10 @@
 // Commands rot the same way: a package is deleted and the `go run ./cmd/x`
 // lines in the README, the verify notes and CI keep looking plausible.
 // CheckCommands resolves every ./package argument of a go run|build|test
-// command to a directory that holds Go files.
+// command to a directory that holds Go files, and every name in a go test
+// -run/-fuzz/-bench pattern to a function in those packages: go test exits 0
+// with "no tests to run" when a pattern matches nothing, so a renamed test
+// would otherwise silently un-run the CI step that names it.
 package linkcheck
 
 import (
@@ -153,11 +156,77 @@ func CheckFiles(root string, files []string) ([]Problem, error) {
 
 // goCmdRE matches a go run|build|test command up to the end of its line or
 // the next shell separator or closing backtick, stepping over quoted
-// arguments (-run 'TestA|TestB'); pkgArgRE picks out its ./package arguments.
+// arguments (-run 'TestA|TestB'); pkgArgRE picks a ./package argument (or a
+// bare "." for the root package) out of one of its fields; selectorRE picks out the -run,
+// -fuzz and -bench patterns of a go test command, quotes included;
+// testFuncRE the functions a pattern can select.
 var (
-	goCmdRE  = regexp.MustCompile("\\bgo (?:run|build|test)\\b(?:'[^'\n]*'|\"[^\"\n]*\"|[^\n|;&`])*")
-	pkgArgRE = regexp.MustCompile(`(?:^|\s)(\./[\w./-]*)`)
+	goCmdRE    = regexp.MustCompile("\\bgo (?:run|build|test)\\b(?:'[^'\n]*'|\"[^\"\n]*\"|[^\n|;&`])*")
+	pkgArgRE   = regexp.MustCompile(`^(?:\./[\w./-]*|\.$)`)
+	selectorRE = regexp.MustCompile(`\s--?(run|fuzz|bench)[= ]('[^']*'|"[^"]*"|\S+)`)
+	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 )
+
+// selectable lists, per flag, the function-name prefixes the flag selects
+// among (go test -run also runs fuzz targets over their seed corpus).
+var selectable = map[string][]string{
+	"run":   {"Test", "Fuzz"},
+	"fuzz":  {"Fuzz"},
+	"bench": {"Benchmark"},
+}
+
+// testFuncs returns the Test/Fuzz/Benchmark functions declared in dir's
+// _test.go files.
+func testFuncs(dir string) []string {
+	files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	var names []string
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			continue
+		}
+		for _, m := range testFuncRE.FindAllSubmatch(raw, -1) {
+			names = append(names, string(m[1]))
+		}
+	}
+	return names
+}
+
+// staleSelectors returns the alternatives of cmd's -run/-fuzz/-bench
+// patterns that match no function in dirs, applying each the way go test
+// does: as an unanchored regexp on the name (the part before any /subtest).
+// "^$", "." and "xxx" select nothing or everything on purpose.
+func staleSelectors(cmd string, dirs []string) []string {
+	var names []string
+	for _, d := range dirs {
+		names = append(names, testFuncs(d)...)
+	}
+	var stale []string
+	for _, m := range selectorRE.FindAllStringSubmatch(cmd, -1) {
+		pattern := strings.Trim(m[2], `'"`)
+		if pattern == "^$" || pattern == "." || pattern == "xxx" {
+			continue
+		}
+	alternatives:
+		for _, alt := range strings.Split(pattern, "|") {
+			top, _, _ := strings.Cut(alt, "/")
+			re, err := regexp.Compile(top)
+			if err != nil {
+				stale = append(stale, alt+" (not a regexp on its own)")
+				continue
+			}
+			for _, name := range names {
+				for _, prefix := range selectable[m[1]] {
+					if strings.HasPrefix(name, prefix) && re.MatchString(name) {
+						continue alternatives
+					}
+				}
+			}
+			stale = append(stale, alt)
+		}
+	}
+	return stale
+}
 
 // holdsGo reports whether dir (with its subdirectories when deep, the
 // meaning of a trailing /...) contains a Go file.
@@ -180,7 +249,9 @@ func holdsGo(dir string, deep bool) bool {
 // CheckCommands finds the go run|build|test commands in the given files
 // (Markdown, code fences included, or shell-bearing YAML; paths relative to
 // root, which the commands are taken to run from) and returns one Problem
-// per ./package argument that names no directory holding Go files.
+// per ./package argument that names no directory holding Go files, and one
+// per -run/-fuzz/-bench alternative that selects nothing in the packages the
+// command names (commands over a /... tree are not searched).
 func CheckCommands(root string, files []string) ([]Problem, error) {
 	var problems []Problem
 	for _, rel := range files {
@@ -189,11 +260,25 @@ func CheckCommands(root string, files []string) ([]Problem, error) {
 			return nil, err
 		}
 		for _, cmd := range goCmdRE.FindAllString(string(raw), -1) {
-			for _, m := range pkgArgRE.FindAllStringSubmatch(cmd, -1) {
-				dir, deep := strings.CutSuffix(m[1], "...")
-				if !holdsGo(filepath.Join(root, dir), deep) {
-					problems = append(problems, Problem{rel, m[1], "no Go files there, in: " + strings.TrimSpace(cmd)})
+			var dirs []string
+			anyDeep := false
+			for _, field := range strings.Fields(cmd) {
+				arg := pkgArgRE.FindString(field)
+				if arg == "" {
+					continue
 				}
+				dir, deep := strings.CutSuffix(arg, "...")
+				anyDeep = anyDeep || deep
+				dirs = append(dirs, filepath.Join(root, dir))
+				if !holdsGo(filepath.Join(root, dir), deep) {
+					problems = append(problems, Problem{rel, arg, "no Go files there, in: " + strings.TrimSpace(cmd)})
+				}
+			}
+			if anyDeep || len(dirs) == 0 {
+				continue
+			}
+			for _, alt := range staleSelectors(cmd, dirs) {
+				problems = append(problems, Problem{rel, alt, "selects no test function in the packages named, in: " + strings.TrimSpace(cmd)})
 			}
 		}
 	}

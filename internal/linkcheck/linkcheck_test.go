@@ -154,15 +154,19 @@ func TestCheckFilesCatchesBreakage(t *testing.T) {
 	}
 }
 
-// TestCheckCommandsCatchesBreakage: a deleted package, a misspelt one and an
-// empty tree are reported; real packages, ./... and flag values are not.
+// TestCheckCommandsCatchesBreakage: a deleted package, a misspelt one, an
+// empty tree and a -run/-fuzz name no function answers to are reported; real
+// packages, ./..., flag values, live names and "^$" are not.
 func TestCheckCommandsCatchesBreakage(t *testing.T) {
 	dir := t.TempDir()
-	for _, f := range []string{"cmd/tool/main.go", "internal/lib/lib.go", "docs/only.txt"} {
+	for f, body := range map[string]string{
+		"cmd/tool/main.go": "", "internal/lib/lib.go": "", "docs/only.txt": "",
+		"internal/lib/lib_test.go": "func TestA(t *testing.T) {}\nfunc FuzzLive(f *testing.F) {}\n",
+	} {
 		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(f)), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, f), nil, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, f), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,6 +175,7 @@ func TestCheckCommandsCatchesBreakage(t *testing.T) {
 		"```sh",
 		"go build -o /tmp/bin/ ./cmd/... && go test -race -run 'TestA|TestB' ./internal/lib ./internal/libb",
 		"        run: go test ./... ; go test ./docs/...",
+		"        run: go test -run=^$ -fuzz=FuzzLive ./internal/lib ; go test -fuzz=FuzzRenamed ./internal/lib",
 		"```",
 	}, "\n")
 	if err := os.WriteFile(filepath.Join(dir, "a.md"), []byte(doc), 0o644); err != nil {
@@ -184,7 +189,7 @@ func TestCheckCommandsCatchesBreakage(t *testing.T) {
 	for _, p := range problems {
 		got = append(got, p.Link)
 	}
-	if want := "./cmd/gone ./internal/libb ./docs/..."; strings.Join(got, " ") != want {
+	if want := "./cmd/gone ./internal/libb TestB ./docs/... FuzzRenamed"; strings.Join(got, " ") != want {
 		t.Errorf("problems = %v, want %s", problems, want)
 	}
 }

@@ -217,3 +217,48 @@ func coveringPrefix(r Range, bits uint) (uint64, uint) {
 		}
 	}
 }
+
+// ParsePacket parses a packet key written as "src dst sport dport proto"
+// (the form the CLIs take on -packet). IP fields accept dotted-quad or
+// decimal notation.
+func ParsePacket(line string) (Packet, error) {
+	fields := strings.Fields(line)
+	if len(fields) != 5 {
+		return Packet{}, fmt.Errorf("expected 5 fields, got %d", len(fields))
+	}
+	src, err := parseIPField(fields[0])
+	if err != nil {
+		return Packet{}, fmt.Errorf("src ip: %v", err)
+	}
+	dst, err := parseIPField(fields[1])
+	if err != nil {
+		return Packet{}, fmt.Errorf("dst ip: %v", err)
+	}
+	sp, err := strconv.ParseUint(fields[2], 10, 16)
+	if err != nil {
+		return Packet{}, fmt.Errorf("src port: %v", err)
+	}
+	dp, err := strconv.ParseUint(fields[3], 10, 16)
+	if err != nil {
+		return Packet{}, fmt.Errorf("dst port: %v", err)
+	}
+	proto, err := strconv.ParseUint(fields[4], 10, 8)
+	if err != nil {
+		return Packet{}, fmt.Errorf("proto: %v", err)
+	}
+	return Packet{
+		SrcIP: src, DstIP: dst,
+		SrcPort: uint16(sp), DstPort: uint16(dp), Proto: uint8(proto),
+	}, nil
+}
+
+func parseIPField(s string) (uint32, error) {
+	if strings.Contains(s, ".") {
+		return ParseIPv4(s)
+	}
+	v, err := strconv.ParseUint(s, 10, 32)
+	if err != nil {
+		return 0, err
+	}
+	return uint32(v), nil
+}

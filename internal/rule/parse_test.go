@@ -2,6 +2,7 @@ package rule
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -166,4 +167,70 @@ func TestCoveringPrefix(t *testing.T) {
 	if plen != 0 {
 		t.Errorf("full range prefix len = %d", plen)
 	}
+}
+
+func TestParsePacket(t *testing.T) {
+	p, err := ParsePacket("10.0.0.1 192.168.1.1 1234 80 6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.SrcIP != 0x0A000001 || p.DstIP != 0xC0A80101 || p.SrcPort != 1234 || p.DstPort != 80 || p.Proto != 6 {
+		t.Errorf("parsed %+v", p)
+	}
+	// Decimal IPs are accepted too.
+	p, err = ParsePacket("167772161 3232235777 53 53 17")
+	if err != nil || p.SrcIP != 167772161 {
+		t.Errorf("decimal parse: %+v %v", p, err)
+	}
+	bad := []string{
+		"1 2 3 4",                 // too few fields
+		"x 2 3 4 5",               // bad src
+		"1 y 3 4 5",               // bad dst
+		"1 2 99999999 4 5",        // port overflow
+		"1 2 3 99999999 5",        // port overflow
+		"1 2 3 4 999",             // proto overflow
+		"300.0.0.1 1.2.3.4 1 2 3", // bad dotted quad
+	}
+	for _, line := range bad {
+		if _, err := ParsePacket(line); err == nil {
+			t.Errorf("expected error for %q", line)
+		}
+	}
+}
+
+// FuzzParsePacket asserts that no -packet argument, however malformed, can
+// panic the parser. Successful parses are round-tripped through the decimal
+// encoding to pin down the field order.
+func FuzzParsePacket(f *testing.F) {
+	seeds := []string{
+		"10.0.0.1 192.168.1.1 1234 80 6",
+		"167772161 3232235777 53 53 17",
+		"0.0.0.0 255.255.255.255 0 65535 255",
+		"", " ", "stats", "quit", "batch 3",
+		"1 2 3 4", "1 2 3 4 5 6",
+		"x y z w v",
+		"300.0.0.1 1.2.3.4 1 2 3",
+		"-1 2 3 4 5",
+		"1 2 99999 4 5",
+		"1.2.3.4.5 6.7.8.9 1 2 3",
+		"\x00\xff 1 2 3 4",
+		"4294967296 1 2 3 4",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		p, err := ParsePacket(line)
+		if err != nil {
+			return
+		}
+		if got := len(strings.Fields(line)); got != 5 {
+			t.Errorf("ParsePacket(%q) succeeded with %d fields", line, got)
+		}
+		decimal := fmt.Sprintf("%d %d %d %d %d", p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto)
+		again, err := ParsePacket(decimal)
+		if err != nil || again != p {
+			t.Errorf("round trip of %q via %q: got %+v err %v, want %+v", line, decimal, again, err, p)
+		}
+	})
 }

@@ -26,7 +26,7 @@ func artifactTestEngine(t *testing.T, backend string, size int) (*engine.Engine,
 	return eng, set
 }
 
-// TestSaveLoadEndpoints drives the "save"/"load" admin requests end to end:
+// TestSaveLoadEndpoints drives the save/load admin requests end to end:
 // save the served tree as an artifact, mutate the rule set live, then load
 // the artifact back and verify the original classification behaviour
 // returns with a bumped snapshot version.
@@ -38,7 +38,7 @@ func TestSaveLoadEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) // registered before the client's cleanup, so the client closes first
-	client := dialTest(t, addr.String())
+	client := dialV2Test(t, addr.String())
 
 	path := filepath.Join(t.TempDir(), "served.ncaf")
 	if err := client.SaveArtifact(path); err != nil {
@@ -46,7 +46,7 @@ func TestSaveLoadEndpoints(t *testing.T) {
 	}
 
 	// Shadow everything with a top-priority wildcard so lookups change.
-	id, _, err := client.AddRule(0, "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00")
+	id, _, err := client.AddRule(0, parseRule(t, "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestArtifactEndpointsUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() }) // registered before the client's cleanup, so the client closes first
-	client := dialTest(t, addr.String())
+	client := dialV2Test(t, addr.String())
 	// linear has no compiled form: engine.Engine implements ArtifactStore
 	// but SaveArtifact must fail cleanly over the wire.
 	if err := client.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); err == nil {
@@ -115,7 +115,7 @@ func TestShutdownDrainsIdleConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := dialTest(t, addr.String())
+	client := dialV2Test(t, addr.String())
 
 	// A served batch completes before shutdown begins.
 	var packets []rule.Packet
@@ -142,7 +142,7 @@ func TestShutdownDrainsIdleConnections(t *testing.T) {
 	}
 }
 
-// TestShutdownAnswersInFlightBatch: a batch whose lines are already on the
+// TestShutdownAnswersInFlightBatch: a batch whose frame is already on the
 // wire when Shutdown fires still receives all of its responses.
 func TestShutdownAnswersInFlightBatch(t *testing.T) {
 	eng, set := artifactTestEngine(t, "hicuts", 100)
@@ -151,7 +151,7 @@ func TestShutdownAnswersInFlightBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := dialTest(t, addr.String())
+	client := dialV2Test(t, addr.String())
 
 	var packets []rule.Packet
 	for _, e := range classbench.GenerateTrace(set, 2000, 9) {

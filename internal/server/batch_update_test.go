@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bufio"
-	"context"
-	"fmt"
-	"net"
+	"encoding/binary"
+	"strings"
 	"testing"
-	"time"
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
@@ -35,21 +32,19 @@ func startEngineServer(t *testing.T, backend string) (*engine.Engine, *rule.Set,
 	return eng, set, addr.String()
 }
 
-func dialTest(t *testing.T, addr string) *Client {
+// parseRule parses a ClassBench rule line; only the ranges travel on the wire.
+func parseRule(t *testing.T, line string) rule.Rule {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	c, err := Dial(ctx, addr)
+	r, err := rule.ParseClassBenchLine(line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	return r
 }
 
 func TestBatchRequest(t *testing.T) {
 	eng, set, addr := startEngineServer(t, "hicuts")
-	c := dialTest(t, addr)
+	c := dialV2Test(t, addr)
 
 	var packets []rule.Packet
 	for _, e := range classbench.GenerateTrace(set, 200, 9) {
@@ -73,46 +68,19 @@ func TestBatchRequest(t *testing.T) {
 	}
 }
 
-// TestBatchMalformedLine checks that a bad line inside a batch produces an
-// error response in its slot without poisoning the rest of the batch.
-func TestBatchMalformedLine(t *testing.T) {
-	_, _, addr := startEngineServer(t, "linear")
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "batch 2\nnot a packet\n1 2 3 4 6\n")
-	sc := bufio.NewScanner(conn)
-	var lines []string
-	for len(lines) < 2 && sc.Scan() {
-		lines = append(lines, sc.Text())
-	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d response lines: %v", len(lines), lines)
-	}
-	if lines[0] == "" || lines[0][:5] != "error" {
-		t.Errorf("line 1 = %q, want error response", lines[0])
-	}
-	if lines[1] != "no-match" && lines[1][:5] != "match" {
-		t.Errorf("line 2 = %q, want a classification", lines[1])
-	}
-}
-
 func TestBatchSizeLimit(t *testing.T) {
 	_, _, addr := startEngineServer(t, "linear")
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	c := dialV2Test(t, addr)
+	// ClientV2.ClassifyBatch splits at MaxBatch, so the oversized count is
+	// written by hand: the server must refuse it from the count alone.
+	payload := binary.LittleEndian.AppendUint32(nil, MaxBatch+1)
+	_, err := c.roundTrip(Frame{Op: OpBatch, Payload: payload})
+	if err == nil || !strings.Contains(err.Error(), "batch size must be in") {
+		t.Errorf("oversized batch: err = %v, want the size-limit error", err)
 	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "batch %d\n", MaxBatch+1)
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatal("no response")
-	}
-	if got := sc.Text(); got[:5] != "error" {
-		t.Errorf("response = %q, want error", got)
+	// An OpError keeps the connection.
+	if err := c.Ping(); err != nil {
+		t.Errorf("connection unusable after the size-limit error: %v", err)
 	}
 }
 
@@ -121,7 +89,7 @@ func TestBatchSizeLimit(t *testing.T) {
 // the previous behaviour, with the version advancing on each update.
 func TestLiveRuleUpdate(t *testing.T) {
 	eng, _, addr := startEngineServer(t, "tss")
-	c := dialTest(t, addr)
+	c := dialV2Test(t, addr)
 
 	p := rule.Packet{SrcIP: 99, DstIP: 98, SrcPort: 97, DstPort: 96, Proto: 250}
 	beforeID, beforePrio, beforeOK, err := c.Classify(p)
@@ -130,7 +98,7 @@ func TestLiveRuleUpdate(t *testing.T) {
 	}
 
 	// add: full wildcard in ClassBench format at the top priority slot.
-	wildcard := "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00"
+	wildcard := parseRule(t, "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00")
 	id, v1, err := c.AddRule(0, wildcard)
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +140,8 @@ func TestLiveRuleUpdate(t *testing.T) {
 // classifier is a bare tree without the Updater interface.
 func TestUpdateUnsupported(t *testing.T) {
 	_, _, addr := startTestServer(t) // plain hicuts tree, no Updater
-	c := dialTest(t, addr)
-	if _, _, err := c.AddRule(0, "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00"); err == nil {
+	c := dialV2Test(t, addr)
+	if _, _, err := c.AddRule(0, parseRule(t, "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00")); err == nil {
 		t.Error("AddRule against a non-updatable classifier should error")
 	}
 }

@@ -254,7 +254,8 @@ func (c *ClientV2) LoadArtifact(path string) (version uint64, rules int, err err
 }
 
 // Stats returns the server's one-line stats summary for the current table
-// (the same line the v1 "stats" request produces).
+// ("stats requests=N matches=N parse-failures=N", plus the online-update
+// fields when the table has them).
 func (c *ClientV2) Stats() (string, error) {
 	resp, err := c.roundTrip(Frame{Op: OpStats, Table: c.table})
 	if err != nil {

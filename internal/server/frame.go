@@ -1,14 +1,10 @@
 package server
 
-// Wire protocol v2: length-prefixed binary frames.
-//
-// The v1 text protocol spends most of its serving cost parsing dotted quads
-// and formatting response lines. v2 replaces both directions with fixed
-// binary frames, adds table addressing so one connection can query many rule
-// sets, and is CRC-guarded like the compiled-artifact format. Both protocols
-// are served on the same port: the first byte of a connection selects the
-// handler (frameMagic0 is deliberately a non-ASCII byte no v1 request can
-// start with), so existing v1 clients keep working unchanged.
+// The wire protocol: length-prefixed binary frames in both directions, with
+// table addressing so one connection can query many rule sets, CRC-guarded
+// like the compiled-artifact format. It is version 2; version 1 was a text
+// line protocol and is gone, which is why the magic opens with a non-ASCII
+// byte: a text client is recognised — and refused — on its first byte.
 //
 // Frame layout (all integers little-endian, like the NCAF artifact format):
 //
@@ -26,8 +22,7 @@ package server
 // longer be trusted — on bad magic, unknown version, non-zero flags,
 // oversized payload or CRC mismatch. Errors inside a well-framed request
 // (unknown table, unparsable payload, a failed update) are answered with an
-// OpError frame and the connection stays usable, mirroring v1's "error ..."
-// lines.
+// OpError frame and the connection stays usable.
 
 import (
 	"encoding/binary"
@@ -37,8 +32,8 @@ import (
 	"io"
 )
 
-// frameMagic opens every v2 frame. The first byte is non-ASCII so the
-// protocol sniffer can tell a v2 connection from any v1 text request.
+// frameMagic opens every frame. The first byte is non-ASCII, so readFrameInto
+// can refuse a text client without waiting for a full header.
 var frameMagic = [4]byte{0xF2, 'N', 'C', '2'}
 
 // ProtoVersion2 is the frame version this package speaks.
@@ -75,8 +70,8 @@ const (
 	OpSave uint8 = 6
 	// OpLoad carries an artifact path; answered with OpUpdated (id -1).
 	OpLoad uint8 = 7
-	// OpStats has an empty payload; answered with OpStatsResult (the v1
-	// stats line as text, so both protocols expose one stats format).
+	// OpStats has an empty payload; answered with OpStatsResult (one line of
+	// "key=value" text, see Server.statsLine).
 	OpStats uint8 = 8
 	// OpListTables has an empty payload; answered with OpTableList.
 	OpListTables uint8 = 9
@@ -116,7 +111,7 @@ const (
 	OpError uint8 = 127
 )
 
-// Frame is one decoded v2 frame.
+// Frame is one decoded frame.
 type Frame struct {
 	// Op is the request or response opcode.
 	Op uint8
@@ -129,9 +124,9 @@ type Frame struct {
 }
 
 // Frame decode errors. errFrameMagic specifically marks a connection whose
-// first bytes are not a v2 frame at all.
+// first bytes are not a frame at all.
 var (
-	errFrameMagic    = errors.New("server: bad frame magic")
+	errFrameMagic    = errors.New("server: bad frame magic: not a v2 frame — the v1 text protocol was removed")
 	errFrameVersion  = errors.New("server: unsupported frame version")
 	errFrameFlags    = errors.New("server: reserved frame flags must be zero")
 	errFrameOversize = fmt.Errorf("server: frame payload exceeds %d bytes", MaxFramePayload)
@@ -166,7 +161,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 
 // readFrameInto is ReadFrame with a reusable body buffer: when buf has the
 // capacity it is reused (the returned frame's payload aliases it), so a
-// long-lived caller — the server's per-connection v2 loop — reads frames
+// long-lived caller — the server's per-connection loop — reads frames
 // without a per-frame allocation once the buffer has grown to the
 // connection's working size. The possibly-grown buffer is returned for the
 // next call; it must not be reused while the frame's payload is live.
@@ -177,6 +172,11 @@ func readFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 			return Frame{}, buf, io.EOF
 		}
 		return Frame{}, buf, fmt.Errorf("server: reading frame: %w", err)
+	}
+	// Checked before the rest of the header is read: a text client sends
+	// fewer than frameHeaderLen bytes and then waits for its answer.
+	if hdr[0] != frameMagic[0] {
+		return Frame{}, buf, errFrameMagic
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		return Frame{}, buf, fmt.Errorf("server: reading frame header: %w", err)

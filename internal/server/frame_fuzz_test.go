@@ -13,7 +13,7 @@ import (
 	"neurocuts/internal/rule"
 )
 
-// FuzzFrame fuzzes the v2 frame decoder: arbitrary bytes must never panic,
+// FuzzFrame fuzzes the frame decoder: arbitrary bytes must never panic,
 // and any frame the decoder accepts must re-encode to an equivalent frame
 // (decode is the inverse of encode on the accepted set).
 func FuzzFrame(f *testing.F) {
@@ -38,9 +38,9 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// fuzzServer is a process-wide server for FuzzProtoDetect: built once, it
+// fuzzSrv is a process-wide server for FuzzFirstBytes: built once, it
 // serves a tiny engine so fuzz inputs exercise the real connection handler
-// (protocol sniffing, v1 parsing, v2 framing) end to end.
+// end to end.
 var (
 	fuzzServerOnce sync.Once
 	fuzzSrv        *Server
@@ -61,10 +61,11 @@ func fuzzServerInit() {
 	fuzzSrv.BatchReadTimeout = 200 * time.Millisecond
 }
 
-// FuzzProtoDetect throws arbitrary first bytes at a served connection: the
-// protocol sniffer must route them to v1 or v2 without panicking or
-// hanging, whatever the split between text, framing and garbage.
-func FuzzProtoDetect(f *testing.F) {
+// FuzzFirstBytes throws arbitrary first bytes at a served connection: the
+// handler must terminate without panicking or hanging, whatever the split
+// between text, framing and garbage, and an input that does not begin with
+// a valid frame must never be answered with anything but OpError.
+func FuzzFirstBytes(f *testing.F) {
 	f.Add([]byte("1 2 3 4 5\n"))
 	f.Add([]byte("batch 2\n1 2 3 4 5\n6 7 8 9 10\n"))
 	f.Add([]byte("stats\nquit\n"))
@@ -90,11 +91,16 @@ func FuzzProtoDetect(f *testing.F) {
 			time.Sleep(2 * time.Millisecond)
 			client.Close()
 		}()
-		io.Copy(io.Discard, client) //nolint:errcheck // drained best-effort
+		answer, _ := io.ReadAll(client) // ends when either side closes the pipe
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("handler did not terminate for input %q", data)
+		}
+		if _, err := ReadFrame(bytes.NewReader(data)); err != nil {
+			if first, err := ReadFrame(bytes.NewReader(answer)); err == nil && first.Op != OpError {
+				t.Fatalf("input %q is not a frame but was answered with op %d", data, first.Op)
+			}
 		}
 	})
 }

@@ -1,10 +1,10 @@
 package server
 
-// Server side of wire protocol v2 (see frame.go for the frame layout).
-// Every v1 capability is reachable — classification, pipelined batches,
-// live updates, artifact save/load, stats — plus the v2-only table
-// addressing: each frame names the table it operates on, so one connection
-// can query and administer many rule sets concurrently.
+// Server side of the wire protocol (see frame.go for the frame layout):
+// classification, pipelined batches, live updates, artifact save/load,
+// stats and table administration. Each frame names the table it operates
+// on, so one connection can query and administer many rule sets
+// concurrently.
 
 import (
 	"bufio"
@@ -91,7 +91,7 @@ func decodeResult(b []byte) engine.Result {
 }
 
 // v2Buffers are one connection's scratch buffers, reused frame to frame so
-// the v2 hot path (pipelined batches) performs no per-frame heap
+// the hot path (pipelined batches) performs no per-frame heap
 // allocations once they have grown to the connection's working size. They
 // are owned by the single handler goroutine; a frame's request payload and
 // its response never overlap in time (the response is fully encoded before
@@ -105,11 +105,17 @@ type v2Buffers struct {
 	enc []byte
 }
 
-// handleV2 serves one v2 connection: a sequence of frames, answered in
-// order. Clients may pipeline (send many frames before reading responses);
-// the write buffer is only flushed when no further request bytes are
-// already buffered, so pipelined batches do not pay one syscall per frame.
-func (s *Server) handleV2(conn *servedConn, br *bufio.Reader, w *bufio.Writer) {
+// handle serves one connection until EOF, a framing or write error, or a
+// drain: a sequence of frames, answered in order. Each request is bracketed
+// by the connection's busy state so a concurrent Shutdown never interrupts
+// it mid-request. Clients may pipeline (send many frames before reading
+// responses); the write buffer is only flushed when no further request
+// bytes are already buffered, so pipelined batches do not pay one syscall
+// per frame.
+func (s *Server) handle(conn *servedConn) {
+	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 4096)
+	w := bufio.NewWriter(conn)
 	var bufs v2Buffers
 	for {
 		// Wait between requests with no deadline (drain arms its own); the
@@ -264,12 +270,14 @@ func (s *Server) frameBatch(f Frame, bufs *v2Buffers) Frame {
 		}
 	}
 	payload := binary.LittleEndian.AppendUint32(bufs.resp[:0], uint32(n))
+	matched := 0
 	for i := 0; i < n; i++ {
 		if out[i].OK {
-			s.matches.Add(1)
+			matched++
 		}
 		payload = appendResult(payload, out[i])
 	}
+	s.matches.Add(int64(matched))
 	bufs.resp = payload
 	return Frame{Op: OpBatchResult, Table: f.Table, Payload: payload}
 }
@@ -393,7 +401,7 @@ func (s *Server) frameListTables(f Frame) Frame {
 		}
 	} else {
 		// A single-table server presents its classifier as one default
-		// table on ID 0, so v2 clients need no special case.
+		// table on ID 0, so clients need no special case.
 		entries = []entry{{id: 0, name: "default", def: true}}
 	}
 	payload := binary.LittleEndian.AppendUint16(nil, uint16(len(entries)))

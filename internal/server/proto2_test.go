@@ -224,10 +224,14 @@ func TestV2MultiTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Per-table lookups agree with each table's own linear search.
-	for name, id := range map[string]uint32{"acl": aclID, "fw": fwID} {
-		set := sets[name]
-		c.UseTable(id)
+	// Per-table lookups agree with each table's own linear search; table 0
+	// is the default table, acl.
+	for _, tc := range []struct {
+		name string
+		id   uint32
+	}{{"acl", aclID}, {"fw", fwID}, {"acl", 0}} {
+		name, set := tc.name, sets[tc.name]
+		c.UseTable(tc.id)
 		trace := classbench.GenerateTrace(set, 300, 3)
 		keys := make([]rule.Packet, len(trace))
 		for i, e := range trace {
@@ -382,53 +386,12 @@ func TestV2CreateTableReplaysJournal(t *testing.T) {
 	}
 }
 
-// TestV1AgainstTablesServer proves the v1 text protocol transparently
-// serves the default table of a multi-table server.
-func TestV1AgainstTablesServer(t *testing.T) {
-	_, sets, addr := startTablesServer(t)
-	c := dialTest(t, addr)
-	set := sets["acl"]
-	for _, e := range classbench.GenerateTrace(set, 200, 5) {
-		_, priority, ok, err := c.Classify(e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || priority != e.MatchRule {
-			t.Fatalf("v1 against tables server: %v got prio=%d ok=%v want %d", e.Key, priority, ok, e.MatchRule)
-		}
-	}
-}
-
-// TestV1AndV2ShareOneServer interleaves both protocols against the same
-// server instance (different connections, one port).
-func TestV1AndV2ShareOneServer(t *testing.T) {
-	eng, set, addr := startEngineServer(t, "tss")
-	v1 := dialTest(t, addr)
-	v2 := dialV2Test(t, addr)
-	for _, e := range classbench.GenerateTrace(set, 100, 9) {
-		want, wantOK := eng.Classify(e.Key)
-		_, p1, ok1, err := v1.Classify(e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, p2, ok2, err := v2.Classify(e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok1 != wantOK || ok2 != wantOK || (wantOK && (p1 != want.Priority || p2 != want.Priority)) {
-			t.Fatalf("protocol divergence on %v: v1=(%d,%v) v2=(%d,%v) want (%d,%v)",
-				e.Key, p1, ok1, p2, ok2, want.Priority, wantOK)
-		}
-	}
-}
-
 // TestV2GarbageFrameClosesConnection sends a corrupted frame and expects an
 // error response followed by connection teardown (framing cannot be
 // resynchronised after corruption).
 func TestV2GarbageFrameClosesConnection(t *testing.T) {
 	_, _, addr := startEngineServer(t, "tss")
 	c := dialV2Test(t, addr)
-	// Valid magic byte so the connection sniffs as v2, then garbage.
 	bad := AppendFrame(nil, Frame{Op: OpPing})
 	bad[len(bad)-1] ^= 0xFF // corrupt CRC
 	if _, err := c.conn.Write(bad); err != nil {

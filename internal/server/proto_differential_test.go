@@ -16,12 +16,11 @@ import (
 	"neurocuts/pkg/classifier"
 )
 
-// TestProtocolDifferential is the cross-protocol ground-truth check: the
-// same 12k-packet trace per table must produce identical matches through
+// TestProtocolDifferential is the wire ground-truth check: the same
+// 12k-packet trace per table must produce identical matches through
 //
-//  1. the v1 text protocol,
-//  2. the v2 binary protocol, and
-//  3. an in-process pkg/classifier opened over the same rules and backend,
+//  1. the framed wire protocol, and
+//  2. an in-process pkg/classifier opened over the same rules and backend,
 //
 // for two tables served concurrently by one multi-table server. Every
 // backend is exact (it agrees with linear search), so any divergence is a
@@ -43,13 +42,10 @@ func TestProtocolDifferential(t *testing.T) {
 		{name: "fw", family: "fw2", backend: "tss", size: 300},
 	}
 
-	// One multi-table server carries all tables for v2; each table also
-	// gets a dedicated single-table v1 server over the same engine, since
-	// v1 has no table addressing.
+	// One multi-table server carries all tables.
 	tabs := engine.NewTables()
 	defer tabs.CloseAll()
 	sets := map[string]*rule.Set{}
-	v1Addrs := map[string]string{}
 	for _, spec := range specs {
 		fam, err := classbench.FamilyByName(spec.family)
 		if err != nil {
@@ -64,13 +60,6 @@ func TestProtocolDifferential(t *testing.T) {
 		if _, err := tabs.Create(spec.name, eng); err != nil {
 			t.Fatal(err)
 		}
-		v1 := server.New(eng)
-		addr, err := v1.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { v1.Close() })
-		v1Addrs[spec.name] = addr.String()
 	}
 	multi := server.NewTables(tabs)
 	multiAddr, err := multi.Listen("127.0.0.1:0")
@@ -107,20 +96,7 @@ func TestProtocolDifferential(t *testing.T) {
 				return
 			}
 
-			// v1 text protocol against this table's dedicated server.
-			v1c, err := server.Dial(ctx, v1Addrs[spec.name])
-			if err != nil {
-				t.Errorf("%s: v1 dial: %v", spec.name, err)
-				return
-			}
-			defer v1c.Close()
-			v1Results, err := v1c.ClassifyBatch(keys)
-			if err != nil {
-				t.Errorf("%s: v1 batch: %v", spec.name, err)
-				return
-			}
-
-			// v2 binary protocol against the shared multi-table server,
+			// The wire protocol against the shared multi-table server,
 			// addressed by table.
 			v2c, err := server.DialV2(ctx, multiAddr.String())
 			if err != nil {
@@ -140,16 +116,16 @@ func TestProtocolDifferential(t *testing.T) {
 				return
 			}
 
-			if len(v1Results) != len(keys) || len(v2Results) != len(keys) || len(sdkResults) != len(keys) {
-				t.Errorf("%s: result count mismatch: v1=%d v2=%d sdk=%d want %d",
-					spec.name, len(v1Results), len(v2Results), len(sdkResults), len(keys))
+			if len(v2Results) != len(keys) || len(sdkResults) != len(keys) {
+				t.Errorf("%s: result count mismatch: v2=%d sdk=%d want %d",
+					spec.name, len(v2Results), len(sdkResults), len(keys))
 				return
 			}
 			mismatches := 0
 			for i := range keys {
 				want, wantOK := set.Match(keys[i])
 				for path, got := range map[string]engine.Result{
-					"v1": v1Results[i], "v2": v2Results[i], "sdk": sdkResults[i],
+					"v2": v2Results[i], "sdk": sdkResults[i],
 				} {
 					if got.OK != wantOK || (wantOK && got.Rule.Priority != want.Priority) {
 						mismatches++

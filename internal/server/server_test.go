@@ -1,11 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,40 +34,11 @@ func startTestServer(t *testing.T) (*Server, *rule.Set, string) {
 	return srv, set, addr.String()
 }
 
-func TestParseRequest(t *testing.T) {
-	p, err := ParseRequest("10.0.0.1 192.168.1.1 1234 80 6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.SrcIP != 0x0A000001 || p.DstIP != 0xC0A80101 || p.SrcPort != 1234 || p.DstPort != 80 || p.Proto != 6 {
-		t.Errorf("parsed %+v", p)
-	}
-	// Decimal IPs are accepted too.
-	p, err = ParseRequest("167772161 3232235777 53 53 17")
-	if err != nil || p.SrcIP != 167772161 {
-		t.Errorf("decimal parse: %+v %v", p, err)
-	}
-	bad := []string{
-		"1 2 3 4",                 // too few fields
-		"x 2 3 4 5",               // bad src
-		"1 y 3 4 5",               // bad dst
-		"1 2 99999999 4 5",        // port overflow
-		"1 2 3 99999999 5",        // port overflow
-		"1 2 3 4 999",             // proto overflow
-		"300.0.0.1 1.2.3.4 1 2 3", // bad dotted quad
-	}
-	for _, line := range bad {
-		if _, err := ParseRequest(line); err == nil {
-			t.Errorf("expected error for %q", line)
-		}
-	}
-}
-
 func TestServerClassifiesOverTCP(t *testing.T) {
 	_, set, addr := startTestServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	client, err := Dial(ctx, addr)
+	client, err := DialV2(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,55 +53,6 @@ func TestServerClassifiesOverTCP(t *testing.T) {
 		if !ok || priority != e.MatchRule {
 			t.Fatalf("packet %v: got id=%d prio=%d ok=%v, want priority %d", e.Key, id, priority, ok, e.MatchRule)
 		}
-	}
-}
-
-func TestServerTextProtocol(t *testing.T) {
-	srv, set, addr := startTestServer(t)
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	send := func(line string) string {
-		if _, err := fmt.Fprintf(conn, "%s\n", line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimSpace(resp)
-	}
-
-	// A well-formed request using dotted quads.
-	e := classbench.GenerateTrace(set, 1, 3)[0]
-	resp := send(fmt.Sprintf("%s %s %d %d %d",
-		rule.FormatIPv4(e.Key.SrcIP), rule.FormatIPv4(e.Key.DstIP), e.Key.SrcPort, e.Key.DstPort, e.Key.Proto))
-	if !strings.HasPrefix(resp, "match ") {
-		t.Errorf("response %q", resp)
-	}
-	// Malformed request.
-	if resp := send("garbage"); !strings.HasPrefix(resp, "error ") {
-		t.Errorf("response %q", resp)
-	}
-	// Stats request.
-	if resp := send("stats"); !strings.HasPrefix(resp, "stats requests=") {
-		t.Errorf("response %q", resp)
-	}
-	// Quit closes the connection.
-	if _, err := fmt.Fprintln(conn, "quit"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadString('\n'); err == nil {
-		t.Error("connection should be closed after quit")
-	}
-
-	st := srv.Stats()
-	if st.Requests < 2 || st.ParseFails < 1 || st.Matches < 1 {
-		t.Errorf("stats %+v", st)
 	}
 }
 
@@ -155,7 +74,7 @@ func TestServerNoMatch(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	client, err := Dial(ctx, addr.String())
+	client, err := DialV2(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +99,7 @@ func TestServerConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			client, err := Dial(ctx, addr)
+			client, err := DialV2(ctx, addr)
 			if err != nil {
 				errs <- err
 				return
@@ -219,7 +138,7 @@ func TestServerCloseAndDialErrors(t *testing.T) {
 	// Dialing the now-closed address eventually fails.
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	if client, err := Dial(ctx, addr); err == nil {
+	if client, err := DialV2(ctx, addr); err == nil {
 		// Some platforms accept then reset; a classify call must then fail.
 		if _, _, _, err := client.Classify(rule.Packet{}); err == nil {
 			t.Error("expected failure against closed server")
@@ -227,7 +146,7 @@ func TestServerCloseAndDialErrors(t *testing.T) {
 		client.Close()
 	}
 	// Dialing a bogus address fails.
-	if _, err := Dial(ctx, "127.0.0.1:1"); err == nil {
+	if _, err := DialV2(ctx, "127.0.0.1:1"); err == nil {
 		t.Skip("port 1 unexpectedly open")
 	}
 }

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,63 +33,48 @@ func startTimeoutServer(t *testing.T, timeout time.Duration) (*Server, string) {
 		t.Fatal(err)
 	}
 	// Registered before any client dials, so it runs after their cleanups:
-	// Close waits for handlers, and idle v1 handlers only exit when their
+	// Close waits for handlers, and idle handlers only exit when their
 	// client hangs up.
 	t.Cleanup(func() { srv.Close() })
 	return srv, addr.String()
 }
 
-// TestStalledBatchReaderCannotPinWorker is the regression test for the
-// batch-body deadline: a client that announces a batch and then stalls must
-// have its connection cut after BatchReadTimeout — freeing the handler
-// goroutine and the pooled buffers it holds — while the server keeps
-// serving other clients and Close does not hang.
-func TestStalledBatchReaderCannotPinWorker(t *testing.T) {
-	srv, addr := startTimeoutServer(t, 150*time.Millisecond)
-
-	// A well-behaved client, connected before the stall begins.
-	good := dialTest(t, addr)
-
-	stalled, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stalled.Close()
-	// Promise 5 packets, deliver 2, then stall.
-	if _, err := fmt.Fprintf(stalled, "batch 5\n1 2 3 4 5\n6 7 8 9 10\n"); err != nil {
-		t.Fatal(err)
-	}
-
-	// The server must give up on the stalled body within the timeout (plus
-	// slack) by closing the connection: the pending read errors instead of
-	// delivering a response line.
-	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if line, err := bufio.NewReader(stalled).ReadString('\n'); err == nil {
-		t.Fatalf("stalled batch got response %q; expected the connection to be cut", line)
-	}
-
-	// The healthy client was never blocked.
-	if _, _, _, err := good.Classify(rule.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 5}); err != nil {
-		t.Fatalf("healthy client broken after stall: %v", err)
-	}
-	good.Close()
-
-	// Close must not hang on the stalled connection's handler.
-	done := make(chan struct{})
-	go func() {
-		srv.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung after a stalled batch reader")
+// TestTextClientRefusedOnFirstByte: a peer that opens with anything but the
+// frame magic (a client of the removed v1 text protocol) sends fewer bytes
+// than a frame header and then waits for an answer. It must get exactly one
+// OpError frame and EOF as soon as its first byte is read. The server's body
+// deadline is left at the 30 s default, so this test's 5 s read deadline
+// fires only if the server waited for a full header.
+func TestTextClientRefusedOnFirstByte(t *testing.T) {
+	_, addr := startTimeoutServer(t, 0)
+	for _, text := range []string{"stats\n", "1 2 3 4 5\n", "batch 2\n"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(text)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("%q: no well-formed frame in answer: %v", text, err)
+		}
+		if f.Op != OpError || !strings.Contains(string(f.Payload), "v1 text protocol was removed") {
+			t.Errorf("%q: answered op %d %q, want OpError naming the removed protocol", text, f.Op, f.Payload)
+		}
+		if _, err := ReadFrame(conn); err != io.EOF {
+			t.Errorf("%q: after the error frame: %v, want EOF", text, err)
+		}
+		conn.Close()
 	}
 }
 
-// TestStalledV2FrameReaderCannotPinWorker is the same regression for v2: a
-// frame header promising a payload that never arrives must not pin the
-// handler.
+// TestStalledV2FrameReaderCannotPinWorker is the regression test for the
+// body deadline: a frame header promising a payload that never arrives must
+// have its connection cut after BatchReadTimeout — freeing the handler
+// goroutine and the buffers it holds — while the server keeps serving other
+// clients.
 func TestStalledV2FrameReaderCannotPinWorker(t *testing.T) {
 	_, addr := startTimeoutServer(t, 150*time.Millisecond)
 
@@ -135,7 +120,7 @@ func TestStalledV2FrameReaderCannotPinWorker(t *testing.T) {
 // its next request.
 func TestIdleConnectionOutlivesBatchTimeout(t *testing.T) {
 	_, addr := startTimeoutServer(t, 100*time.Millisecond)
-	c := dialTest(t, addr)
+	c := dialV2Test(t, addr)
 	if _, _, _, err := c.Classify(rule.Packet{SrcIP: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +130,7 @@ func TestIdleConnectionOutlivesBatchTimeout(t *testing.T) {
 	if _, _, _, err := c.Classify(rule.Packet{SrcIP: 1}); err != nil {
 		t.Fatalf("idle connection was killed by the batch-body deadline: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	v2, err := DialV2(ctx, addr)
-	if err != nil {
+	if err := c.Ping(); err != nil {
 		t.Fatal(err)
-	}
-	defer v2.Close()
-	if err := v2.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(400 * time.Millisecond)
-	if err := v2.Ping(); err != nil {
-		t.Fatalf("idle v2 connection was killed by the batch-body deadline: %v", err)
 	}
 }

@@ -1,37 +1,28 @@
 package server
 
 import (
-	"bufio"
-	"net"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
+	"neurocuts/internal/rule"
 )
 
-// rawRequest sends one request line and returns the single response line.
-func rawRequest(t *testing.T, addr, line string) string {
+// statsRequest returns the stats line as a fresh connection sees it.
+func statsRequest(t *testing.T, addr string) string {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	line, err := dialV2Test(t, addr).Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(line + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.TrimSpace(resp)
+	return line
 }
 
 // TestStatsExposesUpdaterState: an engine with the online-update subsystem
 // enabled surfaces overlay size, tombstones, generation, compaction and
-// journal state through the "stats" request; live add/del through the
+// journal state through the stats request; live insert/delete through the
 // protocol move those fields.
 func TestStatsExposesUpdaterState(t *testing.T) {
 	fam, err := classbench.FamilyByName("acl1")
@@ -53,22 +44,22 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	resp := rawRequest(t, addr.String(), "stats")
+	resp := statsRequest(t, addr.String())
 	for _, field := range []string{"overlay=0", "tombstones=0", "rules=150", "compactions=0", "journal-records=0"} {
 		if !strings.Contains(resp, field) {
 			t.Fatalf("stats %q missing %q", resp, field)
 		}
 	}
 
-	c := dialTest(t, addr.String())
-	id, _, err := c.AddRule(0, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF")
+	c := dialV2Test(t, addr.String())
+	id, _, err := c.AddRule(0, parseRule(t, "@10.0.0.0/8 0.0.0.0/0 0 : 65535 80 : 80 0x06/0xFF"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DeleteRule(set.Rule(3).ID); err != nil {
 		t.Fatal(err)
 	}
-	resp = rawRequest(t, addr.String(), "stats")
+	resp = statsRequest(t, addr.String())
 	for _, field := range []string{"overlay=1", "tombstones=1", "rules=150", "journal-records=2"} {
 		if !strings.Contains(resp, field) {
 			t.Fatalf("stats after updates %q missing %q", resp, field)
@@ -78,7 +69,7 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 		t.Fatalf("stats %q missing generation", resp)
 	}
 	// The added rule must be live through the overlay.
-	p, err := ParseRequest("10.1.2.3 4.5.6.7 1234 80 6")
+	p, err := rule.ParsePacket("10.1.2.3 4.5.6.7 1234 80 6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +83,7 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 // its original three-field shape.
 func TestStatsPlainEngineUnchanged(t *testing.T) {
 	_, _, addr := startEngineServer(t, "linear")
-	resp := rawRequest(t, addr, "stats")
+	resp := statsRequest(t, addr)
 	if !strings.HasPrefix(resp, "stats requests=") || strings.Contains(resp, "overlay=") {
 		t.Fatalf("plain stats line changed shape: %q", resp)
 	}

@@ -15,7 +15,7 @@
 // One Telemetry instance is shared by everything serving a process: the
 // engine's single and sharded-batch lookup paths, the dataplane's
 // per-core loops, the updater's Insert/Delete apply and compaction, and
-// the TCP server's v1/v2 request handling. The admin plane renders the
+// the TCP server's request handling. The admin plane renders the
 // histograms as native Prometheus histogram families on /metrics and the
 // flight recorder as JSON on /debug/slow.
 package telemetry
@@ -67,9 +67,8 @@ type Telemetry struct {
 	UpdateInsert *Histogram
 	UpdateDelete *Histogram
 	Compaction   *Histogram
-	// ServerV1 / ServerV2 hold per-request handling latencies of the TCP
-	// front end's text and framed-binary protocols.
-	ServerV1 *Histogram
+	// ServerV2 holds per-frame handling latencies of the TCP front end
+	// (wire protocol version 2, the only one).
 	ServerV2 *Histogram
 
 	// Slow is the flight recorder; it captures only when the slow
@@ -111,7 +110,6 @@ func New(cfg Config) *Telemetry {
 		UpdateInsert:   NewHistogram(1),
 		UpdateDelete:   NewHistogram(1),
 		Compaction:     NewHistogram(1),
-		ServerV1:       NewHistogram(stripes),
 		ServerV2:       NewHistogram(stripes),
 		Slow:           NewRecorder(ring),
 		strIDs:         map[string]uint32{},
@@ -242,9 +240,8 @@ func (t *Telemetry) Families() []FamilySnapshot {
 		},
 		{
 			Name: "neurocuts_server_request_latency_seconds",
-			Help: "TCP front-end per-request handling latency by wire protocol.",
+			Help: "TCP front-end per-request handling latency by wire protocol version.",
 			Series: []SeriesSnapshot{
-				{Labels: []Label{{"proto", "v1"}}, Hist: t.ServerV1.Snapshot()},
 				{Labels: []Label{{"proto", "v2"}}, Hist: t.ServerV2.Snapshot()},
 			},
 		},
