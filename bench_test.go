@@ -663,28 +663,48 @@ func p50(lat []int64) float64 {
 
 // BenchmarkGateOverlayVsRebuild: on a 2k-rule acl1 HiCuts table a single-rule
 // update through the delta overlay (compaction off, so only the write path is
-// timed) must be at least 10x faster at the median than rebuild-per-update.
+// timed) must be at least 10x faster at the median than building an engine
+// over the edited list, which is what a compaction does.
 func BenchmarkGateOverlayVsRebuild(b *testing.B) {
-	updateP50 := func(opts engine.Options) float64 {
-		set, eng := gateEngine(b, "acl1", 2000, opts)
+	opts := engine.Options{Shards: 1, Seed: 1, CompactThreshold: -1}
+	// updateP50 times alternating inserts and deletes at rotating positions.
+	updateP50 := func(set *rule.Set, insert func(pos int, r rule.Rule), remove func(pos int)) float64 {
 		lat := make([]int64, 0, 202)
-		for len(lat) < cap(lat) { // alternating insert/delete at rotating positions
+		for len(lat) < cap(lat) {
+			pos := len(lat) * 37 % (set.Len() + 1)
 			t0 := time.Now()
-			res, err := eng.Insert(len(lat)*37%(eng.Rules().Len()+1), set.Rule(0))
+			insert(pos, set.Rule(0))
 			t1 := time.Now()
-			if err == nil {
-				_, err = eng.Delete(res.ID)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
+			remove(pos)
 			lat = append(lat, t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds())
 		}
 		return p50(lat[2:]) // the first pair warms the write path
 	}
+	check := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 	gate(b, "rebuild/overlay", func(x float64) bool { return x >= 10 }, func() float64 {
-		overlay := updateP50(engine.Options{Shards: 1, Seed: 1, OnlineUpdates: true, CompactThreshold: -1})
-		return updateP50(engine.Options{Shards: 1, Seed: 1}) / overlay
+		set, eng := gateEngine(b, "acl1", 2000, opts)
+		var id int
+		overlay := updateP50(set, func(pos int, r rule.Rule) {
+			res, err := eng.Insert(pos, r)
+			check(err)
+			id = res.ID
+		}, func(int) {
+			_, err := eng.Delete(id)
+			check(err)
+		})
+		list := eng.Rules()
+		rebuild := func(next *rule.Set) {
+			list = next
+			built, err := engine.NewEngine("hicuts", list, opts)
+			check(err)
+			built.Close()
+		}
+		return updateP50(set, func(pos int, r rule.Rule) { rebuild(list.CloneInsert(pos, r)) },
+			func(pos int) { rebuild(list.CloneRemove(pos)) }) / overlay
 	})
 }
 

@@ -49,7 +49,7 @@ func adminGet(t *testing.T, addr net.Addr, path string) (int, string) {
 // stop the admin listener along with the daemon.
 func TestAdminPlaneEndToEnd(t *testing.T) {
 	addr, adminAddr, sig, errCh, out := startDaemonWithAdmin(t, []string{
-		"-family", "acl1", "-size", "200", "-algo", "linear", "-online",
+		"-family", "acl1", "-size", "200", "-algo", "linear",
 		"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 	})
 
@@ -85,7 +85,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 		`neurocuts_engine_rules{table="default"} 200`,
 		`neurocuts_engine_lookups_total{table="default"} 1`,
 		`neurocuts_engine_updates_total{table="default"} 2`,
-		`neurocuts_updater_enabled{table="default"} 1`,
+		`neurocuts_updater_compactions_total{table="default"} 0`, // the add/del above rebuilt nothing
 		`neurocuts_server_requests_total 3`,
 		`neurocuts_server_update_requests_total 2`,
 		`neurocuts_server_active_connections 1`,
@@ -124,7 +124,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 // flight-recorder dump.
 func TestTelemetryEndToEnd(t *testing.T) {
 	addr, adminAddr, sig, errCh, out := startDaemonWithAdmin(t, []string{
-		"-family", "acl1", "-size", "200", "-algo", "tss", "-online",
+		"-family", "acl1", "-size", "200", "-algo", "tss",
 		"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 		"-slow-threshold", "0",
 	})

@@ -2,7 +2,9 @@
 // wire protocol of internal/server, or queries a running server. The served
 // classifier is an engine.Engine, so any registered backend is available by
 // name, batch requests are sharded across workers, and rules can be added
-// and removed live (RCU snapshot swaps — readers are never blocked).
+// and removed live: an update lands in a delta overlay (no rebuild on the
+// update path), a background compactor folds the overlay into the base, and
+// every generation is an RCU snapshot swap — readers are never blocked.
 //
 // Serve a HiCuts tree built from a generated firewall classifier:
 //
@@ -14,10 +16,8 @@
 //
 //	classifyd -artifact policy.ncaf -listen 127.0.0.1:9099
 //
-// Serve with cheap online updates and a durable update journal: inserts and
-// deletes land in a delta overlay (no rebuild on the update path), a
-// background compactor folds them into the base, and every acknowledged
-// update is journaled so a kill-and-restart replays it:
+// Serve with a durable update journal: every acknowledged update is
+// journaled before it is published, so a kill-and-restart replays it:
 //
 //	classifyd -artifact policy.ncaf -journal auto -listen 127.0.0.1:9099
 //
@@ -142,10 +142,9 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		cores     = fs.Int("cores", 0, "serve lookups through the run-to-completion dataplane with this many per-core classify loops (0 = classify on the calling goroutine; -1 = GOMAXPROCS loops)")
 		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (sharded engine cache, or per-core caches with -cores; 0 disables)")
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
-		online    = fs.Bool("online", false, "route live updates through the delta-overlay subsystem instead of rebuild-per-update")
-		journal   = fs.String("journal", "", "durable update journal path (implies -online; replayed at start; 'auto' co-locates with -artifact)")
+		journal   = fs.String("journal", "", "durable update journal path (replayed at start; 'auto' co-locates with -artifact)")
 		compactAt = fs.Int("compact-threshold", 0, "pending updates that trigger background compaction (0 = default, <0 disables)")
-		tables    = fs.String("tables", "", "serve multiple named tables: \"name=key:val,...;name2=...\" (keys: backend, family, size, rules, artifact, journal, online; first table is the default)")
+		tables    = fs.String("tables", "", "serve multiple named tables: \"name=key:val,...;name2=...\" (keys: backend, family, size, rules, artifact, journal; first table is the default)")
 		pcapPath  = fs.String("pcap", "", "replay this pcap capture file through the classifier instead of serving")
 		pcapRate  = fs.Float64("pcap-rate", 0, "replay pacing: 0 = maximum rate, r = r times the recorded speed (1 reproduces the capture's timing)")
 		capture   = fs.String("capture", "", "classify live traffic captured from this network interface via AF_PACKET (linux, CAP_NET_RAW) instead of serving")
@@ -234,7 +233,6 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		eng, err = engine.NewEngineFromArtifact(*artifact, engine.Options{
 			Shards:           *shards,
 			FlowCacheEntries: engineCache,
-			OnlineUpdates:    *online,
 			JournalPath:      journalPath,
 			CompactThreshold: *compactAt,
 			Telemetry:        tel,
@@ -255,7 +253,6 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 			Seed:             *seed,
 			Shards:           *shards,
 			FlowCacheEntries: engineCache,
-			OnlineUpdates:    *online,
 			JournalPath:      journalPath,
 			CompactThreshold: *compactAt,
 			Telemetry:        tel,
@@ -265,12 +262,9 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		}
 	}
 	defer eng.Close()
-	if st := eng.UpdaterStats(); st.Enabled {
-		fmt.Fprintf(stdout, "classifyd: online updates enabled (compact threshold %d", st.CompactThreshold)
-		if st.JournalPath != "" {
-			fmt.Fprintf(stdout, ", journal %s, %d records replayed", st.JournalPath, st.JournalRecords)
-		}
-		fmt.Fprintf(stdout, "), serving %d rules\n", st.Rules)
+	if st := eng.UpdaterStats(); st.JournalPath != "" {
+		fmt.Fprintf(stdout, "classifyd: journal %s, %d records replayed, serving %d rules\n",
+			st.JournalPath, st.JournalRecords, st.Rules)
 	}
 
 	// The server talks to whichever serving surface was selected: the engine

@@ -42,9 +42,9 @@ type tableSpec struct {
 //
 // Tables are separated by ';', settings within a table by ',', and each
 // setting is key:val. Keys: backend, family, size, rules (path), artifact,
-// journal ('auto' co-locates with the table's artifact), online (true),
-// binth, seed. The first table becomes the default (the target of frames
-// addressed to table 0).
+// journal ('auto' co-locates with the table's artifact), binth, seed. The
+// first table becomes the default (the target of frames addressed to table
+// 0).
 func parseTableSpecs(spec string) ([]tableSpec, error) {
 	var specs []tableSpec
 	seen := map[string]bool{}
@@ -74,7 +74,7 @@ func parseTableSpecs(spec string) ([]tableSpec, error) {
 			}
 			key = strings.ToLower(strings.TrimSpace(key))
 			switch key {
-			case "backend", "family", "size", "rules", "artifact", "journal", "online", "binth", "seed":
+			case "backend", "family", "size", "rules", "artifact", "journal", "binth", "seed":
 			default:
 				return nil, fmt.Errorf("table %q: unknown setting %q", name, key)
 			}
@@ -132,7 +132,6 @@ func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
 		Timesteps:        d.timesteps,
 		Seed:             seed,
 		Shards:           d.shards,
-		OnlineUpdates:    kv["online"] == "true" || kv["online"] == "1",
 		JournalPath:      journalPath,
 		CompactThreshold: d.compactAt,
 		Telemetry:        d.tel,

@@ -25,6 +25,7 @@ func TestParseTableSpecs(t *testing.T) {
 		"noequals",
 		"a=backend:hicuts;a=backend:tss", // duplicate name
 		"a=bogus:1",                      // unknown key
+		"a=online:true",                  // no key selects a write path
 		"a=backend",                      // setting without value
 	} {
 		if _, err := parseTableSpecs(bad); err == nil {

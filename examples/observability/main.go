@@ -35,7 +35,6 @@ func main() {
 	}
 	c, err := classifier.Open(rules,
 		classifier.WithBackend("hicuts"),
-		classifier.WithOnlineUpdates(),
 		classifier.WithFlowCache(4096))
 	if err != nil {
 		log.Fatal(err)

@@ -1,8 +1,7 @@
-// Updates: operate a live classifier through the public SDK's online-update
-// subsystem — rule insertions and deletions land in a delta overlay with no
-// rebuild on the write path, a background compactor folds them into the
-// base structure, and a durable journal makes every acknowledged update
-// survive a crash.
+// Updates: operate a live classifier through the public SDK's update path —
+// rule insertions and deletions land in a delta overlay with no rebuild on
+// the write path, a background compactor folds them into the base structure,
+// and a durable journal makes every acknowledged update survive a crash.
 //
 // Run with:
 //
@@ -34,12 +33,11 @@ func main() {
 	defer os.RemoveAll(dir)
 	journal := filepath.Join(dir, "updates.journal")
 
-	// Open with online updates and a durable journal: inserts and deletes
-	// are acknowledged after hitting the journal, without rebuilding the
-	// tree, and a restart over the same journal replays them.
+	// Open with a durable journal: inserts and deletes are acknowledged
+	// after hitting the journal, without rebuilding the tree, and a restart
+	// over the same journal replays them.
 	c, err := classifier.Open(rules,
 		classifier.WithBackend("hicuts"),
-		classifier.WithOnlineUpdates(),
 		classifier.WithJournal(journal))
 	if err != nil {
 		log.Fatal(err)

@@ -70,7 +70,6 @@ func TestAdminMetricsMatchEngineStats(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "admin.journal")
 	eng, err := engine.NewEngine("hicuts", set, engine.Options{
 		Shards:           1,
-		OnlineUpdates:    true,
 		CompactThreshold: -1, // compaction only when the script asks
 		JournalPath:      jpath,
 		FlowCacheEntries: 1024,
@@ -134,7 +133,6 @@ func TestAdminMetricsMatchEngineStats(t *testing.T) {
 		{"neurocuts_engine_update_failures_total", 0},
 		{"neurocuts_flowcache_hits_total", float64(hits)},
 		{"neurocuts_flowcache_misses_total", float64(misses)},
-		{"neurocuts_updater_enabled", 1},
 		{"neurocuts_updater_overlay_rules", float64(up.OverlayRules)},
 		{"neurocuts_updater_tombstones", float64(up.Tombstones)},
 		{"neurocuts_updater_compactions_total", float64(up.Compactions)},
@@ -353,9 +351,8 @@ func TestAdminTelemetryExposition(t *testing.T) {
 	tel := telemetry.New(telemetry.Config{})
 	tel.SetSlowThreshold(0) // capture everything
 	eng, err := engine.NewEngine("tss", set, engine.Options{
-		Shards:        1,
-		OnlineUpdates: true,
-		Telemetry:     tel,
+		Shards:    1,
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)

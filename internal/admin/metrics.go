@@ -103,8 +103,6 @@ var perTableMetrics = []perTableMetric{
 		func(t tableStat) float64 { return float64(t.stats.CacheHits) }},
 	{"neurocuts_flowcache_misses_total", "counter", "Flow-cache misses (zero when the cache is disabled).",
 		func(t tableStat) float64 { return float64(t.stats.CacheMisses) }},
-	{"neurocuts_updater_enabled", "gauge", "1 while the table routes updates through the delta overlay.",
-		func(t tableStat) float64 { return boolGauge(t.stats.Updater.Enabled) }},
 	{"neurocuts_updater_overlay_rules", "gauge", "Pending inserted rules in the delta overlay.",
 		func(t tableStat) float64 { return float64(t.stats.Updater.OverlayRules) }},
 	{"neurocuts_updater_tombstones", "gauge", "Deleted-but-not-yet-compacted base rules.",

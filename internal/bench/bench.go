@@ -85,32 +85,6 @@ type Options struct {
 	Backends []string
 }
 
-// QuickOptions returns a configuration that finishes in seconds per
-// classifier (for tests and smoke benchmarks).
-func QuickOptions() Options {
-	return Options{
-		Size:           300,
-		Seed:           1,
-		TrainTimesteps: 1500,
-		BatchTimesteps: 500,
-		Workers:        2,
-		Binth:          tree.DefaultBinth,
-	}
-}
-
-// PaperOptions returns a configuration at the paper's 1k scale with a
-// meaningful (but still laptop-sized) training budget.
-func PaperOptions() Options {
-	return Options{
-		Size:           1000,
-		Seed:           1,
-		TrainTimesteps: 50_000,
-		BatchTimesteps: 5_000,
-		Workers:        4,
-		Binth:          tree.DefaultBinth,
-	}
-}
-
 func (o Options) withDefaults() Options {
 	if o.Size <= 0 {
 		o.Size = 300

@@ -68,9 +68,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Size <= 0 || o.TrainTimesteps <= 0 || o.Workers <= 0 || o.Binth <= 0 {
 		t.Errorf("defaults missing: %+v", o)
 	}
-	if QuickOptions().Size <= 0 || PaperOptions().Size != 1000 {
-		t.Error("canned options wrong")
-	}
 }
 
 func TestRunBaselines(t *testing.T) {

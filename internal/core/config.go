@@ -1,8 +1,9 @@
 // Package core implements NeuroCuts itself: the deep-RL trainer that learns
 // to build packet classification decision trees (Algorithm 1 of the paper),
 // including parallel rollout collection, best-tree tracking, policy
-// checkpointing, tree sampling from the stochastic policy, and incremental
-// handling of classifier updates.
+// checkpointing and tree sampling from the stochastic policy. Classifier
+// updates are not handled here: the serving engine takes them into a delta
+// overlay and rebuilds when enough accumulate (internal/engine/overlay.go).
 package core
 
 import (

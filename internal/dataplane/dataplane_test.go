@@ -36,12 +36,29 @@ func testPackets(set *rule.Set, n int, seed int64) []rule.Packet {
 	return ps
 }
 
+// waitFolded waits for the engine's compactor to have folded every pending
+// update into its n-th rebuilt base.
+func waitFolded(t *testing.T, eng *engine.Engine, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := eng.UpdaterStats()
+		if st.Compactions == n && st.OverlayRules+st.Tombstones == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("compaction %d never came: %+v", n, st)
+		}
+	}
+}
+
 // TestDifferentialAgainstWorkerPool is the dataplane's ground-truth test:
 // the same engine serves the same packets through both architectures — the
 // worker-pool ClassifyBatch and the demux/ring/loop path — interleaved
 // with live rule updates, across several backends. Every result must be
 // identical: the dataplane is a serving architecture, not a semantics
-// change.
+// change. Both states of the write path are crossed: online=true serves
+// every update from the overlay, online=false has the compactor fold each
+// update into a rebuilt base before the next round.
 func TestDifferentialAgainstWorkerPool(t *testing.T) {
 	const packetsPerRound = 3000
 	const rounds = 4 // 12k packets total, with updates between rounds
@@ -49,7 +66,11 @@ func TestDifferentialAgainstWorkerPool(t *testing.T) {
 		for _, online := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s_online=%v", backend, online), func(t *testing.T) {
 				set := testSet(t, 400, 3)
-				eng, err := engine.NewEngine(backend, set, engine.Options{OnlineUpdates: online})
+				opts := engine.Options{CompactThreshold: -1}
+				if !online {
+					opts.CompactThreshold = 1
+				}
+				eng, err := engine.NewEngine(backend, set, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,6 +103,9 @@ func TestDifferentialAgainstWorkerPool(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					if !online {
+						waitFolded(t, eng, uint64(round+1))
+					}
 				}
 			})
 		}
@@ -94,7 +118,7 @@ func TestDifferentialAgainstWorkerPool(t *testing.T) {
 // ring. Run many times so a lost or reordered epoch would be caught.
 func TestEpochOrdering(t *testing.T) {
 	set := testSet(t, 200, 5)
-	eng, err := engine.NewEngine("tss", set, engine.Options{OnlineUpdates: true})
+	eng, err := engine.NewEngine("tss", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +348,7 @@ func TestPerCoreCacheHits(t *testing.T) {
 // caches; the epoch of an Insert empties them.
 func TestPerCoreCacheSurvivesCompaction(t *testing.T) {
 	set := testSet(t, 200, 1)
-	eng, err := engine.NewEngine("hicuts", set, engine.Options{OnlineUpdates: true, CompactThreshold: -1})
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +401,7 @@ func TestPerCoreCacheSurvivesCompaction(t *testing.T) {
 // the dead worker pool.
 func TestCloseDrainsInFlight(t *testing.T) {
 	set := testSet(t, 200, 3)
-	eng, err := engine.NewEngine("tss", set, engine.Options{OnlineUpdates: true})
+	eng, err := engine.NewEngine("tss", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

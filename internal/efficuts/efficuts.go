@@ -123,17 +123,6 @@ func (p Pattern) String() string {
 	return string(out)
 }
 
-// LargeCount returns the number of large dimensions in the pattern.
-func (p Pattern) LargeCount() int {
-	n := 0
-	for _, b := range p {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // PatternOf computes a rule's largeness pattern.
 func PatternOf(r rule.Rule) Pattern {
 	var p Pattern

@@ -38,9 +38,6 @@ func checkClassifierEquivalence(t *testing.T, c *Classifier, set *rule.Set, n in
 func TestPatternOf(t *testing.T) {
 	r := rule.NewWildcardRule(0)
 	p := PatternOf(r)
-	if p.LargeCount() != rule.NumDims {
-		t.Errorf("wildcard rule pattern = %s", p)
-	}
 	if p.String() != "LLLLL" {
 		t.Errorf("pattern string = %s", p.String())
 	}
@@ -49,9 +46,6 @@ func TestPatternOf(t *testing.T) {
 	p = PatternOf(r)
 	if p[rule.DimSrcIP] || p[rule.DimDstPort] || !p[rule.DimDstIP] {
 		t.Errorf("pattern = %s", p)
-	}
-	if p.LargeCount() != 3 {
-		t.Errorf("large count = %d", p.LargeCount())
 	}
 }
 

@@ -256,7 +256,7 @@ func TestZeroAllocTelemetryOverlayUpdates(t *testing.T) {
 	set := allocTestSet(t, 128)
 	ps := allocTestPackets(set, 64)
 	tel := allocTestTelemetry()
-	eng, err := NewEngine("hicuts", set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1, Telemetry: tel})
+	eng, err := NewEngine("hicuts", set, Options{Shards: 1, CompactThreshold: -1, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

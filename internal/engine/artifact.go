@@ -20,9 +20,9 @@ func JournalPathFor(artifactPath string) string { return artifactPath + ".journa
 // artifact: it serves its first lookup straight from the loaded flat-array
 // form, without invoking any backend build or train path. The artifact's
 // backend name is resolved against the registry lazily and only matters for
-// rebuild-path updates and compaction; if the name is not registered, the
-// engine still serves lookups (and, with the updater enabled, still accepts
-// overlay updates). When opts.JournalPath names an existing journal its
+// compaction; if the name is not registered, the engine still serves lookups
+// and accepts updates, but its overlay can never be folded back into the
+// base. When opts.JournalPath names an existing journal its
 // records are replayed on top of the artifact before the engine is
 // returned, restoring every update acknowledged before the last shutdown
 // or crash.
@@ -72,9 +72,9 @@ func (e *Engine) artifactMetadata(s *snapshot) compiled.Metadata {
 
 // SaveArtifact persists the current snapshot's compiled classifier (and its
 // rule set) as a versioned artifact at path. It fails for backends that have
-// no compiled form (linear, tss, tcam). With the online-update subsystem
-// enabled, any pending overlay updates are first folded in by a synchronous
-// compaction so the artifact embodies every acknowledged update.
+// no compiled form (linear, tss, tcam). Any pending overlay updates are
+// first folded in by a synchronous compaction so the artifact embodies every
+// acknowledged update.
 //
 // The journal rotates (resets to empty over the new checkpoint) only when
 // the save targets the engine's own pair: path is the journal's co-located
@@ -147,12 +147,13 @@ func (e *Engine) rotateJournalLocked(s *snapshot) error {
 // LoadArtifact loads a compiled classifier artifact and atomically swaps it
 // in as the next snapshot (same RCU discipline as Insert/Delete: in-flight
 // lookups finish against the old snapshot). The engine's backend identity
-// follows the artifact's metadata. With the updater enabled the overlay
-// resets over the loaded base and the journal rotates: a load replaces the
-// rule universe, so the previous update history cannot describe the new
-// state — after a load, the journal (and crash recovery) pairs with the
-// loaded artifact, and a restart from the pre-load artifact fails loudly
-// with a fingerprint mismatch rather than silently serving stale rules.
+// follows the artifact's metadata. The overlay resets (its base is derived
+// again over the loaded list by the next update) and the journal rotates: a
+// load replaces the rule universe, so the previous update history cannot
+// describe the new state — after a load, the journal (and crash recovery)
+// pairs with the loaded artifact, and a restart from the pre-load artifact
+// fails loudly with a fingerprint mismatch rather than silently serving
+// stale rules.
 func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -170,13 +171,6 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	}
 	ns := &snapshot{cls: cls, set: set, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
 		backend: meta.Backend, build: build, baseCls: cls}
-	if e.updaterOn {
-		base, err := newBase(cls, set)
-		if err != nil {
-			return UpdateResult{Version: cur.version, Rules: cur.set.Len()}, err
-		}
-		ns.base = base
-	}
 	e.publishSnap(ns)
 	e.artifactPath = path
 	e.overlayDirty.Store(0)

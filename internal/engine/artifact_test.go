@@ -88,15 +88,20 @@ func TestWarmStartServesWithoutBuilding(t *testing.T) {
 	if mismatches > 0 {
 		t.Fatalf("%d lookups diverge from linear search after warm start", mismatches)
 	}
-	// Updates rebuild, so on this backend they must fail — with the
-	// poisoned builder's error, proving the build path is reached only now.
-	if _, err := eng.Insert(0, rule.NewWildcardRule(0)); !errors.Is(err, poisonedErr) {
-		t.Fatalf("Insert after poisoned warm start: err = %v, want the build-path error", err)
+	// An update does not build either; folding it in does, so on this
+	// backend the save's compaction must fail — with the poisoned builder's
+	// error, proving the build path is reached only now.
+	if _, err := eng.Insert(0, rule.NewWildcardRule(0)); err != nil {
+		t.Fatalf("Insert after poisoned warm start invoked the build path: %v", err)
+	}
+	if err := eng.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); !errors.Is(err, poisonedErr) {
+		t.Fatalf("SaveArtifact over a pending overlay: err = %v, want the build-path error", err)
 	}
 }
 
 // TestWarmStartUnknownBackend: artifacts from unregistered backends serve
-// lookups but reject updates with a clear error.
+// lookups and take updates, but their overlay can never be folded in — and
+// the compactor says so instead of returning silently.
 func TestWarmStartUnknownBackend(t *testing.T) {
 	set := artifactTestSet(t, 100)
 	path := saveTestArtifact(t, set, "no-such-backend", t.TempDir())
@@ -108,8 +113,17 @@ func TestWarmStartUnknownBackend(t *testing.T) {
 	if r, ok := eng.Classify(rule.Packet{Proto: 6}); !ok && set.MatchIndex(rule.Packet{Proto: 6}) >= 0 {
 		t.Fatalf("lookup failed after warm start: %v %v", r, ok)
 	}
-	if _, err := eng.Insert(0, rule.NewWildcardRule(0)); err == nil || !strings.Contains(err.Error(), "not registered") {
-		t.Fatalf("Insert on unknown backend: err = %v, want 'not registered'", err)
+	res, err := eng.Insert(0, rule.NewWildcardRule(0))
+	if err != nil {
+		t.Fatalf("Insert on unknown backend: %v", err)
+	}
+	if r, ok := eng.Classify(rule.Packet{Proto: 6}); !ok || r.ID != res.ID {
+		t.Fatalf("inserted wildcard not winning: %v %v", r, ok)
+	}
+	eng.compactOnce()
+	st := eng.UpdaterStats()
+	if st.CompactFailures != 1 || !strings.Contains(st.LastCompactError, "not registered") || st.OverlayRules != 1 {
+		t.Fatalf("stats after a compaction with no builder = %+v, want 1 failure naming the backend and the overlay kept", st)
 	}
 }
 
@@ -149,8 +163,7 @@ func TestEngineSaveLoadArtifact(t *testing.T) {
 			t.Fatalf("packet %v: built=(%v,%v) warm=(%v,%v)", p, ar.Priority, aok, br.Priority, bok)
 		}
 	}
-	// A registered backend resolves lazily, so live updates work after a
-	// warm start (they rebuild, as normal updates do).
+	// Live updates work after a warm start, as on any engine.
 	res, err := warm.Insert(0, rule.NewWildcardRule(0))
 	if err != nil {
 		t.Fatalf("Insert after warm start: %v", err)
@@ -180,7 +193,7 @@ func TestEngineSaveLoadArtifact(t *testing.T) {
 }
 
 // TestSaveArtifactUnsupportedBackend: backends with no compiled form
-// refuse to save.
+// refuse to save, with or without a pending overlay to fold in first.
 func TestSaveArtifactUnsupportedBackend(t *testing.T) {
 	set := artifactTestSet(t, 50)
 	eng, err := NewEngine("linear", set, Options{Shards: 1})
@@ -188,7 +201,12 @@ func TestSaveArtifactUnsupportedBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := eng.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); err == nil {
-		t.Fatal("linear backend saved an artifact")
+	for _, when := range []string{"clean", "after an update"} {
+		if err := eng.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); err == nil || !strings.Contains(err.Error(), "no compiled artifact form") {
+			t.Fatalf("linear backend, %s: SaveArtifact err = %v, want 'no compiled artifact form'", when, err)
+		}
+		if _, err := eng.Insert(0, rule.NewWildcardRule(0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func TestDifferentialCachedEngines(t *testing.T) {
 	artifact := saveTestArtifact(t, other, "hicuts", dir)
 	ps := zipfPackets(set, 4000, 160, 9)
 
-	opts := Options{Shards: 2, OnlineUpdates: true, CompactThreshold: -1, Timesteps: 600, Workers: 2, Seed: 42}
+	opts := Options{Shards: 2, CompactThreshold: -1, Timesteps: 600, Workers: 2, Seed: 42}
 	cachedOpts := opts
 	cachedOpts.FlowCacheEntries = 64
 

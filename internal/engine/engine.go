@@ -14,10 +14,11 @@
 //   - Engine wraps a Classifier with a serving runtime: lookups run to
 //     completion on the caller behind an optional lock-free flow cache,
 //     batches whose misses are worth a handoff are split across persistent
-//     workers, and rule updates (Insert / Delete) rebuild the structure
-//     off-line and swap it in atomically (RCU-style, via atomic.Pointer), so
-//     readers are never blocked and every lookup observes one coherent
-//     snapshot.
+//     workers, and rule updates (Insert / Delete) land in a delta overlay
+//     over the built structure (overlay.go) that a background compactor
+//     folds into a rebuild off the critical path; every new generation is
+//     swapped in atomically (RCU-style, via atomic.Pointer), so readers are
+//     never blocked and every lookup observes one coherent snapshot.
 //
 // Engine itself satisfies Classifier, so anything that serves a backend
 // (internal/server, cmd/classify, the benchmarks) can serve an Engine
@@ -98,17 +99,17 @@ type snapshot struct {
 	rulesGen uint64
 	// backend is the registry name of the backend that produced cls.
 	backend string
-	// build rebuilds the backend after a rule update. It is nil for engines
-	// warm-started from an artifact whose backend is not registered; such
-	// engines serve lookups but reject rebuild-path updates (overlay updates
-	// still work when the updater is enabled).
+	// build rebuilds the backend when a compaction folds the overlay in. It
+	// is nil for engines warm-started from an artifact whose backend is not
+	// registered; such engines serve lookups and take updates, but their
+	// overlay can never be folded (compactOnce records the failure).
 	build Builder
 	// baseCls is the underlying built classifier. It equals cls except when
-	// the online-update subsystem is serving a delta overlay on top of it
-	// (then cls is an *overlayClassifier wrapping baseCls).
+	// a delta overlay is being served on top of it (then cls is an
+	// *overlayClassifier wrapping baseCls).
 	baseCls Classifier
-	// base is the overlay subsystem's view-derivation base (nil when the
-	// updater is disabled). It is replaced on every compaction.
+	// base is the overlay's view-derivation base. It is nil until the first
+	// update needs it (baseSnapLocked) and is replaced on every compaction.
 	base *updater.Base
 }
 
@@ -142,11 +143,12 @@ type Engine struct {
 	handoffs  atomic.Uint64
 	closeOnce sync.Once
 
-	// Online-update subsystem state (see overlay.go). updaterOn and
-	// compactThreshold are set once before the engine is shared; journal is
-	// guarded by mu; the rest are atomics or owned by the compactor.
-	updaterOn        bool
+	// Write-path state (see overlay.go). compactThreshold is set once before
+	// the engine is shared; journal, closed and the three compactor channels
+	// (nil until the first update starts the compactor) are guarded by mu;
+	// the rest are atomics.
 	compactThreshold int
+	closed           bool
 	// artifactPath is the artifact this engine's state derives from (set by
 	// NewEngineFromArtifact and LoadArtifact, "" for cold-built engines).
 	// SaveArtifact uses it to decide whether a save is a checkpoint of the
@@ -638,8 +640,8 @@ func (e *Engine) workersReady() bool {
 // Close releases the engine's worker goroutines, stops the background
 // compactor and closes the update journal. It is safe to call more than
 // once; the engine must not be used for batch classification after Close.
-// Engines that never handed a span off hold no batch goroutines, so Close
-// is optional for short-lived engines without the updater.
+// An engine that never handed a span off and never took an update holds no
+// goroutine, so Close is optional for short-lived read-only engines.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		// Attached serving loops (the dataplane) drain and exit first, while
@@ -684,9 +686,8 @@ var ErrRuleNotFound = errors.New("rule not found")
 // snapshot in; concurrent readers keep classifying against the old snapshot
 // until the swap. Positions outside [0, Rules()] are clamped to the nearest
 // bound (pos<0 inserts at the top, pos>len appends), so Insert never fails
-// on position alone. With the online-update subsystem enabled the rule
-// lands in the delta overlay (no backend rebuild); otherwise the backend is
-// rebuilt off-line.
+// on position alone. The rule lands in the delta overlay; the backend is
+// rebuilt only by a later compaction, off the critical path.
 func (e *Engine) Insert(pos int, r rule.Rule) (UpdateResult, error) {
 	if e.tel == nil {
 		res, err := e.doInsert(pos, r)
@@ -712,40 +713,25 @@ func (e *Engine) countUpdate(err error) {
 func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur := e.snap.Load()
+	cur, err := e.writeSnapLocked()
+	if err != nil {
+		return UpdateResult{Version: cur.version, Rules: cur.set.Len()}, err
+	}
 	// Clamp before journaling so replay applies the position actually used.
 	pos = max(0, min(pos, cur.set.Len()))
 	r.ID = e.nextID
-	if e.updaterOn && cur.base != nil {
-		next := cur.set.CloneInsert(pos, r)
-		res, err := e.applyOverlayLocked(cur, next, updater.Op{Kind: updater.OpInsert, Pos: pos, ID: r.ID, Rule: r})
-		if err == nil {
-			e.nextID++
-		}
-		return res, err
+	res, err := e.applyOverlayLocked(cur, cur.set.CloneInsert(pos, r), updater.Op{Kind: updater.OpInsert, Pos: pos, ID: r.ID, Rule: r})
+	if err == nil {
+		e.nextID++
 	}
-	if cur.build == nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
-			fmt.Errorf("engine: backend %q is not registered; updates unavailable on this artifact-served engine", cur.backend)
-	}
-	next := cur.set.CloneInsert(pos, r)
-	cls, err := cur.build(next, e.opts)
-	if err != nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
-			fmt.Errorf("engine: rebuild after insert of rule %d: %w", r.ID, err)
-	}
-	e.nextID++
-	ns := &snapshot{cls: cls, set: next, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
-		backend: cur.backend, build: cur.build, baseCls: cls}
-	e.publishSnap(ns)
-	return UpdateResult{ID: r.ID, Version: ns.version, Rules: next.Len()}, nil
+	return res, err
 }
 
 // Delete removes the rule with the given ID and swaps the new snapshot in.
 // Deleting an ID with no live rule (never inserted, or already deleted)
-// fails with an error wrapping ErrRuleNotFound that names the ID. With the
-// online-update subsystem enabled the delete becomes a tombstone (no
-// backend rebuild); otherwise the backend is rebuilt off-line.
+// fails with an error wrapping ErrRuleNotFound that names the ID. Deleting a
+// base rule leaves a tombstone in the delta overlay; the backend is rebuilt
+// only by a later compaction.
 func (e *Engine) Delete(id int) (UpdateResult, error) {
 	if e.tel == nil {
 		res, err := e.doDelete(id)
@@ -760,47 +746,25 @@ func (e *Engine) Delete(id int) (UpdateResult, error) {
 }
 
 // indexOfID returns the index in s.set of the live rule with the given ID, or
-// -1. With the updater on it resolves through the ID index the view or base
-// already holds; without one it scans the list.
+// -1, through the ID index the view or the base holds. s must have a base.
 func (s *snapshot) indexOfID(id int) int {
 	if oc, ok := s.cls.(*overlayClassifier); ok {
 		return oc.view.IndexOf(id)
 	}
-	if s.base != nil {
-		return s.base.IndexOf(id) // no pending updates: the base's set is s.set
-	}
-	for i, r := range s.set.Rules() {
-		if r.ID == id {
-			return i
-		}
-	}
-	return -1
+	return s.base.IndexOf(id) // no pending updates: the base's set is s.set
 }
 
 func (e *Engine) doDelete(id int) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur := e.snap.Load()
+	cur, err := e.writeSnapLocked()
+	if err != nil {
+		return UpdateResult{Version: cur.version, Rules: cur.set.Len()}, err
+	}
 	idx := cur.indexOfID(id)
 	if idx < 0 {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
 			fmt.Errorf("engine: delete rule %d: %w (%d rules live)", id, ErrRuleNotFound, cur.set.Len())
 	}
-	if e.updaterOn && cur.base != nil {
-		return e.applyOverlayLocked(cur, cur.set.CloneRemove(idx), updater.Op{Kind: updater.OpDelete, ID: id})
-	}
-	if cur.build == nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
-			fmt.Errorf("engine: backend %q is not registered; updates unavailable on this artifact-served engine", cur.backend)
-	}
-	next := cur.set.CloneRemove(idx)
-	cls, err := cur.build(next, e.opts)
-	if err != nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
-			fmt.Errorf("engine: rebuild after delete of rule %d: %w", id, err)
-	}
-	ns := &snapshot{cls: cls, set: next, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
-		backend: cur.backend, build: cur.build, baseCls: cls}
-	e.publishSnap(ns)
-	return UpdateResult{ID: id, Version: ns.version, Rules: next.Len()}, nil
+	return e.applyOverlayLocked(cur, cur.set.CloneRemove(idx), updater.Op{Kind: updater.OpDelete, ID: id})
 }

@@ -227,8 +227,7 @@ func TestFlowCacheSingleOwner(t *testing.T) {
 func TestFlowCacheSurvivesCompaction(t *testing.T) {
 	set := overlayTestSet(t, 300)
 	// No background compactor: the test calls the rebuild itself, in order.
-	eng, err := NewEngine("hicuts", set, Options{Shards: 1, FlowCacheEntries: 1024,
-		OnlineUpdates: true, CompactThreshold: -1})
+	eng, err := NewEngine("hicuts", set, Options{Shards: 1, FlowCacheEntries: 1024, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

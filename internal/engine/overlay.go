@@ -9,16 +9,21 @@ import (
 )
 
 // This file wires the delta-overlay update subsystem (internal/updater)
-// into the Engine. With Options.OnlineUpdates (or a JournalPath) set,
-// Insert/Delete no longer rebuild the backend: the update lands in a small
-// sorted overlay of packed rules (inserts) or a tombstone set (deletes), a
-// fresh immutable View is derived and published through the usual RCU
-// snapshot swap, and a background compactor goroutine folds the overlay back
-// into a rebuilt base off the critical path. A lookup pays the base lookup
-// plus a scan of the overlay rules ranked at or above the base winner, so the
-// compaction threshold bounds the overlay's cost. Every update is journaled
-// (when a journal is configured) before its snapshot is published, so
-// acknowledged updates survive a crash and replay at the next warm start.
+// into the Engine. It is the engine's only write path: no Insert or Delete
+// rebuilds the backend. The update lands in a small sorted overlay of packed
+// rules (inserts) or a tombstone set (deletes), a fresh immutable View is
+// derived and published through the usual RCU snapshot swap, and a
+// background compactor goroutine folds the overlay back into a rebuilt base
+// off the critical path. A lookup pays the base lookup plus a scan of the
+// overlay rules ranked at or above the base winner, so the compaction
+// threshold bounds the overlay's cost. Every update is journaled (when a
+// journal is configured) before its snapshot is published, so acknowledged
+// updates survive a crash and replay at the next warm start.
+//
+// The overlay base (an ID index over the whole rule list) and the compactor
+// goroutine exist only once something needs them: the first update, or
+// construction when a journal must be replayed. A table that is never
+// updated pays for neither.
 
 // DefaultCompactThreshold is the pending-update count (overlay rules plus
 // tombstones) at which background compaction kicks in when
@@ -111,62 +116,95 @@ func newBase(cls Classifier, set *rule.Set) (*updater.Base, error) {
 	return updater.NewBasePacked(set, cls.Classify, batch, packed)
 }
 
-// initUpdater turns the freshly built engine into an overlay-updating one:
-// it derives the base from the current snapshot, opens and replays the
-// journal when one is configured, and starts the background compactor.
+// initUpdater finishes engine construction for the write path: it fixes the
+// compaction threshold and, when a journal is configured, derives the base,
+// opens and replays the journal and starts the compactor — replay needs them
+// now. Without a journal both wait for the first update (writeSnapLocked).
 // Called once from NewEngine / NewEngineFromArtifact, before the engine is
 // visible to any other goroutine.
 func (e *Engine) initUpdater() error {
-	if !e.opts.OnlineUpdates && e.opts.JournalPath == "" {
-		return nil
-	}
-	e.updaterOn = true
 	e.compactThreshold = e.opts.CompactThreshold
 	if e.compactThreshold == 0 {
 		e.compactThreshold = DefaultCompactThreshold
 	}
-
-	cur := e.snap.Load()
-	base, err := newBase(cur.baseCls, cur.set)
+	if e.opts.JournalPath == "" {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cur, err := e.baseSnapLocked()
 	if err != nil {
 		return err
+	}
+	meta := updater.JournalMeta{
+		Backend:     cur.backend,
+		BaseRules:   cur.set.Len(),
+		BaseCRC:     updater.Fingerprint(cur.set),
+		CreatedUnix: time.Now().Unix(),
+	}
+	j, ops, err := updater.OpenJournal(e.opts.JournalPath, meta, !e.opts.JournalNoSync)
+	if err != nil {
+		return err
+	}
+	e.journal = j
+	if len(ops) > 0 {
+		if err := e.replayJournal(ops); err != nil {
+			j.Close()
+			e.journal = nil
+			return err
+		}
+	}
+	e.startCompactorLocked()
+	// Journal replay ran before the compactor existed, so a replayed overlay
+	// already past the threshold dropped its signal — re-arm it now that
+	// someone is listening.
+	e.afterOverlayPublish(e.snap.Load())
+	return nil
+}
+
+// baseSnapLocked returns the current snapshot, first giving it an overlay
+// base if it has none (a never-updated engine, or one whose LoadArtifact
+// dropped it). The base changes no answer, so the snapshot is replaced in
+// place: same version, no publish hook. A rule list the overlay cannot
+// anchor (non-canonical priorities, duplicate IDs) fails here, and the
+// snapshot is returned as it was. Caller holds e.mu.
+func (e *Engine) baseSnapLocked() (*snapshot, error) {
+	cur := e.snap.Load()
+	if cur.base != nil {
+		return cur, nil
+	}
+	base, err := newBase(cur.baseCls, cur.set)
+	if err != nil {
+		return cur, err
 	}
 	ns := *cur
 	ns.base = base
 	e.snap.Store(&ns)
+	return &ns, nil
+}
 
-	if e.opts.JournalPath != "" {
-		meta := updater.JournalMeta{
-			Backend:     cur.backend,
-			BaseRules:   cur.set.Len(),
-			BaseCRC:     updater.Fingerprint(cur.set),
-			CreatedUnix: time.Now().Unix(),
-		}
-		j, ops, err := updater.OpenJournal(e.opts.JournalPath, meta, !e.opts.JournalNoSync)
-		if err != nil {
-			return err
-		}
-		e.journal = j
-		if len(ops) > 0 {
-			if err := e.replayJournal(ops); err != nil {
-				j.Close()
-				e.journal = nil
-				return err
-			}
-		}
+// startCompactorLocked starts the background compactor unless one is
+// running, background compaction is disabled, or the engine is closed (Close
+// has already stopped what it was going to stop). Caller holds e.mu.
+func (e *Engine) startCompactorLocked() {
+	if e.compactCh != nil || e.closed || (e.compactThreshold <= 0 && e.opts.CompactMaxAge <= 0) {
+		return
 	}
+	e.stopCompact = make(chan struct{})
+	e.compactorDone = make(chan struct{})
+	e.compactCh = make(chan struct{}, 1)
+	go e.compactor()
+}
 
-	if e.compactThreshold > 0 || e.opts.CompactMaxAge > 0 {
-		e.stopCompact = make(chan struct{})
-		e.compactorDone = make(chan struct{})
-		e.compactCh = make(chan struct{}, 1)
-		go e.compactor()
-		// Journal replay ran before the compactor existed, so a replayed
-		// overlay already past the threshold dropped its signal — re-arm it
-		// now that someone is listening.
-		e.afterOverlayPublish(e.snap.Load())
+// writeSnapLocked is how every update starts: the current snapshot with its
+// overlay base in place and the compactor listening. On error the snapshot
+// is still returned, for the caller's failure result. Caller holds e.mu.
+func (e *Engine) writeSnapLocked() (*snapshot, error) {
+	cur, err := e.baseSnapLocked()
+	if err == nil {
+		e.startCompactorLocked()
 	}
-	return nil
+	return cur, err
 }
 
 // replayJournal applies recovered journal records to the engine's starting
@@ -221,16 +259,21 @@ func (e *Engine) applyOverlayLocked(cur *snapshot, next *rule.Set, op updater.Op
 	return UpdateResult{ID: op.ID, Version: ns.version, Rules: next.Len()}, nil
 }
 
+// pending is the snapshot's count of updates not yet folded into its base:
+// overlay rules plus tombstones.
+func (s *snapshot) pending() int {
+	oc, ok := s.cls.(*overlayClassifier)
+	if !ok {
+		return 0
+	}
+	return oc.view.OverlayLen() + oc.view.Tombstones()
+}
+
 // afterOverlayPublish maintains the compaction triggers after a snapshot
 // swap: the age clock starts when the first pending update appears, and the
 // size threshold signals the compactor (non-blocking; signals coalesce).
 func (e *Engine) afterOverlayPublish(ns *snapshot) {
-	oc, ok := ns.cls.(*overlayClassifier)
-	if !ok {
-		e.overlayDirty.Store(0)
-		return
-	}
-	pending := oc.view.OverlayLen() + oc.view.Tombstones()
+	pending := ns.pending()
 	if pending == 0 {
 		e.overlayDirty.Store(0)
 		return
@@ -266,6 +309,12 @@ func (e *Engine) compactor() {
 		case <-e.stopCompact:
 			return
 		case <-e.compactCh:
+			// The size trigger is a function of overlay size only: a signal
+			// raised while a compaction was running describes an overlay
+			// that compaction has since folded.
+			if e.snap.Load().pending() < e.compactThreshold {
+				continue
+			}
 		case <-tickC:
 			since := e.overlayDirty.Load()
 			if since == 0 || time.Since(time.Unix(0, since)) < e.opts.CompactMaxAge {
@@ -301,9 +350,13 @@ func (e *Engine) compactOnce() {
 
 	e.mu.Lock()
 	cur := e.snap.Load()
-	oc, ok := cur.cls.(*overlayClassifier)
-	if !ok || cur.build == nil || oc.view.OverlayLen()+oc.view.Tombstones() == 0 {
+	if cur.pending() == 0 {
 		e.mu.Unlock()
+		return
+	}
+	if cur.build == nil {
+		e.mu.Unlock()
+		e.noteCompactFailure(fmt.Errorf("backend %q is not registered; overlay cannot be folded", cur.backend))
 		return
 	}
 	frozen := cur.set // the merged list being folded into the new base
@@ -412,8 +465,13 @@ func (e *Engine) compactLocked() error {
 // closeUpdater stops the compactor and closes the journal; called from
 // Close exactly once.
 func (e *Engine) closeUpdater() {
-	if e.stopCompact != nil {
-		close(e.stopCompact)
+	e.mu.Lock()
+	e.closed = true
+	stop := e.stopCompact
+	e.mu.Unlock()
+	if stop != nil {
+		// Not under e.mu: a compaction in flight takes it to publish.
+		close(stop)
 		<-e.compactorDone
 	}
 	e.mu.Lock()
@@ -427,8 +485,6 @@ func (e *Engine) closeUpdater() {
 // UpdaterStats is the observable state of the online-update subsystem,
 // exposed through the server's "stats" admin request.
 type UpdaterStats struct {
-	// Enabled reports whether the engine routes updates through the overlay.
-	Enabled bool
 	// OverlayRules and Tombstones are the pending delta sizes.
 	OverlayRules int
 	// Tombstones is the number of deleted-but-not-yet-compacted base rules.
@@ -462,7 +518,6 @@ type UpdaterStats struct {
 func (e *Engine) UpdaterStats() UpdaterStats {
 	s := e.snap.Load()
 	st := UpdaterStats{
-		Enabled:          e.updaterOn,
 		Rules:            s.set.Len(),
 		Version:          s.version,
 		Compactions:      e.compactions.Load(),

@@ -54,18 +54,12 @@ type Options struct {
 	// generation, which pays off on skewed traffic where few flows carry
 	// most packets.
 	FlowCacheEntries int
-	// OnlineUpdates routes Insert/Delete through the delta-overlay update
-	// subsystem (internal/updater): inserts land in a small rank-sorted
-	// overlay of packed rules that lookups scan after the base (at most
-	// CompactThreshold 32-byte compares a packet), deletes become
-	// tombstones, and a background compactor folds the delta into a rebuilt
-	// base off the critical path. Without it every update rebuilds the
-	// backend synchronously.
+	// OnlineUpdates is read by nothing; it stays until benchmarks/e2e, which only a benchmark-scoped PR may edit, stops setting it.
 	OnlineUpdates bool
-	// JournalPath enables the durable update journal at this path (and
-	// implies OnlineUpdates): every acknowledged update is appended (and
-	// synced) before its snapshot is published, and an existing journal is
-	// replayed at engine construction for crash-consistent warm starts.
+	// JournalPath enables the durable update journal at this path: every
+	// acknowledged update is appended (and synced) before its snapshot is
+	// published, and an existing journal is replayed at engine construction
+	// for crash-consistent warm starts.
 	JournalPath string
 	// JournalNoSync disables the per-record fsync. Updates get faster but a
 	// machine crash may lose the latest acknowledged records (a process

@@ -39,7 +39,7 @@ type tableState struct {
 
 // Tables manages a set of named, independently configured engines so one
 // daemon can serve many rule sets (ACL + firewall + NAT tables
-// simultaneously). Admin operations — Create, Swap, Drop, SetDefault — are
+// simultaneously). Admin operations — Create, Swap, Drop — are
 // atomic: they build a new immutable table map off-line and publish it with
 // one pointer swap, so concurrent lookups always observe a coherent set and
 // are never blocked.
@@ -131,7 +131,7 @@ func (t *Tables) publishLocked(ns *tableState) {
 const MaxTableNameLen = 255
 
 // Create adds a new table serving eng under name and returns it. The first
-// table created becomes the default (see SetDefault). Creating a name that
+// table created becomes the default and stays it. Creating a name that
 // already exists fails; use Swap to replace a live table's engine.
 func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	if name == "" {
@@ -190,9 +190,8 @@ func (t *Tables) Swap(name string, eng *Engine) (*Table, error) {
 // Drop atomically removes the named table. Its wire ID is never reused, and
 // its engine is retired (kept open until the reaper's grace expires, or
 // CloseAll) so in-flight requests can finish. Dropping the default table
-// always fails — it is the target of frames addressed to table 0, so it
-// must be re-pointed first with SetDefault (which means the last remaining table
-// can never be dropped: a serving manager never loses its default).
+// always fails — it is the target of frames addressed to table 0, and a
+// serving manager never loses its default.
 func (t *Tables) Drop(name string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -204,28 +203,12 @@ func (t *Tables) Drop(name string) error {
 		return fmt.Errorf("engine: table %q does not exist", name)
 	}
 	if ns.def != nil && ns.def.ID == old.ID {
-		return fmt.Errorf("engine: table %q is the default table; SetDefault to another table before dropping it", name)
+		return fmt.Errorf("engine: table %q is the default table and cannot be dropped", name)
 	}
 	delete(ns.byName, name)
 	delete(ns.byID, old.ID)
 	t.publishLocked(ns)
 	t.retired = append(t.retired, retiredEngine{eng: old.Engine, at: now})
-	return nil
-}
-
-// SetDefault re-points the default table (the target of frames addressed
-// to table ID 0) at the named table.
-func (t *Tables) SetDefault(name string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reapRetiredLocked(t.now())
-	ns := t.cloneLocked()
-	tab, ok := ns.byName[name]
-	if !ok {
-		return fmt.Errorf("engine: table %q does not exist", name)
-	}
-	ns.def = tab
-	t.publishLocked(ns)
 	return nil
 }
 

@@ -67,31 +67,27 @@ func TestTablesCreateGetDrop(t *testing.T) {
 		t.Fatalf("Names() = %v", got)
 	}
 
-	// The default table cannot be dropped while others exist.
+	// The default table can never be dropped, alone or not: a serving
+	// manager never loses its table-0 target.
 	if err := tabs.Drop("acl"); err == nil {
 		t.Fatal("dropping the default table must fail")
 	}
-	if err := tabs.SetDefault("fw"); err != nil {
+	if err := tabs.Drop("fw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tabs.Drop("acl"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tabs.Get("acl"); ok {
+	if _, ok := tabs.Get("fw"); ok {
 		t.Fatal("dropped table still resolvable")
 	}
-	if _, ok := tabs.GetByID(aclTab.ID); ok {
+	if _, ok := tabs.GetByID(fwTab.ID); ok {
 		t.Fatal("dropped table still resolvable by ID")
 	}
 	if tabs.Len() != 1 {
 		t.Fatalf("Len() = %d, want 1", tabs.Len())
 	}
-	if err := tabs.Drop("acl"); err == nil {
+	if err := tabs.Drop("fw"); err == nil {
 		t.Fatal("double drop must fail")
 	}
-	// The last remaining table is necessarily the default and can never be
-	// dropped: a serving manager never loses its table-0 target.
-	if err := tabs.Drop("fw"); err == nil {
+	if err := tabs.Drop("acl"); err == nil {
 		t.Fatal("dropping the last (default) table must fail")
 	}
 	if _, ok := tabs.Default(); !ok {
@@ -214,8 +210,8 @@ func engineClosed(e *Engine) bool { return e.UpdaterStats().JournalPath == "" }
 
 // TestTablesReaperLifecycle is the regression test for the reaper gap: only
 // Swap and Drop used to reap, so a daemon whose churn after a swap was
-// create-only (or SetDefault-only) pinned displaced engines forever. Every
-// admin mutation must run the reaper.
+// create-only pinned displaced engines forever. Every admin mutation must
+// run the reaper.
 func TestTablesReaperLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	tabs := NewTables()
@@ -261,30 +257,14 @@ func TestTablesReaperLifecycle(t *testing.T) {
 		t.Fatalf("RetiredLen after reaping Create = %d, want 0", got)
 	}
 
-	// SetDefault is a mutation too: it must also reap.
-	engB3 := journaledTestEngine(t, dir, "b3")
-	if _, err := tabs.Swap("fw", engB3); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(retireGrace + time.Second)
-	if err := tabs.SetDefault("fw"); err != nil {
-		t.Fatal(err)
-	}
-	if !engineClosed(engB2) {
-		t.Fatal("SetDefault did not reap a retiree whose grace had expired")
-	}
-
 	// Drop then CloseAll: the dropped engine is closed exactly once by
 	// CloseAll (the deferred one above runs again on an empty manager — both
 	// calls and any direct re-Close must be no-ops, not double-closes).
-	if err := tabs.SetDefault("acl"); err != nil {
-		t.Fatal(err)
-	}
 	if err := tabs.Drop("fw"); err != nil {
 		t.Fatal(err)
 	}
 	tabs.CloseAll()
-	for _, e := range []*Engine{engA, engB3} {
+	for _, e := range []*Engine{engA, engB2} {
 		if !engineClosed(e) {
 			t.Fatal("CloseAll left an engine open")
 		}

@@ -35,14 +35,13 @@ func poisonBuild(e *Engine) {
 	e.snap.Store(&ns)
 }
 
-// TestOverlayUpdatesNeverBuild is the subsystem's acceptance test: with the
-// updater enabled, single-rule Insert and Delete on a 10k-rule tree backend
-// must complete without invoking the backend build path (the builder is
+// TestOverlayUpdatesNeverBuild is the subsystem's acceptance test:
+// single-rule Insert and Delete on a 10k-rule tree backend must complete without invoking the backend build path (the builder is
 // poisoned after construction), and lookups must keep matching linear
 // search over the merged list.
 func TestOverlayUpdatesNeverBuild(t *testing.T) {
 	set := overlayTestSet(t, 10000)
-	eng, err := NewEngine("hicuts", set, Options{Shards: 2, OnlineUpdates: true, CompactThreshold: -1})
+	eng, err := NewEngine("hicuts", set, Options{Shards: 2, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +60,8 @@ func TestOverlayUpdatesNeverBuild(t *testing.T) {
 		t.Fatalf("overlay Delete of overlay rule: %v", err)
 	}
 	st := eng.UpdaterStats()
-	if !st.Enabled || st.Tombstones != 1 {
-		t.Fatalf("stats %+v: want enabled with 1 tombstone", st)
+	if st.Tombstones != 1 {
+		t.Fatalf("stats %+v: want 1 tombstone", st)
 	}
 
 	merged := eng.Rules()
@@ -79,6 +78,97 @@ func TestOverlayUpdatesNeverBuild(t *testing.T) {
 	}
 }
 
+// countedBuilds counts calls to the counting test backend's Builder, which
+// otherwise builds a HiCuts tree.
+var countedBuilds atomic.Int64
+
+func init() {
+	Register("counting-test-backend", "Counting", func(set *rule.Set, opts Options) (Classifier, error) {
+		countedBuilds.Add(1)
+		return NewWithOptions("hicuts", set, opts)
+	})
+}
+
+// compactorStarted reports whether the engine has started its compactor.
+func compactorStarted(e *Engine) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.compactCh != nil
+}
+
+// TestOneWritePath: an engine built with no update option takes every
+// Insert and Delete through the overlay. The builder runs once, at
+// construction, and never on the update path; every intermediate snapshot
+// answers a trace exactly as linear search over its own rule list; the
+// overlay base and the compactor do not exist until the first update asks
+// for them, and an update after Close starts no compactor.
+func TestOneWritePath(t *testing.T) {
+	set := overlayTestSet(t, 300)
+	trace := allocTestPackets(set, 2000)
+	for _, opts := range []Options{{}, {CompactThreshold: -1}} {
+		built := countedBuilds.Load()
+		eng, err := NewEngine("counting-test-backend", set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := countedBuilds.Load() - built; got != 1 {
+			t.Fatalf("CompactThreshold %d: construction called the builder %d times, want 1", opts.CompactThreshold, got)
+		}
+		eng.Classify(trace[0])
+		if eng.snap.Load().base != nil || compactorStarted(eng) {
+			t.Fatalf("CompactThreshold %d: a read-only engine holds an overlay base or a compactor", opts.CompactThreshold)
+		}
+		var ids []int
+		for i := 0; i < 64; i++ {
+			if i%2 == 0 {
+				res, err := eng.Insert(i*3, set.Rule(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, res.ID)
+			} else {
+				// Alternately a base rule and the rule inserted last.
+				id := set.Rule(i * 2).ID
+				if i%4 == 1 {
+					id = ids[len(ids)-1]
+				}
+				if _, err := eng.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged := eng.Rules()
+			for _, p := range trace {
+				want, wok := merged.Match(p)
+				if got, ok := eng.Classify(p); ok != wok || got != want {
+					t.Fatalf("CompactThreshold %d: update %d, packet %v: engine (%v, %v), linear search (%v, %v)", opts.CompactThreshold, i, p, got, ok, want, wok)
+				}
+			}
+		}
+		if got := countedBuilds.Load() - built; got != 1 {
+			t.Fatalf("CompactThreshold %d: 64 updates called the builder %d times", opts.CompactThreshold, got-1)
+		}
+		if st := eng.UpdaterStats(); st.Compactions != 0 || st.OverlayRules+st.Tombstones == 0 {
+			t.Fatalf("CompactThreshold %d: stats %+v: want a pending overlay and no compaction", opts.CompactThreshold, st)
+		}
+		if want := opts.CompactThreshold >= 0; compactorStarted(eng) != want {
+			t.Fatalf("CompactThreshold %d: compactor started = %v after the first update, want %v", opts.CompactThreshold, !want, want)
+		}
+		eng.Close()
+	}
+
+	eng, err := NewEngine("counting-test-backend", set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	if _, err := eng.Insert(0, set.Rule(0)); err != nil {
+		t.Fatal(err)
+	}
+	if compactorStarted(eng) {
+		t.Fatal("an update after Close started a compactor nothing will stop")
+	}
+}
+
 // TestOverlayHoldsWideRangeRule: a rule with non-prefix ranges in both
 // addresses and both ports expands into far more than 4 096 prefix tuples,
 // which the Tuple Space Search overlay refused — the insert then silently
@@ -87,7 +177,7 @@ func TestOverlayUpdatesNeverBuild(t *testing.T) {
 // the rule must win exactly the packets linear search gives it.
 func TestOverlayHoldsWideRangeRule(t *testing.T) {
 	set := overlayTestSet(t, 10000)
-	eng, err := NewEngine("hicuts", set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1})
+	eng, err := NewEngine("hicuts", set, Options{Shards: 1, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +224,7 @@ func TestOverlayDifferential(t *testing.T) {
 	for _, backend := range []string{"hicuts", "tss", "linear"} {
 		t.Run(backend, func(t *testing.T) {
 			set := overlayTestSet(t, 400)
-			eng, err := NewEngine(backend, set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: 64})
+			eng, err := NewEngine(backend, set, Options{Shards: 1, CompactThreshold: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,8 +278,7 @@ func TestOverlayDifferential(t *testing.T) {
 // snapshot (every result matches that snapshot's own rule list).
 func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 	set := overlayTestSet(t, 300)
-	eng, err := NewEngine("hicuts", set, Options{Shards: 2, OnlineUpdates: true,
-		CompactThreshold: 8, CompactMaxAge: 20 * time.Millisecond})
+	eng, err := NewEngine("hicuts", set, Options{Shards: 2, CompactThreshold: 8, CompactMaxAge: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +381,7 @@ func TestOverlayZeroAllocLookups(t *testing.T) {
 	ps := allocTestPackets(set, 64)
 	out := make([]Result, len(ps))
 	for _, backend := range []string{"linear", "tss", "hicuts", "cutsplit"} {
-		eng, err := NewEngine(backend, set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1})
+		eng, err := NewEngine(backend, set, Options{Shards: 1, CompactThreshold: -1})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -326,59 +415,54 @@ func TestOverlayZeroAllocLookups(t *testing.T) {
 }
 
 // TestInsertPositionClamping: positions outside [0, len] clamp to the
-// bounds on both the rebuild and the overlay write paths.
+// bounds.
 func TestInsertPositionClamping(t *testing.T) {
-	for _, online := range []bool{false, true} {
-		set := overlayTestSet(t, 40)
-		eng, err := NewEngine("linear", set, Options{Shards: 1, OnlineUpdates: online, CompactThreshold: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := rule.NewWildcardRule(0)
-		res, err := eng.Insert(-5, w)
-		if err != nil {
-			t.Fatalf("online=%v: Insert(-5): %v", online, err)
-		}
-		if got := eng.Rules().Rule(0).ID; got != res.ID {
-			t.Fatalf("online=%v: Insert(-5) landed at %d, want top", online, got)
-		}
-		res, err = eng.Insert(eng.Rules().Len()+100, w)
-		if err != nil {
-			t.Fatalf("online=%v: Insert(len+100): %v", online, err)
-		}
-		if got := eng.Rules().Rule(eng.Rules().Len() - 1).ID; got != res.ID {
-			t.Fatalf("online=%v: Insert(len+100) landed at %d, want bottom", online, got)
-		}
-		eng.Close()
+	set := overlayTestSet(t, 40)
+	eng, err := NewEngine("linear", set, Options{Shards: 1, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	w := rule.NewWildcardRule(0)
+	res, err := eng.Insert(-5, w)
+	if err != nil {
+		t.Fatalf("Insert(-5): %v", err)
+	}
+	if got := eng.Rules().Rule(0).ID; got != res.ID {
+		t.Fatalf("Insert(-5) landed at %d, want top", got)
+	}
+	res, err = eng.Insert(eng.Rules().Len()+100, w)
+	if err != nil {
+		t.Fatalf("Insert(len+100): %v", err)
+	}
+	if got := eng.Rules().Rule(eng.Rules().Len() - 1).ID; got != res.ID {
+		t.Fatalf("Insert(len+100) landed at %d, want bottom", got)
 	}
 }
 
 // TestDeleteMissingRule: deleting a nonexistent ID — and deleting the same
-// ID twice — fails with ErrRuleNotFound and an error naming the ID, on both
-// write paths.
+// ID twice — fails with ErrRuleNotFound and an error naming the ID.
 func TestDeleteMissingRule(t *testing.T) {
-	for _, online := range []bool{false, true} {
-		set := overlayTestSet(t, 30)
-		eng, err := NewEngine("linear", set, Options{Shards: 1, OnlineUpdates: online, CompactThreshold: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Delete(987654); !errors.Is(err, ErrRuleNotFound) || !strings.Contains(err.Error(), "987654") {
-			t.Fatalf("online=%v: Delete(987654) err = %v, want ErrRuleNotFound naming the ID", online, err)
-		}
-		id := set.Rule(7).ID
-		if _, err := eng.Delete(id); err != nil {
-			t.Fatalf("online=%v: first delete: %v", online, err)
-		}
-		if _, err := eng.Delete(id); !errors.Is(err, ErrRuleNotFound) {
-			t.Fatalf("online=%v: double delete err = %v, want ErrRuleNotFound", online, err)
-		}
-		// The failed delete must not have bumped the version.
-		v := eng.Version()
-		if _, err := eng.Delete(987654); err == nil || eng.Version() != v {
-			t.Fatalf("online=%v: failed delete changed version", online)
-		}
-		eng.Close()
+	set := overlayTestSet(t, 30)
+	eng, err := NewEngine("linear", set, Options{Shards: 1, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Delete(987654); !errors.Is(err, ErrRuleNotFound) || !strings.Contains(err.Error(), "987654") {
+		t.Fatalf("Delete(987654) err = %v, want ErrRuleNotFound naming the ID", err)
+	}
+	id := set.Rule(7).ID
+	if _, err := eng.Delete(id); err != nil {
+		t.Fatalf("first delete: %v", err)
+	}
+	if _, err := eng.Delete(id); !errors.Is(err, ErrRuleNotFound) {
+		t.Fatalf("double delete err = %v, want ErrRuleNotFound", err)
+	}
+	// The failed delete must not have bumped the version.
+	v := eng.Version()
+	if _, err := eng.Delete(987654); err == nil || eng.Version() != v {
+		t.Fatal("failed delete changed version")
 	}
 }
 
@@ -565,20 +649,19 @@ func TestSaveArtifactCompactsAndRotates(t *testing.T) {
 }
 
 // TestOverlayUnregisteredBackendStillUpdates: an artifact-served engine
-// whose backend is not registered rejects rebuild-path updates but accepts
-// overlay updates when the updater is on — updates no longer require the
-// build path at all.
+// whose backend is not registered accepts updates like any other — no
+// update needs the build path.
 func TestOverlayUnregisteredBackendStillUpdates(t *testing.T) {
 	set := artifactTestSet(t, 120)
 	path := saveTestArtifact(t, set, "no-such-backend-overlay", t.TempDir())
-	eng, err := NewEngineFromArtifact(path, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1})
+	eng, err := NewEngineFromArtifact(path, Options{Shards: 1, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	res, err := eng.Insert(0, rule.NewWildcardRule(0))
 	if err != nil {
-		t.Fatalf("overlay insert on unregistered backend: %v", err)
+		t.Fatalf("insert on unregistered backend: %v", err)
 	}
 	if r, ok := eng.Classify(rule.Packet{Proto: 99}); !ok || r.ID != res.ID {
 		t.Fatalf("inserted wildcard not winning: %v %v", r, ok)

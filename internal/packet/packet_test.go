@@ -244,39 +244,6 @@ func TestReadTraceFiveFieldAndErrors(t *testing.T) {
 	}
 }
 
-func TestWireTraceRoundTrip(t *testing.T) {
-	entries := []TraceEntry{
-		{Key: rule.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}},
-		{Key: rule.Packet{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 8, Proto: ProtoUDP}},
-		{Key: rule.Packet{SrcIP: 9, DstIP: 10, Proto: ProtoICMP}},
-	}
-	var buf bytes.Buffer
-	if err := WriteWireTrace(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWireTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("length %d != %d", len(got), len(entries))
-	}
-	for i := range got {
-		if got[i].Key != entries[i].Key {
-			t.Fatalf("entry %d: %+v != %+v", i, got[i].Key, entries[i].Key)
-		}
-	}
-	// Truncated stream errors out.
-	var again bytes.Buffer
-	if err := WriteWireTrace(&again, entries); err != nil {
-		t.Fatal(err)
-	}
-	trunc := again.Bytes()[:again.Len()/2]
-	if _, err := ReadWireTrace(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated wire trace should fail")
-	}
-}
-
 func BenchmarkDecode(b *testing.B) {
 	wire, _ := Serialize(rule.Packet{SrcIP: 0x0A000001, DstIP: 0x0A000002, SrcPort: 1234, DstPort: 80, Proto: ProtoTCP})
 	var d Decoder

@@ -81,54 +81,3 @@ func ReadTrace(r io.Reader) ([]TraceEntry, error) {
 	}
 	return out, nil
 }
-
-// WriteWireTrace serializes each entry as a raw IPv4 packet and writes a
-// simple length-prefixed binary stream: a 2-byte big-endian length followed
-// by the packet bytes, repeated.
-func WriteWireTrace(w io.Writer, entries []TraceEntry) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range entries {
-		pkt, err := Serialize(e.Key)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write([]byte{byte(len(pkt) >> 8), byte(len(pkt))}); err != nil {
-			return err
-		}
-		if _, err := bw.Write(pkt); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadWireTrace reads a length-prefixed binary packet stream produced by
-// WriteWireTrace and decodes each packet into a classification key.
-func ReadWireTrace(r io.Reader) ([]TraceEntry, error) {
-	br := bufio.NewReader(r)
-	var out []TraceEntry
-	var dec Decoder
-	buf := make([]byte, 0, 128)
-	for {
-		var lenBytes [2]byte
-		if _, err := io.ReadFull(br, lenBytes[:]); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("packet: reading wire trace length: %w", err)
-		}
-		n := int(lenBytes[0])<<8 | int(lenBytes[1])
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("packet: reading wire trace packet: %w", err)
-		}
-		key, err := dec.Decode(buf)
-		if err != nil {
-			return nil, fmt.Errorf("packet: decoding wire trace packet %d: %w", len(out), err)
-		}
-		out = append(out, TraceEntry{Key: key, MatchRule: -1})
-	}
-}

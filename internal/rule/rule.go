@@ -260,17 +260,6 @@ func (r Rule) OverlapsBox(box [NumDims]Range) bool {
 	return true
 }
 
-// CoveredByBox reports whether the rule's hyper-rectangle is fully contained
-// in the box.
-func (r Rule) CoveredByBox(box [NumDims]Range) bool {
-	for _, d := range Dimensions() {
-		if !box[d].Covers(r.Ranges[d]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Overlaps reports whether two rules' hyper-rectangles intersect.
 func (r Rule) Overlaps(o Rule) bool {
 	for _, d := range Dimensions() {
@@ -302,18 +291,6 @@ func (r Rule) IsWildcard(d Dimension) bool {
 // (0.5 in the original paper).
 func (r Rule) Coverage(d Dimension) float64 {
 	return r.Ranges[d].FractionOf(d)
-}
-
-// WildcardCount returns the number of dimensions the rule leaves fully
-// unconstrained.
-func (r Rule) WildcardCount() int {
-	n := 0
-	for _, d := range Dimensions() {
-		if r.IsWildcard(d) {
-			n++
-		}
-	}
-	return n
 }
 
 // Validate checks the rule for basic well-formedness: every range must

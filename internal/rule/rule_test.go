@@ -222,13 +222,6 @@ func TestRuleBoxOperations(t *testing.T) {
 	if !r.OverlapsBox(box) {
 		t.Error("rule should overlap box sharing [150,200]")
 	}
-	if r.CoveredByBox(box) {
-		t.Error("rule is not fully inside the box")
-	}
-	box[DimSrcPort] = Range{Lo: 0, Hi: 65535}
-	if !r.CoveredByBox(box) {
-		t.Error("rule should be covered by the full box")
-	}
 	box[DimSrcPort] = Range{Lo: 300, Hi: 400}
 	if r.OverlapsBox(box) {
 		t.Error("disjoint box should not overlap")
@@ -237,13 +230,7 @@ func TestRuleBoxOperations(t *testing.T) {
 
 func TestRuleWildcardsAndCoverage(t *testing.T) {
 	r := NewWildcardRule(0)
-	if r.WildcardCount() != NumDims {
-		t.Errorf("wildcard rule has %d wildcards", r.WildcardCount())
-	}
 	r.Ranges[DimProto] = Range{Lo: 6, Hi: 6}
-	if r.WildcardCount() != NumDims-1 {
-		t.Errorf("WildcardCount = %d", r.WildcardCount())
-	}
 	if r.IsWildcard(DimProto) {
 		t.Error("proto no longer wildcard")
 	}

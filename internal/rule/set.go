@@ -177,30 +177,6 @@ func (s *Set) Remove(i int) {
 	}
 }
 
-// RemoveShadowed removes rules that can never match because a strictly
-// higher-priority rule fully covers them. It returns the number of rules
-// removed. Shadow removal is a standard classifier pre-processing step and
-// keeps decision trees from carrying dead rules.
-func (s *Set) RemoveShadowed() int {
-	kept := s.rules[:0]
-	removed := 0
-outer:
-	for i, r := range s.rules {
-		for j := 0; j < i; j++ {
-			if s.rules[j].Covers(r) {
-				removed++
-				continue outer
-			}
-		}
-		kept = append(kept, r)
-	}
-	s.rules = kept
-	for i := range s.rules {
-		s.rules[i].Priority = i
-	}
-	return removed
-}
-
 // Stats summarises the structural characteristics of a classifier that the
 // hand-tuned heuristics key on.
 type Stats struct {

@@ -1,10 +1,8 @@
 package rule
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func makeTestSet() *Set {
@@ -145,29 +143,6 @@ func TestSetAppend(t *testing.T) {
 	}
 }
 
-func TestRemoveShadowed(t *testing.T) {
-	broad := NewWildcardRule(0)
-	broad.Ranges[DimSrcPort] = Range{Lo: 0, Hi: 1000}
-	narrow := NewWildcardRule(1)
-	narrow.Ranges[DimSrcPort] = Range{Lo: 10, Hi: 20}
-	other := NewWildcardRule(2)
-	other.Ranges[DimDstPort] = Range{Lo: 0, Hi: 10}
-
-	s := NewSet([]Rule{broad, narrow, other})
-	removed := s.RemoveShadowed()
-	if removed != 1 {
-		t.Fatalf("removed %d shadowed rules, want 1", removed)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	// The narrow rule is gone, the non-shadowed one remains with renumbered
-	// priority.
-	if s.Rule(1).Ranges[DimDstPort].Hi != 10 || s.Rule(1).Priority != 1 {
-		t.Errorf("unexpected remaining rule: %v", s.Rule(1))
-	}
-}
-
 func TestNewSetKeepPriorities(t *testing.T) {
 	a := NewWildcardRule(5)
 	a.ID = 100
@@ -300,45 +275,5 @@ func TestValidateCatchesBadRules(t *testing.T) {
 	s2 := NewSet([]Rule{bad2})
 	if err := s2.Validate(); err == nil {
 		t.Error("overflow range not caught")
-	}
-}
-
-// Property: the linear-search winner is always the lowest-index rule that
-// matches, and removing shadowed rules never changes any packet's winner.
-func TestPropertyShadowRemovalPreservesSemantics(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(20)
-		rules := make([]Rule, 0, n+1)
-		for i := 0; i < n; i++ {
-			rules = append(rules, randomRule(rng))
-		}
-		rules = append(rules, NewWildcardRule(n)) // default
-		s := NewSet(rules)
-		s2 := s.Clone()
-		s2.RemoveShadowed()
-		for i := 0; i < 50; i++ {
-			p := Packet{
-				SrcIP:   rng.Uint32(),
-				DstIP:   rng.Uint32(),
-				SrcPort: uint16(rng.Intn(65536)),
-				DstPort: uint16(rng.Intn(65536)),
-				Proto:   uint8(rng.Intn(256)),
-			}
-			a, okA := s.Match(p)
-			b, okB := s2.Match(p)
-			if okA != okB {
-				return false
-			}
-			// Winners must be the same rule geometrically (priorities may be
-			// renumbered after removal).
-			if okA && !a.Equal(b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }

@@ -377,14 +377,13 @@ func (s *Server) statsLine(cls Classifier) string {
 	// The online-update subsystem's state rides on the same line so
 	// clients that parse the leading fields keep working.
 	if us, ok := cls.(UpdaterStatser); ok {
-		if u := us.UpdaterStats(); u.Enabled {
-			compacting := 0
-			if u.Compacting {
-				compacting = 1
-			}
-			line += fmt.Sprintf(" overlay=%d tombstones=%d rules=%d generation=%d compactions=%d compacting=%d journal-records=%d",
-				u.OverlayRules, u.Tombstones, u.Rules, u.Version, u.Compactions, compacting, u.JournalRecords)
+		u := us.UpdaterStats()
+		compacting := 0
+		if u.Compacting {
+			compacting = 1
 		}
+		line += fmt.Sprintf(" overlay=%d tombstones=%d rules=%d generation=%d compactions=%d compacting=%d journal-records=%d",
+			u.OverlayRules, u.Tombstones, u.Rules, u.Version, u.Compactions, compacting, u.JournalRecords)
 	}
 	return line
 }

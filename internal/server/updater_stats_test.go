@@ -20,10 +20,9 @@ func statsRequest(t *testing.T, addr string) string {
 	return line
 }
 
-// TestStatsExposesUpdaterState: an engine with the online-update subsystem
-// enabled surfaces overlay size, tombstones, generation, compaction and
-// journal state through the stats request; live insert/delete through the
-// protocol move those fields.
+// TestStatsExposesUpdaterState: an engine surfaces overlay size, tombstones,
+// generation, compaction and journal state through the stats request; live
+// insert/delete through the protocol move those fields.
 func TestStatsExposesUpdaterState(t *testing.T) {
 	fam, err := classbench.FamilyByName("acl1")
 	if err != nil {
@@ -79,12 +78,18 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 	}
 }
 
-// TestStatsPlainEngineUnchanged: without the updater the stats line keeps
-// its original three-field shape.
+// TestStatsPlainEngineUnchanged: an engine built with no update option keeps
+// the three leading fields and carries the overlay fields like any other —
+// there is one write path, so there is one line shape.
 func TestStatsPlainEngineUnchanged(t *testing.T) {
 	_, _, addr := startEngineServer(t, "linear")
 	resp := statsRequest(t, addr)
-	if !strings.HasPrefix(resp, "stats requests=") || strings.Contains(resp, "overlay=") {
+	if !strings.HasPrefix(resp, "stats requests=") {
 		t.Fatalf("plain stats line changed shape: %q", resp)
+	}
+	for _, field := range []string{"overlay=0", "tombstones=0", "compactions=0", "journal-records=0"} {
+		if !strings.Contains(resp, field) {
+			t.Fatalf("stats %q missing %q", resp, field)
+		}
 	}
 }

@@ -22,15 +22,6 @@ type Builder struct {
 // NewBuilder creates a builder over a fresh tree for the classifier.
 func NewBuilder(s *rule.Set, binth int) *Builder {
 	t := New(s, binth)
-	return newBuilderFromTree(t)
-}
-
-// NewBuilderFromTree wraps an existing (typically freshly created) tree.
-func NewBuilderFromTree(t *Tree) *Builder {
-	return newBuilderFromTree(t)
-}
-
-func newBuilderFromTree(t *Tree) *Builder {
 	b := &Builder{tree: t}
 	if !t.IsTerminal(t.Root) {
 		b.stack = append(b.stack, t.Root)
@@ -67,35 +58,6 @@ func (b *Builder) ApplyCut(dim rule.Dimension, k int) error {
 		return fmt.Errorf("tree: builder is done")
 	}
 	children, err := b.tree.Cut(n, dim, k)
-	if err != nil {
-		return err
-	}
-	b.advance(children)
-	return nil
-}
-
-// ApplyCutMulti expands the current node with a multi-dimension cut.
-func (b *Builder) ApplyCutMulti(dims []rule.Dimension, counts []int) error {
-	n := b.Current()
-	if n == nil {
-		return fmt.Errorf("tree: builder is done")
-	}
-	children, err := b.tree.CutMulti(n, dims, counts)
-	if err != nil {
-		return err
-	}
-	b.advance(children)
-	return nil
-}
-
-// ApplyCutAtPoints expands the current node with an unequal cut at explicit
-// boundaries.
-func (b *Builder) ApplyCutAtPoints(dim rule.Dimension, points []uint64) error {
-	n := b.Current()
-	if n == nil {
-		return fmt.Errorf("tree: builder is done")
-	}
-	children, err := b.tree.CutAtPoints(n, dim, points)
 	if err != nil {
 		return err
 	}

@@ -57,29 +57,6 @@ func TestCutAtPointsErrors(t *testing.T) {
 	}
 }
 
-func TestBuilderApplyCutAtPoints(t *testing.T) {
-	fam, _ := classbench.FamilyByName("ipc1")
-	set := classbench.Generate(fam, 120, 2)
-	b := NewBuilder(set, 8)
-	if err := b.ApplyCutAtPoints(rule.DimDstIP, []uint64{1 << 30, 1 << 31, 3 << 30}); err != nil {
-		t.Fatal(err)
-	}
-	for !b.Done() && b.Steps() < 200 {
-		if err := b.ApplyCut(rule.DimSrcIP, 8); err != nil {
-			// If the box is too narrow to cut further, accept the leaf.
-			b.Skip()
-		}
-	}
-	checkEquivalence(t, b.Tree(), set, 800, 77)
-	// Calling on a finished builder fails.
-	for !b.Done() {
-		b.Skip()
-	}
-	if err := b.ApplyCutAtPoints(rule.DimSrcIP, []uint64{1}); err == nil {
-		t.Error("finished builder should reject the cut")
-	}
-}
-
 func TestCustomCutMixedWithEqualCuts(t *testing.T) {
 	fam, _ := classbench.FamilyByName("fw4")
 	set := classbench.Generate(fam, 200, 6)

@@ -120,50 +120,6 @@ func (t *Tree) Space(n *Node) int {
 	return total
 }
 
-// SubtreeDepth returns the height of the subtree rooted at n counted in
-// edges (a leaf has height 0).
-func (t *Tree) SubtreeDepth(n *Node) int {
-	if n == nil || n.IsLeaf() {
-		return 0
-	}
-	max := 0
-	for _, c := range n.Children {
-		if v := t.SubtreeDepth(c); v > max {
-			max = v
-		}
-	}
-	return 1 + max
-}
-
-// Reward evaluates the NeuroCuts objective for the subtree rooted at n
-// (Equation 5): -(c*f(Time) + (1-c)*f(Space)), where f is either the
-// identity or log, chosen by the caller via scale.
-func (t *Tree) Reward(n *Node, c float64, scale func(float64) float64) float64 {
-	time := float64(t.Time(n))
-	space := float64(t.Space(n))
-	if scale != nil {
-		time = scale(time)
-		space = scale(space)
-	}
-	return -(c*time + (1-c)*space)
-}
-
-// ReplicationFactor returns the average number of leaves each original rule
-// appears in (1.0 means no replication at all).
-func (t *Tree) ReplicationFactor() float64 {
-	if t.RuleCount == 0 {
-		return 0
-	}
-	refs := 0
-	t.Walk(func(n *Node) bool {
-		if n.IsLeaf() {
-			refs += len(n.Rules)
-		}
-		return true
-	})
-	return float64(refs) / float64(t.RuleCount)
-}
-
 // MultiMetrics combines the metrics of several trees that jointly implement
 // one classifier (the EffiCuts / rule-partition setting where a packet is
 // looked up in every tree): classification time adds up, memory adds up, and

@@ -421,9 +421,6 @@ func TestBuilderSkipAndPartition(t *testing.T) {
 	if err := b2.ApplyPartition([][]int32{rules[:3], rules[3:]}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.ApplyCutMulti([]rule.Dimension{rule.DimSrcPort, rule.DimDstPort}, []int{2, 2}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBuilderTerminalRoot(t *testing.T) {
@@ -434,9 +431,6 @@ func TestBuilderTerminalRoot(t *testing.T) {
 	}
 	if err := b.ApplyPartition(nil, nil); err == nil {
 		t.Error("partition on done builder should fail")
-	}
-	if err := b.ApplyCutMulti([]rule.Dimension{rule.DimSrcIP}, []int{2}); err == nil {
-		t.Error("cut on done builder should fail")
 	}
 	if err := b.ApplyPartitionByCoverage(rule.DimSrcIP, 0.5); err == nil {
 		t.Error("coverage partition on done builder should fail")
@@ -470,42 +464,8 @@ func TestMetricsOnRootOnlyTree(t *testing.T) {
 	if m.BytesPerRule != float64(wantBytes)/6 {
 		t.Errorf("bytes per rule = %v", m.BytesPerRule)
 	}
-	if tr.ReplicationFactor() != 1.0 {
-		t.Errorf("replication = %v", tr.ReplicationFactor())
-	}
-	if tr.SubtreeDepth(tr.Root) != 0 {
-		t.Error("subtree depth of leaf root should be 0")
-	}
-	if tr.Time(nil) != 0 || tr.Space(nil) != 0 || tr.SubtreeDepth(nil) != 0 {
+	if tr.Time(nil) != 0 || tr.Space(nil) != 0 {
 		t.Error("nil node metrics should be zero")
-	}
-}
-
-func TestRewardMatchesObjective(t *testing.T) {
-	set := rule.NewSet(fig2Rules())
-	tr := New(set, 2)
-	children, _ := tr.Cut(tr.Root, rule.DimSrcPort, 4)
-	for _, c := range children {
-		if _, err := tr.Cut(c, rule.DimDstPort, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	timeOnly := tr.Reward(tr.Root, 1, nil)
-	spaceOnly := tr.Reward(tr.Root, 0, nil)
-	if timeOnly != -float64(tr.Time(tr.Root)) {
-		t.Errorf("c=1 reward = %v", timeOnly)
-	}
-	if spaceOnly != -float64(tr.Space(tr.Root)) {
-		t.Errorf("c=0 reward = %v", spaceOnly)
-	}
-	logScale := func(x float64) float64 {
-		if x < 1 {
-			x = 1
-		}
-		return x
-	}
-	if got := tr.Reward(tr.Root, 0.5, logScale); got >= 0 {
-		t.Errorf("mixed reward should be negative, got %v", got)
 	}
 }
 

@@ -20,11 +20,12 @@
 //
 // Lookups are context-aware: Classify checks the context before running,
 // and ClassifyBatch classifies in bounded chunks so cancellation and
-// deadlines take effect mid-batch. Rule updates (Insert, Delete), compiled
-// artifacts (Save, Load, WithArtifact) and the online-update subsystem
-// (WithOnlineUpdates, WithJournal) are the same capabilities the bundled
-// classifyd daemon serves over TCP — see internal/server for the wire
-// protocols and cmd/classifyd for the daemon.
+// deadlines take effect mid-batch. Rule updates (Insert, Delete — each lands
+// in a delta overlay that a background compactor folds into the base, so no
+// update rebuilds the backend), compiled artifacts (Save, Load,
+// WithArtifact) and the update journal (WithJournal) are the same
+// capabilities the bundled classifyd daemon serves over TCP — see
+// internal/server for the wire protocol and cmd/classifyd for the daemon.
 package classifier
 
 import (
@@ -316,7 +317,7 @@ func (c *Classifier) Load(path string) (UpdateResult, error) {
 }
 
 // Stats summarises the classifier's current state: identity, size, cost
-// metrics and — when enabled — the online-update subsystem.
+// metrics and the update path's overlay, compaction and journal state.
 type Stats struct {
 	// Backend is the registry name of the serving backend.
 	Backend string
@@ -326,10 +327,8 @@ type Stats struct {
 	Version uint64
 	// Metrics is the backend's cost profile.
 	Metrics Metrics
-	// OnlineUpdates reports whether updates flow through the delta overlay.
-	OnlineUpdates bool
 	// PendingUpdates is the overlay size (inserts plus tombstones) not yet
-	// compacted into the base structure (0 when OnlineUpdates is false).
+	// compacted into the base structure.
 	PendingUpdates int
 	// Compactions counts completed background base rebuilds.
 	Compactions uint64
@@ -420,7 +419,6 @@ func (c *Classifier) Stats() Stats {
 		Rules:          c.eng.Rules().Len(),
 		Version:        c.eng.Version(),
 		Metrics:        c.eng.Metrics(),
-		OnlineUpdates:  u.Enabled,
 		PendingUpdates: u.OverlayRules + u.Tombstones,
 		Compactions:    u.Compactions,
 		JournalPath:    u.JournalPath,

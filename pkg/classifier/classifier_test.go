@@ -117,8 +117,8 @@ func TestInsertDeleteAndStats(t *testing.T) {
 	if st.Backend != "tss" || st.Rules != 100 || st.Version < 3 {
 		t.Fatalf("Stats() = %+v", st)
 	}
-	if st.OnlineUpdates {
-		t.Fatal("online updates should be off by default")
+	if st.Compactions != 0 {
+		t.Fatalf("updates on a default classifier rebuilt the backend %d times", st.Compactions)
 	}
 }
 
@@ -168,7 +168,6 @@ func TestOnlineUpdatesWithJournalReplay(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "updates.journal")
 	c, err := classifier.Open(rules,
 		classifier.WithBackend("tss"),
-		classifier.WithOnlineUpdates(),
 		classifier.WithJournal(journal),
 		classifier.WithCompactThreshold(-1))
 	if err != nil {
@@ -181,7 +180,7 @@ func TestOnlineUpdatesWithJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if !st.OnlineUpdates || st.PendingUpdates != 1 || st.JournalRecords != 1 {
+	if st.PendingUpdates != 1 || st.JournalRecords != 1 {
 		t.Fatalf("Stats() after overlay insert = %+v", st)
 	}
 	c.Close()
@@ -228,7 +227,6 @@ func TestTelemetryStatsAndAdmin(t *testing.T) {
 	c, err := classifier.Open(rules,
 		classifier.WithBackend("tss"),
 		classifier.WithShards(2),
-		classifier.WithOnlineUpdates(),
 		classifier.WithSlowThreshold(0)) // implies WithTelemetry; capture all
 	if err != nil {
 		t.Fatal(err)

@@ -38,19 +38,10 @@ func WithArtifact(path string) Option {
 	return func(c *config) { c.artifact = path }
 }
 
-// WithOnlineUpdates routes Insert and Delete through the delta-overlay
-// update subsystem: updates land in a small overlay (no backend rebuild on
-// the write path) and a background compactor folds them into the base
-// structure off the critical path. Without it, every update rebuilds the
-// backend synchronously before publishing.
-func WithOnlineUpdates() Option {
-	return func(c *config) { c.opts.OnlineUpdates = true }
-}
-
-// WithJournal enables the durable update journal at path (and implies
-// WithOnlineUpdates): every acknowledged update is appended and synced
-// before its snapshot is published, and an existing journal is replayed at
-// Open for crash-consistent warm starts.
+// WithJournal enables the durable update journal at path: every
+// acknowledged update is appended and synced before its snapshot is
+// published, and an existing journal is replayed at Open for
+// crash-consistent warm starts.
 func WithJournal(path string) Option {
 	return func(c *config) { c.opts.JournalPath = path }
 }
