@@ -572,12 +572,11 @@ func BenchmarkWireDecodeAndClassify(b *testing.B) {
 		}
 		wires[i] = w
 	}
-	var dec packet.Decoder
+	var key rule.Packet
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key, err := dec.Decode(wires[i%len(wires)])
-		if err != nil {
+		if err := packet.DecodeInto(wires[i%len(wires)], &key); err != nil {
 			b.Fatal(err)
 		}
 		if _, ok := t.Classify(key); !ok {
@@ -710,8 +709,10 @@ func BenchmarkGateOverlayVsRebuild(b *testing.B) {
 
 // BenchmarkGatePcapReplay: decoding a 50k-packet in-memory pcap and
 // classifying it in 512-packet batches (the classifyd -pcap loop) must keep at
-// least a quarter of the throughput of ClassifyBatch over the pre-decoded
-// keys, and must match exactly as many packets.
+// least 0.48× the throughput of ClassifyBatch over the pre-decoded keys, and
+// must match exactly as many packets. The floor is 0.8 × the worst of twenty
+// runs of the windowed in-place decode (0.60–0.95 over the three families);
+// the record-at-a-time reader it replaced measured 0.39–0.61.
 func BenchmarkGatePcapReplay(b *testing.B) {
 	for _, family := range []string{"acl1", "fw1", "ipc1"} {
 		b.Run(family, func(b *testing.B) {
@@ -754,7 +755,7 @@ func BenchmarkGatePcapReplay(b *testing.B) {
 				return n
 			}
 			want := direct()
-			gate(b, "replay/direct", func(x float64) bool { return x >= 0.25 }, func() float64 {
+			gate(b, "replay/direct", func(x float64) bool { return x >= 0.48 }, func() float64 {
 				best := [2]time.Duration{1 << 62, 1 << 62}
 				for pass := 0; pass < 6; pass++ { // alternating, best of 3 each
 					t0 := time.Now()

@@ -31,7 +31,6 @@ type AFPacketConfig struct {
 type AFPacketSource struct {
 	fd    int
 	frame []byte
-	dec   packet.Decoder
 	stats SourceStats
 }
 
@@ -97,12 +96,10 @@ func (s *AFPacketSource) ReadBatch(ps []rule.Packet) (int, error) {
 			s.stats.Skipped++
 			continue
 		}
-		key, err := s.dec.Decode(payload)
-		if err != nil {
+		if packet.DecodeInto(payload, &ps[n]) != nil {
 			s.stats.Skipped++
 			continue
 		}
-		ps[n] = key
 		n++
 		s.stats.Packets++
 	}

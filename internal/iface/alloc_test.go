@@ -2,39 +2,58 @@ package iface
 
 import (
 	"bytes"
-	"io"
 	"path/filepath"
 	"testing"
 
 	"neurocuts/internal/engine"
+	"neurocuts/internal/packet"
 	"neurocuts/internal/rule"
 )
 
 // TestZeroAllocPcapRead pins the pcap replay steady state at zero heap
-// allocations per ReadBatch: the reader's frame buffer, record header and
-// decoder are all reused, so replaying a multi-gigabyte capture costs no GC.
+// allocations per ReadBatch, so replaying a multi-gigabyte capture costs no
+// GC: the window and the record header are reused, keys are decoded into the
+// caller's slots, and the buffer for records that are not wholly inside the
+// window stops growing once it has held the largest of them. A 64-key batch
+// of the trace is longer than the window, so each measured call refills it
+// and copies a straddling record; the jumbo capture takes the
+// larger-than-window path on every record.
 func TestZeroAllocPcapRead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is meaningless under -race; the alloc gate runs in the non-race CI pass")
 	}
-	entries := testTrace(t, 8000)
-	data := tracePcap(t, entries)
-	r, err := NewPcapReader(bytes.NewReader(data), PcapConfig{})
-	if err != nil {
-		t.Fatal(err)
+	jumbo := append(buildFrame(t, rule.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoUDP}), make([]byte, 9000)...)
+	jumbos := make([][]byte, 256) // 2.3 MB: 2 warm-up and 101 measured batches of 2
+	for i := range jumbos {
+		jumbos[i] = jumbo
 	}
-	// Warm up: first reads may grow the frame buffer once.
-	ps := make([]rule.Packet, 64)
-	if _, err := r.ReadBatch(ps); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := r.ReadBatch(ps); err != nil && err != io.EOF {
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		batch int
+	}{
+		{"window", tracePcap(t, testTrace(t, 8000)), 64},
+		{"larger than the window", buildPcap(pcapVariants[0], jumbos), 2},
+	} {
+		r, err := NewPcapReader(bytes.NewReader(tc.data), PcapConfig{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("pcap ReadBatch allocates %.1f allocs/op, want 0", allocs)
+		// Warm up: the first record outside the window allocates its buffer.
+		ps := make([]rule.Packet, tc.batch)
+		for i := 0; i < 2; i++ {
+			if _, err := r.ReadBatch(ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if n, err := r.ReadBatch(ps); err != nil || n != len(ps) {
+				t.Fatalf("%s: ReadBatch = (%d, %v)", tc.name, n, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: pcap ReadBatch allocates %.1f allocs/op, want 0", tc.name, allocs)
+		}
 	}
 }
 

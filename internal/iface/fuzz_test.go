@@ -13,8 +13,9 @@ import (
 
 // FuzzPcapRead throws arbitrary bytes at the pcap parser. The invariants:
 // never panic, never loop forever (every iteration must either deliver a
-// packet, return an error, or hit EOF), and a reader that accepts a header
-// must keep its stream offset monotonically non-decreasing.
+// packet, return an error, or hit EOF), a reader that accepts a header
+// must keep its stream offset monotonically non-decreasing, and every call
+// must return what the reference reader (pcap_ref_test.go) returns.
 func FuzzPcapRead(f *testing.F) {
 	// Seed corpus: a valid capture, its truncations at awkward offsets, a
 	// big-endian nano variant, VLAN tags, and plain garbage.
@@ -81,9 +82,22 @@ func FuzzPcapRead(f *testing.F) {
 	}
 	f.Add(vlan.Bytes())
 
+	// Everything the decoder branches on (options, fragments, truncations),
+	// a capture long enough to refill the window, and a record larger than
+	// the window.
+	mixed := mixedFrames(f, pcapVariants[0])
+	f.Add(buildPcap(pcapVariants[0], mixed))
+	f.Add(buildPcap(pcapVariants[2], append(append(mixed, mixed...), mixed...)))
+	f.Add(buildPcap(pcapVariants[1], [][]byte{append(mixedPackets(f)[0], make([]byte, 5000)...), mixedPackets(f)[1]}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Rate must stay 0: fuzz inputs contain arbitrary timestamps and a
 		// paced reader would faithfully sleep out their gaps.
+		for _, batch := range []int{1, 16} {
+			if err := diffPcap(data, PcapConfig{}, batch); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
+			}
+		}
 		r, err := NewPcapReader(bytes.NewReader(data), PcapConfig{})
 		if err != nil {
 			return

@@ -36,6 +36,19 @@ const (
 	// defaultMaxPacketBytes bounds one record's captured length; anything
 	// larger is treated as corruption rather than an allocation request.
 	defaultMaxPacketBytes = 256 * 1024
+
+	// pcapWindow is how much of the stream the reader buffers: it asks the
+	// underlying io.Reader for this many bytes at a time and decodes every
+	// whole record of the window where it lies. 4 KiB holds ~60 minimum-size
+	// TCP records, enough to spread the per-window work (one Read, one
+	// straddling record copied) thin: 16 and 64 KiB windows measured at most
+	// 3 ns/packet (a tenth) faster, inside run-to-run noise; see
+	// docs/ARCHITECTURE.md, "Ingestion sources".
+	pcapWindow = 4096
+	// pcapFrameMin is the first size of the buffer that receives records not
+	// wholly inside the window: room for any standard-MTU frame, so that
+	// only a jumbo or oversize record ever grows it.
+	pcapFrameMin = 2048
 )
 
 // PcapConfig configures a PcapReader.
@@ -65,17 +78,21 @@ type PcapReader struct {
 	nanos     bool // timestamp fraction is nanoseconds, not microseconds
 	linkType  uint32
 
-	// frame is the per-record read buffer, grown once to the first record
-	// that needs more (bounded by MaxPacketBytes).
-	frame  []byte
-	recHdr [pcapRecordHeaderLen]byte
-	dec    packet.Decoder
+	// win is the window: one Read's worth of the stream, of which
+	// win[pos:end] is unread. Records that lie wholly inside that are decoded
+	// in place. The array is part of the reader so that opening one costs no
+	// allocation beyond the reader itself.
+	win      [pcapWindow]byte
+	pos, end int
+	readErr  error // what the Read that filled the window returned with it
+	// frame receives a record body that is not wholly inside the window —
+	// it straddles the window's edge or is larger than the window. It is
+	// allocated on first need (pcapFrameMin) and grown only by a larger
+	// record, bounded by MaxPacketBytes.
+	frame []byte
 
-	// off is the stream offset of the next unread byte; recOff is the
-	// offset where the record currently being read started, which is what
-	// a TornTailError reports.
-	off    int64
-	recOff int64
+	// off is the stream offset of the next unread byte.
+	off int64
 
 	// Pacing state: ts0 is the first record's timestamp, start the wall
 	// clock when it was emitted.
@@ -99,9 +116,9 @@ func NewPcapReader(r io.Reader, cfg PcapConfig) (*PcapReader, error) {
 	if cfg.MaxPacketBytes <= 0 {
 		cfg.MaxPacketBytes = defaultMaxPacketBytes
 	}
-	p := &PcapReader{r: r, cfg: cfg, frame: make([]byte, 2048)}
+	p := &PcapReader{r: r, cfg: cfg}
 	var hdr [pcapGlobalHeaderLen]byte
-	n, err := io.ReadFull(r, hdr[:])
+	n, err := p.readFull(hdr[:])
 	p.off = int64(n)
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -173,71 +190,104 @@ func (p *PcapReader) Offset() int64 { return p.off }
 // PcapConfig.MaxPacketBytes.
 var ErrPacketTooLarge = errors.New("iface: pcap record exceeds MaxPacketBytes")
 
-// nextKey reads records until one decodes into a classification key,
-// returning the key and its capture timestamp in nanoseconds. Frames that
-// are not classifiable IPv4 (wrong ethertype, truncated headers) are
-// counted in Skipped and passed over. io.EOF means a clean end exactly at a
-// record boundary; a *TornTailError means the stream ended mid-record.
-func (p *PcapReader) nextKey() (rule.Packet, uint64, error) {
+// readFull is io.ReadFull on the stream behind the window: the bytes the
+// window still holds come first, and each time it runs dry it is refilled
+// with one Read of the underlying stream.
+func (p *PcapReader) readFull(dst []byte) (int, error) {
+	n := 0
 	for {
-		p.recOff = p.off
-		n, err := io.ReadFull(p.r, p.recHdr[:])
-		p.off += int64(n)
-		if err == io.EOF {
-			return rule.Packet{}, 0, io.EOF
+		m := copy(dst[n:], p.win[p.pos:p.end])
+		n += m
+		p.pos += m
+		if n == len(dst) {
+			return n, nil
 		}
-		if err == io.ErrUnexpectedEOF {
-			return rule.Packet{}, 0, &TornTailError{Offset: p.recOff, What: "record header"}
+		// The window is empty, so an error that arrived with its last bytes
+		// is due. It is reported once: a later call asks the stream again.
+		if err := p.readErr; err != nil {
+			p.readErr = nil
+			if err == io.EOF && n > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return n, err
 		}
-		if err != nil {
-			return rule.Packet{}, 0, err
-		}
-		incl := p.u32(p.recHdr[8:12])
-		if int(incl) > p.cfg.MaxPacketBytes {
-			return rule.Packet{}, 0, ErrPacketTooLarge
-		}
-		if cap(p.frame) < int(incl) {
-			p.frame = make([]byte, incl)
-		}
-		body := p.frame[:incl]
-		n, err = io.ReadFull(p.r, body)
-		p.off += int64(n)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return rule.Packet{}, 0, &TornTailError{Offset: p.recOff, What: "record body"}
-		}
-		if err != nil {
-			return rule.Packet{}, 0, err
-		}
-		ts := uint64(p.u32(p.recHdr[0:4])) * uint64(time.Second)
-		if p.nanos {
-			ts += uint64(p.u32(p.recHdr[4:8]))
-		} else {
-			ts += uint64(p.u32(p.recHdr[4:8])) * uint64(time.Microsecond)
-		}
-		key, ok := p.decodeFrame(body)
-		if !ok {
-			p.stats.Skipped++
-			continue
-		}
-		return key, ts, nil
+		p.pos = 0
+		p.end, p.readErr = p.r.Read(p.win[:])
 	}
 }
 
-// decodeFrame extracts the IPv4 5-tuple from one captured frame.
-func (p *PcapReader) decodeFrame(frame []byte) (rule.Packet, bool) {
-	payload := frame
-	if p.linkType == LinkTypeEthernet {
-		var ok bool
-		payload, ok = ethPayload(frame)
-		if !ok {
-			return rule.Packet{}, false
+// next is the record step: it reads records until one decodes into a
+// classification key, writes that key to *key and returns its capture
+// timestamp in nanoseconds. Frames that are not classifiable IPv4 (wrong
+// ethertype, truncated headers) are counted in Skipped and passed over.
+// io.EOF means a clean end exactly at a record boundary; a *TornTailError
+// means the stream ended mid-record.
+func (p *PcapReader) next(key *rule.Packet) (uint64, error) {
+	var straddled [pcapRecordHeaderLen]byte // a record header cut by the window's edge is put together here
+	for {
+		recOff := p.off // where this record starts: what a TornTailError reports
+		hdr := p.win[p.pos:p.end]
+		if len(hdr) >= pcapRecordHeaderLen {
+			p.pos += pcapRecordHeaderLen
+			p.off += pcapRecordHeaderLen
+		} else {
+			hdr = straddled[:]
+			n, err := p.readFull(hdr)
+			p.off += int64(n)
+			if err == io.EOF {
+				return 0, io.EOF
+			}
+			if err == io.ErrUnexpectedEOF {
+				return 0, &TornTailError{Offset: recOff, What: "record header"}
+			}
+			if err != nil {
+				return 0, err
+			}
 		}
+		// Everything the header says is taken now: a refill for the body
+		// overwrites the window hdr may point into.
+		ts := uint64(p.u32(hdr[0:4])) * uint64(time.Second)
+		if p.nanos {
+			ts += uint64(p.u32(hdr[4:8]))
+		} else {
+			ts += uint64(p.u32(hdr[4:8])) * uint64(time.Microsecond)
+		}
+		incl := int(p.u32(hdr[8:12]))
+		if incl < 0 || incl > p.cfg.MaxPacketBytes { // < 0: the length wrapped a 32-bit int
+			return 0, ErrPacketTooLarge
+		}
+		var body []byte
+		if p.end-p.pos >= incl {
+			body = p.win[p.pos : p.pos+incl]
+			p.pos += incl
+			p.off += int64(incl)
+		} else {
+			if cap(p.frame) < incl {
+				p.frame = make([]byte, max(incl, pcapFrameMin))
+			}
+			body = p.frame[:incl]
+			n, err := p.readFull(body)
+			p.off += int64(n)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return 0, &TornTailError{Offset: recOff, What: "record body"}
+			}
+			if err != nil {
+				return 0, err
+			}
+		}
+		if p.linkType == LinkTypeEthernet {
+			var ok bool
+			if body, ok = ethPayload(body); !ok {
+				p.stats.Skipped++
+				continue
+			}
+		}
+		if packet.DecodeInto(body, key) != nil {
+			p.stats.Skipped++
+			continue
+		}
+		return ts, nil
 	}
-	key, err := p.dec.Decode(payload)
-	if err != nil {
-		return rule.Packet{}, false
-	}
-	return key, true
 }
 
 // ethPayload strips the Ethernet header and any 802.1Q/802.1ad VLAN tags,
@@ -271,15 +321,14 @@ func ethPayload(frame []byte) ([]byte, bool) {
 func (p *PcapReader) ReadBatch(ps []rule.Packet) (int, error) {
 	n := 0
 	for n < len(ps) {
-		var key rule.Packet
+		// Each key is decoded straight into its batch slot.
 		var ts uint64
 		if p.pending {
-			key, ts = p.pendingP, p.pendingTS
+			ps[n], ts = p.pendingP, p.pendingTS
 			p.pending = false
 		} else {
 			var err error
-			key, ts, err = p.nextKey()
-			if err != nil {
+			if ts, err = p.next(&ps[n]); err != nil {
 				if n > 0 && err == io.EOF {
 					return n, nil
 				}
@@ -297,13 +346,12 @@ func (p *PcapReader) ReadBatch(ps []rule.Packet) (int, error) {
 				if n > 0 {
 					// Hold the packet for the next batch rather than
 					// sleeping with delivered packets in hand.
-					p.pending, p.pendingP, p.pendingTS = true, key, ts
+					p.pending, p.pendingP, p.pendingTS = true, ps[n], ts
 					return n, nil
 				}
 				time.Sleep(wait)
 			}
 		}
-		ps[n] = key
 		n++
 		p.stats.Packets++
 	}

@@ -108,21 +108,7 @@ func buildFrame(t testing.TB, key rule.Packet, tags ...uint16) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Layout: 12 MAC bytes, then each tag's TPID+TCI, then the payload
-	// ethertype, then the IP packet — exactly what ethPayload walks.
-	frame := make([]byte, 0, 14+4*len(tags)+len(ip))
-	frame = append(frame, make([]byte, 12)...) // MACs
-	for _, tpid := range tags {
-		var tag [4]byte
-		binary.BigEndian.PutUint16(tag[0:2], tpid)
-		binary.BigEndian.PutUint16(tag[2:4], 0x0042) // TCI: VLAN 66
-		frame = append(frame, tag[:]...)
-	}
-	var et [2]byte
-	binary.BigEndian.PutUint16(et[:], etherTypeIPv4)
-	frame = append(frame, et[:]...)
-	frame = append(frame, ip...)
-	return frame
+	return etherWrap(ip, etherTypeIPv4, tags...)
 }
 
 // TestPcapVLAN decodes single- and double-tagged frames.
@@ -459,4 +445,66 @@ func TestPcapPacingBatchBoundary(t *testing.T) {
 	if d := time.Since(start); n != 1 || d > 150*time.Millisecond {
 		t.Fatalf("first batch: n=%d in %v, want 1 packet immediately", n, d)
 	}
+}
+
+// TestPcapFragments replays a UDP datagram captured as two IPv4 fragments.
+// Only the first carries the UDP header; the second starts with datagram
+// payload where ports would be and must decode with zero ports, like any
+// port-less packet, not with whatever those four bytes happen to spell.
+func TestPcapFragments(t *testing.T) {
+	key := rule.Packet{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 4000, DstPort: 53, Proto: packet.ProtoUDP}
+	udp := make([]byte, 16) // UDP header + the first 8 payload bytes
+	binary.BigEndian.PutUint16(udp[0:2], key.SrcPort)
+	binary.BigEndian.PutUint16(udp[2:4], key.DstPort)
+	frames := [][]byte{
+		etherWrap(ipv4Packet(t, key, 5, 0, udp), etherTypeIPv4),
+		etherWrap(ipv4Packet(t, key, 5, 2, []byte{0xca, 0xfe, 0xf0, 0x0d, 1, 2}), etherTypeIPv4, etherTypeVLAN),
+	}
+	r, err := NewPcapReader(bytes.NewReader(buildPcap(pcapVariants[0], frames)), PcapConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readAll(t, r, 4)
+	rest := key
+	rest.SrcPort, rest.DstPort = 0, 0
+	if len(got) != 2 || got[0] != key || got[1] != rest {
+		t.Fatalf("got %+v, want %+v then %+v", got, key, rest)
+	}
+	if st := r.Stats(); st.Skipped != 0 {
+		t.Fatalf("skipped = %d, want 0: a short non-first fragment is still a packet", st.Skipped)
+	}
+}
+
+// BenchmarkPcapReadBatch is the ingest decode layer on its own: an acl1
+// Zipf trace (the ingest_dataplane traffic) rendered as an in-memory pcap
+// and read back in 256-key batches, nothing classified. One op is one pass
+// over the capture; ns/pkt is the figure to compare with the suite's
+// iface.pcap_decode_ns_pkt.
+func BenchmarkPcapReadBatch(b *testing.B) {
+	fam, err := classbench.FamilyByName("acl1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := classbench.Generate(fam, 1000, 1)
+	entries := classbench.ZipfTrace(set, 64*1024, 8192, 1.1, 7)
+	data := tracePcap(b, entries)
+	ps := make([]rule.Packet, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := NewPcapReader(bytes.NewReader(data), PcapConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		total := 0
+		for err == nil {
+			var n int
+			n, err = r.ReadBatch(ps)
+			total += n
+		}
+		if err != io.EOF || total != len(entries) {
+			b.Fatalf("read %d of %d packets, err = %v", total, len(entries), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(entries)), "ns/pkt")
 }

@@ -1,11 +1,12 @@
 // Package packet converts between wire-format packet headers and the
 // 5-tuple keys the classifiers operate on.
 //
-// The decode path is allocation-free in the style of gopacket's
-// DecodingLayerParser: Decoder owns preallocated layer structs and
-// DecodeFromBytes fills them in place. Only IPv4 with TCP, UDP or ICMP
-// payloads is modelled, because those are the only header fields the
-// classification rules inspect.
+// The ingest path is DecodeInto: one pass over the bytes that reads only
+// the five classified fields and writes the key straight into the caller's
+// slot. The IPv4Header, TCPHeader and UDPHeader structs model whole headers
+// (DecodeFromBytes / SerializeTo) for building and inspecting packets. Only
+// IPv4 with TCP, UDP or ICMP payloads is modelled, because those are the
+// only header fields the classification rules inspect.
 package packet
 
 import (
@@ -206,51 +207,70 @@ func Checksum(data []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// Decoder extracts classification keys from raw IPv4 packets without
-// allocating per packet.
-type Decoder struct {
-	ip  IPv4Header
-	tcp TCPHeader
-	udp UDPHeader
+// Transport-header truncation errors, built once so that the skip path of an
+// ingest loop (a capture full of runt frames) does not allocate per frame.
+var (
+	errTCPTruncated = fmt.Errorf("tcp: %w", ErrTruncated)
+	errUDPTruncated = fmt.Errorf("udp: %w", ErrTruncated)
+)
+
+// DecodeInto parses an IPv4 packet starting at data[0] and writes its
+// 5-tuple classification key to *key, reading only the five fields the
+// classifier inspects. Ports are zero for ICMP and other port-less
+// transports, and for non-first fragments (fragment offset != 0), whose
+// payload is mid-datagram data rather than a transport header. A first or
+// unfragmented TCP/UDP packet too short for its transport header is an
+// error. *key is written only on success.
+//
+// The key goes out through a pointer because that is measurably the cheap
+// way to hand back a 13-byte struct: returned by value up a call chain,
+// each hop stores it with narrow writes and reloads it with one wide move,
+// a store-forwarding stall per hop (see docs/ARCHITECTURE.md, "Ingestion
+// sources").
+func DecodeInto(data []byte, key *rule.Packet) error {
+	if len(data) < 20 {
+		return ErrTruncated
+	}
+	if data[0]>>4 != 4 {
+		return ErrNotIPv4
+	}
+	hl := int(data[0]&0x0F) * 4
+	if hl < 20 || len(data) < hl {
+		return ErrBadIHL
+	}
+	proto := data[9]
+	// ports is the first four transport bytes: source port in the high
+	// half, destination in the low. Only a packet at fragment offset 0 has
+	// a transport header there.
+	var ports uint32
+	if binary.BigEndian.Uint16(data[6:8])&0x1FFF == 0 {
+		payload := data[hl:]
+		switch proto {
+		case ProtoTCP:
+			if len(payload) < 20 {
+				return errTCPTruncated
+			}
+			ports = binary.BigEndian.Uint32(payload)
+		case ProtoUDP:
+			if len(payload) < 8 {
+				return errUDPTruncated
+			}
+			ports = binary.BigEndian.Uint32(payload)
+		}
+	}
+	key.SrcIP = binary.BigEndian.Uint32(data[12:16])
+	key.DstIP = binary.BigEndian.Uint32(data[16:20])
+	key.SrcPort = uint16(ports >> 16)
+	key.DstPort = uint16(ports)
+	key.Proto = proto
+	return nil
 }
 
-// Decode parses an IPv4 packet starting at data[0] and returns the 5-tuple
-// classification key. ICMP and other transports yield zero ports; TCP/UDP
-// packets that are too short for their transport header are an error.
-func (d *Decoder) Decode(data []byte) (rule.Packet, error) {
-	var key rule.Packet
-	if err := d.ip.DecodeFromBytes(data); err != nil {
-		return key, err
-	}
-	key.SrcIP = d.ip.SrcIP
-	key.DstIP = d.ip.DstIP
-	key.Proto = d.ip.Protocol
-	payload := data[d.ip.HeaderLen():]
-	switch d.ip.Protocol {
-	case ProtoTCP:
-		if err := d.tcp.DecodeFromBytes(payload); err != nil {
-			return key, fmt.Errorf("tcp: %w", err)
-		}
-		key.SrcPort = d.tcp.SrcPort
-		key.DstPort = d.tcp.DstPort
-	case ProtoUDP:
-		if err := d.udp.DecodeFromBytes(payload); err != nil {
-			return key, fmt.Errorf("udp: %w", err)
-		}
-		key.SrcPort = d.udp.SrcPort
-		key.DstPort = d.udp.DstPort
-	default:
-		// Ports stay zero for ICMP and other transports; the classifier's
-		// port dimensions then see 0, which is the standard convention.
-	}
-	return key, nil
-}
-
-// Decode is a convenience wrapper around Decoder.Decode for callers that do
-// not need to amortise allocations.
+// Decode is DecodeInto for callers that want the key by value.
 func Decode(data []byte) (rule.Packet, error) {
-	var d Decoder
-	return d.Decode(data)
+	var key rule.Packet
+	err := DecodeInto(data, &key)
+	return key, err
 }
 
 // Serialize builds a minimal wire-format IPv4 packet (no payload beyond the

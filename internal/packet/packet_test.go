@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -159,21 +160,88 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDecoderReuse(t *testing.T) {
-	var d Decoder
+// TestDecodeIntoReuse decodes into one key slot over and over, as an ingest
+// batch does: every field of the slot is rewritten on success — a port-less
+// packet after a TCP one must not keep its ports — and the slot is left
+// alone on error.
+func TestDecodeIntoReuse(t *testing.T) {
+	var got rule.Packet
 	for i := 0; i < 100; i++ {
 		k := rule.Packet{SrcIP: uint32(i), DstIP: uint32(i * 7), SrcPort: uint16(i), DstPort: uint16(i + 1), Proto: ProtoTCP}
+		if i%3 == 1 {
+			k.SrcPort, k.DstPort, k.Proto = 0, 0, ProtoICMP
+		}
 		wire, err := Serialize(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.Decode(wire)
-		if err != nil {
+		if err := DecodeInto(wire, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got != k {
 			t.Fatalf("iteration %d mismatch: %v vs %v", i, got, k)
 		}
+		if err := DecodeInto(wire[:19], &got); err != ErrTruncated || got != k {
+			t.Fatalf("iteration %d: truncated decode err = %v, slot %v (want untouched %v)", i, err, got, k)
+		}
+	}
+}
+
+// fragment returns the wire form of key as an IPv4 fragment at the given
+// offset (in 8-byte units) followed by payload, with the checksum redone.
+func fragment(t testing.TB, key rule.Packet, moreFragments bool, fragOff uint16, payload []byte) []byte {
+	t.Helper()
+	ip := IPv4Header{Version: 4, IHL: 5, Length: uint16(20 + len(payload)), ID: 7, TTL: 64,
+		Protocol: key.Proto, SrcIP: key.SrcIP, DstIP: key.DstIP, FragOff: fragOff}
+	if moreFragments {
+		ip.Flags = 1
+	}
+	buf := make([]byte, 20+len(payload))
+	if _, err := ip.SerializeTo(buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf[20:], payload)
+	return buf
+}
+
+// TestDecodeIntoFragments splits one UDP datagram in two. The first
+// fragment carries the UDP header and decodes with its ports; the second
+// starts mid-datagram, so its leading bytes are payload, not ports: it
+// decodes with zero ports (the ICMP convention) however short it is.
+func TestDecodeIntoFragments(t *testing.T) {
+	key := rule.Packet{SrcIP: 0x0A000001, DstIP: 0x0A000002, SrcPort: 4000, DstPort: 53, Proto: ProtoUDP}
+	udp := make([]byte, 8, 24)
+	if _, err := (&UDPHeader{SrcPort: key.SrcPort, DstPort: key.DstPort, Length: 24}).SerializeTo(udp); err != nil {
+		t.Fatal(err)
+	}
+	first := append(udp, 0xDE, 0xAD, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF) // 16 bytes: offset 0, more fragments
+	rest := []byte{0xCA, 0xFE, 0xF0, 0x0D, 1, 2, 3, 4}                   // offset 16 bytes = 2 units
+	portless := key
+	portless.SrcPort, portless.DstPort = 0, 0
+
+	cases := []struct {
+		name string
+		wire []byte
+		want rule.Packet
+	}{
+		{"first fragment", fragment(t, key, true, 0, first), key},
+		{"second fragment", fragment(t, key, false, 2, rest), portless},
+		{"second fragment, 3 payload bytes", fragment(t, key, false, 2, rest[:3]), portless},
+		{"tcp fragment, no payload", fragment(t, rule.Packet{Proto: ProtoTCP}, false, 185, nil), rule.Packet{Proto: ProtoTCP}},
+	}
+	for _, tc := range cases {
+		var got rule.Packet
+		if err := DecodeInto(tc.wire, &got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: decoded %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	// A first fragment too short for its transport header is still an error.
+	var got rule.Packet
+	if err := DecodeInto(fragment(t, key, true, 0, first[:7]), &got); !errors.Is(err, ErrTruncated) {
+		t.Errorf("short first fragment: err = %v, want ErrTruncated", err)
 	}
 }
 
@@ -246,10 +314,10 @@ func TestReadTraceFiveFieldAndErrors(t *testing.T) {
 
 func BenchmarkDecode(b *testing.B) {
 	wire, _ := Serialize(rule.Packet{SrcIP: 0x0A000001, DstIP: 0x0A000002, SrcPort: 1234, DstPort: 80, Proto: ProtoTCP})
-	var d Decoder
+	var key rule.Packet
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Decode(wire); err != nil {
+		if err := DecodeInto(wire, &key); err != nil {
 			b.Fatal(err)
 		}
 	}
