@@ -279,27 +279,3 @@ func TestZeroAllocTelemetryOverlayUpdates(t *testing.T) {
 		t.Error("telemetry recorded no insert-apply samples")
 	}
 }
-
-// TestZeroAllocPooledBuffers asserts a steady-state get/classify/put cycle
-// through the engine buffer pools does not allocate.
-func TestZeroAllocPooledBuffers(t *testing.T) {
-	set := allocTestSet(t, 128)
-	ps := allocTestPackets(set, 64)
-	eng, err := NewEngine("linear", set, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	// Prime the pools so the measurement sees steady state.
-	PutResultBuf(GetResultBuf(len(ps)))
-	allocs := testing.AllocsPerRun(100, func() {
-		out := GetResultBuf(len(ps))
-		eng.ClassifyBatch(ps, out)
-		PutResultBuf(out)
-	})
-	// PutResultBuf re-boxes the slice header; allow that single bookkeeping
-	// allocation but nothing proportional to the batch.
-	if allocs > 1 {
-		t.Errorf("pooled batch cycle allocates %.1f allocs, want <= 1", allocs)
-	}
-}

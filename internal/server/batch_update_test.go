@@ -73,8 +73,7 @@ func TestBatchSizeLimit(t *testing.T) {
 	c := dialV2Test(t, addr)
 	// ClientV2.ClassifyBatch splits at MaxBatch, so the oversized count is
 	// written by hand: the server must refuse it from the count alone.
-	payload := binary.LittleEndian.AppendUint32(nil, MaxBatch+1)
-	_, err := c.roundTrip(Frame{Op: OpBatch, Payload: payload})
+	_, err := c.roundTrip(binary.LittleEndian.AppendUint32(c.begin(OpBatch), MaxBatch+1))
 	if err == nil || !strings.Contains(err.Error(), "batch size must be in") {
 		t.Errorf("oversized batch: err = %v, want the size-limit error", err)
 	}

@@ -17,11 +17,25 @@ import (
 // table (UseTable; the default table, ID 0, initially), so one connection
 // can work many tables. ClientV2 is not safe for concurrent use; open one
 // per goroutine, or pipeline explicitly.
+//
+// The client end's buffers live as long as the connection and are reused by
+// every call, so once they have grown to the connection's working size a
+// round trip makes no heap allocation.
 type ClientV2 struct {
 	conn  net.Conn
 	r     *bufio.Reader
-	w     *bufio.Writer
 	table uint32
+	// enc backs the request frame: each op builds it in place and hands it
+	// to the connection in one Write. Free for reuse once Write returns.
+	enc []byte
+	// body backs the response frame last read; its payload is decoded before
+	// the op returns, so nothing a caller holds aliases it.
+	body []byte
+	// res backs the slice ClassifyBatch returns, which the caller may read
+	// until its next call on this client. Only a result's OK, Rule.ID and
+	// Rule.Priority are ever written — the wire carries nothing else — so
+	// every Rule.Ranges in it stays zero.
+	res []engine.Result
 }
 
 // TableInfo describes one table of a multi-table server.
@@ -38,7 +52,7 @@ func DialV2(ctx context.Context, addr string) (*ClientV2, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	return &ClientV2{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriterSize(conn, 64<<10)}, nil
+	return &ClientV2{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Close closes the connection.
@@ -51,20 +65,20 @@ func (c *ClientV2) UseTable(id uint32) { c.table = id }
 // Table returns the currently selected table ID.
 func (c *ClientV2) Table() uint32 { return c.table }
 
-// roundTrip sends one frame and reads one response, surfacing OpError
-// responses as errors.
-func (c *ClientV2) roundTrip(f Frame) (Frame, error) {
-	if err := WriteFrame(c.w, f); err != nil {
-		return Frame{}, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return Frame{}, err
-	}
-	return c.readResponse()
-}
+// begin opens a request frame for the current table in c.enc; the op appends
+// its payload to the returned slice and passes it to roundTrip.
+func (c *ClientV2) begin(op uint8) []byte { return beginFrame(c.enc[:0], op, c.table) }
 
-func (c *ClientV2) readResponse() (Frame, error) {
-	resp, err := ReadFrame(c.r)
+// roundTrip closes the request frame begun in c.enc, sends it in one write
+// and reads one response, surfacing OpError responses as errors. The
+// response's payload aliases c.body: it is valid until the next roundTrip.
+func (c *ClientV2) roundTrip(req []byte) (Frame, error) {
+	c.enc = endFrame(req, 0)
+	if _, err := c.conn.Write(c.enc); err != nil {
+		return Frame{}, err
+	}
+	resp, body, err := readFrameInto(c.r, c.body)
+	c.body = body
 	if err != nil {
 		return Frame{}, err
 	}
@@ -76,7 +90,7 @@ func (c *ClientV2) readResponse() (Frame, error) {
 
 // Ping round-trips an empty frame (liveness and latency probe).
 func (c *ClientV2) Ping() error {
-	resp, err := c.roundTrip(Frame{Op: OpPing, Table: c.table})
+	resp, err := c.roundTrip(c.begin(OpPing))
 	if err != nil {
 		return err
 	}
@@ -103,7 +117,7 @@ func (c *ClientV2) ResolveTable(name string) (uint32, error) {
 // ListTables returns the server's tables. Single-table servers report one
 // default table on ID 0.
 func (c *ClientV2) ListTables() ([]TableInfo, error) {
-	resp, err := c.roundTrip(Frame{Op: OpListTables, Table: c.table})
+	resp, err := c.roundTrip(c.begin(OpListTables))
 	if err != nil {
 		return nil, err
 	}
@@ -133,64 +147,61 @@ func (c *ClientV2) ListTables() ([]TableInfo, error) {
 // Classify looks one packet up in the current table. It returns the rule ID
 // and priority, or ok=false when no rule matches.
 func (c *ClientV2) Classify(p rule.Packet) (id, priority int, ok bool, err error) {
-	resp, err := c.roundTrip(Frame{Op: OpClassify, Table: c.table,
-		Payload: appendPacket(make([]byte, 0, packedPacketLen), p)})
+	resp, err := c.roundTrip(appendPacket(c.begin(OpClassify), p))
 	if err != nil {
 		return 0, 0, false, err
 	}
 	if resp.Op != OpResult || len(resp.Payload) != packedResultLen {
 		return 0, 0, false, errors.New("server: malformed classify response")
 	}
-	res := decodeResult(resp.Payload)
-	return res.Rule.ID, res.Rule.Priority, res.OK, nil
+	id, priority, ok = decodeResult(resp.Payload)
+	return id, priority, ok, nil
 }
 
 // ClassifyBatch classifies all packets against the current table and
-// returns one Result per packet, in order. Batches beyond MaxBatch are
-// split into sequential request/response rounds: each multi-hundred-KB
-// frame is fully answered before the next is written, because the server
-// answers frames serially — writing them all up front could deadlock both
-// ends once the kernel socket buffers fill with unread responses. Callers
-// that want deeper pipelining can issue frames themselves with WriteFrame,
-// sized so the in-flight volume stays within the transport's buffering.
+// returns one Result per packet, in order. The returned slice is owned by
+// the client and valid only until the next call on it (the
+// bufio.Scanner.Bytes contract): consume or copy it first. Batches beyond
+// MaxBatch are split into sequential request/response rounds: each
+// multi-hundred-KB frame is fully answered before the next is written,
+// because the server answers frames serially — writing them all up front
+// could deadlock both ends once the kernel socket buffers fill with unread
+// responses. Callers that want deeper pipelining can issue frames
+// themselves with WriteFrame, sized so the in-flight volume stays within
+// the transport's buffering.
 func (c *ClientV2) ClassifyBatch(ps []rule.Packet) ([]engine.Result, error) {
 	if len(ps) == 0 {
 		return nil, nil
 	}
-	out := make([]engine.Result, 0, len(ps))
-	var payload []byte
+	if cap(c.res) < len(ps) {
+		c.res = make([]engine.Result, len(ps))
+	}
+	out := c.res[:len(ps)]
 	for lo := 0; lo < len(ps); lo += MaxBatch {
-		hi := lo + MaxBatch
-		if hi > len(ps) {
-			hi = len(ps)
+		chunk := ps[lo:min(lo+MaxBatch, len(ps))]
+		req := binary.LittleEndian.AppendUint32(c.begin(OpBatch), uint32(len(chunk)))
+		for _, p := range chunk {
+			req = appendPacket(req, p)
 		}
-		payload = binary.LittleEndian.AppendUint32(payload[:0], uint32(hi-lo))
-		for _, p := range ps[lo:hi] {
-			payload = appendPacket(payload, p)
-		}
-		if err := WriteFrame(c.w, Frame{Op: OpBatch, Table: c.table, Payload: payload}); err != nil {
-			return nil, err
-		}
-		if err := c.w.Flush(); err != nil {
-			return nil, err
-		}
-		resp, err := c.readResponse()
+		resp, err := c.roundTrip(req)
 		if err != nil {
 			return nil, err
 		}
 		if resp.Op != OpBatchResult || len(resp.Payload) < 4 {
 			return nil, errors.New("server: malformed batch response")
 		}
-		n := int(binary.LittleEndian.Uint32(resp.Payload[:4]))
-		if len(resp.Payload) != 4+n*packedResultLen {
+		// Checked per chunk and before decoding: a wrong count would misalign
+		// every later answer, and one too large would write past this chunk.
+		if n := int(binary.LittleEndian.Uint32(resp.Payload[:4])); n != len(chunk) {
+			return nil, fmt.Errorf("server: batch returned %d results for %d packets", n, len(chunk))
+		}
+		if len(resp.Payload) != 4+len(chunk)*packedResultLen {
 			return nil, errors.New("server: truncated batch response")
 		}
-		for j := 0; j < n; j++ {
-			out = append(out, decodeResult(resp.Payload[4+j*packedResultLen:]))
+		for j := range chunk {
+			r := &out[lo+j]
+			r.Rule.ID, r.Rule.Priority, r.OK = decodeResult(resp.Payload[4+j*packedResultLen:])
 		}
-	}
-	if len(out) != len(ps) {
-		return nil, fmt.Errorf("server: batch returned %d results for %d packets", len(out), len(ps))
 	}
 	return out, nil
 }
@@ -210,9 +221,8 @@ func decodeUpdated(f Frame) (id int, version uint64, rules int, err error) {
 // returns the assigned rule ID and new snapshot version. Only the rule's
 // ranges travel; identity is assigned by the server.
 func (c *ClientV2) AddRule(pos int, r rule.Rule) (id int, version uint64, err error) {
-	payload := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+packedRuleLen), uint32(int32(pos)))
-	payload = appendRule(payload, r)
-	resp, err := c.roundTrip(Frame{Op: OpInsert, Table: c.table, Payload: payload})
+	req := binary.LittleEndian.AppendUint32(c.begin(OpInsert), uint32(int32(pos)))
+	resp, err := c.roundTrip(appendRule(req, r))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -222,8 +232,7 @@ func (c *ClientV2) AddRule(pos int, r rule.Rule) (id int, version uint64, err er
 
 // DeleteRule removes the rule with the given ID from the current table.
 func (c *ClientV2) DeleteRule(id int) (version uint64, err error) {
-	payload := binary.LittleEndian.AppendUint32(make([]byte, 0, 4), uint32(int32(id)))
-	resp, err := c.roundTrip(Frame{Op: OpDelete, Table: c.table, Payload: payload})
+	resp, err := c.roundTrip(binary.LittleEndian.AppendUint32(c.begin(OpDelete), uint32(int32(id))))
 	if err != nil {
 		return 0, err
 	}
@@ -234,7 +243,7 @@ func (c *ClientV2) DeleteRule(id int) (version uint64, err error) {
 // SaveArtifact asks the server to persist the current table's classifier as
 // a compiled artifact at path (on the server's filesystem).
 func (c *ClientV2) SaveArtifact(path string) error {
-	resp, err := c.roundTrip(Frame{Op: OpSave, Table: c.table, Payload: []byte(path)})
+	resp, err := c.roundTrip(append(c.begin(OpSave), path...))
 	if err != nil {
 		return err
 	}
@@ -245,7 +254,7 @@ func (c *ClientV2) SaveArtifact(path string) error {
 // LoadArtifact asks the server to hot-swap the compiled artifact at path in
 // as the current table's classifier.
 func (c *ClientV2) LoadArtifact(path string) (version uint64, rules int, err error) {
-	resp, err := c.roundTrip(Frame{Op: OpLoad, Table: c.table, Payload: []byte(path)})
+	resp, err := c.roundTrip(append(c.begin(OpLoad), path...))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -257,7 +266,7 @@ func (c *ClientV2) LoadArtifact(path string) (version uint64, rules int, err err
 // ("stats requests=N matches=N parse-failures=N", plus the online-update
 // fields when the table has them).
 func (c *ClientV2) Stats() (string, error) {
-	resp, err := c.roundTrip(Frame{Op: OpStats, Table: c.table})
+	resp, err := c.roundTrip(c.begin(OpStats))
 	if err != nil {
 		return "", err
 	}
@@ -274,9 +283,8 @@ func (c *ClientV2) CreateTable(name, artifactPath string) (id uint32, rules int,
 	if len(name) > 255 {
 		return 0, 0, errors.New("server: table name too long")
 	}
-	payload := append([]byte{byte(len(name))}, name...)
-	payload = append(payload, artifactPath...)
-	resp, err := c.roundTrip(Frame{Op: OpCreateTable, Table: c.table, Payload: payload})
+	req := append(append(c.begin(OpCreateTable), byte(len(name))), name...)
+	resp, err := c.roundTrip(append(req, artifactPath...))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -289,7 +297,7 @@ func (c *ClientV2) CreateTable(name, artifactPath string) (id uint32, rules int,
 
 // DropTable asks a multi-table server to drop the table with the given ID.
 func (c *ClientV2) DropTable(id uint32) error {
-	resp, err := c.roundTrip(Frame{Op: OpDropTable, Table: id})
+	resp, err := c.roundTrip(beginFrame(c.enc[:0], OpDropTable, id))
 	if err != nil {
 		return err
 	}

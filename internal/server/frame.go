@@ -133,15 +133,28 @@ var (
 	errFrameCRC      = errors.New("server: frame CRC mismatch")
 )
 
+// beginFrame appends a frame header with a zero payload length to dst. The
+// caller appends the payload straight after it and closes the frame with
+// endFrame, so a payload built in place is never copied into its frame.
+func beginFrame(dst []byte, op uint8, table uint32) []byte {
+	dst = append(dst, frameMagic[:]...)
+	dst = append(dst, ProtoVersion2, op, 0, 0)
+	dst = binary.LittleEndian.AppendUint32(dst, table)
+	return append(dst, 0, 0, 0, 0)
+}
+
+// endFrame closes the frame beginFrame opened at dst[start:]: everything
+// appended since is its payload; the length is patched into the header and
+// the CRC appended.
+func endFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start+12:], uint32(len(dst)-start-frameHeaderLen))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
 // AppendFrame appends the encoded frame to dst and returns the result.
 func AppendFrame(dst []byte, f Frame) []byte {
 	start := len(dst)
-	dst = append(dst, frameMagic[:]...)
-	dst = append(dst, ProtoVersion2, f.Op, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, f.Table)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
-	dst = append(dst, f.Payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return endFrame(append(beginFrame(dst, f.Op, f.Table), f.Payload...), start)
 }
 
 // WriteFrame encodes the frame to w.
@@ -159,14 +172,18 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, err
 }
 
-// readFrameInto is ReadFrame with a reusable body buffer: when buf has the
-// capacity it is reused (the returned frame's payload aliases it), so a
-// long-lived caller — the server's per-connection loop — reads frames
-// without a per-frame allocation once the buffer has grown to the
-// connection's working size. The possibly-grown buffer is returned for the
-// next call; it must not be reused while the frame's payload is live.
+// readFrameInto is ReadFrame with a reusable buffer: the whole frame —
+// header, payload, CRC — is read into buf, contiguous, so it is checksummed
+// in one call and a long-lived caller (either end of a connection) reads
+// frames without a per-frame allocation once the buffer has grown to the
+// connection's working size. The returned frame's payload aliases the
+// buffer, which is returned, possibly grown, for the next call; it must not
+// be reused while the payload is live.
 func readFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [frameHeaderLen]byte
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return Frame{}, buf, io.EOF
@@ -194,25 +211,22 @@ func readFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if payloadLen > MaxFramePayload {
 		return Frame{}, buf, errFrameOversize
 	}
-	need := int(payloadLen) + frameCRCLen
-	rest := buf
-	if cap(rest) < need {
-		rest = make([]byte, need)
-		buf = rest
+	end := frameHeaderLen + int(payloadLen)
+	if cap(buf) < end+frameCRCLen {
+		buf = make([]byte, end+frameCRCLen)
+		copy(buf, hdr)
 	}
-	rest = rest[:need]
-	if _, err := io.ReadFull(r, rest); err != nil {
+	buf = buf[:end+frameCRCLen]
+	if _, err := io.ReadFull(r, buf[frameHeaderLen:]); err != nil {
 		return Frame{}, buf, fmt.Errorf("server: reading frame body: %w", err)
 	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, rest[:payloadLen])
-	if got := binary.LittleEndian.Uint32(rest[payloadLen:]); got != crc {
+	if binary.LittleEndian.Uint32(buf[end:]) != crc32.ChecksumIEEE(buf[:end]) {
 		return Frame{}, buf, errFrameCRC
 	}
 	return Frame{
-		Op:      hdr[5],
-		Table:   binary.LittleEndian.Uint32(hdr[8:12]),
-		Payload: rest[:payloadLen:payloadLen],
+		Op:      buf[5],
+		Table:   binary.LittleEndian.Uint32(buf[8:12]),
+		Payload: buf[frameHeaderLen:end:end],
 	}, buf, nil
 }
 

@@ -13,15 +13,25 @@ import (
 	"neurocuts/internal/rule"
 )
 
+// frameSeeds is FuzzFrame's seed corpus, shared with the decoder
+// equivalence test (TestReadFrameMatchesReference).
+func frameSeeds() [][]byte {
+	return [][]byte{
+		AppendFrame(nil, Frame{Op: OpPing}),
+		AppendFrame(nil, Frame{Op: OpClassify, Table: 3, Payload: make([]byte, packedPacketLen)}),
+		AppendFrame(nil, Frame{Op: OpError, Table: 0xFFFFFFFF, Payload: []byte("boom")}),
+		{0xF2, 'N', 'C', '2'},
+		[]byte("batch 3\n"),
+	}
+}
+
 // FuzzFrame fuzzes the frame decoder: arbitrary bytes must never panic,
 // and any frame the decoder accepts must re-encode to an equivalent frame
 // (decode is the inverse of encode on the accepted set).
 func FuzzFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, Frame{Op: OpPing}))
-	f.Add(AppendFrame(nil, Frame{Op: OpClassify, Table: 3, Payload: make([]byte, packedPacketLen)}))
-	f.Add(AppendFrame(nil, Frame{Op: OpError, Table: 0xFFFFFFFF, Payload: []byte("boom")}))
-	f.Add([]byte{0xF2, 'N', 'C', '2'})
-	f.Add([]byte("batch 3\n"))
+	for _, seed := range frameSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {

@@ -68,50 +68,69 @@ func decodeRule(b []byte) (rule.Rule, error) {
 }
 
 // appendResult packs one classification result (9 bytes).
-func appendResult(dst []byte, res engine.Result) []byte {
+func appendResult(dst []byte, id, priority int, ok bool) []byte {
 	status := byte(0)
-	if res.OK {
+	if ok {
 		status = 1
 	}
 	dst = append(dst, status)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(res.Rule.ID)))
-	return binary.LittleEndian.AppendUint32(dst, uint32(int32(res.Rule.Priority)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(id)))
+	return binary.LittleEndian.AppendUint32(dst, uint32(int32(priority)))
 }
 
 // decodeResult unpacks one classification result; b must hold
-// packedResultLen bytes.
-func decodeResult(b []byte) engine.Result {
-	return engine.Result{
-		OK: b[0] != 0,
-		Rule: rule.Rule{
-			ID:       int(int32(binary.LittleEndian.Uint32(b[1:5]))),
-			Priority: int(int32(binary.LittleEndian.Uint32(b[5:9]))),
-		},
-	}
+// packedResultLen bytes. Only identity travels: a rule's ranges stay with
+// the server.
+func decodeResult(b []byte) (id, priority int, ok bool) {
+	return int(int32(binary.LittleEndian.Uint32(b[1:5]))), int(int32(binary.LittleEndian.Uint32(b[5:9]))), b[0] != 0
 }
 
-// v2Buffers are one connection's scratch buffers, reused frame to frame so
-// the hot path (pipelined batches) performs no per-frame heap
-// allocations once they have grown to the connection's working size. They
-// are owned by the single handler goroutine; a frame's request payload and
-// its response never overlap in time (the response is fully encoded before
-// the next frame is read).
+// v2Buffers are the server end's buffers for one connection, living as long
+// as it does and reused frame to frame, so once they have grown to the
+// connection's working size a request — read, classified, answered — makes
+// no heap allocation. They are owned by the single handler goroutine, and a
+// request is fully answered before the next is read, so each is free for
+// reuse as soon as the response has been handed to the socket or to the
+// pipelining writer, which copies it.
 type v2Buffers struct {
-	// body backs the request frame's payload (+ CRC tail).
+	// body backs the request frame being served: header, payload and CRC,
+	// contiguous. The request's payload aliases it until the next read.
 	body []byte
-	// resp backs the batch response payload (the hot response).
-	resp []byte
-	// enc backs the encoded response frame written to the socket.
+	// enc backs the encoded response frame. Classify and batch responses are
+	// built in place in it; every other response is encoded into it.
 	enc []byte
+	// pkts and res back a batch request's decoded packets and their results.
+	// Neither is cleared between batches: the decoder writes every packet and
+	// the classifier every result of the n the request asked for, and only
+	// those n are encoded.
+	pkts []rule.Packet
+	res  []engine.Result
+}
+
+// maxScratchBatch bounds the batch size whose scratch a connection keeps; a
+// larger batch classifies through one-off slices.
+const maxScratchBatch = 1024
+
+// batchScratch returns packet and result slices of length n.
+func (b *v2Buffers) batchScratch(n int) ([]rule.Packet, []engine.Result) {
+	if n > maxScratchBatch {
+		return make([]rule.Packet, n), make([]engine.Result, n)
+	}
+	if cap(b.pkts) < n {
+		b.pkts, b.res = make([]rule.Packet, n), make([]engine.Result, n)
+	}
+	return b.pkts[:n], b.res[:n]
 }
 
 // handle serves one connection until EOF, a framing or write error, or a
 // drain: a sequence of frames, answered in order. Each request is bracketed
 // by the connection's busy state so a concurrent Shutdown never interrupts
 // it mid-request. Clients may pipeline (send many frames before reading
-// responses); the write buffer is only flushed when no further request
-// bytes are already buffered, so pipelined batches do not pay one syscall
-// per frame.
+// responses): while further request bytes are already buffered the replies
+// collect in a write buffer, flushed when the requests run out, so pipelined
+// batches do not pay one syscall per frame. A lone reply needs no
+// coalescing and goes to the socket as it stands in bufs.enc: one write,
+// no copy.
 func (s *Server) handle(conn *servedConn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 4096)
@@ -137,27 +156,20 @@ func (s *Server) handle(conn *servedConn) {
 			conn.endRequest()
 			return
 		}
-		var resp Frame
 		if s.Telemetry != nil {
 			t0 := time.Now()
-			resp = s.respondFrame(f, &bufs)
+			s.respond(f, &bufs)
 			ns := time.Since(t0).Nanoseconds()
 			s.Telemetry.ServerV2.RecordNanos(uint64(ns), ns)
 		} else {
-			resp = s.respondFrame(f, &bufs)
+			s.respond(f, &bufs)
 		}
-		bufs.enc = AppendFrame(bufs.enc[:0], resp)
-		if _, err := w.Write(bufs.enc); err != nil {
-			conn.endRequest()
-			return
+		if br.Buffered() == 0 && w.Buffered() == 0 {
+			_, err = conn.Write(bufs.enc)
+		} else if _, err = w.Write(bufs.enc); err == nil && br.Buffered() == 0 {
+			err = w.Flush()
 		}
-		if br.Buffered() == 0 {
-			if w.Flush() != nil {
-				conn.endRequest()
-				return
-			}
-		}
-		if conn.endRequest() {
+		if draining := conn.endRequest(); err != nil || draining {
 			w.Flush()
 			return
 		}
@@ -169,18 +181,27 @@ func errorFrame(table uint32, msg string) Frame {
 	return Frame{Op: OpError, Table: table, Payload: []byte(msg)}
 }
 
-// respondFrame answers one request frame. All errors inside a well-formed
-// frame come back as OpError frames; the connection stays usable. The
-// batch path builds its response into bufs.resp; every other response is
-// small and freshly allocated.
-func (s *Server) respondFrame(f Frame, bufs *v2Buffers) Frame {
+// respond answers one request frame, leaving the encoded response in
+// bufs.enc. The two hot ops build theirs in place; every other response is
+// small, freshly allocated and encoded from its Frame.
+func (s *Server) respond(f Frame, bufs *v2Buffers) {
+	switch f.Op {
+	case OpClassify:
+		bufs.enc = s.frameClassify(bufs.enc[:0], f)
+	case OpBatch:
+		bufs.enc = s.frameBatch(bufs.enc[:0], f, bufs)
+	default:
+		bufs.enc = AppendFrame(bufs.enc[:0], s.respondFrame(f))
+	}
+}
+
+// respondFrame answers every op but OpClassify and OpBatch. All errors
+// inside a well-formed frame come back as OpError frames; the connection
+// stays usable.
+func (s *Server) respondFrame(f Frame) Frame {
 	switch f.Op {
 	case OpPing:
 		return Frame{Op: OpPong, Table: f.Table}
-	case OpClassify:
-		return s.frameClassify(f)
-	case OpBatch:
-		return s.frameBatch(f, bufs)
 	case OpInsert:
 		return s.frameInsert(f)
 	case OpDelete:
@@ -213,55 +234,55 @@ func (s *Server) respondFrame(f Frame, bufs *v2Buffers) Frame {
 	}
 }
 
-func (s *Server) frameClassify(f Frame) Frame {
+// frameClassify appends the encoded answer to an OpClassify request to dst.
+func (s *Server) frameClassify(dst []byte, f Frame) []byte {
 	s.requests.Add(1)
 	cls, err := s.tableClassifier(f.Table)
 	if err != nil {
-		return errorFrame(f.Table, err.Error())
+		return AppendFrame(dst, errorFrame(f.Table, err.Error()))
 	}
 	if len(f.Payload) != packedPacketLen {
 		s.parseFails.Add(1)
-		return errorFrame(f.Table, fmt.Sprintf("classify payload must be %d bytes, got %d", packedPacketLen, len(f.Payload)))
+		return AppendFrame(dst, errorFrame(f.Table, fmt.Sprintf("classify payload must be %d bytes, got %d", packedPacketLen, len(f.Payload))))
 	}
 	r, ok := cls.Classify(decodePacket(f.Payload))
 	if ok {
 		s.matches.Add(1)
 	}
-	return Frame{Op: OpResult, Table: f.Table,
-		Payload: appendResult(make([]byte, 0, packedResultLen), engine.Result{Rule: r, OK: ok})}
+	start := len(dst)
+	return endFrame(appendResult(beginFrame(dst, OpResult, f.Table), r.ID, r.Priority, ok), start)
 }
 
-func (s *Server) frameBatch(f Frame, bufs *v2Buffers) Frame {
+// frameBatch appends the encoded answer to an OpBatch request to dst,
+// classifying through the connection's scratch.
+func (s *Server) frameBatch(dst []byte, f Frame, bufs *v2Buffers) []byte {
 	cls, err := s.tableClassifier(f.Table)
 	if err != nil {
 		s.requests.Add(1)
-		return errorFrame(f.Table, err.Error())
+		return AppendFrame(dst, errorFrame(f.Table, err.Error()))
 	}
 	if len(f.Payload) < 4 {
 		s.requests.Add(1)
 		s.parseFails.Add(1)
-		return errorFrame(f.Table, "batch payload too short")
+		return AppendFrame(dst, errorFrame(f.Table, "batch payload too short"))
 	}
 	n := int(binary.LittleEndian.Uint32(f.Payload[:4]))
 	if n <= 0 || n > MaxBatch {
 		s.requests.Add(1)
-		return errorFrame(f.Table, fmt.Sprintf("batch size must be in [1, %d]", MaxBatch))
+		return AppendFrame(dst, errorFrame(f.Table, fmt.Sprintf("batch size must be in [1, %d]", MaxBatch)))
 	}
 	if want := 4 + n*packedPacketLen; len(f.Payload) != want {
 		s.requests.Add(1)
 		s.parseFails.Add(1)
-		return errorFrame(f.Table, fmt.Sprintf("batch payload must be %d bytes for %d packets, got %d", want, n, len(f.Payload)))
+		return AppendFrame(dst, errorFrame(f.Table, fmt.Sprintf("batch payload must be %d bytes for %d packets, got %d", want, n, len(f.Payload))))
 	}
 	s.requests.Add(int64(n))
 	s.batches.Add(1)
-	packets := engine.GetPacketBuf(n)
-	defer engine.PutPacketBuf(packets)
+	packets, out := bufs.batchScratch(n)
 	body := f.Payload[4:]
-	for i := 0; i < n; i++ {
+	for i := range packets {
 		packets[i] = decodePacket(body[i*packedPacketLen:])
 	}
-	out := engine.GetResultBuf(n)
-	defer engine.PutResultBuf(out)
 	if bc, ok := cls.(BatchClassifier); ok {
 		bc.ClassifyBatch(packets, out)
 	} else {
@@ -269,17 +290,18 @@ func (s *Server) frameBatch(f Frame, bufs *v2Buffers) Frame {
 			out[i].Rule, out[i].OK = cls.Classify(p)
 		}
 	}
-	payload := binary.LittleEndian.AppendUint32(bufs.resp[:0], uint32(n))
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(beginFrame(dst, OpBatchResult, f.Table), uint32(n))
 	matched := 0
-	for i := 0; i < n; i++ {
-		if out[i].OK {
+	for i := range out {
+		res := &out[i]
+		if res.OK {
 			matched++
 		}
-		payload = appendResult(payload, out[i])
+		dst = appendResult(dst, res.Rule.ID, res.Rule.Priority, res.OK)
 	}
 	s.matches.Add(int64(matched))
-	bufs.resp = payload
-	return Frame{Op: OpBatchResult, Table: f.Table, Payload: payload}
+	return endFrame(dst, start)
 }
 
 // updatedFrame packs an OpUpdated response.

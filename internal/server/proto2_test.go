@@ -13,7 +13,7 @@ import (
 	"neurocuts/internal/rule"
 )
 
-func dialV2Test(t *testing.T, addr string) *ClientV2 {
+func dialV2Test(t testing.TB, addr string) *ClientV2 {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -233,7 +233,7 @@ type servedConn struct {
 // rest of the frame) and its response writes must finish within it,
 // so a client that stalls mid-request — or stops reading responses while
 // its pipelined requests keep the server writing — cannot pin its handler
-// goroutine and the pooled buffers it holds forever. bodyTimeout 0 means
+// goroutine and the buffers it holds forever. bodyTimeout 0 means
 // no deadline.
 func (c *servedConn) beginRequest(bodyTimeout time.Duration) {
 	c.mu.Lock()
