@@ -249,22 +249,31 @@ func TestZeroAllocTelemetryBatch(t *testing.T) {
 }
 
 // TestZeroAllocTelemetryOverlayUpdates pins the telemetry-enabled overlay
-// serving path: with online updates pending (overlay + tombstones live),
-// single lookups through the merged view must still record without
-// allocating — including the flight recorder's overlay-winner attribution.
+// serving path: with online updates pending (overlay rules and tombstones
+// live), single lookups and 256-packet batches through the merged view must
+// still record without allocating — including the flight recorder's
+// overlay-winner attribution — and so must the updater's Rule-shaped
+// wrappers over the same lists.
 func TestZeroAllocTelemetryOverlayUpdates(t *testing.T) {
 	set := allocTestSet(t, 128)
-	ps := allocTestPackets(set, 64)
+	ps := allocTestPackets(set, 256)
+	out := make([]Result, len(ps))
 	tel := allocTestTelemetry()
 	eng, err := NewEngine("hicuts", set, Options{Shards: 1, CompactThreshold: -1, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	r := set.Rules()[0]
-	r.ID = 0
-	if _, err := eng.Insert(0, r); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 8; i++ {
+		if _, err := eng.Insert(i*16, set.Rule(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Delete(set.Rule(i*15 + 1).ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := eng.UpdaterStats(); st.OverlayRules != 8 || st.Tombstones != 8 {
+		t.Fatalf("overlay=%d tombstones=%d, want 8/8", st.OverlayRules, st.Tombstones)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
@@ -275,7 +284,11 @@ func TestZeroAllocTelemetryOverlayUpdates(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("overlay-serving telemetry-enabled Classify allocates %.1f allocs/op, want 0", allocs)
 	}
-	if tel.UpdateInsert.Snapshot().Count() == 0 {
-		t.Error("telemetry recorded no insert-apply samples")
+	if allocs := testing.AllocsPerRun(50, func() { eng.ClassifyBatch(ps, out) }); allocs != 0 {
+		t.Errorf("overlay-serving telemetry-enabled ClassifyBatch allocates %.1f allocs/batch, want 0", allocs)
 	}
+	if tel.UpdateInsert.Snapshot().Count() == 0 || tel.UpdateDelete.Snapshot().Count() == 0 {
+		t.Error("telemetry recorded no insert- or delete-apply samples")
+	}
+	ruleWrappersZeroAlloc(t, eng, set, ps)
 }

@@ -17,80 +17,51 @@ import (
 	"neurocuts/internal/tss"
 )
 
-// adapter lifts a backend's single-packet lookup and metrics functions into
-// the Classifier interface. ClassifyBatch is a sequential loop here; the
-// Engine layers sharding on top of it.
+// adapter lifts a backend's single-packet position lookup and metrics
+// functions into the Classifier interface. LookupBatch is a sequential loop
+// here; the Engine layers sharding on top of it.
 type adapter struct {
-	classify func(p rule.Packet) (rule.Rule, bool)
-	metrics  func() Metrics
+	lookup  func(p rule.Packet) int
+	metrics func() Metrics
 }
 
-func (a *adapter) Classify(p rule.Packet) (rule.Rule, bool) { return a.classify(p) }
+func (a *adapter) Lookup(p rule.Packet) int32 { return int32(a.lookup(p)) }
 
-func (a *adapter) ClassifyBatch(ps []rule.Packet, out []Result) {
+func (a *adapter) LookupBatch(ps []rule.Packet, pos []int32) {
 	for i, p := range ps {
-		out[i].Rule, out[i].OK = a.classify(p)
+		pos[i] = int32(a.lookup(p))
 	}
 }
 
 func (a *adapter) Metrics() Metrics { return a.metrics() }
 
+// winnerIndex turns a backend's Rule-returning lookup into a position lookup
+// over set, the list the backend was built from.
+func winnerIndex(set *rule.Set, classify func(rule.Packet) (rule.Rule, bool)) func(rule.Packet) int {
+	return func(p rule.Packet) int {
+		if r, ok := classify(p); ok {
+			return set.IndexOf(r)
+		}
+		return -1
+	}
+}
+
 // compiledClassifier serves lookups from the immutable flat-array form that
 // Compile produces. This is the serve path for every tree backend: the
 // pointer-linked build tree is discarded after compilation, and the same
-// object is what SaveArtifact persists and warm starts reload.
+// object is what SaveArtifact persists and warm starts reload. Its positions
+// are indices into Rules(), which is the snapshot's rule list.
 type compiledClassifier struct {
 	c *compiled.Classifier
 	m Metrics
 }
 
-func (a *compiledClassifier) Classify(p rule.Packet) (rule.Rule, bool) { return a.c.Lookup(p) }
+func (a *compiledClassifier) Lookup(p rule.Packet) int32 { return int32(a.c.LookupIndex(p)) }
 
-// idxBufs recycles the rule-index scratch that bridges LookupBatch (which
-// reports int32 indices) to the engine's Result shape. A buffered channel
-// rather than sync.Pool so the batch path's zero-alloc guarantee is
-// deterministic under the race detector too (Pool drops a fraction of Puts
-// there); extras beyond the freelist capacity simply allocate.
-var idxBufs = make(chan *[]int32, 64)
-
-func getIdxBuf(n int) *[]int32 {
-	select {
-	case bp := <-idxBufs:
-		if cap(*bp) < n {
-			*bp = make([]int32, n)
-		}
-		return bp
-	default:
-		b := make([]int32, n)
-		return &b
-	}
-}
-
-func putIdxBuf(bp *[]int32) {
-	select {
-	case idxBufs <- bp:
-	default:
-	}
-}
-
-// ClassifyBatch serves the whole span through the compiled frontier walk
+// LookupBatch serves the whole span through the compiled frontier walk
 // (compiled.LookupBatch): a group of packets advances through each tree
-// together instead of one dependent-load chain at a time. Results are
-// identical to per-packet Classify calls.
-func (a *compiledClassifier) ClassifyBatch(ps []rule.Packet, out []Result) {
-	bp := getIdxBuf(len(ps))
-	idx := (*bp)[:len(ps)]
-	a.c.LookupBatch(ps, idx)
-	rules := a.c.Rules()
-	for i, ix := range idx {
-		if ix >= 0 {
-			out[i].Rule, out[i].OK = rules[ix], true
-		} else {
-			out[i].Rule, out[i].OK = rule.Rule{}, false
-		}
-	}
-	putIdxBuf(bp)
-}
+// together instead of one dependent-load chain at a time.
+func (a *compiledClassifier) LookupBatch(ps []rule.Packet, pos []int32) { a.c.LookupBatch(ps, pos) }
 
 func (a *compiledClassifier) Metrics() Metrics { return a.m }
 
@@ -153,7 +124,7 @@ const linearRuleBytes = rule.NumDims*16 + 16
 func init() {
 	Register("linear", "Linear", func(set *rule.Set, opts Options) (Classifier, error) {
 		return &adapter{
-			classify: set.Match,
+			lookup: set.MatchIndex,
 			metrics: func() Metrics {
 				n := set.Len()
 				return Metrics{
@@ -214,7 +185,7 @@ func init() {
 			return nil, err
 		}
 		return &adapter{
-			classify: c.Classify,
+			lookup: winnerIndex(set, c.Classify),
 			metrics: func() Metrics {
 				m := c.Metrics()
 				return Metrics{
@@ -235,7 +206,7 @@ func init() {
 			return nil, err
 		}
 		return &adapter{
-			classify: c.Classify,
+			lookup: winnerIndex(set, c.Classify),
 			metrics: func() Metrics {
 				m := c.Metrics()
 				em := Metrics{

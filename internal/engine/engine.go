@@ -7,9 +7,10 @@
 // and the linear-search reference. Each historically exposed its own Build
 // and lookup shape. This package gives them a common face:
 //
-//   - Classifier is the uniform lookup interface (Classify, ClassifyBatch,
-//     Metrics). Adapters in backends.go register every algorithm in a
-//     name-keyed registry, so callers select backends by string
+//   - Classifier is the uniform lookup interface (Lookup, LookupBatch,
+//     Metrics): a lookup answers with the winner's position in the rule
+//     list, not the rule. Adapters in backends.go register every algorithm
+//     in a name-keyed registry, so callers select backends by string
 //     ("hicuts", "tss", ...) instead of switching over packages.
 //   - Engine wraps a Classifier with a serving runtime: lookups run to
 //     completion on the caller behind an optional lock-free flow cache,
@@ -20,9 +21,9 @@
 //     swapped in atomically (RCU-style, via atomic.Pointer), so readers are
 //     never blocked and every lookup observes one coherent snapshot.
 //
-// Engine itself satisfies Classifier, so anything that serves a backend
-// (internal/server, cmd/classify, the benchmarks) can serve an Engine
-// transparently.
+// Positions stay positions through every layer below the Engine's edge
+// (Engine.Classify/ClassifyBatch and View): only there is the winning rule
+// copied, once, into the caller's Result.
 package engine
 
 import (
@@ -67,19 +68,22 @@ type Metrics struct {
 	// replication or expansion factor.
 	Entries int
 	// CompiledBytes is the actual footprint of the compiled flat-array
-	// serving form for tree backends (0 for backends without one, or when
-	// serving the legacy pointer tree). MemoryBytes stays the paper's
-	// modelled cost so figures remain comparable across PRs.
+	// serving form for tree backends (0 for backends without one).
+	// MemoryBytes stays the paper's modelled cost so figures remain
+	// comparable across PRs.
 	CompiledBytes int
 }
 
-// Classifier is the uniform interface every backend adapter satisfies.
+// Classifier is the uniform interface every backend adapter satisfies. It
+// answers with positions in the rule list it serves (the snapshot's), so no
+// rule is copied until the Engine's edge materializes a Result.
 type Classifier interface {
-	// Classify returns the highest-priority rule matching p, or ok=false.
-	Classify(p rule.Packet) (rule.Rule, bool)
-	// ClassifyBatch classifies ps[i] into out[i] for every i. out must be
+	// Lookup returns the position of the highest-priority rule matching p,
+	// or -1.
+	Lookup(p rule.Packet) int32
+	// LookupBatch writes Lookup(ps[i]) to pos[i] for every i. pos must be
 	// at least as long as ps.
-	ClassifyBatch(ps []rule.Packet, out []Result)
+	LookupBatch(ps []rule.Packet, pos []int32)
 	// Metrics summarises the backend's cost profile.
 	Metrics() Metrics
 }
@@ -277,13 +281,13 @@ func (v View) Metrics() Metrics { return v.s.cls.Metrics() }
 
 // Classify looks one packet up in the pinned snapshot, bypassing the
 // engine's own flow cache: a dataplane loop brings its own (ClassifyScatter).
-func (v View) Classify(p rule.Packet) (rule.Rule, bool) { return v.s.cls.Classify(p) }
+func (v View) Classify(p rule.Packet) (rule.Rule, bool) { return v.s.rule(v.s.cls.Lookup(p)) }
 
 // ClassifyBatch classifies ps[i] into out[i] against the pinned snapshot,
 // uncached and on the caller. The backend sees the whole span at once, so
 // compiled tree snapshots serve it through the frontier walk instead of one
 // dependent-load chain per packet. out must be at least as long as ps.
-func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.cls.ClassifyBatch(ps, out) }
+func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.classifyUncached(ps, out, nil) }
 
 // ClassifyScatter classifies ps against the pinned snapshot through the
 // caller's own flow cache c (nil: uncached), writing ps[i]'s result to
@@ -348,7 +352,8 @@ func (e *Engine) Stats() EngineStats {
 type batchTask struct {
 	snap *snapshot
 	ps   []rule.Packet
-	out  []Result
+	pos  []int32
+	out  []Result // nil: the caller materializes the positions itself
 	wg   *sync.WaitGroup
 }
 
@@ -416,7 +421,8 @@ func (e *Engine) Rules() *rule.Set { return e.snap.Load().set }
 
 // Classify looks up one packet in the current snapshot, consulting the flow
 // cache first when one is configured. The path performs zero heap
-// allocations for allocation-free backends (linear, tss).
+// allocations for the backends alloc_test.go pins: linear, tss and the
+// compiled tree backends, with or without a pending overlay.
 func (e *Engine) Classify(p rule.Packet) (rule.Rule, bool) {
 	e.lookups.Add(1)
 	s := e.snap.Load()
@@ -430,45 +436,47 @@ func (e *Engine) Classify(p rule.Packet) (rule.Rule, bool) {
 // classifyOne is the cache-aware single-packet path against a pinned
 // snapshot; hit reports whether the flow cache answered.
 func (e *Engine) classifyOne(s *snapshot, p rule.Packet) (r rule.Rule, ok, hit bool) {
-	c := e.cache
-	if c == nil {
-		r, ok = s.cls.Classify(p)
-		return r, ok, false
-	}
-	if idx, cached := c.Get(p, s.rulesGen); cached {
+	var idx int32
+	if c := e.cache; c == nil {
+		idx = s.cls.Lookup(p)
+	} else if idx, hit = c.Get(p, s.rulesGen); hit {
 		c.Count(1, 0)
-		if idx < 0 {
-			return rule.Rule{}, false, true
-		}
-		return s.set.Rule(int(idx)), true, true
+	} else {
+		c.Count(0, 1)
+		idx = s.cls.Lookup(p)
+		c.Put(p, s.rulesGen, idx)
 	}
-	c.Count(0, 1)
-	r, ok = s.cls.Classify(p)
-	s.fill(c, p, &r, ok)
-	return r, ok, false
+	r, ok = s.rule(idx)
+	return r, ok, hit
 }
 
-// fill caches the backend's answer for p as a position in the snapshot's
-// rule list. A winner the list does not hold (no backend returns one) is
-// left uncached rather than cached wrong.
-func (s *snapshot) fill(c *FlowCache, p rule.Packet, r *rule.Rule, ok bool) {
-	idx := -1
-	if ok {
-		if idx = s.set.IndexOf(*r); idx < 0 {
-			return
-		}
+// rule materializes position idx of the snapshot's rule list (-1: no match)
+// — the one copy of the winning rule a single lookup makes.
+func (s *snapshot) rule(idx int32) (rule.Rule, bool) {
+	if idx < 0 {
+		return rule.Rule{}, false
 	}
-	c.Put(p, s.rulesGen, int32(idx))
+	return s.set.Rule(int(idx)), true
+}
+
+// put materializes position idx of rules, a snapshot's list, into *r — the
+// one copy of the winning rule an answered packet of a batch costs.
+func put(r *Result, rules []rule.Rule, idx int32) {
+	if idx < 0 {
+		*r = Result{}
+		return
+	}
+	r.Rule, r.OK = rules[idx], true
 }
 
 // missScratch holds one batch's cache misses so they can be classified as a
 // single backend batch (and so reach the compiled backends' frontier walk)
-// instead of one packet at a time.
+// instead of one packet at a time; an uncached batch is all misses and uses
+// only idx, for its positions.
 type missScratch struct {
 	ps  []rule.Packet
-	out []Result
-	pos []int32
-	idx []int32 // the cache's answer per packet of the batch
+	pos []int32 // where each miss's result goes
+	idx []int32 // the cache's answer per packet, then each miss's position
 }
 
 // missScratches recycles miss-collection scratches. A buffered channel rather
@@ -485,7 +493,6 @@ func getMissScratch(n int) *missScratch {
 	}
 	if cap(ms.ps) < n {
 		ms.ps = make([]rule.Packet, n)
-		ms.out = make([]Result, n)
 		ms.pos = make([]int32, n)
 		ms.idx = make([]int32, n)
 	}
@@ -503,9 +510,10 @@ func putMissScratch(ms *missScratch) {
 // of misses. A hit is one slot read and one copy out of the rule list; the
 // misses are gathered so the backend sees one dense span — compiled
 // classifiers run their frontier walk even behind the cache — which fan,
-// when set, may split across its workers. ps[i]'s result lands in
-// out[pos[i]], or out[i] when pos is nil. A nil c makes every packet a
-// miss: an uncached dataplane loop still needs the scatter.
+// when set, may split across its workers. Each miss's position fills the
+// cache as it is, and its rule is copied once, into out. ps[i]'s result
+// lands in out[pos[i]], or out[i] when pos is nil. A nil c makes every
+// packet a miss: an uncached dataplane loop still needs the scatter.
 func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, out []Result, fan *Engine) int {
 	ms := getMissScratch(len(ps))
 	rules := s.set.Rules()
@@ -523,27 +531,25 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, o
 		if pos != nil {
 			o = pos[i]
 		}
-		switch ix := idx[i]; {
-		case ix >= 0:
-			out[o].Rule, out[o].OK = rules[ix], true
-		case ix != FlowMiss:
-			out[o] = Result{} // cached "no rule matches"
-		default:
+		if ix := idx[i]; ix != FlowMiss {
+			put(&out[o], rules, ix) // a hit, or a cached "no rule matches"
+		} else {
 			ms.ps[miss], ms.pos[miss] = ps[i], o
 			miss++
 		}
 	}
 	if miss > 0 {
-		mps, mout := ms.ps[:miss], ms.out[:miss]
+		// The probe answers are all read: the front of idx takes the misses'.
+		mps, midx := ms.ps[:miss], idx[:miss]
 		if fan != nil {
-			fan.classifySpan(s, mps, mout)
+			fan.classifySpan(s, mps, midx, nil)
 		} else {
-			s.cls.ClassifyBatch(mps, mout)
+			s.cls.LookupBatch(mps, midx)
 		}
-		for j := range mout {
-			out[ms.pos[j]] = mout[j]
+		for j, ix := range midx {
+			put(&out[ms.pos[j]], rules, ix)
 			if c != nil {
-				s.fill(c, mps[j], &mout[j].Rule, mout[j].OK)
+				c.Put(mps[j], s.rulesGen, ix)
 			}
 		}
 	}
@@ -576,26 +582,50 @@ func (e *Engine) ClassifyBatch(ps []rule.Packet, out []Result) {
 
 func (e *Engine) classifyBatch(s *snapshot, ps []rule.Packet, out []Result) {
 	if e.cache == nil {
-		e.classifySpan(s, ps, out)
+		s.classifyUncached(ps, out, e)
 		return
 	}
 	s.classifyCached(e.cache, ps, nil, out, e)
 }
 
-// classifySpan puts a dense span no cache could answer to the backend. It
-// fans out only when each span carries at least handoffWork of estimated
-// work, and then the caller classifies the first span itself: Shards: n
-// means n goroutines busy and n-1 handoffs. Below the gate — every
-// Shards: 1 engine, every small or mostly-cached batch — it is one backend
-// call in line.
-func (e *Engine) classifySpan(s *snapshot, ps []rule.Packet, out []Result) {
+// classifyUncached answers a dense span with no cache in front: positions
+// into a recycled scratch, then one copy per packet into out. fan, when set,
+// may split the span across its workers.
+func (s *snapshot) classifyUncached(ps []rule.Packet, out []Result, fan *Engine) {
+	ms := getMissScratch(len(ps))
+	if pos := ms.idx[:len(ps)]; fan != nil {
+		fan.classifySpan(s, ps, pos, out)
+	} else {
+		s.lookupSpan(ps, pos, out)
+	}
+	putMissScratch(ms)
+}
+
+// lookupSpan looks ps up into pos and materializes the answers into out,
+// unless out is nil.
+func (s *snapshot) lookupSpan(ps []rule.Packet, pos []int32, out []Result) {
+	s.cls.LookupBatch(ps, pos)
+	rules := s.set.Rules()
+	for i := range out {
+		put(&out[i], rules, pos[i])
+	}
+}
+
+// classifySpan puts a dense span no cache could answer to the backend,
+// positions into pos and, unless out is nil, rules into out. It fans out
+// only when each span carries at least handoffWork of estimated work, and
+// then the caller classifies the first span itself and each worker
+// materializes its own: Shards: n means n goroutines busy and n-1 handoffs.
+// Below the gate — every Shards: 1 engine, every small or mostly-cached
+// batch — it is one backend call in line.
+func (e *Engine) classifySpan(s *snapshot, ps []rule.Packet, pos []int32, out []Result) {
 	n := len(ps)
 	spans := 1
 	if e.shards > 1 {
 		spans = min(e.shards, n, n*s.cls.Metrics().LookupCost/handoffWork)
 	}
 	if spans < 2 || !e.workersReady() {
-		s.cls.ClassifyBatch(ps, out)
+		s.lookupSpan(ps, pos, out)
 		return
 	}
 	chunk := (n + spans - 1) / spans
@@ -603,12 +633,19 @@ func (e *Engine) classifySpan(s *snapshot, ps []rule.Packet, out []Result) {
 	handed := uint64(0)
 	for lo := chunk; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
+		t := batchTask{snap: s, ps: ps[lo:hi], pos: pos[lo:hi], wg: wg}
+		if out != nil {
+			t.out = out[lo:hi]
+		}
 		wg.Add(1)
-		e.work <- batchTask{snap: s, ps: ps[lo:hi], out: out[lo:hi], wg: wg}
+		e.work <- t
 		handed++
 	}
 	e.handoffs.Add(handed)
-	s.cls.ClassifyBatch(ps[:chunk], out[:chunk])
+	if out != nil {
+		out = out[:chunk]
+	}
+	s.lookupSpan(ps[:chunk], pos[:chunk], out)
 	wg.Wait()
 	wgPool.Put(wg)
 }
@@ -627,7 +664,7 @@ func (e *Engine) workersReady() bool {
 		for i := 1; i < e.shards; i++ {
 			go func() {
 				for t := range e.work {
-					t.snap.cls.ClassifyBatch(t.ps, t.out)
+					t.snap.lookupSpan(t.ps, t.pos, t.out)
 					t.wg.Done()
 				}
 			}()

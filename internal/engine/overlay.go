@@ -31,89 +31,34 @@ import (
 const DefaultCompactThreshold = 256
 
 // overlayClassifier adapts an updater.View to the Classifier interface so
-// the engine's read path (flow cache, batch fan-out, pools) serves merged
-// base+overlay lookups unchanged.
+// the engine's read path (flow cache, batch fan-out) serves merged
+// base+overlay lookups unchanged. The view's positions index its merged
+// list, which is the snapshot's rule list.
 type overlayClassifier struct {
 	view *updater.View
 	m    Metrics
 }
 
-func (o *overlayClassifier) Classify(p rule.Packet) (rule.Rule, bool) { return o.view.Classify(p) }
+func (o *overlayClassifier) Lookup(p rule.Packet) int32 { return o.view.Lookup(p) }
 
-// overlayScratch stages one batch's merged results in the updater's
-// parallel-array shape before they are folded into the engine's []Result.
-type overlayScratch struct {
-	rules []rule.Rule
-	oks   []bool
-	// out stages the backend's []Result when this scratch serves the base
-	// batch adapter in newBase (sized lazily there).
-	out []Result
-}
-
-// overlayScratches recycles overlay batch scratches — a buffered channel
-// rather than sync.Pool for the same race-determinism reason as idxBufs.
-var overlayScratches = make(chan *overlayScratch, 64)
-
-func getOverlayScratch(n int) *overlayScratch {
-	var sc *overlayScratch
-	select {
-	case sc = <-overlayScratches:
-	default:
-		sc = new(overlayScratch)
-	}
-	if cap(sc.rules) < n {
-		sc.rules = make([]rule.Rule, n)
-		sc.oks = make([]bool, n)
-	}
-	return sc
-}
-
-func putOverlayScratch(sc *overlayScratch) {
-	select {
-	case overlayScratches <- sc:
-	default:
-	}
-}
-
-// ClassifyBatch serves the span through the updater view's batched merge, so
-// the base lookups underneath run as one backend batch (the compiled frontier
-// walk for tree backends) instead of one packet at a time.
-func (o *overlayClassifier) ClassifyBatch(ps []rule.Packet, out []Result) {
-	sc := getOverlayScratch(len(ps))
-	rules, oks := sc.rules[:len(ps)], sc.oks[:len(ps)]
-	o.view.ClassifyBatch(ps, rules, oks)
-	for i := range ps {
-		out[i].Rule, out[i].OK = rules[i], oks[i]
-	}
-	putOverlayScratch(sc)
-}
+// LookupBatch serves the span through the view's batched merge, so the base
+// lookups underneath run as one backend batch (the compiled frontier walk
+// for tree backends) instead of one packet at a time.
+func (o *overlayClassifier) LookupBatch(ps []rule.Packet, pos []int32) { o.view.LookupBatch(ps, pos) }
 
 func (o *overlayClassifier) Metrics() Metrics { return o.m }
 
 // newBase wraps a built classifier as an overlay base, handing the updater
-// both the scalar and the batched lookup so merged views can classify spans
-// through the backend's batch path. A compiled classifier also lends the
-// base its packed rule records, so tombstone rescans cost no second copy.
+// both its scalar and its batched position lookup, so merged views classify
+// spans through the backend's batch path. A compiled classifier is passed in
+// bare — compiled.LookupIndex and LookupBatch — and lends the base its packed
+// rule records, so tombstone rescans cost no second copy.
 func newBase(cls Classifier, set *rule.Set) (*updater.Base, error) {
-	batch := func(ps []rule.Packet, rules []rule.Rule, oks []bool) {
-		sc := getOverlayScratch(len(ps))
-		// getOverlayScratch only sizes rules/oks; the Result staging area
-		// rides alongside so the base batch reuses the same freelist.
-		if cap(sc.out) < len(ps) {
-			sc.out = make([]Result, len(ps))
-		}
-		out := sc.out[:len(ps)]
-		cls.ClassifyBatch(ps, out)
-		for i := range out {
-			rules[i], oks[i] = out[i].Rule, out[i].OK
-		}
-		putOverlayScratch(sc)
-	}
-	var packed []rule.Packed
 	if cp, ok := cls.(CompiledProvider); ok {
-		packed = cp.Compiled().Packed()
+		c := cp.Compiled()
+		return updater.NewBasePacked(set, c.LookupIndex, c.LookupBatch, c.Packed())
 	}
-	return updater.NewBasePacked(set, cls.Classify, batch, packed)
+	return updater.NewBasePacked(set, func(p rule.Packet) int { return int(cls.Lookup(p)) }, cls.LookupBatch, nil)
 }
 
 // initUpdater finishes engine construction for the write path: it fixes the

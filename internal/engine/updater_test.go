@@ -13,6 +13,7 @@ import (
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/updater"
 )
 
 // overlayTestSet mirrors allocTestSet with a distinct seed so update tests
@@ -371,14 +372,56 @@ func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 	}
 }
 
+// ruleWrappersZeroAlloc pins the two Rule-shaped entry points the updater
+// keeps as wrappers over its position path, built the way the benchmark's
+// updater layer builds them: an updater.NewBaseBatch base over eng's compiled
+// classifier (built over set) and a View of eng's merged list. Its
+// View.Classify and View.ClassifyBatch must match linear search and
+// allocate nothing — no freelist has to be warm first.
+func ruleWrappersZeroAlloc(t *testing.T, eng *Engine, set *rule.Set, ps []rule.Packet) {
+	t.Helper()
+	s := eng.snap.Load()
+	cc := s.baseCls.(CompiledProvider).Compiled()
+	idx, rules := make([]int32, len(ps)), cc.Rules()
+	base, err := updater.NewBaseBatch(set, cc.Lookup, func(ps []rule.Packet, rs []rule.Rule, oks []bool) {
+		cc.LookupBatch(ps, idx[:len(ps)])
+		for i, ix := range idx[:len(ps)] {
+			if oks[i] = ix >= 0; oks[i] {
+				rs[i] = rules[ix]
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := updater.NewView(base, s.set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, oks := make([]rule.Rule, len(ps)), make([]bool, len(ps))
+	if allocs := testing.AllocsPerRun(50, func() { view.ClassifyBatch(ps, rs, oks) }); allocs != 0 {
+		t.Errorf("%s: updater.View.ClassifyBatch over a NewBaseBatch base allocates %.1f allocs/op, want 0", s.backend, allocs)
+	}
+	for i, p := range ps {
+		if want, ok := s.set.Match(p); oks[i] != ok || rs[i] != want {
+			t.Fatalf("%s: wrapper batch packet %d: (%v, %v), linear search (%v, %v)", s.backend, i, rs[i].ID, oks[i], want.ID, ok)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() { view.Classify(ps[i%len(ps)]); i++ }); allocs != 0 {
+		t.Errorf("%s: updater.View.Classify over a NewBaseBatch base allocates %.1f allocs/op, want 0", s.backend, allocs)
+	}
+}
+
 // TestOverlayZeroAllocLookups pins the merged lookup path, scalar and
-// batched, at zero heap allocations per op at the fill the benchmark's
-// overlay averages between compactions (128 overlay rules + 128 tombstones),
-// on a compiled tree base and on the fallback bases the CI alloc gate has
-// always pinned.
+// batched (256-packet batches), at zero heap allocations per op at the fill
+// the benchmark's overlay averages between compactions (128 overlay rules +
+// 128 tombstones), on a compiled tree base and on the fallback bases the CI
+// alloc gate has always pinned — and, on the compiled bases, the updater's
+// Rule-shaped wrappers.
 func TestOverlayZeroAllocLookups(t *testing.T) {
 	set := overlayTestSet(t, 1024)
-	ps := allocTestPackets(set, 64)
+	ps := allocTestPackets(set, 256)
 	out := make([]Result, len(ps))
 	for _, backend := range []string{"linear", "tss", "hicuts", "cutsplit"} {
 		eng, err := NewEngine(backend, set, Options{Shards: 1, CompactThreshold: -1})
@@ -406,9 +449,11 @@ func TestOverlayZeroAllocLookups(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: overlay Classify allocates %.1f allocs/op, want 0", backend, allocs)
 		}
-		eng.ClassifyBatch(ps, out) // warm the scratch freelists
 		if allocs := testing.AllocsPerRun(50, func() { eng.ClassifyBatch(ps, out) }); allocs != 0 {
 			t.Errorf("%s: overlay ClassifyBatch allocates %.1f allocs/op, want 0", backend, allocs)
+		}
+		if backend == "hicuts" || backend == "cutsplit" {
+			ruleWrappersZeroAlloc(t, eng, set, ps)
 		}
 		eng.Close()
 	}

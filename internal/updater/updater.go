@@ -26,13 +26,18 @@
 // Nothing in the scheme can run out: any rule fits the overlay, and any
 // number of them fit between two base rules.
 //
-// Cost model: the overlay adds O(overlay rules ranked at or above the base
+// Cost model: a View answers with a position — the winner's index in its
+// merged list, or -1 — and the base answers it with one: a lookup moves
+// int32s from the base through the tombstone check and the overlay scan, and
+// copies no rule. The overlay adds O(overlay rules ranked at or above the base
 // winner) packed-record compares per packet, at most the whole overlay, which
 // the engine's compaction threshold bounds (256 pending updates by default:
 // 10 KB, L1-resident). Tuple Space Search, the structure the overlay used to be,
 // loses at this size: ClassBench port ranges expand into prefix tuples, so
 // 256 rules spread over ~400 hash tables and every lookup pays one 40-byte
-// key hash per table whether or not the table can match.
+// key hash per table whether or not the table can match. The Rule-shaped
+// entry points (NewBase, NewBaseBatch, View.Classify, View.ClassifyBatch) are
+// wrappers over the position path for callers that hold rules.
 //
 // A View is a pure function of (base, merged list) — the same derivation
 // serves normal updates, journal replay and post-compaction rebasing — and is
@@ -57,59 +62,78 @@ import (
 	"neurocuts/internal/rule"
 )
 
-// LookupFunc is a base classifier's single-packet lookup. The returned
-// rule's Priority must be its index in the base rule set, and the lookup
-// must return the overall best match over the full base rule list —
-// including rules the merged view has tombstoned (the view checks the
-// winner against its tombstone set itself and rescans on a hit). An
-// "optimised" base lookup that skips tombstoned rules internally would be
-// unsound: tree builds prune leaf rules shadowed by higher-priority rules,
-// so the best surviving match can be absent from the structure once its
-// shadower is deleted.
+// LookupFunc is a base classifier's single-packet lookup in the Rule shape
+// NewBase and NewBaseBatch wrap: the wrapper turns the winner into its
+// position with its Priority, which must therefore be its index in the base
+// rule set. A base lookup in either shape must return the overall best match
+// over the full base rule list — including rules the merged view has
+// tombstoned (the view checks the winner against its tombstone set itself
+// and rescans on a hit). An "optimised" base lookup that skips tombstoned
+// rules internally would be unsound: tree builds prune leaf rules shadowed
+// by higher-priority rules, so the best surviving match can be absent from
+// the structure once its shadower is deleted.
 type LookupFunc func(p rule.Packet) (rule.Rule, bool)
 
-// BatchLookupFunc is a base classifier's batched lookup: it classifies
-// ps[i] into (rules[i], oks[i]) for every i. It must be result-identical to
-// len(ps) LookupFunc calls and carries the same soundness contract (full
-// base list, tombstoned rules included). Bases built from the engine's
-// compiled tree backends route this through the compiled frontier walk
-// (compiled.LookupBatch), which is why View.ClassifyBatch exists at all.
+// BatchLookupFunc is a base classifier's batched lookup in the Rule shape
+// NewBaseBatch wraps: it classifies ps[i] into (rules[i], oks[i]) for every
+// i, result-identical to len(ps) LookupFunc calls and under the same
+// soundness contract. View.ClassifyBatch hands it the caller's own slices;
+// View.LookupBatch, which answers with positions, does not use it.
 type BatchLookupFunc func(ps []rule.Packet, rules []rule.Rule, oks []bool)
 
 // Base is one immutable base generation: a built classifier, the rule set
 // it was built over, and the ID->index mapping Views need. It is shared by
 // every View derived between two compactions.
 type Base struct {
-	lookup LookupFunc
-	// batch is the optional batched lookup (nil bases serve batches as a
-	// scalar loop).
-	batch BatchLookupFunc
-	set   *rule.Set
+	// lookup returns the index in set of p's best match, or -1, under
+	// LookupFunc's soundness contract.
+	lookup func(p rule.Packet) int
+	// batch writes lookup(ps[i]) to pos[i] in one call (nil: View.LookupBatch
+	// runs lookup per packet).
+	batch func(ps []rule.Packet, pos []int32)
+	// ruleBatch is NewBaseBatch's Rule-shaped batch, nil for other bases.
+	ruleBatch BatchLookupFunc
+	set       *rule.Set
 	// packed is set's rules in the match kernel's form, index-aligned: what
 	// the tombstoned-winner rescan walks instead of the 96-byte rules.
 	packed    []rule.Packed
 	indexByID map[int]int
 }
 
-// NewBase wraps a built classifier as an overlay base. The set must be in
-// canonical form (rule i has Priority i), which every engine-built and
-// artifact-loaded set satisfies.
+// NewBase wraps a built classifier's Rule-shaped lookup as an overlay base.
+// The set must be in canonical form (rule i has Priority i), which every
+// engine-built and artifact-loaded set satisfies.
 func NewBase(set *rule.Set, lookup LookupFunc) (*Base, error) {
-	return NewBasePacked(set, lookup, nil, nil)
+	return NewBaseBatch(set, lookup, nil)
 }
 
-// NewBaseBatch is NewBase with an additional batched base lookup, which
-// View.ClassifyBatch uses to classify whole spans against the base in one
-// call. batch may be nil, in which case batches degrade to scalar lookups.
+// NewBaseBatch is NewBase with an additional Rule-shaped batched lookup,
+// which View.ClassifyBatch runs over whole spans into the caller's slices.
+// batch may be nil, in which case batches degrade to scalar lookups.
 func NewBaseBatch(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Base, error) {
-	return NewBasePacked(set, lookup, batch, nil)
+	if lookup == nil {
+		return nil, errors.New("updater: base lookup is nil")
+	}
+	b, err := NewBasePacked(set, func(p rule.Packet) int {
+		if r, ok := lookup(p); ok {
+			return r.Priority
+		}
+		return -1
+	}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	b.ruleBatch = batch
+	return b, nil
 }
 
-// NewBasePacked is NewBaseBatch for a caller that already holds the packed
-// projection of set's rules (rule.PackRules order — a compiled classifier
-// does): the base shares it instead of packing a second copy. A nil packed
-// makes the base pack its own.
-func NewBasePacked(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc, packed []rule.Packed) (*Base, error) {
+// NewBasePacked wraps a built classifier's position lookups as an overlay
+// base: lookup returns the index in set of p's best match, or -1, and batch
+// (nil: per-packet lookups) writes those indices for a whole span. packed is
+// the projection of set's rules in rule.PackRules order, which a caller that
+// already holds one (a compiled classifier does) shares instead of packing a
+// second copy; nil makes the base pack its own.
+func NewBasePacked(set *rule.Set, lookup func(p rule.Packet) int, batch func(ps []rule.Packet, pos []int32), packed []rule.Packed) (*Base, error) {
 	if lookup == nil {
 		return nil, errors.New("updater: base lookup is nil")
 	}
@@ -286,95 +310,89 @@ func (v *View) IndexOf(id int) int {
 	return -1
 }
 
-// Classify returns the highest-priority rule of the merged list matching p,
-// or ok=false. The path is allocation-free: one base lookup (with a
-// tombstone check on its winner) and a scan of the overlay rules that could
-// beat it.
-func (v *View) Classify(p rule.Packet) (rule.Rule, bool) {
-	br, bok := v.base.lookup(p)
-	return v.resolve(p, br, bok)
-}
+// Lookup returns the merged-list position of the highest-priority rule
+// matching p, or -1. The path is allocation-free and copies no rule: one base
+// lookup (with a tombstone check on its winner) and a scan of the overlay
+// rules that could beat it.
+func (v *View) Lookup(p rule.Packet) int32 { return v.resolve(p, v.base.lookup(p)) }
 
-// batchScratch stages one ClassifyBatch call's base lookup results.
-type batchScratch struct {
-	rules []rule.Rule
-	oks   []bool
-}
-
-// batchScratches recycles base-result scratches. A buffered channel rather
-// than sync.Pool so the batch path's zero-alloc steady state is
-// deterministic under the race detector too (Pool drops a fraction of Puts
-// there); extras beyond the freelist capacity simply allocate.
-var batchScratches = make(chan *batchScratch, 64)
-
-func getBatchScratch(n int) *batchScratch {
-	var sc *batchScratch
-	select {
-	case sc = <-batchScratches:
-	default:
-		sc = new(batchScratch)
-	}
-	if cap(sc.rules) < n {
-		sc.rules = make([]rule.Rule, n)
-		sc.oks = make([]bool, n)
-	}
-	return sc
-}
-
-func putBatchScratch(sc *batchScratch) {
-	select {
-	case batchScratches <- sc:
-	default:
-	}
-}
-
-// ClassifyBatch classifies ps[i] into (rules[i], oks[i]) for every i,
-// result-identical to per-packet Classify calls. The base lookups run as one
-// batched call when the base provides one (so a compiled tree base serves
-// the span through its frontier walk); tombstone resolution
-// and the overlay scan stay scalar per packet — the overlay is small by
-// construction, the base is where the memory latency lives.
-func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
+// LookupBatch writes Lookup(ps[i]) to pos[i] for every i. The base lookups
+// run as one batched call when the base provides one (so a compiled tree
+// base serves the span through its frontier walk), in place in pos;
+// tombstone resolution and the overlay scan stay scalar per packet — the
+// overlay is small by construction, the base is where the memory latency
+// lives.
+func (v *View) LookupBatch(ps []rule.Packet, pos []int32) {
 	if v.base.batch == nil || len(ps) < 2 {
+		for i, p := range ps {
+			pos[i] = v.Lookup(p)
+		}
+		return
+	}
+	v.base.batch(ps, pos)
+	for i, p := range ps {
+		pos[i] = v.resolve(p, int(pos[i]))
+	}
+}
+
+// Classify is Lookup plus one copy of the winning rule, or ok=false.
+func (v *View) Classify(p rule.Packet) (rule.Rule, bool) { return v.rule(v.Lookup(p)) }
+
+// rule materializes merged-list position i (-1: no match).
+func (v *View) rule(i int32) (rule.Rule, bool) {
+	if i < 0 {
+		return rule.Rule{}, false
+	}
+	return v.merged.Rule(int(i)), true
+}
+
+// ClassifyBatch is the Rule-shaped LookupBatch: ps[i]'s winner lands in
+// (rules[i], oks[i]), result-identical to per-packet Classify calls. A
+// NewBaseBatch base answers the whole span into the caller's own slices,
+// whose base winners are then merged and overwritten in place; any other base
+// is served a packet at a time. Either way it allocates nothing: scratch
+// handed through the base's function value would escape to the heap.
+func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
+	if v.base.ruleBatch == nil || len(ps) < 2 {
 		for i, p := range ps {
 			rules[i], oks[i] = v.Classify(p)
 		}
 		return
 	}
-	sc := getBatchScratch(len(ps))
-	brs, boks := sc.rules[:len(ps)], sc.oks[:len(ps)]
-	v.base.batch(ps, brs, boks)
+	v.base.ruleBatch(ps, rules, oks)
 	for i, p := range ps {
-		rules[i], oks[i] = v.resolve(p, brs[i], boks[i])
+		bi := -1
+		if oks[i] {
+			bi = rules[i].Priority
+		}
+		rules[i], oks[i] = v.rule(v.resolve(p, bi))
 	}
-	putBatchScratch(sc)
 }
 
-// resolve merges one packet's precomputed base lookup result with the
-// tombstone set and the overlay. It is the shared back half of Classify and
-// ClassifyBatch.
-func (v *View) resolve(p rule.Packet, baseRule rule.Rule, baseOK bool) (rule.Rule, bool) {
+// resolve merges one packet's base winner bi (its index in the base list, or
+// -1) with the tombstone set and the overlay, and returns the merged winner's
+// position, or -1. It is the shared back half of every lookup.
+func (v *View) resolve(p rule.Packet, bi int) int32 {
 	k := p.Key()
+	if bi >= 0 && v.tombsN > 0 && v.tombstoned(bi) {
+		// The base's best match is deleted: rescan the base list past the
+		// tombstones. This cannot be pushed into the base structure itself
+		// (see LookupFunc); it is the slow path and only runs when a
+		// deleted rule would have won.
+		packed := v.base.packed
+		for bi++; bi < len(packed); bi++ {
+			if packed[bi].Matches(k) && !v.tombstoned(bi) {
+				break
+			}
+		}
+		if bi == len(packed) {
+			bi = -1
+		}
+	}
 	// rank is the base winner's; without one it sorts behind every rule.
 	rank := math.MaxInt32
-	if baseOK {
-		bi := baseRule.Priority
-		if v.tombsN > 0 && v.tombstoned(bi) {
-			// The base's best match is deleted: rescan the base list past
-			// the tombstones. This cannot be pushed into the base structure
-			// itself (see LookupFunc); it is the slow path and only runs
-			// when a deleted rule would have won.
-			packed := v.base.packed
-			for bi++; bi < len(packed); bi++ {
-				if packed[bi].Matches(k) && !v.tombstoned(bi) {
-					break
-				}
-			}
-			baseOK = bi < len(packed)
-		}
-		if baseOK {
-			rank = v.baseRank(bi)
-		}
+	if bi >= 0 {
+		rank = v.baseRank(bi)
 	}
 	// Overlay rules whose rank does not exceed the base winner's sit ahead
 	// of it in the merged list; the first of them to match wins.
@@ -385,12 +403,12 @@ func (v *View) resolve(p rule.Packet, baseRule rule.Rule, baseOK bool) (rule.Rul
 			break
 		}
 		if o.match.Matches(k) {
-			return v.merged.Rule(int(o.rank) + j), true
+			return o.rank + int32(j)
 		}
 	}
-	if !baseOK {
-		return rule.Rule{}, false
+	if bi < 0 {
+		return -1
 	}
 	// j overlay rules sit ahead of the base winner.
-	return v.merged.Rule(rank + j), true
+	return int32(rank + j)
 }

@@ -18,8 +18,10 @@ func testBase(t *testing.T, set *rule.Set) *Base {
 	return b
 }
 
-// testBaseBatch is testBase with the batched lookup as a loop over the same
-// linear search, so views take their batch path.
+// testBaseBatch is testBase with batched lookups in both shapes — a
+// NewBaseBatch Rule batch and a position batch — each a loop over the same
+// linear search, so ClassifyBatch and LookupBatch both take their batch
+// paths.
 func testBaseBatch(t *testing.T, set *rule.Set) *Base {
 	t.Helper()
 	b, err := NewBaseBatch(set, set.Match, func(ps []rule.Packet, rules []rule.Rule, oks []bool) {
@@ -29,6 +31,11 @@ func testBaseBatch(t *testing.T, set *rule.Set) *Base {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	b.batch = func(ps []rule.Packet, pos []int32) {
+		for i, p := range ps {
+			pos[i] = int32(set.MatchIndex(p))
+		}
 	}
 	return b
 }
@@ -246,8 +253,9 @@ func overlayLoad(t testing.TB, set *rule.Set, b *Base, overlay, tombstones int) 
 }
 
 // TestViewAllocationFree: the merged lookup performs zero heap allocations,
-// scalar and batched, at the benchmark's mid-compaction fill (128 overlay
-// rules + 128 tombstones).
+// scalar and batched, in positions and through the Rule-shaped wrappers, at
+// the benchmark's mid-compaction fill (128 overlay rules + 128 tombstones).
+// Nothing needs warming: the batch paths keep no scratch of their own.
 func TestViewAllocationFree(t *testing.T) {
 	set := genSet(t, 2000, 6)
 	v := overlayLoad(t, set, testBaseBatch(t, set), 128, 128)
@@ -265,9 +273,12 @@ func TestViewAllocationFree(t *testing.T) {
 		t.Errorf("Classify allocates %.1f allocs/op, want 0", allocs)
 	}
 	rules, oks := make([]rule.Rule, len(keys)), make([]bool, len(keys))
-	v.ClassifyBatch(keys, rules, oks) // warm the scratch freelist
 	if allocs := testing.AllocsPerRun(50, func() { v.ClassifyBatch(keys, rules, oks) }); allocs != 0 {
 		t.Errorf("ClassifyBatch allocates %.1f allocs/op, want 0", allocs)
+	}
+	pos := make([]int32, len(keys))
+	if allocs := testing.AllocsPerRun(50, func() { v.LookupBatch(keys, pos) }); allocs != 0 {
+		t.Errorf("LookupBatch allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

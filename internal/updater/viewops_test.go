@@ -216,7 +216,7 @@ func runViewOps(t *testing.T, data []byte) {
 			}
 			want := merged.MatchIndex(p)
 			got, ok := v.Classify(p)
-			if ok != (want >= 0) || (ok && (got.Priority != want || got.ID != merged.Rule(want).ID)) {
+			if ok != (want >= 0) || (ok && (got.Priority != want || got.ID != merged.Rule(want).ID)) || v.Lookup(p) != int32(want) {
 				t.Fatalf("step %d: packet %v: view (prio %d id %d, %v), linear search index %d",
 					step, p, got.Priority, got.ID, ok, want)
 			}
@@ -229,11 +229,15 @@ func runViewOps(t *testing.T, data []byte) {
 			for i := range ps {
 				ps[i] = pkts[i%len(pkts)]
 			}
-			rules, oks := make([]rule.Rule, n), make([]bool, n)
+			rules, oks, pos := make([]rule.Rule, n), make([]bool, n), make([]int32, n)
 			v.ClassifyBatch(ps, rules, oks)
+			v.LookupBatch(ps, pos)
 			for i, p := range ps {
 				if want, ok := v.Classify(p); oks[i] != ok || rules[i] != want {
 					t.Fatalf("step %d: batch of %d, packet %d: batch (%v,%v) vs scalar (%v,%v)", step, n, i, rules[i], oks[i], want, ok)
+				}
+				if want := merged.MatchIndex(p); int(pos[i]) != want {
+					t.Fatalf("step %d: LookupBatch of %d, packet %d: position %d, linear search %d", step, n, i, pos[i], want)
 				}
 			}
 		}
