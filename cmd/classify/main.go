@@ -16,7 +16,7 @@
 //	genrules -family acl1 -size 1000 -out acl.rules -trace 100000 -traceout acl.trace
 //	classify -rules acl.rules -trace acl.trace -algo hicuts
 //	classify -rules acl.rules -trace acl.trace -algo neurocuts -timesteps 20000
-//	classify -family fw1 -algo tss -batch 512 -shards 8
+//	classify -family fw1 -algo linear -batch 512 -shards 8
 //	neurocuts -family acl1 -save-artifact policy.ncaf && classify -artifact policy.ncaf
 package main
 

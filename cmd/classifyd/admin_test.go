@@ -124,7 +124,7 @@ func TestAdminPlaneEndToEnd(t *testing.T) {
 // flight-recorder dump.
 func TestTelemetryEndToEnd(t *testing.T) {
 	addr, adminAddr, sig, errCh, out := startDaemonWithAdmin(t, []string{
-		"-family", "acl1", "-size", "200", "-algo", "tss",
+		"-family", "acl1", "-size", "200", "-algo", "linear",
 		"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 		"-slow-threshold", "0",
 	})
@@ -200,8 +200,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("/debug/slow captured nothing at threshold 0")
 	}
 	for i, e := range dump.Entries {
-		if e.Table != "default" || e.Backend != "tss" {
-			t.Errorf("entry %d: table=%q backend=%q, want default/tss", i, e.Table, e.Backend)
+		if e.Table != "default" || e.Backend != "linear" {
+			t.Errorf("entry %d: table=%q backend=%q, want default/linear", i, e.Table, e.Backend)
 		}
 		if e.Path != "single" {
 			t.Errorf("entry %d: path=%q, want single (OpClassify)", i, e.Path)

@@ -65,7 +65,7 @@ func TestPcapReplayMode(t *testing.T) {
 func TestPcapReplayThroughDataplane(t *testing.T) {
 	path, _ := writeTestPcap(t, "fw1", 100, 300)
 	out := &syncBuffer{}
-	err := run([]string{"-family", "fw1", "-size", "100", "-algo", "tss", "-cores", "2", "-pcap", path}, make(chan os.Signal, 1), out)
+	err := run([]string{"-family", "fw1", "-size", "100", "-algo", "linear", "-cores", "2", "-pcap", path}, make(chan os.Signal, 1), out)
 	if err != nil {
 		t.Fatalf("dataplane replay: %v\noutput:\n%s", err, out.String())
 	}
@@ -209,7 +209,7 @@ func TestReplayMatchesDirectClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 150, 1)
-	eng, err := engine.NewEngine("tss", set, engine.Options{})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestReplayMatchesDirectClassification(t *testing.T) {
 	}
 
 	buf := &syncBuffer{}
-	err = run([]string{"-family", "ipc1", "-size", "150", "-algo", "tss", "-pcap", path}, make(chan os.Signal, 1), buf)
+	err = run([]string{"-family", "ipc1", "-size", "150", "-algo", "linear", "-pcap", path}, make(chan os.Signal, 1), buf)
 	if err != nil {
 		t.Fatalf("replay: %v\noutput:\n%s", err, buf.String())
 	}

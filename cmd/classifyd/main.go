@@ -61,7 +61,7 @@
 // table gets its own engine (backend, rules, journal); clients address any
 // table by name, or the first (default) table when they name none:
 //
-//	classifyd -tables "acl=backend:hicuts,family:acl1,size:1000;fw=backend:tss,family:fw2,size:500"
+//	classifyd -tables "acl=backend:hicuts,family:acl1,size:1000;fw=backend:cutsplit,family:fw2,size:500"
 //	classifyd -query 127.0.0.1:9099 -list-tables
 //	classifyd -query 127.0.0.1:9099 -table fw -packet "10.0.0.1 192.168.1.1 1234 80 6"
 //
@@ -140,7 +140,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		binth     = fs.Int("binth", 16, "leaf threshold for tree backends")
 		shards    = fs.Int("shards", 0, "batch lookup shards (0 = GOMAXPROCS)")
 		cores     = fs.Int("cores", 0, "serve lookups through the run-to-completion dataplane with this many per-core classify loops (0 = classify on the calling goroutine; -1 = GOMAXPROCS loops)")
-		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (sharded engine cache, or per-core caches with -cores; 0 disables)")
+		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (sharded engine cache, per-core caches with -cores, or each table's own cache with -tables; 0 disables)")
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
 		journal   = fs.String("journal", "", "durable update journal path (replayed at start; 'auto' co-locates with -artifact)")
 		compactAt = fs.Int("compact-threshold", 0, "pending updates that trigger background compaction (0 = default, <0 disables)")
@@ -207,7 +207,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		}
 		return runTables(stdout, *tables, tableDefaults{
 			binth: *binth, timesteps: *timesteps, seed: *seed, shards: *shards,
-			compactAt: *compactAt, tel: tel,
+			flowCache: *flowCache, compactAt: *compactAt, tel: tel,
 		}, *listen, *adminAddr, *drain, sig)
 	}
 
@@ -268,8 +268,8 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 
 	// The server talks to whichever serving surface was selected: the engine
-	// directly, or a dataplane fronting it. The dataplane
-	// implements the same server interfaces, so nothing downstream changes.
+	// directly, or a dataplane fronting it. Both are a server.Classifier, so
+	// nothing downstream changes.
 	var cls server.Classifier = eng
 	var dp *dataplane.Dataplane
 	if *cores != 0 {
@@ -305,12 +305,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 	var ring *iface.ShmServer
 	if *shmPath != "" {
-		batcher, ok := cls.(iface.ShmBatcher)
-		if !ok {
-			srv.Shutdown(context.Background())
-			return fmt.Errorf("-shm: serving surface does not support batch classification")
-		}
-		ring, err = iface.NewShmServer(*shmPath, batcher, iface.ShmServerConfig{Slots: *shmSlots})
+		ring, err = iface.NewShmServer(*shmPath, cls, iface.ShmServerConfig{Slots: *shmSlots})
 		if err != nil {
 			srv.Shutdown(context.Background())
 			return err
@@ -475,10 +470,6 @@ const ingestBatch = 512
 // pcap fixture.
 func runIngest(stdout io.Writer, src iface.Source, label string, cls server.Classifier, pcapOut string, sig <-chan os.Signal) error {
 	defer src.Close()
-	batcher, ok := cls.(server.BatchClassifier)
-	if !ok {
-		return fmt.Errorf("ingest: serving surface does not support batch classification")
-	}
 
 	var pw *iface.PcapWriter
 	if pcapOut != "" {
@@ -509,7 +500,7 @@ loop:
 		}
 		n, err := src.ReadBatch(ps)
 		if n > 0 {
-			batcher.ClassifyBatch(ps[:n], out[:n])
+			cls.ClassifyBatch(ps[:n], out[:n])
 			for i := 0; i < n; i++ {
 				if out[i].OK {
 					matches++

@@ -192,7 +192,7 @@ func TestArtifactWarmStart(t *testing.T) {
 // down) — and exit cleanly with nil.
 func TestDataplaneKillUnderLoad(t *testing.T) {
 	addr, sig, errCh, out := startDaemon(t, []string{
-		"-family", "acl1", "-size", "200", "-algo", "tss",
+		"-family", "acl1", "-size", "200", "-algo", "linear",
 		"-cores", "2", "-flow-cache", "4096", "-listen", "127.0.0.1:0",
 	})
 	if !strings.Contains(out.String(), "run-to-completion dataplane enabled") {

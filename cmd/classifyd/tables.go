@@ -23,6 +23,9 @@ type tableDefaults struct {
 	timesteps int
 	seed      int64
 	shards    int
+	// flowCache is the flow-cache entry budget of each table's engine,
+	// wire-created tables included.
+	flowCache int
 	compactAt int
 	// tel is the process-wide telemetry instance (nil when telemetry is
 	// off). Every table's engine records into it, each under its own table
@@ -132,6 +135,7 @@ func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
 		Timesteps:        d.timesteps,
 		Seed:             seed,
 		Shards:           d.shards,
+		FlowCacheEntries: d.flowCache,
 		JournalPath:      journalPath,
 		CompactThreshold: d.compactAt,
 		Telemetry:        d.tel,
@@ -197,8 +201,8 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 	// Tables created live over the wire share the process telemetry;
 	// their flight-recorder entries carry the instance's default table label.
 	srv.TableCreateOptions = engine.Options{
-		Binth: d.binth, Seed: d.seed, Shards: d.shards, CompactThreshold: d.compactAt,
-		Telemetry: d.tel,
+		Binth: d.binth, Seed: d.seed, Shards: d.shards, FlowCacheEntries: d.flowCache,
+		CompactThreshold: d.compactAt, Telemetry: d.tel,
 	}
 	addr, err := srv.Listen(listen)
 	if err != nil {

@@ -1,16 +1,21 @@
 package main
 
 import (
+	"io"
+	"os"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"neurocuts/internal/classbench"
 	"neurocuts/internal/rule"
+	"neurocuts/pkg/classifier"
 )
 
 func TestParseTableSpecs(t *testing.T) {
-	specs, err := parseTableSpecs("acl=backend:hicuts,family:acl1,size:200; fw=backend:tss,family:fw2,size:100")
+	specs, err := parseTableSpecs("acl=backend:hicuts,family:acl1,size:200; fw=backend:linear,family:fw2,size:100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,10 +28,10 @@ func TestParseTableSpecs(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"noequals",
-		"a=backend:hicuts;a=backend:tss", // duplicate name
-		"a=bogus:1",                      // unknown key
-		"a=online:true",                  // no key selects a write path
-		"a=backend",                      // setting without value
+		"a=backend:hicuts;a=backend:linear", // duplicate name
+		"a=bogus:1",                         // unknown key
+		"a=online:true",                     // no key selects a write path
+		"a=backend",                         // setting without value
 	} {
 		if _, err := parseTableSpecs(bad); err == nil {
 			t.Errorf("parseTableSpecs(%q) should fail", bad)
@@ -39,7 +44,7 @@ func TestParseTableSpecs(t *testing.T) {
 // gracefully.
 func TestTablesDaemon(t *testing.T) {
 	addr, sig, errCh, out := startDaemon(t, []string{
-		"-tables", "acl=backend:tss,family:acl1,size:150;fw=backend:linear,family:fw2,size:80",
+		"-tables", "acl=backend:linear,family:acl1,size:150;fw=backend:linear,family:fw2,size:80",
 		"-listen", "127.0.0.1:0",
 	})
 
@@ -77,6 +82,72 @@ func TestTablesDaemon(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "serving 2 tables") {
 		t.Fatalf("missing tables banner in output:\n%s", out.String())
+	}
+}
+
+// TestTablesFlowCache: -flow-cache funds every table's engine in -tables
+// mode. A batch sent twice must hit the table's cache the second time.
+func TestTablesFlowCache(t *testing.T) {
+	addr, adminAddr, sig, errCh, _ := startDaemonWithAdmin(t, []string{
+		"-tables", "a=backend:hicuts,family:acl1,size:200",
+		"-flow-cache", "4096", "-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
+	})
+	defer func() {
+		sig <- syscall.SIGTERM
+		<-errCh
+	}()
+
+	fam, err := classbench.FamilyByName("acl1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packets []rule.Packet
+	for _, e := range classbench.GenerateTrace(classbench.Generate(fam, 200, 1), 256, 3) {
+		packets = append(packets, e.Key)
+	}
+	client := dialDaemon(t, addr)
+	for i := 0; i < 2; i++ {
+		if _, err := client.ClassifyBatch(packets); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, body := adminGet(t, adminAddr, "/metrics")
+	const metric = `neurocuts_flowcache_hits_total{table="a"} `
+	i := strings.Index(body, metric)
+	if i < 0 {
+		t.Fatalf("/metrics has no %q sample:\n%s", metric, body)
+	}
+	value, _, _ := strings.Cut(body[i+len(metric):], "\n")
+	if hits, err := strconv.ParseFloat(value, 64); err != nil || hits <= 0 {
+		t.Fatalf("flow-cache hits for table a = %q after a repeated batch, want > 0", value)
+	}
+}
+
+// TestRetiredBackendsRejected: TSS and TCAM are ablation baselines only.
+// Naming either as a serving backend — to the daemon or to the SDK — fails
+// with the unknown-backend error, which lists exactly the six served
+// backends.
+func TestRetiredBackendsRejected(t *testing.T) {
+	const have = "(have: cutsplit, efficuts, hicuts, hypercuts, linear, neurocuts)"
+	for _, backend := range []string{"tss", "tcam"} {
+		// A daemon that did start stops at once instead of blocking the test.
+		sig := make(chan os.Signal, 1)
+		sig <- syscall.SIGTERM
+		err := run([]string{"-family", "acl1", "-size", "50", "-algo", backend, "-listen", "127.0.0.1:0"}, sig, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "unknown backend") || !strings.HasSuffix(err.Error(), have) {
+			t.Errorf("classifyd -algo %s: err = %v, want the unknown-backend error ending %s", backend, err, have)
+		}
+		rules, err := classifier.GenerateRules("acl1", 50, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := classifier.Open(rules, classifier.WithBackend(backend)); err == nil {
+			c.Close()
+			t.Errorf("classifier.Open(WithBackend(%q)) succeeded", backend)
+		} else if !strings.Contains(err.Error(), "unknown backend") || !strings.HasSuffix(err.Error(), have) {
+			t.Errorf("classifier.Open(WithBackend(%q)): err = %v, want the unknown-backend error ending %s", backend, err, have)
+		}
 	}
 }
 

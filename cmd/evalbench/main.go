@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"neurocuts/internal/bench"
-	"neurocuts/internal/engine"
 )
 
 func main() {
@@ -30,15 +29,9 @@ func main() {
 		workers   = flag.Int("workers", 4, "parallel rollout workers")
 		seed      = flag.Int64("seed", 1, "random seed")
 		families  = flag.String("families", "", "comma-separated family subset (default: all 12)")
-		backends  = flag.String("backends", "", "comma-separated engine backend subset for -fig ablation (default: trees+tss+tcam); 'list' prints the registry")
 		jsonOut   = flag.String("json", "", "also write the result structs as JSON to this file")
 	)
 	flag.Parse()
-
-	if *backends == "list" {
-		fmt.Println("registered backends:", strings.Join(engine.Backends(), ", "))
-		return
-	}
 
 	if *table == 1 {
 		bench.Table1(os.Stdout)
@@ -60,11 +53,6 @@ func main() {
 	}
 	if opts.BatchTimesteps == 0 {
 		opts.BatchTimesteps = maxInt(200, *timesteps/5)
-	}
-	if *backends != "" {
-		for _, b := range strings.Split(*backends, ",") {
-			opts.Backends = append(opts.Backends, strings.TrimSpace(strings.ToLower(b)))
-		}
 	}
 
 	scenarios := bench.DefaultScenarios(*size)

@@ -350,7 +350,7 @@ func TestAdminTelemetryExposition(t *testing.T) {
 	set := adminTestSet(t, 200)
 	tel := telemetry.New(telemetry.Config{})
 	tel.SetSlowThreshold(0) // capture everything
-	eng, err := engine.NewEngine("tss", set, engine.Options{
+	eng, err := engine.NewEngine("linear", set, engine.Options{
 		Shards:    1,
 		Telemetry: tel,
 	})

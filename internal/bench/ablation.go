@@ -5,10 +5,13 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"neurocuts/internal/classbench"
 	"neurocuts/internal/core"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/env"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/tcam"
+	"neurocuts/internal/tss"
 )
 
 // This file holds the ablation studies that go beyond the paper's figures:
@@ -49,20 +52,13 @@ type ApproachAblationResult struct {
 	Rows []ApproachRow
 }
 
-// ablationBackends is the default approach set, by engine registry name.
-var ablationBackends = []string{"hicuts", "hypercuts", "efficuts", "cutsplit", "tss", "tcam"}
-
-// ApproachAblation builds every selected backend over the scenarios through
-// the engine registry and reads its modelled costs. opts.Backends restricts
-// the set; the default covers the four tree algorithms, TSS and TCAM. Wall
-// clock is deliberately absent: a software TCAM's measures nothing, and the
-// trees' and TSS's belong to the repository benchmark (benchmarks/e2e).
+// ApproachAblation builds the four tree baselines through the engine
+// registry, and Tuple Space Search and TCAM directly from their packages,
+// over every scenario and reads their modelled costs. Wall clock is
+// deliberately absent: a software TCAM's measures nothing, and the trees'
+// belong to the repository benchmark (benchmarks/e2e).
 func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResult, error) {
 	opts = opts.withDefaults()
-	backends := opts.Backends
-	if len(backends) == 0 {
-		backends = ablationBackends
-	}
 	var out ApproachAblationResult
 	for _, sc := range scenarios {
 		set, err := sc.Generate()
@@ -70,7 +66,7 @@ func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResul
 			return out, err
 		}
 		row := ApproachRow{Scenario: sc}
-		for _, name := range backends {
+		for _, name := range baselineBackends {
 			cls, err := engine.NewWithOptions(name, set, engine.Options{Binth: opts.Binth})
 			if err != nil {
 				return out, fmt.Errorf("%s: %s: %w", sc.Name(), engine.DisplayName(name), err)
@@ -83,6 +79,18 @@ func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResul
 				Entries:     m.Entries,
 			})
 		}
+		ts, err := tss.Build(set)
+		if err != nil {
+			return out, fmt.Errorf("%s: TSS: %w", sc.Name(), err)
+		}
+		tc, err := tcam.Build(set, 0)
+		if err != nil {
+			return out, fmt.Errorf("%s: TCAM: %w", sc.Name(), err)
+		}
+		tm, cm := ts.Metrics(), tc.Metrics()
+		row.Results = append(row.Results,
+			ApproachResult{Approach: "TSS", LookupCost: tm.Tuples, MemoryBytes: tm.MemoryBytes, Entries: tm.Entries},
+			ApproachResult{Approach: "TCAM", LookupCost: cm.LookupTime, MemoryBytes: cm.Bits / 8, Entries: cm.Entries})
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
@@ -181,7 +189,7 @@ func (a TrafficAblationResult) Write(w io.Writer) {
 
 // tracePackets generates a rule-biased trace and strips it to packet keys.
 func tracePackets(set *rule.Set, n int, seed int64) []rule.Packet {
-	entries := generateTrace(set, n, seed)
+	entries := classbench.GenerateTrace(set, n, seed)
 	out := make([]rule.Packet, len(entries))
 	for i, e := range entries {
 		out[i] = e.Key

@@ -13,12 +13,10 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"neurocuts/internal/analysis"
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/core"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/env"
-	"neurocuts/internal/packet"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
@@ -80,9 +78,6 @@ type Options struct {
 	Workers int
 	// Binth is the leaf threshold shared by all algorithms.
 	Binth int
-	// Backends restricts ApproachAblation to a subset of engine registry
-	// names; empty selects the full default set.
-	Backends []string
 }
 
 func (o Options) withDefaults() Options {
@@ -239,7 +234,7 @@ func writeTable(w io.Writer, title string, rows []Row, timeMetric bool) {
 // summarizeAgainstBestBaseline computes the Section 6.1-style improvement
 // summary of the NeuroCuts column against the minimum of the four baselines,
 // per classifier.
-func summarizeAgainstBestBaseline(rows []Row, neuroName string, timeMetric bool) (analysis.ImprovementSummary, error) {
+func summarizeAgainstBestBaseline(rows []Row, neuroName string, timeMetric bool) (ImprovementSummary, error) {
 	var ours, best []float64
 	for _, r := range rows {
 		nc, ok := r.Get(neuroName)
@@ -270,16 +265,10 @@ func summarizeAgainstBestBaseline(rows []Row, neuroName string, timeMetric bool)
 		ours = append(ours, v)
 		best = append(best, bestBaseline)
 	}
-	return analysis.Summarize(ours, best)
+	return summarize(ours, best)
 }
 
 // sortRowsByName keeps the paper's classifier ordering (acl*, fw*, ipc*).
 func sortRowsByName(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Scenario.Name() < rows[j].Scenario.Name() })
-}
-
-// generateTrace builds a rule-biased header trace for a classifier (thin
-// wrapper so other files in this package do not import classbench twice).
-func generateTrace(set *rule.Set, n int, seed int64) []packet.TraceEntry {
-	return classbench.GenerateTrace(set, n, seed)
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"neurocuts/internal/analysis"
 	"neurocuts/internal/core"
 	"neurocuts/internal/efficuts"
 	"neurocuts/internal/env"
@@ -19,7 +18,7 @@ import (
 // baseline per classifier).
 type Figure8Result struct {
 	Rows    []Row
-	Summary analysis.ImprovementSummary
+	Summary ImprovementSummary
 }
 
 // Figure8 reproduces Figure 8: classification time (tree depth / node
@@ -67,9 +66,9 @@ func (f Figure8Result) Write(w io.Writer) {
 // Section 6.2 summaries against EffiCuts and CutSplit.
 type Figure9Result struct {
 	Rows            []Row
-	VsBestBaseline  analysis.ImprovementSummary
-	VsEffiCuts      analysis.ImprovementSummary
-	VsCutSplit      analysis.ImprovementSummary
+	VsBestBaseline  ImprovementSummary
+	VsEffiCuts      ImprovementSummary
+	VsCutSplit      ImprovementSummary
 	MedianBytesRule float64
 }
 
@@ -111,13 +110,13 @@ func Figure9(scenarios []Scenario, opts Options) (Figure9Result, error) {
 	if out.VsBestBaseline, err = summarizeAgainstBestBaseline(out.Rows, NameNeuroCuts, false); err != nil {
 		return out, err
 	}
-	if out.VsEffiCuts, err = analysis.Summarize(ncBytes, effiBytes); err != nil {
+	if out.VsEffiCuts, err = summarize(ncBytes, effiBytes); err != nil {
 		return out, err
 	}
-	if out.VsCutSplit, err = analysis.Summarize(ncBytes, csBytes); err != nil {
+	if out.VsCutSplit, err = summarize(ncBytes, csBytes); err != nil {
 		return out, err
 	}
-	out.MedianBytesRule = analysis.Median(ncBytes)
+	out.MedianBytesRule = median(ncBytes)
 	return out, nil
 }
 
@@ -138,8 +137,8 @@ type Figure10Result struct {
 	// (1 - NeuroCuts/EffiCuts); positive means NeuroCuts wins.
 	SpaceImprovements []float64
 	TimeImprovements  []float64
-	SpaceSummary      analysis.ImprovementSummary
-	TimeSummary       analysis.ImprovementSummary
+	SpaceSummary      ImprovementSummary
+	TimeSummary       ImprovementSummary
 }
 
 // Figure10 reproduces Figure 10: NeuroCuts constrained to the EffiCuts
@@ -175,13 +174,13 @@ func Figure10(scenarios []Scenario, opts Options) (Figure10Result, error) {
 		ncTime = append(ncTime, float64(nc.Time))
 		efTime = append(efTime, float64(em.ClassificationTime))
 	}
-	out.SpaceImprovements = analysis.SortedImprovements(ncSpace, efSpace)
-	out.TimeImprovements = analysis.SortedImprovements(ncTime, efTime)
+	out.SpaceImprovements = sortedImprovements(ncSpace, efSpace)
+	out.TimeImprovements = sortedImprovements(ncTime, efTime)
 	var err error
-	if out.SpaceSummary, err = analysis.Summarize(ncSpace, efSpace); err != nil {
+	if out.SpaceSummary, err = summarize(ncSpace, efSpace); err != nil {
 		return out, err
 	}
-	if out.TimeSummary, err = analysis.Summarize(ncTime, efTime); err != nil {
+	if out.TimeSummary, err = summarize(ncTime, efTime); err != nil {
 		return out, err
 	}
 	return out, nil
@@ -240,8 +239,8 @@ func Figure11(scenarios []Scenario, opts Options, cValues []float64) (Figure11Re
 		}
 		out.Points = append(out.Points, Figure11Point{
 			C:                  c,
-			MedianTime:         analysis.Median(times),
-			MedianBytesPerRule: analysis.Median(bytes),
+			MedianTime:         median(times),
+			MedianBytesPerRule: median(bytes),
 		})
 	}
 	return out, nil

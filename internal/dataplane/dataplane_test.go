@@ -62,7 +62,7 @@ func waitFolded(t *testing.T, eng *engine.Engine, n uint64) {
 func TestDifferentialAgainstWorkerPool(t *testing.T) {
 	const packetsPerRound = 3000
 	const rounds = 4 // 12k packets total, with updates between rounds
-	for _, backend := range []string{"hicuts", "tss", "linear"} {
+	for _, backend := range []string{"hicuts", "linear"} {
 		for _, online := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s_online=%v", backend, online), func(t *testing.T) {
 				set := testSet(t, 400, 3)
@@ -118,7 +118,7 @@ func TestDifferentialAgainstWorkerPool(t *testing.T) {
 // ring. Run many times so a lost or reordered epoch would be caught.
 func TestEpochOrdering(t *testing.T) {
 	set := testSet(t, 200, 5)
-	eng, err := engine.NewEngine("tss", set, engine.Options{})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 		t.Skip("sync.Pool intentionally drops Puts under -race; alloc gate runs in the non-race CI pass")
 	}
 	set := testSet(t, 128, 1)
-	eng, err := engine.NewEngine("tss", set, engine.Options{})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestZeroAllocHotPathTelemetry(t *testing.T) {
 	set := testSet(t, 128, 1)
 	tel := telemetry.New(telemetry.Config{})
 	tel.SetSlowThreshold(0)
-	eng, err := engine.NewEngine("tss", set, engine.Options{Telemetry: tel})
+	eng, err := engine.NewEngine("linear", set, engine.Options{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestZeroAllocHotPathTelemetry(t *testing.T) {
 // the flow-cache hit ratio, and (once the rings drain) zero epoch lag.
 func TestStatsSurfacesParkWakeRing(t *testing.T) {
 	set := testSet(t, 128, 1)
-	eng, err := engine.NewEngine("tss", set, engine.Options{})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestPerCoreCacheSurvivesCompaction(t *testing.T) {
 // the dead worker pool.
 func TestCloseDrainsInFlight(t *testing.T) {
 	set := testSet(t, 200, 3)
-	eng, err := engine.NewEngine("tss", set, engine.Options{})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

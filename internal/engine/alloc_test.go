@@ -31,11 +31,10 @@ func allocTestPackets(set *rule.Set, n int) []rule.Packet {
 }
 
 // zeroAllocBackends are the backends whose lookup paths must not allocate:
-// the two flat non-tree structures the CI allocation gate has always pinned
-// (linear, tss) plus compiled tree backends — hicuts (single tree,
-// equal cuts) and cutsplit (multi-root, custom cuts, traversal stack) cover
-// every instruction of the compiled Lookup path.
-var zeroAllocBackends = []string{"linear", "tss", "hicuts", "cutsplit"}
+// the linear-search reference plus compiled tree backends — hicuts (single
+// tree, equal cuts) and cutsplit (multi-root, custom cuts, traversal stack)
+// cover every instruction of the compiled Lookup path.
+var zeroAllocBackends = []string{"linear", "hicuts", "cutsplit"}
 
 // TestZeroAllocSinglePacket asserts the engine's single-packet lookup path
 // performs zero heap allocations per operation.

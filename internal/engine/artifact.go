@@ -71,8 +71,8 @@ func (e *Engine) artifactMetadata(s *snapshot) compiled.Metadata {
 }
 
 // SaveArtifact persists the current snapshot's compiled classifier (and its
-// rule set) as a versioned artifact at path. It fails for backends that have
-// no compiled form (linear, tss, tcam). Any pending overlay updates are
+// rule set) as a versioned artifact at path. It fails for the one backend
+// that has no compiled form, linear. Any pending overlay updates are
 // first folded in by a synchronous compaction so the artifact embodies every
 // acknowledged update.
 //

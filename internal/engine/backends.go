@@ -12,37 +12,37 @@ import (
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/hypercuts"
 	"neurocuts/internal/rule"
-	"neurocuts/internal/tcam"
 	"neurocuts/internal/tree"
-	"neurocuts/internal/tss"
 )
 
-// adapter lifts a backend's single-packet position lookup and metrics
-// functions into the Classifier interface. LookupBatch is a sequential loop
-// here; the Engine layers sharding on top of it.
-type adapter struct {
-	lookup  func(p rule.Packet) int
-	metrics func() Metrics
+// linearClassifier is the linear-search reference: a lookup scans the rule
+// list in priority order. LookupBatch is a sequential loop here; the Engine
+// layers sharding on top of it.
+type linearClassifier struct {
+	set *rule.Set
 }
 
-func (a *adapter) Lookup(p rule.Packet) int32 { return int32(a.lookup(p)) }
+// linearRuleBytes models one stored rule for the linear-search backend:
+// five 16-byte ranges plus priority and ID.
+const linearRuleBytes = rule.NumDims*16 + 16
 
-func (a *adapter) LookupBatch(ps []rule.Packet, pos []int32) {
+func (l *linearClassifier) Lookup(p rule.Packet) int32 { return int32(l.set.MatchIndex(p)) }
+
+func (l *linearClassifier) LookupBatch(ps []rule.Packet, pos []int32) {
 	for i, p := range ps {
-		pos[i] = int32(a.lookup(p))
+		pos[i] = int32(l.set.MatchIndex(p))
 	}
 }
 
-func (a *adapter) Metrics() Metrics { return a.metrics() }
-
-// winnerIndex turns a backend's Rule-returning lookup into a position lookup
-// over set, the list the backend was built from.
-func winnerIndex(set *rule.Set, classify func(rule.Packet) (rule.Rule, bool)) func(rule.Packet) int {
-	return func(p rule.Packet) int {
-		if r, ok := classify(p); ok {
-			return set.IndexOf(r)
-		}
-		return -1
+func (l *linearClassifier) Metrics() Metrics {
+	n := l.set.Len()
+	return Metrics{
+		Backend:      "linear",
+		Rules:        n,
+		LookupCost:   n,
+		MemoryBytes:  n * linearRuleBytes,
+		BytesPerRule: linearRuleBytes,
+		Entries:      n,
 	}
 }
 
@@ -117,26 +117,9 @@ func treeMetrics(backend string, rules int, m tree.Metrics) Metrics {
 	}
 }
 
-// linearRuleBytes models one stored rule for the linear-search backend:
-// five 16-byte ranges plus priority and ID.
-const linearRuleBytes = rule.NumDims*16 + 16
-
 func init() {
 	Register("linear", "Linear", func(set *rule.Set, opts Options) (Classifier, error) {
-		return &adapter{
-			lookup: set.MatchIndex,
-			metrics: func() Metrics {
-				n := set.Len()
-				return Metrics{
-					Backend:      "linear",
-					Rules:        n,
-					LookupCost:   n,
-					MemoryBytes:  n * linearRuleBytes,
-					BytesPerRule: linearRuleBytes,
-					Entries:      n,
-				}
-			},
-		}, nil
+		return &linearClassifier{set: set}, nil
 	})
 
 	Register("hicuts", "HiCuts", func(set *rule.Set, opts Options) (Classifier, error) {
@@ -177,51 +160,6 @@ func init() {
 			return nil, err
 		}
 		return newTreeClassifier("cutsplit", set, c.Trees)
-	})
-
-	Register("tss", "TSS", func(set *rule.Set, opts Options) (Classifier, error) {
-		c, err := tss.Build(set)
-		if err != nil {
-			return nil, err
-		}
-		return &adapter{
-			lookup: winnerIndex(set, c.Classify),
-			metrics: func() Metrics {
-				m := c.Metrics()
-				return Metrics{
-					Backend:      "tss",
-					Rules:        set.Len(),
-					LookupCost:   m.Tuples,
-					MemoryBytes:  m.MemoryBytes,
-					BytesPerRule: m.BytesPerRule,
-					Entries:      m.Entries,
-				}
-			},
-		}, nil
-	})
-
-	Register("tcam", "TCAM", func(set *rule.Set, opts Options) (Classifier, error) {
-		c, err := tcam.Build(set, opts.TCAMExpandLimit)
-		if err != nil {
-			return nil, err
-		}
-		return &adapter{
-			lookup: winnerIndex(set, c.Classify),
-			metrics: func() Metrics {
-				m := c.Metrics()
-				em := Metrics{
-					Backend:     "tcam",
-					Rules:       set.Len(),
-					LookupCost:  m.LookupTime,
-					MemoryBytes: m.Bits / 8,
-					Entries:     m.Entries,
-				}
-				if em.Rules > 0 {
-					em.BytesPerRule = float64(em.MemoryBytes) / float64(em.Rules)
-				}
-				return em
-			},
-		}, nil
 	})
 
 	Register("neurocuts", "NeuroCuts", func(set *rule.Set, opts Options) (Classifier, error) {

@@ -36,7 +36,7 @@ func TestConcurrentBatchDuringUpdates(t *testing.T) {
 		readers = 4
 		updates = 30
 	)
-	for _, backend := range []string{"hicuts", "tss", "linear"} {
+	for _, backend := range []string{"hicuts", "linear"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			eng, err := NewEngine(backend, set, Options{Shards: 4})

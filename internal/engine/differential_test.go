@@ -89,7 +89,7 @@ func TestDifferentialAllBackends(t *testing.T) {
 					t.Fatalf("%s/%s: build: %v", backend, s.family, err)
 				}
 				// Classify through the sharded batch path so the differential
-				// test also covers the Engine runtime, not just the adapter.
+				// test also covers the Engine runtime, not just the backend.
 				out := make([]Result, len(s.packets))
 				eng.ClassifyBatch(s.packets, out)
 				mismatches := 0

@@ -1,17 +1,16 @@
 // Package engine unifies every packet-classification backend in this
 // repository behind one interface and one serving runtime.
 //
-// The repository implements many interchangeable classification data
-// structures — the learned NeuroCuts trees, the hand-tuned HiCuts /
-// HyperCuts / EffiCuts / CutSplit trees, Tuple Space Search, a TCAM model
-// and the linear-search reference. Each historically exposed its own Build
-// and lookup shape. This package gives them a common face:
+// The served classification data structures are the learned NeuroCuts
+// trees, the paper's hand-tuned baselines (HiCuts / HyperCuts / EffiCuts /
+// CutSplit) and the linear-search reference. Each builder has its own Build
+// shape. This package gives them a common face:
 //
 //   - Classifier is the uniform lookup interface (Lookup, LookupBatch,
 //     Metrics): a lookup answers with the winner's position in the rule
-//     list, not the rule. Adapters in backends.go register every algorithm
-//     in a name-keyed registry, so callers select backends by string
-//     ("hicuts", "tss", ...) instead of switching over packages.
+//     list, not the rule. backends.go registers every algorithm in a
+//     name-keyed registry, so callers select backends by string ("hicuts",
+//     "linear", ...) instead of switching over packages.
 //   - Engine wraps a Classifier with a serving runtime: lookups run to
 //     completion on the caller behind an optional lock-free flow cache,
 //     batches whose misses are worth a handoff are split across persistent
@@ -48,24 +47,23 @@ type Result struct {
 }
 
 // Metrics is the backend-independent cost summary every classifier reports.
-// Fields that do not apply to a backend are zero (e.g. Entries for linear
-// search equals the rule count, LookupCost for a TCAM is 1).
+// Fields that do not apply to a backend are zero (e.g. CompiledBytes for
+// linear search).
 type Metrics struct {
-	// Backend is the registry name of the backend ("hicuts", "tss", ...).
+	// Backend is the registry name of the backend ("hicuts", "linear", ...).
 	Backend string
 	// Rules is the classifier size (rules, not expanded entries).
 	Rules int
 	// LookupCost is the worst-case number of sequential steps per lookup:
-	// node visits for trees, tuple probes for TSS, rules scanned for linear
-	// search, 1 for TCAM.
+	// node visits for trees, rules scanned for linear search.
 	LookupCost int
 	// MemoryBytes is the modelled memory footprint.
 	MemoryBytes int
 	// BytesPerRule is MemoryBytes divided by Rules.
 	BytesPerRule float64
-	// Entries is the number of stored elements (tree rule references,
-	// TSS/TCAM entries after range expansion); Entries / Rules is the
-	// replication or expansion factor.
+	// Entries is the number of stored elements (tree rule references, or
+	// the rules themselves for linear search); Entries / Rules is the
+	// replication factor.
 	Entries int
 	// CompiledBytes is the actual footprint of the compiled flat-array
 	// serving form for tree backends (0 for backends without one).
@@ -74,7 +72,7 @@ type Metrics struct {
 	CompiledBytes int
 }
 
-// Classifier is the uniform interface every backend adapter satisfies. It
+// Classifier is the uniform interface every backend satisfies. It
 // answers with positions in the rule list it serves (the snapshot's), so no
 // rule is copied until the Engine's edge materializes a Result.
 type Classifier interface {
@@ -362,7 +360,7 @@ type batchTask struct {
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // handoffWork is the least estimated work — packets the backend must answer
-// times its Metrics().LookupCost (node visits, tuple probes, rules scanned)
+// times its Metrics().LookupCost (node visits or rules scanned)
 // — each span must carry before splitting a batch across goroutines beats
 // running it on the caller. A handoff costs a channel send, a goroutine
 // wake-up and a WaitGroup barrier, and every result a worker writes is a
@@ -421,8 +419,8 @@ func (e *Engine) Rules() *rule.Set { return e.snap.Load().set }
 
 // Classify looks up one packet in the current snapshot, consulting the flow
 // cache first when one is configured. The path performs zero heap
-// allocations for the backends alloc_test.go pins: linear, tss and the
-// compiled tree backends, with or without a pending overlay.
+// allocations for the backends alloc_test.go pins: linear and the compiled
+// tree backends, with or without a pending overlay.
 func (e *Engine) Classify(p rule.Packet) (rule.Rule, bool) {
 	e.lookups.Add(1)
 	s := e.snap.Load()

@@ -32,7 +32,7 @@ func testSet(t *testing.T, family string, size int) *rule.Set {
 }
 
 func TestBackendsRegistered(t *testing.T) {
-	want := []string{"cutsplit", "efficuts", "hicuts", "hypercuts", "linear", "neurocuts", "tcam", "tss"}
+	want := []string{"cutsplit", "efficuts", "hicuts", "hypercuts", "linear", "neurocuts"}
 	got := realBackends()
 	if len(got) != len(want) {
 		t.Fatalf("Backends() = %v, want %v", got, want)
@@ -64,7 +64,7 @@ func TestDisplayName(t *testing.T) {
 
 func TestMetricsPopulated(t *testing.T) {
 	set := testSet(t, "acl1", 100)
-	for _, name := range []string{"linear", "hicuts", "tss", "tcam"} {
+	for _, name := range []string{"linear", "hicuts"} {
 		cls, err := New(name, set)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -116,7 +116,7 @@ func TestEngineBatchMatchesSingle(t *testing.T) {
 // deleting it must restore the previous winner.
 func TestEngineInsertDelete(t *testing.T) {
 	set := testSet(t, "acl1", 100)
-	for _, backend := range []string{"linear", "hicuts", "tss"} {
+	for _, backend := range []string{"linear", "hicuts"} {
 		eng, err := NewEngine(backend, set, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)

@@ -40,9 +40,6 @@ type Options struct {
 	// action at the top node (the paper's "simple" partitioning); the
 	// default trains a single unpartitioned tree.
 	SimplePartition bool
-	// TCAMExpandLimit bounds per-rule range expansion for the TCAM backend
-	// (0 selects the tcam package default of 1024).
-	TCAMExpandLimit int
 	// Shards is the most goroutines one ClassifyBatch call may keep busy,
 	// the caller included (0 selects GOMAXPROCS); a batch fans out only when
 	// its cache misses are worth the handoffs. It does not affect the

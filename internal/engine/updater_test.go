@@ -217,12 +217,11 @@ func TestOverlayHoldsWideRangeRule(t *testing.T) {
 
 // TestOverlayDifferential interleaves 1k updates with 12k ClassBench
 // packets and checks every lookup against linear search over the engine's
-// current merged rule list — for a compiled tree base and for tss and
-// linear bases, with background compaction live (threshold 64) so both the
-// fast path and the tombstoned-winner rescan are exercised across base
-// generations.
+// current merged rule list — for a compiled tree base and a linear base,
+// with background compaction live (threshold 64) so both the fast path and
+// the tombstoned-winner rescan are exercised across base generations.
 func TestOverlayDifferential(t *testing.T) {
-	for _, backend := range []string{"hicuts", "tss", "linear"} {
+	for _, backend := range []string{"hicuts", "linear"} {
 		t.Run(backend, func(t *testing.T) {
 			set := overlayTestSet(t, 400)
 			eng, err := NewEngine(backend, set, Options{Shards: 1, CompactThreshold: 64})
@@ -423,7 +422,7 @@ func TestOverlayZeroAllocLookups(t *testing.T) {
 	set := overlayTestSet(t, 1024)
 	ps := allocTestPackets(set, 256)
 	out := make([]Result, len(ps))
-	for _, backend := range []string{"linear", "tss", "hicuts", "cutsplit"} {
+	for _, backend := range []string{"linear", "hicuts", "cutsplit"} {
 		eng, err := NewEngine(backend, set, Options{Shards: 1, CompactThreshold: -1})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)

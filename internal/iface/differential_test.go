@@ -60,7 +60,7 @@ func TestDifferentialPcapVsDirect(t *testing.T) {
 		t.Fatalf("decoded %d packets, want %d", len(decoded), packets)
 	}
 
-	for _, backend := range []string{"hicuts", "tss"} {
+	for _, backend := range []string{"hicuts", "linear"} {
 		eng, err := engine.NewEngine(backend, set, engine.Options{Shards: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
@@ -118,7 +118,7 @@ func TestDifferentialShmVsTCP(t *testing.T) {
 		ps[i] = e.Key
 	}
 
-	eng, err := engine.NewEngine("tss", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,25 +75,6 @@ func (s *Set) MatchIndex(p Packet) int {
 	return -1
 }
 
-// IndexOf returns the list position of r — the rule a lookup over this
-// classifier returned — or -1 when the list holds no rule with r's priority
-// and ID. NewSet, Insert, Remove and their Clone forms keep Priority equal
-// to the list index, so the common case is one slot check; a
-// NewSetKeepPriorities list (priorities may be gapped or tied) is searched
-// by priority and the tie run scanned for the ID.
-func (s *Set) IndexOf(r Rule) int {
-	if i := r.Priority; i >= 0 && i < len(s.rules) && s.rules[i].Priority == i && s.rules[i].ID == r.ID {
-		return i
-	}
-	i := sort.Search(len(s.rules), func(i int) bool { return s.rules[i].Priority >= r.Priority })
-	for ; i < len(s.rules) && s.rules[i].Priority == r.Priority; i++ {
-		if s.rules[i].ID == r.ID {
-			return i
-		}
-	}
-	return -1
-}
-
 // HasDefaultRule reports whether the lowest-priority rule matches every
 // packet, guaranteeing that Match always succeeds.
 func (s *Set) HasDefaultRule() bool {

@@ -154,60 +154,6 @@ func TestNewSetKeepPriorities(t *testing.T) {
 	}
 }
 
-// TestSetIndexOf: IndexOf inverts "the rule a lookup returned" to its list
-// position on every kind of list the engine serves — canonical (NewSet and
-// the Clone edits, one slot check) and NewSetKeepPriorities with tied and
-// gapped priorities (search, then scan the tie run) — and reports -1 for a
-// rule the list does not hold, however close its priority and ID come.
-func TestSetIndexOf(t *testing.T) {
-	checkAll := func(name string, s *Set) {
-		t.Helper()
-		for i, r := range s.Rules() {
-			if got := s.IndexOf(r); got != i {
-				t.Errorf("%s: IndexOf(rule at %d: prio %d id %d) = %d", name, i, r.Priority, r.ID, got)
-			}
-		}
-	}
-	s := makeTestSet()
-	checkAll("NewSet", s)
-
-	ins := NewWildcardRule(0)
-	ins.ID = 40
-	withIns := s.CloneInsert(2, ins)
-	checkAll("CloneInsert", withIns)
-	removed := withIns.Rule(1)
-	withRem := withIns.CloneRemove(1)
-	checkAll("CloneRemove", withRem)
-	if got := withRem.IndexOf(removed); got != -1 {
-		t.Errorf("IndexOf(removed rule) = %d, want -1", got)
-	}
-	if got := (&Set{}).IndexOf(ins); got != -1 {
-		t.Errorf("empty set: IndexOf = %d, want -1", got)
-	}
-
-	// Priorities 0, 5, 5, 5, 9, 100 under IDs that are not positions; the
-	// rule at position 1 has ID 1's look-alike sitting at priority 5.
-	var kept []Rule
-	for i, prio := range []int{100, 5, 0, 5, 9, 5} {
-		r := NewWildcardRule(prio)
-		r.ID = 70 - i
-		kept = append(kept, r)
-	}
-	ks := NewSetKeepPriorities(kept)
-	checkAll("NewSetKeepPriorities", ks)
-	for _, absent := range []Rule{
-		{Priority: 5, ID: 12345},            // inside the tie run, unknown ID
-		{Priority: 7, ID: 69},               // in a gap, ID of a priority-5 rule
-		{Priority: 1, ID: ks.Rule(1).ID},    // position 1's ID, but its priority is 5
-		{Priority: -3, ID: 68},              // below every priority
-		{Priority: 1000, ID: ks.Rule(5).ID}, // above every priority
-	} {
-		if got := ks.IndexOf(absent); got != -1 {
-			t.Errorf("IndexOf(absent prio %d id %d) = %d, want -1", absent.Priority, absent.ID, got)
-		}
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	r0 := NewWildcardRule(0)
 	r0.Ranges[DimSrcIP] = PrefixRange(0x0A000000, 8, 32)

@@ -80,8 +80,8 @@ func TestSaveLoadEndpoints(t *testing.T) {
 	}
 }
 
-// TestArtifactEndpointsUnsupported: classifiers without an ArtifactStore
-// answer with a protocol error, not a dropped connection.
+// TestArtifactEndpointsUnsupported: a backend with no compiled form answers
+// save with a protocol error, not a dropped connection.
 func TestArtifactEndpointsUnsupported(t *testing.T) {
 	eng, _ := artifactTestEngine(t, "linear", 50)
 	srv := New(eng)
@@ -91,8 +91,8 @@ func TestArtifactEndpointsUnsupported(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() }) // registered before the client's cleanup, so the client closes first
 	client := dialV2Test(t, addr.String())
-	// linear has no compiled form: engine.Engine implements ArtifactStore
-	// but SaveArtifact must fail cleanly over the wire.
+	// linear has no compiled form: SaveArtifact must fail cleanly over the
+	// wire.
 	if err := client.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); err == nil {
 		t.Fatal("save succeeded for a backend with no compiled form")
 	}

@@ -87,7 +87,7 @@ func TestBatchSizeLimit(t *testing.T) {
 // top-priority wildcard must win every lookup, and deleting it must restore
 // the previous behaviour, with the version advancing on each update.
 func TestLiveRuleUpdate(t *testing.T) {
-	eng, _, addr := startEngineServer(t, "tss")
+	eng, _, addr := startEngineServer(t, "linear")
 	c := dialV2Test(t, addr)
 
 	p := rule.Packet{SrcIP: 99, DstIP: 98, SrcPort: 97, DstPort: 96, Proto: 250}
@@ -132,15 +132,5 @@ func TestLiveRuleUpdate(t *testing.T) {
 	// Deleting again must fail cleanly.
 	if _, err := c.DeleteRule(id); err == nil {
 		t.Error("second delete should report an error")
-	}
-}
-
-// TestUpdateUnsupported checks the graceful error when the served
-// classifier is a bare tree without the Updater interface.
-func TestUpdateUnsupported(t *testing.T) {
-	_, _, addr := startTestServer(t) // plain hicuts tree, no Updater
-	c := dialV2Test(t, addr)
-	if _, _, err := c.AddRule(0, parseRule(t, "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00")); err == nil {
-		t.Error("AddRule against a non-updatable classifier should error")
 	}
 }

@@ -283,13 +283,7 @@ func (s *Server) frameBatch(dst []byte, f Frame, bufs *v2Buffers) []byte {
 	for i := range packets {
 		packets[i] = decodePacket(body[i*packedPacketLen:])
 	}
-	if bc, ok := cls.(BatchClassifier); ok {
-		bc.ClassifyBatch(packets, out)
-	} else {
-		for i, p := range packets {
-			out[i].Rule, out[i].OK = cls.Classify(p)
-		}
-	}
+	cls.ClassifyBatch(packets, out)
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(beginFrame(dst, OpBatchResult, f.Table), uint32(n))
 	matched := 0
@@ -320,10 +314,6 @@ func (s *Server) frameInsert(f Frame) Frame {
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
-	up, ok := cls.(Updater)
-	if !ok {
-		return errorFrame(f.Table, "classifier does not support live updates")
-	}
 	if len(f.Payload) != 4+packedRuleLen {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, fmt.Sprintf("insert payload must be %d bytes, got %d", 4+packedRuleLen, len(f.Payload)))
@@ -334,7 +324,7 @@ func (s *Server) frameInsert(f Frame) Frame {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "rule: "+err.Error())
 	}
-	res, err := up.Insert(pos, r)
+	res, err := cls.Insert(pos, r)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -348,16 +338,12 @@ func (s *Server) frameDelete(f Frame) Frame {
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
-	up, ok := cls.(Updater)
-	if !ok {
-		return errorFrame(f.Table, "classifier does not support live updates")
-	}
 	if len(f.Payload) != 4 {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "delete payload must be 4 bytes")
 	}
 	id := int(int32(binary.LittleEndian.Uint32(f.Payload)))
-	res, err := up.Delete(id)
+	res, err := cls.Delete(id)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -371,16 +357,12 @@ func (s *Server) frameSave(f Frame) Frame {
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
-	st, ok := cls.(ArtifactStore)
-	if !ok {
-		return errorFrame(f.Table, "classifier does not support artifacts")
-	}
 	path := string(f.Payload)
 	if path == "" {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "save needs a path payload")
 	}
-	if err := st.SaveArtifact(path); err != nil {
+	if err := cls.SaveArtifact(path); err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
 	return updatedFrame(f.Table, -1, engine.UpdateResult{})
@@ -393,16 +375,12 @@ func (s *Server) frameLoad(f Frame) Frame {
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
-	st, ok := cls.(ArtifactStore)
-	if !ok {
-		return errorFrame(f.Table, "classifier does not support artifacts")
-	}
 	path := string(f.Payload)
 	if path == "" {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "load needs a path payload")
 	}
-	res, err := st.LoadArtifact(path)
+	res, err := cls.LoadArtifact(path)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}

@@ -40,13 +40,13 @@ func buildTestEngine(t *testing.T, family, backend string, size int) (*engine.En
 }
 
 // startTablesServer serves two tables — "acl" (default, hicuts) and "fw"
-// (tss) — from one multi-table server.
+// (linear) — from one multi-table server.
 func startTablesServer(t *testing.T) (*engine.Tables, map[string]*rule.Set, string) {
 	t.Helper()
 	tabs := engine.NewTables()
 	sets := map[string]*rule.Set{}
 	aclEng, aclSet := buildTestEngine(t, "acl1", "hicuts", 200)
-	fwEng, fwSet := buildTestEngine(t, "fw2", "tss", 150)
+	fwEng, fwSet := buildTestEngine(t, "fw2", "linear", 150)
 	sets["acl"], sets["fw"] = aclSet, fwSet
 	if _, err := tabs.Create("acl", aclEng); err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func TestV2CreateTableReplaysJournal(t *testing.T) {
 // error response followed by connection teardown (framing cannot be
 // resynchronised after corruption).
 func TestV2GarbageFrameClosesConnection(t *testing.T) {
-	_, _, addr := startEngineServer(t, "tss")
+	_, _, addr := startEngineServer(t, "linear")
 	c := dialV2Test(t, addr)
 	bad := AppendFrame(nil, Frame{Op: OpPing})
 	bad[len(bad)-1] ^= 0xFF // corrupt CRC

@@ -39,7 +39,7 @@ func TestProtocolDifferential(t *testing.T) {
 	}
 	specs := []tableSpec{
 		{name: "acl", family: "acl1", backend: "hicuts", size: 400},
-		{name: "fw", family: "fw2", backend: "tss", size: 300},
+		{name: "fw", family: "fw2", backend: "linear", size: 300},
 	}
 
 	// One multi-table server carries all tables.

@@ -6,13 +6,13 @@
 // table it addresses, requests may be pipelined, and responses come back in
 // request order.
 //
-// The served classifier is any Classifier implementation: an engine.Engine
-// directly, or a dataplane.Dataplane fronting one (classifyd -cores) — the
-// dataplane satisfies every optional interface below, so handlers submit
-// batches to its per-core rings without knowing which serving architecture
-// is behind them. One goroutine serves each connection; the classifier
-// lookup itself is read-only and shared, and updates swap in new snapshots
-// without blocking in-flight lookups.
+// The served classifier is an engine.Engine directly, or a
+// dataplane.Dataplane fronting one (classifyd -cores): both implement
+// Classifier, so handlers submit batches to the dataplane's per-core rings
+// without knowing which serving architecture is behind them. One goroutine
+// serves each connection; the classifier lookup itself is read-only and
+// shared, and updates swap in new snapshots without blocking in-flight
+// lookups.
 package server
 
 import (
@@ -29,40 +29,19 @@ import (
 	"neurocuts/internal/telemetry"
 )
 
-// Classifier is the minimal lookup interface the server exposes; decision
-// trees, multi-tree classifiers, the linear-search reference and
-// engine.Engine all satisfy it.
+// Classifier is what the server serves: lookups, live updates (OpInsert,
+// OpDelete), compiled artifacts (OpSave, OpLoad) and the online-update
+// state OpStats reports. engine.Engine implements it with RCU snapshot
+// swaps, and dataplane.Dataplane by fronting one.
 type Classifier interface {
 	Classify(p rule.Packet) (rule.Rule, bool)
-}
-
-// BatchClassifier is the optional batch interface. When the served
-// classifier implements it (engine.Engine does), an OpBatch frame is
-// classified in one sharded call against a single snapshot instead of one
-// lookup per packet.
-type BatchClassifier interface {
+	// ClassifyBatch classifies an OpBatch frame in one call against a
+	// single snapshot.
 	ClassifyBatch(ps []rule.Packet, out []engine.Result)
-}
-
-// Updater is the optional live-update interface behind OpInsert and
-// OpDelete. engine.Engine implements it with RCU snapshot swaps.
-type Updater interface {
 	Insert(pos int, r rule.Rule) (engine.UpdateResult, error)
 	Delete(id int) (engine.UpdateResult, error)
-}
-
-// ArtifactStore is the optional interface behind OpSave and OpLoad: persisting the served classifier as a compiled artifact
-// and hot-swapping an artifact in (another RCU snapshot swap).
-// engine.Engine implements it for compiled tree backends.
-type ArtifactStore interface {
 	SaveArtifact(path string) error
 	LoadArtifact(path string) (engine.UpdateResult, error)
-}
-
-// UpdaterStatser is the optional interface that lets OpStats expose the
-// online-update subsystem's state (overlay size, tombstones, generation,
-// compactions, journal). engine.Engine implements it.
-type UpdaterStatser interface {
 	UpdaterStats() engine.UpdaterStats
 }
 
@@ -370,20 +349,16 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// statsLine renders the one-line stats text OpStats answers with.
+// statsLine renders the one-line stats text OpStats answers with. The
+// online-update subsystem's state follows the leading request counters, so
+// clients that parse only those keep working.
 func (s *Server) statsLine(cls Classifier) string {
-	st := s.Stats()
-	line := fmt.Sprintf("stats requests=%d matches=%d parse-failures=%d", st.Requests, st.Matches, st.ParseFails)
-	// The online-update subsystem's state rides on the same line so
-	// clients that parse the leading fields keep working.
-	if us, ok := cls.(UpdaterStatser); ok {
-		u := us.UpdaterStats()
-		compacting := 0
-		if u.Compacting {
-			compacting = 1
-		}
-		line += fmt.Sprintf(" overlay=%d tombstones=%d rules=%d generation=%d compactions=%d compacting=%d journal-records=%d",
-			u.OverlayRules, u.Tombstones, u.Rules, u.Version, u.Compactions, compacting, u.JournalRecords)
+	st, u := s.Stats(), cls.UpdaterStats()
+	compacting := 0
+	if u.Compacting {
+		compacting = 1
 	}
-	return line
+	return fmt.Sprintf("stats requests=%d matches=%d parse-failures=%d overlay=%d tombstones=%d rules=%d generation=%d compactions=%d compacting=%d journal-records=%d",
+		st.Requests, st.Matches, st.ParseFails,
+		u.OverlayRules, u.Tombstones, u.Rules, u.Version, u.Compactions, compacting, u.JournalRecords)
 }

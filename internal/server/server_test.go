@@ -8,12 +8,12 @@ import (
 	"time"
 
 	"neurocuts/internal/classbench"
-	"neurocuts/internal/hicuts"
+	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
 )
 
-// startTestServer builds a HiCuts tree over a small classifier and serves it
-// on a loopback port.
+// startTestServer builds a HiCuts engine over a small classifier and serves
+// it on a loopback port.
 func startTestServer(t *testing.T) (*Server, *rule.Set, string) {
 	t.Helper()
 	fam, err := classbench.FamilyByName("acl1")
@@ -21,17 +21,24 @@ func startTestServer(t *testing.T) (*Server, *rule.Set, string) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 200, 1)
-	tr, err := hicuts.Build(set, hicuts.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(tr)
+	srv := New(hicutsEngine(t, set))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, set, addr.String()
+}
+
+// hicutsEngine builds a HiCuts engine over set, closed when the test ends.
+func hicutsEngine(t *testing.T, set *rule.Set) *engine.Engine {
+	t.Helper()
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
 }
 
 func TestServerClassifiesOverTCP(t *testing.T) {
@@ -60,12 +67,7 @@ func TestServerNoMatch(t *testing.T) {
 	// A classifier without a default rule produces no-match responses.
 	r0 := rule.NewWildcardRule(0)
 	r0.Ranges[rule.DimProto] = rule.Range{Lo: 6, Hi: 6}
-	set := rule.NewSet([]rule.Rule{r0})
-	tr, err := hicuts.Build(set, hicuts.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(tr)
+	srv := New(hicutsEngine(t, rule.NewSet([]rule.Rule{r0})))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,11 @@
 // packet classifiers in external Go programs.
 //
 // It is a stable facade over the internal engine: every registered backend
-// (the learned NeuroCuts trees, HiCuts, HyperCuts, EffiCuts, CutSplit,
-// Tuple Space Search, a TCAM model and the linear-search reference) is
-// reachable through one constructor with functional options, and the types
-// callers need — rules, packets, results — are re-exported here, so no
-// program ever imports neurocuts/internal/... directly.
+// (the learned NeuroCuts trees, HiCuts, HyperCuts, EffiCuts, CutSplit and
+// the linear-search reference) is reachable through one constructor with
+// functional options, and the types callers need — rules, packets,
+// results — are re-exported here, so no program ever imports
+// neurocuts/internal/... directly.
 //
 // Open builds (or warm-starts) a classifier:
 //

@@ -30,7 +30,7 @@ func TestOpenBackendsAgreeWithLinearSearch(t *testing.T) {
 	rules := mustRules(t, "acl1", 200)
 	keys := classifier.GenerateTrace(rules, 2000, 7)
 	ctx := context.Background()
-	for _, backend := range []string{"linear", "tss", "hicuts"} {
+	for _, backend := range []string{"linear", "hicuts"} {
 		c, err := classifier.Open(rules, classifier.WithBackend(backend), classifier.WithShards(2))
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
@@ -81,7 +81,7 @@ func TestClassifyHonorsContext(t *testing.T) {
 
 func TestInsertDeleteAndStats(t *testing.T) {
 	rules := mustRules(t, "acl1", 100)
-	c, err := classifier.Open(rules, classifier.WithBackend("tss"))
+	c, err := classifier.Open(rules, classifier.WithBackend("linear"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestInsertDeleteAndStats(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.Backend != "tss" || st.Rules != 100 || st.Version < 3 {
+	if st.Backend != "linear" || st.Rules != 100 || st.Version < 3 {
 		t.Fatalf("Stats() = %+v", st)
 	}
 	if st.Compactions != 0 {
@@ -167,7 +167,7 @@ func TestOnlineUpdatesWithJournalReplay(t *testing.T) {
 	rules := mustRules(t, "acl2", 80)
 	journal := filepath.Join(t.TempDir(), "updates.journal")
 	c, err := classifier.Open(rules,
-		classifier.WithBackend("tss"),
+		classifier.WithBackend("linear"),
 		classifier.WithJournal(journal),
 		classifier.WithCompactThreshold(-1))
 	if err != nil {
@@ -187,7 +187,7 @@ func TestOnlineUpdatesWithJournalReplay(t *testing.T) {
 
 	// A re-open over the same rules and journal replays the insert.
 	c2, err := classifier.Open(rules,
-		classifier.WithBackend("tss"),
+		classifier.WithBackend("linear"),
 		classifier.WithJournal(journal))
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestClosedClassifierFailsClosed(t *testing.T) {
 func TestTelemetryStatsAndAdmin(t *testing.T) {
 	rules := mustRules(t, "acl1", 200)
 	c, err := classifier.Open(rules,
-		classifier.WithBackend("tss"),
+		classifier.WithBackend("linear"),
 		classifier.WithShards(2),
 		classifier.WithSlowThreshold(0)) // implies WithTelemetry; capture all
 	if err != nil {

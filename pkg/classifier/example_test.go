@@ -42,7 +42,7 @@ func ExampleClassifier_ClassifyBatch() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := classifier.Open(rules, classifier.WithBackend("tss"))
+	c, err := classifier.Open(rules, classifier.WithBackend("linear"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func ExampleOpen_dataplane() {
 		log.Fatal(err)
 	}
 	c, err := classifier.Open(rules,
-		classifier.WithBackend("tss"),
+		classifier.WithBackend("linear"),
 		classifier.WithDataplane(4),    // four classify loops
 		classifier.WithFlowCache(4096)) // split across the loops' caches
 	if err != nil {

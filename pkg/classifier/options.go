@@ -24,8 +24,8 @@ type config struct {
 type Option func(*config)
 
 // WithBackend selects the classification backend by registry name
-// ("neurocuts", "hicuts", "hypercuts", "efficuts", "cutsplit", "tss",
-// "tcam", "linear" — see Backends). The default is "hicuts".
+// ("neurocuts", "hicuts", "hypercuts", "efficuts", "cutsplit", "linear" —
+// see Backends). The default is "hicuts".
 func WithBackend(name string) Option {
 	return func(c *config) { c.backend = name }
 }
