@@ -14,25 +14,30 @@
 //   - A merged lookup asks the base first and checks its winner against the
 //     tombstone set (only a deleted winner costs a rescan of the base list;
 //     see LookupFunc for why that cannot be pushed into the base structure),
-//     then scans the overlay in order, stopping at the first match or at the
-//     first overlay rule that sorts behind the base winner. No allocations.
+//     then tests the overlay rules the packet's address bytes leave as
+//     candidates, in order, stopping at the first match or at the first
+//     candidate that sorts behind the base winner. No allocations.
 //
 // Rank scheme: a rule's rank is the number of live (non-tombstoned) base
 // rules ahead of it in the merged list. Live base rules therefore have ranks
 // 0, 1, 2, ...; an overlay rule shares the rank of the base rule it sits
 // directly in front of and beats it on the tie. Overlay records are stored in
 // merged order, so their ranks ascend, and merged index = rank + number of
-// overlay rules at or ahead of the rule — which is the scan position itself.
-// Nothing in the scheme can run out: any rule fits the overlay, and any
-// number of them fit between two base rules.
+// overlay rules at or ahead of the rule — for an overlay rule its own
+// position in the overlay, for a base rule a branch-free count over the
+// overlay's ranks. Nothing in the scheme can run out: any rule fits the
+// overlay, and any number of them fit between two base rules.
 //
 // Cost model: a View answers with a position — the winner's index in its
 // merged list, or -1 — and the base answers it with one: a lookup moves
-// int32s from the base through the tombstone check and the overlay scan, and
-// copies no rule. The overlay adds O(overlay rules ranked at or above the base
-// winner) packed-record compares per packet, at most the whole overlay, which
-// the engine's compaction threshold bounds (256 pending updates by default:
-// 10 KB, L1-resident). Tuple Space Search, the structure the overlay used to be,
+// int32s from the base through the tombstone check and the overlay probe, and
+// copies no rule. The probe is Lakshman–Stiliadis bit-vector filtering on the
+// two address fields: per top address byte, a mask of the overlay rules whose
+// range reaches that /8. A packet ANDs its two rows (2·⌈overlay/64⌉ words)
+// and packed-compares only the rules left ranked at or above the base winner,
+// on ClassBench tables almost never one. The engine's compaction threshold
+// bounds the overlay (256 pending updates by default: 10 KB of records, 16 KB
+// of masks). Tuple Space Search, the structure the overlay used to be,
 // loses at this size: ClassBench port ranges expand into prefix tuples, so
 // 256 rules spread over ~400 hash tables and every lookup pays one 40-byte
 // key hash per table whether or not the table can match. The Rule-shaped
@@ -57,7 +62,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"neurocuts/internal/rule"
 )
@@ -167,7 +171,7 @@ func (b *Base) IndexOf(id int) int {
 	return -1
 }
 
-// overlayRule is one overlay rule as the lookup scans it: its packed
+// overlayRule is one overlay rule as the lookup tests it: its packed
 // match-only projection (the record internal/compiled scans in its leaves,
 // tested by the same kernel) and its rank. A rule no packet can satisfy packs
 // to a record that matches nothing (see rule.Pack).
@@ -197,6 +201,12 @@ type View struct {
 	// overlay holds the non-base rules in merged order, so ranks ascend and
 	// overlay[j] is merged rule overlay[j].rank+j.
 	overlay []overlayRule
+	// masks holds 256 source rows then 256 destination rows of words uint64s
+	// each, indexed by the address's top byte. Bit j of a row is set when
+	// overlay[j]'s range of that address reaches the /8, so a packet can
+	// match only the overlay rules set in both of its rows.
+	masks []uint64
+	words int
 	// tombs marks the deleted base rule indices.
 	tombs  []tombWord
 	tombsN int
@@ -212,8 +222,8 @@ const stackOverlay = 512
 // the relative order of the base rules it retains. The derivation is one
 // pass over merged that walks the base list beside it, so only overlay rules
 // and the first survivor after a deleted run need the base's ID index; it
-// allocates the view, its overlay and its tombstone words, whatever the
-// overlay's size (up to stackOverlay rules).
+// allocates the view, its overlay, its candidate masks and its tombstone
+// words, whatever the overlay's size (up to stackOverlay rules).
 func NewView(b *Base, merged *rule.Set) (*View, error) {
 	baseRules, rules := b.set.Rules(), merged.Rules()
 	v := &View{base: b, merged: merged, tombs: make([]tombWord, (len(baseRules)+63)/64)}
@@ -244,10 +254,28 @@ func NewView(b *Base, merged *rule.Set) (*View, error) {
 		v.tombs[w].before = v.tombs[w-1].before + uint32(bits.OnesCount64(v.tombs[w-1].bits))
 	}
 	v.overlay = make([]overlayRule, len(overlayAt))
+	v.words = (len(overlayAt) + 63) / 64
+	v.masks = make([]uint64, 2*256*v.words)
 	for j, i := range overlayAt {
-		v.overlay[j] = overlayRule{match: rule.Pack(&rules[i]), rank: i - int32(j)}
+		r := &rules[i]
+		v.overlay[j] = overlayRule{match: rule.Pack(r), rank: i - int32(j)}
+		v.mark(0, r.Ranges[rule.DimSrcIP], j)
+		v.mark(256, r.Ranges[rule.DimDstIP], j)
 	}
 	return v, nil
+}
+
+// mark sets overlay rule j's bit in the rows from row0 on of every /8 the
+// address range rg reaches, clipped to 32 bits as rule.Pack clips it; an
+// empty range, or one wholly beyond 32 bits, sets none.
+func (v *View) mark(row0 int, rg rule.Range, j int) {
+	hi := min(rg.Hi, math.MaxUint32)
+	if rg.Lo > hi {
+		return
+	}
+	for b := int(rg.Lo >> 24); b <= int(hi>>24); b++ {
+		v.masks[(row0+b)*v.words+j>>6] |= 1 << (j & 63)
+	}
 }
 
 // tombstone marks base rules [lo, hi) deleted.
@@ -291,19 +319,43 @@ func (v *View) baseRank(bi int) int {
 	return bi - int(w.before) - bits.OnesCount64(w.bits&(1<<(uint(bi)&63)-1))
 }
 
+// aheadOf returns how many overlay rules have a rank of at most rank, i.e.
+// sit ahead of the live base rule of that rank: a binary search shaped like
+// compiled's countLE, whose steps are conditional adds, not branches.
+func (v *View) aheadOf(rank int) int {
+	o := v.overlay
+	if len(o) == 0 {
+		return 0
+	}
+	base := 0 // the answer stays within [base, base+n]
+	for n := len(o); n > 1; n -= n >> 1 {
+		base += n >> 1 & -b2i(int(o[base+n>>1-1].rank) <= rank)
+	}
+	return base + b2i(int(o[base].rank) <= rank)
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // IndexOf returns the merged-list index of the live rule with the given ID,
-// or -1. Base rules resolve through the base's ID index and a binary search
-// over the overlay's ranks; only overlay rules are scanned for.
+// or -1. Base rules resolve through the base's ID index and a count over the
+// overlay's ranks; only overlay rules are scanned for.
 func (v *View) IndexOf(id int) int {
 	if bi, inBase := v.base.indexByID[id]; inBase {
 		if v.tombstoned(bi) {
 			return -1
 		}
 		rank := v.baseRank(bi)
-		return rank + sort.Search(len(v.overlay), func(j int) bool { return int(v.overlay[j].rank) > rank })
+		return rank + v.aheadOf(rank)
 	}
+	rules := v.merged.Rules()
 	for j := range v.overlay {
-		if i := int(v.overlay[j].rank) + j; v.merged.Rule(i).ID == id {
+		if i := int(v.overlay[j].rank) + j; rules[i].ID == id {
 			return i
 		}
 	}
@@ -312,14 +364,14 @@ func (v *View) IndexOf(id int) int {
 
 // Lookup returns the merged-list position of the highest-priority rule
 // matching p, or -1. The path is allocation-free and copies no rule: one base
-// lookup (with a tombstone check on its winner) and a scan of the overlay
-// rules that could beat it.
+// lookup (with a tombstone check on its winner) and a probe of the overlay
+// candidates that could beat it.
 func (v *View) Lookup(p rule.Packet) int32 { return v.resolve(p, v.base.lookup(p)) }
 
 // LookupBatch writes Lookup(ps[i]) to pos[i] for every i. The base lookups
 // run as one batched call when the base provides one (so a compiled tree
 // base serves the span through its frontier walk), in place in pos;
-// tombstone resolution and the overlay scan stay scalar per packet — the
+// tombstone resolution and the overlay probe stay scalar per packet — the
 // overlay is small by construction, the base is where the memory latency
 // lives.
 func (v *View) LookupBatch(ps []rule.Packet, pos []int32) {
@@ -373,12 +425,12 @@ func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
 // -1) with the tombstone set and the overlay, and returns the merged winner's
 // position, or -1. It is the shared back half of every lookup.
 func (v *View) resolve(p rule.Packet, bi int) int32 {
-	k := p.Key()
 	if bi >= 0 && v.tombsN > 0 && v.tombstoned(bi) {
 		// The base's best match is deleted: rescan the base list past the
 		// tombstones. This cannot be pushed into the base structure itself
 		// (see LookupFunc); it is the slow path and only runs when a
 		// deleted rule would have won.
+		k := p.Key()
 		packed := v.base.packed
 		for bi++; bi < len(packed); bi++ {
 			if packed[bi].Matches(k) && !v.tombstoned(bi) {
@@ -395,20 +447,27 @@ func (v *View) resolve(p rule.Packet, bi int) int32 {
 		rank = v.baseRank(bi)
 	}
 	// Overlay rules whose rank does not exceed the base winner's sit ahead
-	// of it in the merged list; the first of them to match wins.
-	j := 0
-	for ; j < len(v.overlay); j++ {
-		o := &v.overlay[j]
-		if int(o.rank) > rank {
-			break
-		}
-		if o.match.Matches(k) {
-			return o.rank + int32(j)
+	// of it in the merged list; the first of them to match wins. Only the
+	// rules set in both of the packet's mask rows can match, and their bits
+	// come in merged order, so the walk ends at the first one ranked behind.
+	n := v.words
+	src := v.masks[int(p.SrcIP>>24)*n:][:n]
+	dst := v.masks[(256+int(p.DstIP>>24))*n:][:n]
+walk:
+	for w := range src {
+		for m := src[w] & dst[w]; m != 0; m &= m - 1 {
+			j := w<<6 | bits.TrailingZeros64(m)
+			o := &v.overlay[j]
+			if int(o.rank) > rank {
+				break walk
+			}
+			if o.match.Matches(p.Key()) {
+				return o.rank + int32(j)
+			}
 		}
 	}
 	if bi < 0 {
 		return -1
 	}
-	// j overlay rules sit ahead of the base winner.
-	return int32(rank + j)
+	return int32(rank + v.aheadOf(rank))
 }

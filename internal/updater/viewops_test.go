@@ -106,8 +106,19 @@ func viewOpsBase() *rule.Set {
 
 // runViewOps applies the op sequence data encodes to a reference model (a
 // rule.Set edited in place) and, after every op, derives the view from
-// scratch and checks it against linear search over the model.
-func runViewOps(t *testing.T, data []byte) {
+// scratch and checks it against linear search over the model. It returns the
+// largest overlay a view held.
+//
+// Most runs stop after 48 ops. One input in eight — a first byte of 0xE0 or
+// more, which the op stream still reads as its first op — runs up to 192 and
+// compacts on only one op 9 in sixteen, so its overlay can outgrow one 64-bit
+// candidate-mask word.
+func runViewOps(t *testing.T, data []byte) (maxOverlay int) {
+	long := len(data) > 0 && data[0] >= 0xE0
+	steps := 48
+	if long {
+		steps = 192
+	}
 	s := &opStream{data: data}
 	baseSet := viewOpsBase()
 	base := testBaseBatch(t, baseSet)
@@ -135,7 +146,7 @@ func runViewOps(t *testing.T, data []byte) {
 		return idx[n%len(idx)]
 	}
 
-	for step := 0; step < 48 && len(s.data) > 0; step++ {
+	for step := 0; step < steps && len(s.data) > 0; step++ {
 		switch op := s.byte(); op % 10 {
 		case 0, 1:
 			insert(s.byte()%(merged.Len()+1), s.rule())
@@ -160,6 +171,9 @@ func runViewOps(t *testing.T, data []byte) {
 				merged.Remove(i)
 			}
 		case 9: // compaction: the merged list becomes the base
+			if long && s.byte()%16 != 0 {
+				break
+			}
 			baseSet = merged.Clone()
 			base = testBaseBatch(t, baseSet)
 		}
@@ -170,6 +184,7 @@ func runViewOps(t *testing.T, data []byte) {
 		if err != nil {
 			t.Fatalf("step %d: NewView: %v", step, err)
 		}
+		maxOverlay = max(maxOverlay, v.OverlayLen())
 		pending := 0
 		for _, r := range merged.Rules() {
 			if v.FromOverlay(r.ID) {
@@ -204,7 +219,7 @@ func runViewOps(t *testing.T, data []byte) {
 		for i := 0; i < 4; i++ {
 			pkts = append(pkts, s.steer(s.rule()))
 		}
-		// The view's overlay scan and tombstone rescan run the packed kernel;
+		// The view's overlay probe and tombstone rescan run the packed kernel;
 		// hold it to Rule.Matches on every rule of the run, rules Validate
 		// would reject included.
 		packed := rule.PackRules(merged.Rules())
@@ -242,19 +257,30 @@ func runViewOps(t *testing.T, data []byte) {
 			}
 		}
 	}
+	return maxOverlay
 }
 
-// TestViewOpsProperty runs random op sequences through runViewOps.
+// TestViewOpsProperty runs random op sequences through runViewOps; some of
+// the long runs must carry an overlay across a mask-word boundary.
 func TestViewOpsProperty(t *testing.T) {
 	runs := 200
 	if testing.Short() {
 		runs = 20
 	}
+	crossed := 0
 	for seed := int64(0); seed < int64(runs); seed++ {
-		data := make([]byte, 4096)
+		// Traffic into every overlay and dead rule's box reads bytes too: a
+		// long run needs tens of kilobytes to reach its step cap.
+		data := make([]byte, 1<<16)
 		rand.New(rand.NewSource(seed)).Read(data)
-		runViewOps(t, data)
+		if runViewOps(t, data) > 64 {
+			crossed++
+		}
 	}
+	if !testing.Short() && crossed == 0 {
+		t.Errorf("no run's overlay outgrew one 64-bit mask word")
+	}
+	t.Logf("%d of %d runs carried more than 64 overlay rules", crossed, runs)
 }
 
 // FuzzViewOps lets the fuzzer write the op sequence: insert positions, rule
@@ -269,5 +295,9 @@ func FuzzViewOps(f *testing.F) {
 	seed := make([]byte, 1024)
 	rand.New(rand.NewSource(7)).Read(seed)
 	f.Add(seed)
-	f.Fuzz(runViewOps)
+	long := make([]byte, 1<<16)
+	rand.New(rand.NewSource(3)).Read(long)
+	long[0] = 0xE0 // a long run, whose overlay reaches 87 rules
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) { runViewOps(t, data) })
 }
