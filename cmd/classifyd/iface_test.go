@@ -144,8 +144,8 @@ func TestShmServeMode(t *testing.T) {
 	for i, e := range entries {
 		ps[i] = e.Key
 	}
-	viaShm, err := shm.ClassifyBatch(ps)
-	if err != nil {
+	viaShm := make([]engine.Result, len(ps))
+	if err := shm.ClassifyBatchInto(ps, viaShm); err != nil {
 		t.Fatal(err)
 	}
 	viaTCP, err := tcp.ClassifyBatch(ps)
@@ -177,7 +177,7 @@ func TestShmServeMode(t *testing.T) {
 		t.Fatalf("ring file still present after shutdown: %v", err)
 	}
 	// A detached client now fails cleanly rather than stalling.
-	if _, err := shm.ClassifyBatch(ps[:1]); err == nil {
+	if err := shm.ClassifyBatchInto(ps[:1], viaShm); err == nil {
 		t.Fatal("classification against a shut-down ring succeeded")
 	}
 }

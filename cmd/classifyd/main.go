@@ -40,8 +40,8 @@
 //
 //	classifyd -family acl1 -capture eth0 -pcap-out captured.pcap
 //
-// Serve batch lookups to a co-located process over a shared-memory ring as
-// well as TCP (the SDK side is classifier.WithSharedMemory):
+// Serve the wire protocol to a co-located process over a shared-memory ring
+// as well as TCP (the SDK side is classifier.WithSharedMemory):
 //
 //	classifyd -family acl1 -size 1000 -shm /run/classifyd.ring
 //
@@ -149,8 +149,8 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		pcapRate  = fs.Float64("pcap-rate", 0, "replay pacing: 0 = maximum rate, r = r times the recorded speed (1 reproduces the capture's timing)")
 		capture   = fs.String("capture", "", "classify live traffic captured from this network interface via AF_PACKET (linux, CAP_NET_RAW) instead of serving")
 		pcapOut   = fs.String("pcap-out", "", "while replaying or capturing, also write every ingested packet to this pcap fixture")
-		shmPath   = fs.String("shm", "", "additionally serve batch lookups over a shared-memory ring at this file path (single-table mode)")
-		shmSlots  = fs.Int("shm-slots", 0, "shared-memory ring capacity in descriptors, rounded up to a power of two (0 = default 4096)")
+		shmPath   = fs.String("shm", "", "additionally serve the wire protocol over a shared-memory ring at this file path (single-table mode)")
+		shmSlots  = fs.Int("shm-slots", 0, "shared-memory ring capacity per direction in 16-byte units, rounded up to a power of two (0 = default 4096: 64 KiB); a larger frame streams through")
 		listen    = fs.String("listen", "127.0.0.1:9099", "address to serve on")
 		adminAddr = fs.String("admin", "", "serve the HTTP admin plane (Prometheus /metrics, /healthz, /readyz, /tables, /debug/slow, /debug/pprof/) on this address")
 		slowThr   = fs.Duration("slow-threshold", -1, "capture lookups at or above this latency into the slow-lookup flight recorder (/debug/slow; 0 captures everything, negative disables capture; latency histograms are recorded whenever -admin or this flag enables telemetry)")

@@ -83,7 +83,7 @@ func TestZeroAllocShmClient(t *testing.T) {
 	}
 	defer c.Close()
 
-	ps := allocShmPackets(t, set, 200) // 200 > slots/2: exercises chunking too
+	ps := allocShmPackets(t, set, 200) // 2.6 KB frames: every other call wraps the 4 KiB ring
 	out := make([]engine.Result, len(ps))
 	if err := c.ClassifyBatchInto(ps, out); err != nil {
 		t.Fatal(err)

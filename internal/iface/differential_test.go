@@ -2,16 +2,13 @@ package iface_test
 
 import (
 	"bytes"
-	"context"
 	"io"
-	"path/filepath"
 	"testing"
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/iface"
 	"neurocuts/internal/rule"
-	"neurocuts/internal/server"
 )
 
 // diffFixture builds a classifier rule set and a pcap rendering of a
@@ -100,71 +97,5 @@ func TestDifferentialPcapVsDirect(t *testing.T) {
 			t.Fatalf("%s: replay classified %d packets, want %d", backend, idx, packets)
 		}
 		eng.Close()
-	}
-}
-
-// TestDifferentialShmVsTCP pins the shared-memory transport against wire
-// protocol v2 over TCP: same engine, same packets, the ring and the socket
-// must return identical (id, priority, ok) triples.
-func TestDifferentialShmVsTCP(t *testing.T) {
-	fam, err := classbench.FamilyByName("fw1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := classbench.Generate(fam, 256, 5)
-	entries := classbench.GenerateTrace(set, 4096, 13)
-	ps := make([]rule.Packet, len(entries))
-	for i, e := range entries {
-		ps[i] = e.Key
-	}
-
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	// TCP side: a real server on loopback, protocol v2 client.
-	srv := server.New(eng)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tcp, err := server.DialV2(context.Background(), addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-
-	// Shm side: a ring over the same engine.
-	ring, err := iface.NewShmServer(filepath.Join(t.TempDir(), "ring"), eng, iface.ShmServerConfig{Slots: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ring.Close()
-	shm, err := iface.OpenShmClient(ring.Path(), iface.ShmClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shm.Close()
-
-	viaTCP, err := tcp.ClassifyBatch(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaShm, err := shm.ClassifyBatch(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaTCP) != len(ps) || len(viaShm) != len(ps) {
-		t.Fatalf("result lengths: tcp=%d shm=%d, want %d", len(viaTCP), len(viaShm), len(ps))
-	}
-	for i := range ps {
-		a, b := viaTCP[i], viaShm[i]
-		if a.OK != b.OK || a.Rule.ID != b.Rule.ID || a.Rule.Priority != b.Rule.Priority {
-			t.Fatalf("packet %d (%v): tcp id=%d prio=%d ok=%v, shm id=%d prio=%d ok=%v",
-				i, ps[i], a.Rule.ID, a.Rule.Priority, a.OK, b.Rule.ID, b.Rule.Priority, b.OK)
-		}
 	}
 }

@@ -17,11 +17,11 @@
 //     get an error-returning stub). Capturing requires CAP_NET_RAW.
 //
 //   - The shared-memory ring transport (ShmServer, ShmClient) lets a
-//     co-located client submit batches and read results through a
+//     co-located client reach the wire protocol's frame handler through a
 //     file-backed mmap region instead of TCP: a handshake page, then two
-//     single-producer/single-consumer descriptor rings with cache-line-
-//     padded cursors, following the dataplane's ring discipline. The SDK
-//     exposes it as classifier.WithSharedMemory.
+//     single-producer/single-consumer byte rings with cache-line-padded
+//     cursors, following the dataplane's ring discipline, that carry
+//     protocol frames. The SDK exposes it as classifier.WithSharedMemory.
 //
 // All three steady-state read paths perform zero heap allocations per
 // operation; the alloc tests in this package pin that the same way the

@@ -177,9 +177,6 @@ func (p *PcapReader) u32(b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// LinkType returns the capture's link type.
-func (p *PcapReader) LinkType() uint32 { return p.linkType }
-
 // Stats returns the reader's running counters.
 func (p *PcapReader) Stats() SourceStats { return p.stats }
 

@@ -9,6 +9,7 @@ import (
 
 	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/server"
 )
 
 // ShmClientConfig configures a ring client.
@@ -20,22 +21,18 @@ type ShmClientConfig struct {
 	Timeout time.Duration
 }
 
-// ShmClient submits classification batches through the shared-memory ring.
-// It is safe for concurrent use: a mutex serialises callers, preserving the
-// request ring's single-producer discipline. The ClassifyBatchInto path
-// performs zero heap allocations per call.
+// ShmClient submits classification requests through the shared-memory ring:
+// a server.ClientV2 over the region's client end. It is safe for concurrent
+// use: a mutex serialises callers, preserving the request ring's
+// single-producer discipline. The ClassifyBatchInto path performs zero heap
+// allocations per call. After a transport error — ErrShmStalled,
+// ErrShmClosed, a torn frame — every later call returns that error: the
+// stream cannot be trusted to be at a frame boundary again.
 type ShmClient struct {
-	mu      sync.Mutex
-	m       shmMap
-	f       *os.File
-	timeout time.Duration
-	chunk   int
-	closed  bool
-
-	// Scratch for single-packet Classify so it shares the zero-alloc batch
-	// path (guarded by mu like everything else).
-	onePkt [1]rule.Packet
-	oneRes [1]engine.Result
+	mu  sync.Mutex
+	m   shmMap
+	f   *os.File // nil once closed
+	cli *server.ClientV2
 }
 
 // OpenShmClient attaches to the ring file at path, waiting up to the
@@ -49,7 +46,7 @@ func OpenShmClient(path string, cfg ShmClientConfig) (*ShmClient, error) {
 	for {
 		c, retry, err := tryAttach(path)
 		if err == nil {
-			c.timeout = timeout
+			c.cli = server.NewClientV2(newShmConn(&c.m, true, timeout))
 			return c, nil
 		}
 		if !retry || time.Now().After(deadline) {
@@ -96,9 +93,7 @@ func tryAttach(path string) (*ShmClient, bool, error) {
 		f.Close()
 		return nil, false, err
 	}
-	c := &ShmClient{f: f}
-	c.m.init(data, slots)
-	c.chunk = int(slots) / 2
+	c := &ShmClient{f: f, m: shmMap{data: data, size: uint64(slots) * shmSlotBytes}}
 	if c.m.state() != shmStateReady {
 		c.detach()
 		return nil, true, ErrShmHandshake
@@ -111,42 +106,19 @@ func tryAttach(path string) (*ShmClient, bool, error) {
 func (c *ShmClient) detach() {
 	munmapFile(c.m.data)
 	c.f.Close()
+	c.f = nil
 }
 
-// Slots returns the attached ring's capacity in descriptors.
-func (c *ShmClient) Slots() int { return int(c.m.slots) }
+// Slots returns the attached ring's capacity in 16-byte units per direction.
+func (c *ShmClient) Slots() int { return c.m.slots() }
 
 // ClassifyBatchInto classifies ps[i] into out[i] through the ring. out must
 // be at least as long as ps. Results carry the winning rule's ID and
-// priority (the ranges stay on the serving side, as over wire protocol v2).
+// priority (the ranges stay on the serving side, as over TCP).
 func (c *ShmClient) ClassifyBatchInto(ps []rule.Packet, out []engine.Result) error {
-	if len(out) < len(ps) {
-		return fmt.Errorf("iface: shm batch: out shorter than ps (%d < %d)", len(out), len(ps))
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrShmClosed
-	}
-	for lo := 0; lo < len(ps); lo += c.chunk {
-		hi := lo + c.chunk
-		if hi > len(ps) {
-			hi = len(ps)
-		}
-		if err := c.roundTrip(ps[lo:hi], out[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ClassifyBatch is the allocating convenience wrapper.
-func (c *ShmClient) ClassifyBatch(ps []rule.Packet) ([]engine.Result, error) {
-	out := make([]engine.Result, len(ps))
-	if err := c.ClassifyBatchInto(ps, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.cli.ClassifyBatchInto(ps, out)
 }
 
 // Classify classifies a single packet, returning the winning rule's ID and
@@ -154,86 +126,18 @@ func (c *ShmClient) ClassifyBatch(ps []rule.Packet) ([]engine.Result, error) {
 func (c *ShmClient) Classify(p rule.Packet) (id, priority int, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, 0, false, ErrShmClosed
-	}
-	c.onePkt[0] = p
-	if err := c.roundTrip(c.onePkt[:], c.oneRes[:]); err != nil {
-		return 0, 0, false, err
-	}
-	r := &c.oneRes[0]
-	return r.Rule.ID, r.Rule.Priority, r.OK, nil
+	return c.cli.Classify(p)
 }
 
-// roundTrip submits one span (at most half the ring) and collects its
-// results. Caller holds mu. The span bound keeps the client's outstanding
-// descriptors at or below one ring's worth, which is what guarantees the
-// server can always publish results without checking the response ring for
-// space.
-func (c *ShmClient) roundTrip(ps []rule.Packet, out []engine.Result) error {
-	m := &c.m
-	n := uint64(len(ps))
-	var b shmBackoff
-
-	// Produce: wait for request-ring space, write the span, publish.
-	tail := m.load(shmOffReqTail)
-	deadline := time.Now().Add(c.timeout)
-	for tail+n-m.load(shmOffReqHead) > m.slots {
-		if m.state() == shmStateClosed {
-			return ErrShmClosed
-		}
-		if time.Now().After(deadline) {
-			return ErrShmStalled
-		}
-		b.wait()
-	}
-	for i := uint64(0); i < n; i++ {
-		m.writeReq((tail+i)&m.mask, ps[i])
-	}
-	m.store(shmOffReqTail, tail+n)
-
-	// Consume: collect exactly n results as the server publishes them.
-	head := m.load(shmOffRespHead)
-	consumed := uint64(0)
-	b.reset()
-	deadline = time.Now().Add(c.timeout)
-	for consumed < n {
-		avail := m.load(shmOffRespTail) - head
-		if avail == 0 {
-			if m.state() == shmStateClosed {
-				return ErrShmClosed
-			}
-			if time.Now().After(deadline) {
-				return ErrShmStalled
-			}
-			b.wait()
-			continue
-		}
-		b.reset()
-		deadline = time.Now().Add(c.timeout) // progress re-arms the watchdog
-		if avail > n-consumed {
-			avail = n - consumed
-		}
-		for i := uint64(0); i < avail; i++ {
-			m.readResp((head+i)&m.mask, &out[consumed+uint64(i)])
-		}
-		head += avail
-		m.store(shmOffRespHead, head)
-		consumed += avail
-	}
-	return nil
-}
-
-// Close detaches from the region. The server side and its file are
-// untouched — other clients (sequential; the ring is single-client) can
-// attach afterwards.
+// Close detaches from the region; later calls fail with ErrShmClosed. The
+// server side and its file are untouched — other clients (sequential; the
+// ring is single-client) can attach afterwards.
 func (c *ShmClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil
+	if c.f != nil {
+		c.cli.Close()
+		c.detach()
 	}
-	c.closed = true
-	c.detach()
 	return nil
 }

@@ -1,60 +1,60 @@
 package iface
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"sync/atomic"
+	"time"
 
-	"neurocuts/internal/engine"
-	"neurocuts/internal/rule"
+	"neurocuts/internal/server"
 )
 
 // ShmServerConfig configures a ring server.
 type ShmServerConfig struct {
-	// Slots is each ring's descriptor capacity, rounded up to a power of
-	// two (default 4096). One slot is one packet; a client batch larger
-	// than half the ring is submitted in ring-halves.
+	// Slots is each ring's capacity in 16-byte units, rounded up to a power
+	// of two (default 4096: 64 KiB per direction). A frame larger than the
+	// ring streams through it.
 	Slots int
 }
 
-// shmServerBatch is how many queued requests the serving loop drains into
-// one ClassifyBatch call.
-const shmServerBatch = 1024
+// shmDrainTimeout bounds how long Close waits for a request in flight to be
+// answered before it cuts the handler off.
+const shmDrainTimeout = 5 * time.Second
 
-// ShmServerStats counts the server side's traffic.
+// ShmServerStats counts the server side's traffic, from the frame handler's
+// counters.
 type ShmServerStats struct {
-	// Batches is the number of ClassifyBatch calls the loop issued.
+	// Batches is the number of batch frames served.
 	Batches uint64
-	// Packets is the number of request descriptors served.
+	// Packets is the number of requests served: one per classified packet,
+	// plus one per control request (a data-plane client sends none).
 	Packets uint64
 }
 
-// ShmServer owns the shared file and drains the request ring into a batch
-// classifier. NewShmServer creates (truncating) the file, maps it, and
-// starts the serving loop; Close stops the loop, marks the region closed so
-// a connected client errors out cleanly, and removes the file.
+// ShmServer owns the shared file and serves the region's server end with
+// the wire protocol's frame handler (server.Server.ServeConn), exactly as a
+// TCP connection is served. NewShmServer creates (truncating) the file, maps
+// it, and starts the handler; Close drains it, marks the region closed so a
+// connected client errors out cleanly, and removes the file.
 type ShmServer struct {
-	m    shmMap
-	f    *os.File
-	path string
-	cls  ShmBatcher
-
-	stop    atomic.Bool
-	done    chan struct{}
-	batches atomic.Uint64
-	packets atomic.Uint64
+	m      shmMap
+	f      *os.File
+	path   string
+	srv    *server.Server
+	closed atomic.Bool
+	done   chan struct{}
 }
 
 // NewShmServer creates the ring file at path and begins serving cls.
-func NewShmServer(path string, cls ShmBatcher, cfg ShmServerConfig) (*ShmServer, error) {
+func NewShmServer(path string, cls server.Classifier, cfg ShmServerConfig) (*ShmServer, error) {
 	slots := cfg.Slots
 	if slots <= 0 {
 		slots = 4096
 	}
-	size := 2
-	for size < slots {
-		size <<= 1
-	}
+	size := max(2, 1<<bits.Len(uint(slots-1)))
 	if size > shmMaxSlots {
 		return nil, fmt.Errorf("iface: shm ring slots %d exceed maximum %d", size, shmMaxSlots)
 	}
@@ -72,8 +72,8 @@ func NewShmServer(path string, cls ShmBatcher, cfg ShmServerConfig) (*ShmServer,
 		f.Close()
 		return nil, err
 	}
-	s := &ShmServer{f: f, path: path, cls: cls, done: make(chan struct{})}
-	s.m.init(data, uint32(size))
+	s := &ShmServer{f: f, path: path, srv: server.New(cls), done: make(chan struct{})}
+	s.m = shmMap{data: data, size: uint64(size) * shmSlotBytes}
 	// The truncate zeroed the region, so the cursors already read 0. Write
 	// the handshake header, then flip the state to ready last — the state
 	// store is the client's signal that everything before it is valid.
@@ -81,73 +81,42 @@ func NewShmServer(path string, cls ShmBatcher, cfg ShmServerConfig) (*ShmServer,
 	atomic.StoreUint32(s.m.u32(shmOffVersion), shmVersion)
 	atomic.StoreUint32(s.m.u32(shmOffSlots), uint32(size))
 	s.m.setState(shmStateReady)
-	go s.loop()
+	go func() {
+		defer close(s.done)
+		s.srv.ServeConn(newShmConn(&s.m, false, 0))
+		// Drained, or the stream broke: nothing serves the region any more.
+		s.m.setState(shmStateClosed)
+	}()
 	return s, nil
 }
 
-// Slots returns the ring capacity in descriptors.
-func (s *ShmServer) Slots() int { return int(s.m.slots) }
+// Slots returns the ring capacity in 16-byte units per direction.
+func (s *ShmServer) Slots() int { return s.m.slots() }
 
 // Path returns the shared file's path.
 func (s *ShmServer) Path() string { return s.path }
 
 // Stats returns the server's traffic counters.
 func (s *ShmServer) Stats() ShmServerStats {
-	return ShmServerStats{Batches: s.batches.Load(), Packets: s.packets.Load()}
+	st := s.srv.Stats()
+	return ShmServerStats{Batches: uint64(st.Batches), Packets: uint64(st.Requests)}
 }
 
-// loop is the serving goroutine: drain a span of queued requests, release
-// their slots, classify the span in one batch call, publish the results.
-// Request slots are released *before* classification so the client can
-// refill them while the batch is in flight — the response ring's capacity
-// equals the request ring's, and the client never has more than one ring of
-// packets outstanding, so the response ring cannot overflow.
-func (s *ShmServer) loop() {
-	defer close(s.done)
-	scratchP := make([]rule.Packet, shmServerBatch)
-	scratchR := make([]engine.Result, shmServerBatch)
-	var b shmBackoff
-	for !s.stop.Load() {
-		head := s.m.load(shmOffReqHead)
-		tail := s.m.load(shmOffReqTail)
-		n := int(tail - head)
-		if n == 0 {
-			b.wait()
-			continue
-		}
-		b.reset()
-		if n > shmServerBatch {
-			n = shmServerBatch
-		}
-		for i := 0; i < n; i++ {
-			scratchP[i] = s.m.readReq((head + uint64(i)) & s.m.mask)
-		}
-		s.m.store(shmOffReqHead, head+uint64(n))
-		s.cls.ClassifyBatch(scratchP[:n], scratchR[:n])
-		respTail := s.m.load(shmOffRespTail)
-		for i := 0; i < n; i++ {
-			s.m.writeResp((respTail+uint64(i))&s.m.mask, &scratchR[i])
-		}
-		s.m.store(shmOffRespTail, respTail+uint64(n))
-		s.batches.Add(1)
-		s.packets.Add(uint64(n))
-	}
-}
-
-// Close stops the serving loop, marks the region closed (a blocked client
-// returns ErrShmClosed rather than stalling) and removes the ring file.
+// Close shuts the handler down with TCP's drain contract (server.Shutdown):
+// a request in flight is answered in full, within shmDrainTimeout. It then
+// marks the region closed (a blocked client returns ErrShmClosed rather than
+// stalling) and removes the ring file.
 func (s *ShmServer) Close() error {
-	if s.stop.Swap(true) {
+	if s.closed.Swap(true) {
 		return nil
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), shmDrainTimeout)
+	err := s.srv.Shutdown(ctx)
+	cancel()
 	<-s.done
-	s.m.setState(shmStateClosed)
-	err := munmapFile(s.m.data)
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
+	rerr := os.Remove(s.path)
+	if os.IsNotExist(rerr) {
+		rerr = nil
 	}
-	if rerr := os.Remove(s.path); err == nil && !os.IsNotExist(rerr) {
-		err = rerr
-	}
-	return err
+	return errors.Join(err, munmapFile(s.m.data), s.f.Close(), rerr)
 }

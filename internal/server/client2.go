@@ -13,10 +13,14 @@ import (
 )
 
 // ClientV2 speaks wire protocol v2 (framed binary, see frame.go) to a
-// classification server. Every method operates on the client's current
-// table (UseTable; the default table, ID 0, initially), so one connection
-// can work many tables. ClientV2 is not safe for concurrent use; open one
-// per goroutine, or pipeline explicitly.
+// classification server over any byte stream. Every method operates on the
+// client's current table (UseTable; the default table, ID 0, initially), so
+// one connection can work many tables. ClientV2 is not safe for concurrent
+// use; open one per goroutine, or pipeline explicitly.
+//
+// A transport error (a failed write, a response frame not read whole and
+// intact) is returned by every later call too: a late or torn answer is
+// never taken for the next request's. OpError answers leave it usable.
 //
 // The client end's buffers live as long as the connection and are reused by
 // every call, so once they have grown to the connection's working size a
@@ -32,10 +36,10 @@ type ClientV2 struct {
 	// the op returns, so nothing a caller holds aliases it.
 	body []byte
 	// res backs the slice ClassifyBatch returns, which the caller may read
-	// until its next call on this client. Only a result's OK, Rule.ID and
-	// Rule.Priority are ever written — the wire carries nothing else — so
-	// every Rule.Ranges in it stays zero.
+	// until its next call on this client.
 	res []engine.Result
+	// err is the first transport error; once set, every call returns it.
+	err error
 }
 
 // TableInfo describes one table of a multi-table server.
@@ -52,7 +56,13 @@ func DialV2(ctx context.Context, addr string) (*ClientV2, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	return &ClientV2{conn: conn, r: bufio.NewReader(conn)}, nil
+	return NewClientV2(conn), nil
+}
+
+// NewClientV2 returns a client speaking protocol v2 on conn, any byte stream
+// to a server (a TCP connection, a shared-memory ring's client end).
+func NewClientV2(conn net.Conn) *ClientV2 {
+	return &ClientV2{conn: conn, r: bufio.NewReader(conn)}
 }
 
 // Close closes the connection.
@@ -73,13 +83,17 @@ func (c *ClientV2) begin(op uint8) []byte { return beginFrame(c.enc[:0], op, c.t
 // and reads one response, surfacing OpError responses as errors. The
 // response's payload aliases c.body: it is valid until the next roundTrip.
 func (c *ClientV2) roundTrip(req []byte) (Frame, error) {
+	if c.err != nil {
+		return Frame{}, c.err
+	}
 	c.enc = endFrame(req, 0)
-	if _, err := c.conn.Write(c.enc); err != nil {
-		return Frame{}, err
+	if _, c.err = c.conn.Write(c.enc); c.err != nil {
+		return Frame{}, c.err
 	}
 	resp, body, err := readFrameInto(c.r, c.body)
 	c.body = body
 	if err != nil {
+		c.err = err
 		return Frame{}, err
 	}
 	if resp.Op == OpError {
@@ -158,25 +172,28 @@ func (c *ClientV2) Classify(p rule.Packet) (id, priority int, ok bool, err error
 	return id, priority, ok, nil
 }
 
-// ClassifyBatch classifies all packets against the current table and
-// returns one Result per packet, in order. The returned slice is owned by
-// the client and valid only until the next call on it (the
-// bufio.Scanner.Bytes contract): consume or copy it first. Batches beyond
-// MaxBatch are split into sequential request/response rounds: each
-// multi-hundred-KB frame is fully answered before the next is written,
-// because the server answers frames serially — writing them all up front
-// could deadlock both ends once the kernel socket buffers fill with unread
-// responses. Callers that want deeper pipelining can issue frames
-// themselves with WriteFrame, sized so the in-flight volume stays within
-// the transport's buffering.
+// ClassifyBatch is ClassifyBatchInto into a slice the client owns, valid
+// only until the next call on it (the bufio.Scanner.Bytes contract).
 func (c *ClientV2) ClassifyBatch(ps []rule.Packet) ([]engine.Result, error) {
-	if len(ps) == 0 {
-		return nil, nil
-	}
 	if cap(c.res) < len(ps) {
 		c.res = make([]engine.Result, len(ps))
 	}
-	out := c.res[:len(ps)]
+	if err := c.ClassifyBatchInto(ps, c.res[:len(ps)]); err != nil {
+		return nil, err
+	}
+	return c.res[:len(ps)], nil
+}
+
+// ClassifyBatchInto classifies ps[i] into out[i] against the current table;
+// out must be at least as long as ps. Each result is written whole: OK and
+// the winning rule's ID and priority (the wire carries no ranges). Batches
+// beyond MaxBatch go as sequential request/response rounds — the server
+// answers frames serially, so writing them all up front could deadlock both
+// ends once the transport's buffers fill with unread responses.
+func (c *ClientV2) ClassifyBatchInto(ps []rule.Packet, out []engine.Result) error {
+	if len(out) < len(ps) {
+		return fmt.Errorf("server: batch: out shorter than ps (%d < %d)", len(out), len(ps))
+	}
 	for lo := 0; lo < len(ps); lo += MaxBatch {
 		chunk := ps[lo:min(lo+MaxBatch, len(ps))]
 		req := binary.LittleEndian.AppendUint32(c.begin(OpBatch), uint32(len(chunk)))
@@ -185,25 +202,25 @@ func (c *ClientV2) ClassifyBatch(ps []rule.Packet) ([]engine.Result, error) {
 		}
 		resp, err := c.roundTrip(req)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if resp.Op != OpBatchResult || len(resp.Payload) < 4 {
-			return nil, errors.New("server: malformed batch response")
+			return errors.New("server: malformed batch response")
 		}
 		// Checked per chunk and before decoding: a wrong count would misalign
 		// every later answer, and one too large would write past this chunk.
 		if n := int(binary.LittleEndian.Uint32(resp.Payload[:4])); n != len(chunk) {
-			return nil, fmt.Errorf("server: batch returned %d results for %d packets", n, len(chunk))
+			return fmt.Errorf("server: batch returned %d results for %d packets", n, len(chunk))
 		}
 		if len(resp.Payload) != 4+len(chunk)*packedResultLen {
-			return nil, errors.New("server: truncated batch response")
+			return errors.New("server: truncated batch response")
 		}
 		for j := range chunk {
-			r := &out[lo+j]
-			r.Rule.ID, r.Rule.Priority, r.OK = decodeResult(resp.Payload[4+j*packedResultLen:])
+			id, priority, ok := decodeResult(resp.Payload[4+j*packedResultLen:])
+			out[lo+j] = engine.Result{Rule: rule.Rule{ID: id, Priority: priority}, OK: ok}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // decodeUpdated unpacks an OpUpdated payload.

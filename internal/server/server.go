@@ -1,10 +1,12 @@
-// Package server exposes packet classifiers over TCP so that the decision
-// trees built by this repository can be queried by external tools (or by the
-// bundled cmd/classifyd client). One wire protocol is spoken: length-prefixed,
-// CRC-guarded binary frames (layout in frame.go, payloads and the request
-// handlers in proto2.go, the client in client2.go). Every frame names the
-// table it addresses, requests may be pipelined, and responses come back in
-// request order.
+// Package server exposes packet classifiers over any byte stream so that the
+// decision trees built by this repository can be queried by external tools
+// (or by the bundled cmd/classifyd client). One wire protocol is spoken:
+// length-prefixed, CRC-guarded binary frames (layout in frame.go, payloads
+// and the request handlers in proto2.go, the client in client2.go). Every
+// frame names the table it addresses, requests may be pipelined, and
+// responses come back in request order.
+// One handler serves every transport: TCP through Listen, any other
+// net.Conn (internal/iface's shared-memory ring) through ServeConn.
 //
 // The served classifier is an engine.Engine directly, or a
 // dataplane.Dataplane fronting one (classifyd -cores): both implement
@@ -54,8 +56,8 @@ const MaxBatch = 65536
 // goroutine — and the buffers it holds — forever.
 const DefaultBatchReadTimeout = 30 * time.Second
 
-// Server serves classification requests over TCP in the framed binary
-// protocol (see frame.go).
+// Server serves classification requests in the framed binary protocol (see
+// frame.go) on accepted TCP connections and on any conn handed to ServeConn.
 type Server struct {
 	classifier Classifier
 	// tables, when non-nil, makes this a multi-table server: frames
@@ -168,29 +170,39 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		sc := &servedConn{Conn: conn}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		if s.conns == nil {
-			s.conns = make(map[*servedConn]struct{})
-		}
-		s.conns[sc] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
+		s.wg.Add(1) // before the spawn, while this loop's count holds Wait off
 		go func() {
 			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, sc)
-				s.mu.Unlock()
-			}()
-			s.handle(sc)
+			s.ServeConn(conn)
 		}()
 	}
+}
+
+// ServeConn serves the wire protocol on conn — any byte stream: a TCP
+// connection, a shared-memory ring — until the peer hangs up, the stream
+// breaks or a drain ends it, then closes conn. Stats counts it and Shutdown
+// drains it like an accepted connection.
+func (s *Server) ServeConn(conn net.Conn) {
+	sc := &servedConn{Conn: conn}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	if s.conns == nil {
+		s.conns = make(map[*servedConn]struct{})
+	}
+	s.conns[sc] = struct{}{}
+	s.wg.Add(1) // under mu: ordered before the Wait of a Close or Shutdown
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, sc)
+		s.mu.Unlock()
+		s.wg.Done()
+	}()
+	s.handle(sc)
 }
 
 // servedConn pairs a connection with its drain state. Draining must never

@@ -111,7 +111,7 @@ type Classifier struct {
 	// run-to-completion loops; control-plane calls still go to eng.
 	dp *dataplane.Dataplane
 	// shm is non-nil when WithSharedMemory connected this handle to a
-	// serving process's descriptor ring instead of a local engine (eng and
+	// serving process's shared-memory ring instead of a local engine (eng and
 	// dp are then nil, and control-plane calls fail with ErrNotSupported).
 	shm *iface.ShmClient
 	// tel is non-nil when WithTelemetry/WithSlowThreshold armed the online

@@ -89,14 +89,15 @@ func WithDataplane(cores int) Option {
 
 // WithSharedMemory connects to a serving process's shared-memory ring at
 // path instead of building a local classifier — the transport a co-located
-// classifyd exposes with -shm. Lookups cross a file-backed mmap descriptor
-// ring (two SPSC rings, no sockets, no syscalls on the hot path) and return
-// the winning rule's ID and priority, exactly as wire protocol v2 does over
-// TCP. Open's rules argument must be nil, and every other option is
-// rejected: the classifier lives in the serving process, which owns the
-// backend, updates and artifacts — control-plane calls on this handle fail
+// classifyd exposes with -shm. Lookups cross a file-backed mmap region (two
+// SPSC byte rings carrying wire-protocol frames; no sockets, no syscalls on
+// the hot path) and return the winning rule's ID and priority, exactly as
+// over TCP. Open's rules argument must be nil, and every other option is
+// rejected: the handle is data-plane only, and control-plane calls fail
 // with ErrNotSupported. Open waits up to timeout for the serving process to
-// create and initialise the ring (0 selects 5s).
+// create and initialise the ring (0 selects 5s); a lookup that then sees no
+// progress for timeout fails, and after that, or once the ring is closed,
+// every lookup on the handle fails: open a new one.
 func WithSharedMemory(path string, timeout time.Duration) Option {
 	return func(c *config) {
 		c.shmPath = path
