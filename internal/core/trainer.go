@@ -154,67 +154,88 @@ func (t *Trainer) runRollout(e *env.Env, rng *rand.Rand, greedy bool) rolloutRes
 // collectBatch runs parallel rollouts until at least cfg.BatchTimesteps
 // experiences are available and returns them along with iteration-level
 // aggregates.
+//
+// The batch is a function of the policy and the step count alone, whatever
+// order the rollouts finish in: job i is seeded from the step count at the
+// start of the batch; it is sent only if jobs 0..i-Workers-1 are done and
+// still fall short of the batch; and the rollouts are taken into the batch,
+// the counters and the best tree in job order.
 func (t *Trainer) collectBatch() ([]rl.Sample, IterationStats) {
-	type job struct{ seed int64 }
+	base := t.cfg.Seed + int64(t.totalStepsSnapshot())
+	workers := t.cfg.Workers
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
-		samples []rl.Sample
-		stats   IterationStats
-		sumRet  float64
-		nRet    int
+		results []*rolloutResult // by job; nil until the job is done
 	)
-	jobs := make(chan job)
-	workers := t.cfg.Workers
+	finished := sync.NewCond(&mu)
+	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			e := env.New(t.set, t.cfg.envConfig())
 			for j := range jobs {
-				rng := rand.New(rand.NewSource(j.seed))
-				res := t.runRollout(e, rng, false)
-
+				res := t.runRollout(e, rand.New(rand.NewSource(base+int64(j)*7919)), false)
 				mu.Lock()
-				for i := range res.experiences {
-					x := &res.experiences[i]
-					samples = append(samples, rl.Sample{
-						Obs:     x.Obs,
-						Dim:     x.Dim,
-						Act:     x.Act,
-						ActMask: x.Mask[:],
-						Return:  x.Return,
-						Value:   x.Value,
-						LogProb: x.LogProb,
-					})
-					sumRet += x.Return
-					nRet++
-				}
-				stats.Rollouts++
-				stats.MeanTreeDepth += float64(res.metrics.ClassificationTime)
-				stats.MeanTreeBytes += float64(res.metrics.MemoryBytes)
+				results[j] = &res
+				finished.Broadcast()
 				mu.Unlock()
-
-				t.recordTree(res)
 			}
 		}()
 	}
 
-	// Feed jobs until enough samples are collected. Because workers pull
-	// jobs as they finish, we overshoot by at most (workers) rollouts.
+	// At most Workers jobs run and one more waits to be taken, so the batch
+	// overshoots by Workers rollouts.
 	go func() {
+		defer close(jobs)
+		collected := 0
 		for i := 0; ; i++ {
-			mu.Lock()
-			enough := len(samples) >= t.cfg.BatchTimesteps
-			mu.Unlock()
-			if enough {
-				break
+			if j := i - workers - 1; j >= 0 {
+				mu.Lock()
+				for results[j] == nil {
+					finished.Wait()
+				}
+				collected += len(results[j].experiences)
+				mu.Unlock()
+				if collected >= t.cfg.BatchTimesteps {
+					return
+				}
 			}
-			jobs <- job{seed: t.cfg.Seed + int64(t.totalStepsSnapshot()) + int64(i)*7919}
+			mu.Lock()
+			results = append(results, nil)
+			mu.Unlock()
+			jobs <- i
 		}
-		close(jobs)
 	}()
 	wg.Wait()
+
+	var (
+		samples []rl.Sample
+		stats   IterationStats
+		sumRet  float64
+		nRet    int
+	)
+	for _, res := range results {
+		for i := range res.experiences {
+			x := &res.experiences[i]
+			samples = append(samples, rl.Sample{
+				Obs:     x.Obs,
+				Dim:     x.Dim,
+				Act:     x.Act,
+				ActMask: x.Mask[:],
+				Return:  x.Return,
+				Value:   x.Value,
+				LogProb: x.LogProb,
+			})
+			sumRet += x.Return
+			nRet++
+		}
+		stats.Rollouts++
+		stats.MeanTreeDepth += float64(res.metrics.ClassificationTime)
+		stats.MeanTreeBytes += float64(res.metrics.MemoryBytes)
+		t.recordTree(*res)
+	}
 
 	if stats.Rollouts > 0 {
 		stats.MeanTreeDepth /= float64(stats.Rollouts)

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"neurocuts/internal/classbench"
@@ -254,6 +258,53 @@ func TestTrainedNeuroCutsCompetitiveWithHiCutsOnTinyProblem(t *testing.T) {
 	// benchmark harness measures the trained comparison properly.
 	if nc > hc*3+2 {
 		t.Errorf("NeuroCuts time %d is far worse than HiCuts %d on a small problem", nc, hc)
+	}
+}
+
+// TestTrainerGolden pins what training produces, bit for bit: the FNV-64
+// hash of every weight's and bias's float64 bits after several PPO updates,
+// and the best objective found. Any change to the network's arithmetic, the
+// update or the batch collection that is not exact moves a hash. With one
+// worker the run is deterministic: the batch does not depend on which
+// rollout finishes first. The values are amd64's at the default GOAMD64
+// level; other targets have their own math.Exp and may fuse a multiply
+// with an add, so they round differently.
+func TestTrainerGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("weight hashes are recorded on amd64")
+	}
+	for _, tc := range []struct {
+		family    string
+		hash      uint64
+		objective float64
+	}{
+		{"fw1", 0x53fd17f088880760, 2},
+		{"ipc1", 0x7566c7fecfaa7ab4, 11},
+	} {
+		cfg := Scaled(1000)
+		cfg.MaxTimesteps = 4000
+		cfg.Workers = 1
+		cfg.Seed = 1
+		tr := NewTrainer(testSet(t, tc.family, 1000, 1), cfg)
+		history, err := tr.Train()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64()
+		var buf [8]byte
+		for _, l := range tr.Policy().Layers() {
+			for _, p := range l.Params() {
+				for _, w := range p {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
+					h.Write(buf[:])
+				}
+			}
+		}
+		_, objective := tr.BestTree()
+		if got := h.Sum64(); got != tc.hash || objective != tc.objective {
+			t.Errorf("%s after %d updates: weights hash %#x, best objective %v; want %#x, %v",
+				tc.family, len(history), got, objective, tc.hash, tc.objective)
+		}
 	}
 }
 

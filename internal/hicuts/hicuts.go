@@ -151,7 +151,9 @@ func chooseCutCount(t *tree.Tree, n *tree.Node, dim rule.Dimension, cfg Config) 
 
 // spaceMeasure computes sm(v) for cutting node n along dim into k pieces:
 // the total number of rule replicas across the children plus the number of
-// children. It evaluates the cut without materialising child nodes.
+// children. It evaluates the cut without materialising child nodes, in one
+// pass over the rules: a rule's range, clipped to the box, reaches every
+// piece from the one holding its low end to the one holding its high end.
 func spaceMeasure(t *tree.Tree, n *tree.Node, dim rule.Dimension, k int) float64 {
 	box := n.Box[dim]
 	size := box.Size()
@@ -162,20 +164,17 @@ func spaceMeasure(t *tree.Tree, n *tree.Node, dim rule.Dimension, k int) float64
 		return float64(n.NumRules() + 1)
 	}
 	step := size / uint64(k)
-	total := k
-	lo := box.Lo
-	for i := 0; i < k; i++ {
-		hi := lo + step - 1
-		if i == k-1 {
-			hi = box.Hi
+	last := uint64(k - 1)
+	// piece returns the index of the piece holding v: the pieces are step
+	// values wide, except the last, which also takes the remainder.
+	piece := func(v uint64) uint64 {
+		return min((v-box.Lo)/step, last)
+	}
+	total := uint64(k)
+	for _, ri := range n.Rules {
+		if r, ok := t.Rules[ri].Ranges[dim].Intersect(box); ok {
+			total += piece(r.Hi) - piece(r.Lo) + 1
 		}
-		piece := rule.Range{Lo: lo, Hi: hi}
-		for _, ri := range n.Rules {
-			if t.Rules[ri].Ranges[dim].Overlaps(piece) {
-				total++
-			}
-		}
-		lo = hi + 1
 	}
 	return float64(total)
 }

@@ -147,3 +147,89 @@ func TestDepthLimitRespected(t *testing.T) {
 	}
 	checkTreeEquivalence(t, tr, set, 800, 21)
 }
+
+// spaceMeasureRef is spaceMeasure as it was before the one-pass count,
+// kept verbatim: every piece rescans every rule.
+func spaceMeasureRef(t *tree.Tree, n *tree.Node, dim rule.Dimension, k int) float64 {
+	box := n.Box[dim]
+	size := box.Size()
+	if uint64(k) > size {
+		k = int(size)
+	}
+	if k < 2 {
+		return float64(n.NumRules() + 1)
+	}
+	step := size / uint64(k)
+	total := k
+	lo := box.Lo
+	for i := 0; i < k; i++ {
+		hi := lo + step - 1
+		if i == k-1 {
+			hi = box.Hi
+		}
+		piece := rule.Range{Lo: lo, Hi: hi}
+		for _, ri := range n.Rules {
+			if t.Rules[ri].Ranges[dim].Overlaps(piece) {
+				total++
+			}
+		}
+		lo = hi + 1
+	}
+	return float64(total)
+}
+
+// TestSpaceMeasureMatchesReference holds the one-pass space measure to the
+// per-piece loop for every k from 2 to 64 over random boxes: wide and
+// narrow ones, ones narrower than k, ones ending at the top of the 32-bit
+// range, and rules that reach past the box on either side or miss it.
+func TestSpaceMeasureMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const top = 1<<32 - 1
+	randRange := func(lo, hi uint64) rule.Range {
+		a := lo + uint64(rng.Int63n(int64(hi-lo+1)))
+		b := lo + uint64(rng.Int63n(int64(hi-lo+1)))
+		return rule.Range{Lo: min(a, b), Hi: max(a, b)}
+	}
+	for trial := 0; trial < 300; trial++ {
+		var box rule.Range
+		switch trial % 5 {
+		case 0:
+			box = rule.FullRange(rule.DimSrcIP)
+		case 1:
+			box = rule.Range{Lo: top - uint64(rng.Intn(100)), Hi: top}
+		case 2:
+			w := uint64(1 + rng.Intn(70))
+			lo := uint64(rng.Int63n(top - 70))
+			box = rule.Range{Lo: lo, Hi: lo + w - 1}
+		case 3:
+			box = randRange(top-1<<20, top)
+		default:
+			box = randRange(0, top)
+		}
+		// Rules drawn around the box: some inside, some straddling an edge,
+		// some outside it entirely, plus the wildcard.
+		margin := box.Size()/2 + 1
+		lo := box.Lo - min(box.Lo, margin)
+		hi := box.Hi + min(top-box.Hi, margin)
+		rules := []rule.Rule{rule.NewWildcardRule(0)}
+		for i, n := 1, 1+rng.Intn(60); i < n; i++ {
+			r := rule.NewWildcardRule(i)
+			if rng.Intn(4) == 0 {
+				r.Ranges[rule.DimSrcIP] = randRange(0, top)
+			} else {
+				r.Ranges[rule.DimSrcIP] = randRange(lo, hi)
+			}
+			rules = append(rules, r)
+		}
+		tr := tree.New(rule.NewSet(rules), tree.DefaultBinth)
+		n := tr.Root
+		n.Box[rule.DimSrcIP] = box
+		for k := 2; k <= 64; k++ {
+			got := spaceMeasure(tr, n, rule.DimSrcIP, k)
+			want := spaceMeasureRef(tr, n, rule.DimSrcIP, k)
+			if got != want {
+				t.Fatalf("box %v, %d rules, k=%d: spaceMeasure %v, reference %v", box, len(rules), k, got, want)
+			}
+		}
+	}
+}

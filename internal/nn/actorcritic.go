@@ -55,24 +55,39 @@ func NewActorCritic(obsSize, numDims, numActs int, hidden []int, rng *rand.Rand)
 type ForwardCache struct {
 	// Obs is the input observation.
 	Obs []float64
-	// PreAct and PostAct hold, per trunk layer, the linear output and its
-	// tanh activation.
+	// PostAct holds, per trunk layer, its tanh activation.
 	PostAct [][]float64
 	// DimLogits, ActLogits and Value are the head outputs.
 	DimLogits []float64
 	ActLogits []float64
 	Value     float64
+
+	// nonzero lists the positions of Obs that are not zero, ascending: the
+	// only inputs the first trunk layer reads.
+	nonzero []int32
 }
 
 // Forward runs the network on one observation and returns the cache holding
 // logits, value and the activations needed for Backward.
+//
+// The first trunk layer reads only the observation's nonzero entries, in
+// ascending order (NeuroCuts observations are 0/1, roughly half zeros). A
+// skipped term is w·0 = ±0 for a finite weight, and adding ±0 to a sum that
+// starts at a bias other than −0 leaves it unchanged, so every output is
+// bit-identical to the dense product.
 func (ac *ActorCritic) Forward(obs []float64) *ForwardCache {
 	if len(obs) != ac.ObsSize {
 		panic(fmt.Sprintf("nn: observation size %d, want %d", len(obs), ac.ObsSize))
 	}
-	cache := &ForwardCache{Obs: obs}
-	x := obs
-	for _, l := range ac.trunk {
+	cache := &ForwardCache{Obs: obs, nonzero: make([]int32, 0, len(obs))}
+	for i, v := range obs {
+		if v != 0 {
+			cache.nonzero = append(cache.nonzero, int32(i))
+		}
+	}
+	x := Tanh(ac.trunk[0].forwardSparse(obs, cache.nonzero))
+	cache.PostAct = append(cache.PostAct, x)
+	for _, l := range ac.trunk[1:] {
 		x = Tanh(l.Forward(x))
 		cache.PostAct = append(cache.PostAct, x)
 	}
@@ -97,17 +112,13 @@ func (ac *ActorCritic) Backward(cache *ForwardCache, dDimLogits, dActLogits []fl
 	add(dTrunk, ac.actHead.Backward(last, dActLogits))
 	add(dTrunk, ac.valueHead.Backward(last, []float64{dValue}))
 
-	// Backprop through the trunk in reverse.
-	for i := len(ac.trunk) - 1; i >= 0; i-- {
-		dPre := TanhBackward(cache.PostAct[i], dTrunk)
-		var input []float64
-		if i == 0 {
-			input = cache.Obs
-		} else {
-			input = cache.PostAct[i-1]
-		}
-		dTrunk = ac.trunk[i].Backward(input, dPre)
+	// Backprop through the trunk in reverse. Nothing reads the gradient with
+	// respect to the observation, so the first layer only accumulates its
+	// parameter gradients, over the inputs Forward read.
+	for i := len(ac.trunk) - 1; i > 0; i-- {
+		dTrunk = ac.trunk[i].Backward(cache.PostAct[i-1], TanhBackward(cache.PostAct[i], dTrunk))
 	}
+	ac.trunk[0].backwardSparse(cache.Obs, cache.nonzero, TanhBackward(cache.PostAct[0], dTrunk))
 }
 
 // Layers returns every layer of the network, trunk first.

@@ -41,12 +41,32 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 }
 
 // Forward computes the layer output for a single input vector.
+//
+// It computes four outputs per pass over x: one sum waits on its previous
+// add, four independent ones keep the adder busy. Each sum still starts at
+// its bias and adds its terms in input order, so the outputs are the bits
+// one output at a time would give.
 func (l *Linear) Forward(x []float64) []float64 {
 	if len(x) != l.In {
 		panic(fmt.Sprintf("nn: Linear.Forward input size %d, want %d", len(x), l.In))
 	}
 	y := make([]float64, l.Out)
-	for o := 0; o < l.Out; o++ {
+	o := 0
+	for ; o+4 <= l.Out; o += 4 {
+		r0 := l.W[o*l.In : (o+1)*l.In]
+		r1 := l.W[(o+1)*l.In : (o+2)*l.In][:len(r0)]
+		r2 := l.W[(o+2)*l.In : (o+3)*l.In][:len(r0)]
+		r3 := l.W[(o+3)*l.In : (o+4)*l.In][:len(r0)]
+		s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
+		for i, xi := range x[:len(r0)] {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+	}
+	for ; o < l.Out; o++ {
 		sum := l.B[o]
 		row := l.W[o*l.In : (o+1)*l.In]
 		for i, xi := range x {
@@ -79,6 +99,56 @@ func (l *Linear) Backward(x, dy []float64) []float64 {
 		}
 	}
 	return dx
+}
+
+// forwardSparse is Forward for an input whose entries outside nonzero (its
+// ascending nonzero positions) are all zero, four outputs per pass like
+// Forward. Each sum adds the same nonzero terms in the same order as
+// Forward, so the outputs are bit-identical for finite weights.
+func (l *Linear) forwardSparse(x []float64, nonzero []int32) []float64 {
+	y := make([]float64, l.Out)
+	o := 0
+	for ; o+4 <= l.Out; o += 4 {
+		r0 := l.W[o*l.In : (o+1)*l.In]
+		r1 := l.W[(o+1)*l.In : (o+2)*l.In]
+		r2 := l.W[(o+2)*l.In : (o+3)*l.In]
+		r3 := l.W[(o+3)*l.In : (o+4)*l.In]
+		s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
+		for _, i := range nonzero {
+			xi := x[i]
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+	}
+	for ; o < l.Out; o++ {
+		sum := l.B[o]
+		row := l.W[o*l.In : (o+1)*l.In]
+		for _, i := range nonzero {
+			sum += row[i] * x[i]
+		}
+		y[o] = sum
+	}
+	return y
+}
+
+// backwardSparse is Backward for the same input as forwardSparse, without
+// the input gradient. A skipped GradW term would add g·0 = ±0 to an
+// accumulator that is +0 or nonzero, which leaves it unchanged, so the
+// accumulated gradients are bit-identical to Backward's for finite g.
+func (l *Linear) backwardSparse(x []float64, nonzero []int32, dy []float64) {
+	for o, g := range dy {
+		if g == 0 {
+			continue
+		}
+		l.GradB[o] += g
+		gradRow := l.GradW[o*l.In : (o+1)*l.In]
+		for _, i := range nonzero {
+			gradRow[i] += g * x[i]
+		}
+	}
 }
 
 // ZeroGrad clears the accumulated gradients.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -405,5 +406,136 @@ func TestPropertySoftmaxIsDistribution(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// denseLinear is Linear.Forward one output at a time, every input read.
+func denseLinear(l *Linear, x []float64) []float64 {
+	y := make([]float64, l.Out)
+	for o := range y {
+		sum := l.B[o]
+		row := l.W[o*l.In : (o+1)*l.In]
+		for i, xi := range x {
+			sum += row[i] * xi
+		}
+		y[o] = sum
+	}
+	return y
+}
+
+// denseForward and denseBackward are Forward and Backward as they were
+// before the first layer read only the observation's nonzero entries and
+// Linear.Forward computed four outputs per pass: every layer through
+// denseLinear and Linear.Backward, input gradient included.
+func denseForward(ac *ActorCritic, obs []float64) *ForwardCache {
+	cache := &ForwardCache{Obs: obs}
+	x := obs
+	for _, l := range ac.trunk {
+		x = Tanh(denseLinear(l, x))
+		cache.PostAct = append(cache.PostAct, x)
+	}
+	cache.DimLogits = denseLinear(ac.dimHead, x)
+	cache.ActLogits = denseLinear(ac.actHead, x)
+	cache.Value = denseLinear(ac.valueHead, x)[0]
+	return cache
+}
+
+func denseBackward(ac *ActorCritic, cache *ForwardCache, dDimLogits, dActLogits []float64, dValue float64) {
+	last := cache.PostAct[len(cache.PostAct)-1]
+	dTrunk := make([]float64, len(last))
+	add := func(dst, src []float64) {
+		for i := range src {
+			dst[i] += src[i]
+		}
+	}
+	add(dTrunk, ac.dimHead.Backward(last, dDimLogits))
+	add(dTrunk, ac.actHead.Backward(last, dActLogits))
+	add(dTrunk, ac.valueHead.Backward(last, []float64{dValue}))
+	for i := len(ac.trunk) - 1; i >= 0; i-- {
+		dPre := TanhBackward(cache.PostAct[i], dTrunk)
+		var input []float64
+		if i == 0 {
+			input = cache.Obs
+		} else {
+			input = cache.PostAct[i-1]
+		}
+		dTrunk = ac.trunk[i].Backward(input, dPre)
+	}
+}
+
+// TestFirstLayerBitExact holds Forward and Backward to the dense reference
+// bit for bit: every activation, logit and value, and the gradients
+// accumulated over many samples, on binary observations (the NeuroCuts
+// encoding), real-valued ones and all-zero ones, with some upstream
+// gradients exactly zero, and layer widths that are and are not multiples
+// of four.
+func TestFirstLayerBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const obsSize = 265
+	for _, hidden := range [][]int{{64, 64}, {30, 7}} {
+		ac := NewActorCritic(obsSize, 5, 14, hidden, rng)
+		for _, l := range ac.Layers() {
+			for i := range l.B {
+				l.B[i] = rng.NormFloat64() * 0.1
+			}
+		}
+		ref := ac.Clone()
+		observations := [][]float64{make([]float64, obsSize)}
+		for s := 0; s < 60; s++ {
+			obs := make([]float64, obsSize)
+			density := rng.Float64()
+			for i := range obs {
+				if rng.Float64() >= density {
+					continue
+				}
+				switch s % 3 {
+				case 0, 1:
+					obs[i] = 1
+				default:
+					obs[i] = rng.NormFloat64()
+				}
+			}
+			observations = append(observations, obs)
+		}
+		observations = append(observations, make([]float64, obsSize))
+
+		same := func(what string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("hidden %v: %s[%d] = %v, dense reference %v", hidden, what, i, got[i], want[i])
+				}
+			}
+		}
+		ac.ZeroGrad()
+		ref.ZeroGrad()
+		for _, obs := range observations {
+			c, rc := ac.Forward(obs), denseForward(ref, obs)
+			for l := range rc.PostAct {
+				same("PostAct", c.PostAct[l], rc.PostAct[l])
+			}
+			same("DimLogits", c.DimLogits, rc.DimLogits)
+			same("ActLogits", c.ActLogits, rc.ActLogits)
+			same("Value", []float64{c.Value}, []float64{rc.Value})
+
+			dDim := make([]float64, len(c.DimLogits))
+			dAct := make([]float64, len(c.ActLogits))
+			for i := range dDim {
+				dDim[i] = rng.NormFloat64()
+			}
+			for i := range dAct {
+				if rng.Intn(3) > 0 {
+					dAct[i] = rng.NormFloat64()
+				}
+			}
+			dValue := rng.NormFloat64()
+			ac.Backward(c, dDim, dAct, dValue)
+			denseBackward(ref, rc, dDim, dAct, dValue)
+		}
+		refLayers := ref.Layers()
+		for li, l := range ac.Layers() {
+			same(fmt.Sprintf("layer %d GradW", li), l.GradW, refLayers[li].GradW)
+			same(fmt.Sprintf("layer %d GradB", li), l.GradB, refLayers[li].GradB)
+		}
 	}
 }

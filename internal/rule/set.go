@@ -1,8 +1,12 @@
 package rule
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Set is an ordered packet classifier: a slice of rules where earlier rules
@@ -207,12 +211,50 @@ func (s *Set) ComputeStats() Stats {
 // DistinctRangeCount returns the number of distinct ranges the rules at
 // positions members of rules project onto dimension d. This is the
 // statistic HiCuts and HyperCuts use to pick cut dimensions.
+//
+// It sorts the ranges packed as Lo<<32|Hi, one key per range while both
+// ends fit in 32 bits, as every dimension's values do; a range beyond that
+// makes it sort the ranges themselves.
 func DistinctRangeCount(rules []Rule, members []int32, d Dimension) int {
-	seen := make(map[Range]struct{}, len(members))
-	for _, i := range members {
-		seen[rules[i].Ranges[d]] = struct{}{}
+	buf := keyPool.Get().(*[]uint64)
+	defer keyPool.Put(buf)
+	if cap(*buf) < len(members) {
+		*buf = make([]uint64, len(members))
 	}
-	return len(seen)
+	keys := (*buf)[:len(members)]
+	var wide uint64
+	for j, i := range members {
+		r := rules[i].Ranges[d]
+		keys[j] = r.Lo<<32 | r.Hi
+		wide |= r.Lo | r.Hi
+	}
+	if wide <= math.MaxUint32 {
+		slices.Sort(keys)
+		return distinctSorted(keys)
+	}
+	ranges := make([]Range, len(members))
+	for j, i := range members {
+		ranges[j] = rules[i].Ranges[d]
+	}
+	slices.SortFunc(ranges, func(a, b Range) int {
+		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
+	})
+	return distinctSorted(ranges)
+}
+
+// keyPool holds DistinctRangeCount's key buffers: a HiCuts build counts
+// every dimension of every node it cuts.
+var keyPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// distinctSorted counts the distinct values of a sorted slice.
+func distinctSorted[T comparable](s []T) int {
+	n := 0
+	for i := range s {
+		if i == 0 || s[i] != s[i-1] {
+			n++
+		}
+	}
+	return n
 }
 
 // DistinctValueCount returns the number of distinct range endpoints the

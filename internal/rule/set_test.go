@@ -1,6 +1,8 @@
 package rule
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -221,5 +223,57 @@ func TestValidateCatchesBadRules(t *testing.T) {
 	s2 := NewSet([]Rule{bad2})
 	if err := s2.Validate(); err == nil {
 		t.Error("overflow range not caught")
+	}
+}
+
+// distinctRangeCountRef is DistinctRangeCount as it was before it sorted:
+// a set of the ranges.
+func distinctRangeCountRef(rules []Rule, members []int32, d Dimension) int {
+	seen := make(map[Range]struct{}, len(members))
+	for _, i := range members {
+		seen[rules[i].Ranges[d]] = struct{}{}
+	}
+	return len(seen)
+}
+
+// TestDistinctRangeCountMatchesReference holds the sorted count to the set
+// of ranges on random member lists drawn from a small pool of ranges, so
+// duplicates are common: wildcards, ranges ending at 2^32-1, single values,
+// ranges that agree on one end only, and ranges wider than 32 bits, which
+// a packed key could not hold.
+func TestDistinctRangeCountMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const top = 1<<32 - 1
+	pool := []Range{
+		FullRange(DimSrcIP), FullRange(DimSrcPort), {Lo: 0, Hi: 0}, {Lo: top, Hi: top},
+		{Lo: 0, Hi: top - 1}, {Lo: 1, Hi: top}, {Lo: 1 << 31, Hi: top}, {Lo: 5, Hi: 5},
+		{Lo: 5, Hi: 6}, {Lo: 4, Hi: 6}, {Lo: 80, Hi: 80}, {Lo: 1024, Hi: 65535},
+	}
+	for i := 0; i < 20; i++ {
+		lo := uint64(rng.Uint32())
+		pool = append(pool, Range{Lo: lo, Hi: lo + uint64(rng.Int63n(int64(top-lo+1)))})
+	}
+	wide := []Range{{Lo: 0, Hi: 1 << 32}, {Lo: 1 << 32, Hi: 1 << 32}, {Lo: 1, Hi: 1<<32 + 1}, {Lo: 0, Hi: math.MaxUint64}}
+	for trial := 0; trial < 400; trial++ {
+		p := pool
+		if trial%4 == 3 {
+			p = append(append([]Range(nil), pool...), wide...)
+		}
+		rules := make([]Rule, 1+rng.Intn(200))
+		for i := range rules {
+			rules[i] = NewWildcardRule(i)
+			rules[i].Ranges[DimDstIP] = p[rng.Intn(len(p))]
+		}
+		var members []int32
+		for i := range rules {
+			if rng.Intn(3) > 0 {
+				members = append(members, int32(i))
+			}
+		}
+		for _, d := range []Dimension{DimDstIP, DimProto} {
+			if got, want := DistinctRangeCount(rules, members, d), distinctRangeCountRef(rules, members, d); got != want {
+				t.Fatalf("trial %d, %s, %d members: %d distinct ranges, reference %d", trial, d, len(members), got, want)
+			}
+		}
 	}
 }
