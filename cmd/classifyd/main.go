@@ -241,7 +241,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "classifyd: warm start from %s (%s, %d rules) — no build/train path invoked\n",
-			*artifact, engine.DisplayName(eng.Backend()), eng.Rules().Len())
+			*artifact, engine.DisplayName(eng.Backend()), eng.Len())
 	} else {
 		set, err := loadClassifier(*rulesPath, *family, *size, *seed)
 		if err != nil {
@@ -313,7 +313,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "classifyd: shared-memory ring on %s (%d slots)\n", ring.Path(), ring.Slots())
 	}
 	fmt.Fprintf(stdout, "classifyd: serving %s engine (%d rules) on %s\n",
-		engine.DisplayName(eng.Backend()), eng.Rules().Len(), addr)
+		engine.DisplayName(eng.Backend()), eng.Len(), addr)
 	stopAdmin, err := startAdmin(stdout, *adminAddr, admin.Options{Engine: eng, Server: srv, Telemetry: tel, Dataplane: dp})
 	if err != nil {
 		srv.Shutdown(context.Background())

@@ -193,7 +193,7 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 			return err
 		}
 		fmt.Fprintf(stdout, "classifyd: table %q (id %d): %s engine, %d rules\n",
-			tab.Name, tab.ID, engine.DisplayName(eng.Backend()), eng.Rules().Len())
+			tab.Name, tab.ID, engine.DisplayName(eng.Backend()), eng.Len())
 	}
 
 	srv := server.NewTables(tabs)

@@ -64,7 +64,7 @@ func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
 func (e *Engine) artifactMetadata(s *snapshot) compiled.Metadata {
 	return compiled.Metadata{
 		Backend:     s.backend,
-		Rules:       s.set.Len(),
+		Rules:       s.len(),
 		Binth:       e.opts.Binth,
 		CreatedUnix: time.Now().Unix(),
 	}
@@ -94,7 +94,7 @@ func (e *Engine) SaveArtifact(path string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.snap.Load()
-	if _, overlay := s.cls.(*overlayClassifier); overlay {
+	if s.ov != nil {
 		if err := e.compactLocked(); err != nil {
 			return err
 		}
@@ -138,8 +138,8 @@ func (e *Engine) rotateJournalLocked(s *snapshot) error {
 	}
 	return e.journal.Rotate(updater.JournalMeta{
 		Backend:     s.backend,
-		BaseRules:   s.set.Len(),
-		BaseCRC:     updater.Fingerprint(s.set),
+		BaseRules:   s.len(),
+		BaseCRC:     updater.Fingerprint(s.rules()),
 		CreatedUnix: time.Now().Unix(),
 	})
 }
@@ -160,8 +160,7 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	cur := e.snap.Load()
 	c, meta, err := compiled.LoadFile(path)
 	if err != nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
-			fmt.Errorf("engine: loading artifact %s: %w", path, err)
+		return cur.failed(), fmt.Errorf("engine: loading artifact %s: %w", path, err)
 	}
 	set := c.RuleSet()
 	cls := &compiledClassifier{c: c, m: compiledMetrics(meta.Backend, c)}

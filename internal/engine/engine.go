@@ -91,8 +91,14 @@ type Classifier interface {
 // backend identity travels with the snapshot because LoadArtifact can swap
 // in a classifier built by a different backend.
 type snapshot struct {
-	cls     Classifier
-	set     *rule.Set
+	cls Classifier
+	// set is the rule list of a snapshot with no overlay. It is nil when ov
+	// is set: an overlay snapshot's positions are answered through its view,
+	// and its list is materialized only when asked for (rules).
+	set *rule.Set
+	// ov is the overlay classifier an overlay snapshot serves (cls == ov),
+	// nil otherwise.
+	ov      *overlayClassifier
 	version uint64
 	// rulesGen tags flow-cache entries. It advances with every snapshot
 	// whose rule list differs from its predecessor's and stays put across a
@@ -332,7 +338,7 @@ func (e *Engine) Stats() EngineStats {
 	hits, misses := e.CacheStats()
 	return EngineStats{
 		Backend:        s.backend,
-		Rules:          s.set.Len(),
+		Rules:          s.len(),
 		Version:        s.version,
 		Lookups:        e.lookups.Load() + e.batchPackets.Load(),
 		Batches:        e.batches.Load(),
@@ -414,8 +420,43 @@ func (e *Engine) Backend() string { return e.snap.Load().backend }
 func (e *Engine) Version() uint64 { return e.snap.Load().version }
 
 // Rules returns the current snapshot's rule set. The returned set is
-// immutable: updates replace it rather than mutating it.
-func (e *Engine) Rules() *rule.Set { return e.snap.Load().set }
+// immutable: updates replace it rather than mutating it. A snapshot with
+// pending updates materializes its list on the first call (O(rules)), and
+// later calls on the same snapshot return the same set; callers that need
+// only the count use Len.
+func (e *Engine) Rules() *rule.Set { return e.snap.Load().rules() }
+
+// Len returns the current snapshot's rule count without materializing its
+// list.
+func (e *Engine) Len() int { return e.snap.Load().len() }
+
+// rules returns the snapshot's rule list: the flat one, or an overlay
+// snapshot's, materialized through its view once.
+func (s *snapshot) rules() *rule.Set {
+	if s.ov == nil {
+		return s.set
+	}
+	o := s.ov
+	o.once.Do(func() { o.merged = o.view.Merged() })
+	return o.merged
+}
+
+// len returns the snapshot's rule count.
+func (s *snapshot) len() int {
+	if s.ov != nil {
+		return s.ov.view.Len()
+	}
+	return s.set.Len()
+}
+
+// source returns what the snapshot's positions are materialized from: its
+// flat rule list, or an overlay snapshot's view.
+func (s *snapshot) source() ([]rule.Rule, *updater.View) {
+	if s.ov != nil {
+		return nil, s.ov.view
+	}
+	return s.set.Rules(), nil
+}
 
 // Classify looks up one packet in the current snapshot, consulting the flow
 // cache first when one is configured. The path performs zero heap
@@ -451,20 +492,28 @@ func (e *Engine) classifyOne(s *snapshot, p rule.Packet) (r rule.Rule, ok, hit b
 // rule materializes position idx of the snapshot's rule list (-1: no match)
 // — the one copy of the winning rule a single lookup makes.
 func (s *snapshot) rule(idx int32) (rule.Rule, bool) {
-	if idx < 0 {
+	switch {
+	case idx < 0:
 		return rule.Rule{}, false
+	case s.ov != nil:
+		return s.ov.view.Rule(int(idx)), true
 	}
 	return s.set.Rule(int(idx)), true
 }
 
-// put materializes position idx of rules, a snapshot's list, into *r — the
-// one copy of the winning rule an answered packet of a batch costs.
-func put(r *Result, rules []rule.Rule, idx int32) {
-	if idx < 0 {
+// put materializes position idx of a snapshot's list into *r — the one copy
+// of the winning rule an answered packet of a batch costs. rules and v are
+// the snapshot's source: a flat list, or (v non-nil) an overlay view.
+func put(r *Result, rules []rule.Rule, v *updater.View, idx int32) {
+	switch {
+	case idx < 0:
 		*r = Result{}
-		return
+	case v != nil:
+		v.RuleTo(&r.Rule, int(idx))
+		r.OK = true
+	default:
+		r.Rule, r.OK = rules[idx], true
 	}
-	r.Rule, r.OK = rules[idx], true
 }
 
 // missScratch holds one batch's cache misses so they can be classified as a
@@ -514,7 +563,7 @@ func putMissScratch(ms *missScratch) {
 // packet a miss: an uncached dataplane loop still needs the scatter.
 func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, out []Result, fan *Engine) int {
 	ms := getMissScratch(len(ps))
-	rules := s.set.Rules()
+	rules, v := s.source()
 	idx := ms.idx[:len(ps)]
 	if c != nil {
 		c.GetBatch(ps, s.rulesGen, idx)
@@ -530,7 +579,7 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, o
 			o = pos[i]
 		}
 		if ix := idx[i]; ix != FlowMiss {
-			put(&out[o], rules, ix) // a hit, or a cached "no rule matches"
+			put(&out[o], rules, v, ix) // a hit, or a cached "no rule matches"
 		} else {
 			ms.ps[miss], ms.pos[miss] = ps[i], o
 			miss++
@@ -545,7 +594,7 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, o
 			s.cls.LookupBatch(mps, midx)
 		}
 		for j, ix := range midx {
-			put(&out[ms.pos[j]], rules, ix)
+			put(&out[ms.pos[j]], rules, v, ix)
 			if c != nil {
 				c.Put(mps[j], s.rulesGen, ix)
 			}
@@ -603,9 +652,9 @@ func (s *snapshot) classifyUncached(ps []rule.Packet, out []Result, fan *Engine)
 // unless out is nil.
 func (s *snapshot) lookupSpan(ps []rule.Packet, pos []int32, out []Result) {
 	s.cls.LookupBatch(ps, pos)
-	rules := s.set.Rules()
+	rules, v := s.source()
 	for i := range out {
-		put(&out[i], rules, pos[i])
+		put(&out[i], rules, v, pos[i])
 	}
 }
 
@@ -750,12 +799,16 @@ func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 	defer e.mu.Unlock()
 	cur, err := e.writeSnapLocked()
 	if err != nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()}, err
+		return cur.failed(), err
 	}
 	// Clamp before journaling so replay applies the position actually used.
-	pos = max(0, min(pos, cur.set.Len()))
+	pos = max(0, min(pos, cur.len()))
 	r.ID = e.nextID
-	res, err := e.applyOverlayLocked(cur, cur.set.CloneInsert(pos, r), updater.Op{Kind: updater.OpInsert, Pos: pos, ID: r.ID, Rule: r})
+	view, err := cur.overlayView().Insert(pos, r)
+	if err != nil {
+		return cur.failed(), fmt.Errorf("engine: overlay insert: %w", err)
+	}
+	res, err := e.applyOverlayLocked(cur, view, updater.Op{Kind: updater.OpInsert, Pos: pos, ID: r.ID, Rule: r})
 	if err == nil {
 		e.nextID++
 	}
@@ -780,26 +833,20 @@ func (e *Engine) Delete(id int) (UpdateResult, error) {
 	return res, err
 }
 
-// indexOfID returns the index in s.set of the live rule with the given ID, or
-// -1, through the ID index the view or the base holds. s must have a base.
-func (s *snapshot) indexOfID(id int) int {
-	if oc, ok := s.cls.(*overlayClassifier); ok {
-		return oc.view.IndexOf(id)
-	}
-	return s.base.IndexOf(id) // no pending updates: the base's set is s.set
-}
-
 func (e *Engine) doDelete(id int) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur, err := e.writeSnapLocked()
 	if err != nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()}, err
+		return cur.failed(), err
 	}
-	idx := cur.indexOfID(id)
-	if idx < 0 {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
-			fmt.Errorf("engine: delete rule %d: %w (%d rules live)", id, ErrRuleNotFound, cur.set.Len())
+	view, ok := cur.overlayView().Delete(id)
+	if !ok {
+		return cur.failed(), fmt.Errorf("engine: delete rule %d: %w (%d rules live)", id, ErrRuleNotFound, cur.len())
 	}
-	return e.applyOverlayLocked(cur, cur.set.CloneRemove(idx), updater.Op{Kind: updater.OpDelete, ID: id})
+	return e.applyOverlayLocked(cur, view, updater.Op{Kind: updater.OpDelete, ID: id})
 }
+
+// failed is the result an update that publishes nothing reports: the
+// snapshot it found.
+func (s *snapshot) failed() UpdateResult { return UpdateResult{Version: s.version, Rules: s.len()} }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"neurocuts/internal/rule"
@@ -11,14 +12,19 @@ import (
 // This file wires the delta-overlay update subsystem (internal/updater)
 // into the Engine. It is the engine's only write path: no Insert or Delete
 // rebuilds the backend. The update lands in a small sorted overlay of packed
-// rules (inserts) or a tombstone set (deletes), a fresh immutable View is
-// derived and published through the usual RCU snapshot swap, and a
-// background compactor goroutine folds the overlay back into a rebuilt base
-// off the critical path. A lookup pays the base lookup plus a scan of the
-// overlay rules ranked at or above the base winner, so the compaction
-// threshold bounds the overlay's cost. Every update is journaled (when a
-// journal is configured) before its snapshot is published, so acknowledged
-// updates survive a crash and replay at the next warm start.
+// rules (inserts) or a tombstone set (deletes): the next immutable View is
+// derived from the last one (View.Insert, View.Delete), at the cost of the
+// overlay and a shift of the view's source index, and published through
+// the usual RCU snapshot swap. An overlay snapshot holds no rule list: its
+// view materializes the winners it answers, and the whole list only when
+// something asks for it (rules: compaction, SaveArtifact, Engine.Rules), once
+// per snapshot. A background compactor goroutine folds the overlay back
+// into a rebuilt base off the critical path. A lookup pays the base lookup
+// plus a scan of the overlay rules ranked at or above the base winner, so
+// the compaction threshold bounds the overlay's cost. Every update is
+// journaled (when a journal is configured) before its snapshot is published,
+// so acknowledged updates survive a crash and replay at the next warm
+// start.
 //
 // The overlay base (an ID index over the whole rule list) and the compactor
 // goroutine exist only once something needs them: the first update, or
@@ -33,10 +39,33 @@ const DefaultCompactThreshold = 256
 // overlayClassifier adapts an updater.View to the Classifier interface so
 // the engine's read path (flow cache, batch fan-out) serves merged
 // base+overlay lookups unchanged. The view's positions index its merged
-// list, which is the snapshot's rule list.
+// list, which is the snapshot's rule list; the view materializes them.
 type overlayClassifier struct {
 	view *updater.View
 	m    Metrics
+	// merged is the view's whole list, materialized by the snapshot's first
+	// rules() call (compaction, SaveArtifact, Engine.Rules) and kept.
+	once   sync.Once
+	merged *rule.Set
+}
+
+// newOverlaySnap returns the snapshot serving view over the built classifier
+// baseCls and its overlay base, with the backend identity of like.
+func newOverlaySnap(like *snapshot, view *updater.View, baseCls Classifier, base *updater.Base, version, rulesGen uint64) *snapshot {
+	m := baseCls.Metrics()
+	m.Rules = view.Len()
+	ov := &overlayClassifier{view: view, m: m}
+	return &snapshot{cls: ov, ov: ov, baseCls: baseCls, version: version, rulesGen: rulesGen,
+		backend: like.backend, build: like.build, base: base}
+}
+
+// overlayView returns the view the snapshot's next update derives from: its
+// own, or its base with nothing pending. s must have a base.
+func (s *snapshot) overlayView() *updater.View {
+	if s.ov != nil {
+		return s.ov.view
+	}
+	return s.base.View()
 }
 
 func (o *overlayClassifier) Lookup(p rule.Packet) int32 { return o.view.Lookup(p) }
@@ -83,8 +112,8 @@ func (e *Engine) initUpdater() error {
 	}
 	meta := updater.JournalMeta{
 		Backend:     cur.backend,
-		BaseRules:   cur.set.Len(),
-		BaseCRC:     updater.Fingerprint(cur.set),
+		BaseRules:   cur.len(),
+		BaseCRC:     updater.Fingerprint(cur.rules()),
 		CreatedUnix: time.Now().Unix(),
 	}
 	j, ops, err := updater.OpenJournal(e.opts.JournalPath, meta, !e.opts.JournalNoSync)
@@ -158,7 +187,7 @@ func (e *Engine) writeSnapLocked() (*snapshot, error) {
 // so it matches what a non-crashed engine would report.
 func (e *Engine) replayJournal(ops []updater.Op) error {
 	cur := e.snap.Load()
-	merged, maxID, err := updater.Replay(cur.set, ops)
+	merged, maxID, err := updater.Replay(cur.rules(), ops)
 	if err != nil {
 		return err
 	}
@@ -166,11 +195,7 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	if err != nil {
 		return fmt.Errorf("engine: journal replay: %w", err)
 	}
-	m := cur.baseCls.Metrics()
-	m.Rules = merged.Len()
-	e.snap.Store(&snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-		set: merged, version: cur.version + uint64(len(ops)), rulesGen: cur.rulesGen + 1,
-		backend: cur.backend, build: cur.build, base: cur.base})
+	e.snap.Store(newOverlaySnap(cur, view, cur.baseCls, cur.base, cur.version+uint64(len(ops)), cur.rulesGen+1))
 	if maxID >= e.nextID {
 		e.nextID = maxID + 1
 	}
@@ -178,40 +203,30 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	return nil
 }
 
-// applyOverlayLocked publishes one update through the overlay path: derive
-// the next view, journal the op, swap the snapshot. Any rule fits the
-// overlay, so no update needs the backend's builder; NewView fails only on a
-// merged list the engine's own edits cannot produce. Caller holds e.mu.
-func (e *Engine) applyOverlayLocked(cur *snapshot, next *rule.Set, op updater.Op) (UpdateResult, error) {
-	fail := UpdateResult{Version: cur.version, Rules: cur.set.Len()}
-	view, err := updater.NewView(cur.base, next)
-	if err != nil {
-		return fail, fmt.Errorf("engine: overlay update: %w", err)
-	}
-	m := cur.baseCls.Metrics()
-	m.Rules = next.Len()
-	ns := &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-		set: next, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
-		backend: cur.backend, build: cur.build, base: cur.base}
+// applyOverlayLocked publishes one update through the overlay path: the
+// caller derived the next view from cur's (View.Insert or View.Delete); this
+// journals the op and swaps the snapshot. Any rule fits the overlay, so no
+// update needs the backend's builder. Caller holds e.mu.
+func (e *Engine) applyOverlayLocked(cur *snapshot, view *updater.View, op updater.Op) (UpdateResult, error) {
+	ns := newOverlaySnap(cur, view, cur.baseCls, cur.base, cur.version+1, cur.rulesGen+1)
 	// Journal before publish: an update is acknowledged only once durable.
 	if e.journal != nil {
 		if err := e.journal.Append(op); err != nil {
-			return fail, err
+			return cur.failed(), err
 		}
 	}
 	e.publishSnap(ns)
 	e.afterOverlayPublish(ns)
-	return UpdateResult{ID: op.ID, Version: ns.version, Rules: next.Len()}, nil
+	return UpdateResult{ID: op.ID, Version: ns.version, Rules: view.Len()}, nil
 }
 
 // pending is the snapshot's count of updates not yet folded into its base:
 // overlay rules plus tombstones.
 func (s *snapshot) pending() int {
-	oc, ok := s.cls.(*overlayClassifier)
-	if !ok {
+	if s.ov == nil {
 		return 0
 	}
-	return oc.view.OverlayLen() + oc.view.Tombstones()
+	return s.ov.view.OverlayLen() + s.ov.view.Tombstones()
 }
 
 // afterOverlayPublish maintains the compaction triggers after a snapshot
@@ -304,9 +319,9 @@ func (e *Engine) compactOnce() {
 		e.noteCompactFailure(fmt.Errorf("backend %q is not registered; overlay cannot be folded", cur.backend))
 		return
 	}
-	frozen := cur.set // the merged list being folded into the new base
 	build := cur.build
 	e.mu.Unlock()
+	frozen := cur.rules() // the merged list being folded into the new base
 
 	t0 := time.Now()
 	cls, err := build(frozen, e.opts)
@@ -335,24 +350,21 @@ func (e *Engine) compactOnce() {
 		e.noteCompactFailure(err)
 		return
 	}
-	// Either way the published rule list is now.set, so the rules generation
+	// Either way the published rule list is now's, so the rules generation
 	// — and with it every flow-cache entry — carries over.
 	var ns *snapshot
-	if now.set == frozen {
+	if now.rulesGen == cur.rulesGen {
 		// No updates landed during the rebuild: the new base serves directly.
 		ns = &snapshot{cls: cls, baseCls: cls, set: frozen, version: now.version + 1, rulesGen: now.rulesGen,
 			backend: now.backend, build: now.build, base: base}
 	} else {
-		view, verr := updater.NewView(base, now.set)
+		// Rebase the updates that did: now's list over the new base.
+		view, verr := updater.NewView(base, now.rules())
 		if verr != nil {
 			e.noteCompactFailure(verr)
 			return
 		}
-		m := cls.Metrics()
-		m.Rules = now.set.Len()
-		ns = &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cls,
-			set: now.set, version: now.version + 1, rulesGen: now.rulesGen,
-			backend: now.backend, build: now.build, base: base}
+		ns = newOverlaySnap(now, view, cls, base, now.version+1, now.rulesGen)
 	}
 	e.publishSnap(ns)
 	e.compactions.Add(1)
@@ -388,15 +400,16 @@ func (e *Engine) compactLocked() error {
 		return fmt.Errorf("engine: backend %q is not registered; cannot compact", cur.backend)
 	}
 	t0 := time.Now()
-	cls, err := cur.build(cur.set, e.opts)
+	set := cur.rules()
+	cls, err := cur.build(set, e.opts)
 	if err != nil {
 		return fmt.Errorf("engine: compacting: %w", err)
 	}
-	base, err := newBase(cls, cur.set)
+	base, err := newBase(cls, set)
 	if err != nil {
 		return err
 	}
-	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: cur.set, version: cur.version + 1, rulesGen: cur.rulesGen,
+	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: set, version: cur.version + 1, rulesGen: cur.rulesGen,
 		backend: cur.backend, build: cur.build, base: base})
 	e.compactions.Add(1)
 	e.lastCompactNanos.Store(time.Since(t0).Nanoseconds())
@@ -463,7 +476,7 @@ type UpdaterStats struct {
 func (e *Engine) UpdaterStats() UpdaterStats {
 	s := e.snap.Load()
 	st := UpdaterStats{
-		Rules:            s.set.Len(),
+		Rules:            s.len(),
 		Version:          s.version,
 		Compactions:      e.compactions.Load(),
 		Compacting:       e.compacting.Load(),
@@ -474,9 +487,9 @@ func (e *Engine) UpdaterStats() UpdaterStats {
 	if msg := e.lastCompactErr.Load(); msg != nil {
 		st.LastCompactError = *msg
 	}
-	if oc, ok := s.cls.(*overlayClassifier); ok {
-		st.OverlayRules = oc.view.OverlayLen()
-		st.Tombstones = oc.view.Tombstones()
+	if s.ov != nil {
+		st.OverlayRules = s.ov.view.OverlayLen()
+		st.Tombstones = s.ov.view.Tombstones()
 	}
 	e.mu.Lock()
 	if e.journal != nil {

@@ -176,14 +176,14 @@ func TestLookupPositionsMatchLinear(t *testing.T) {
 				s := eng.snap.Load()
 				want := make([]int, len(ps))
 				for i, p := range ps {
-					want[i] = s.set.MatchIndex(p)
+					want[i] = s.rules().MatchIndex(p)
 				}
 				var cfg string
 				check := func(path string, at func(i int) Result) {
 					t.Helper()
 					for i, w := range want {
 						got := at(i)
-						if w < 0 && (got.OK || got.Rule != rule.Rule{}) || w >= 0 && (!got.OK || got.Rule != s.set.Rule(w)) {
+						if w < 0 && (got.OK || got.Rule != rule.Rule{}) || w >= 0 && (!got.OK || got.Rule != s.rules().Rule(w)) {
 							t.Fatalf("%s%s %s: packet %d %v: got (%+v, %v), linear search position %d",
 								shape.name, cfg, path, i, ps[i], got.Rule, got.OK, w)
 						}

@@ -393,7 +393,7 @@ func ruleWrappersZeroAlloc(t *testing.T, eng *Engine, set *rule.Set, ps []rule.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := updater.NewView(base, s.set)
+	view, err := updater.NewView(base, s.rules())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func ruleWrappersZeroAlloc(t *testing.T, eng *Engine, set *rule.Set, ps []rule.P
 		t.Errorf("%s: updater.View.ClassifyBatch over a NewBaseBatch base allocates %.1f allocs/op, want 0", s.backend, allocs)
 	}
 	for i, p := range ps {
-		if want, ok := s.set.Match(p); oks[i] != ok || rs[i] != want {
+		if want, ok := s.rules().Match(p); oks[i] != ok || rs[i] != want {
 			t.Fatalf("%s: wrapper batch packet %d: (%v, %v), linear search (%v, %v)", s.backend, i, rs[i].ID, oks[i], want.ID, ok)
 		}
 	}

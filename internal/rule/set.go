@@ -40,6 +40,11 @@ func NewSetKeepPriorities(rules []Rule) *Set {
 	return s
 }
 
+// NewSetCanonical wraps rules, already in canonical form (rule i has
+// Priority i), as a classifier without copying or renumbering them. The
+// caller hands the slice over and must not modify it afterwards.
+func NewSetCanonical(rules []Rule) *Set { return &Set{rules: rules} }
+
 // Len returns the number of rules in the classifier.
 func (s *Set) Len() int { return len(s.rules) }
 

@@ -455,7 +455,7 @@ func (s *Server) frameCreateTable(f Frame) Frame {
 		return errorFrame(f.Table, err.Error())
 	}
 	payload := binary.LittleEndian.AppendUint32(nil, tab.ID)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(tab.Engine.Rules().Len()))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(tab.Engine.Len()))
 	return Frame{Op: OpTableInfo, Table: tab.ID, Payload: payload}
 }
 

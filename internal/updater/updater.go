@@ -44,13 +44,26 @@
 // entry points (NewBase, NewBaseBatch, View.Classify, View.ClassifyBatch) are
 // wrappers over the position path for callers that hold rules.
 //
-// A View is a pure function of (base, merged list) — the same derivation
-// serves normal updates, journal replay and post-compaction rebasing — and is
-// immutable: the engine publishes each new View through its RCU snapshot
-// machinery, so concurrent readers never see a torn update and never block.
-// A background compactor (driven by the engine) periodically rebuilds the
-// base from the merged list and rebases the overlay, bounding overlay size
-// and restoring base lookup speed.
+// A View is base + ops. It carries no rule list of its own: a per-position
+// source index says where each merged position's rule lives (a base index,
+// or ^j for overlay rule j), so materializing a winner is one lookup in that
+// index — a load from its chunk directory, a few cache lines, then the entry
+// — and one copy, its Priority written as its position. An update derives the
+// successor from the last view (View.Insert, View.Delete): it copies the
+// overlay records, ranks and rule pointers, opens or closes one bit in every
+// candidate-mask row, sets one tombstone bit and fixes the later tombstone
+// words' counts, and shifts the source index from the changed position on
+// (chunked, so the chunks ahead of that position are shared). That is
+// O(overlay + rules/64 words + one int32 shift) and copies no rule.Rule and
+// renumbers nothing. NewView derives a view from a whole merged list in one
+// pass instead — what journal replay and the rebase after a compaction use,
+// once per start-up or compaction — and View.Merged materializes the whole
+// list when a caller needs it. Views are immutable: the engine publishes
+// each new View through its RCU snapshot machinery, so concurrent readers
+// never see a torn update and never block. A background compactor (driven
+// by the engine) periodically rebuilds the base from the merged list and
+// rebases the overlay, bounding overlay size and restoring base lookup
+// speed.
 //
 // The package also provides the durable update journal (journal.go): a
 // length-prefixed, CRC-checked write-ahead log of updates that, replayed
@@ -62,6 +75,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"neurocuts/internal/rule"
 )
@@ -89,7 +104,7 @@ type BatchLookupFunc func(ps []rule.Packet, rules []rule.Rule, oks []bool)
 // it was built over, and the ID->index mapping Views need. It is shared by
 // every View derived between two compactions.
 type Base struct {
-	// lookup returns the index in set of p's best match, or -1, under
+	// lookup returns the index in rules of p's best match, or -1, under
 	// LookupFunc's soundness contract.
 	lookup func(p rule.Packet) int
 	// batch writes lookup(ps[i]) to pos[i] in one call (nil: View.LookupBatch
@@ -97,9 +112,11 @@ type Base struct {
 	batch func(ps []rule.Packet, pos []int32)
 	// ruleBatch is NewBaseBatch's Rule-shaped batch, nil for other bases.
 	ruleBatch BatchLookupFunc
-	set       *rule.Set
-	// packed is set's rules in the match kernel's form, index-aligned: what
-	// the tombstoned-winner rescan walks instead of the 96-byte rules.
+	// rules is the list of the set the base was built over: what a base
+	// position materializes from.
+	rules []rule.Rule
+	// packed is rules in the match kernel's form, index-aligned: what the
+	// tombstoned-winner rescan walks instead of the 96-byte rules.
 	packed    []rule.Packed
 	indexByID map[int]int
 }
@@ -159,27 +176,18 @@ func NewBasePacked(set *rule.Set, lookup func(p rule.Packet) int, batch func(ps 
 	} else if len(packed) != set.Len() {
 		return nil, fmt.Errorf("updater: %d packed records for a base of %d rules", len(packed), set.Len())
 	}
-	return &Base{lookup: lookup, batch: batch, set: set, packed: packed, indexByID: idx}, nil
-}
-
-// IndexOf returns the index in the base's rule set of the rule with the
-// given ID, or -1.
-func (b *Base) IndexOf(id int) int {
-	if bi, ok := b.indexByID[id]; ok {
-		return bi
-	}
-	return -1
+	return &Base{lookup: lookup, batch: batch, rules: set.Rules(), packed: packed, indexByID: idx}, nil
 }
 
 // overlayRule is one overlay rule as the lookup tests it: its packed
 // match-only projection (the record internal/compiled scans in its leaves,
-// tested by the same kernel) and its rank. A rule no packet can satisfy packs
-// to a record that matches nothing (see rule.Pack).
+// tested by the same kernel) and its ID, kept beside the record so finding a
+// rule by ID scans the records instead of chasing a pointer per rule. A rule
+// no packet can satisfy packs to a record that matches nothing (see
+// rule.Pack).
 type overlayRule struct {
 	match rule.Packed
-	// rank is the number of live base rules ahead of this rule in the merged
-	// list (see the package comment).
-	rank int32
+	id    int
 }
 
 // tombWord is 64 base rules' worth of tombstone bits plus the number of
@@ -191,16 +199,22 @@ type tombWord struct {
 }
 
 // View is one immutable merged (base + overlay + tombstones) generation.
-// All fields are read-only after NewView; lookups are safe for concurrent
-// use and allocation-free.
+// All fields are read-only once built; lookups are safe for concurrent use
+// and allocation-free. A successor view (Insert, Delete) shares whatever
+// the op leaves unchanged with its predecessor and copies the rest.
 type View struct {
 	base *Base
-	// merged is the logical rule list this view serves (priorities are
-	// indices, as everywhere else in the repository).
-	merged *rule.Set
-	// overlay holds the non-base rules in merged order, so ranks ascend and
-	// overlay[j] is merged rule overlay[j].rank+j.
+	// overlay holds the non-base rules in merged order, and ranks their
+	// ranks, index-aligned: the number of live base rules ahead of each in
+	// the merged list (see the package comment). Ranks ascend, overlay[j] is
+	// merged rule ranks[j]+j, and the dense ranks keep the per-packet binary
+	// search over them (aheadOf) on a few cache lines.
 	overlay []overlayRule
+	ranks   []int32
+	// rules holds the overlay rules themselves, index-aligned with overlay:
+	// what a materialized overlay position copies out. A stored rule's
+	// Priority is meaningless; materializing writes it.
+	rules []*rule.Rule
 	// masks holds 256 source rows then 256 destination rows of words uint64s
 	// each, indexed by the address's top byte. Bit j of a row is set when
 	// overlay[j]'s range of that address reaches the /8, so a packet can
@@ -210,6 +224,10 @@ type View struct {
 	// tombs marks the deleted base rule indices.
 	tombs  []tombWord
 	tombsN int
+	// src says where each merged position's rule lives: a base index, or ^j
+	// for overlay rule j. It is the one per-rule array an update copies,
+	// from the changed position on.
+	src srcIndex
 }
 
 // stackOverlay is how many overlay positions NewView collects without a heap
@@ -222,11 +240,15 @@ const stackOverlay = 512
 // the relative order of the base rules it retains. The derivation is one
 // pass over merged that walks the base list beside it, so only overlay rules
 // and the first survivor after a deleted run need the base's ID index; it
-// allocates the view, its overlay, its candidate masks and its tombstone
-// words, whatever the overlay's size (up to stackOverlay rules).
+// allocates the view, its overlay (records, ranks, rule copies and their
+// pointers), its candidate masks, its tombstone words and its source index,
+// whatever the overlay's size (up to stackOverlay rules). It serves journal
+// replay and the rebase after a compaction; a single update derives its view
+// from the last one instead (Insert, Delete). The view keeps no reference to
+// merged.
 func NewView(b *Base, merged *rule.Set) (*View, error) {
-	baseRules, rules := b.set.Rules(), merged.Rules()
-	v := &View{base: b, merged: merged, tombs: make([]tombWord, (len(baseRules)+63)/64)}
+	baseRules, rules := b.rules, merged.Rules()
+	v := &View{base: b, tombs: make([]tombWord, (len(baseRules)+63)/64), src: newSrcIndex(len(rules))}
 	var stack [stackOverlay]int32
 	overlayAt := stack[:0] // merged indices of the overlay rules
 	next := 0              // base rules before next are anchored or tombstoned
@@ -239,6 +261,7 @@ func NewView(b *Base, merged *rule.Set) (*View, error) {
 		if bi == len(baseRules) || baseRules[bi].ID != r.ID {
 			var isBase bool
 			if bi, isBase = b.indexByID[r.ID]; !isBase {
+				v.src.set(i, ^int32(len(overlayAt)))
 				overlayAt = append(overlayAt, int32(i))
 				continue
 			}
@@ -246,6 +269,7 @@ func NewView(b *Base, merged *rule.Set) (*View, error) {
 				return nil, fmt.Errorf("updater: merged list reorders base rules (id %d)", r.ID)
 			}
 		}
+		v.src.set(i, int32(bi))
 		v.tombstone(next, bi)
 		next = bi + 1
 	}
@@ -254,15 +278,165 @@ func NewView(b *Base, merged *rule.Set) (*View, error) {
 		v.tombs[w].before = v.tombs[w-1].before + uint32(bits.OnesCount64(v.tombs[w-1].bits))
 	}
 	v.overlay = make([]overlayRule, len(overlayAt))
+	v.ranks = make([]int32, len(overlayAt))
+	v.rules = make([]*rule.Rule, len(overlayAt))
+	copies := make([]rule.Rule, len(overlayAt))
 	v.words = (len(overlayAt) + 63) / 64
 	v.masks = make([]uint64, 2*256*v.words)
 	for j, i := range overlayAt {
 		r := &rules[i]
-		v.overlay[j] = overlayRule{match: rule.Pack(r), rank: i - int32(j)}
-		v.mark(0, r.Ranges[rule.DimSrcIP], j)
-		v.mark(256, r.Ranges[rule.DimDstIP], j)
+		copies[j] = *r
+		v.rules[j] = &copies[j]
+		v.overlay[j] = overlayRule{match: rule.Pack(r), id: r.ID}
+		v.ranks[j] = i - int32(j)
+		v.markRule(r, j)
 	}
 	return v, nil
+}
+
+// View returns the view of the base with nothing pending: every base rule
+// live, in base order. It is where the first update after a build or a
+// compaction starts from.
+func (b *Base) View() *View {
+	src := newSrcIndex(len(b.rules))
+	for i := range b.rules {
+		src.set(i, int32(i))
+	}
+	return &View{base: b, tombs: make([]tombWord, (len(b.rules)+63)/64), src: src}
+}
+
+// Insert returns the successor view with r placed at merged position pos
+// (clamped to [0, Len()]). r.ID must be fresh: no base rule, dead or live,
+// and no overlay rule may carry it. The receiver is left untouched. The
+// successor shares the tombstones, copies the overlay (records, ranks, rule
+// pointers and candidate masks, one bit opened at the new rule's index),
+// shifts the source index from pos on, and stores one copy of r; no other
+// rule is copied.
+func (v *View) Insert(pos int, r rule.Rule) (*View, error) {
+	pos = max(0, min(pos, v.src.n))
+	if _, inBase := v.base.indexByID[r.ID]; inBase || v.overlayIndex(r.ID) >= 0 {
+		return nil, fmt.Errorf("updater: insert of rule id %d, which the view already holds", r.ID)
+	}
+	if v.src.n >= math.MaxInt32-1 {
+		return nil, fmt.Errorf("updater: view of %d rules is at the 32-bit rank space", v.src.n)
+	}
+	// j is the new rule's overlay index: the overlay rules ahead of pos.
+	j := sort.Search(len(v.ranks), func(k int) bool { return int(v.ranks[k])+k >= pos })
+	stored := r
+	nv := &View{base: v.base, tombs: v.tombs, tombsN: v.tombsN}
+	nv.overlay = slices.Insert(slices.Clip(v.overlay), j, overlayRule{match: rule.Pack(&r), id: r.ID})
+	nv.ranks = slices.Insert(slices.Clip(v.ranks), j, int32(pos-j))
+	nv.rules = slices.Insert(slices.Clip(v.rules), j, &stored)
+	nv.words = (len(nv.overlay) + 63) / 64
+	nv.masks = make([]uint64, 2*256*nv.words)
+	for row := 0; row < 2*256; row++ {
+		insertBit(nv.masks[row*nv.words:][:nv.words], v.masks[row*v.words:][:v.words], j)
+	}
+	nv.markRule(&r, j)
+	nv.src = v.src.insert(pos, ^int32(j))
+	nv.restamp(j + 1)
+	return nv, nil
+}
+
+// Delete returns the successor view without the live rule carrying id, or
+// ok=false when no live rule does. The receiver is left untouched. A base
+// rule becomes a tombstone: the successor copies the tombstone words, shares
+// the overlay records and candidate masks, and copies the overlay ranks only
+// when some rank behind the deleted rule moves. An overlay rule leaves the overlay, its
+// mask bit closed up. Either way the source index shifts from the deleted
+// position on, and no rule is copied.
+func (v *View) Delete(id int) (nv *View, ok bool) {
+	if bi, inBase := v.base.indexByID[id]; inBase {
+		if v.tombstoned(bi) {
+			return nil, false
+		}
+		rank := v.baseRank(bi)
+		ahead := v.aheadOf(rank)
+		nv = &View{base: v.base, overlay: v.overlay, rules: v.rules, masks: v.masks, words: v.words, tombsN: v.tombsN + 1}
+		nv.tombs = slices.Clone(v.tombs)
+		nv.tombs[bi>>6].bits |= 1 << (uint(bi) & 63)
+		for w := bi>>6 + 1; w < len(nv.tombs); w++ {
+			nv.tombs[w].before++
+		}
+		// The overlay rules behind the deleted rule lose one live base rule
+		// ahead of them; the ones in front of it keep their ranks.
+		nv.ranks = v.ranks
+		if ahead < len(v.ranks) {
+			nv.ranks = slices.Clone(v.ranks)
+			for k := ahead; k < len(nv.ranks); k++ {
+				nv.ranks[k]--
+			}
+		}
+		nv.src = v.src.remove(rank + ahead)
+		return nv, true
+	}
+	j := v.overlayIndex(id)
+	if j < 0 {
+		return nil, false
+	}
+	nv = &View{base: v.base, tombs: v.tombs, tombsN: v.tombsN}
+	nv.overlay = slices.Delete(slices.Clone(v.overlay), j, j+1)
+	nv.ranks = slices.Delete(slices.Clone(v.ranks), j, j+1)
+	nv.rules = slices.Delete(slices.Clone(v.rules), j, j+1)
+	nv.words = (len(nv.overlay) + 63) / 64
+	nv.masks = make([]uint64, 2*256*nv.words)
+	for row := 0; row < 2*256; row++ {
+		removeBit(nv.masks[row*nv.words:][:nv.words], v.masks[row*v.words:][:v.words], j)
+	}
+	nv.src = v.src.remove(int(v.ranks[j]) + j)
+	nv.restamp(j)
+	return nv, true
+}
+
+// restamp writes the source entries of overlay rules from index j on, whose
+// overlay index an insert or delete at j moved.
+func (v *View) restamp(j int) {
+	for k := j; k < len(v.overlay); k++ {
+		v.src.set(int(v.ranks[k])+k, ^int32(k))
+	}
+}
+
+// insertBit copies the bit row src into dst, which has room for one more
+// bit, with a clear bit opened at index j: the bits from j on move up one.
+func insertBit(dst, src []uint64, j int) {
+	w, low := j>>6, uint64(1)<<(j&63)-1
+	copy(dst, src[:w])
+	var carry uint64
+	for k := w; k < len(src); k++ {
+		x := src[k]
+		if k == w {
+			dst[k] = x&low | (x&^low)<<1
+		} else {
+			dst[k] = x<<1 | carry
+		}
+		carry = x >> 63
+	}
+	if len(dst) > len(src) {
+		dst[len(src)] = carry
+	}
+}
+
+// removeBit copies the bit row src into dst, which has room for one bit
+// fewer, without bit j: the bits above j move down one.
+func removeBit(dst, src []uint64, j int) {
+	w, low := j>>6, uint64(1)<<(j&63)-1
+	copy(dst, src[:min(w, len(dst))])
+	for k := w; k < len(dst); k++ {
+		x := src[k] >> 1
+		if k == w {
+			x = src[k]&low | x&^low
+		}
+		if k+1 < len(src) {
+			x |= src[k+1] << 63
+		}
+		dst[k] = x
+	}
+}
+
+// markRule sets overlay rule j's bits in the source and destination rows.
+func (v *View) markRule(r *rule.Rule, j int) {
+	v.mark(0, r.Ranges[rule.DimSrcIP], j)
+	v.mark(256, r.Ranges[rule.DimDstIP], j)
 }
 
 // mark sets overlay rule j's bit in the rows from row0 on of every /8 the
@@ -286,8 +460,37 @@ func (v *View) tombstone(lo, hi int) {
 	v.tombsN += hi - lo
 }
 
-// Merged returns the logical rule list the view serves.
-func (v *View) Merged() *rule.Set { return v.merged }
+// Len returns the number of rules in the merged list the view serves.
+func (v *View) Len() int { return v.src.n }
+
+// Rule materializes merged position i: one copy of the rule, its Priority
+// set to i.
+func (v *View) Rule(i int) rule.Rule {
+	var r rule.Rule
+	v.RuleTo(&r, i)
+	return r
+}
+
+// RuleTo is Rule copying into *dst, so a caller filling a result slot pays
+// one copy of the rule and no temporary.
+func (v *View) RuleTo(dst *rule.Rule, i int) {
+	if s := v.src.at(i); s >= 0 {
+		*dst = v.base.rules[s]
+	} else {
+		*dst = *v.rules[^s]
+	}
+	dst.Priority = i
+}
+
+// Merged materializes the whole merged list the view serves: O(Len) copies
+// into a new set, which the caller owns.
+func (v *View) Merged() *rule.Set {
+	rules := make([]rule.Rule, v.src.n)
+	for i := range rules {
+		v.RuleTo(&rules[i], i)
+	}
+	return rule.NewSetCanonical(rules)
+}
 
 // OverlayLen returns the number of rules held in the delta overlay.
 func (v *View) OverlayLen() int { return len(v.overlay) }
@@ -323,15 +526,15 @@ func (v *View) baseRank(bi int) int {
 // sit ahead of the live base rule of that rank: a binary search shaped like
 // compiled's countLE, whose steps are conditional adds, not branches.
 func (v *View) aheadOf(rank int) int {
-	o := v.overlay
-	if len(o) == 0 {
+	r := v.ranks
+	if len(r) == 0 {
 		return 0
 	}
 	base := 0 // the answer stays within [base, base+n]
-	for n := len(o); n > 1; n -= n >> 1 {
-		base += n >> 1 & -b2i(int(o[base+n>>1-1].rank) <= rank)
+	for n := len(r); n > 1; n -= n >> 1 {
+		base += n >> 1 & -b2i(int(r[base+n>>1-1]) <= rank)
 	}
-	return base + b2i(int(o[base].rank) <= rank)
+	return base + b2i(int(r[base]) <= rank)
 }
 
 // b2i is 1 for true and 0 for false, without a branch.
@@ -353,10 +556,18 @@ func (v *View) IndexOf(id int) int {
 		rank := v.baseRank(bi)
 		return rank + v.aheadOf(rank)
 	}
-	rules := v.merged.Rules()
+	if j := v.overlayIndex(id); j >= 0 {
+		return int(v.ranks[j]) + j
+	}
+	return -1
+}
+
+// overlayIndex returns the overlay index of the rule with the given ID, or
+// -1: a scan of the overlay, which the compaction threshold keeps short.
+func (v *View) overlayIndex(id int) int {
 	for j := range v.overlay {
-		if i := int(v.overlay[j].rank) + j; rules[i].ID == id {
-			return i
+		if v.overlay[j].id == id {
+			return j
 		}
 	}
 	return -1
@@ -395,7 +606,7 @@ func (v *View) rule(i int32) (rule.Rule, bool) {
 	if i < 0 {
 		return rule.Rule{}, false
 	}
-	return v.merged.Rule(int(i)), true
+	return v.Rule(int(i)), true
 }
 
 // ClassifyBatch is the Rule-shaped LookupBatch: ps[i]'s winner lands in
@@ -457,12 +668,11 @@ walk:
 	for w := range src {
 		for m := src[w] & dst[w]; m != 0; m &= m - 1 {
 			j := w<<6 | bits.TrailingZeros64(m)
-			o := &v.overlay[j]
-			if int(o.rank) > rank {
+			if int(v.ranks[j]) > rank {
 				break walk
 			}
-			if o.match.Matches(p.Key()) {
-				return o.rank + int32(j)
+			if v.overlay[j].match.Matches(p.Key()) {
+				return v.ranks[j] + int32(j)
 			}
 		}
 	}

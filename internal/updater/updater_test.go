@@ -165,9 +165,9 @@ func TestRankAssignment(t *testing.T) {
 	if v.OverlayLen() != merged.Len()-1 {
 		t.Fatalf("overlay holds %d rules, want %d", v.OverlayLen(), merged.Len()-1)
 	}
-	for j, o := range v.overlay {
-		if o.rank != 0 {
-			t.Fatalf("overlay rule %d has rank %d, want 0 (no live base rule ahead)", j, o.rank)
+	for j, rank := range v.ranks {
+		if rank != 0 {
+			t.Fatalf("overlay rule %d has rank %d, want 0 (no live base rule ahead)", j, rank)
 		}
 	}
 	// The top-of-list overlay rule (highest priority, most recent insert)
@@ -283,9 +283,10 @@ func TestViewAllocationFree(t *testing.T) {
 }
 
 // TestNewViewAllocsBounded: deriving a view allocates the view, its overlay
-// slice, its candidate masks and its tombstone words — the same count
-// whatever the overlay holds, so the update stream's garbage does not grow
-// with the pending delta.
+// records, ranks, rule copies and rule pointers, its candidate masks, its
+// tombstone words and its source index (a directory and one chunk per
+// srcChunk positions) — the same count whatever the overlay holds, so a rebase's
+// garbage does not grow with the pending delta.
 func TestNewViewAllocsBounded(t *testing.T) {
 	set := genSet(t, 10000, 7)
 	b := testBase(t, set)
@@ -296,8 +297,8 @@ func TestNewViewAllocsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 4 {
-			t.Errorf("NewView with %d overlay rules: %.0f allocs, want 4", overlay, allocs)
+		if want := 8 + (merged.Len()+srcMask)/srcChunk; allocs != float64(want) {
+			t.Errorf("NewView with %d overlay rules: %.0f allocs, want %d", overlay, allocs, want)
 		}
 	}
 }

@@ -416,7 +416,7 @@ func (c *Classifier) Stats() Stats {
 		Telemetry:      ts,
 		DataplaneCores: dpCores,
 		Backend:        c.eng.Backend(),
-		Rules:          c.eng.Rules().Len(),
+		Rules:          c.eng.Len(),
 		Version:        c.eng.Version(),
 		Metrics:        c.eng.Metrics(),
 		PendingUpdates: u.OverlayRules + u.Tombstones,
