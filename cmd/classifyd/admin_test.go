@@ -163,7 +163,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE neurocuts_lookup_latency_seconds histogram",
 		"# TYPE neurocuts_update_latency_seconds histogram",
-		"# TYPE neurocuts_dataplane_batch_latency_seconds histogram",
 		"# TYPE neurocuts_server_request_latency_seconds histogram",
 		`neurocuts_lookup_latency_seconds_count{path="single"} 8`,
 		`neurocuts_update_latency_seconds_count{op="insert"} 1`,

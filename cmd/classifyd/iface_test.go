@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -60,20 +61,6 @@ func TestPcapReplayMode(t *testing.T) {
 	}
 }
 
-// TestPcapReplayThroughDataplane replays through the run-to-completion
-// dataplane path (-cores), which serves the batch via the per-core loops.
-func TestPcapReplayThroughDataplane(t *testing.T) {
-	path, _ := writeTestPcap(t, "fw1", 100, 300)
-	out := &syncBuffer{}
-	err := run([]string{"-family", "fw1", "-size", "100", "-algo", "linear", "-cores", "2", "-pcap", path}, make(chan os.Signal, 1), out)
-	if err != nil {
-		t.Fatalf("dataplane replay: %v\noutput:\n%s", err, out.String())
-	}
-	if s := out.String(); !strings.Contains(s, "ingested 300 packets") {
-		t.Fatalf("summary:\n%s", s)
-	}
-}
-
 // TestPcapOutFixture pins capture-to-fixture: replaying with -pcap-out
 // produces a pcap whose decode yields the same 5-tuples as the input.
 func TestPcapOutFixture(t *testing.T) {
@@ -108,6 +95,28 @@ func TestPcapOutFixture(t *testing.T) {
 		if want := iface.CanonicalKey(entries[i].Key); got[i] != want {
 			t.Fatalf("fixture packet %d = %+v, want %+v", i, got[i], want)
 		}
+	}
+}
+
+// failingFixture accepts every write and fails its close, the last
+// write-back of a -pcap-out file.
+type failingFixture struct{ bytes.Buffer }
+
+func (*failingFixture) Close() error { return errors.New("close: no space left on device") }
+
+// TestPcapOutWriteBackFailure: a -pcap-out fixture whose close fails fails
+// the run instead of reporting it written.
+func TestPcapOutWriteBackFailure(t *testing.T) {
+	path, _ := writeTestPcap(t, "acl1", 100, 250)
+	defer func(orig func(string) (io.WriteCloser, error)) { createFixture = orig }(createFixture)
+	createFixture = func(string) (io.WriteCloser, error) { return &failingFixture{}, nil }
+	out := &syncBuffer{}
+	err := run([]string{"-family", "acl1", "-size", "100", "-pcap", path, "-pcap-out", "fixture.pcap"}, make(chan os.Signal, 1), out)
+	if err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("run = %v, want the fixture's close error\noutput:\n%s", err, out.String())
+	}
+	if s := out.String(); strings.Contains(s, "wrote 250 packets") {
+		t.Fatalf("a fixture that failed to close was reported written:\n%s", s)
 	}
 }
 

@@ -21,13 +21,6 @@
 //
 //	classifyd -artifact policy.ncaf -journal auto -listen 127.0.0.1:9099
 //
-// Serve lookups through the run-to-completion dataplane instead of on the
-// connection goroutines: per-core classify loops fed by a flow-hash demux
-// over SPSC rings, with private per-core flow caches (see internal/dataplane and
-// docs/ARCHITECTURE.md):
-//
-//	classifyd -family acl1 -size 1000 -cores 8 -flow-cache 65536 -listen 127.0.0.1:9099
-//
 // Replay a real capture through the classifier — decode Ethernet/VLAN/IPv4
 // frames into 5-tuples and classify them, at maximum rate or paced to the
 // capture's recorded timing (see internal/iface):
@@ -71,6 +64,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -83,7 +77,6 @@ import (
 
 	"neurocuts/internal/admin"
 	"neurocuts/internal/classbench"
-	"neurocuts/internal/dataplane"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/iface"
 	"neurocuts/internal/rule"
@@ -139,8 +132,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		timesteps = fs.Int("timesteps", 20000, "NeuroCuts training budget (neurocuts only)")
 		binth     = fs.Int("binth", 16, "leaf threshold for tree backends")
 		shards    = fs.Int("shards", 0, "batch lookup shards (0 = GOMAXPROCS)")
-		cores     = fs.Int("cores", 0, "serve lookups through the run-to-completion dataplane with this many per-core classify loops (0 = classify on the calling goroutine; -1 = GOMAXPROCS loops)")
-		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (sharded engine cache, per-core caches with -cores, or each table's own cache with -tables; 0 disables)")
+		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (the engine's shared cache, or each table's own cache with -tables; 0 disables)")
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
 		journal   = fs.String("journal", "", "durable update journal path (replayed at start; 'auto' co-locates with -artifact)")
 		compactAt = fs.Int("compact-threshold", 0, "pending updates that trigger background compaction (0 = default, <0 disables)")
@@ -199,9 +191,6 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 
 	if *tables != "" {
-		if *cores != 0 {
-			return fmt.Errorf("-cores applies to single-table mode only (each table owns its engine; a shared dataplane would need one flow-space per table)")
-		}
 		if ingest || *shmPath != "" {
 			return fmt.Errorf("-pcap, -capture and -shm apply to single-table mode only")
 		}
@@ -209,14 +198,6 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 			binth: *binth, timesteps: *timesteps, seed: *seed, shards: *shards,
 			flowCache: *flowCache, compactAt: *compactAt, tel: tel,
 		}, *listen, *adminAddr, *drain, sig)
-	}
-
-	// With the dataplane in front, the engine's own flow cache would
-	// never be consulted; route the -flow-cache budget to whichever layer
-	// actually serves lookups.
-	engineCache, dpCache := *flowCache, 0
-	if *cores != 0 {
-		engineCache, dpCache = 0, *flowCache
 	}
 
 	journalPath := *journal
@@ -232,7 +213,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		var err error
 		eng, err = engine.NewEngineFromArtifact(*artifact, engine.Options{
 			Shards:           *shards,
-			FlowCacheEntries: engineCache,
+			FlowCacheEntries: *flowCache,
 			JournalPath:      journalPath,
 			CompactThreshold: *compactAt,
 			Telemetry:        tel,
@@ -252,7 +233,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 			Timesteps:        *timesteps,
 			Seed:             *seed,
 			Shards:           *shards,
-			FlowCacheEntries: engineCache,
+			FlowCacheEntries: *flowCache,
 			JournalPath:      journalPath,
 			CompactThreshold: *compactAt,
 			Telemetry:        tel,
@@ -267,37 +248,15 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 			st.JournalPath, st.JournalRecords, st.Rules)
 	}
 
-	// The server talks to whichever serving surface was selected: the engine
-	// directly, or a dataplane fronting it. Both are a server.Classifier, so
-	// nothing downstream changes.
-	var cls server.Classifier = eng
-	var dp *dataplane.Dataplane
-	if *cores != 0 {
-		dpCores := *cores
-		if dpCores < 0 {
-			dpCores = 0 // Attach maps 0 to GOMAXPROCS
-		}
-		var err error
-		dp, err = dataplane.Attach(eng, dataplane.Config{Cores: dpCores, CacheEntries: dpCache})
-		if err != nil {
-			return err
-		}
-		// No explicit dp.Close: Attach registered it as an engine closer, so
-		// the deferred eng.Close drains the loops first.
-		cls = dp
-		fmt.Fprintf(stdout, "classifyd: run-to-completion dataplane enabled (%d cores, per-core flow caches %d entries)\n",
-			dp.Cores(), dpCache)
-	}
-
 	if ingest {
 		src, label, err := openIngestSource(*pcapPath, *pcapRate, *capture)
 		if err != nil {
 			return err
 		}
-		return runIngest(stdout, src, label, cls, *pcapOut, sig)
+		return runIngest(stdout, src, label, eng, *pcapOut, sig)
 	}
 
-	srv := server.New(cls)
+	srv := server.New(eng)
 	srv.Telemetry = tel
 	addr, err := srv.Listen(*listen)
 	if err != nil {
@@ -305,7 +264,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 	var ring *iface.ShmServer
 	if *shmPath != "" {
-		ring, err = iface.NewShmServer(*shmPath, cls, iface.ShmServerConfig{Slots: *shmSlots})
+		ring, err = iface.NewShmServer(*shmPath, eng, iface.ShmServerConfig{Slots: *shmSlots})
 		if err != nil {
 			srv.Shutdown(context.Background())
 			return err
@@ -314,7 +273,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "classifyd: serving %s engine (%d rules) on %s\n",
 		engine.DisplayName(eng.Backend()), eng.Len(), addr)
-	stopAdmin, err := startAdmin(stdout, *adminAddr, admin.Options{Engine: eng, Server: srv, Telemetry: tel, Dataplane: dp})
+	stopAdmin, err := startAdmin(stdout, *adminAddr, admin.Options{Engine: eng, Server: srv, Telemetry: tel})
 	if err != nil {
 		srv.Shutdown(context.Background())
 		return err
@@ -464,20 +423,25 @@ func openIngestSource(pcapPath string, rate float64, capture string) (iface.Sour
 // ingestion mode.
 const ingestBatch = 512
 
-// runIngest pumps packets from src through the classifier until the source
-// is exhausted (pcap EOF) or a signal arrives (live capture, or an
-// interrupted replay), optionally mirroring every ingested packet into a
-// pcap fixture.
-func runIngest(stdout io.Writer, src iface.Source, label string, cls server.Classifier, pcapOut string, sig <-chan os.Signal) error {
+// createFixture opens the -pcap-out file; tests substitute one whose
+// write-back fails.
+var createFixture = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+
+// runIngest pumps packets from src through the engine until the source is
+// exhausted (pcap EOF) or a signal arrives (live capture, or an interrupted
+// replay), optionally mirroring every ingested packet into a pcap fixture.
+// The fixture counts as written only once its flush and close succeed.
+func runIngest(stdout io.Writer, src iface.Source, label string, eng *engine.Engine, pcapOut string, sig <-chan os.Signal) error {
 	defer src.Close()
 
+	var f io.WriteCloser
 	var pw *iface.PcapWriter
 	if pcapOut != "" {
-		f, err := os.Create(pcapOut)
-		if err != nil {
+		var err error
+		if f, err = createFixture(pcapOut); err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // error paths; the write-back below closes it first
 		pw, err = iface.NewPcapWriter(f)
 		if err != nil {
 			return err
@@ -500,7 +464,7 @@ loop:
 		}
 		n, err := src.ReadBatch(ps)
 		if n > 0 {
-			cls.ClassifyBatch(ps[:n], out[:n])
+			eng.ClassifyBatch(ps[:n], out[:n])
 			for i := 0; i < n; i++ {
 				if out[i].OK {
 					matches++
@@ -525,8 +489,8 @@ loop:
 	}
 	elapsed := time.Since(start)
 	if pw != nil {
-		if err := pw.Flush(); err != nil {
-			return err
+		if err := errors.Join(pw.Flush(), f.Close()); err != nil {
+			return fmt.Errorf("write %s: %w", pcapOut, err)
 		}
 		fmt.Fprintf(stdout, "classifyd: wrote %d packets to %s\n", total, pcapOut)
 	}

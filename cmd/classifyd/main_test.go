@@ -184,20 +184,15 @@ func TestArtifactWarmStart(t *testing.T) {
 	}
 }
 
-// TestDataplaneKillUnderLoad is the shutdown-ordering regression test at
-// the daemon level: with the run-to-completion dataplane serving (-cores),
-// SIGTERM arrives while clients are streaming batches. The daemon must
-// drain — every batch answered before the connection drops is complete and
-// correct (loops drain their rings before the engine snapshot is torn
-// down) — and exit cleanly with nil.
-func TestDataplaneKillUnderLoad(t *testing.T) {
+// TestKillUnderLoad is the shutdown-ordering regression test at the daemon
+// level: SIGTERM arrives while clients are streaming batches through the
+// flow cache. The daemon must drain — every batch answered before the
+// connection drops is complete and correct — and exit cleanly with nil.
+func TestKillUnderLoad(t *testing.T) {
 	addr, sig, errCh, out := startDaemon(t, []string{
 		"-family", "acl1", "-size", "200", "-algo", "linear",
-		"-cores", "2", "-flow-cache", "4096", "-listen", "127.0.0.1:0",
+		"-flow-cache", "4096", "-listen", "127.0.0.1:0",
 	})
-	if !strings.Contains(out.String(), "run-to-completion dataplane enabled") {
-		t.Fatalf("daemon did not report the dataplane path:\n%s", out.String())
-	}
 
 	fam, err := classbench.FamilyByName("acl1")
 	if err != nil {

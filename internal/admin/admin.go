@@ -22,11 +22,8 @@
 //
 // When a telemetry instance is attached (Options.Telemetry), /metrics
 // additionally exposes native Prometheus histogram families — lookup,
-// dataplane-span, update and server-request latency — rendered from the
-// lock-free striped histograms, and /debug/slow dumps the flight recorder.
-// When a dataplane is attached (Options.Dataplane), /metrics gains per-core
-// gauges: ring depth and high watermark, park/wake transition counts,
-// epoch lag and flow-cache hit ratio.
+// update and server-request latency — rendered from the lock-free striped
+// histograms, and /debug/slow dumps the flight recorder.
 //
 // The admin listener is separate from the classification listener on
 // purpose: it binds its own (typically loopback or cluster-internal)
@@ -46,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"neurocuts/internal/dataplane"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/server"
 	"neurocuts/internal/telemetry"
@@ -70,9 +66,6 @@ type Options struct {
 	// Telemetry, when non-nil, contributes the latency histogram families
 	// to /metrics and backs the /debug/slow flight-recorder dump.
 	Telemetry *telemetry.Telemetry
-	// Dataplane, when non-nil, contributes the per-core run-to-completion
-	// gauges (ring depth/high-watermark, parks/wakes, epoch lag, hit ratio).
-	Dataplane *dataplane.Dataplane
 	// Ready overrides the readiness check: /readyz returns 200 exactly when
 	// it returns nil. The default reports ready while a default table (or
 	// the single engine) is present.
@@ -89,7 +82,6 @@ type Server struct {
 	engName string
 	wire    *server.Server
 	tel     *telemetry.Telemetry
-	dp      *dataplane.Dataplane
 	ready   func() error
 	start   time.Time
 
@@ -109,7 +101,6 @@ func New(opts Options) *Server {
 		engName: name,
 		wire:    opts.Server,
 		tel:     opts.Telemetry,
-		dp:      opts.Dataplane,
 		ready:   opts.Ready,
 		start:   time.Now(),
 	}
@@ -200,16 +191,13 @@ type snapshot struct {
 	// hists is the telemetry histogram families (nil when no telemetry is
 	// attached).
 	hists []telemetry.FamilySnapshot
-	// dp is the dataplane's per-core counters (nil when no dataplane is
-	// attached).
-	dp *dataplane.Stats
 	// start is the process-start (admin-construction) time.
 	start time.Time
 }
 
 // snapshot collects the current state of every source.
 func (s *Server) snapshot() snapshot {
-	tables, eng, engName, wire, tel, dp := s.tables, s.eng, s.engName, s.wire, s.tel, s.dp
+	tables, eng, engName, wire, tel := s.tables, s.eng, s.engName, s.wire, s.tel
 
 	snap := snapshot{retired: -1, start: s.start}
 	switch {
@@ -241,10 +229,6 @@ func (s *Server) snapshot() snapshot {
 		snap.srv = &st
 	}
 	snap.hists = tel.Families() // nil-safe: nil telemetry yields nil
-	if dp != nil {
-		st := dp.Stats()
-		snap.dp = &st
-	}
 	return snap
 }
 

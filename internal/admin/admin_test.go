@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
-	"neurocuts/internal/dataplane"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/telemetry"
@@ -342,10 +341,9 @@ func TestAdminListenShutdown(t *testing.T) {
 	}
 }
 
-// TestAdminTelemetryExposition drives a telemetry-instrumented engine and
-// dataplane, then asserts /metrics exposes the native histogram families and
-// the per-core gauges (lint-clean, counts matching the real traffic) and
-// /debug/slow dumps the flight recorder.
+// TestAdminTelemetryExposition drives a telemetry-instrumented engine, then
+// asserts /metrics exposes the native histogram families (lint-clean, counts
+// matching the real traffic) and /debug/slow dumps the flight recorder.
 func TestAdminTelemetryExposition(t *testing.T) {
 	set := adminTestSet(t, 200)
 	tel := telemetry.New(telemetry.Config{})
@@ -358,10 +356,6 @@ func TestAdminTelemetryExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	dp, err := dataplane.Attach(eng, dataplane.Config{Cores: 2, CacheEntries: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	trace := classbench.GenerateTrace(set, 256, 31)
 	ps := make([]rule.Packet, len(trace))
@@ -369,7 +363,6 @@ func TestAdminTelemetryExposition(t *testing.T) {
 		ps[i] = e.Key
 	}
 	out := make([]engine.Result, len(ps))
-	dp.ClassifyBatch(ps, out)
 	eng.ClassifyBatch(ps, out)
 	for _, p := range ps[:32] {
 		eng.Classify(p)
@@ -378,7 +371,7 @@ func TestAdminTelemetryExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	adm := New(Options{Engine: eng, Telemetry: tel, Dataplane: dp})
+	adm := New(Options{Engine: eng, Telemetry: tel})
 	ts := httptest.NewServer(adm.Handler())
 	defer ts.Close()
 
@@ -397,9 +390,6 @@ func TestAdminTelemetryExposition(t *testing.T) {
 	if got := metricValue(t, body, "neurocuts_lookup_latency_seconds_count", `{path="batch"}`); got == 0 {
 		t.Error("batch lookup _count = 0, want recorded miss-batch spans")
 	}
-	if got := metricValue(t, body, "neurocuts_dataplane_batch_latency_seconds_count", ""); got == 0 {
-		t.Error("dataplane span _count = 0, want recorded spans")
-	}
 	if got := metricValue(t, body, "neurocuts_update_latency_seconds_count", `{op="insert"}`); got != 1 {
 		t.Errorf("insert _count = %v, want 1", got)
 	}
@@ -408,25 +398,6 @@ func TestAdminTelemetryExposition(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE neurocuts_server_request_latency_seconds histogram") {
 		t.Error("server request family not declared as a histogram")
-	}
-
-	// Per-core gauges: one sample per core, counters matching dp.Stats().
-	st := dp.Stats()
-	if got := metricValue(t, body, "neurocuts_dataplane_cores", ""); got != float64(st.Cores) {
-		t.Errorf("neurocuts_dataplane_cores = %v, want %d", got, st.Cores)
-	}
-	var packets float64
-	for core := 0; core < st.Cores; core++ {
-		lbl := fmt.Sprintf(`{core="%d"}`, core)
-		packets += metricValue(t, body, "neurocuts_dataplane_packets_total", lbl)
-		metricValue(t, body, "neurocuts_dataplane_ring_high_watermark", lbl)
-		metricValue(t, body, "neurocuts_dataplane_epoch_lag", lbl)
-		metricValue(t, body, "neurocuts_dataplane_cache_hit_ratio", lbl)
-		metricValue(t, body, "neurocuts_dataplane_parks_total", lbl)
-		metricValue(t, body, "neurocuts_dataplane_wakes_total", lbl)
-	}
-	if packets != float64(len(ps)) {
-		t.Errorf("summed per-core packets = %v, want %d", packets, len(ps))
 	}
 
 	// /debug/slow: threshold 0 captured entries; worst-first JSON.

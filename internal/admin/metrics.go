@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 
-	"neurocuts/internal/dataplane"
 	"neurocuts/internal/telemetry"
 )
 
@@ -181,9 +180,6 @@ func renderMetrics(snap snapshot) []byte {
 	}
 
 	renderHistograms(&p, snap.hists)
-	if snap.dp != nil {
-		renderDataplane(&p, snap.dp)
-	}
 
 	if s := snap.srv; s != nil {
 		p.family("neurocuts_server_requests_total", "counter", "Classification and admin requests, counting each batched packet.")
@@ -238,50 +234,6 @@ func renderHistograms(p *promWriter, fams []telemetry.FamilySnapshot) {
 			}
 			p.sample(f.Name+"_sum", base, s.Hist.SumNanos()/1e9)
 			p.sample(f.Name+"_count", base, float64(cum))
-		}
-	}
-}
-
-// perCoreMetric describes one per-core family rendered from the dataplane's
-// CoreStats.
-type perCoreMetric struct {
-	name  string
-	typ   string
-	help  string
-	value func(cs dataplane.CoreStats) float64
-}
-
-// perCoreMetrics is the fixed catalogue of per-core dataplane families.
-var perCoreMetrics = []perCoreMetric{
-	{"neurocuts_dataplane_ring_depth", "gauge", "Queued items in the core's ingress ring at sample time.",
-		func(cs dataplane.CoreStats) float64 { return float64(cs.RingLen) }},
-	{"neurocuts_dataplane_ring_high_watermark", "gauge", "Deepest ring occupancy the core's loop has observed at pop time.",
-		func(cs dataplane.CoreStats) float64 { return float64(cs.RingHighWatermark) }},
-	{"neurocuts_dataplane_parks_total", "counter", "Times the core's loop went idle and parked.",
-		func(cs dataplane.CoreStats) float64 { return float64(cs.Parks) }},
-	{"neurocuts_dataplane_wakes_total", "counter", "Times a producer roused the core's parked loop with a wake token.",
-		func(cs dataplane.CoreStats) float64 { return float64(cs.Wakes) }},
-	{"neurocuts_dataplane_epoch_lag", "gauge", "Snapshot generations the core's pinned view trails the engine head.",
-		func(cs dataplane.CoreStats) float64 { return float64(cs.EpochLag) }},
-	{"neurocuts_dataplane_cache_hit_ratio", "gauge", "Per-core flow-cache hit ratio in [0, 1] (0 with no cache or no traffic).",
-		func(cs dataplane.CoreStats) float64 { return cs.HitRatio }},
-	{"neurocuts_dataplane_batches_total", "counter", "Batch spans the core's loop has handled.",
-		func(cs dataplane.CoreStats) float64 { return float64(cs.Batches) }},
-	{"neurocuts_dataplane_packets_total", "counter", "Packets the core's loop has classified.",
-		func(cs dataplane.CoreStats) float64 { return float64(cs.Packets) }},
-}
-
-// renderDataplane renders the run-to-completion dataplane's gauges: the
-// core/ring shape, then one sample per core for each per-core family.
-func renderDataplane(p *promWriter, st *dataplane.Stats) {
-	p.family("neurocuts_dataplane_cores", "gauge", "Run-to-completion core loops attached to the engine.")
-	p.sample("neurocuts_dataplane_cores", nil, float64(st.Cores))
-	p.family("neurocuts_dataplane_ring_capacity", "gauge", "Per-core ingress ring capacity in items.")
-	p.sample("neurocuts_dataplane_ring_capacity", nil, float64(st.RingCapacity))
-	for _, m := range perCoreMetrics {
-		p.family(m.name, m.typ, m.help)
-		for _, cs := range st.PerCore {
-			p.sample(m.name, []label{{"core", strconv.Itoa(cs.Core)}}, m.value(cs))
 		}
 	}
 }

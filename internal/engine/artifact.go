@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"neurocuts/internal/compiled"
@@ -27,36 +26,32 @@ func JournalPathFor(artifactPath string) string { return artifactPath + ".journa
 // returned, restoring every update acknowledged before the last shutdown
 // or crash.
 func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
-	opts = opts.withDefaults()
+	s, err := loadArtifactSnap(path)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEngine(s, opts.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	e.artifactPath = path
+	return e, nil
+}
+
+// loadArtifactSnap loads the artifact at path as a first-generation
+// snapshot. Its backend name resolves against the registry only for the
+// builder a compaction needs; an unregistered name leaves build nil.
+func loadArtifactSnap(path string) (*snapshot, error) {
 	c, meta, err := compiled.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading artifact %s: %w", path, err)
 	}
-	set := c.RuleSet()
 	cls := &compiledClassifier{c: c, m: compiledMetrics(meta.Backend, c)}
-
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{opts: opts, shards: shards}
-	e.cache = NewFlowCache(opts.FlowCacheEntries)
 	var build Builder
 	if entry, err := lookupBackend(meta.Backend); err == nil {
 		build = entry.build
 	}
-	e.artifactPath = path
-	e.snap.Store(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: meta.Backend, build: build, baseCls: cls})
-	for _, r := range set.Rules() {
-		if r.ID >= e.nextID {
-			e.nextID = r.ID + 1
-		}
-	}
-	if err := e.initUpdater(); err != nil {
-		return nil, err
-	}
-	e.initTelemetry()
-	return e, nil
+	return &snapshot{cls: cls, set: c.RuleSet(), version: 1, rulesGen: 1, backend: meta.Backend, build: build, baseCls: cls}, nil
 }
 
 // ArtifactMetadata returns the metadata SaveArtifact would stamp on the
@@ -158,28 +153,15 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
-	c, meta, err := compiled.LoadFile(path)
+	ns, err := loadArtifactSnap(path)
 	if err != nil {
-		return cur.failed(), fmt.Errorf("engine: loading artifact %s: %w", path, err)
+		return cur.failed(), err
 	}
-	set := c.RuleSet()
-	cls := &compiledClassifier{c: c, m: compiledMetrics(meta.Backend, c)}
-	var build Builder
-	if entry, err := lookupBackend(meta.Backend); err == nil {
-		build = entry.build
-	}
-	ns := &snapshot{cls: cls, set: set, version: cur.version + 1, rulesGen: cur.rulesGen + 1,
-		backend: meta.Backend, build: build, baseCls: cls}
+	ns.version, ns.rulesGen = cur.version+1, cur.rulesGen+1
 	e.publishSnap(ns)
 	e.artifactPath = path
 	e.overlayDirty.Store(0)
-	for _, r := range set.Rules() {
-		if r.ID >= e.nextID {
-			e.nextID = r.ID + 1
-		}
-	}
-	if err := e.rotateJournalLocked(ns); err != nil {
-		return UpdateResult{ID: -1, Version: ns.version, Rules: set.Len()}, err
-	}
-	return UpdateResult{ID: -1, Version: ns.version, Rules: set.Len()}, nil
+	e.raiseNextID(ns.set)
+	res := UpdateResult{ID: -1, Version: ns.version, Rules: ns.set.Len()}
+	return res, e.rotateJournalLocked(ns)
 }

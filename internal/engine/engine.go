@@ -199,51 +199,10 @@ type Engine struct {
 	tel          *telemetry.Telemetry
 	telTableID   uint32
 	telBackendID atomic.Uint32
-
-	// publishHook, when set, runs after every post-construction snapshot
-	// publish (insert, delete, overlay apply, compaction, artifact load)
-	// with the published version. The run-to-completion dataplane
-	// (internal/dataplane) registers one to ship epoch-tagged update
-	// messages to its per-core loops; see SetPublishHook.
-	publishHook atomic.Pointer[func(version uint64)]
-
-	// closers run at the start of Close, before the compactor stops and the
-	// journal closes, so subsystems serving this engine's snapshots (the
-	// dataplane's classify loops) drain and exit while the snapshot state is
-	// still fully alive. Guarded by closersMu.
-	closersMu sync.Mutex
-	closers   []func()
 }
 
-// SetPublishHook registers fn to run after every post-construction snapshot
-// publish, with the new snapshot's version. At most one hook is supported;
-// registering replaces the previous one, and a nil fn unregisters. The hook
-// runs on the publishing goroutine (writer lock held for updates, the
-// compactor goroutine for background compactions), so it must be fast and
-// must never call back into the engine's write path.
-func (e *Engine) SetPublishHook(fn func(version uint64)) {
-	if fn == nil {
-		e.publishHook.Store(nil)
-		return
-	}
-	e.publishHook.Store(&fn)
-}
-
-// AddCloser registers fn to run at the start of Close, before the engine
-// tears down its own background state (compactor, journal, batch workers).
-// Subsystems that serve the engine's snapshots from their own goroutines —
-// the dataplane's per-core loops — register their drain here so Close
-// ordering is: drain serving loops first, then stop the update machinery.
-// Closers run in reverse registration order and must be idempotent.
-func (e *Engine) AddCloser(fn func()) {
-	e.closersMu.Lock()
-	e.closers = append(e.closers, fn)
-	e.closersMu.Unlock()
-}
-
-// publishSnap publishes a new snapshot and notifies the publish hook. Every
-// post-construction snapshot swap goes through here so attached consumers
-// (the dataplane) observe every generation exactly once.
+// publishSnap publishes a new snapshot. Every post-construction snapshot
+// swap goes through here so the flight recorder's backend label follows it.
 func (e *Engine) publishSnap(ns *snapshot) {
 	e.snap.Store(ns)
 	if e.tel != nil {
@@ -252,18 +211,12 @@ func (e *Engine) publishSnap(ns *snapshot) {
 		// backend attribution correct across artifact loads.
 		e.telBackendID.Store(e.tel.Intern(ns.backend))
 	}
-	if fn := e.publishHook.Load(); fn != nil {
-		(*fn)(ns.version)
-	}
 }
 
 // View is a pinned read handle on one engine snapshot: an immutable
-// (classifier, rule set) generation. The dataplane's per-core loops hold one
-// View each and classify against it lock-free and load-free — no atomic
-// snapshot load per packet or per batch — reloading only when an
-// epoch-tagged update message tells them a newer generation exists. A View
-// stays valid (and consistent) indefinitely; holding an old one merely
-// serves an older rule-set generation, the usual RCU contract.
+// (classifier, rule set) generation. A View stays valid (and consistent)
+// indefinitely; holding an old one merely serves an older rule-set
+// generation, the usual RCU contract.
 type View struct {
 	s *snapshot
 }
@@ -271,35 +224,21 @@ type View struct {
 // CurrentView returns a View pinned to the engine's current snapshot.
 func (e *Engine) CurrentView() View { return View{s: e.snap.Load()} }
 
-// Version returns the pinned snapshot's generation counter.
-func (v View) Version() uint64 { return v.s.version }
-
-// Backend returns the registry name of the backend serving the pinned
-// snapshot.
-func (v View) Backend() string { return v.s.backend }
-
-// Metrics reports the pinned snapshot's backend cost metrics
-// (allocation-free; backends serve it from a cached value or a stack
-// struct).
-func (v View) Metrics() Metrics { return v.s.cls.Metrics() }
-
-// Classify looks one packet up in the pinned snapshot, bypassing the
-// engine's own flow cache: a dataplane loop brings its own (ClassifyScatter).
-func (v View) Classify(p rule.Packet) (rule.Rule, bool) { return v.s.rule(v.s.cls.Lookup(p)) }
-
 // ClassifyBatch classifies ps[i] into out[i] against the pinned snapshot,
 // uncached and on the caller. The backend sees the whole span at once, so
 // compiled tree snapshots serve it through the frontier walk instead of one
 // dependent-load chain per packet. out must be at least as long as ps.
 func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.classifyUncached(ps, out, nil) }
 
-// ClassifyScatter classifies ps against the pinned snapshot through the
-// caller's own flow cache c (nil: uncached), writing ps[i]'s result to
-// out[pos[i]]. It is a dataplane loop's whole lookup: it runs to completion
-// on the caller, never touches the engine's cache or workers, and returns
-// how many packets the cache did not answer.
-func (v View) ClassifyScatter(c *FlowCache, ps []rule.Packet, pos []int32, out []Result) (misses int) {
-	return v.s.classifyCached(c, ps, pos, out, nil)
+// ClassifyCached is ClassifyBatch through the caller's own flow cache c
+// (nil: uncached). It runs to completion on the caller and never touches
+// the engine's cache or workers.
+func (v View) ClassifyCached(c *FlowCache, ps []rule.Packet, out []Result) {
+	if c == nil {
+		v.ClassifyBatch(ps, out)
+		return
+	}
+	v.s.classifyCached(c, ps, out, nil)
 }
 
 // EngineStats is an operator-visible snapshot of an engine's serving state:
@@ -392,23 +331,34 @@ func NewEngine(name string, set *rule.Set, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newEngine(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: entry.name, build: entry.build, baseCls: cls}, opts)
+}
+
+// newEngine wraps a first snapshot in an Engine: the shard default, the
+// flow cache, the next rule ID, the update path (which replays a journal)
+// and telemetry. opts already carries its defaults.
+func newEngine(s *snapshot, opts Options) (*Engine, error) {
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{opts: opts, shards: shards}
-	e.cache = NewFlowCache(opts.FlowCacheEntries)
-	e.snap.Store(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: entry.name, build: entry.build, baseCls: cls})
-	for _, r := range set.Rules() {
-		if r.ID >= e.nextID {
-			e.nextID = r.ID + 1
-		}
-	}
+	e := &Engine{opts: opts, shards: shards, cache: NewFlowCache(opts.FlowCacheEntries)}
+	e.snap.Store(s)
+	e.raiseNextID(s.set)
 	if err := e.initUpdater(); err != nil {
 		return nil, err
 	}
 	e.initTelemetry()
 	return e, nil
+}
+
+// raiseNextID moves the next assigned rule ID past every ID in set.
+func (e *Engine) raiseNextID(set *rule.Set) {
+	for _, r := range set.Rules() {
+		if r.ID >= e.nextID {
+			e.nextID = r.ID + 1
+		}
+	}
 }
 
 // Backend returns the registry name of the backend serving the current
@@ -553,35 +503,23 @@ func putMissScratch(ms *missScratch) {
 	}
 }
 
-// classifyCached serves ps through the flow cache c and returns the number
-// of misses. A hit is one slot read and one copy out of the rule list; the
-// misses are gathered so the backend sees one dense span — compiled
-// classifiers run their frontier walk even behind the cache — which fan,
-// when set, may split across its workers. Each miss's position fills the
-// cache as it is, and its rule is copied once, into out. ps[i]'s result
-// lands in out[pos[i]], or out[i] when pos is nil. A nil c makes every
-// packet a miss: an uncached dataplane loop still needs the scatter.
-func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, out []Result, fan *Engine) int {
+// classifyCached serves ps through the flow cache c. A hit is one slot read
+// and one copy out of the rule list; the misses are gathered so the backend
+// sees one dense span — compiled classifiers run their frontier walk even
+// behind the cache — which fan, when set, may split across its workers.
+// Each miss's position fills the cache as it is, and its rule is copied
+// once, into out.
+func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result, fan *Engine) {
 	ms := getMissScratch(len(ps))
 	rules, v := s.source()
 	idx := ms.idx[:len(ps)]
-	if c != nil {
-		c.GetBatch(ps, s.rulesGen, idx)
-	} else {
-		for i := range idx {
-			idx[i] = FlowMiss
-		}
-	}
+	c.GetBatch(ps, s.rulesGen, idx)
 	miss := 0
 	for i := range ps {
-		o := int32(i)
-		if pos != nil {
-			o = pos[i]
-		}
 		if ix := idx[i]; ix != FlowMiss {
-			put(&out[o], rules, v, ix) // a hit, or a cached "no rule matches"
+			put(&out[i], rules, v, ix) // a hit, or a cached "no rule matches"
 		} else {
-			ms.ps[miss], ms.pos[miss] = ps[i], o
+			ms.ps[miss], ms.pos[miss] = ps[i], int32(i)
 			miss++
 		}
 	}
@@ -595,16 +533,11 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, pos []int32, o
 		}
 		for j, ix := range midx {
 			put(&out[ms.pos[j]], rules, v, ix)
-			if c != nil {
-				c.Put(mps[j], s.rulesGen, ix)
-			}
+			c.Put(mps[j], s.rulesGen, ix)
 		}
 	}
-	if c != nil {
-		c.Count(len(ps)-miss, miss)
-	}
+	c.Count(len(ps)-miss, miss)
 	putMissScratch(ms)
-	return miss
 }
 
 // Metrics reports the current snapshot's metrics.
@@ -632,7 +565,7 @@ func (e *Engine) classifyBatch(s *snapshot, ps []rule.Packet, out []Result) {
 		s.classifyUncached(ps, out, e)
 		return
 	}
-	s.classifyCached(e.cache, ps, nil, out, e)
+	s.classifyCached(e.cache, ps, out, e)
 }
 
 // classifyUncached answers a dense span with no cache in front: positions
@@ -728,16 +661,6 @@ func (e *Engine) workersReady() bool {
 // goroutine, so Close is optional for short-lived read-only engines.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		// Attached serving loops (the dataplane) drain and exit first, while
-		// the snapshot, compactor and journal are all still alive — a loop
-		// mid-batch must never observe a half-torn-down engine.
-		e.closersMu.Lock()
-		closers := e.closers
-		e.closers = nil
-		e.closersMu.Unlock()
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
 		e.closeUpdater()
 		// Consuming the Once first means a concurrent in-flight start
 		// finishes before we observe workersUp, and no future call can

@@ -12,7 +12,8 @@ import (
 // small number of flows carries most packets — so the common-case lookup
 // becomes one hash and one 32-byte slot read, whatever the structure behind
 // it costs to walk. It is the one flow cache of the serving stack: the
-// engine shares one among all its callers, each dataplane loop owns one.
+// engine shares one among all its callers, and View.ClassifyCached serves
+// through a caller's own.
 //
 // Correctness under updates: every slot records the rules generation it was
 // filled from (snapshot.rulesGen, which advances exactly when the rule list
@@ -57,13 +58,9 @@ func NewFlowCache(entries int) *FlowCache {
 	return &FlowCache{slots: make([]flowSlot, size), mask: uint64(size - 1)}
 }
 
-// HashPacket mixes a packet's five header fields FNV-1a style into one
-// 64-bit flow hash. It is the one flow-hash function of the serving stack:
-// the flow cache indexes its slots with it and the run-to-completion
-// dataplane (internal/dataplane) derives its per-core demux from it, so
-// "same 5-tuple" means the same thing — same cache identity, same owning
-// core — everywhere.
-func HashPacket(p rule.Packet) uint64 {
+// hashPacket mixes a packet's five header fields FNV-1a style into one
+// 64-bit flow hash, from which the flow cache indexes its slots.
+func hashPacket(p rule.Packet) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	h ^= uint64(p.SrcIP)
@@ -78,11 +75,9 @@ func HashPacket(p rule.Packet) uint64 {
 }
 
 // slot returns p's slot. The index comes from the middle of the hash: FNV's
-// low bits never see an input's high bits, and the demux scales the top
-// bits into a core number, so within one core's cache those are no longer
-// uniform.
+// low bits never see an input's high bits.
 func (c *FlowCache) slot(p rule.Packet) *flowSlot {
-	return &c.slots[(HashPacket(p)>>24)&c.mask]
+	return &c.slots[(hashPacket(p)>>24)&c.mask]
 }
 
 // flowKey packs a 5-tuple into the slot's two key words.

@@ -51,7 +51,8 @@ func TestFlowCacheCorrectness(t *testing.T) {
 
 // TestFlowCacheInvalidatedByUpdate checks that a rule update can never serve
 // a stale cached result: the snapshot version bump turns every old entry
-// into a miss.
+// into a miss, for a single lookup and for a batch submitted after the
+// update returned.
 func TestFlowCacheInvalidatedByUpdate(t *testing.T) {
 	// Rule 0 matches SrcIP=10 only; a wildcard default sits behind it.
 	specific := rule.NewWildcardRule(0)
@@ -79,6 +80,34 @@ func TestFlowCacheInvalidatedByUpdate(t *testing.T) {
 	}
 	if after.ID == 0 {
 		t.Fatalf("cache served deleted rule 0 after update")
+	}
+
+	// The batch path through a warm cache: a batch submitted after Insert or
+	// Delete returned is served entirely from the new generation.
+	ps := []rule.Packet{p, {SrcIP: 11}, {DstIP: 7, Proto: 6}}
+	out := make([]Result, len(ps))
+	for i := 0; i < 20; i++ {
+		eng.ClassifyBatch(ps, out)
+		eng.ClassifyBatch(ps, out)
+		res, err := eng.Insert(0, rule.NewWildcardRule(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.ClassifyBatch(ps, out)
+		for j, r := range out {
+			if !r.OK || r.Rule.ID != res.ID {
+				t.Fatalf("iteration %d packet %d: batch after Insert got rule %d (ok=%v), want the inserted %d", i, j, r.Rule.ID, r.OK, res.ID)
+			}
+		}
+		if _, err := eng.Delete(res.ID); err != nil {
+			t.Fatal(err)
+		}
+		eng.ClassifyBatch(ps, out)
+		for j, r := range out {
+			if !r.OK || r.Rule.ID == res.ID {
+				t.Fatalf("iteration %d packet %d: batch after Delete got rule %d (ok=%v), want the default", i, j, r.Rule.ID, r.OK)
+			}
+		}
 	}
 }
 
@@ -193,8 +222,8 @@ func TestFlowCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestFlowCacheSingleOwner is the same run from one goroutine, the
-// dataplane loop's use. With nobody to lose a slot to, a Put is never
+// TestFlowCacheSingleOwner is the same run from one goroutine, a private
+// cache's use (View.ClassifyCached). With nobody to lose a slot to, a Put is never
 // dropped: the entry is there on the next Get, under its generation only.
 func TestFlowCacheSingleOwner(t *testing.T) {
 	c := NewFlowCache(4)

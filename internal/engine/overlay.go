@@ -139,9 +139,9 @@ func (e *Engine) initUpdater() error {
 // baseSnapLocked returns the current snapshot, first giving it an overlay
 // base if it has none (a never-updated engine, or one whose LoadArtifact
 // dropped it). The base changes no answer, so the snapshot is replaced in
-// place: same version, no publish hook. A rule list the overlay cannot
-// anchor (non-canonical priorities, duplicate IDs) fails here, and the
-// snapshot is returned as it was. Caller holds e.mu.
+// place under the same version. A rule list the overlay cannot anchor
+// (non-canonical priorities, duplicate IDs) fails here, and the snapshot is
+// returned as it was. Caller holds e.mu.
 func (e *Engine) baseSnapLocked() (*snapshot, error) {
 	cur := e.snap.Load()
 	if cur.base != nil {

@@ -132,7 +132,7 @@ var positionShapes = []struct {
 // compacted with updates rebased; artifact-loaded), every answer of
 // Engine.Classify and Engine.ClassifyBatch (Shards 1 and 2, flow cache off
 // and on — cached twice, so the cache answers the second pass),
-// View.ClassifyBatch and View.ClassifyScatter (uncached, and cached twice)
+// View.ClassifyBatch and View.ClassifyCached (uncached, and cached twice)
 // must be exactly the rule at the position linear search over the snapshot's
 // own list gives — or no rule when it gives -1.
 func TestLookupPositionsMatchLinear(t *testing.T) {
@@ -157,10 +157,6 @@ func TestLookupPositionsMatchLinear(t *testing.T) {
 			out[i] = Result{Rule: rule.Rule{ID: -1}, OK: true}
 		}
 		return out
-	}
-	scatter := make([]int32, len(ps))
-	for i := range scatter {
-		scatter[i] = int32(len(ps) - 1 - i)
 	}
 
 	for _, backend := range realBackends() {
@@ -216,12 +212,12 @@ func TestLookupPositionsMatchLinear(t *testing.T) {
 				view := eng.CurrentView()
 				view.ClassifyBatch(ps, fresh())
 				check("View.ClassifyBatch", func(i int) Result { return out[i] })
-				view.ClassifyScatter(nil, ps, scatter, fresh())
-				check("View.ClassifyScatter", func(i int) Result { return out[scatter[i]] })
+				view.ClassifyCached(nil, ps, fresh())
+				check("View.ClassifyCached", func(i int) Result { return out[i] })
 				c := NewFlowCache(1024)
 				for pass := 0; pass < 2; pass++ {
-					view.ClassifyScatter(c, ps, scatter, fresh())
-					check("View.ClassifyScatter/cached", func(i int) Result { return out[scatter[i]] })
+					view.ClassifyCached(c, ps, fresh())
+					check("View.ClassifyCached/cached", func(i int) Result { return out[i] })
 				}
 				if eng.snap.Load() != s {
 					t.Fatalf("%s: the snapshot moved under the checks", shape.name)

@@ -70,8 +70,8 @@ type Options struct {
 	// the shared online-telemetry instance (internal/telemetry): latency
 	// histograms on single/batch lookups and Insert/Delete/compaction, and
 	// the slow-lookup flight recorder when its threshold is enabled. One
-	// instance is typically shared by every engine (and the dataplane and
-	// TCP server) of a process so one scrape covers it all.
+	// instance is typically shared by every engine (and the TCP server) of
+	// a process so one scrape covers it all.
 	Telemetry *telemetry.Telemetry
 	// TelemetryTable is the table label flight-recorder entries carry
 	// ("default" when empty). Multi-table daemons set it per engine.

@@ -29,19 +29,6 @@ func (e *Engine) initTelemetry() {
 	e.telBackendID.Store(e.tel.Intern(e.snap.Load().backend))
 }
 
-// Telemetry returns the engine's telemetry instance (nil when disabled).
-// Subsystems serving this engine's snapshots (the dataplane, the TCP
-// server) share it so one scrape covers the whole process.
-func (e *Engine) Telemetry() *telemetry.Telemetry { return e.tel }
-
-// TelemetrySlowIDs returns the interned (table, backend) flight-recorder
-// IDs for entries attributed to this engine. The backend ID follows the
-// serving snapshot (LoadArtifact can change it), so per-core consumers
-// refresh on epoch reloads.
-func (e *Engine) TelemetrySlowIDs() (table, backend uint32) {
-	return e.telTableID, e.telBackendID.Load()
-}
-
 // classifyOneTimed is classifyOne plus telemetry: per-packet latency into
 // the single-lookup histogram, and a flight-recorder capture when the
 // sample crosses the slow threshold. Only called when e.tel != nil.

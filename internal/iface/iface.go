@@ -20,12 +20,11 @@
 //     co-located client reach the wire protocol's frame handler through a
 //     file-backed mmap region instead of TCP: a handshake page, then two
 //     single-producer/single-consumer byte rings with cache-line-padded
-//     cursors, following the dataplane's ring discipline, that carry
-//     protocol frames. The SDK exposes it as classifier.WithSharedMemory.
+//     cursors that carry protocol frames. The SDK exposes it as classifier.WithSharedMemory.
 //
 // All three steady-state read paths perform zero heap allocations per
 // operation; the alloc tests in this package pin that the same way the
-// engine and dataplane gates do.
+// engine's gates do.
 package iface
 
 import (

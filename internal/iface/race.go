@@ -4,6 +4,5 @@ package iface
 
 // raceEnabled gates the allocation-budget tests: the race detector
 // instruments allocation sites and makes AllocsPerRun meaningless, so the
-// zero-alloc gates run in the non-race CI pass (same split as the
-// dataplane's).
+// zero-alloc gates run in the non-race CI pass.
 const raceEnabled = true

@@ -27,14 +27,12 @@ import (
 // internal/server frame.go), so the frame handler that serves TCP serves the
 // ring too, and the client that speaks TCP speaks to it: shmConn is a
 // net.Conn over one end of the region. A frame larger than a ring streams
-// through it. Both rings follow the dataplane's SPSC discipline
-// (internal/dataplane ring.go): exactly one producer and one consumer per
-// ring, so two atomic cursors — free-running byte counts — fully
-// synchronise each: the producer's tail store publishes the bytes written
-// before it, the consumer's head store releases them. Each cursor sits
-// alone on its cache line, here so the two *processes* never false-share.
-// The client serialises its callers with a mutex; the server runs one
-// handler goroutine.
+// through it. Each ring has exactly one producer and one consumer, so two
+// atomic cursors — free-running byte counts — fully synchronise it: the
+// producer's tail store publishes the bytes written before it, the
+// consumer's head store releases them. Each cursor sits alone on its cache
+// line, so the two *processes* never false-share. The client serialises its
+// callers with a mutex; the server runs one handler goroutine.
 const (
 	shmMagic   uint64 = 0x0031524D4853434E // "NCSHMR1\0", little-endian
 	shmVersion uint32 = 2

@@ -8,13 +8,10 @@
 // One handler serves every transport: TCP through Listen, any other
 // net.Conn (internal/iface's shared-memory ring) through ServeConn.
 //
-// The served classifier is an engine.Engine directly, or a
-// dataplane.Dataplane fronting one (classifyd -cores): both implement
-// Classifier, so handlers submit batches to the dataplane's per-core rings
-// without knowing which serving architecture is behind them. One goroutine
-// serves each connection; the classifier lookup itself is read-only and
-// shared, and updates swap in new snapshots without blocking in-flight
-// lookups.
+// The served classifier is an engine.Engine behind the Classifier
+// interface. One goroutine serves each connection and runs its lookups to
+// completion; the classifier lookup itself is read-only and shared, and
+// updates swap in new snapshots without blocking in-flight lookups.
 package server
 
 import (
@@ -34,7 +31,7 @@ import (
 // Classifier is what the server serves: lookups, live updates (OpInsert,
 // OpDelete), compiled artifacts (OpSave, OpLoad) and the online-update
 // state OpStats reports. engine.Engine implements it with RCU snapshot
-// swaps, and dataplane.Dataplane by fronting one.
+// swaps; tests substitute fakes.
 type Classifier interface {
 	Classify(p rule.Packet) (rule.Rule, bool)
 	// ClassifyBatch classifies an OpBatch frame in one call against a

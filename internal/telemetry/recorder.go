@@ -53,7 +53,7 @@ type Sample struct {
 	UnixNanos    int64
 	LatencyNanos int64
 	// TableID, BackendID and PathID are interned string IDs
-	// (Telemetry.Intern); PathSingle/PathBatch/PathDataplane are pre-seeded.
+	// (Telemetry.Intern); PathSingle/PathBatch are pre-seeded.
 	TableID   uint32
 	BackendID uint32
 	PathID    uint32
@@ -168,8 +168,7 @@ type SlowEntry struct {
 	Table        string `json:"table"`
 	Backend      string `json:"backend"`
 	// Path is the serving path that captured the entry: "single" (engine
-	// per-packet), "batch" (engine shard span) or "dataplane" (per-core
-	// loop span).
+	// per-packet) or "batch" (one ClassifyBatch call).
 	Path string `json:"path"`
 	// Packets is the span width the latency covers (1 for single lookups).
 	Packets int `json:"packets"`

@@ -9,13 +9,13 @@
 // flight-recorder capture is a fixed number of atomic word stores into a
 // preallocated ring — no locks, no allocation, no sum register (the
 // Prometheus _sum is derived from bucket midpoints at scrape time).
-// Per-shard and per-core recorders pick their own stripes; a scrape
-// merges stripes into one snapshot.
+// Concurrent recorders spread across stripes; a scrape merges stripes into
+// one snapshot.
 //
 // One Telemetry instance is shared by everything serving a process: the
-// engine's single and sharded-batch lookup paths, the dataplane's
-// per-core loops, the updater's Insert/Delete apply and compaction, and
-// the TCP server's request handling. The admin plane renders the
+// engine's single and sharded-batch lookup paths, the updater's
+// Insert/Delete apply and compaction, and the TCP server's request
+// handling. The admin plane renders the
 // histograms as native Prometheus histogram families on /metrics and the
 // flight recorder as JSON on /debug/slow.
 package telemetry
@@ -32,7 +32,6 @@ const (
 	PathNone uint32 = iota
 	PathSingle
 	PathBatch
-	PathDataplane
 )
 
 // Config sizes a Telemetry instance. The zero value selects defaults.
@@ -58,9 +57,6 @@ type Telemetry struct {
 	// path (one sample per ClassifyBatch call, not per packet).
 	Lookup      *Histogram
 	LookupBatch *Histogram
-	// DataplaneBatch holds per-core loop span latencies (one sample per
-	// popped batch span).
-	DataplaneBatch *Histogram
 	// UpdateInsert / UpdateDelete hold the full apply latency of one
 	// Insert/Delete (overlay derive + journal + publish, or rebuild);
 	// Compaction holds background and synchronous compaction durations.
@@ -82,8 +78,7 @@ type Telemetry struct {
 	// Intern table: string -> dense ID, so hot-path flight-recorder
 	// samples carry uint32s instead of string headers. Writes (Intern)
 	// take the mutex and happen only on cold paths (engine construction,
-	// snapshot publish, epoch reload); resolution at dump time takes it
-	// once per dump.
+	// snapshot publish); resolution at dump time takes it once per dump.
 	strMu  sync.Mutex
 	strs   []string
 	strIDs map[string]uint32
@@ -104,28 +99,26 @@ func New(cfg Config) *Telemetry {
 		ring = 256
 	}
 	t := &Telemetry{
-		Lookup:         NewHistogram(stripes),
-		LookupBatch:    NewHistogram(stripes),
-		DataplaneBatch: NewHistogram(stripes),
-		UpdateInsert:   NewHistogram(1),
-		UpdateDelete:   NewHistogram(1),
-		Compaction:     NewHistogram(1),
-		ServerV2:       NewHistogram(stripes),
-		Slow:           NewRecorder(ring),
-		strIDs:         map[string]uint32{},
+		Lookup:       NewHistogram(stripes),
+		LookupBatch:  NewHistogram(stripes),
+		UpdateInsert: NewHistogram(1),
+		UpdateDelete: NewHistogram(1),
+		Compaction:   NewHistogram(1),
+		ServerV2:     NewHistogram(stripes),
+		Slow:         NewRecorder(ring),
+		strIDs:       map[string]uint32{},
 	}
 	t.slowNanos.Store(-1)
 	// Seed the path IDs so the Path* constants hold.
-	for _, s := range []string{"", "single", "batch", "dataplane"} {
+	for _, s := range []string{"", "single", "batch"} {
 		t.Intern(s)
 	}
 	return t
 }
 
 // Intern returns a dense ID for s, assigning one on first use. Cold-path
-// only (takes a mutex): engine construction, snapshot publish and epoch
-// reloads intern their table/backend names once and pass the IDs to
-// Record.
+// only (takes a mutex): engine construction and snapshot publish intern
+// their table/backend names once and pass the IDs to Record.
 func (t *Telemetry) Intern(s string) uint32 {
 	t.strMu.Lock()
 	defer t.strMu.Unlock()
@@ -206,7 +199,6 @@ type FamilySnapshot struct {
 // Families returns the scrape-time snapshot of every histogram family.
 // The family and label names are part of the exposition contract:
 // neurocuts_lookup_latency_seconds{path=...},
-// neurocuts_dataplane_batch_latency_seconds,
 // neurocuts_update_latency_seconds{op=...} and
 // neurocuts_server_request_latency_seconds{proto=...}.
 func (t *Telemetry) Families() []FamilySnapshot {
@@ -220,13 +212,6 @@ func (t *Telemetry) Families() []FamilySnapshot {
 			Series: []SeriesSnapshot{
 				{Labels: []Label{{"path", "single"}}, Hist: t.Lookup.Snapshot()},
 				{Labels: []Label{{"path", "batch"}}, Hist: t.LookupBatch.Snapshot()},
-			},
-		},
-		{
-			Name: "neurocuts_dataplane_batch_latency_seconds",
-			Help: "Dataplane per-core loop latency of one popped batch span (cache hits plus the batched miss lookup).",
-			Series: []SeriesSnapshot{
-				{Hist: t.DataplaneBatch.Snapshot()},
 			},
 		},
 		{

@@ -8,7 +8,6 @@ func TestTelemetryFamilies(t *testing.T) {
 	tel := New(Config{})
 	tel.Lookup.RecordNanos(0, 100)
 	tel.LookupBatch.RecordNanos(1, 2000)
-	tel.DataplaneBatch.RecordNanos(2, 3000)
 	tel.UpdateInsert.RecordNanos(0, 40000)
 	tel.ServerV2.RecordNanos(3, 500)
 
@@ -19,7 +18,6 @@ func TestTelemetryFamilies(t *testing.T) {
 	}
 	for _, want := range []string{
 		"neurocuts_lookup_latency_seconds",
-		"neurocuts_dataplane_batch_latency_seconds",
 		"neurocuts_update_latency_seconds",
 		"neurocuts_server_request_latency_seconds",
 	} {
@@ -42,8 +40,7 @@ func TestTelemetryFamilies(t *testing.T) {
 
 func TestInternStability(t *testing.T) {
 	tel := New(Config{})
-	if tel.Intern("single") != PathSingle || tel.Intern("batch") != PathBatch ||
-		tel.Intern("dataplane") != PathDataplane || tel.Intern("") != PathNone {
+	if tel.Intern("single") != PathSingle || tel.Intern("batch") != PathBatch || tel.Intern("") != PathNone {
 		t.Fatal("pre-seeded path IDs do not match the Path constants")
 	}
 	a := tel.Intern("tableA")
@@ -59,7 +56,7 @@ func TestInternStability(t *testing.T) {
 }
 
 // TestRecordingZeroAlloc pins the recording primitives themselves at zero
-// allocations — the serving-path pins in engine/dataplane build on this.
+// allocations — the serving-path pins in engine build on this.
 func TestRecordingZeroAlloc(t *testing.T) {
 	tel := New(Config{})
 	tel.SetSlowThreshold(0)

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"neurocuts/internal/admin"
-	"neurocuts/internal/dataplane"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/iface"
 	"neurocuts/internal/rule"
@@ -107,12 +106,9 @@ var ErrNotSupported = errors.New("classifier: operation not supported over the s
 // (operations started after Close fail with ErrClosed).
 type Classifier struct {
 	eng *engine.Engine
-	// dp is non-nil when WithDataplane routed lookups through per-core
-	// run-to-completion loops; control-plane calls still go to eng.
-	dp *dataplane.Dataplane
 	// shm is non-nil when WithSharedMemory connected this handle to a
-	// serving process's shared-memory ring instead of a local engine (eng and
-	// dp are then nil, and control-plane calls fail with ErrNotSupported).
+	// serving process's shared-memory ring instead of a local engine (eng is
+	// then nil, and control-plane calls fail with ErrNotSupported).
 	shm *iface.ShmClient
 	// tel is non-nil when WithTelemetry/WithSlowThreshold armed the online
 	// latency telemetry.
@@ -134,8 +130,7 @@ func Open(rules *RuleSet, opts ...Option) (*Classifier, error) {
 		if rules != nil {
 			return nil, errors.New("classifier: WithSharedMemory connects to a serving process; pass nil rules")
 		}
-		if cfg.artifact != "" || cfg.dataplane || cfg.telemetry ||
-			cfg.opts != (engine.Options{}) {
+		if cfg.artifact != "" || cfg.telemetry || cfg.opts != (engine.Options{}) {
 			return nil, errors.New("classifier: WithSharedMemory is a pure transport; engine-configuring options belong to the serving process")
 		}
 		shm, err := iface.OpenShmClient(cfg.shmPath, iface.ShmClientConfig{Timeout: cfg.shmTimeout})
@@ -143,14 +138,6 @@ func Open(rules *RuleSet, opts ...Option) (*Classifier, error) {
 			return nil, err
 		}
 		return &Classifier{shm: shm}, nil
-	}
-	// With the dataplane in front, the engine's own flow cache would never
-	// be consulted — move the WithFlowCache budget to the dataplane's
-	// per-core caches instead of allocating it twice.
-	dpCache := 0
-	if cfg.dataplane {
-		dpCache = cfg.opts.FlowCacheEntries
-		cfg.opts.FlowCacheEntries = 0
 	}
 	var tel *telemetry.Telemetry
 	if cfg.telemetry {
@@ -176,19 +163,7 @@ func Open(rules *RuleSet, opts ...Option) (*Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Classifier{eng: eng, tel: tel}
-	if cfg.dataplane {
-		dp, err := dataplane.Attach(eng, dataplane.Config{
-			Cores:        cfg.dataplaneCores,
-			CacheEntries: dpCache,
-		})
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		c.dp = dp
-	}
-	return c, nil
+	return &Classifier{eng: eng, tel: tel}, nil
 }
 
 // batchChunk bounds how many packets ClassifyBatch hands to the engine
@@ -219,11 +194,7 @@ func (c *Classifier) Classify(ctx context.Context, key Packet) (match Rule, ok b
 		}
 		return Rule{ID: id, Priority: priority}, true, nil
 	}
-	if c.dp != nil {
-		match, ok = c.dp.Classify(key)
-	} else {
-		match, ok = c.eng.Classify(key)
-	}
+	match, ok = c.eng.Classify(key)
 	return match, ok, nil
 }
 
@@ -250,8 +221,6 @@ func (c *Classifier) ClassifyBatch(ctx context.Context, keys []Packet) ([]Result
 			if err := c.shm.ClassifyBatchInto(keys[lo:hi], out[lo:hi]); err != nil {
 				return nil, err
 			}
-		case c.dp != nil:
-			c.dp.ClassifyBatch(keys[lo:hi], out[lo:hi])
 		default:
 			c.eng.ClassifyBatch(keys[lo:hi], out[lo:hi])
 		}
@@ -336,9 +305,6 @@ type Stats struct {
 	// ("" / 0 when journaling is disabled).
 	JournalPath    string
 	JournalRecords int
-	// DataplaneCores is the number of run-to-completion classify loops when
-	// the classifier was opened WithDataplane (0 otherwise).
-	DataplaneCores int
 	// Telemetry summarises the online latency telemetry (nil unless the
 	// classifier was opened WithTelemetry or WithSlowThreshold).
 	Telemetry *TelemetryStats
@@ -368,11 +334,9 @@ func summarise(s telemetry.HistogramSnapshot) LatencySummary {
 // summary per serving path plus the flight recorder's state.
 type TelemetryStats struct {
 	// Lookup covers single-packet Classify calls; LookupBatch covers
-	// whole engine batch calls (one sample per chunk, not per packet);
-	// DataplaneBatch covers per-core loop spans when WithDataplane is on.
-	Lookup         LatencySummary
-	LookupBatch    LatencySummary
-	DataplaneBatch LatencySummary
+	// whole engine batch calls (one sample per chunk, not per packet).
+	Lookup      LatencySummary
+	LookupBatch LatencySummary
 	// UpdateInsert / UpdateDelete cover full update applies; Compaction
 	// covers base rebuilds.
 	UpdateInsert LatencySummary
@@ -395,26 +359,20 @@ func (c *Classifier) Stats() Stats {
 		return Stats{Backend: "shm"}
 	}
 	u := c.eng.UpdaterStats()
-	dpCores := 0
-	if c.dp != nil {
-		dpCores = c.dp.Cores()
-	}
 	var ts *TelemetryStats
 	if c.tel != nil {
 		ts = &TelemetryStats{
-			Lookup:         summarise(c.tel.Lookup.Snapshot()),
-			LookupBatch:    summarise(c.tel.LookupBatch.Snapshot()),
-			DataplaneBatch: summarise(c.tel.DataplaneBatch.Snapshot()),
-			UpdateInsert:   summarise(c.tel.UpdateInsert.Snapshot()),
-			UpdateDelete:   summarise(c.tel.UpdateDelete.Snapshot()),
-			Compaction:     summarise(c.tel.Compaction.Snapshot()),
-			SlowThreshold:  time.Duration(c.tel.SlowThresholdNanos()),
-			SlowCaptured:   c.tel.Slow.Captured(),
+			Lookup:        summarise(c.tel.Lookup.Snapshot()),
+			LookupBatch:   summarise(c.tel.LookupBatch.Snapshot()),
+			UpdateInsert:  summarise(c.tel.UpdateInsert.Snapshot()),
+			UpdateDelete:  summarise(c.tel.UpdateDelete.Snapshot()),
+			Compaction:    summarise(c.tel.Compaction.Snapshot()),
+			SlowThreshold: time.Duration(c.tel.SlowThresholdNanos()),
+			SlowCaptured:  c.tel.Slow.Captured(),
 		}
 	}
 	return Stats{
 		Telemetry:      ts,
-		DataplaneCores: dpCores,
 		Backend:        c.eng.Backend(),
 		Rules:          c.eng.Len(),
 		Version:        c.eng.Version(),
@@ -429,12 +387,11 @@ func (c *Classifier) Stats() Stats {
 // AdminHandler returns the classifier's HTTP admin plane: Prometheus-format
 // metrics at /metrics (engine lookup/update counters, flow-cache
 // effectiveness, the online-update subsystem's overlay/compaction/journal
-// state — plus, with WithTelemetry, native latency histogram families and,
-// with WithDataplane, per-core ring/park/epoch-lag gauges), liveness and
-// readiness probes at /healthz and /readyz, a JSON summary at /tables, the
-// slow-lookup flight recorder at /debug/slow, and the standard profiling
-// endpoints under /debug/pprof/. Mount it wherever the application serves
-// management HTTP — typically a loopback-only listener:
+// state — plus, with WithTelemetry, native latency histogram families),
+// liveness and readiness probes at /healthz and /readyz, a JSON summary at
+// /tables, the slow-lookup flight recorder at /debug/slow, and the standard
+// profiling endpoints under /debug/pprof/. Mount it wherever the
+// application serves management HTTP — typically a loopback-only listener:
 //
 //	go http.ListenAndServe("127.0.0.1:9100", c.AdminHandler())
 //
@@ -444,7 +401,6 @@ func (c *Classifier) AdminHandler() http.Handler {
 	return admin.New(admin.Options{
 		Engine:    c.eng,
 		Telemetry: c.tel,
-		Dataplane: c.dp,
 		Ready: func() error {
 			if c.closed.Load() {
 				return ErrClosed
@@ -474,9 +430,8 @@ func (c *Classifier) Backend() string {
 	return c.eng.Backend()
 }
 
-// Close releases the classifier's background resources (the dataplane
-// loops when WithDataplane was used, batch workers, the compactor, the
-// journal). The classifier must not be used afterwards.
+// Close releases the classifier's background resources (batch workers, the
+// compactor, the journal). The classifier must not be used afterwards.
 func (c *Classifier) Close() error {
 	if c.closed.Swap(true) {
 		return nil
@@ -484,9 +439,6 @@ func (c *Classifier) Close() error {
 	if c.shm != nil {
 		return c.shm.Close()
 	}
-	// The dataplane registered itself as an engine closer at Attach, so the
-	// engine drains and stops the loops first, then tears itself down —
-	// in-flight batches complete against a fully live engine.
 	c.eng.Close()
 	return nil
 }

@@ -63,40 +63,6 @@ func ExampleClassifier_ClassifyBatch() {
 	// Output: 1000 1000
 }
 
-// ExampleOpen_dataplane serves lookups through the run-to-completion
-// dataplane: per-core classify loops fed by a flow-hash demux over SPSC
-// rings, with the flow-cache budget funding lock-free per-core caches.
-// Updates still work — they reach every loop as an epoch message, so
-// lookups after Insert returns see the new rule generation.
-func ExampleOpen_dataplane() {
-	rules, err := classifier.GenerateRules("acl1", 100, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c, err := classifier.Open(rules,
-		classifier.WithBackend("linear"),
-		classifier.WithDataplane(4),    // four classify loops
-		classifier.WithFlowCache(4096)) // split across the loops' caches
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-
-	keys := classifier.GenerateTrace(rules, 1000, 7)
-	results, err := c.ClassifyBatch(context.Background(), keys)
-	if err != nil {
-		log.Fatal(err)
-	}
-	matched := 0
-	for _, r := range results {
-		if r.OK {
-			matched++
-		}
-	}
-	fmt.Println(len(results), matched, c.Stats().DataplaneCores)
-	// Output: 1000 1000 4
-}
-
 // ExampleClassifier_Insert adds a rule to a live classifier without
 // blocking concurrent lookups.
 func ExampleClassifier_Insert() {

@@ -8,16 +8,14 @@ import (
 
 // config collects the functional options into the engine's build options.
 type config struct {
-	backend        string
-	artifact       string
-	opts           engine.Options
-	dataplane      bool
-	dataplaneCores int
-	telemetry      bool
-	slowThreshold  time.Duration
-	slowSet        bool
-	shmPath        string
-	shmTimeout     time.Duration
+	backend       string
+	artifact      string
+	opts          engine.Options
+	telemetry     bool
+	slowThreshold time.Duration
+	slowSet       bool
+	shmPath       string
+	shmTimeout    time.Duration
 }
 
 // Option configures Open.
@@ -67,26 +65,6 @@ func WithCompactMaxAge(d time.Duration) Option {
 	return func(c *config) { c.opts.CompactMaxAge = d }
 }
 
-// WithDataplane serves lookups through a run-to-completion dataplane
-// instead of on the calling goroutine: long-lived per-core classify loops,
-// each owning its slice of the flow space outright, fed over bounded
-// single-producer/single-consumer rings by a demux stage that hashes the
-// 5-tuple — so a flow always lands on the same core and per-flow state
-// needs no locks. cores sets the loop count (0 selects GOMAXPROCS).
-//
-// With the dataplane enabled, a WithFlowCache budget funds private
-// per-core caches instead of the engine's shared one (which the
-// dataplane would bypass). Updates, artifacts and stats are unaffected;
-// rule updates reach the loops as epoch messages on the same rings that
-// carry traffic, so a batch submitted after Insert or Delete returns is
-// classified entirely against the new rule generation.
-func WithDataplane(cores int) Option {
-	return func(c *config) {
-		c.dataplane = true
-		c.dataplaneCores = cores
-	}
-}
-
 // WithSharedMemory connects to a serving process's shared-memory ring at
 // path instead of building a local classifier — the transport a co-located
 // classifyd exposes with -shm. Lookups cross a file-backed mmap region (two
@@ -106,8 +84,8 @@ func WithSharedMemory(path string, timeout time.Duration) Option {
 }
 
 // WithTelemetry enables online latency telemetry: lock-free preallocated
-// histograms recorded on every serving path (single lookups, batch spans,
-// dataplane core loops, update applies, compactions) and a slow-lookup
+// histograms recorded on every serving path (single lookups, batch calls,
+// update applies, compactions) and a slow-lookup
 // flight recorder. Recording costs one atomic add per sample and keeps
 // every hot path at zero allocations per operation. Read the results
 // through Stats().Telemetry, or scrape them as native Prometheus histogram

@@ -119,8 +119,8 @@ func TestSharedMemoryOptionValidation(t *testing.T) {
 	}
 	if _, err := classifier.Open(nil,
 		classifier.WithSharedMemory("/tmp/nope", time.Second),
-		classifier.WithDataplane(2)); err == nil {
-		t.Fatal("Open with WithDataplane + WithSharedMemory succeeded")
+		classifier.WithTelemetry()); err == nil {
+		t.Fatal("Open with WithTelemetry + WithSharedMemory succeeded")
 	}
 	// An absent ring fails after the attach timeout, not by hanging.
 	start := time.Now()
