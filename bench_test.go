@@ -373,16 +373,16 @@ func BenchmarkLookupNeuroCuts(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine benchmarks: sharded batch lookup and parallel single-packet lookup
+// Engine benchmarks: batch lookup and parallel single-packet lookup
 // through the unified classification engine.
 // ---------------------------------------------------------------------------
 
 // engineBenchSetup builds a HiCuts engine and a packet trace for the engine
 // benchmarks.
-func engineBenchSetup(b *testing.B, shards int) (*engine.Engine, []rule.Packet) {
+func engineBenchSetup(b *testing.B) (*engine.Engine, []rule.Packet) {
 	b.Helper()
 	set := benchSet(b, "acl1", 1000)
-	eng, err := engine.NewEngine("hicuts", set, engine.Options{Shards: shards})
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,31 +394,26 @@ func engineBenchSetup(b *testing.B, shards int) (*engine.Engine, []rule.Packet) 
 	return eng, keys
 }
 
-// BenchmarkEngineBatch sweeps batch size x shard count. Shards=1 with
-// batch=1 is the single-packet loop baseline; larger batches with more
-// shards show the sharded fan-out winning on multi-core machines (the
-// per-op metric is packets, so lower ns/op is better throughput).
+// BenchmarkEngineBatch sweeps batch size; batch=1 is the single-packet loop
+// baseline, and larger batches amortise the snapshot load and reach the
+// compiled frontier walk (the per-packet metric is comparable across rows).
 func BenchmarkEngineBatch(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, batch := range []int{1, 64, 512, 4096} {
-			b.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(b *testing.B) {
-				eng, keys := engineBenchSetup(b, shards)
-				ps := make([]rule.Packet, batch)
-				for i := range ps {
-					ps[i] = keys[i%len(keys)]
-				}
-				out := make([]engine.Result, batch)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.ClassifyBatch(ps, out)
-				}
-				b.StopTimer()
-				// Report per-packet throughput so rows are comparable
-				// across batch sizes.
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/packet")
-			})
-		}
+	for _, batch := range []int{1, 64, 512, 4096} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			eng, keys := engineBenchSetup(b)
+			ps := make([]rule.Packet, batch)
+			for i := range ps {
+				ps[i] = keys[i%len(keys)]
+			}
+			out := make([]engine.Result, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.ClassifyBatch(ps, out)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/packet")
+		})
 	}
 }
 
@@ -426,27 +421,25 @@ func BenchmarkEngineBatch(b *testing.B) {
 // against the uncached engine on the same trace. The skewed rows should
 // show the cache collapsing lookup cost toward a hash + slot read; the
 // uniform rows show its overhead when traffic has no locality. The batch
-// row is the flow_zipf shape: 256-packet calls on a Shards: 2 engine, which
-// probe the cache for the whole batch and classify the few misses on the
-// caller (too little work for a handoff).
+// row is the flow_zipf shape: 256-packet calls, which probe the cache for
+// the whole batch and classify the few misses on the caller.
 func BenchmarkEngineFlowCache(b *testing.B) {
 	set := benchSet(b, "acl1", 1000)
 	for _, tc := range []struct {
 		name   string
 		cache  int
 		skewed bool
-		shards int
 		batch  int
 	}{
-		{"zipf/uncached", 0, true, 1, 1},
-		{"zipf/cached", 4096, true, 1, 1},
-		{"uniform/uncached", 0, false, 1, 1},
-		{"uniform/cached", 4096, false, 1, 1},
-		{"zipf/cached/shards=2/batch=256", 4096, true, 2, 256},
+		{"zipf/uncached", 0, true, 1},
+		{"zipf/cached", 4096, true, 1},
+		{"uniform/uncached", 0, false, 1},
+		{"uniform/cached", 4096, false, 1},
+		{"zipf/cached/batch=256", 4096, true, 256},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			eng, err := engine.NewEngine("hicuts", set,
-				engine.Options{Shards: tc.shards, FlowCacheEntries: tc.cache})
+				engine.Options{FlowCacheEntries: tc.cache})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -518,7 +511,7 @@ func BenchmarkFlowCacheHit(b *testing.B) {
 // callers (the serving pattern of classifyd: one goroutine per connection,
 // all reading the same atomic snapshot).
 func BenchmarkEngineParallel(b *testing.B) {
-	eng, keys := engineBenchSetup(b, 0)
+	eng, keys := engineBenchSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -665,7 +658,7 @@ func p50(lat []int64) float64 {
 // timed) must be at least 10x faster at the median than building an engine
 // over the edited list, which is what a compaction does.
 func BenchmarkGateOverlayVsRebuild(b *testing.B) {
-	opts := engine.Options{Shards: 1, Seed: 1, CompactThreshold: -1}
+	opts := engine.Options{Seed: 1, CompactThreshold: -1}
 	// updateP50 times alternating inserts and deletes at rotating positions.
 	updateP50 := func(set *rule.Set, insert func(pos int, r rule.Rule), remove func(pos int)) float64 {
 		lat := make([]int64, 0, 202)
@@ -781,8 +774,8 @@ func BenchmarkGateTelemetryOverhead(b *testing.B) {
 	const batches, batch, rounds = 96, 512, 9
 	tel := telemetry.New(telemetry.Config{})
 	tel.SetSlowThreshold(0)
-	set, off := gateEngine(b, "acl1", 10_000, engine.Options{Shards: 1})
-	_, armed := gateEngine(b, "acl1", 10_000, engine.Options{Shards: 1, Telemetry: tel})
+	set, off := gateEngine(b, "acl1", 10_000, engine.Options{})
+	_, armed := gateEngine(b, "acl1", 10_000, engine.Options{Telemetry: tel})
 	engines := [2]*engine.Engine{off, armed}
 	trace := classbench.ZipfTrace(set, batches*batch, 256, 1.2, 8)
 	keys := make([]rule.Packet, len(trace))

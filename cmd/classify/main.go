@@ -1,6 +1,6 @@
 // Command classify builds any registered classification backend over a rule
 // set and classifies a header trace with it, reporting correctness against
-// linear search, lookup throughput (single-packet and sharded batch), and
+// linear search, lookup throughput (single-packet and batch), and
 // the backend's cost metrics.
 //
 // Backends are selected by registry name (see internal/engine); -algo list
@@ -16,7 +16,7 @@
 //	genrules -family acl1 -size 1000 -out acl.rules -trace 100000 -traceout acl.trace
 //	classify -rules acl.rules -trace acl.trace -algo hicuts
 //	classify -rules acl.rules -trace acl.trace -algo neurocuts -timesteps 20000
-//	classify -family fw1 -algo linear -batch 512 -shards 8
+//	classify -family fw1 -algo linear -batch 512
 //	neurocuts -family acl1 -save-artifact policy.ncaf && classify -artifact policy.ncaf
 package main
 
@@ -46,8 +46,7 @@ func main() {
 		algo      = flag.String("algo", "hicuts", "backend name, or 'list' to print the registry")
 		binth     = flag.Int("binth", 16, "leaf threshold")
 		timesteps = flag.Int("timesteps", 20000, "NeuroCuts training budget (neurocuts only)")
-		batch     = flag.Int("batch", 1024, "batch size for the sharded throughput pass (0 disables)")
-		shards    = flag.Int("shards", 0, "batch lookup shards (0 = GOMAXPROCS)")
+		batch     = flag.Int("batch", 1024, "batch size for the batch throughput pass (0 disables)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		artifact  = flag.String("artifact", "", "warm-start from this compiled classifier artifact instead of building")
 		journal   = flag.String("journal", "", "replay this update journal on top of -artifact before classifying ('auto' = <artifact>.journal)")
@@ -81,7 +80,7 @@ func main() {
 		return
 	}
 
-	opts := engine.Options{Binth: *binth, Timesteps: *timesteps, Seed: *seed, Shards: *shards}
+	opts := engine.Options{Binth: *binth, Timesteps: *timesteps, Seed: *seed}
 	var (
 		eng *engine.Engine
 		set *rule.Set
@@ -160,7 +159,7 @@ func main() {
 	rate := float64(len(trace)) / elapsed.Seconds()
 	fmt.Printf("classified %d packets in %s (%.0f packets/sec, single)\n", len(trace), elapsed.Round(time.Millisecond), rate)
 
-	// Sharded batch pass over the same trace.
+	// Batch pass over the same trace.
 	if *batch > 0 {
 		keys := make([]rule.Packet, len(trace))
 		for i, e := range trace {
@@ -177,8 +176,8 @@ func main() {
 		}
 		batchElapsed := time.Since(start)
 		batchRate := float64(len(trace)) / batchElapsed.Seconds()
-		fmt.Printf("classified %d packets in %s (%.0f packets/sec, batch=%d shards=%d, %.2fx)\n",
-			len(trace), batchElapsed.Round(time.Millisecond), batchRate, *batch, *shards, batchRate/rate)
+		fmt.Printf("classified %d packets in %s (%.0f packets/sec, batch=%d, %.2fx)\n",
+			len(trace), batchElapsed.Round(time.Millisecond), batchRate, *batch, batchRate/rate)
 		for i, want := range wants {
 			if (want < 0) != !out[i].OK || (out[i].OK && out[i].Rule.Priority != want) {
 				mismatches++

@@ -1,10 +1,11 @@
 // Command classifyd serves a packet classifier over TCP using the framed
 // wire protocol of internal/server, or queries a running server. The served
 // classifier is an engine.Engine, so any registered backend is available by
-// name, batch requests are sharded across workers, and rules can be added
-// and removed live: an update lands in a delta overlay (no rebuild on the
-// update path), a background compactor folds the overlay into the base, and
-// every generation is an RCU snapshot swap — readers are never blocked.
+// name, each connection's batches run to completion on that connection's
+// goroutine, and rules can be added and removed live: an update lands in a
+// delta overlay (no rebuild on the update path), a background compactor
+// folds the overlay into the base, and every generation is an RCU snapshot
+// swap — readers are never blocked.
 //
 // Serve a HiCuts tree built from a generated firewall classifier:
 //
@@ -131,7 +132,6 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		algo      = fs.String("algo", "hicuts", "backend name (see internal/engine), or 'list'")
 		timesteps = fs.Int("timesteps", 20000, "NeuroCuts training budget (neurocuts only)")
 		binth     = fs.Int("binth", 16, "leaf threshold for tree backends")
-		shards    = fs.Int("shards", 0, "batch lookup shards (0 = GOMAXPROCS)")
 		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (the engine's shared cache, or each table's own cache with -tables; 0 disables)")
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
 		journal   = fs.String("journal", "", "durable update journal path (replayed at start; 'auto' co-locates with -artifact)")
@@ -190,14 +190,15 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		return fmt.Errorf("-pcap-out needs an ingestion source (-pcap or -capture)")
 	}
 
+	defaults := tableDefaults{
+		binth: *binth, timesteps: *timesteps, seed: *seed,
+		flowCache: *flowCache, compactAt: *compactAt, tel: tel,
+	}
 	if *tables != "" {
 		if ingest || *shmPath != "" {
 			return fmt.Errorf("-pcap, -capture and -shm apply to single-table mode only")
 		}
-		return runTables(stdout, *tables, tableDefaults{
-			binth: *binth, timesteps: *timesteps, seed: *seed, shards: *shards,
-			flowCache: *flowCache, compactAt: *compactAt, tel: tel,
-		}, *listen, *adminAddr, *drain, sig)
+		return runTables(stdout, *tables, defaults, *listen, *adminAddr, *drain, sig)
 	}
 
 	journalPath := *journal
@@ -208,16 +209,12 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		journalPath = engine.JournalPathFor(*artifact)
 	}
 
+	opts := defaults.options()
+	opts.JournalPath = journalPath
 	var eng *engine.Engine
 	if *artifact != "" {
 		var err error
-		eng, err = engine.NewEngineFromArtifact(*artifact, engine.Options{
-			Shards:           *shards,
-			FlowCacheEntries: *flowCache,
-			JournalPath:      journalPath,
-			CompactThreshold: *compactAt,
-			Telemetry:        tel,
-		})
+		eng, err = engine.NewEngineFromArtifact(*artifact, opts)
 		if err != nil {
 			return err
 		}
@@ -228,16 +225,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		eng, err = engine.NewEngine(strings.ToLower(*algo), set, engine.Options{
-			Binth:            *binth,
-			Timesteps:        *timesteps,
-			Seed:             *seed,
-			Shards:           *shards,
-			FlowCacheEntries: *flowCache,
-			JournalPath:      journalPath,
-			CompactThreshold: *compactAt,
-			Telemetry:        tel,
-		})
+		eng, err = engine.NewEngine(strings.ToLower(*algo), set, opts)
 		if err != nil {
 			return err
 		}

@@ -17,20 +17,35 @@ import (
 	"neurocuts/internal/telemetry"
 )
 
-// tableDefaults carries the daemon-level flags a table spec can override.
+// tableDefaults carries the daemon-level engine flags. Every engine the
+// daemon starts — the single-table engine, each -tables table and each
+// table created over the wire — takes its options from options(), with
+// per-table overrides on top.
 type tableDefaults struct {
 	binth     int
 	timesteps int
 	seed      int64
-	shards    int
-	// flowCache is the flow-cache entry budget of each table's engine,
-	// wire-created tables included.
+	// flowCache is the flow-cache entry budget of each engine, wire-created
+	// tables included.
 	flowCache int
 	compactAt int
 	// tel is the process-wide telemetry instance (nil when telemetry is
 	// off). Every table's engine records into it, each under its own table
 	// label in the flight recorder.
 	tel *telemetry.Telemetry
+}
+
+// options returns the engine options the daemon's flags describe. It sets
+// no journal and no telemetry table label: those are per engine.
+func (d tableDefaults) options() engine.Options {
+	return engine.Options{
+		Binth:            d.binth,
+		Timesteps:        d.timesteps,
+		Seed:             d.seed,
+		FlowCacheEntries: d.flowCache,
+		CompactThreshold: d.compactAt,
+		Telemetry:        d.tel,
+	}
 }
 
 // tableSpec is one parsed table description from the -tables flag.
@@ -130,17 +145,9 @@ func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
 		}
 		journalPath = engine.JournalPathFor(kv["artifact"])
 	}
-	opts := engine.Options{
-		Binth:            binth,
-		Timesteps:        d.timesteps,
-		Seed:             seed,
-		Shards:           d.shards,
-		FlowCacheEntries: d.flowCache,
-		JournalPath:      journalPath,
-		CompactThreshold: d.compactAt,
-		Telemetry:        d.tel,
-		TelemetryTable:   spec.name,
-	}
+	opts := d.options()
+	opts.Binth, opts.Seed = binth, seed
+	opts.JournalPath, opts.TelemetryTable = journalPath, spec.name
 	if artifact := kv["artifact"]; artifact != "" {
 		return engine.NewEngineFromArtifact(artifact, opts)
 	}
@@ -200,10 +207,7 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 	srv.Telemetry = d.tel
 	// Tables created live over the wire share the process telemetry;
 	// their flight-recorder entries carry the instance's default table label.
-	srv.TableCreateOptions = engine.Options{
-		Binth: d.binth, Seed: d.seed, Shards: d.shards, FlowCacheEntries: d.flowCache,
-		CompactThreshold: d.compactAt, Telemetry: d.tel,
-	}
+	srv.TableCreateOptions = d.options()
 	addr, err := srv.Listen(listen)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"syscall"
@@ -10,9 +11,43 @@ import (
 	"time"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/telemetry"
 	"neurocuts/pkg/classifier"
 )
+
+// TestTableDefaultsOptions holds the one engine-options builder every
+// daemon engine starts from to the flags: each field lands in its option,
+// and a field that stops reaching the options (or a new field nobody wired)
+// fails.
+func TestTableDefaultsOptions(t *testing.T) {
+	tel := telemetry.New(telemetry.Config{})
+	d := tableDefaults{binth: 8, timesteps: 700, seed: 9, flowCache: 512, compactAt: 33, tel: tel}
+	want := engine.Options{Binth: 8, Timesteps: 700, Seed: 9, FlowCacheEntries: 512, CompactThreshold: 33, Telemetry: tel}
+	if got := d.options(); got != want {
+		t.Fatalf("options() = %+v, want %+v", got, want)
+	}
+	// One reset per field: the count check makes a new field join the list.
+	resets := map[string]func(*tableDefaults){
+		"binth":     func(d *tableDefaults) { d.binth = 0 },
+		"timesteps": func(d *tableDefaults) { d.timesteps = 0 },
+		"seed":      func(d *tableDefaults) { d.seed = 0 },
+		"flowCache": func(d *tableDefaults) { d.flowCache = 0 },
+		"compactAt": func(d *tableDefaults) { d.compactAt = 0 },
+		"tel":       func(d *tableDefaults) { d.tel = nil },
+	}
+	if n := reflect.TypeOf(d).NumField(); n != len(resets) {
+		t.Fatalf("tableDefaults has %d fields, the test resets %d", n, len(resets))
+	}
+	for name, reset := range resets {
+		cut := d
+		reset(&cut)
+		if cut.options() == want {
+			t.Errorf("field %s does not reach the engine options", name)
+		}
+	}
+}
 
 func TestParseTableSpecs(t *testing.T) {
 	specs, err := parseTableSpecs("acl=backend:hicuts,family:acl1,size:200; fw=backend:linear,family:fw2,size:100")

@@ -68,7 +68,6 @@ func TestAdminMetricsMatchEngineStats(t *testing.T) {
 	set := adminTestSet(t, 300)
 	jpath := filepath.Join(t.TempDir(), "admin.journal")
 	eng, err := engine.NewEngine("hicuts", set, engine.Options{
-		Shards:           1,
 		CompactThreshold: -1, // compaction only when the script asks
 		JournalPath:      jpath,
 		FlowCacheEntries: 1024,
@@ -168,7 +167,7 @@ func TestAdminMetricsMatchEngineStats(t *testing.T) {
 
 func TestAdminHealthAndReady(t *testing.T) {
 	set := adminTestSet(t, 50)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,7 @@ func TestAdminTablesMode(t *testing.T) {
 
 	set := adminTestSet(t, 60)
 	for _, name := range []string{"acl", "fw"} {
-		eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+		eng, err := engine.NewEngine("linear", set, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +307,7 @@ func TestAdminTablesMode(t *testing.T) {
 // daemons: bind, scrape over TCP, shut down, observe refusal.
 func TestAdminListenShutdown(t *testing.T) {
 	set := adminTestSet(t, 40)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +348,6 @@ func TestAdminTelemetryExposition(t *testing.T) {
 	tel := telemetry.New(telemetry.Config{})
 	tel.SetSlowThreshold(0) // capture everything
 	eng, err := engine.NewEngine("linear", set, engine.Options{
-		Shards:    1,
 		Telemetry: tel,
 	})
 	if err != nil {

@@ -92,7 +92,7 @@ var perTableMetrics = []perTableMetric{
 		func(t tableStat) float64 { return float64(t.stats.Version) }},
 	{"neurocuts_engine_lookups_total", "counter", "Packets classified (single lookups plus every packet of every batch).",
 		func(t tableStat) float64 { return float64(t.stats.Lookups) }},
-	{"neurocuts_engine_batches_total", "counter", "Sharded batch-classify calls served.",
+	{"neurocuts_engine_batches_total", "counter", "Batch-classify calls served.",
 		func(t tableStat) float64 { return float64(t.stats.Batches) }},
 	{"neurocuts_engine_updates_total", "counter", "Successful rule inserts and deletes.",
 		func(t tableStat) float64 { return float64(t.stats.Updates) }},

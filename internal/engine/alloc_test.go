@@ -42,7 +42,7 @@ func TestZeroAllocSinglePacket(t *testing.T) {
 	set := allocTestSet(t, 128)
 	ps := allocTestPackets(set, 64)
 	for _, backend := range zeroAllocBackends {
-		eng, err := NewEngine(backend, set, Options{Shards: 1})
+		eng, err := NewEngine(backend, set, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -65,7 +65,7 @@ func TestZeroAllocSinglePacketWithFlowCache(t *testing.T) {
 	set := allocTestSet(t, 128)
 	ps := allocTestPackets(set, 64)
 	for _, backend := range zeroAllocBackends {
-		eng, err := NewEngine(backend, set, Options{Shards: 1, FlowCacheEntries: 1024})
+		eng, err := NewEngine(backend, set, Options{FlowCacheEntries: 1024})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -88,25 +88,23 @@ func TestZeroAllocSinglePacketWithFlowCache(t *testing.T) {
 
 // TestZeroAllocBatchWithFlowCache asserts the cached batch path — probe,
 // hits served from the rule list, misses gathered, classified and filled —
-// stays allocation-free, both when the misses run on the caller and when
-// the work gate hands them off (linear over a cache that holds next to
-// nothing).
+// stays allocation-free, over a cache that holds next to nothing and over
+// one that holds the whole trace.
 func TestZeroAllocBatchWithFlowCache(t *testing.T) {
 	set := allocTestSet(t, 128)
 	ps := allocTestPackets(set, 1024)
 	out := make([]Result, len(ps))
 	for _, backend := range zeroAllocBackends {
 		for _, entries := range []int{8, 4096} {
-			eng, err := NewEngine(backend, set, Options{Shards: 4, FlowCacheEntries: entries})
+			eng, err := NewEngine(backend, set, Options{FlowCacheEntries: entries})
 			if err != nil {
 				t.Fatalf("%s: %v", backend, err)
 			}
-			eng.ClassifyBatch(ps, out) // warm up: size the scratch, start workers
+			eng.ClassifyBatch(ps, out) // warm up: size the scratch
 			allocs := testing.AllocsPerRun(100, func() {
 				eng.ClassifyBatch(ps, out)
 			})
 			hits, _ := eng.CacheStats()
-			handoffs := eng.Stats().Handoffs
 			eng.Close()
 			if allocs != 0 {
 				t.Errorf("%s/cache=%d: cached ClassifyBatch allocates %.1f allocs/batch, want 0", backend, entries, allocs)
@@ -114,21 +112,18 @@ func TestZeroAllocBatchWithFlowCache(t *testing.T) {
 			if hits == 0 {
 				t.Errorf("%s/cache=%d: flow cache never hit", backend, entries)
 			}
-			if backend == "linear" && entries == 8 && handoffs == 0 {
-				t.Errorf("linear/cache=8: the miss set never fanned out")
-			}
 		}
 	}
 }
 
-// TestZeroAllocBatchInline asserts the inline (small-batch) ClassifyBatch
-// path performs zero allocations per batch.
+// TestZeroAllocBatchInline asserts the uncached ClassifyBatch path, which
+// runs on the caller, performs zero allocations per batch.
 func TestZeroAllocBatchInline(t *testing.T) {
 	set := allocTestSet(t, 128)
-	ps := allocTestPackets(set, 64) // too little work for a handoff: inline path
+	ps := allocTestPackets(set, 64)
 	out := make([]Result, len(ps))
 	for _, backend := range zeroAllocBackends {
-		eng, err := NewEngine(backend, set, Options{Shards: 4})
+		eng, err := NewEngine(backend, set, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -138,35 +133,6 @@ func TestZeroAllocBatchInline(t *testing.T) {
 		eng.Close()
 		if allocs != 0 {
 			t.Errorf("%s: inline ClassifyBatch allocates %.1f allocs/batch, want 0", backend, allocs)
-		}
-	}
-}
-
-// TestZeroAllocBatchSharded asserts the fan-out path — persistent workers,
-// pooled WaitGroups, by-value task dispatch — performs zero steady-state
-// allocations per batch.
-func TestZeroAllocBatchSharded(t *testing.T) {
-	set := allocTestSet(t, 128)
-	ps := allocTestPackets(set, 1024)
-	out := make([]Result, len(ps))
-	for _, backend := range zeroAllocBackends {
-		eng, err := NewEngine(backend, set, Options{Shards: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		eng.ClassifyBatch(ps, out) // warm up: start workers outside measurement
-		allocs := testing.AllocsPerRun(100, func() {
-			eng.ClassifyBatch(ps, out)
-		})
-		handoffs := eng.Stats().Handoffs
-		eng.Close()
-		if allocs != 0 {
-			t.Errorf("%s: sharded ClassifyBatch allocates %.1f allocs/batch, want 0", backend, allocs)
-		}
-		// 1024 packets x 128 rules scanned is well past the work gate; the
-		// small trees may run on the caller, which the inline test covers.
-		if backend == "linear" && handoffs == 0 {
-			t.Errorf("linear: a 1024-packet batch never fanned out")
 		}
 	}
 }
@@ -189,7 +155,7 @@ func TestZeroAllocTelemetrySingle(t *testing.T) {
 	ps := allocTestPackets(set, 64)
 	for _, backend := range zeroAllocBackends {
 		tel := allocTestTelemetry()
-		eng, err := NewEngine(backend, set, Options{Shards: 1, FlowCacheEntries: 1024, Telemetry: tel})
+		eng, err := NewEngine(backend, set, Options{FlowCacheEntries: 1024, Telemetry: tel})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -212,34 +178,34 @@ func TestZeroAllocTelemetrySingle(t *testing.T) {
 	}
 }
 
-// TestZeroAllocTelemetryBatch pins the inline and sharded batch paths with
-// full telemetry enabled (per-span histogram sample + flight-recorder
-// capture).
+// TestZeroAllocTelemetryBatch pins the batch path, for a small and a large
+// batch, with full telemetry enabled (per-call histogram sample +
+// flight-recorder capture).
 func TestZeroAllocTelemetryBatch(t *testing.T) {
 	set := allocTestSet(t, 128)
-	small := allocTestPackets(set, 64) // too little work for a handoff: inline path
-	big := allocTestPackets(set, 1024) // fan-out path
+	small := allocTestPackets(set, 64)
+	big := allocTestPackets(set, 1024)
 	outSmall := make([]Result, len(small))
 	outBig := make([]Result, len(big))
 	for _, backend := range zeroAllocBackends {
 		tel := allocTestTelemetry()
-		eng, err := NewEngine(backend, set, Options{Shards: 4, Telemetry: tel})
+		eng, err := NewEngine(backend, set, Options{Telemetry: tel})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
-		eng.ClassifyBatch(big, outBig) // warm up: start workers outside measurement
+		eng.ClassifyBatch(big, outBig) // warm up: size the scratch outside measurement
 		allocs := testing.AllocsPerRun(100, func() {
 			eng.ClassifyBatch(small, outSmall)
 		})
 		if allocs != 0 {
-			t.Errorf("%s: telemetry-enabled inline ClassifyBatch allocates %.1f allocs/batch, want 0", backend, allocs)
+			t.Errorf("%s: telemetry-enabled small ClassifyBatch allocates %.1f allocs/batch, want 0", backend, allocs)
 		}
 		allocs = testing.AllocsPerRun(100, func() {
 			eng.ClassifyBatch(big, outBig)
 		})
 		eng.Close()
 		if allocs != 0 {
-			t.Errorf("%s: telemetry-enabled sharded ClassifyBatch allocates %.1f allocs/batch, want 0", backend, allocs)
+			t.Errorf("%s: telemetry-enabled large ClassifyBatch allocates %.1f allocs/batch, want 0", backend, allocs)
 		}
 		if tel.LookupBatch.Snapshot().Count() == 0 {
 			t.Errorf("%s: telemetry recorded no batch-span samples", backend)
@@ -258,7 +224,7 @@ func TestZeroAllocTelemetryOverlayUpdates(t *testing.T) {
 	ps := allocTestPackets(set, 256)
 	out := make([]Result, len(ps))
 	tel := allocTestTelemetry()
-	eng, err := NewEngine("hicuts", set, Options{Shards: 1, CompactThreshold: -1, Telemetry: tel})
+	eng, err := NewEngine("hicuts", set, Options{CompactThreshold: -1, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,12 @@ func JournalPathFor(artifactPath string) string { return artifactPath + ".journa
 // returned, restoring every update acknowledged before the last shutdown
 // or crash.
 func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
-	s, err := loadArtifactSnap(path)
+	opts = opts.withDefaults()
+	s, err := loadArtifactSnap(path, opts.Binth)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEngine(s, opts.withDefaults())
+	e, err := newEngine(s, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -40,8 +41,10 @@ func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
 
 // loadArtifactSnap loads the artifact at path as a first-generation
 // snapshot. Its backend name resolves against the registry only for the
-// builder a compaction needs; an unregistered name leaves build nil.
-func loadArtifactSnap(path string) (*snapshot, error) {
+// builder a compaction needs; an unregistered name leaves build nil. The
+// snapshot keeps the leaf threshold the metadata records, or binth when it
+// records none.
+func loadArtifactSnap(path string, binth int) (*snapshot, error) {
 	c, meta, err := compiled.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading artifact %s: %w", path, err)
@@ -51,7 +54,10 @@ func loadArtifactSnap(path string) (*snapshot, error) {
 	if entry, err := lookupBackend(meta.Backend); err == nil {
 		build = entry.build
 	}
-	return &snapshot{cls: cls, set: c.RuleSet(), version: 1, rulesGen: 1, backend: meta.Backend, build: build, baseCls: cls}, nil
+	if meta.Binth > 0 {
+		binth = meta.Binth
+	}
+	return &snapshot{cls: cls, set: c.RuleSet(), version: 1, rulesGen: 1, backend: meta.Backend, binth: binth, build: build, baseCls: cls}, nil
 }
 
 // ArtifactMetadata returns the metadata SaveArtifact would stamp on the
@@ -60,7 +66,7 @@ func (e *Engine) artifactMetadata(s *snapshot) compiled.Metadata {
 	return compiled.Metadata{
 		Backend:     s.backend,
 		Rules:       s.len(),
-		Binth:       e.opts.Binth,
+		Binth:       s.binth,
 		CreatedUnix: time.Now().Unix(),
 	}
 }
@@ -153,7 +159,7 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
-	ns, err := loadArtifactSnap(path)
+	ns, err := loadArtifactSnap(path, e.opts.Binth)
 	if err != nil {
 		return cur.failed(), err
 	}

@@ -64,7 +64,7 @@ func TestWarmStartServesWithoutBuilding(t *testing.T) {
 	set := artifactTestSet(t, 200)
 	path := saveTestArtifact(t, set, "poisoned-test-backend", t.TempDir())
 
-	eng, err := NewEngineFromArtifact(path, Options{Shards: 2})
+	eng, err := NewEngineFromArtifact(path, Options{})
 	if err != nil {
 		t.Fatalf("warm start invoked the build path: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestWarmStartServesWithoutBuilding(t *testing.T) {
 func TestWarmStartUnknownBackend(t *testing.T) {
 	set := artifactTestSet(t, 100)
 	path := saveTestArtifact(t, set, "no-such-backend", t.TempDir())
-	eng, err := NewEngineFromArtifact(path, Options{Shards: 1})
+	eng, err := NewEngineFromArtifact(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestEngineSaveLoadArtifact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hicuts.ncaf")
 
-	src, err := NewEngine("hicuts", set, Options{Shards: 2})
+	src, err := NewEngine("hicuts", set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestEngineSaveLoadArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := NewEngineFromArtifact(path, Options{Shards: 2})
+	warm, err := NewEngineFromArtifact(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestEngineSaveLoadArtifact(t *testing.T) {
 // refuse to save, with or without a pending overlay to fold in first.
 func TestSaveArtifactUnsupportedBackend(t *testing.T) {
 	set := artifactTestSet(t, 50)
-	eng, err := NewEngine("linear", set, Options{Shards: 1})
+	eng, err := NewEngine("linear", set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,5 +208,93 @@ func TestSaveArtifactUnsupportedBackend(t *testing.T) {
 		if _, err := eng.Insert(0, rule.NewWildcardRule(0)); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestArtifactBinthRoundTrip: an engine warm-started from an artifact, or
+// hot-swapped onto one, keeps the leaf threshold the artifact records. A
+// re-save stamps it and a compaction rebuilds with it, whatever the
+// engine's own Options.Binth says.
+func TestArtifactBinthRoundTrip(t *testing.T) {
+	set := artifactTestSet(t, 300)
+	dir := t.TempDir()
+	metaBinth := func(path string) int {
+		t.Helper()
+		_, meta, err := compiled.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meta.Binth
+	}
+
+	src, err := NewEngine("hicuts", set, Options{Binth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	first := filepath.Join(dir, "binth8.ncaf")
+	if err := src.SaveArtifact(first); err != nil {
+		t.Fatal(err)
+	}
+	if got := metaBinth(first); got != 8 {
+		t.Fatalf("cold-built artifact records binth %d, want 8", got)
+	}
+
+	warm, err := NewEngineFromArtifact(first, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	resaved := filepath.Join(dir, "resaved.ncaf")
+	if err := warm.SaveArtifact(resaved); err != nil {
+		t.Fatal(err)
+	}
+	if got := metaBinth(resaved); got != 8 {
+		t.Fatalf("warm-started re-save records binth %d, want 8", got)
+	}
+
+	// A pending update makes SaveArtifact compact first: the rebuilt tree
+	// must be the binth-8 tree over the merged list, not the default's.
+	if _, err := warm.Delete(set.Rule(0).ID); err != nil {
+		t.Fatal(err)
+	}
+	compacted := filepath.Join(dir, "compacted.ncaf")
+	if err := warm.SaveArtifact(compacted); err != nil {
+		t.Fatal(err)
+	}
+	if got := metaBinth(compacted); got != 8 {
+		t.Fatalf("compacted save records binth %d, want 8", got)
+	}
+	want := func(binth int) Metrics {
+		t.Helper()
+		ref, err := NewEngine("hicuts", warm.Rules(), Options{Binth: binth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		return ref.Metrics()
+	}
+	if want(8) == want(16) {
+		t.Fatal("binth 8 and 16 build the same tree over this set; the check below proves nothing")
+	}
+	if got := warm.Metrics(); got != want(8) {
+		t.Fatalf("compaction rebuilt %+v, want the binth-8 tree %+v", got, want(8))
+	}
+
+	// A hot swap onto the artifact adopts its threshold too.
+	cold, err := NewEngine("hicuts", set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	if _, err := cold.LoadArtifact(first); err != nil {
+		t.Fatal(err)
+	}
+	swapped := filepath.Join(dir, "swapped.ncaf")
+	if err := cold.SaveArtifact(swapped); err != nil {
+		t.Fatal(err)
+	}
+	if got := metaBinth(swapped); got != 8 {
+		t.Fatalf("hot-swapped engine's save records binth %d, want 8", got)
 	}
 }

@@ -16,8 +16,7 @@ import (
 )
 
 // linearClassifier is the linear-search reference: a lookup scans the rule
-// list in priority order. LookupBatch is a sequential loop here; the Engine
-// layers sharding on top of it.
+// list in priority order. LookupBatch is a sequential loop.
 type linearClassifier struct {
 	set *rule.Set
 }

@@ -39,7 +39,7 @@ func TestConcurrentBatchDuringUpdates(t *testing.T) {
 	for _, backend := range []string{"hicuts", "linear"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			eng, err := NewEngine(backend, set, Options{Shards: 4})
+			eng, err := NewEngine(backend, set, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,7 +69,7 @@ func differentialSamples(t *testing.T) []diffSample {
 // Because backends register themselves in the engine registry, any backend
 // added in the future is picked up automatically. Tree backends serve from
 // the compiled flat-array form here, so this also exercises the full
-// build -> compile -> serve pipeline through the sharded Engine runtime.
+// build -> compile -> serve pipeline through the Engine runtime.
 func TestDifferentialAllBackends(t *testing.T) {
 	samples := differentialSamples(t)
 
@@ -88,7 +88,7 @@ func TestDifferentialAllBackends(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: build: %v", backend, s.family, err)
 				}
-				// Classify through the sharded batch path so the differential
+				// Classify through the batch path so the differential
 				// test also covers the Engine runtime, not just the backend.
 				out := make([]Result, len(s.packets))
 				eng.ClassifyBatch(s.packets, out)

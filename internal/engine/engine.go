@@ -11,10 +11,10 @@
 //     list, not the rule. backends.go registers every algorithm in a
 //     name-keyed registry, so callers select backends by string ("hicuts",
 //     "linear", ...) instead of switching over packages.
-//   - Engine wraps a Classifier with a serving runtime: lookups run to
-//     completion on the caller behind an optional lock-free flow cache,
-//     batches whose misses are worth a handoff are split across persistent
-//     workers, and rule updates (Insert / Delete) land in a delta overlay
+//   - Engine wraps a Classifier with a serving runtime: lookups (single
+//     and batch) run to completion on the caller behind an optional
+//     lock-free flow cache, so parallelism comes only from concurrent
+//     callers, and rule updates (Insert / Delete) land in a delta overlay
 //     over the built structure (overlay.go) that a background compactor
 //     folds into a rebuild off the critical path; every new generation is
 //     swapped in atomically (RCU-style, via atomic.Pointer), so readers are
@@ -28,7 +28,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,6 +106,10 @@ type snapshot struct {
 	rulesGen uint64
 	// backend is the registry name of the backend that produced cls.
 	backend string
+	// binth is the leaf threshold cls was built with: the engine's option
+	// for a cold build, the artifact's metadata for a warm start. A
+	// compaction rebuilds with it and SaveArtifact stamps it.
+	binth int
 	// build rebuilds the backend when a compaction folds the overlay in. It
 	// is nil for engines warm-started from an artifact whose backend is not
 	// registered; such engines serve lookups and take updates, but their
@@ -121,8 +124,8 @@ type snapshot struct {
 	base *updater.Base
 }
 
-// Engine serves a registered backend with cached, work-gated batch lookups
-// and non-blocking atomic rule updates.
+// Engine serves a registered backend with cached lookups that run on the
+// caller and non-blocking atomic rule updates.
 type Engine struct {
 	opts Options
 
@@ -134,21 +137,9 @@ type Engine struct {
 	mu     sync.Mutex
 	nextID int
 
-	shards int
-
 	// cache is the optional flow cache (nil when disabled).
 	cache *FlowCache
 
-	// Persistent batch workers. Spawning a goroutine per span per call
-	// allocates on every batch; instead the first batch worth a handoff
-	// starts shards-1 workers (the caller classifies one span itself) that
-	// live for the engine's lifetime and pull spans off a preallocated
-	// channel. workersUp gates the fast path with a single atomic load;
-	// handoffs counts the spans sent (see EngineStats).
-	workersUp atomic.Bool
-	workOnce  sync.Once
-	work      chan batchTask
-	handoffs  atomic.Uint64
 	closeOnce sync.Once
 
 	// Write-path state (see overlay.go). compactThreshold is set once before
@@ -183,8 +174,8 @@ type Engine struct {
 	// Serving counters (see Stats). lookups counts packets classified
 	// through Classify; batches and batchPackets count ClassifyBatch calls
 	// and the packets they carried. They are bumped once per entry-point
-	// call, not per shard chunk, so the per-packet serving cost stays one
-	// uncontended atomic add per call.
+	// call, so the per-packet serving cost stays one uncontended atomic add
+	// per call.
 	lookups      atomic.Uint64
 	batches      atomic.Uint64
 	batchPackets atomic.Uint64
@@ -228,17 +219,17 @@ func (e *Engine) CurrentView() View { return View{s: e.snap.Load()} }
 // uncached and on the caller. The backend sees the whole span at once, so
 // compiled tree snapshots serve it through the frontier walk instead of one
 // dependent-load chain per packet. out must be at least as long as ps.
-func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.classifyUncached(ps, out, nil) }
+func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.classifyUncached(ps, out) }
 
 // ClassifyCached is ClassifyBatch through the caller's own flow cache c
 // (nil: uncached). It runs to completion on the caller and never touches
-// the engine's cache or workers.
+// the engine's cache.
 func (v View) ClassifyCached(c *FlowCache, ps []rule.Packet, out []Result) {
 	if c == nil {
 		v.ClassifyBatch(ps, out)
 		return
 	}
-	v.s.classifyCached(c, ps, out, nil)
+	v.s.classifyCached(c, ps, out)
 }
 
 // EngineStats is an operator-visible snapshot of an engine's serving state:
@@ -264,9 +255,6 @@ type EngineStats struct {
 	// (zero when the engine runs without a cache).
 	CacheHits   uint64
 	CacheMisses uint64
-	// Handoffs is the number of batch spans handed to a worker goroutine;
-	// batches whose misses are not worth one run on the caller alone.
-	Handoffs uint64
 	// Updater is the online-update subsystem's state.
 	Updater UpdaterStats
 }
@@ -285,42 +273,12 @@ func (e *Engine) Stats() EngineStats {
 		UpdateFailures: e.updateFailures.Load(),
 		CacheHits:      hits,
 		CacheMisses:    misses,
-		Handoffs:       e.handoffs.Load(),
 		Updater:        e.UpdaterStats(),
 	}
 }
 
-// batchTask is one span of a batch handed to a worker. The struct is sent
-// by value over a buffered channel, so the handoff does not allocate.
-type batchTask struct {
-	snap *snapshot
-	ps   []rule.Packet
-	pos  []int32
-	out  []Result // nil: the caller materializes the positions itself
-	wg   *sync.WaitGroup
-}
-
-// wgPool recycles the per-call WaitGroups of fanned-out batches so the
-// fan-out path stays allocation-free in steady state.
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
-
-// handoffWork is the least estimated work — packets the backend must answer
-// times its Metrics().LookupCost (node visits or rules scanned)
-// — each span must carry before splitting a batch across goroutines beats
-// running it on the caller. A handoff costs a channel send, a goroutine
-// wake-up and a WaitGroup barrier, and every result a worker writes is a
-// cache line the caller then pulls across cores. Measured on acl1/10k
-// CutSplit (LookupCost 12, ~13 ns a unit) with two shards, fan-out loses
-// below ~1 400 packets and wins 1.45x at 4 096; fanning out the 2 200 misses
-// of a cached 16 384-packet batch still loses. This value picks the faster
-// side in every cell of that table (ROADMAP.md, "Collapse the duplicates"
-// (a)). The estimate is a property of the input and the table, not a packet
-// count: 256 packets of any tree backend run on the caller, 256 packets of
-// a 10k-rule linear scan do not.
-const handoffWork = 16384
-
 // NewEngine builds the named backend over the rule set and wraps it in an
-// Engine. Shard count comes from opts.Shards (0 selects GOMAXPROCS).
+// Engine.
 func NewEngine(name string, set *rule.Set, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	entry, err := lookupBackend(name)
@@ -331,18 +289,14 @@ func NewEngine(name string, set *rule.Set, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: entry.name, build: entry.build, baseCls: cls}, opts)
+	return newEngine(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: entry.name, binth: opts.Binth, build: entry.build, baseCls: cls}, opts)
 }
 
-// newEngine wraps a first snapshot in an Engine: the shard default, the
-// flow cache, the next rule ID, the update path (which replays a journal)
-// and telemetry. opts already carries its defaults.
+// newEngine wraps a first snapshot in an Engine: the flow cache, the next
+// rule ID, the update path (which replays a journal) and telemetry. opts
+// already carries its defaults.
 func newEngine(s *snapshot, opts Options) (*Engine, error) {
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{opts: opts, shards: shards, cache: NewFlowCache(opts.FlowCacheEntries)}
+	e := &Engine{opts: opts, cache: NewFlowCache(opts.FlowCacheEntries)}
 	e.snap.Store(s)
 	e.raiseNextID(s.set)
 	if err := e.initUpdater(); err != nil {
@@ -506,10 +460,9 @@ func putMissScratch(ms *missScratch) {
 // classifyCached serves ps through the flow cache c. A hit is one slot read
 // and one copy out of the rule list; the misses are gathered so the backend
 // sees one dense span — compiled classifiers run their frontier walk even
-// behind the cache — which fan, when set, may split across its workers.
-// Each miss's position fills the cache as it is, and its rule is copied
-// once, into out.
-func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result, fan *Engine) {
+// behind the cache. Each miss's position fills the cache as it is, and its
+// rule is copied once, into out.
+func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result) {
 	ms := getMissScratch(len(ps))
 	rules, v := s.source()
 	idx := ms.idx[:len(ps)]
@@ -526,11 +479,7 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result, 
 	if miss > 0 {
 		// The probe answers are all read: the front of idx takes the misses'.
 		mps, midx := ms.ps[:miss], idx[:miss]
-		if fan != nil {
-			fan.classifySpan(s, mps, midx, nil)
-		} else {
-			s.cls.LookupBatch(mps, midx)
-		}
+		s.cls.LookupBatch(mps, midx)
 		for j, ix := range midx {
 			put(&out[ms.pos[j]], rules, v, ix)
 			c.Put(mps[j], s.rulesGen, ix)
@@ -546,9 +495,8 @@ func (e *Engine) Metrics() Metrics { return e.snap.Load().cls.Metrics() }
 // ClassifyBatch classifies every packet of the batch against one coherent
 // snapshot, running to completion on the caller: the flow cache (when
 // configured) is probed for the whole batch in line, and only the packets
-// it cannot answer reach the backend — split across the engine's workers
-// when, and only when, they are worth a handoff (see classifySpan).
-// Steady-state the path performs no heap allocations.
+// it cannot answer reach the backend, as one span. Concurrent callers are
+// the only parallelism. Steady-state the path performs no heap allocations.
 func (e *Engine) ClassifyBatch(ps []rule.Packet, out []Result) {
 	s := e.snap.Load()
 	e.batches.Add(1)
@@ -561,116 +509,28 @@ func (e *Engine) ClassifyBatch(ps []rule.Packet, out []Result) {
 }
 
 func (e *Engine) classifyBatch(s *snapshot, ps []rule.Packet, out []Result) {
-	if e.cache == nil {
-		s.classifyUncached(ps, out, e)
-		return
-	}
-	s.classifyCached(e.cache, ps, out, e)
+	View{s}.ClassifyCached(e.cache, ps, out)
 }
 
 // classifyUncached answers a dense span with no cache in front: positions
-// into a recycled scratch, then one copy per packet into out. fan, when set,
-// may split the span across its workers.
-func (s *snapshot) classifyUncached(ps []rule.Packet, out []Result, fan *Engine) {
+// into a recycled scratch, then one copy per packet into out.
+func (s *snapshot) classifyUncached(ps []rule.Packet, out []Result) {
 	ms := getMissScratch(len(ps))
-	if pos := ms.idx[:len(ps)]; fan != nil {
-		fan.classifySpan(s, ps, pos, out)
-	} else {
-		s.lookupSpan(ps, pos, out)
+	pos := ms.idx[:len(ps)]
+	s.cls.LookupBatch(ps, pos)
+	rules, v := s.source()
+	for i := range ps {
+		put(&out[i], rules, v, pos[i])
 	}
 	putMissScratch(ms)
 }
 
-// lookupSpan looks ps up into pos and materializes the answers into out,
-// unless out is nil.
-func (s *snapshot) lookupSpan(ps []rule.Packet, pos []int32, out []Result) {
-	s.cls.LookupBatch(ps, pos)
-	rules, v := s.source()
-	for i := range out {
-		put(&out[i], rules, v, pos[i])
-	}
-}
-
-// classifySpan puts a dense span no cache could answer to the backend,
-// positions into pos and, unless out is nil, rules into out. It fans out
-// only when each span carries at least handoffWork of estimated work, and
-// then the caller classifies the first span itself and each worker
-// materializes its own: Shards: n means n goroutines busy and n-1 handoffs.
-// Below the gate — every Shards: 1 engine, every small or mostly-cached
-// batch — it is one backend call in line.
-func (e *Engine) classifySpan(s *snapshot, ps []rule.Packet, pos []int32, out []Result) {
-	n := len(ps)
-	spans := 1
-	if e.shards > 1 {
-		spans = min(e.shards, n, n*s.cls.Metrics().LookupCost/handoffWork)
-	}
-	if spans < 2 || !e.workersReady() {
-		s.lookupSpan(ps, pos, out)
-		return
-	}
-	chunk := (n + spans - 1) / spans
-	wg := wgPool.Get().(*sync.WaitGroup)
-	handed := uint64(0)
-	for lo := chunk; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		t := batchTask{snap: s, ps: ps[lo:hi], pos: pos[lo:hi], wg: wg}
-		if out != nil {
-			t.out = out[lo:hi]
-		}
-		wg.Add(1)
-		e.work <- t
-		handed++
-	}
-	e.handoffs.Add(handed)
-	if out != nil {
-		out = out[:chunk]
-	}
-	s.lookupSpan(ps[:chunk], pos[:chunk], out)
-	wg.Wait()
-	wgPool.Put(wg)
-}
-
-// workersReady starts the engine's shards-1 persistent workers on first
-// use and reports whether they are up; false means the engine was closed
-// first, and the caller classifies in line instead of touching a dead pool.
-func (e *Engine) workersReady() bool {
-	if e.workersUp.Load() {
-		return true
-	}
-	e.workOnce.Do(func() {
-		// Buffer a few fan-outs' worth of spans per worker so a handoff
-		// rarely blocks even with several concurrent batch callers.
-		e.work = make(chan batchTask, 4*e.shards)
-		for i := 1; i < e.shards; i++ {
-			go func() {
-				for t := range e.work {
-					t.snap.lookupSpan(t.ps, t.pos, t.out)
-					t.wg.Done()
-				}
-			}()
-		}
-		e.workersUp.Store(true)
-	})
-	return e.workersUp.Load()
-}
-
-// Close releases the engine's worker goroutines, stops the background
-// compactor and closes the update journal. It is safe to call more than
-// once; the engine must not be used for batch classification after Close.
-// An engine that never handed a span off and never took an update holds no
-// goroutine, so Close is optional for short-lived read-only engines.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		e.closeUpdater()
-		// Consuming the Once first means a concurrent in-flight start
-		// finishes before we observe workersUp, and no future call can
-		// respawn workers.
-		e.workOnce.Do(func() {})
-		if e.workersUp.Load() {
-			close(e.work)
-		}
-	})
-}
+// Close stops the background compactor and closes the update journal. It
+// is safe to call more than once. Lookups (single and batch) keep answering
+// after Close, against the last published snapshot. An engine that never
+// took an update holds no goroutine, so Close is optional for short-lived
+// read-only engines.
+func (e *Engine) Close() { e.closeOnce.Do(e.closeUpdater) }
 
 // UpdateResult describes the snapshot published by one successful update.
 // All three fields come from the same snapshot, so a caller can report a

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -82,30 +83,28 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestEngineBatchMatchesSingle checks that the sharded batch path returns
-// exactly what the single-packet path returns, across shard counts and batch
-// sizes spanning the inline/fan-out threshold.
+// TestEngineBatchMatchesSingle checks that the batch path returns exactly
+// what the single-packet path returns, across batch sizes.
 func TestEngineBatchMatchesSingle(t *testing.T) {
 	set := testSet(t, "fw1", 200)
 	trace := classbench.GenerateTrace(set, 2000, 7)
-	for _, shards := range []int{1, 2, 8} {
-		eng, err := NewEngine("hicuts", set, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
+	eng, err := NewEngine("hicuts", set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, n := range []int{1, 63, 128, 2000} {
+		ps := make([]rule.Packet, n)
+		for i := range ps {
+			ps[i] = trace[i%len(trace)].Key
 		}
-		for _, n := range []int{1, 63, 128, 2000} {
-			ps := make([]rule.Packet, n)
-			for i := range ps {
-				ps[i] = trace[i%len(trace)].Key
-			}
-			out := make([]Result, n)
-			eng.ClassifyBatch(ps, out)
-			for i, p := range ps {
-				r, ok := eng.Classify(p)
-				if out[i].OK != ok || (ok && out[i].Rule.Priority != r.Priority) {
-					t.Fatalf("shards=%d n=%d packet %d: batch (%v, prio %d) != single (%v, prio %d)",
-						shards, n, i, out[i].OK, out[i].Rule.Priority, ok, r.Priority)
-				}
+		out := make([]Result, n)
+		eng.ClassifyBatch(ps, out)
+		for i, p := range ps {
+			r, ok := eng.Classify(p)
+			if out[i].OK != ok || (ok && out[i].Rule.Priority != r.Priority) {
+				t.Fatalf("n=%d packet %d: batch (%v, prio %d) != single (%v, prio %d)",
+					n, i, out[i].OK, out[i].Rule.Priority, ok, r.Priority)
 			}
 		}
 	}
@@ -163,5 +162,43 @@ func TestEngineInsertDelete(t *testing.T) {
 		if v := eng.Version(); v != 3 {
 			t.Errorf("%s: final version = %d, want 3 (failed delete must not bump)", backend, v)
 		}
+	}
+}
+
+// TestClassifyBatchAfterClose: lookups run on the caller, so an engine
+// starts no goroutine to serve them and answers correctly after Close.
+func TestClassifyBatchAfterClose(t *testing.T) {
+	set := testSet(t, "acl1", 300)
+	trace := classbench.GenerateTrace(set, 4096, 9)
+	ps := make([]rule.Packet, len(trace))
+	for i, e := range trace {
+		ps[i] = e.Key
+	}
+	check := func(when string, out []Result) {
+		t.Helper()
+		for i, p := range ps {
+			r, ok := set.Match(p)
+			if out[i].OK != ok || ok && out[i].Rule != r {
+				t.Fatalf("%s: packet %d: got (%d, %v), want (%d, %v)", when, i, out[i].Rule.ID, out[i].OK, r.ID, ok)
+			}
+		}
+	}
+	for _, cache := range []int{0, 1024} {
+		before := runtime.NumGoroutine()
+		eng, err := NewEngine("linear", set, Options{FlowCacheEntries: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]Result, len(ps))
+		eng.ClassifyBatch(ps, out)
+		check("open", out)
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("cache=%d: a read-only engine started %d goroutines", cache, after-before)
+		}
+		eng.Close()
+		eng.Close() // idempotent
+		clear(out)
+		eng.ClassifyBatch(ps, out)
+		check("closed", out)
 	}
 }

@@ -18,12 +18,12 @@ func TestFlowCacheCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 200, 3)
-	cached, err := NewEngine("linear", set, Options{Shards: 1, FlowCacheEntries: 256})
+	cached, err := NewEngine("linear", set, Options{FlowCacheEntries: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cached.Close()
-	plain, err := NewEngine("linear", set, Options{Shards: 1})
+	plain, err := NewEngine("linear", set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFlowCacheInvalidatedByUpdate(t *testing.T) {
 	specific := rule.NewWildcardRule(0)
 	specific.Ranges[rule.DimSrcIP] = rule.Range{Lo: 10, Hi: 10}
 	set := rule.NewSet([]rule.Rule{specific, rule.NewWildcardRule(1)})
-	eng, err := NewEngine("linear", set, Options{Shards: 1, FlowCacheEntries: 64})
+	eng, err := NewEngine("linear", set, Options{FlowCacheEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFlowCacheBatchPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 150, 5)
-	eng, err := NewEngine("linear", set, Options{Shards: 4, FlowCacheEntries: 512})
+	eng, err := NewEngine("linear", set, Options{FlowCacheEntries: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFlowCacheSingleOwner(t *testing.T) {
 func TestFlowCacheSurvivesCompaction(t *testing.T) {
 	set := overlayTestSet(t, 300)
 	// No background compactor: the test calls the rebuild itself, in order.
-	eng, err := NewEngine("hicuts", set, Options{Shards: 1, FlowCacheEntries: 1024, CompactThreshold: -1})
+	eng, err := NewEngine("hicuts", set, Options{FlowCacheEntries: 1024, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ import (
 const DefaultCompactThreshold = 256
 
 // overlayClassifier adapts an updater.View to the Classifier interface so
-// the engine's read path (flow cache, batch fan-out) serves merged
+// the engine's read path (flow cache, batch lookups) serves merged
 // base+overlay lookups unchanged. The view's positions index its merged
 // list, which is the snapshot's rule list; the view materializes them.
 type overlayClassifier struct {
@@ -56,7 +56,7 @@ func newOverlaySnap(like *snapshot, view *updater.View, baseCls Classifier, base
 	m.Rules = view.Len()
 	ov := &overlayClassifier{view: view, m: m}
 	return &snapshot{cls: ov, ov: ov, baseCls: baseCls, version: version, rulesGen: rulesGen,
-		backend: like.backend, build: like.build, base: base}
+		backend: like.backend, binth: like.binth, build: like.build, base: base}
 }
 
 // overlayView returns the view the snapshot's next update derives from: its
@@ -319,12 +319,11 @@ func (e *Engine) compactOnce() {
 		e.noteCompactFailure(fmt.Errorf("backend %q is not registered; overlay cannot be folded", cur.backend))
 		return
 	}
-	build := cur.build
 	e.mu.Unlock()
 	frozen := cur.rules() // the merged list being folded into the new base
 
 	t0 := time.Now()
-	cls, err := build(frozen, e.opts)
+	cls, err := cur.build(frozen, e.buildOpts(cur))
 	if err != nil {
 		// Keep serving the overlay; the next threshold signal retries
 		// (after the failure backoff in the compactor loop).
@@ -356,7 +355,7 @@ func (e *Engine) compactOnce() {
 	if now.rulesGen == cur.rulesGen {
 		// No updates landed during the rebuild: the new base serves directly.
 		ns = &snapshot{cls: cls, baseCls: cls, set: frozen, version: now.version + 1, rulesGen: now.rulesGen,
-			backend: now.backend, build: now.build, base: base}
+			backend: now.backend, binth: now.binth, build: now.build, base: base}
 	} else {
 		// Rebase the updates that did: now's list over the new base.
 		view, verr := updater.NewView(base, now.rules())
@@ -381,6 +380,15 @@ func (e *Engine) compactOnce() {
 	e.afterOverlayPublish(ns)
 }
 
+// buildOpts is the engine's options with the leaf threshold snapshot s was
+// built with, so a compaction rebuilds the tree the artifact or the cold
+// build described.
+func (e *Engine) buildOpts(s *snapshot) Options {
+	opts := e.opts
+	opts.Binth = s.binth
+	return opts
+}
+
 // noteCompactFailure records a failed background compaction so operators
 // can see it (UpdaterStats / the server's stats line would otherwise show a
 // frozen compaction count and nothing else) and arms the failure backoff.
@@ -401,7 +409,7 @@ func (e *Engine) compactLocked() error {
 	}
 	t0 := time.Now()
 	set := cur.rules()
-	cls, err := cur.build(set, e.opts)
+	cls, err := cur.build(set, e.buildOpts(cur))
 	if err != nil {
 		return fmt.Errorf("engine: compacting: %w", err)
 	}
@@ -410,7 +418,7 @@ func (e *Engine) compactLocked() error {
 		return err
 	}
 	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: set, version: cur.version + 1, rulesGen: cur.rulesGen,
-		backend: cur.backend, build: cur.build, base: base})
+		backend: cur.backend, binth: cur.binth, build: cur.build, base: base})
 	e.compactions.Add(1)
 	e.lastCompactNanos.Store(time.Since(t0).Nanoseconds())
 	if e.tel != nil {

@@ -35,7 +35,7 @@ func init() {
 // back-to-back rebuild after every compaction under steady update load.
 func TestCompactRebaseRestartsAgeClock(t *testing.T) {
 	set := overlayTestSet(t, 100)
-	eng, err := NewEngine("blocking-test-backend", set, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngine("blocking-test-backend", set, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkOverlayBatch is the overlay layer's own micro: 256-packet
-// Engine.ClassifyBatch calls (one shard, no flow cache) over acl1 10k
+// Engine.ClassifyBatch calls (no flow cache) over acl1 10k
 // CutSplit, reported per packet with allocations.
 //
 // The overlay legs hold 0, 64 and 128 inserted copies of base rules plus as
@@ -47,7 +47,7 @@ func BenchmarkOverlayBatch(b *testing.B) {
 		})
 	}
 
-	eng, err := NewEngine("cutsplit", set, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngine("cutsplit", set, Options{CompactThreshold: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func BenchmarkOverlayBatch(b *testing.B) {
 		r.ID = set.Len() + k
 		folded.Insert(rng.Intn(set.Len()), r)
 	}
-	churn, err := NewEngine("cutsplit", folded, Options{Shards: 1, CompactThreshold: -1})
+	churn, err := NewEngine("cutsplit", folded, Options{CompactThreshold: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -130,15 +130,14 @@ var positionShapes = []struct {
 // below the engine's edge: for every registered backend, over every snapshot
 // shape (as built; overlay with inserts and tombstones over base winners;
 // compacted with updates rebased; artifact-loaded), every answer of
-// Engine.Classify and Engine.ClassifyBatch (Shards 1 and 2, flow cache off
-// and on — cached twice, so the cache answers the second pass),
+// Engine.Classify and Engine.ClassifyBatch (flow cache off and on — cached
+// twice, so the cache answers the second pass),
 // View.ClassifyBatch and View.ClassifyCached (uncached, and cached twice)
 // must be exactly the rule at the position linear search over the snapshot's
 // own list gives — or no rule when it gives -1.
 func TestLookupPositionsMatchLinear(t *testing.T) {
 	set := overlayTestSet(t, 300)
-	// 4096 packets put tree backends past the fan-out gate at Shards 2;
-	// -short keeps 1024, which only linear search fans out.
+	// -short keeps a quarter of the packets.
 	n := 4096
 	if testing.Short() {
 		n = 1024
@@ -165,7 +164,7 @@ func TestLookupPositionsMatchLinear(t *testing.T) {
 				t.Skip("skipping learned backend in -short mode")
 			}
 			for _, shape := range positionShapes {
-				eng := shape.start(t, backend, set, ps, Options{Shards: 1, CompactThreshold: -1, Timesteps: 600, Workers: 2, Seed: 42})
+				eng := shape.start(t, backend, set, ps, Options{CompactThreshold: -1, Timesteps: 600, Workers: 2, Seed: 42})
 				if eng == nil {
 					continue
 				}
@@ -185,30 +184,25 @@ func TestLookupPositionsMatchLinear(t *testing.T) {
 						}
 					}
 				}
-				// Shards and the cache are read per call, so the one quiescent
-				// engine takes each configuration in turn: fewer builds.
-				for _, c := range []struct{ shards, cache int }{{1, 0}, {2, 0}, {1, 4096}, {2, 4096}} {
-					eng.shards, eng.cache = c.shards, NewFlowCache(c.cache)
-					cfg = fmt.Sprintf("/shards=%d/cache=%d", c.shards, c.cache)
+				// The cache is read per call, so the one quiescent engine
+				// takes each configuration in turn: fewer builds.
+				for _, cache := range []int{0, 4096} {
+					eng.cache = NewFlowCache(cache)
+					cfg = fmt.Sprintf("/cache=%d", cache)
 					passes := 1
-					if c.cache > 0 {
+					if cache > 0 {
 						passes = 2
 					}
 					for pass := 0; pass < passes; pass++ {
 						eng.ClassifyBatch(ps, fresh())
 						check("Engine.ClassifyBatch", func(i int) Result { return out[i] })
 					}
-					if c.shards == 1 {
-						check("Engine.Classify", func(i int) Result {
-							r, ok := eng.Classify(ps[i])
-							return Result{r, ok}
-						})
-					}
+					check("Engine.Classify", func(i int) Result {
+						r, ok := eng.Classify(ps[i])
+						return Result{r, ok}
+					})
 				}
 				cfg = ""
-				if backend == "linear" && eng.Stats().Handoffs == 0 {
-					t.Fatalf("%s: linear search never handed a span to a worker", shape.name)
-				}
 				view := eng.CurrentView()
 				view.ClassifyBatch(ps, fresh())
 				check("View.ClassifyBatch", func(i int) Result { return out[i] })

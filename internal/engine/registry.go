@@ -40,10 +40,8 @@ type Options struct {
 	// action at the top node (the paper's "simple" partitioning); the
 	// default trains a single unpartitioned tree.
 	SimplePartition bool
-	// Shards is the most goroutines one ClassifyBatch call may keep busy,
-	// the caller included (0 selects GOMAXPROCS); a batch fans out only when
-	// its cache misses are worth the handoffs. It does not affect the
-	// underlying data structure.
+	// Shards is read by nothing: every ClassifyBatch runs to completion on
+	// its caller. It stays only because benchmarks/e2e still sets it.
 	Shards int
 	// FlowCacheEntries sizes the engine's lock-free flow cache (rounded up
 	// to a power of two, 32 bytes an entry). 0 disables the cache. The cache
@@ -172,7 +170,7 @@ func DisplayName(name string) string {
 }
 
 // New builds the named backend over the rule set with default options and
-// returns its Classifier. Use NewEngine for sharded batching and updates,
+// returns its Classifier. Use NewEngine for the flow cache and updates,
 // or NewWithOptions to tune build parameters.
 func New(name string, set *rule.Set) (Classifier, error) {
 	return NewWithOptions(name, set, Options{})

@@ -45,13 +45,14 @@ type tableState struct {
 // are never blocked.
 //
 // Engines displaced by Swap or Drop are not closed immediately: an in-flight
-// batch pinned to the old engine must be allowed to finish. They are parked
-// on a retired list and closed either by CloseAll (run after the serving
-// layer has drained, e.g. after Server.Shutdown returns) or by the reaper:
-// each admin operation closes retirees older than retireGrace, so a
-// long-running daemon whose tables are repeatedly created, swapped and
-// dropped over the wire does not accumulate goroutines, journal fds and
-// classifier memory without bound.
+// update pinned to the old engine must be allowed to finish its journal
+// append (lookups answer after Close; updates are no longer journaled).
+// They are parked on a retired list and closed either by CloseAll (run
+// after the serving layer has drained, e.g. after Server.Shutdown returns)
+// or by the reaper: each admin operation closes retirees older than
+// retireGrace, so a long-running daemon whose tables are repeatedly
+// created, swapped and dropped over the wire does not accumulate
+// goroutines, journal fds and classifier memory without bound.
 type Tables struct {
 	mu      sync.Mutex
 	state   atomic.Pointer[tableState]
@@ -264,9 +265,8 @@ func (t *Tables) RetiredLen() int {
 }
 
 // CloseAll closes every live and retired engine. Call it only after the
-// serving layer has drained (no lookup may be in flight), e.g. after
-// Server.Shutdown returns; an engine's batch workers must not be serving
-// when it is closed.
+// serving layer has drained (no update may be in flight), e.g. after
+// Server.Shutdown returns.
 func (t *Tables) CloseAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -18,7 +18,7 @@ func newTestEngine(t *testing.T, family string, size int) (*Engine, *rule.Set) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, size, 1)
-	eng, err := NewEngine("linear", set, Options{Shards: 1})
+	eng, err := NewEngine("linear", set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,6 @@ func journaledTestEngine(t *testing.T, dir, name string) *Engine {
 	}
 	set := classbench.Generate(fam, 40, 7)
 	eng, err := NewEngine("linear", set, Options{
-		Shards:           1,
 		CompactThreshold: -1,
 		JournalPath:      filepath.Join(dir, name+".journal"),
 	})

@@ -46,11 +46,11 @@ func (e *Engine) classifyOneTimed(s *snapshot, p rule.Packet) (rule.Rule, bool) 
 }
 
 // classifyBatchTimed is classifyBatch plus telemetry: one sample per call
-// into the batch histogram, taken on the caller and so covering cache
-// probe, fan-out and barrier alike (the call is the serving unit —
-// per-packet timing inside a batch would put a clock read on every
-// packet), and a flight-recorder capture when the call's per-packet average
-// crosses the slow threshold. Only called when e.tel != nil.
+// into the batch histogram, covering the cache probe and the backend span
+// alike (the call is the serving unit — per-packet timing inside a batch
+// would put a clock read on every packet), and a flight-recorder capture
+// when the call's per-packet average crosses the slow threshold. Only
+// called when e.tel != nil.
 func (e *Engine) classifyBatchTimed(s *snapshot, ps []rule.Packet, out []Result) {
 	start := time.Now()
 	e.classifyBatch(s, ps, out)

@@ -42,7 +42,7 @@ func poisonBuild(e *Engine) {
 // search over the merged list.
 func TestOverlayUpdatesNeverBuild(t *testing.T) {
 	set := overlayTestSet(t, 10000)
-	eng, err := NewEngine("hicuts", set, Options{Shards: 2, CompactThreshold: -1})
+	eng, err := NewEngine("hicuts", set, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestOneWritePath(t *testing.T) {
 // the rule must win exactly the packets linear search gives it.
 func TestOverlayHoldsWideRangeRule(t *testing.T) {
 	set := overlayTestSet(t, 10000)
-	eng, err := NewEngine("hicuts", set, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngine("hicuts", set, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestOverlayDifferential(t *testing.T) {
 	for _, backend := range []string{"hicuts", "linear"} {
 		t.Run(backend, func(t *testing.T) {
 			set := overlayTestSet(t, 400)
-			eng, err := NewEngine(backend, set, Options{Shards: 1, CompactThreshold: 64})
+			eng, err := NewEngine(backend, set, Options{CompactThreshold: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestOverlayDifferential(t *testing.T) {
 // snapshot (every result matches that snapshot's own rule list).
 func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 	set := overlayTestSet(t, 300)
-	eng, err := NewEngine("hicuts", set, Options{Shards: 2, CompactThreshold: 8, CompactMaxAge: 20 * time.Millisecond})
+	eng, err := NewEngine("hicuts", set, Options{CompactThreshold: 8, CompactMaxAge: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 		}(g)
 	}
 
-	// Batch reader through the sharded worker pool.
+	// Batch reader, running on its own goroutine.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -423,7 +423,7 @@ func TestOverlayZeroAllocLookups(t *testing.T) {
 	ps := allocTestPackets(set, 256)
 	out := make([]Result, len(ps))
 	for _, backend := range []string{"linear", "hicuts", "cutsplit"} {
-		eng, err := NewEngine(backend, set, Options{Shards: 1, CompactThreshold: -1})
+		eng, err := NewEngine(backend, set, Options{CompactThreshold: -1})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -462,7 +462,7 @@ func TestOverlayZeroAllocLookups(t *testing.T) {
 // bounds.
 func TestInsertPositionClamping(t *testing.T) {
 	set := overlayTestSet(t, 40)
-	eng, err := NewEngine("linear", set, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngine("linear", set, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestInsertPositionClamping(t *testing.T) {
 // ID twice — fails with ErrRuleNotFound and an error naming the ID.
 func TestDeleteMissingRule(t *testing.T) {
 	set := overlayTestSet(t, 30)
-	eng, err := NewEngine("linear", set, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngine("linear", set, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	journal := JournalPathFor(artifact)
 
 	set := overlayTestSet(t, 500)
-	src, err := NewEngine("hicuts", set, Options{Shards: 1})
+	src, err := NewEngine("hicuts", set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 	src.Close()
 
-	engA, err := NewEngineFromArtifact(artifact, Options{Shards: 1, JournalPath: journal, CompactThreshold: -1})
+	engA, err := NewEngineFromArtifact(artifact, Options{JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	// Crash: abandon engA without Close. (The journal file's writes are
 	// already in the OS; only the in-memory state is lost.)
 
-	engB, err := NewEngineFromArtifact(artifact, Options{Shards: 1, JournalPath: journal, CompactThreshold: -1})
+	engB, err := NewEngineFromArtifact(artifact, Options{JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -595,7 +595,7 @@ func TestJournalRecoveryAfterCompaction(t *testing.T) {
 	journal := filepath.Join(dir, "u.journal")
 	set := overlayTestSet(t, 200)
 
-	engA, err := NewEngine("hicuts", set, Options{Shards: 1, JournalPath: journal, CompactThreshold: 4})
+	engA, err := NewEngine("hicuts", set, Options{JournalPath: journal, CompactThreshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func TestJournalRecoveryAfterCompaction(t *testing.T) {
 
 	// Crash and recover onto a cold-built engine over the same generated
 	// set: the journal's fingerprint matches the original base.
-	engB, err := NewEngine("hicuts", overlayTestSet(t, 200), Options{Shards: 1, JournalPath: journal, CompactThreshold: -1})
+	engB, err := NewEngine("hicuts", overlayTestSet(t, 200), Options{JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -646,7 +646,7 @@ func TestSaveArtifactCompactsAndRotates(t *testing.T) {
 	journal := JournalPathFor(artifact)
 	set := overlayTestSet(t, 150)
 
-	eng, err := NewEngine("hicuts", set, Options{Shards: 1, JournalPath: journal, CompactThreshold: -1})
+	eng, err := NewEngine("hicuts", set, Options{JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +676,7 @@ func TestSaveArtifactCompactsAndRotates(t *testing.T) {
 	}
 	want := append([]rule.Rule(nil), eng.Rules().Rules()...)
 
-	warm, err := NewEngineFromArtifact(artifact, Options{Shards: 1, JournalPath: journal, CompactThreshold: -1})
+	warm, err := NewEngineFromArtifact(artifact, Options{JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +698,7 @@ func TestSaveArtifactCompactsAndRotates(t *testing.T) {
 func TestOverlayUnregisteredBackendStillUpdates(t *testing.T) {
 	set := artifactTestSet(t, 120)
 	path := saveTestArtifact(t, set, "no-such-backend-overlay", t.TempDir())
-	eng, err := NewEngineFromArtifact(path, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngineFromArtifact(path, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +726,7 @@ func TestSideSaveDoesNotRotateJournal(t *testing.T) {
 	journal := JournalPathFor(artifact)
 	set := overlayTestSet(t, 120)
 
-	src, err := NewEngine("hicuts", set, Options{Shards: 1})
+	src, err := NewEngine("hicuts", set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,7 +735,7 @@ func TestSideSaveDoesNotRotateJournal(t *testing.T) {
 	}
 	src.Close()
 
-	eng, err := NewEngineFromArtifact(artifact, Options{Shards: 1, JournalPath: journal, CompactThreshold: -1})
+	eng, err := NewEngineFromArtifact(artifact, Options{JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +753,7 @@ func TestSideSaveDoesNotRotateJournal(t *testing.T) {
 	}
 	want := append([]rule.Rule(nil), eng.Rules().Rules()...)
 	// Crash and recover from the ORIGINAL pair: all 5 updates replay.
-	warm, err := NewEngineFromArtifact(artifact, Options{Shards: 1, JournalPath: journal, CompactThreshold: -1})
+	warm, err := NewEngineFromArtifact(artifact, Options{JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatalf("recovery after side save: %v", err)
 	}

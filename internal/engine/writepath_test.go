@@ -19,7 +19,7 @@ import (
 func writeCostEngine(tb testing.TB, n int) (*Engine, *rule.Set) {
 	tb.Helper()
 	set := overlayTestSet(tb, n)
-	eng, err := NewEngine("linear", set, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngine("linear", set, Options{CompactThreshold: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func init() {
 func TestCompactionRacingUpdates(t *testing.T) {
 	set := overlayTestSet(t, 2000)
 	trace := allocTestPackets(set, 4000)
-	eng, err := NewEngine("racing-test-backend", set, Options{Shards: 1, CompactThreshold: -1})
+	eng, err := NewEngine("racing-test-backend", set, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

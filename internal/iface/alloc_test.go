@@ -66,7 +66,7 @@ func TestZeroAllocShmClient(t *testing.T) {
 		t.Skip("AllocsPerRun is meaningless under -race; the alloc gate runs in the non-race CI pass")
 	}
 	set := allocShmSet(t)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

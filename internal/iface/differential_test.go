@@ -58,7 +58,7 @@ func TestDifferentialPcapVsDirect(t *testing.T) {
 	}
 
 	for _, backend := range []string{"hicuts", "linear"} {
-		eng, err := engine.NewEngine(backend, set, engine.Options{Shards: 1})
+		eng, err := engine.NewEngine(backend, set, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}

@@ -45,7 +45,7 @@ func allocShmPackets(t testing.TB, set *rule.Set, n int) []rule.Packet {
 func newShmPair(t *testing.T, slots int) (*ShmServer, *ShmClient, *engine.Engine, *rule.Set) {
 	t.Helper()
 	set := allocShmSet(t)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestShmConcurrentCallers(t *testing.T) {
 // ring file is removed.
 func TestShmServerClose(t *testing.T) {
 	set := allocShmSet(t)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func (s slowClassifier) ClassifyBatch(ps []rule.Packet, out []engine.Result) {
 // closes, and Close returns within its drain bound.
 func TestShmCloseDrains(t *testing.T) {
 	set := allocShmSet(t)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestShmHandshakeValidation(t *testing.T) {
 // of two and the client sees the same capacity.
 func TestShmSlotRounding(t *testing.T) {
 	set := allocShmSet(t)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestDifferentialShmVsTCP(t *testing.T) {
 		ps[i] = e.Key
 	}
 	newEngine := func() *engine.Engine {
-		eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+		eng, err := engine.NewEngine("linear", set, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

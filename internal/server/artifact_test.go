@@ -18,7 +18,7 @@ func artifactTestEngine(t *testing.T, backend string, size int) (*engine.Engine,
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, size, 5)
-	eng, err := engine.NewEngine(backend, set, engine.Options{Shards: 2})
+	eng, err := engine.NewEngine(backend, set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func startEngineServer(t *testing.T, backend string) (*engine.Engine, *rule.Set,
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 200, 1)
-	eng, err := engine.NewEngine(backend, set, engine.Options{Shards: 2})
+	eng, err := engine.NewEngine(backend, set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

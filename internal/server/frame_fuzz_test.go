@@ -62,7 +62,7 @@ func fuzzServerInit() {
 		panic(err)
 	}
 	set := classbench.Generate(fam, 30, 1)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -32,7 +32,7 @@ func buildTestEngine(t *testing.T, family, backend string, size int) (*engine.En
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, size, 1)
-	eng, err := engine.NewEngine(backend, set, engine.Options{Shards: 2})
+	eng, err := engine.NewEngine(backend, set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestV2CreateTableReplaysJournal(t *testing.T) {
 	}
 	set := classbench.Generate(fam, 120, 1)
 	eng, err := engine.NewEngine("hicuts", set, engine.Options{
-		Shards: 1, JournalPath: engine.JournalPathFor(artifact), CompactThreshold: -1,
+		JournalPath: engine.JournalPathFor(artifact), CompactThreshold: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

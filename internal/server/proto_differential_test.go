@@ -53,7 +53,7 @@ func TestProtocolDifferential(t *testing.T) {
 		}
 		set := classbench.Generate(fam, spec.size, 1)
 		sets[spec.name] = set
-		eng, err := engine.NewEngine(spec.backend, set, engine.Options{Shards: 2})
+		eng, err := engine.NewEngine(spec.backend, set, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestProtocolDifferential(t *testing.T) {
 			}
 
 			// In-process SDK classifier over the same rules and backend.
-			sdk, err := classifier.Open(set.Clone(), classifier.WithBackend(spec.backend), classifier.WithShards(2))
+			sdk, err := classifier.Open(set.Clone(), classifier.WithBackend(spec.backend))
 			if err != nil {
 				t.Errorf("%s: sdk open: %v", spec.name, err)
 				return

@@ -68,7 +68,8 @@ type Server struct {
 
 	// TableCreateOptions is the engine option base for tables created over
 	// the wire (OpCreateTable), so wire-created tables inherit the daemon's
-	// serving defaults (shards, binth, compaction) instead of zero options.
+	// engine defaults (binth, training budget, seed, flow cache, compaction)
+	// instead of zero options.
 	// Set it before Listen; multi-table servers only.
 	TableCreateOptions engine.Options
 

@@ -33,7 +33,7 @@ func startTestServer(t *testing.T) (*Server, *rule.Set, string) {
 // hicutsEngine builds a HiCuts engine over set, closed when the test ends.
 func hicutsEngine(t *testing.T, set *rule.Set) *engine.Engine {
 	t.Helper()
-	eng, err := engine.NewEngine("hicuts", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func startTimeoutServer(t *testing.T, timeout time.Duration) (*Server, string) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 100, 1)
-	eng, err := engine.NewEngine("linear", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

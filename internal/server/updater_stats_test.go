@@ -31,7 +31,7 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 	set := classbench.Generate(fam, 150, 1)
 	journal := filepath.Join(t.TempDir(), "srv.journal")
 	eng, err := engine.NewEngine("hicuts", set, engine.Options{
-		Shards: 1, JournalPath: journal, CompactThreshold: -1})
+		JournalPath: journal, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func wireRig(tb testing.TB) (*ClientV2, []rule.Packet) {
 		tb.Fatal(err)
 	}
 	set := classbench.Generate(fam, 1000, 1)
-	eng, err := engine.NewEngine("hicuts", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestBatchScratchReuse(t *testing.T) {
 	// is really a miss.
 	r := rule.NewWildcardRule(0)
 	r.Ranges[rule.DimSrcIP] = rule.Range{Lo: 10, Hi: 10}
-	eng, err := engine.NewEngine("linear", rule.NewSet([]rule.Rule{r}), engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("linear", rule.NewSet([]rule.Rule{r}), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //	rules, _ := classifier.GenerateRules("acl1", 1000, 1)
 //	c, err := classifier.Open(rules,
 //		classifier.WithBackend("hicuts"),
-//		classifier.WithShards(8))
+//		classifier.WithFlowCache(4096))
 //	defer c.Close()
 //
 //	match, ok, err := c.Classify(ctx, classifier.Packet{SrcIP: ..., DstPort: 443, Proto: 6})
@@ -199,10 +199,10 @@ func (c *Classifier) Classify(ctx context.Context, key Packet) (match Rule, ok b
 }
 
 // ClassifyBatch classifies every packet against one coherent rule-set
-// snapshot per chunk, on the calling goroutine; a chunk is split across the
-// engine's workers only when the packets the flow cache cannot answer are
-// worth the handoff. The context is checked between chunks: on cancellation the results
-// so far are discarded and the context's error returned.
+// snapshot per chunk, to completion on the calling goroutine: concurrent
+// callers are the only parallelism. The context is checked between chunks:
+// on cancellation the results so far are discarded and the context's error
+// returned.
 func (c *Classifier) ClassifyBatch(ctx context.Context, keys []Packet) ([]Result, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
@@ -430,8 +430,8 @@ func (c *Classifier) Backend() string {
 	return c.eng.Backend()
 }
 
-// Close releases the classifier's background resources (batch workers, the
-// compactor, the journal). The classifier must not be used afterwards.
+// Close releases the classifier's background resources (the compactor, the
+// journal). The classifier must not be used afterwards.
 func (c *Classifier) Close() error {
 	if c.closed.Swap(true) {
 		return nil

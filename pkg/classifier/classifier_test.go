@@ -31,7 +31,7 @@ func TestOpenBackendsAgreeWithLinearSearch(t *testing.T) {
 	keys := classifier.GenerateTrace(rules, 2000, 7)
 	ctx := context.Background()
 	for _, backend := range []string{"linear", "hicuts"} {
-		c, err := classifier.Open(rules, classifier.WithBackend(backend), classifier.WithShards(2))
+		c, err := classifier.Open(rules, classifier.WithBackend(backend))
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -226,7 +226,6 @@ func TestTelemetryStatsAndAdmin(t *testing.T) {
 	rules := mustRules(t, "acl1", 200)
 	c, err := classifier.Open(rules,
 		classifier.WithBackend("linear"),
-		classifier.WithShards(2),
 		classifier.WithSlowThreshold(0)) // implies WithTelemetry; capture all
 	if err != nil {
 		t.Fatal(err)

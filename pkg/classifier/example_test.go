@@ -36,7 +36,7 @@ func Example() {
 }
 
 // ExampleClassifier_ClassifyBatch classifies many packets against one
-// coherent rule-set snapshot with sharded lookup.
+// coherent rule-set snapshot, on the calling goroutine.
 func ExampleClassifier_ClassifyBatch() {
 	rules, err := classifier.GenerateRules("acl1", 100, 1)
 	if err != nil {

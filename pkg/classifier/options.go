@@ -108,14 +108,6 @@ func WithSlowThreshold(d time.Duration) Option {
 	}
 }
 
-// WithShards sets the most goroutines one batch lookup may keep busy, the
-// caller included (0 selects GOMAXPROCS); a batch is split only when it
-// carries enough uncached work to repay the handoffs. It affects only the
-// serving runtime, not the built data structure.
-func WithShards(n int) Option {
-	return func(c *config) { c.opts.Shards = n }
-}
-
 // WithFlowCache enables the lock-free flow cache with the given entry budget
 // (32 bytes an entry). The cache memoises (5-tuple -> winning rule) per
 // rule-list generation, which pays off on skewed traffic where few flows

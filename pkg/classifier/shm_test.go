@@ -22,7 +22,7 @@ func TestSharedMemoryTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 300, 1)
-	eng, err := engine.NewEngine("hicuts", set, engine.Options{Shards: 1})
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSharedMemoryOptionValidation(t *testing.T) {
 	}
 	if _, err := classifier.Open(nil,
 		classifier.WithSharedMemory("/tmp/nope", time.Second),
-		classifier.WithShards(4)); err == nil {
+		classifier.WithFlowCache(4096)); err == nil {
 		t.Fatal("Open with engine options + WithSharedMemory succeeded")
 	}
 	if _, err := classifier.Open(nil,
