@@ -419,7 +419,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 
 // BenchmarkEngineFlowCache measures the flow cache on Zipf-skewed traffic
 // against the uncached engine on the same trace. The skewed rows should
-// show the cache collapsing lookup cost toward a hash + slot read; the
+// show the cache collapsing lookup cost toward a hash + set probe; the
 // uniform rows show its overhead when traffic has no locality. The batch
 // row is the flow_zipf shape: 256-packet calls, which probe the cache for
 // the whole batch and classify the few misses on the caller.
@@ -475,7 +475,7 @@ func BenchmarkEngineFlowCache(b *testing.B) {
 
 // BenchmarkFlowCacheHit measures the cache alone: one probe that hits, as
 // Get and as one packet's share of a 256-packet GetBatch. 16 384 entries are
-// the benchmark's flow_zipf size (512 KB of slots).
+// the benchmark's flow_zipf size (512 KB of sets).
 func BenchmarkFlowCacheHit(b *testing.B) {
 	set := benchSet(b, "acl1", 1000)
 	var keys []rule.Packet
@@ -484,12 +484,14 @@ func BenchmarkFlowCacheHit(b *testing.B) {
 	}
 	c := engine.NewFlowCache(16384)
 	for i, k := range keys {
-		c.Put(k, 1, int32(i))
+		if _, hit, h := c.Get(k, 1); !hit {
+			c.Put(h, k, 1, int32(i))
+		}
 	}
 	b.Run("get", func(b *testing.B) {
 		hits := 0
 		for i := 0; i < b.N; i++ {
-			if _, hit := c.Get(keys[i%len(keys)], 1); hit {
+			if _, hit, _ := c.Get(keys[i%len(keys)], 1); hit {
 				hits++
 			}
 		}
@@ -498,10 +500,10 @@ func BenchmarkFlowCacheHit(b *testing.B) {
 		}
 	})
 	b.Run("batch=256", func(b *testing.B) {
-		idx := make([]int32, 256)
+		idx, hs := make([]int32, 256), make([]uint64, 256)
 		for i := 0; i < b.N; i++ {
 			lo := i * 256 % len(keys)
-			c.GetBatch(keys[lo:lo+256], 1, idx)
+			c.GetBatch(keys[lo:lo+256], 1, idx, hs)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256), "ns/packet")
 	})
@@ -695,9 +697,42 @@ func BenchmarkGateOverlayVsRebuild(b *testing.B) {
 			check(err)
 			built.Close()
 		}
-		return updateP50(set, func(pos int, r rule.Rule) { rebuild(list.CloneInsert(pos, r)) },
-			func(pos int) { rebuild(list.CloneRemove(pos)) }) / overlay
+		return updateP50(set, func(pos int, r rule.Rule) { rebuild(cloneInsert(list, pos, r)) },
+			func(pos int) { rebuild(cloneRemove(list, pos)) }) / overlay
 	})
+}
+
+// cloneInsert returns a copy of the classifier with r placed at priority
+// position pos, leaving s untouched: every rule copied once into a slice
+// allocated at its final size — the rule-list copy a rebuild-per-update
+// write path pays before its build.
+func cloneInsert(s *rule.Set, pos int, r rule.Rule) *rule.Set {
+	rules := s.Rules()
+	pos = max(0, min(pos, len(rules)))
+	c := make([]rule.Rule, len(rules)+1)
+	copy(c, rules[:pos])
+	c[pos] = r
+	copy(c[pos+1:], rules[pos:])
+	for i := range c {
+		c[i].Priority = i
+	}
+	return rule.NewSetCanonical(c)
+}
+
+// cloneRemove returns a copy of the classifier without the rule at index
+// i, leaving s untouched, copying once.
+func cloneRemove(s *rule.Set, i int) *rule.Set {
+	rules := s.Rules()
+	if i < 0 || i >= len(rules) {
+		return s.Clone() // Remove ignores an index out of range
+	}
+	c := make([]rule.Rule, len(rules)-1)
+	copy(c, rules[:i])
+	copy(c[i:], rules[i+1:])
+	for j := range c {
+		c[j].Priority = j
+	}
+	return rule.NewSetCanonical(c)
 }
 
 // BenchmarkGatePcapReplay: decoding a 50k-packet in-memory pcap and

@@ -132,7 +132,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		algo      = fs.String("algo", "hicuts", "backend name (see internal/engine), or 'list'")
 		timesteps = fs.Int("timesteps", 20000, "NeuroCuts training budget (neurocuts only)")
 		binth     = fs.Int("binth", 16, "leaf threshold for tree backends")
-		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (the engine's shared cache, or each table's own cache with -tables; 0 disables)")
+		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (the engine's shared cache, or each table's own cache with -tables; 0 disables, at most 67108864)")
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
 		journal   = fs.String("journal", "", "durable update journal path (replayed at start; 'auto' co-locates with -artifact)")
 		compactAt = fs.Int("compact-threshold", 0, "pending updates that trigger background compaction (0 = default, <0 disables)")

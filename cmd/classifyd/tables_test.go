@@ -186,6 +186,36 @@ func TestRetiredBackendsRejected(t *testing.T) {
 	}
 }
 
+// TestFlowCacheBudgetRejected: a flow-cache budget past the engine's cap —
+// 2^62+1 entries once hung the cache's sizing loop, a few GiB of entries
+// panicked in make — fails with the cap error from the daemon, single-table
+// and -tables alike, and from the SDK.
+func TestFlowCacheBudgetRejected(t *testing.T) {
+	for _, budget := range []int{1<<62 + 1, 1 << 34} {
+		for _, args := range [][]string{
+			{"-family", "acl1", "-size", "50", "-algo", "linear"},
+			{"-tables", "a=backend:linear,family:acl1,size:50"},
+		} {
+			sig := make(chan os.Signal, 1)
+			sig <- syscall.SIGTERM
+			args = append(args, "-flow-cache", strconv.Itoa(budget), "-listen", "127.0.0.1:0")
+			if err := run(args, sig, io.Discard); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+				t.Errorf("classifyd %v: err = %v, want the flow-cache cap error", args, err)
+			}
+		}
+		rules, err := classifier.GenerateRules("acl1", 50, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := classifier.Open(rules, classifier.WithFlowCache(budget)); err == nil {
+			c.Close()
+			t.Errorf("classifier.Open(WithFlowCache(%d)) succeeded", budget)
+		} else if !strings.Contains(err.Error(), "exceeds the cap") {
+			t.Errorf("classifier.Open(WithFlowCache(%d)): err = %v, want the cap error", budget, err)
+		}
+	}
+}
+
 func parsePacket(t *testing.T, s string) rule.Packet {
 	t.Helper()
 	key, err := rule.ParsePacket(s)

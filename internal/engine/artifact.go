@@ -26,6 +26,9 @@ func JournalPathFor(artifactPath string) string { return artifactPath + ".journa
 // returned, restoring every update acknowledged before the last shutdown
 // or crash.
 func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	s, err := loadArtifactSnap(path, opts.Binth)
 	if err != nil {

@@ -280,6 +280,9 @@ func (e *Engine) Stats() EngineStats {
 // NewEngine builds the named backend over the rule set and wraps it in an
 // Engine.
 func NewEngine(name string, set *rule.Set, opts Options) (*Engine, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	entry, err := lookupBackend(name)
 	if err != nil {
@@ -380,14 +383,15 @@ func (e *Engine) Classify(p rule.Packet) (rule.Rule, bool) {
 // snapshot; hit reports whether the flow cache answered.
 func (e *Engine) classifyOne(s *snapshot, p rule.Packet) (r rule.Rule, ok, hit bool) {
 	var idx int32
+	var h uint64
 	if c := e.cache; c == nil {
 		idx = s.cls.Lookup(p)
-	} else if idx, hit = c.Get(p, s.rulesGen); hit {
+	} else if idx, hit, h = c.Get(p, s.rulesGen); hit {
 		c.Count(1, 0)
 	} else {
 		c.Count(0, 1)
 		idx = s.cls.Lookup(p)
-		c.Put(p, s.rulesGen, idx)
+		c.Put(h, p, s.rulesGen, idx)
 	}
 	r, ok = s.rule(idx)
 	return r, ok, hit
@@ -426,8 +430,9 @@ func put(r *Result, rules []rule.Rule, v *updater.View, idx int32) {
 // only idx, for its positions.
 type missScratch struct {
 	ps  []rule.Packet
-	pos []int32 // where each miss's result goes
-	idx []int32 // the cache's answer per packet, then each miss's position
+	pos []int32  // where each miss's result goes
+	idx []int32  // the cache's answer per packet, then each miss's position
+	h   []uint64 // the probe's flow hash per missed packet, then each miss's, for its Put
 }
 
 // missScratches recycles miss-collection scratches. A buffered channel rather
@@ -446,6 +451,7 @@ func getMissScratch(n int) *missScratch {
 		ms.ps = make([]rule.Packet, n)
 		ms.pos = make([]int32, n)
 		ms.idx = make([]int32, n)
+		ms.h = make([]uint64, n)
 	}
 	return ms
 }
@@ -457,22 +463,22 @@ func putMissScratch(ms *missScratch) {
 	}
 }
 
-// classifyCached serves ps through the flow cache c. A hit is one slot read
+// classifyCached serves ps through the flow cache c. A hit is one set probe
 // and one copy out of the rule list; the misses are gathered so the backend
 // sees one dense span — compiled classifiers run their frontier walk even
-// behind the cache. Each miss's position fills the cache as it is, and its
-// rule is copied once, into out.
+// behind the cache. Each miss's position fills the cache under the hash its
+// probe computed, and its rule is copied once, into out.
 func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result) {
 	ms := getMissScratch(len(ps))
 	rules, v := s.source()
 	idx := ms.idx[:len(ps)]
-	c.GetBatch(ps, s.rulesGen, idx)
+	c.GetBatch(ps, s.rulesGen, idx, ms.h)
 	miss := 0
 	for i := range ps {
 		if ix := idx[i]; ix != FlowMiss {
 			put(&out[i], rules, v, ix) // a hit, or a cached "no rule matches"
 		} else {
-			ms.ps[miss], ms.pos[miss] = ps[i], int32(i)
+			ms.ps[miss], ms.pos[miss], ms.h[miss] = ps[i], int32(i), ms.h[i]
 			miss++
 		}
 	}
@@ -482,7 +488,7 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result) 
 		s.cls.LookupBatch(mps, midx)
 		for j, ix := range midx {
 			put(&out[ms.pos[j]], rules, v, ix)
-			c.Put(mps[j], s.rulesGen, ix)
+			c.Put(ms.h[j], mps[j], s.rulesGen, ix)
 		}
 	}
 	c.Count(len(ps)-miss, miss)

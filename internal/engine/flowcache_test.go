@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/rule"
@@ -149,13 +154,14 @@ func TestFlowCacheBatchPath(t *testing.T) {
 	if hits+misses != uint64(2*len(ps)) {
 		t.Errorf("CacheStats counted %d probes for %d packets", hits+misses, 2*len(ps))
 	}
-	// Direct-mapped: two flows sharing a slot keep evicting each other.
+	// 32 flows over 128 four-way sets: the second pass misses next to
+	// nothing.
 	if hits < uint64(len(ps))*9/10 {
 		t.Errorf("second pass over 32 flows in 512 slots hit %d of %d", hits, len(ps))
 	}
 }
 
-// flowCacheKeys returns n distinct packets; with a handful of slots behind
+// flowCacheKeys returns n distinct packets; with a handful of sets behind
 // them they collide constantly.
 func flowCacheKeys(n int) []rule.Packet {
 	ps := make([]rule.Packet, n)
@@ -172,7 +178,7 @@ func flowCacheAnswer(k int, gen uint64) int32 {
 	return int32((uint64(k)*7919+gen*104729)%100003) - 1 // -1 (cached no-match) included
 }
 
-// hammerFlowCache runs Get-else-Put over a few colliding slots and several
+// hammerFlowCache runs Get-else-Put over a few colliding sets and several
 // generations from the given number of goroutines, and returns the hits.
 func hammerFlowCache(t *testing.T, c *FlowCache, goroutines int) uint64 {
 	t.Helper()
@@ -184,20 +190,21 @@ func hammerFlowCache(t *testing.T, c *FlowCache, goroutines int) uint64 {
 		go func(g int) {
 			defer wg.Done()
 			idx := make([]int32, len(keys))
+			hs := make([]uint64, len(keys))
 			for it := 0; it < 4000; it++ {
 				gen := uint64(1 + (it/500+g)%5)
 				k := (it/2*31 + g*17) % len(keys) // each key twice running: the second probe can hit
-				if got, hit := c.Get(keys[k], gen); hit {
+				if got, hit, h := c.Get(keys[k], gen); hit {
 					hits.Add(1)
 					if want := flowCacheAnswer(k, gen); got != want {
 						t.Errorf("Get(key %d, gen %d) = %d, want %d", k, gen, got, want)
 						return
 					}
 				} else {
-					c.Put(keys[k], gen, flowCacheAnswer(k, gen))
+					c.Put(h, keys[k], gen, flowCacheAnswer(k, gen))
 				}
 				if it%64 == 0 {
-					c.GetBatch(keys, gen, idx)
+					c.GetBatch(keys, gen, idx, hs)
 					for k, got := range idx {
 						if got != FlowMiss && got != flowCacheAnswer(k, gen) {
 							t.Errorf("GetBatch(key %d, gen %d) = %d, want %d", k, gen, got, flowCacheAnswer(k, gen))
@@ -213,29 +220,34 @@ func hammerFlowCache(t *testing.T, c *FlowCache, goroutines int) uint64 {
 }
 
 // TestFlowCacheConcurrent is the cache's race probe (CI runs it under
-// -race): eight goroutines on four slots, five generations. A torn or stale
-// hit returns an index that is not the one function of (key, generation).
+// -race): eight goroutines on one four-way set, five generations. A torn or
+// stale hit returns an index that is not the one function of (key,
+// generation).
 func TestFlowCacheConcurrent(t *testing.T) {
 	c := NewFlowCache(4)
+	if len(c.sets) != 1 {
+		t.Fatalf("NewFlowCache(4) has %d sets; the hammer needs every key in one", len(c.sets))
+	}
 	if hits := hammerFlowCache(t, c, 8); hits == 0 {
 		t.Error("no probe ever hit; the test proved nothing")
 	}
 }
 
 // TestFlowCacheSingleOwner is the same run from one goroutine, a private
-// cache's use (View.ClassifyCached). With nobody to lose a slot to, a Put is never
-// dropped: the entry is there on the next Get, under its generation only.
+// cache's use (View.ClassifyCached). With nobody to lose a slot to, a Put is
+// never dropped: the entry is there on the next Get, under its generation
+// only.
 func TestFlowCacheSingleOwner(t *testing.T) {
 	c := NewFlowCache(4)
 	if hits := hammerFlowCache(t, c, 1); hits == 0 {
 		t.Error("no probe ever hit")
 	}
 	for k, p := range flowCacheKeys(64) {
-		c.Put(p, 9, flowCacheAnswer(k, 9))
-		if got, hit := c.Get(p, 9); !hit || got != flowCacheAnswer(k, 9) {
+		c.Put(hashPacket(p), p, 9, flowCacheAnswer(k, 9))
+		if got, hit, _ := c.Get(p, 9); !hit || got != flowCacheAnswer(k, 9) {
 			t.Fatalf("key %d: Get after Put = (%d, %v)", k, got, hit)
 		}
-		if _, hit := c.Get(p, 10); hit {
+		if _, hit, _ := c.Get(p, 10); hit {
 			t.Fatalf("key %d: entry of generation 9 hit at generation 10", k)
 		}
 	}
@@ -261,15 +273,18 @@ func TestFlowCacheSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// Keep one flow per slot, so that a warm pass misses nothing at all.
+	// Keep at most four flows per set, so that a warm pass misses nothing
+	// at all.
 	var ps []rule.Packet
-	owner := map[*flowSlot]rule.Packet{}
+	flows := map[*flowSet][]rule.Packet{}
 	for _, e := range classbench.ZipfTrace(set, 512, 64, 1.2, 5) {
-		sl := eng.cache.slot(e.Key)
-		if first, taken := owner[sl]; taken && first != e.Key {
-			continue
+		fs := eng.cache.set(hashPacket(e.Key))
+		if !slices.Contains(flows[fs], e.Key) {
+			if len(flows[fs]) == flowWays {
+				continue
+			}
+			flows[fs] = append(flows[fs], e.Key)
 		}
-		owner[sl] = e.Key
 		ps = append(ps, e.Key)
 	}
 	out := make([]Result, len(ps))
@@ -327,4 +342,168 @@ func TestFlowCacheSurvivesCompaction(t *testing.T) {
 	if m := pass("after SaveArtifact"); m != 0 {
 		t.Errorf("SaveArtifact's compaction cost a warm cache %d misses", m)
 	}
+}
+
+// setKeys returns n distinct packets whose flow hashes all index set 0 of c,
+// with each key's flow hash.
+func setKeys(c *FlowCache, n int) ([]rule.Packet, []uint64) {
+	var ps []rule.Packet
+	var hs []uint64
+	for i := uint32(1); len(ps) < n; i++ {
+		p := rule.Packet{SrcIP: i, DstIP: i * 2654435761, DstPort: 443, Proto: 6}
+		if h := hashPacket(p); c.set(h) == &c.sets[0] {
+			ps, hs = append(ps, p), append(hs, h)
+		}
+	}
+	return ps, hs
+}
+
+// TestFlowCacheSetResidency pins the placement rule on one set: four keys
+// that share it all stay resident, a flow put twice takes one way, a fifth
+// live key evicts exactly the way its hash names, and a way left stale by a
+// generation change is reused before any live one.
+func TestFlowCacheSetResidency(t *testing.T) {
+	c := NewFlowCache(64)
+	keys, hs := setKeys(c, 64)
+	resident := func(gen uint64, ks ...int) []int {
+		var in []int
+		for _, k := range ks {
+			if got, hit, _ := c.Get(keys[k], gen); hit {
+				if got != flowCacheAnswer(k, gen) {
+					t.Fatalf("key %d at generation %d: got %d, want %d", k, gen, got, flowCacheAnswer(k, gen))
+				}
+				in = append(in, k)
+			}
+		}
+		return in
+	}
+	put := func(gen uint64, k int) { c.Put(hs[k], keys[k], gen, flowCacheAnswer(k, gen)) }
+
+	put(1, 0) // twice: the second Put must reuse the first's way
+	for k := 0; k < flowWays; k++ {
+		put(1, k)
+	}
+	if in := resident(1, 0, 1, 2, 3); len(in) != flowWays {
+		t.Fatalf("after four Puts into one set only keys %v hit", in)
+	}
+	// Keys 0..3 sit in ways 0..3 in Put order, so the fifth key's victim way
+	// names the one key it must evict.
+	put(1, 4)
+	victim := int(hs[4] >> 62)
+	in := resident(1, 0, 1, 2, 3, 4)
+	if len(in) != flowWays || slices.Contains(in, victim) || !slices.Contains(in, 4) {
+		t.Fatalf("a fifth key with victim way %d left keys %v resident", victim, in)
+	}
+
+	// At generation 2 every way is stale: three new keys take ways 0..2 and
+	// the stale way 3 must go to the fourth, whatever way its hash names.
+	c = NewFlowCache(64)
+	for k := 0; k < flowWays; k++ {
+		put(1, k)
+	}
+	for k := 4; k < 7; k++ {
+		put(2, k)
+	}
+	last := 7
+	for int(hs[last]>>62) == flowWays-1 {
+		last++ // a key whose victim way is a live one
+	}
+	put(2, last)
+	if in := resident(2, 4, 5, 6, last); len(in) != flowWays {
+		t.Fatalf("the stale way was not reused first: at generation 2 only keys %v of [4 5 6 %d] hit", in, last)
+	}
+	if in := resident(1, 0, 1, 2, 3); len(in) != 0 {
+		t.Fatalf("generation-1 entries %v still hit at generation 1 after every way was refilled", in)
+	}
+}
+
+// TestFlowCacheZipfHitRatio is the flow_zipf workload's cache shape: 8 192
+// Zipf(1.1) flows into 16 384 entries. After one warming pass, four ways
+// must answer at least 99 % of a second pass (a direct-mapped cache of the
+// same size answers 95.1 %).
+func TestFlowCacheZipfHitRatio(t *testing.T) {
+	fam, err := classbench.FamilyByName("acl1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := classbench.Generate(fam, 1000, 1)
+	trace := classbench.ZipfTrace(set, 262144, 8192, 1.1, 1)
+	c := NewFlowCache(16384)
+	var hits int
+	for pass := 0; pass < 2; pass++ {
+		hits = 0
+		for _, e := range trace {
+			if got, hit, h := c.Get(e.Key, 1); hit {
+				if got != int32(e.MatchRule) {
+					t.Fatalf("cached %d, want %d", got, e.MatchRule)
+				}
+				hits++
+			} else {
+				c.Put(h, e.Key, 1, int32(e.MatchRule))
+			}
+		}
+	}
+	if ratio := float64(hits) / float64(len(trace)); ratio < 0.99 {
+		t.Errorf("second-pass hit ratio %.4f, want >= 0.99", ratio)
+	}
+}
+
+// TestFlowCacheSetAlignment asserts that every set starts on a 128-byte
+// boundary (two whole cache lines; Go slice allocations alone only
+// guarantee 8) and that the budget rounds up to whole sets.
+func TestFlowCacheSetAlignment(t *testing.T) {
+	if size := unsafe.Sizeof(flowSet{}); size != 128 {
+		t.Fatalf("a set is %d bytes, layout pinned at 128", size)
+	}
+	for _, entries := range []int{1, 3, 4, 5, 64, 1000, 16384} {
+		c := NewFlowCache(entries)
+		if n := len(c.sets) * flowWays; n < entries || n&(n-1) != 0 || uint64(len(c.sets)-1) != c.mask {
+			t.Errorf("NewFlowCache(%d): %d entries, mask %#x", entries, n, c.mask)
+		}
+		if addr := uintptr(unsafe.Pointer(&c.sets[0])); addr%128 != 0 {
+			t.Errorf("NewFlowCache(%d): sets at %#x not 128-byte aligned", entries, addr)
+		}
+	}
+}
+
+// TestFlowCacheBudgetCap: a budget past MaxFlowCacheEntries is an error
+// from both engine constructors, returned before anything is allocated.
+// Before the cap, 2^62+1 entries hung NewFlowCache (its doubling loop
+// wrapped to 0) and a few GiB of entries panicked in make. NewFlowCache
+// itself panics with the cap in the message.
+func TestFlowCacheBudgetCap(t *testing.T) {
+	set := overlayTestSet(t, 50)
+	path := filepath.Join(t.TempDir(), "cap.ncaf")
+	eng, err := NewEngine("hicuts", set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveArtifact(path); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	for _, entries := range []int{1<<62 + 1, 1 << 34, MaxFlowCacheEntries + 1} {
+		done := make(chan [2]error, 1)
+		go func() {
+			_, errBuild := NewEngine("linear", set, Options{FlowCacheEntries: entries})
+			_, errLoad := NewEngineFromArtifact(path, Options{FlowCacheEntries: entries})
+			done <- [2]error{errBuild, errLoad}
+		}()
+		select {
+		case errs := <-done:
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+					t.Errorf("entries %d, constructor %d: err = %v, want the cap error", entries, i, err)
+				}
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("NewEngine with %d flow cache entries has not returned", entries)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MaxFlowCacheEntries") {
+			t.Errorf("NewFlowCache(MaxFlowCacheEntries+1) recovered %v, want the cap panic", r)
+		}
+	}()
+	NewFlowCache(MaxFlowCacheEntries + 1)
 }

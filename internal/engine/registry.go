@@ -43,9 +43,10 @@ type Options struct {
 	// Shards is read by nothing: every ClassifyBatch runs to completion on
 	// its caller. It stays only because benchmarks/e2e still sets it.
 	Shards int
-	// FlowCacheEntries sizes the engine's lock-free flow cache (rounded up
-	// to a power of two, 32 bytes an entry). 0 disables the cache. The cache
-	// memoises (5-tuple -> winning rule's position) per rule-list
+	// FlowCacheEntries sizes the engine's lock-free, 4-way set-associative
+	// flow cache (rounded up to a power of two, 32 bytes an entry). 0
+	// disables the cache; more than MaxFlowCacheEntries is an error. The
+	// cache memoises (5-tuple -> winning rule's position) per rule-list
 	// generation, which pays off on skewed traffic where few flows carry
 	// most packets.
 	FlowCacheEntries int
@@ -98,6 +99,14 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	return o
+}
+
+// validate rejects options no engine can be built with.
+func (o Options) validate() error {
+	if o.FlowCacheEntries > MaxFlowCacheEntries {
+		return fmt.Errorf("engine: flow cache budget of %d entries exceeds the cap of %d", o.FlowCacheEntries, MaxFlowCacheEntries)
+	}
+	return nil
 }
 
 // Builder constructs a backend's classifier over a rule set.

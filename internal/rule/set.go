@@ -125,37 +125,6 @@ func (s *Set) Insert(pos int, r Rule) {
 	}
 }
 
-// CloneInsert returns a copy of the classifier with r placed at priority
-// position pos, leaving the receiver untouched: Clone followed by Insert,
-// with every rule copied once into a slice allocated at its final size (at
-// 10k rules a fifth of the time and half the garbage of the two calls).
-func (s *Set) CloneInsert(pos int, r Rule) *Set {
-	pos = max(0, min(pos, len(s.rules)))
-	c := &Set{rules: make([]Rule, len(s.rules)+1)}
-	copy(c.rules, s.rules[:pos])
-	c.rules[pos] = r
-	copy(c.rules[pos+1:], s.rules[pos:])
-	for i := range c.rules {
-		c.rules[i].Priority = i
-	}
-	return c
-}
-
-// CloneRemove returns a copy of the classifier without the rule at index i,
-// leaving the receiver untouched: Clone followed by Remove, copying once.
-func (s *Set) CloneRemove(i int) *Set {
-	if i < 0 || i >= len(s.rules) {
-		return s.Clone() // Remove ignores an index out of range
-	}
-	c := &Set{rules: make([]Rule, len(s.rules)-1)}
-	copy(c.rules, s.rules[:i])
-	copy(c.rules[i:], s.rules[i+1:])
-	for j := range c.rules {
-		c.rules[j].Priority = j
-	}
-	return c
-}
-
 // Remove deletes the rule at index i and renumbers priorities.
 func (s *Set) Remove(i int) {
 	if i < 0 || i >= len(s.rules) {

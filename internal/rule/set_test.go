@@ -3,7 +3,6 @@ package rule
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -108,31 +107,6 @@ func TestSetInsertRemove(t *testing.T) {
 	s.Insert(99, r)
 	if s.Len() != 6 {
 		t.Fatalf("clamped inserts failed: %d", s.Len())
-	}
-}
-
-// TestCloneInsertRemoveMatchTwoStep: the one-pass copies are Clone followed
-// by Insert / Remove, at every position including the clamped and ignored
-// ones, and leave the receiver untouched.
-func TestCloneInsertRemoveMatchTwoStep(t *testing.T) {
-	s := makeTestSet()
-	before := s.Clone()
-	r := NewWildcardRule(0)
-	r.ID = 77
-	for pos := -2; pos <= s.Len()+2; pos++ {
-		want := s.Clone()
-		want.Insert(pos, r)
-		if got := s.CloneInsert(pos, r); !reflect.DeepEqual(got.Rules(), want.Rules()) {
-			t.Errorf("CloneInsert(%d): %v, want %v", pos, got.Rules(), want.Rules())
-		}
-		want = s.Clone()
-		want.Remove(pos)
-		if got := s.CloneRemove(pos); !reflect.DeepEqual(got.Rules(), want.Rules()) {
-			t.Errorf("CloneRemove(%d): %v, want %v", pos, got.Rules(), want.Rules())
-		}
-	}
-	if !reflect.DeepEqual(s.Rules(), before.Rules()) {
-		t.Error("receiver modified")
 	}
 }
 

@@ -545,23 +545,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// IndexOf returns the merged-list index of the live rule with the given ID,
-// or -1. Base rules resolve through the base's ID index and a count over the
-// overlay's ranks; only overlay rules are scanned for.
-func (v *View) IndexOf(id int) int {
-	if bi, inBase := v.base.indexByID[id]; inBase {
-		if v.tombstoned(bi) {
-			return -1
-		}
-		rank := v.baseRank(bi)
-		return rank + v.aheadOf(rank)
-	}
-	if j := v.overlayIndex(id); j >= 0 {
-		return int(v.ranks[j]) + j
-	}
-	return -1
-}
-
 // overlayIndex returns the overlay index of the rule with the given ID, or
 // -1: a scan of the overlay, which the compaction threshold keeps short.
 func (v *View) overlayIndex(id int) int {

@@ -7,6 +7,23 @@ import (
 	"neurocuts/internal/rule"
 )
 
+// indexOf returns the merged-list index of the live rule with the given ID,
+// or -1. Base rules resolve through the base's ID index and a count over the
+// overlay's ranks; only overlay rules are scanned for.
+func indexOf(v *View, id int) int {
+	if bi, inBase := v.base.indexByID[id]; inBase {
+		if v.tombstoned(bi) {
+			return -1
+		}
+		rank := v.baseRank(bi)
+		return rank + v.aheadOf(rank)
+	}
+	if j := v.overlayIndex(id); j >= 0 {
+		return int(v.ranks[j]) + j
+	}
+	return -1
+}
+
 // opStream decodes a fuzz input (or a random byte string) into the choices
 // of one view-ops run. Exhausted input reads as zeros, so every prefix of an
 // input is itself a valid run and the fuzzer can shrink freely.
@@ -315,13 +332,13 @@ func checkView(t *testing.T, step int, how string, v *View, base *Base, baseSet,
 		if got := v.Rule(i); got != r {
 			t.Fatalf("step %d, %s: Rule(%d) = %v, want %v", step, how, i, got, r)
 		}
-		if got := v.IndexOf(r.ID); got != i {
-			t.Fatalf("step %d, %s: IndexOf(%d) = %d, want %d", step, how, r.ID, got, i)
+		if got := indexOf(v, r.ID); got != i {
+			t.Fatalf("step %d, %s: indexOf(%d) = %d, want %d", step, how, r.ID, got, i)
 		}
 	}
 	for _, r := range dead {
-		if got := v.IndexOf(r.ID); got != -1 {
-			t.Fatalf("step %d, %s: IndexOf(deleted %d) = %d, want -1", step, how, r.ID, got)
+		if got := indexOf(v, r.ID); got != -1 {
+			t.Fatalf("step %d, %s: indexOf(deleted %d) = %d, want -1", step, how, r.ID, got)
 		}
 		if _, ok := v.Delete(r.ID); ok {
 			t.Fatalf("step %d, %s: Delete(deleted %d) found a rule", step, how, r.ID)

@@ -109,9 +109,9 @@ func WithSlowThreshold(d time.Duration) Option {
 }
 
 // WithFlowCache enables the lock-free flow cache with the given entry budget
-// (32 bytes an entry). The cache memoises (5-tuple -> winning rule) per
-// rule-list generation, which pays off on skewed traffic where few flows
-// carry most packets.
+// (32 bytes an entry, at most 2^26 entries: Open fails on a larger budget).
+// The cache memoises (5-tuple -> winning rule) per rule-list generation,
+// which pays off on skewed traffic where few flows carry most packets.
 func WithFlowCache(entries int) Option {
 	return func(c *config) { c.opts.FlowCacheEntries = entries }
 }
