@@ -66,7 +66,7 @@ func main() {
 	}
 
 	if *serverAt != "" {
-		set, err := loadClassifier(*rulesPath, *family, *size, *seed)
+		set, err := classbench.Load(*rulesPath, *family, *size, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -104,7 +104,7 @@ func main() {
 		if *journal != "" {
 			fatal(fmt.Errorf("-journal requires -artifact"))
 		}
-		set, err = loadClassifier(*rulesPath, *family, *size, *seed)
+		set, err = classbench.Load(*rulesPath, *family, *size, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -253,25 +253,6 @@ func classifyViaServer(addr, table string, set *rule.Set, trace []packet.TraceEn
 	}
 	fmt.Println("all server classifications match local linear search")
 	return nil
-}
-
-func loadClassifier(path, family string, size int, seed int64) (*rule.Set, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return rule.ParseClassBench(f)
-	}
-	if family == "" {
-		family = "acl1"
-	}
-	fam, err := classbench.FamilyByName(family)
-	if err != nil {
-		return nil, err
-	}
-	return classbench.Generate(fam, size, seed), nil
 }
 
 func loadTrace(path string, set *rule.Set, n int, seed int64) ([]packet.TraceEntry, error) {

@@ -3,9 +3,9 @@
 // classifier is an engine.Engine, so any registered backend is available by
 // name, each connection's batches run to completion on that connection's
 // goroutine, and rules can be added and removed live: an update lands in a
-// delta overlay (no rebuild on the update path), a background compactor
-// folds the overlay into the base, and every generation is an RCU snapshot
-// swap — readers are never blocked.
+// delta overlay (no rebuild on the update path), a compaction goroutine
+// started by the triggering update folds the overlay into the base, and
+// every generation is an RCU snapshot swap — readers are never blocked.
 //
 // Serve a HiCuts tree built from a generated firewall classifier:
 //
@@ -221,7 +221,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "classifyd: warm start from %s (%s, %d rules) — no build/train path invoked\n",
 			*artifact, engine.DisplayName(eng.Backend()), eng.Len())
 	} else {
-		set, err := loadClassifier(*rulesPath, *family, *size, *seed)
+		set, err := classbench.Load(*rulesPath, *family, *size, *seed)
 		if err != nil {
 			return err
 		}
@@ -490,22 +490,6 @@ loop:
 	fmt.Fprintf(stdout, "classifyd: ingested %d packets (%d matches, %d skipped frames) in %v (%.0f pkt/s)\n",
 		total, matches, skipped, elapsed.Round(time.Millisecond), rate)
 	return nil
-}
-
-func loadClassifier(path, family string, size int, seed int64) (*rule.Set, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return rule.ParseClassBench(f)
-	}
-	fam, err := classbench.FamilyByName(family)
-	if err != nil {
-		return nil, err
-	}
-	return classbench.Generate(fam, size, seed), nil
 }
 
 func fatal(err error) {

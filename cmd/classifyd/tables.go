@@ -12,7 +12,6 @@ import (
 	"neurocuts/internal/admin"
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
-	"neurocuts/internal/rule"
 	"neurocuts/internal/server"
 	"neurocuts/internal/telemetry"
 )
@@ -151,27 +150,9 @@ func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
 	if artifact := kv["artifact"]; artifact != "" {
 		return engine.NewEngineFromArtifact(artifact, opts)
 	}
-	var set *rule.Set
-	if path := kv["rules"]; path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		set, err = rule.ParseClassBench(f)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		family := kv["family"]
-		if family == "" {
-			family = "acl1"
-		}
-		fam, err := classbench.FamilyByName(family)
-		if err != nil {
-			return nil, err
-		}
-		set = classbench.Generate(fam, size, seed)
+	set, err := classbench.Load(kv["rules"], kv["family"], size, seed)
+	if err != nil {
+		return nil, err
 	}
 	backend := kv["backend"]
 	if backend == "" {

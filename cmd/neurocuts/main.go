@@ -25,7 +25,6 @@ import (
 	"neurocuts/internal/compiled"
 	"neurocuts/internal/core"
 	"neurocuts/internal/env"
-	"neurocuts/internal/rule"
 )
 
 func main() {
@@ -50,7 +49,16 @@ func main() {
 	)
 	flag.Parse()
 
-	set, name, err := loadClassifier(*rulesPath, *family, *size, *seed)
+	// The run's label: the rule file, or the family it generates and the size.
+	name := *rulesPath
+	if name == "" {
+		fam, err := classbench.FamilyByName(*family)
+		if err != nil {
+			fatal(err)
+		}
+		name = fmt.Sprintf("%s_%d", fam.Name, *size)
+	}
+	set, err := classbench.Load(*rulesPath, *family, *size, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,26 +145,6 @@ func main() {
 		fmt.Printf("compiled artifact written to %s (%d nodes, %d rule refs, %d bytes serve form, schema v%d)\n",
 			*saveArt, st.Nodes, st.LeafRuleRefs, st.MemoryBytes, compiled.SchemaVersion)
 	}
-}
-
-func loadClassifier(path, family string, size int, seed int64) (*rule.Set, string, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		set, err := rule.ParseClassBench(f)
-		if err != nil {
-			return nil, "", err
-		}
-		return set, path, nil
-	}
-	fam, err := classbench.FamilyByName(family)
-	if err != nil {
-		return nil, "", err
-	}
-	return classbench.Generate(fam, size, seed), fmt.Sprintf("%s_%d", fam.Name, size), nil
 }
 
 func parseHidden(s string) []int {

@@ -25,6 +25,7 @@ package classbench
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 
@@ -203,6 +204,28 @@ func makeIPC(i int) Family {
 	f.DstPortClasses = [5]float64{20, 12, 12, 16, 40}
 	f.ProtoWeights = map[uint8]float64{6: 50, 17: 30, 1: 8, 0: 12}
 	return f
+}
+
+// Load returns the classifier a command line names: the ClassBench-format
+// file at path when path is set, otherwise family ("" selects acl1)
+// generated at size rules from seed.
+func Load(path, family string, size int, seed int64) (*rule.Set, error) {
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return rule.ParseClassBench(f)
+	}
+	if family == "" {
+		family = "acl1"
+	}
+	fam, err := FamilyByName(family)
+	if err != nil {
+		return nil, err
+	}
+	return Generate(fam, size, seed), nil
 }
 
 // Generate builds a classifier of the requested size from the family's

@@ -2,6 +2,10 @@ package classbench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"neurocuts/internal/rule"
@@ -197,4 +201,47 @@ func TestTraceLocality(t *testing.T) {
 	if dups == 0 {
 		t.Error("expected temporal locality (repeated packets) in the trace")
 	}
+}
+
+// TestLoad: a path loads the file, and without one the family is generated
+// ("" selecting acl1); an unknown family fails by name.
+func TestLoad(t *testing.T) {
+	want := Generate(mustFamily(t, "fw2"), 50, 3)
+	path := filepath.Join(t.TempDir(), "rules.txt")
+	var buf bytes.Buffer
+	if err := rule.WriteClassBench(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := Load(path, "acl1", 10, 1)
+	if err != nil || fromFile.Len() != want.Len() {
+		t.Fatalf("Load(file) = %v rules, %v; want %d rules", fromFile, err, want.Len())
+	}
+	for i, r := range want.Rules() {
+		if got := fromFile.Rule(i); got.Ranges != r.Ranges {
+			t.Fatalf("Load(file) rule %d = %v, want %v", i, got.Ranges, r.Ranges)
+		}
+	}
+	generated, err := Load("", "fw2", 50, 3)
+	if err != nil || !reflect.DeepEqual(generated.Rules(), want.Rules()) {
+		t.Fatalf("Load(\"\", fw2) differs from Generate: %v", err)
+	}
+	def, err := Load("", "", 40, 2)
+	if err != nil || !reflect.DeepEqual(def.Rules(), Generate(mustFamily(t, "acl1"), 40, 2).Rules()) {
+		t.Fatalf("Load with no family is not acl1: %v", err)
+	}
+	if _, err := Load("", "nosuch", 10, 1); err == nil || !strings.Contains(err.Error(), `unknown family "nosuch"`) {
+		t.Fatalf("Load(nosuch) error = %v", err)
+	}
+}
+
+func mustFamily(t *testing.T, name string) Family {
+	t.Helper()
+	f, err := FamilyByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }

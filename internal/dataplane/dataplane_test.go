@@ -32,7 +32,7 @@ func testPackets(set *rule.Set, n int, seed int64) []rule.Packet {
 	return ps
 }
 
-// waitFolded waits for the engine's compactor to have folded every pending
+// waitFolded waits for the engine's compaction to have folded every pending
 // update into its n-th rebuilt base.
 func waitFolded(t *testing.T, eng *engine.Engine, n uint64) {
 	t.Helper()
@@ -53,7 +53,7 @@ func waitFolded(t *testing.T, eng *engine.Engine, n uint64) {
 // (the second pass through a warm cache), then inserts or deletes a
 // top-priority wildcard, so the next round must be served from the new
 // generation. online=true serves every update from the overlay;
-// online=false has the compactor fold each one into a rebuilt base first.
+// online=false has a compaction fold each one into a rebuilt base first.
 func TestDifferentialAgainstWorkerPool(t *testing.T) {
 	const rounds = 4
 	for _, backend := range []string{"hicuts", "linear"} {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"neurocuts/internal/compiled"
-	"neurocuts/internal/updater"
 )
 
 // JournalPathFor returns the conventional co-located journal path for a
@@ -99,10 +98,13 @@ func (e *Engine) SaveArtifact(path string) error {
 	defer e.mu.Unlock()
 	s := e.snap.Load()
 	if s.ov != nil {
-		if err := e.compactLocked(); err != nil {
-			return err
+		t0 := time.Now()
+		ns, err := e.rebuild(s)
+		if err != nil {
+			return fmt.Errorf("engine: compacting: %w", err)
 		}
-		s = e.snap.Load()
+		e.publishCompaction(ns, t0)
+		s = ns
 	}
 	cp, ok := s.cls.(CompiledProvider)
 	if !ok {
@@ -140,12 +142,7 @@ func (e *Engine) rotateJournalLocked(s *snapshot) error {
 	if e.journal == nil {
 		return nil
 	}
-	return e.journal.Rotate(updater.JournalMeta{
-		Backend:     s.backend,
-		BaseRules:   s.len(),
-		BaseCRC:     updater.Fingerprint(s.rules()),
-		CreatedUnix: time.Now().Unix(),
-	})
+	return e.journal.Rotate(s.journalMeta())
 }
 
 // LoadArtifact loads a compiled classifier artifact and atomically swaps it

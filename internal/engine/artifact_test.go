@@ -101,7 +101,7 @@ func TestWarmStartServesWithoutBuilding(t *testing.T) {
 
 // TestWarmStartUnknownBackend: artifacts from unregistered backends serve
 // lookups and take updates, but their overlay can never be folded in — and
-// the compactor says so instead of returning silently.
+// the compaction says so instead of returning silently.
 func TestWarmStartUnknownBackend(t *testing.T) {
 	set := artifactTestSet(t, 100)
 	path := saveTestArtifact(t, set, "no-such-backend", t.TempDir())

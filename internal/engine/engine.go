@@ -15,10 +15,11 @@
 //     and batch) run to completion on the caller behind an optional
 //     lock-free flow cache, so parallelism comes only from concurrent
 //     callers, and rule updates (Insert / Delete) land in a delta overlay
-//     over the built structure (overlay.go) that a background compactor
-//     folds into a rebuild off the critical path; every new generation is
-//     swapped in atomically (RCU-style, via atomic.Pointer), so readers are
-//     never blocked and every lookup observes one coherent snapshot.
+//     over the built structure (overlay.go) that a compaction goroutine,
+//     started by the triggering update, folds into a rebuild off the
+//     critical path; every new generation is swapped in atomically
+//     (RCU-style, via atomic.Pointer), so readers are never blocked and
+//     every lookup observes one coherent snapshot.
 //
 // Positions stay positions through every layer below the Engine's edge
 // (Engine.Classify/ClassifyBatch and View): only there is the winning rule
@@ -143,11 +144,14 @@ type Engine struct {
 	closeOnce sync.Once
 
 	// Write-path state (see overlay.go). compactThreshold is set once before
-	// the engine is shared; journal, closed and the three compactor channels
-	// (nil until the first update starts the compactor) are guarded by mu;
-	// the rest are atomics.
+	// the engine is shared; journal, closed and ageTimer are guarded by mu;
+	// the counters are atomics.
 	compactThreshold int
 	closed           bool
+	// ageTimer runs the CompactMaxAge trigger (nil until first armed);
+	// compactWG counts compaction goroutines, for Close to wait on.
+	ageTimer  *time.Timer
+	compactWG sync.WaitGroup
 	// artifactPath is the artifact this engine's state derives from (set by
 	// NewEngineFromArtifact and LoadArtifact, "" for cold-built engines).
 	// SaveArtifact uses it to decide whether a save is a checkpoint of the
@@ -155,14 +159,11 @@ type Engine struct {
 	// journal describing the original start). Guarded by mu.
 	artifactPath     string
 	journal          *updater.Journal
-	compactCh        chan struct{}
-	stopCompact      chan struct{}
-	compactorDone    chan struct{}
 	compactions      atomic.Uint64
 	compacting       atomic.Bool
 	lastCompactNanos atomic.Int64
 	// Compaction failure telemetry: count, latest message (nil after a
-	// success) and the time of the latest failure (drives the compactor's
+	// success) and the time of the latest failure (drives the compaction
 	// retry backoff).
 	compactFailures   atomic.Uint64
 	lastCompactErr    atomic.Pointer[string]
@@ -302,10 +303,12 @@ func newEngine(s *snapshot, opts Options) (*Engine, error) {
 	e := &Engine{opts: opts, cache: NewFlowCache(opts.FlowCacheEntries)}
 	e.snap.Store(s)
 	e.raiseNextID(s.set)
+	// Telemetry first: a journal replay can start a compaction, which
+	// publishes through it.
+	e.initTelemetry()
 	if err := e.initUpdater(); err != nil {
 		return nil, err
 	}
-	e.initTelemetry()
 	return e, nil
 }
 
@@ -531,11 +534,11 @@ func (s *snapshot) classifyUncached(ps []rule.Packet, out []Result) {
 	putMissScratch(ms)
 }
 
-// Close stops the background compactor and closes the update journal. It
-// is safe to call more than once. Lookups (single and batch) keep answering
-// after Close, against the last published snapshot. An engine that never
-// took an update holds no goroutine, so Close is optional for short-lived
-// read-only engines.
+// Close stops the compaction age timer, closes the update journal and waits
+// for a compaction in flight. It is safe to call more than once. Lookups
+// (single and batch) keep answering after Close, against the last published
+// snapshot. An engine that never took an update holds no goroutine, so Close
+// is optional for short-lived read-only engines.
 func (e *Engine) Close() { e.closeOnce.Do(e.closeUpdater) }
 
 // UpdateResult describes the snapshot published by one successful update.
@@ -562,14 +565,11 @@ var ErrRuleNotFound = errors.New("rule not found")
 // on position alone. The rule lands in the delta overlay; the backend is
 // rebuilt only by a later compaction, off the critical path.
 func (e *Engine) Insert(pos int, r rule.Rule) (UpdateResult, error) {
-	if e.tel == nil {
-		res, err := e.doInsert(pos, r)
-		e.countUpdate(err)
-		return res, err
-	}
 	t0 := time.Now()
 	res, err := e.doInsert(pos, r)
-	e.tel.UpdateInsert.RecordNanos(0, time.Since(t0).Nanoseconds())
+	if e.tel != nil {
+		e.tel.UpdateInsert.RecordNanos(0, time.Since(t0).Nanoseconds())
+	}
 	e.countUpdate(err)
 	return res, err
 }
@@ -586,7 +586,7 @@ func (e *Engine) countUpdate(err error) {
 func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur, err := e.writeSnapLocked()
+	cur, err := e.baseSnapLocked()
 	if err != nil {
 		return cur.failed(), err
 	}
@@ -610,14 +610,11 @@ func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 // base rule leaves a tombstone in the delta overlay; the backend is rebuilt
 // only by a later compaction.
 func (e *Engine) Delete(id int) (UpdateResult, error) {
-	if e.tel == nil {
-		res, err := e.doDelete(id)
-		e.countUpdate(err)
-		return res, err
-	}
 	t0 := time.Now()
 	res, err := e.doDelete(id)
-	e.tel.UpdateDelete.RecordNanos(0, time.Since(t0).Nanoseconds())
+	if e.tel != nil {
+		e.tel.UpdateDelete.RecordNanos(0, time.Since(t0).Nanoseconds())
+	}
 	e.countUpdate(err)
 	return res, err
 }
@@ -625,7 +622,7 @@ func (e *Engine) Delete(id int) (UpdateResult, error) {
 func (e *Engine) doDelete(id int) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur, err := e.writeSnapLocked()
+	cur, err := e.baseSnapLocked()
 	if err != nil {
 		return cur.failed(), err
 	}

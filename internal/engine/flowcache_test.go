@@ -261,13 +261,12 @@ func TestFlowCacheSingleOwner(t *testing.T) {
 
 // TestFlowCacheSurvivesCompaction: a compaction republishes the same rule
 // list under a new version, so a warm cache must stay warm across it — for
-// the rebuild the compactor goroutine runs on a threshold signal
-// (compactOnce) and for the synchronous one SaveArtifact runs
-// (compactLocked) — while an Insert, which changes the list, still turns
-// every entry into a miss.
+// the rebuild a compaction goroutine runs when the threshold is reached
+// (compactOnce) and for the one SaveArtifact runs in line — while an
+// Insert, which changes the list, still turns every entry into a miss.
 func TestFlowCacheSurvivesCompaction(t *testing.T) {
 	set := overlayTestSet(t, 300)
-	// No background compactor: the test calls the rebuild itself, in order.
+	// No background compaction: the test calls the rebuild itself, in order.
 	eng, err := NewEngine("hicuts", set, Options{FlowCacheEntries: 1024, CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -18,18 +18,19 @@ import (
 // the usual RCU snapshot swap. An overlay snapshot holds no rule list: its
 // view materializes the winners it answers, and the whole list only when
 // something asks for it (rules: compaction, SaveArtifact, Engine.Rules), once
-// per snapshot. A background compactor goroutine folds the overlay back
-// into a rebuilt base off the critical path. A lookup pays the base lookup
-// plus a scan of the overlay rules ranked at or above the base winner, so
-// the compaction threshold bounds the overlay's cost. Every update is
-// journaled (when a journal is configured) before its snapshot is published,
-// so acknowledged updates survive a crash and replay at the next warm
-// start.
+// per snapshot. A compaction goroutine, started by the triggering update
+// (the one that brings the overlay to the threshold) or the CompactMaxAge
+// timer, folds the overlay back into a rebuilt base off the critical path.
+// A lookup pays the base lookup plus a scan of the overlay rules ranked at
+// or above the base winner, so the compaction threshold bounds the overlay's
+// cost. Every update is journaled (when a journal is configured) before its
+// snapshot is published, so acknowledged updates survive a crash and replay
+// at the next warm start.
 //
-// The overlay base (an ID index over the whole rule list) and the compactor
-// goroutine exist only once something needs them: the first update, or
-// construction when a journal must be replayed. A table that is never
-// updated pays for neither.
+// The overlay base (an ID index over the whole rule list) exists only once
+// something needs it: the first update, or construction when a journal must
+// be replayed. A table that is never updated pays for none of it, and an
+// engine runs a goroutine only while it compacts.
 
 // DefaultCompactThreshold is the pending-update count (overlay rules plus
 // tombstones) at which background compaction kicks in when
@@ -91,11 +92,11 @@ func newBase(cls Classifier, set *rule.Set) (*updater.Base, error) {
 }
 
 // initUpdater finishes engine construction for the write path: it fixes the
-// compaction threshold and, when a journal is configured, derives the base,
-// opens and replays the journal and starts the compactor — replay needs them
-// now. Without a journal both wait for the first update (writeSnapLocked).
-// Called once from NewEngine / NewEngineFromArtifact, before the engine is
-// visible to any other goroutine.
+// compaction threshold and, when a journal is configured, derives the base
+// and opens and replays the journal — replay needs them now. Without a
+// journal the base waits for the first update (baseSnapLocked). A replay
+// that leaves the overlay due for compaction starts one, so telemetry must
+// already be wired. Called once from NewEngine / NewEngineFromArtifact.
 func (e *Engine) initUpdater() error {
 	e.compactThreshold = e.opts.CompactThreshold
 	if e.compactThreshold == 0 {
@@ -110,13 +111,7 @@ func (e *Engine) initUpdater() error {
 	if err != nil {
 		return err
 	}
-	meta := updater.JournalMeta{
-		Backend:     cur.backend,
-		BaseRules:   cur.len(),
-		BaseCRC:     updater.Fingerprint(cur.rules()),
-		CreatedUnix: time.Now().Unix(),
-	}
-	j, ops, err := updater.OpenJournal(e.opts.JournalPath, meta, !e.opts.JournalNoSync)
+	j, ops, err := updater.OpenJournal(e.opts.JournalPath, cur.journalMeta(), !e.opts.JournalNoSync)
 	if err != nil {
 		return err
 	}
@@ -128,20 +123,26 @@ func (e *Engine) initUpdater() error {
 			return err
 		}
 	}
-	e.startCompactorLocked()
-	// Journal replay ran before the compactor existed, so a replayed overlay
-	// already past the threshold dropped its signal — re-arm it now that
-	// someone is listening.
-	e.afterOverlayPublish(e.snap.Load())
 	return nil
+}
+
+// journalMeta describes s as the base a journal's records apply to.
+func (s *snapshot) journalMeta() updater.JournalMeta {
+	return updater.JournalMeta{
+		Backend:     s.backend,
+		BaseRules:   s.len(),
+		BaseCRC:     updater.Fingerprint(s.rules()),
+		CreatedUnix: time.Now().Unix(),
+	}
 }
 
 // baseSnapLocked returns the current snapshot, first giving it an overlay
 // base if it has none (a never-updated engine, or one whose LoadArtifact
-// dropped it). The base changes no answer, so the snapshot is replaced in
-// place under the same version. A rule list the overlay cannot anchor
-// (non-canonical priorities, duplicate IDs) fails here, and the snapshot is
-// returned as it was. Caller holds e.mu.
+// dropped it). Every update starts here. The base changes no answer, so the
+// snapshot is replaced in place under the same version. A rule list the
+// overlay cannot anchor (non-canonical priorities, duplicate IDs) fails
+// here, and the snapshot is returned as it was, for the caller's failure
+// result. Caller holds e.mu.
 func (e *Engine) baseSnapLocked() (*snapshot, error) {
 	cur := e.snap.Load()
 	if cur.base != nil {
@@ -155,30 +156,6 @@ func (e *Engine) baseSnapLocked() (*snapshot, error) {
 	ns.base = base
 	e.snap.Store(&ns)
 	return &ns, nil
-}
-
-// startCompactorLocked starts the background compactor unless one is
-// running, background compaction is disabled, or the engine is closed (Close
-// has already stopped what it was going to stop). Caller holds e.mu.
-func (e *Engine) startCompactorLocked() {
-	if e.compactCh != nil || e.closed || (e.compactThreshold <= 0 && e.opts.CompactMaxAge <= 0) {
-		return
-	}
-	e.stopCompact = make(chan struct{})
-	e.compactorDone = make(chan struct{})
-	e.compactCh = make(chan struct{}, 1)
-	go e.compactor()
-}
-
-// writeSnapLocked is how every update starts: the current snapshot with its
-// overlay base in place and the compactor listening. On error the snapshot
-// is still returned, for the caller's failure result. Caller holds e.mu.
-func (e *Engine) writeSnapLocked() (*snapshot, error) {
-	cur, err := e.baseSnapLocked()
-	if err == nil {
-		e.startCompactorLocked()
-	}
-	return cur, err
 }
 
 // replayJournal applies recovered journal records to the engine's starting
@@ -195,11 +172,12 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	if err != nil {
 		return fmt.Errorf("engine: journal replay: %w", err)
 	}
-	e.snap.Store(newOverlaySnap(cur, view, cur.baseCls, cur.base, cur.version+uint64(len(ops)), cur.rulesGen+1))
+	ns := newOverlaySnap(cur, view, cur.baseCls, cur.base, cur.version+uint64(len(ops)), cur.rulesGen+1)
+	e.snap.Store(ns)
 	if maxID >= e.nextID {
 		e.nextID = maxID + 1
 	}
-	e.afterOverlayPublish(e.snap.Load())
+	e.afterOverlayPublish(ns)
 	return nil
 }
 
@@ -230,103 +208,111 @@ func (s *snapshot) pending() int {
 }
 
 // afterOverlayPublish maintains the compaction triggers after a snapshot
-// swap: the age clock starts when the first pending update appears, and the
-// size threshold signals the compactor (non-blocking; signals coalesce).
+// swap: the age clock starts when the first pending update appears, and a
+// compaction starts if one is due. Caller holds e.mu.
 func (e *Engine) afterOverlayPublish(ns *snapshot) {
-	pending := ns.pending()
-	if pending == 0 {
+	if ns.pending() == 0 {
 		e.overlayDirty.Store(0)
 		return
 	}
 	if e.overlayDirty.Load() == 0 {
 		e.overlayDirty.Store(time.Now().UnixNano())
 	}
-	if e.compactCh != nil && e.compactThreshold > 0 && pending >= e.compactThreshold {
-		select {
-		case e.compactCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// compactor is the background goroutine that folds the overlay back into a
-// rebuilt base. It wakes on size-threshold signals and, when CompactMaxAge
-// is set, on a ticker that compacts overlays past their age budget.
-func (e *Engine) compactor() {
-	defer close(e.compactorDone)
-	var tickC <-chan time.Time
-	if age := e.opts.CompactMaxAge; age > 0 {
-		interval := age / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		tickC = t.C
-	}
-	for {
-		select {
-		case <-e.stopCompact:
-			return
-		case <-e.compactCh:
-			// The size trigger is a function of overlay size only: a signal
-			// raised while a compaction was running describes an overlay
-			// that compaction has since folded.
-			if e.snap.Load().pending() < e.compactThreshold {
-				continue
-			}
-		case <-tickC:
-			since := e.overlayDirty.Load()
-			if since == 0 || time.Since(time.Unix(0, since)) < e.opts.CompactMaxAge {
-				continue
-			}
-		}
-		select {
-		case <-e.stopCompact:
-			return
-		default:
-		}
-		// Failure backoff: a merged list the backend cannot rebuild would
-		// otherwise burn a core re-attempting a doomed O(ruleset) build on
-		// every update signal.
-		if at := e.lastCompactFailAt.Load(); at != 0 && time.Since(time.Unix(0, at)) < compactFailureBackoff {
-			continue
-		}
-		e.compactOnce()
-	}
+	e.compactIfDueLocked()
 }
 
 // compactFailureBackoff is the minimum pause between background compaction
 // attempts after a failure.
 const compactFailureBackoff = 2 * time.Second
 
+// compactIfDueLocked starts a compaction goroutine when one is due — the
+// overlay has reached the threshold, or its oldest update is CompactMaxAge
+// old — and none is running. A closed engine starts nothing. An age
+// trigger that is not due yet, or is held back by a failure's backoff,
+// arms the age timer for when it will be. Caller holds e.mu.
+func (e *Engine) compactIfDueLocked() {
+	pending := e.snap.Load().pending()
+	if e.closed || pending == 0 {
+		return
+	}
+	now := time.Now()
+	due := e.compactThreshold > 0 && pending >= e.compactThreshold
+	var wait time.Duration // until the age trigger is due
+	if age := e.opts.CompactMaxAge; age > 0 {
+		wait = age - now.Sub(time.Unix(0, e.overlayDirty.Load()))
+		due = due || wait <= 0
+	}
+	// Failure backoff: a merged list the backend cannot rebuild would
+	// otherwise burn a core re-attempting a doomed O(ruleset) build on every
+	// update.
+	if at := e.lastCompactFailAt.Load(); at != 0 {
+		if left := compactFailureBackoff - now.Sub(time.Unix(0, at)); left > 0 {
+			due, wait = false, max(wait, left)
+		}
+	}
+	switch {
+	case due:
+		if e.compacting.CompareAndSwap(false, true) {
+			e.compactWG.Add(1)
+			go func() {
+				defer e.compactWG.Done()
+				e.compactOnce()
+				// Look again: a threshold crossed during the build is not lost.
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				e.compacting.Store(false)
+				e.compactIfDueLocked()
+			}()
+		}
+	case e.opts.CompactMaxAge <= 0: // no age trigger to arm
+	case e.ageTimer == nil:
+		e.ageTimer = time.AfterFunc(wait, func() {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			e.compactIfDueLocked()
+		})
+	default:
+		e.ageTimer.Reset(wait)
+	}
+}
+
+// rebuild builds s's backend over s's whole rule list, at the leaf
+// threshold s was built with, and returns the flat snapshot serving it as
+// s's successor: the next version, the same rules generation. It is the
+// only caller of a snapshot's builder.
+func (e *Engine) rebuild(s *snapshot) (*snapshot, error) {
+	if s.build == nil {
+		return nil, fmt.Errorf("backend %q is not registered; overlay cannot be folded", s.backend)
+	}
+	set := s.rules()
+	opts := e.opts
+	opts.Binth = s.binth
+	cls, err := s.build(set, opts)
+	if err != nil {
+		return nil, err
+	}
+	base, err := newBase(cls, set)
+	if err != nil {
+		return nil, err
+	}
+	return &snapshot{cls: cls, baseCls: cls, set: set, version: s.version + 1, rulesGen: s.rulesGen,
+		backend: s.backend, binth: s.binth, build: s.build, base: base}, nil
+}
+
 // compactOnce rebuilds the base from the merged list off the critical path
 // and rebases whatever overlay accumulated during the build. Readers are
 // never blocked: the rebuild runs outside the writer lock, and the final
 // rebase is one more RCU snapshot swap.
 func (e *Engine) compactOnce() {
-	e.compacting.Store(true)
-	defer e.compacting.Store(false)
-
-	e.mu.Lock()
 	cur := e.snap.Load()
 	if cur.pending() == 0 {
-		e.mu.Unlock()
 		return
 	}
-	if cur.build == nil {
-		e.mu.Unlock()
-		e.noteCompactFailure(fmt.Errorf("backend %q is not registered; overlay cannot be folded", cur.backend))
-		return
-	}
-	e.mu.Unlock()
-	frozen := cur.rules() // the merged list being folded into the new base
-
 	t0 := time.Now()
-	cls, err := cur.build(frozen, e.buildOpts(cur))
+	ns, err := e.rebuild(cur)
 	if err != nil {
-		// Keep serving the overlay; the next threshold signal retries
-		// (after the failure backoff in the compactor loop).
+		// Keep serving the overlay; a later trigger retries after the
+		// failure backoff.
 		e.noteCompactFailure(err)
 		return
 	}
@@ -339,54 +325,44 @@ func (e *Engine) compactOnce() {
 		// LoadArtifact or a synchronous compaction swapped in a different
 		// rule universe (overlay updates carry the base pointer forward
 		// unchanged, so this only trips on real base swaps). Rebasing
-		// now.set onto the classifier built from the old
-		// list would anchor the wrong rules (artifact IDs overlap), so drop
-		// this build; the next signal compacts against the new base.
+		// now's list onto the classifier built from the old list would
+		// anchor the wrong rules (artifact IDs overlap), so drop this
+		// build; the next trigger compacts against the new base.
 		return
 	}
-	base, err := newBase(cls, frozen)
-	if err != nil {
-		e.noteCompactFailure(err)
-		return
+	if now.rulesGen != cur.rulesGen {
+		// Updates landed during the rebuild: rebase them onto the new base.
+		view, err := updater.NewView(ns.base, now.rules())
+		if err != nil {
+			e.noteCompactFailure(err)
+			return
+		}
+		ns = newOverlaySnap(now, view, ns.baseCls, ns.base, 0, 0)
 	}
 	// Either way the published rule list is now's, so the rules generation
 	// — and with it every flow-cache entry — carries over.
-	var ns *snapshot
-	if now.rulesGen == cur.rulesGen {
-		// No updates landed during the rebuild: the new base serves directly.
-		ns = &snapshot{cls: cls, baseCls: cls, set: frozen, version: now.version + 1, rulesGen: now.rulesGen,
-			backend: now.backend, binth: now.binth, build: now.build, base: base}
-	} else {
-		// Rebase the updates that did: now's list over the new base.
-		view, verr := updater.NewView(base, now.rules())
-		if verr != nil {
-			e.noteCompactFailure(verr)
-			return
-		}
-		ns = newOverlaySnap(now, view, cls, base, now.version+1, now.rulesGen)
-	}
+	ns.version, ns.rulesGen = now.version+1, now.rulesGen
+	e.publishCompaction(ns, t0)
+}
+
+// publishCompaction publishes the snapshot a compaction started at t0
+// produced and records it: the count, the cost, telemetry and a cleared
+// failure. Caller holds e.mu.
+func (e *Engine) publishCompaction(ns *snapshot, t0 time.Time) {
 	e.publishSnap(ns)
-	e.compactions.Add(1)
-	e.lastCompactNanos.Store(time.Since(t0).Nanoseconds())
+	nanos := time.Since(t0).Nanoseconds()
 	if e.tel != nil {
-		e.tel.Compaction.RecordNanos(0, time.Since(t0).Nanoseconds())
+		e.tel.Compaction.RecordNanos(0, nanos)
 	}
+	e.lastCompactNanos.Store(nanos)
 	e.lastCompactErr.Store(nil)
+	e.compactions.Add(1)
 	// Restart the age clock: the updates a rebase carries forward arrived
 	// during this rebuild, so their age budget starts now. Keeping the
 	// pre-compaction timestamp would make CompactMaxAge see them as already
 	// old and fire a spurious back-to-back rebuild.
 	e.overlayDirty.Store(0)
 	e.afterOverlayPublish(ns)
-}
-
-// buildOpts is the engine's options with the leaf threshold snapshot s was
-// built with, so a compaction rebuilds the tree the artifact or the cold
-// build described.
-func (e *Engine) buildOpts(s *snapshot) Options {
-	opts := e.opts
-	opts.Binth = s.binth
-	return opts
 }
 
 // noteCompactFailure records a failed background compaction so operators
@@ -399,53 +375,22 @@ func (e *Engine) noteCompactFailure(err error) {
 	e.lastCompactFailAt.Store(time.Now().UnixNano())
 }
 
-// compactLocked synchronously rebuilds the base from the current merged
-// list (caller holds e.mu). Used by SaveArtifact so the saved artifact
-// embodies every pending overlay update.
-func (e *Engine) compactLocked() error {
-	cur := e.snap.Load()
-	if cur.build == nil {
-		return fmt.Errorf("engine: backend %q is not registered; cannot compact", cur.backend)
-	}
-	t0 := time.Now()
-	set := cur.rules()
-	cls, err := cur.build(set, e.buildOpts(cur))
-	if err != nil {
-		return fmt.Errorf("engine: compacting: %w", err)
-	}
-	base, err := newBase(cls, set)
-	if err != nil {
-		return err
-	}
-	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: set, version: cur.version + 1, rulesGen: cur.rulesGen,
-		backend: cur.backend, binth: cur.binth, build: cur.build, base: base})
-	e.compactions.Add(1)
-	e.lastCompactNanos.Store(time.Since(t0).Nanoseconds())
-	if e.tel != nil {
-		e.tel.Compaction.RecordNanos(0, time.Since(t0).Nanoseconds())
-	}
-	e.overlayDirty.Store(0)
-	return nil
-}
-
-// closeUpdater stops the compactor and closes the journal; called from
-// Close exactly once.
+// closeUpdater stops the age timer, closes the journal and waits for a
+// compaction in flight; called from Close exactly once. Closed, the engine
+// starts no compaction.
 func (e *Engine) closeUpdater() {
 	e.mu.Lock()
 	e.closed = true
-	stop := e.stopCompact
-	e.mu.Unlock()
-	if stop != nil {
-		// Not under e.mu: a compaction in flight takes it to publish.
-		close(stop)
-		<-e.compactorDone
+	if e.ageTimer != nil {
+		e.ageTimer.Stop()
 	}
-	e.mu.Lock()
 	if e.journal != nil {
 		e.journal.Close()
 		e.journal = nil
 	}
 	e.mu.Unlock()
+	// Not under e.mu: a compaction in flight takes it to publish.
+	e.compactWG.Wait()
 }
 
 // UpdaterStats is the observable state of the online-update subsystem,

@@ -145,7 +145,7 @@ func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	defer t.mu.Unlock()
 	// Every admin mutation reaps: a daemon whose churn is create-only after
 	// the last Swap/Drop must still close the engines those displaced, or
-	// their compactor goroutines, journal fds and classifier memory stay
+	// their compaction timers, journal fds and classifier memory stay
 	// pinned for the daemon's lifetime.
 	t.reapRetiredLocked(t.now())
 	ns := t.cloneLocked()

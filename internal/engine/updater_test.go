@@ -90,19 +90,21 @@ func init() {
 	})
 }
 
-// compactorStarted reports whether the engine has started its compactor.
-func compactorStarted(e *Engine) bool {
+// compactionArmed reports whether a compaction is running or the engine's
+// age timer is armed: whether the engine runs, or will start, a goroutine.
+func compactionArmed(e *Engine) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.compactCh != nil
+	return e.compacting.Load() || e.ageTimer != nil
 }
 
 // TestOneWritePath: an engine built with no update option takes every
 // Insert and Delete through the overlay. The builder runs once, at
 // construction, and never on the update path; every intermediate snapshot
 // answers a trace exactly as linear search over its own rule list; the
-// overlay base and the compactor do not exist until the first update asks
-// for them, and an update after Close starts no compactor.
+// overlay base does not exist until the first update asks for it; and no
+// compaction runs or is armed on a read-only engine, on one under its
+// threshold with no CompactMaxAge, or after Close.
 func TestOneWritePath(t *testing.T) {
 	set := overlayTestSet(t, 300)
 	trace := allocTestPackets(set, 2000)
@@ -116,8 +118,8 @@ func TestOneWritePath(t *testing.T) {
 			t.Fatalf("CompactThreshold %d: construction called the builder %d times, want 1", opts.CompactThreshold, got)
 		}
 		eng.Classify(trace[0])
-		if eng.snap.Load().base != nil || compactorStarted(eng) {
-			t.Fatalf("CompactThreshold %d: a read-only engine holds an overlay base or a compactor", opts.CompactThreshold)
+		if eng.snap.Load().base != nil || compactionArmed(eng) {
+			t.Fatalf("CompactThreshold %d: a read-only engine holds an overlay base or a compaction", opts.CompactThreshold)
 		}
 		var ids []int
 		for i := 0; i < 64; i++ {
@@ -151,13 +153,16 @@ func TestOneWritePath(t *testing.T) {
 		if st := eng.UpdaterStats(); st.Compactions != 0 || st.OverlayRules+st.Tombstones == 0 {
 			t.Fatalf("CompactThreshold %d: stats %+v: want a pending overlay and no compaction", opts.CompactThreshold, st)
 		}
-		if want := opts.CompactThreshold >= 0; compactorStarted(eng) != want {
-			t.Fatalf("CompactThreshold %d: compactor started = %v after the first update, want %v", opts.CompactThreshold, !want, want)
+		if compactionArmed(eng) {
+			t.Fatalf("CompactThreshold %d: an engine under its threshold with no CompactMaxAge runs or arms a compaction", opts.CompactThreshold)
 		}
 		eng.Close()
 	}
 
-	eng, err := NewEngine("counting-test-backend", set, Options{})
+	// After Close: with an age trigger and no threshold, the first update
+	// would arm the age timer on an open engine, so a timer here means the
+	// closed engine armed one.
+	eng, err := NewEngine("counting-test-backend", set, Options{CompactThreshold: -1, CompactMaxAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +170,8 @@ func TestOneWritePath(t *testing.T) {
 	if _, err := eng.Insert(0, set.Rule(0)); err != nil {
 		t.Fatal(err)
 	}
-	if compactorStarted(eng) {
-		t.Fatal("an update after Close started a compactor nothing will stop")
+	if compactionArmed(eng) {
+		t.Fatal("an update after Close started a compaction or armed its timer")
 	}
 }
 
@@ -273,7 +278,7 @@ func TestOverlayDifferential(t *testing.T) {
 // TestOverlayConcurrentReadersWritersCompactor hammers one engine with
 // concurrent single and batch readers while a writer churns through the
 // overlay and an aggressive compaction threshold keeps the background
-// compactor busy. Run under -race (CI does) this is the subsystem's data
+// compaction busy. Run under -race (CI does) this is the subsystem's data
 // race probe; functionally it asserts readers always see a coherent
 // snapshot (every result matches that snapshot's own rule list).
 func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
@@ -358,7 +363,7 @@ func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 	default:
 	}
 	if eng.UpdaterStats().Compactions == 0 {
-		t.Fatal("compactor never ran despite aggressive threshold")
+		t.Fatal("no compaction ran despite aggressive threshold")
 	}
 	// After the dust settles, the final snapshot must be exactly consistent.
 	merged := eng.Rules()
@@ -609,7 +614,7 @@ func TestJournalRecoveryAfterCompaction(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if engA.UpdaterStats().Compactions == 0 {
-		t.Fatal("compactor never ran")
+		t.Fatal("no compaction ran")
 	}
 	// A couple of post-compaction updates land in the new overlay.
 	if _, err := engA.Insert(0, set.Rule(1)); err != nil {

@@ -60,10 +60,10 @@
 // once per start-up or compaction — and View.Merged materializes the whole
 // list when a caller needs it. Views are immutable: the engine publishes
 // each new View through its RCU snapshot machinery, so concurrent readers
-// never see a torn update and never block. A background compactor (driven
-// by the engine) periodically rebuilds the base from the merged list and
-// rebases the overlay, bounding overlay size and restoring base lookup
-// speed.
+// never see a torn update and never block. The engine's compaction
+// (started by the update that reaches its threshold) rebuilds the base from
+// the merged list and rebases the overlay, bounding overlay size and
+// restoring base lookup speed.
 //
 // The package also provides the durable update journal (journal.go): a
 // length-prefixed, CRC-checked write-ahead log of updates that, replayed

@@ -21,11 +21,12 @@
 // Lookups are context-aware: Classify checks the context before running,
 // and ClassifyBatch classifies in bounded chunks so cancellation and
 // deadlines take effect mid-batch. Rule updates (Insert, Delete — each lands
-// in a delta overlay that a background compactor folds into the base, so no
-// update rebuilds the backend), compiled artifacts (Save, Load,
-// WithArtifact) and the update journal (WithJournal) are the same
-// capabilities the bundled classifyd daemon serves over TCP — see
-// internal/server for the wire protocol and cmd/classifyd for the daemon.
+// in a delta overlay that a compaction goroutine started by the triggering
+// update folds into the base, so no update rebuilds the backend), compiled
+// artifacts (Save, Load, WithArtifact) and the update journal (WithJournal)
+// are the same capabilities the bundled classifyd daemon serves over TCP —
+// see internal/server for the wire protocol and cmd/classifyd for the
+// daemon.
 package classifier
 
 import (
@@ -430,8 +431,9 @@ func (c *Classifier) Backend() string {
 	return c.eng.Backend()
 }
 
-// Close releases the classifier's background resources (the compactor, the
-// journal). The classifier must not be used afterwards.
+// Close releases the classifier's background resources (a compaction in
+// flight, the age timer, the journal). The classifier must not be used
+// afterwards.
 func (c *Classifier) Close() error {
 	if c.closed.Swap(true) {
 		return nil
