@@ -238,7 +238,6 @@ func TestAdminPlaneTablesMode(t *testing.T) {
 	}
 	for _, want := range []string{
 		"neurocuts_tables 2",
-		"neurocuts_tables_retired 0",
 		`neurocuts_engine_rules{table="acl"} 100`,
 		`neurocuts_engine_rules{table="fw"} 50`,
 	} {

@@ -1,11 +1,14 @@
-// Command classifyd serves a packet classifier over TCP using the framed
-// wire protocol of internal/server, or queries a running server. The served
-// classifier is an engine.Engine, so any registered backend is available by
-// name, each connection's batches run to completion on that connection's
+// Command classifyd serves packet classifiers over TCP using the framed
+// wire protocol of internal/server, or queries a running server. It serves
+// named tables (engine.Tables), each an engine.Engine: without -tables the
+// flags describe one table, "default". Any registered backend is available
+// by name, each connection's batches run to completion on that connection's
 // goroutine, and rules can be added and removed live: an update lands in a
 // delta overlay (no rebuild on the update path), a compaction goroutine
 // started by the triggering update folds the overlay into the base, and
 // every generation is an RCU snapshot swap — readers are never blocked.
+// Tables can be created from artifacts and dropped over the wire; a dropped
+// table's engine closes at once.
 //
 // Serve a HiCuts tree built from a generated firewall classifier:
 //
@@ -53,7 +56,8 @@
 //
 // Serve several independent rule sets — tables — from one daemon. Each
 // table gets its own engine (backend, rules, journal); clients address any
-// table by name, or the first (default) table when they name none:
+// table by name, or the first (default) table when they name none. The
+// -pcap, -capture and -shm modes take the single table the flags describe:
 //
 //	classifyd -tables "acl=backend:hicuts,family:acl1,size:1000;fw=backend:cutsplit,family:fw2,size:500"
 //	classifyd -query 127.0.0.1:9099 -list-tables
@@ -72,12 +76,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"neurocuts/internal/admin"
-	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/iface"
 	"neurocuts/internal/rule"
@@ -99,26 +102,6 @@ var onListen func(net.Addr)
 // onAdminListen, when set (by tests), receives the bound admin address.
 var onAdminListen func(net.Addr)
 
-// startAdmin binds the HTTP admin plane when addr is non-empty and returns
-// its shutdown function (a no-op when the plane is disabled). The returned
-// function must run before the classification server drains, so a scrape
-// can never observe a half-shut-down daemon as healthy.
-func startAdmin(stdout io.Writer, addr string, opts admin.Options) (func(context.Context), error) {
-	if addr == "" {
-		return func(context.Context) {}, nil
-	}
-	adm := admin.New(opts)
-	bound, err := adm.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stdout, "classifyd: admin plane on http://%s (/metrics /healthz /readyz /tables /debug/slow /debug/pprof/)\n", bound)
-	if onAdminListen != nil {
-		onAdminListen(bound)
-	}
-	return func(ctx context.Context) { adm.Shutdown(ctx) }, nil
-}
-
 // run is the daemon body, factored out of main so tests can drive it with
 // their own signal channel and capture its output. It returns nil on a
 // clean (drained) shutdown.
@@ -132,7 +115,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		algo      = fs.String("algo", "hicuts", "backend name (see internal/engine), or 'list'")
 		timesteps = fs.Int("timesteps", 20000, "NeuroCuts training budget (neurocuts only)")
 		binth     = fs.Int("binth", 16, "leaf threshold for tree backends")
-		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget (the engine's shared cache, or each table's own cache with -tables; 0 disables, at most 67108864)")
+		flowCache = fs.Int("flow-cache", 0, "flow cache entry budget of each table's engine, wire-created tables included (0 disables, at most 67108864)")
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
 		journal   = fs.String("journal", "", "durable update journal path (replayed at start; 'auto' co-locates with -artifact)")
 		compactAt = fs.Int("compact-threshold", 0, "pending updates that trigger background compaction (0 = default, <0 disables)")
@@ -194,104 +177,36 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		binth: *binth, timesteps: *timesteps, seed: *seed,
 		flowCache: *flowCache, compactAt: *compactAt, tel: tel,
 	}
+	var specs []tableSpec
 	if *tables != "" {
 		if ingest || *shmPath != "" {
 			return fmt.Errorf("-pcap, -capture and -shm apply to single-table mode only")
 		}
-		return runTables(stdout, *tables, defaults, *listen, *adminAddr, *drain, sig)
-	}
-
-	journalPath := *journal
-	if journalPath == "auto" {
-		if *artifact == "" {
-			return fmt.Errorf("-journal auto needs -artifact to co-locate with")
-		}
-		journalPath = engine.JournalPathFor(*artifact)
-	}
-
-	opts := defaults.options()
-	opts.JournalPath = journalPath
-	var eng *engine.Engine
-	if *artifact != "" {
 		var err error
-		eng, err = engine.NewEngineFromArtifact(*artifact, opts)
-		if err != nil {
+		if specs, err = parseTableSpecs(*tables); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "classifyd: warm start from %s (%s, %d rules) — no build/train path invoked\n",
-			*artifact, engine.DisplayName(eng.Backend()), eng.Len())
 	} else {
-		set, err := classbench.Load(*rulesPath, *family, *size, *seed)
-		if err != nil {
-			return err
-		}
-		eng, err = engine.NewEngine(strings.ToLower(*algo), set, opts)
-		if err != nil {
-			return err
-		}
-	}
-	defer eng.Close()
-	if st := eng.UpdaterStats(); st.JournalPath != "" {
-		fmt.Fprintf(stdout, "classifyd: journal %s, %d records replayed, serving %d rules\n",
-			st.JournalPath, st.JournalRecords, st.Rules)
+		// Without -tables the flags describe one table, "default".
+		specs = []tableSpec{{name: "default", kv: map[string]string{
+			"backend": *algo, "family": *family, "size": strconv.Itoa(*size),
+			"rules": *rulesPath, "artifact": *artifact, "journal": *journal,
+		}}}
 	}
 
 	if ingest {
+		eng, err := buildTable(stdout, specs[0], defaults)
+		if err != nil {
+			return err
+		}
+		defer eng.Close()
 		src, label, err := openIngestSource(*pcapPath, *pcapRate, *capture)
 		if err != nil {
 			return err
 		}
 		return runIngest(stdout, src, label, eng, *pcapOut, sig)
 	}
-
-	srv := server.New(eng)
-	srv.Telemetry = tel
-	addr, err := srv.Listen(*listen)
-	if err != nil {
-		return err
-	}
-	var ring *iface.ShmServer
-	if *shmPath != "" {
-		ring, err = iface.NewShmServer(*shmPath, eng, iface.ShmServerConfig{Slots: *shmSlots})
-		if err != nil {
-			srv.Shutdown(context.Background())
-			return err
-		}
-		fmt.Fprintf(stdout, "classifyd: shared-memory ring on %s (%d slots)\n", ring.Path(), ring.Slots())
-	}
-	fmt.Fprintf(stdout, "classifyd: serving %s engine (%d rules) on %s\n",
-		engine.DisplayName(eng.Backend()), eng.Len(), addr)
-	stopAdmin, err := startAdmin(stdout, *adminAddr, admin.Options{Engine: eng, Server: srv, Telemetry: tel})
-	if err != nil {
-		srv.Shutdown(context.Background())
-		return err
-	}
-	if onListen != nil {
-		onListen(addr)
-	}
-
-	<-sig
-	fmt.Fprintln(stdout, "classifyd: shutting down, draining in-flight requests")
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	// Admin first: monitoring must stop seeing the daemon as live before the
-	// classification server starts refusing work.
-	stopAdmin(ctx)
-	if ring != nil {
-		if st := ring.Stats(); st.Packets > 0 {
-			fmt.Fprintf(stdout, "classifyd: shared-memory ring served %d packets in %d batches\n", st.Packets, st.Batches)
-		}
-		ring.Close()
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		// A missed drain deadline force-closed stragglers; the daemon still
-		// exits cleanly, but say what happened.
-		fmt.Fprintf(stdout, "classifyd: drain timeout expired, closed remaining connections (%v)\n", err)
-	}
-	st := srv.Stats()
-	fmt.Fprintf(stdout, "classifyd: served %d requests (%d matches, %d parse failures), final rule-set version %d\n",
-		st.Requests, st.Matches, st.ParseFails, eng.Version())
-	return nil
+	return serve(stdout, specs, defaults, *listen, *adminAddr, *shmPath, *shmSlots, *drain, sig)
 }
 
 // queryArgs bundles the client-mode flags.

@@ -12,14 +12,15 @@ import (
 	"neurocuts/internal/admin"
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
+	"neurocuts/internal/iface"
 	"neurocuts/internal/server"
 	"neurocuts/internal/telemetry"
 )
 
 // tableDefaults carries the daemon-level engine flags. Every engine the
-// daemon starts — the single-table engine, each -tables table and each
-// table created over the wire — takes its options from options(), with
-// per-table overrides on top.
+// daemon starts — each table the flags or -tables describe, and each table
+// created over the wire — takes its options from options(), with per-table
+// overrides on top.
 type tableDefaults struct {
 	binth     int
 	timesteps int
@@ -161,19 +162,34 @@ func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
 	return engine.NewEngine(strings.ToLower(backend), set, opts)
 }
 
-// runTables serves a multi-table daemon described by the -tables flag and
-// blocks until a signal arrives, then drains and closes every engine.
-func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr string, drain time.Duration, sig <-chan os.Signal) error {
-	specs, err := parseTableSpecs(spec)
+// buildTable builds one table's engine and reports how it started: a warm
+// start from an artifact, a replayed journal.
+func buildTable(stdout io.Writer, spec tableSpec, d tableDefaults) (*engine.Engine, error) {
+	eng, err := buildTableEngine(spec, d)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("table %q: %w", spec.name, err)
 	}
+	if artifact := spec.kv["artifact"]; artifact != "" {
+		fmt.Fprintf(stdout, "classifyd: table %q: warm start from %s (%s, %d rules) — no build/train path invoked\n",
+			spec.name, artifact, engine.DisplayName(eng.Backend()), eng.Len())
+	}
+	if st := eng.UpdaterStats(); st.JournalPath != "" {
+		fmt.Fprintf(stdout, "classifyd: table %q: journal %s, %d records replayed, serving %d rules\n",
+			spec.name, st.JournalPath, st.JournalRecords, st.Rules)
+	}
+	return eng, nil
+}
+
+// serve builds the tables, serves them over TCP (and, with shmPath, the
+// default table over a shared-memory ring) until a signal arrives, then
+// drains and closes every engine.
+func serve(stdout io.Writer, specs []tableSpec, d tableDefaults, listen, adminAddr, shmPath string, shmSlots int, drain time.Duration, sig <-chan os.Signal) error {
 	tabs := engine.NewTables()
 	defer tabs.CloseAll()
 	for _, s := range specs {
-		eng, err := buildTableEngine(s, d)
+		eng, err := buildTable(stdout, s, d)
 		if err != nil {
-			return fmt.Errorf("table %q: %w", s.name, err)
+			return err
 		}
 		tab, err := tabs.Create(s.name, eng)
 		if err != nil {
@@ -183,7 +199,17 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 		fmt.Fprintf(stdout, "classifyd: table %q (id %d): %s engine, %d rules\n",
 			tab.Name, tab.ID, engine.DisplayName(eng.Backend()), eng.Len())
 	}
+	def, _ := tabs.Default()
 
+	var ring *iface.ShmServer
+	if shmPath != "" {
+		var err error
+		if ring, err = iface.NewShmServer(shmPath, def.Engine, iface.ShmServerConfig{Slots: shmSlots}); err != nil {
+			return err
+		}
+		defer ring.Close()
+		fmt.Fprintf(stdout, "classifyd: shared-memory ring on %s (%d slots)\n", ring.Path(), ring.Slots())
+	}
 	srv := server.NewTables(tabs)
 	srv.Telemetry = d.tel
 	// Tables created live over the wire share the process telemetry;
@@ -193,13 +219,21 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 	if err != nil {
 		return err
 	}
-	def, _ := tabs.Default()
-	fmt.Fprintf(stdout, "classifyd: serving %d tables on %s (default table %q)\n",
-		tabs.Len(), addr, def.Name)
-	stopAdmin, err := startAdmin(stdout, adminAddr, admin.Options{Tables: tabs, Server: srv, Telemetry: d.tel})
-	if err != nil {
-		srv.Shutdown(context.Background())
-		return err
+	fmt.Fprintf(stdout, "classifyd: serving %d tables on %s (default table %q)\n", tabs.Len(), addr, def.Name)
+	// The admin plane (-admin) binds once the classification listener
+	// serves, and stops before it drains, so a scrape can never observe a
+	// half-started or half-shut-down daemon as healthy.
+	adm := admin.New(admin.Options{Tables: tabs, Server: srv, Telemetry: d.tel})
+	if adminAddr != "" {
+		bound, err := adm.Listen(adminAddr)
+		if err != nil {
+			srv.Shutdown(context.Background())
+			return err
+		}
+		fmt.Fprintf(stdout, "classifyd: admin plane on http://%s (/metrics /healthz /readyz /tables /debug/slow /debug/pprof/)\n", bound)
+		if onAdminListen != nil {
+			onAdminListen(bound)
+		}
 	}
 	if onListen != nil {
 		onListen(addr)
@@ -209,14 +243,20 @@ func runTables(stdout io.Writer, spec string, d tableDefaults, listen, adminAddr
 	fmt.Fprintln(stdout, "classifyd: shutting down, draining in-flight requests")
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	// Admin first, for the same scrape-consistency reason as the
-	// single-engine path.
-	stopAdmin(ctx)
+	adm.Shutdown(ctx)
+	if ring != nil {
+		if st := ring.Stats(); st.Packets > 0 {
+			fmt.Fprintf(stdout, "classifyd: shared-memory ring served %d packets in %d batches\n", st.Packets, st.Batches)
+		}
+		ring.Close()
+	}
 	if err := srv.Shutdown(ctx); err != nil {
+		// A missed drain deadline force-closed stragglers; the daemon still
+		// exits cleanly, but say what happened.
 		fmt.Fprintf(stdout, "classifyd: drain timeout expired, closed remaining connections (%v)\n", err)
 	}
 	st := srv.Stats()
-	fmt.Fprintf(stdout, "classifyd: served %d requests (%d matches, %d parse failures) across %d tables\n",
-		st.Requests, st.Matches, st.ParseFails, tabs.Len())
+	fmt.Fprintf(stdout, "classifyd: served %d requests (%d matches, %d parse failures) across %d tables, default table final rule-set version %d\n",
+		st.Requests, st.Matches, st.ParseFails, tabs.Len(), def.Engine.Version())
 	return nil
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"io"
+	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -118,6 +120,93 @@ func TestTablesDaemon(t *testing.T) {
 	if !strings.Contains(out.String(), "serving 2 tables") {
 		t.Fatalf("missing tables banner in output:\n%s", out.String())
 	}
+}
+
+// TestSingleTableDaemonIsOneTable: a daemon started without -tables serves
+// its flags as one table, "default" (ID 1), and administers tables over the
+// wire like a -tables daemon: a table created from a saved artifact can be
+// dropped, and the drop closes its engine (its journal file is no longer
+// open). /tables lists the default table.
+func TestSingleTableDaemonIsOneTable(t *testing.T) {
+	dir := t.TempDir()
+	artifact := filepath.Join(dir, "extra.ncaf")
+	fam, err := classbench.FamilyByName("fw1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := engine.NewEngine("hicuts", classbench.Generate(fam, 100, 2), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SaveArtifact(artifact); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	// A co-located journal: the wire-created table opens it, so its file
+	// descriptor shows whether the table's engine is open.
+	journal := engine.JournalPathFor(artifact)
+	j, err := engine.NewEngineFromArtifact(artifact, engine.Options{JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	addr, adminAddr, sig, errCh, out := startDaemonWithAdmin(t, []string{
+		"-family", "acl1", "-size", "100", "-algo", "linear",
+		"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
+	})
+	defer func() {
+		sig <- syscall.SIGTERM
+		if err := <-errCh; err != nil {
+			t.Errorf("daemon exit: %v\noutput:\n%s", err, out.String())
+		}
+	}()
+
+	var list strings.Builder
+	if err := run([]string{"-query", addr.String(), "-list-tables"}, nil, &list); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := list.String(), "table \"default\" id=1 (default)\n"; got != want {
+		t.Fatalf("-list-tables printed %q, want %q", got, want)
+	}
+
+	client := dialDaemon(t, addr)
+	id, rules, err := client.CreateTable("extra", artifact)
+	if err != nil {
+		t.Fatalf("wire create-table: %v", err)
+	}
+	if id == 1 || rules != 100 {
+		t.Fatalf("created table id=%d rules=%d, want a new ID and 100 rules", id, rules)
+	}
+	if !fileOpen(t, journal) {
+		t.Fatal("the created table's engine does not hold its journal open")
+	}
+	if err := client.DropTable(id); err != nil {
+		t.Fatalf("wire drop-table: %v", err)
+	}
+	if fileOpen(t, journal) {
+		t.Fatal("drop-table left the dropped engine open (its journal is still open)")
+	}
+
+	code, body := adminGet(t, adminAddr, "/tables")
+	if code != http.StatusOK || !strings.Contains(body, `"name": "default"`) || strings.Contains(body, `"name": "extra"`) {
+		t.Fatalf("/tables = %d %q, want the default table alone", code, body)
+	}
+}
+
+// fileOpen reports whether this process holds path open, from /proc.
+func fileOpen(t *testing.T, path string) bool {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			return true
+		}
+	}
+	return false
 }
 
 // TestTablesFlowCache: -flow-cache funds every table's engine in -tables

@@ -48,27 +48,23 @@ import (
 	"neurocuts/internal/telemetry"
 )
 
-// Options selects the admin server's data sources. Exactly one of Tables
-// and Engine is normally set: Tables for a multi-table daemon (per-table
-// metric samples), Engine for a single-engine one (a single "default"
-// table). Both nil is also valid — the admin plane then exposes only
+// Options selects the admin server's data sources. Tables supplies them for
+// a daemon; Engine is the embedded SDK's one engine, served as a one-table
+// manager. Neither set is also valid — the admin plane then exposes only
 // process-level metrics and pprof, which is what a bench run wants.
 type Options struct {
 	// Tables supplies per-table engine metrics and the /tables listing.
 	Tables *engine.Tables
-	// Engine supplies single-engine metrics under the EngineName label.
+	// Engine, when Tables is nil, is served as the one table "default".
 	Engine *engine.Engine
-	// EngineName is the table label for Engine-mode metrics ("" selects
-	// "default", matching the v2 protocol's single-table presentation).
-	EngineName string
 	// Server, when non-nil, contributes the wire server's request counters.
 	Server *server.Server
 	// Telemetry, when non-nil, contributes the latency histogram families
 	// to /metrics and backs the /debug/slow flight-recorder dump.
 	Telemetry *telemetry.Telemetry
 	// Ready overrides the readiness check: /readyz returns 200 exactly when
-	// it returns nil. The default reports ready while a default table (or
-	// the single engine) is present.
+	// it returns nil. The default reports ready while a default table is
+	// present.
 	Ready func() error
 }
 
@@ -77,13 +73,11 @@ type Options struct {
 // Handler into an existing HTTP server.
 type Server struct {
 	// The sources are fixed at New.
-	tables  *engine.Tables
-	eng     *engine.Engine
-	engName string
-	wire    *server.Server
-	tel     *telemetry.Telemetry
-	ready   func() error
-	start   time.Time
+	tables *engine.Tables
+	wire   *server.Server
+	tel    *telemetry.Telemetry
+	ready  func() error
+	start  time.Time
 
 	mu      sync.Mutex // guards httpSrv
 	httpSrv *http.Server
@@ -91,18 +85,18 @@ type Server struct {
 
 // New builds an admin server over the given sources.
 func New(opts Options) *Server {
-	name := opts.EngineName
-	if name == "" {
-		name = "default"
+	tables := opts.Tables
+	if tables == nil && opts.Engine != nil {
+		tables = engine.NewTables()
+		// A valid name in an empty manager: Create cannot fail.
+		tables.Create("default", opts.Engine)
 	}
 	return &Server{
-		tables:  opts.Tables,
-		eng:     opts.Engine,
-		engName: name,
-		wire:    opts.Server,
-		tel:     opts.Telemetry,
-		ready:   opts.Ready,
-		start:   time.Now(),
+		tables: tables,
+		wire:   opts.Server,
+		tel:    opts.Telemetry,
+		ready:  opts.Ready,
+		start:  time.Now(),
 	}
 }
 
@@ -184,8 +178,6 @@ type tableStat struct {
 // /metrics is internally consistent per table.
 type snapshot struct {
 	tables []tableStat
-	// retired is the retired-engine count (-1 when not in Tables mode).
-	retired int
 	// srv is the wire server's counters (nil when no server is attached).
 	srv *server.Stats
 	// hists is the telemetry histogram families (nil when no telemetry is
@@ -197,13 +189,10 @@ type snapshot struct {
 
 // snapshot collects the current state of every source.
 func (s *Server) snapshot() snapshot {
-	tables, eng, engName, wire, tel := s.tables, s.eng, s.engName, s.wire, s.tel
-
-	snap := snapshot{retired: -1, start: s.start}
-	switch {
-	case tables != nil:
-		def, _ := tables.Default()
-		for _, tab := range tables.List() {
+	snap := snapshot{start: s.start}
+	if s.tables != nil {
+		def, _ := s.tables.Default()
+		for _, tab := range s.tables.List() {
 			st := tab.Engine.Stats()
 			snap.tables = append(snap.tables, tableStat{
 				Name:    tab.Name,
@@ -215,20 +204,12 @@ func (s *Server) snapshot() snapshot {
 				stats:   st,
 			})
 		}
-		snap.retired = tables.RetiredLen()
-	case eng != nil:
-		st := eng.Stats()
-		snap.tables = append(snap.tables, tableStat{
-			Name: engName, ID: 0, Default: true,
-			Backend: st.Backend, Rules: st.Rules, Version: st.Version,
-			stats: st,
-		})
 	}
-	if wire != nil {
-		st := wire.Stats()
+	if s.wire != nil {
+		st := s.wire.Stats()
 		snap.srv = &st
 	}
-	snap.hists = tel.Families() // nil-safe: nil telemetry yields nil
+	snap.hists = s.tel.Families() // nil-safe: nil telemetry yields nil
 	return snap
 }
 
@@ -244,21 +225,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // readyErr reports why the daemon is not ready, or nil.
 func (s *Server) readyErr() error {
-	ready, tables, eng := s.ready, s.tables, s.eng
-	if ready != nil {
-		return ready()
-	}
 	switch {
-	case tables != nil:
-		if _, ok := tables.Default(); !ok {
-			return errors.New("no default table")
-		}
-		return nil
-	case eng != nil:
-		return nil
-	default:
+	case s.ready != nil:
+		return s.ready()
+	case s.tables == nil:
 		return errors.New("no classification engine attached")
 	}
+	if _, ok := s.tables.Default(); !ok {
+		return errors.New("no default table")
+	}
+	return nil
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {

@@ -292,9 +292,6 @@ func TestAdminTablesMode(t *testing.T) {
 	if got := metricValue(t, body, "neurocuts_tables", ""); got != 2 {
 		t.Errorf("neurocuts_tables = %v, want 2", got)
 	}
-	if got := metricValue(t, body, "neurocuts_tables_retired", ""); got != 0 {
-		t.Errorf("neurocuts_tables_retired = %v, want 0", got)
-	}
 	for _, name := range []string{"acl", "fw"} {
 		lbl := fmt.Sprintf("{table=%q}", name)
 		if got := metricValue(t, body, "neurocuts_engine_rules", lbl); got != float64(set.Len()) {

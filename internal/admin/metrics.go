@@ -147,10 +147,6 @@ func renderMetrics(snap snapshot) []byte {
 
 	p.family("neurocuts_tables", "gauge", "Live classification tables.")
 	p.sample("neurocuts_tables", nil, float64(len(snap.tables)))
-	if snap.retired >= 0 {
-		p.family("neurocuts_tables_retired", "gauge", "Displaced engines awaiting the reaper's grace.")
-		p.sample("neurocuts_tables_retired", nil, float64(snap.retired))
-	}
 
 	for _, m := range perTableMetrics {
 		if len(snap.tables) == 0 {

@@ -44,7 +44,7 @@ type walkScratch struct {
 // It is a frontier walk. A group of G packets puts one walker per packet on a
 // tree's root; a pass advances every walker by one node in a single tight
 // loop (partition nodes add a walker per extra child), and a walker that
-// reaches a leaf scans it with the shared kernel and retires. Consecutive
+// reaches a leaf scans it with the shared kernel and is done. Consecutive
 // iterations of a pass belong to different packets, so the out-of-order core
 // overlaps their loads, divides and leaf scans on its own — there is no
 // software prefetch and no per-packet state machine.

@@ -154,11 +154,14 @@ func (e *Engine) rotateJournalLocked(s *snapshot) error {
 // describe the new state — after a load, the journal (and crash recovery)
 // pairs with the loaded artifact, and a restart from the pre-load artifact
 // fails loudly with a fingerprint mismatch rather than silently serving
-// stale rules.
+// stale rules. A closed engine loads nothing and fails with ErrClosed.
 func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
+	if e.closed {
+		return cur.failed(), ErrClosed
+	}
 	ns, err := loadArtifactSnap(path, e.opts.Binth)
 	if err != nil {
 		return cur.failed(), err

@@ -195,6 +195,60 @@ func TestCompactionRetriggersAfterParkedBuild(t *testing.T) {
 	checkLinear(t, eng, ref, trace, "after Close")
 }
 
+// TestCloseStopsRetrigger: a compaction whose build is parked when Close
+// begins finishes, and even with its rebased overlay still past the
+// threshold it starts no next one: Close returns after exactly one
+// compaction, with nothing running or armed.
+func TestCloseStopsRetrigger(t *testing.T) {
+	set := overlayTestSet(t, 300)
+	eng, err := NewEngine("racing-test-backend", set, Options{CompactThreshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := newBuildGate()
+	racingBuild.Store(gate)
+	defer racingBuild.Store(nil)
+	for k := 0; k < 4; k++ {
+		if _, err := eng.Insert(k, set.Rule(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitBuild(t, gate, "the update reaching the threshold")
+	racingBuild.Store(nil)
+	for k := 4; k < 9; k++ {
+		if _, err := eng.Insert(k, set.Rule(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() { eng.Close(); close(closed) }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		eng.mu.Lock()
+		c := eng.closed
+		eng.mu.Unlock()
+		if c {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close did not mark the engine closed within 10 s")
+		}
+	}
+	close(gate.release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the build was released")
+	}
+	st := eng.UpdaterStats()
+	if st.Compactions != 1 || st.OverlayRules != 5 {
+		t.Fatalf("after Close: %+v, want 1 compaction and the 5 rebased inserts pending", st)
+	}
+	if compactionArmed(eng) {
+		t.Fatal("a compaction ending after Close started the next one or armed a timer")
+	}
+}
+
 // TestCompactMaxAgeFoldsQuietOverlay: with the size trigger off, one update
 // and nothing after it is folded once it is CompactMaxAge old.
 func TestCompactMaxAgeFoldsQuietOverlay(t *testing.T) {

@@ -537,8 +537,9 @@ func (s *snapshot) classifyUncached(ps []rule.Packet, out []Result) {
 // Close stops the compaction age timer, closes the update journal and waits
 // for a compaction in flight. It is safe to call more than once. Lookups
 // (single and batch) keep answering after Close, against the last published
-// snapshot. An engine that never took an update holds no goroutine, so Close
-// is optional for short-lived read-only engines.
+// snapshot; updates and artifact loads fail with ErrClosed. An engine that
+// never took an update holds no goroutine, so Close is optional for
+// short-lived read-only engines.
 func (e *Engine) Close() { e.closeOnce.Do(e.closeUpdater) }
 
 // UpdateResult describes the snapshot published by one successful update.
@@ -557,6 +558,11 @@ type UpdateResult struct {
 // ErrRuleNotFound is wrapped by Delete when no live rule carries the
 // requested ID (including a second delete of an already-removed rule).
 var ErrRuleNotFound = errors.New("rule not found")
+
+// ErrClosed is returned by Insert, Delete and LoadArtifact on a closed
+// engine: they publish nothing, so no update is acknowledged that the
+// closed journal could not make durable.
+var ErrClosed = errors.New("engine: closed")
 
 // Insert adds a rule at priority position pos and atomically swaps the new
 // snapshot in; concurrent readers keep classifying against the old snapshot

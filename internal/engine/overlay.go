@@ -138,13 +138,16 @@ func (s *snapshot) journalMeta() updater.JournalMeta {
 
 // baseSnapLocked returns the current snapshot, first giving it an overlay
 // base if it has none (a never-updated engine, or one whose LoadArtifact
-// dropped it). Every update starts here. The base changes no answer, so the
-// snapshot is replaced in place under the same version. A rule list the
-// overlay cannot anchor (non-canonical priorities, duplicate IDs) fails
-// here, and the snapshot is returned as it was, for the caller's failure
-// result. Caller holds e.mu.
+// dropped it). Every update starts here, so a closed engine fails here with
+// ErrClosed. The base changes no answer, so the snapshot is replaced in
+// place under the same version. A rule list the overlay cannot anchor
+// (non-canonical priorities, duplicate IDs) fails here, and the snapshot is
+// returned as it was, for the caller's failure result. Caller holds e.mu.
 func (e *Engine) baseSnapLocked() (*snapshot, error) {
 	cur := e.snap.Load()
+	if e.closed {
+		return cur, ErrClosed
+	}
 	if cur.base != nil {
 		return cur, nil
 	}
@@ -377,7 +380,7 @@ func (e *Engine) noteCompactFailure(err error) {
 
 // closeUpdater stops the age timer, closes the journal and waits for a
 // compaction in flight; called from Close exactly once. Closed, the engine
-// starts no compaction.
+// takes no update and starts no compaction.
 func (e *Engine) closeUpdater() {
 	e.mu.Lock()
 	e.closed = true

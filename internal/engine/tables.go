@@ -5,20 +5,17 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Table is one named classification table: an Engine plus the identity the
 // multi-table runtime serves it under. The wire protocol addresses tables by
-// ID (a small integer that stays stable across Swap), humans and configs by
-// Name. Table values are immutable once published; Swap publishes a new
-// value under the same name and ID.
+// ID, humans and configs by Name. Table values are immutable once published.
 type Table struct {
 	// Name is the table's unique name within its Tables manager.
 	Name string
 	// ID is the table's stable wire identifier, assigned at Create (>= 1;
 	// ID 0 is the wire protocol's "default table" sentinel and is never
-	// assigned). It survives Swap and is never reused after Drop.
+	// assigned). It is never reused after Drop.
 	ID uint32
 	// Engine serves the table.
 	Engine *Engine
@@ -26,7 +23,7 @@ type Table struct {
 
 // tableState is one immutable generation of the table map. Readers load it
 // with a single atomic pointer load, so a lookup can never observe a
-// half-applied create/swap/drop.
+// half-applied create or drop.
 type tableState struct {
 	byName map[string]*Table
 	byID   map[uint32]*Table
@@ -37,63 +34,28 @@ type tableState struct {
 	def *Table
 }
 
-// Tables manages a set of named, independently configured engines so one
+// Tables manages a set of named, independently configured engines, so one
 // daemon can serve many rule sets (ACL + firewall + NAT tables
-// simultaneously). Admin operations — Create, Swap, Drop — are
+// simultaneously). It is the daemon's one table model: a single-table
+// daemon is a manager holding one table, "default". Create and Drop are
 // atomic: they build a new immutable table map off-line and publish it with
 // one pointer swap, so concurrent lookups always observe a coherent set and
 // are never blocked.
 //
-// Engines displaced by Swap or Drop are not closed immediately: an in-flight
-// update pinned to the old engine must be allowed to finish its journal
-// append (lookups answer after Close; updates are no longer journaled).
-// They are parked on a retired list and closed either by CloseAll (run
-// after the serving layer has drained, e.g. after Server.Shutdown returns)
-// or by the reaper: each admin operation closes retirees older than
-// retireGrace, so a long-running daemon whose tables are repeatedly
-// created, swapped and dropped over the wire does not accumulate
-// goroutines, journal fds and classifier memory without bound.
+// Drop closes the dropped engine as soon as the new map is published. A
+// request that resolved the table before the drop keeps its engine: its
+// lookups still answer, and its update either finished its journal append
+// before the close or fails with ErrClosed, so no update is acknowledged
+// that the closed journal did not record.
 type Tables struct {
-	mu      sync.Mutex
-	state   atomic.Pointer[tableState]
-	nextID  uint32
-	retired []retiredEngine
-	// now is the reaper's clock; tests inject a fake one so grace expiry is
-	// deterministic. Set once at construction (NewTables).
-	now func() time.Time
-}
-
-// retiredEngine is one displaced engine awaiting closure.
-type retiredEngine struct {
-	eng *Engine
-	at  time.Time
-}
-
-// retireGrace is how long a displaced engine stays open after Swap/Drop
-// before the reaper may close it. Any request that can still reach a
-// retired engine resolved it before the swap was published, and the serving
-// layer bounds a request's lifetime (body read and response write deadlines,
-// 30s by default) to far below this, so closing after the grace cannot cut
-// a live lookup.
-const retireGrace = 5 * time.Minute
-
-// reapRetiredLocked closes retirees older than retireGrace. Caller holds
-// t.mu.
-func (t *Tables) reapRetiredLocked(now time.Time) {
-	kept := t.retired[:0]
-	for _, r := range t.retired {
-		if now.Sub(r.at) >= retireGrace {
-			r.eng.Close()
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	t.retired = kept
+	mu     sync.Mutex
+	state  atomic.Pointer[tableState]
+	nextID uint32
 }
 
 // NewTables returns an empty table manager.
 func NewTables() *Tables {
-	t := &Tables{nextID: 1, now: time.Now}
+	t := &Tables{nextID: 1}
 	t.state.Store(&tableState{byName: map[string]*Table{}, byID: map[uint32]*Table{}})
 	return t
 }
@@ -133,7 +95,7 @@ const MaxTableNameLen = 255
 
 // Create adds a new table serving eng under name and returns it. The first
 // table created becomes the default and stays it. Creating a name that
-// already exists fails; use Swap to replace a live table's engine.
+// already exists fails.
 func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	if name == "" {
 		return nil, fmt.Errorf("engine: table name must not be empty")
@@ -143,11 +105,6 @@ func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Every admin mutation reaps: a daemon whose churn is create-only after
-	// the last Swap/Drop must still close the engines those displaced, or
-	// their compaction timers, journal fds and classifier memory stay
-	// pinned for the daemon's lifetime.
-	t.reapRetiredLocked(t.now())
 	ns := t.cloneLocked()
 	if _, dup := ns.byName[name]; dup {
 		return nil, fmt.Errorf("engine: table %q already exists", name)
@@ -163,54 +120,36 @@ func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	return tab, nil
 }
 
-// Swap atomically replaces the engine serving the named table, keeping the
-// table's name and wire ID. The displaced engine is retired (kept open
-// until the reaper's grace expires, or CloseAll) so requests pinned to it
-// can finish. It returns the new Table value.
-func (t *Tables) Swap(name string, eng *Engine) (*Table, error) {
+// Drop atomically removes the named table and closes its engine. Its wire
+// ID is never reused. Dropping the default table always fails — it is the
+// target of frames addressed to table 0, and a serving manager never loses
+// its default.
+func (t *Tables) Drop(name string) error {
+	eng, err := t.unpublish(name)
+	if err != nil {
+		return err
+	}
+	// Not under t.mu: Close waits for a compaction in flight.
+	eng.Close()
+	return nil
+}
+
+// unpublish removes the named table from the map and returns its engine.
+func (t *Tables) unpublish(name string) (*Engine, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
-	t.reapRetiredLocked(now)
 	ns := t.cloneLocked()
 	old, ok := ns.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", name)
 	}
-	tab := &Table{Name: name, ID: old.ID, Engine: eng}
-	ns.byName[name] = tab
-	ns.byID[tab.ID] = tab
-	if ns.def != nil && ns.def.ID == tab.ID {
-		ns.def = tab
-	}
-	t.publishLocked(ns)
-	t.retired = append(t.retired, retiredEngine{eng: old.Engine, at: now})
-	return tab, nil
-}
-
-// Drop atomically removes the named table. Its wire ID is never reused, and
-// its engine is retired (kept open until the reaper's grace expires, or
-// CloseAll) so in-flight requests can finish. Dropping the default table
-// always fails — it is the target of frames addressed to table 0, and a
-// serving manager never loses its default.
-func (t *Tables) Drop(name string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	t.reapRetiredLocked(now)
-	ns := t.cloneLocked()
-	old, ok := ns.byName[name]
-	if !ok {
-		return fmt.Errorf("engine: table %q does not exist", name)
-	}
 	if ns.def != nil && ns.def.ID == old.ID {
-		return fmt.Errorf("engine: table %q is the default table and cannot be dropped", name)
+		return nil, fmt.Errorf("engine: table %q is the default table and cannot be dropped", name)
 	}
 	delete(ns.byName, name)
 	delete(ns.byID, old.ID)
 	t.publishLocked(ns)
-	t.retired = append(t.retired, retiredEngine{eng: old.Engine, at: now})
-	return nil
+	return old.Engine, nil
 }
 
 // Get returns the named table.
@@ -239,9 +178,6 @@ func (t *Tables) Default() (*Table, bool) {
 	return tab, tab != nil
 }
 
-// Names returns the table names, sorted. The returned slice is immutable.
-func (t *Tables) Names() []string { return t.state.Load().names }
-
 // List returns the tables sorted by name.
 func (t *Tables) List() []*Table {
 	st := t.state.Load()
@@ -255,27 +191,14 @@ func (t *Tables) List() []*Table {
 // Len returns the number of live tables.
 func (t *Tables) Len() int { return len(t.state.Load().byName) }
 
-// RetiredLen returns the number of displaced engines still awaiting the
-// reaper's grace. Exposed for the admin plane's metrics — a value that only
-// grows means retirees are not being reaped.
-func (t *Tables) RetiredLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.retired)
-}
-
-// CloseAll closes every live and retired engine. Call it only after the
-// serving layer has drained (no update may be in flight), e.g. after
-// Server.Shutdown returns.
+// CloseAll closes every table's engine and empties the manager. Call it
+// only after the serving layer has drained (no update may be in flight),
+// e.g. after Server.Shutdown returns.
 func (t *Tables) CloseAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, tab := range t.state.Load().byName {
 		tab.Engine.Close()
 	}
-	for _, r := range t.retired {
-		r.eng.Close()
-	}
-	t.retired = nil
 	t.publishLocked(&tableState{byName: map[string]*Table{}, byID: map[uint32]*Table{}})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -63,8 +64,8 @@ func TestTablesCreateGetDrop(t *testing.T) {
 	if tab, ok := tabs.GetByID(fwTab.ID); !ok || tab.Name != "fw" {
 		t.Fatal("lookup by ID failed")
 	}
-	if got := tabs.Names(); len(got) != 2 || got[0] != "acl" || got[1] != "fw" {
-		t.Fatalf("Names() = %v", got)
+	if got := tabs.List(); len(got) != 2 || got[0].Name != "acl" || got[1].Name != "fw" {
+		t.Fatalf("List() = %v", got)
 	}
 
 	// The default table can never be dropped, alone or not: a serving
@@ -100,41 +101,8 @@ func TestTablesCreateGetDrop(t *testing.T) {
 	}
 }
 
-func TestTablesSwapKeepsIdentityAndRetiresOldEngine(t *testing.T) {
-	tabs := NewTables()
-	defer tabs.CloseAll()
-	e1, _ := newTestEngine(t, "acl1", 40)
-	e2, _ := newTestEngine(t, "acl2", 40)
-
-	tab1, err := tabs.Create("acl", e1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab2, err := tabs.Swap("acl", e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab2.ID != tab1.ID {
-		t.Fatalf("swap changed the wire ID: %d -> %d", tab1.ID, tab2.ID)
-	}
-	if got, _ := tabs.Get("acl"); got.Engine != e2 {
-		t.Fatal("swap did not publish the new engine")
-	}
-	// The displaced engine must still serve lookups (it is retired, not
-	// closed) so requests pinned to it can finish.
-	out := make([]Result, 1)
-	e1.ClassifyBatch([]rule.Packet{{}}, out)
-
-	if def, _ := tabs.Default(); def.Engine != e2 {
-		t.Fatal("swap of the default table did not re-point the default")
-	}
-	if _, err := tabs.Swap("nat", e1); err == nil {
-		t.Fatal("swap of a missing table must fail")
-	}
-}
-
 // TestTablesConcurrentAdminAndLookup hammers lookups against concurrent
-// create/swap/drop to prove readers always observe a coherent table map
+// create/drop to prove readers always observe a coherent table map
 // (run with -race).
 func TestTablesConcurrentAdminAndLookup(t *testing.T) {
 	tabs := NewTables()
@@ -173,10 +141,6 @@ func TestTablesConcurrentAdminAndLookup(t *testing.T) {
 		if _, err := tabs.Create("scratch", eng); err != nil {
 			t.Fatal(err)
 		}
-		eng2, _ := newTestEngine(t, "fw1", 30)
-		if _, err := tabs.Swap("scratch", eng2); err != nil {
-			t.Fatal(err)
-		}
 		if err := tabs.Drop("scratch"); err != nil {
 			t.Fatal(err)
 		}
@@ -185,89 +149,115 @@ func TestTablesConcurrentAdminAndLookup(t *testing.T) {
 	wg.Wait()
 }
 
-// journaledTestEngine builds an engine whose closure is observable: while
-// open, UpdaterStats reports its journal path; Close tears the journal down
-// and the path reads back empty.
-func journaledTestEngine(t *testing.T, dir, name string) *Engine {
+// journaledTestEngine builds a linear engine over a fixed rule list that
+// journals its updates to path. Built again over the same path, it replays
+// them.
+func journaledTestEngine(t *testing.T, path string) *Engine {
 	t.Helper()
 	fam, err := classbench.FamilyByName("acl1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := classbench.Generate(fam, 40, 7)
-	eng, err := NewEngine("linear", set, Options{
-		CompactThreshold: -1,
-		JournalPath:      filepath.Join(dir, name+".journal"),
-	})
+	eng, err := NewEngine("linear", classbench.Generate(fam, 40, 7), Options{CompactThreshold: 16, JournalPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
 }
 
-func engineClosed(e *Engine) bool { return e.UpdaterStats().JournalPath == "" }
-
-// TestTablesReaperLifecycle is the regression test for the reaper gap: only
-// Swap and Drop used to reap, so a daemon whose churn after a swap was
-// create-only pinned displaced engines forever. Every admin mutation must
-// run the reaper.
-func TestTablesReaperLifecycle(t *testing.T) {
-	dir := t.TempDir()
+// TestTablesDropRacingUpdates: writers pinned to a journaling table keep
+// inserting while another goroutine drops it. Drop closes the engine at
+// once, so every update either was acknowledged — journaled before the
+// close — or failed with ErrClosed. Reopening the rules with the journal
+// replays every acknowledged ID; the dropped engine keeps answering lookups,
+// and a later CloseAll leaves it as Drop left it. Run with -race.
+func TestTablesDropRacingUpdates(t *testing.T) {
 	tabs := NewTables()
 	defer tabs.CloseAll()
-	now := time.Unix(1_700_000_000, 0)
-	tabs.now = func() time.Time { return now }
-
-	engA := journaledTestEngine(t, dir, "a")
-	engB := journaledTestEngine(t, dir, "b")
-	engB2 := journaledTestEngine(t, dir, "b2")
-	if _, err := tabs.Create("acl", engA); err != nil {
+	def, set := newTestEngine(t, "fw1", 30)
+	if _, err := tabs.Create("default", def); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tabs.Create("fw", engB); err != nil {
+	jpath := filepath.Join(t.TempDir(), "acl.journal")
+	if _, err := tabs.Create("acl", journaledTestEngine(t, jpath)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tabs.Swap("fw", engB2); err != nil {
-		t.Fatal(err)
-	}
-	if got := tabs.RetiredLen(); got != 1 {
-		t.Fatalf("RetiredLen after swap = %d, want 1", got)
+	tab, _ := tabs.Get("acl")
+	eng := tab.Engine
+	var trace []rule.Packet
+	for _, e := range classbench.GenerateTrace(eng.Rules(), 300, 5) {
+		trace = append(trace, e.Key)
 	}
 
-	// Within the grace the retiree stays open through any mutation.
-	now = now.Add(retireGrace - time.Second)
-	if _, err := tabs.Create("nat1", journaledTestEngine(t, dir, "n1")); err != nil {
-		t.Fatal(err)
+	var mu sync.Mutex
+	var acked []int
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				res, err := eng.Insert(i%7, set.Rule((w+i)%set.Len()))
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("writer %d: update failed with %v, want ErrClosed", w, err)
+					}
+					return
+				}
+				mu.Lock()
+				acked = append(acked, res.ID)
+				mu.Unlock()
+			}
+		}(w)
 	}
-	if engineClosed(engB) || tabs.RetiredLen() != 1 {
-		t.Fatal("retiree reaped before its grace expired")
-	}
-
-	// Past the grace, a Create — the churn pattern that used to leak — must
-	// close it.
-	now = now.Add(2 * time.Second)
-	if _, err := tabs.Create("nat2", journaledTestEngine(t, dir, "n2")); err != nil {
-		t.Fatal(err)
-	}
-	if !engineClosed(engB) {
-		t.Fatal("Create did not reap a retiree whose grace had expired")
-	}
-	if got := tabs.RetiredLen(); got != 0 {
-		t.Fatalf("RetiredLen after reaping Create = %d, want 0", got)
-	}
-
-	// Drop then CloseAll: the dropped engine is closed exactly once by
-	// CloseAll (the deferred one above runs again on an empty manager — both
-	// calls and any direct re-Close must be no-ops, not double-closes).
-	if err := tabs.Drop("fw"); err != nil {
-		t.Fatal(err)
-	}
-	tabs.CloseAll()
-	for _, e := range []*Engine{engA, engB2} {
-		if !engineClosed(e) {
-			t.Fatal("CloseAll left an engine open")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(acked)
+		mu.Unlock()
+		if n >= 40 {
+			break
 		}
-		e.Close() // idempotent
+		if time.Now().After(deadline) {
+			t.Fatalf("writers acknowledged only %d updates in 10 s", n)
+		}
 	}
+	if err := tabs.Drop("acl"); err != nil {
+		t.Fatal(err)
+	}
+	if eng.UpdaterStats().JournalPath != "" {
+		t.Fatal("Drop returned with the dropped engine still open")
+	}
+	wg.Wait()
+
+	// The dropped engine still answers, as linear search over its last list.
+	final := eng.Rules()
+	version := eng.Version()
+	out := make([]Result, len(trace))
+	eng.ClassifyBatch(trace, out)
+	for i, p := range trace {
+		want, wok := final.Match(p)
+		if out[i].OK != wok || out[i].Rule != want {
+			t.Fatalf("dropped engine, packet %d: (%v, %v), linear search (%v, %v)", i, out[i].Rule, out[i].OK, want, wok)
+		}
+	}
+
+	re := journaledTestEngine(t, jpath)
+	defer re.Close()
+	live := map[int]bool{}
+	for _, r := range re.Rules().Rules() {
+		live[r.ID] = true
+	}
+	for _, id := range acked {
+		if !live[id] {
+			t.Fatalf("acknowledged rule %d lost: not replayed from the journal", id)
+		}
+	}
+	if re.Len() != final.Len() {
+		t.Fatalf("replay serves %d rules, the dropped engine %d", re.Len(), final.Len())
+	}
+
 	tabs.CloseAll()
+	if _, ok := tabs.Get("acl"); ok || eng.Version() != version || eng.Len() != final.Len() {
+		t.Fatal("CloseAll touched the dropped table")
+	}
 }

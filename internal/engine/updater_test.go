@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -104,7 +106,8 @@ func compactionArmed(e *Engine) bool {
 // answers a trace exactly as linear search over its own rule list; the
 // overlay base does not exist until the first update asks for it; and no
 // compaction runs or is armed on a read-only engine, on one under its
-// threshold with no CompactMaxAge, or after Close.
+// threshold with no CompactMaxAge, or after Close — where the update fails
+// with ErrClosed.
 func TestOneWritePath(t *testing.T) {
 	set := overlayTestSet(t, 300)
 	trace := allocTestPackets(set, 2000)
@@ -167,11 +170,60 @@ func TestOneWritePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Close()
-	if _, err := eng.Insert(0, set.Rule(0)); err != nil {
-		t.Fatal(err)
+	if _, err := eng.Insert(0, set.Rule(0)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Insert after Close: err = %v, want ErrClosed", err)
 	}
 	if compactionArmed(eng) {
 		t.Fatal("an update after Close started a compaction or armed its timer")
+	}
+}
+
+// TestClosedEngineRefusesUpdates: after Close, Insert, Delete and
+// LoadArtifact fail with ErrClosed and publish nothing — the version stays
+// put and the journal gains no record — so no update is acknowledged that a
+// restart would lose.
+func TestClosedEngineRefusesUpdates(t *testing.T) {
+	set := overlayTestSet(t, 200)
+	dir := t.TempDir()
+	artifact := filepath.Join(dir, "a.ncaf")
+	src, err := NewEngine("hicuts", set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SaveArtifact(artifact); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	jpath := filepath.Join(dir, "e.journal")
+	eng, err := NewEngine("hicuts", set, Options{CompactThreshold: -1, JournalPath: jpath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Insert(0, set.Rule(1)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	version := eng.Version()
+	journal, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for op, update := range map[string]func() (UpdateResult, error){
+		"Insert":       func() (UpdateResult, error) { return eng.Insert(0, set.Rule(2)) },
+		"Delete":       func() (UpdateResult, error) { return eng.Delete(set.Rule(3).ID) },
+		"LoadArtifact": func() (UpdateResult, error) { return eng.LoadArtifact(artifact) },
+	} {
+		if _, err := update(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: err = %v, want ErrClosed", op, err)
+		}
+		if got := eng.Version(); got != version {
+			t.Errorf("%s after Close published version %d, want %d unchanged", op, got, version)
+		}
+		if got, err := os.ReadFile(jpath); err != nil || !bytes.Equal(got, journal) {
+			t.Errorf("%s after Close changed the journal (%d -> %d bytes, err %v)", op, len(journal), len(got), err)
+		}
 	}
 }
 

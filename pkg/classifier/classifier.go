@@ -243,7 +243,8 @@ func (c *Classifier) Insert(pos int, r Rule) (UpdateResult, error) {
 	if c.shm != nil {
 		return UpdateResult{}, ErrNotSupported
 	}
-	return c.eng.Insert(pos, r)
+	res, err := c.eng.Insert(pos, r)
+	return res, closedErr(err)
 }
 
 // Delete removes the rule with the given ID (as assigned by Insert, or the
@@ -256,7 +257,17 @@ func (c *Classifier) Delete(id int) (UpdateResult, error) {
 	if c.shm != nil {
 		return UpdateResult{}, ErrNotSupported
 	}
-	return c.eng.Delete(id)
+	res, err := c.eng.Delete(id)
+	return res, closedErr(err)
+}
+
+// closedErr reports an update that lost the race against Close — the engine
+// closed after the closed check passed — as ErrClosed.
+func closedErr(err error) error {
+	if errors.Is(err, engine.ErrClosed) {
+		return ErrClosed
+	}
+	return err
 }
 
 // Save persists the classifier as a versioned compiled artifact at path, so
@@ -283,7 +294,8 @@ func (c *Classifier) Load(path string) (UpdateResult, error) {
 	if c.shm != nil {
 		return UpdateResult{}, ErrNotSupported
 	}
-	return c.eng.LoadArtifact(path)
+	res, err := c.eng.LoadArtifact(path)
+	return res, closedErr(err)
 }
 
 // Stats summarises the classifier's current state: identity, size, cost
