@@ -1,7 +1,8 @@
 // Updates: operate a live classifier through the public SDK's update path —
 // rule insertions and deletions land in a delta overlay with no rebuild on
-// the write path, a background compactor folds them into the base structure,
-// and a durable journal makes every acknowledged update survive a crash.
+// the write path, the update that brings the overlay to its threshold starts
+// a goroutine that folds it into the base structure, and a durable journal
+// makes every acknowledged update survive a crash.
 //
 // Run with:
 //

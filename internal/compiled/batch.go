@@ -76,10 +76,11 @@ func (c *Classifier) walkGroup(s *walkScratch, ps []rule.Packet, out []int32) bo
 		s.best[i] = noMatch
 	}
 	// The trees are walked one after the other, last root first: the order
-	// the scalar lookup visits them in. Which leaf is scanned first decides
-	// how many rules the running best cuts off in the others, so keeping the
-	// scalar order keeps the walk from ever comparing more rules than the
-	// lookup it replaces.
+	// the scalar lookup visits them in, which orderRoots ranked so the tree
+	// that most often holds the winner comes first. Which leaf is scanned
+	// first decides how many rules the running best cuts off in the others,
+	// so keeping the scalar order keeps the walk from ever comparing more
+	// rules than the lookup it replaces.
 	front, next := &s.front, &s.next
 	for r := len(c.roots) - 1; r >= 0; r-- {
 		n := len(ps)

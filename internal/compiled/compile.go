@@ -60,6 +60,7 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 	if err := c.validate(); err != nil {
 		return nil, fmt.Errorf("compiled: internal inconsistency: %w", err)
 	}
+	c.orderRoots()
 	c.computeStats()
 	return c, nil
 }
@@ -168,12 +169,12 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 
 // validate checks every structural invariant the lookup path relies on:
 // all spans in bounds, child indices strictly greater than the parent's
-// (termination), cut fan-outs consistent with child counts, boundary points
-// increasing, leaf spans strictly ascending by rule index (the rule list is
-// priority-sorted, so list position is what "better match" means — across
-// leaves and trees too, which is how tied priorities resolve to the first in
-// the list exactly like rule.Set.MatchIndex), and rule ranges within their
-// dimension widths. Load calls it on untrusted bytes; Compile calls it as a
+// (termination), no node reached twice (a forest), cut fan-outs consistent
+// with child counts, boundary points increasing, leaf spans strictly
+// ascending by rule index (the rule list is priority-sorted, so list
+// position is what "better match" means — across leaves and trees too,
+// which is how tied priorities resolve to the first in the list exactly like
+// rule.Set.MatchIndex), and rule ranges within their dimension widths. Load calls it on untrusted bytes; Compile calls it as a
 // cheap self-check.
 func (c *Classifier) validate() error {
 	nNodes := uint64(len(c.nodes))
@@ -197,9 +198,25 @@ func (c *Classifier) validate() error {
 		}
 	}
 
+	// Every node is reached from one place at most — a root entry or one
+	// parent's child span — so the slabs are a forest and a walk visits each
+	// node at most once. Shared subtrees would let a crafted artifact make
+	// every lookup, and Load's root-order probe, revisit them exponentially
+	// often.
+	reached := make([]bool, nNodes)
+	reach := func(i uint32) error {
+		if reached[i] {
+			return fmt.Errorf("node %d reached twice (not a forest)", i)
+		}
+		reached[i] = true
+		return nil
+	}
 	for _, r := range c.roots {
 		if uint64(r) >= nNodes {
 			return fmt.Errorf("root index %d out of range (%d nodes)", r, nNodes)
+		}
+		if err := reach(r); err != nil {
+			return err
 		}
 	}
 
@@ -212,6 +229,11 @@ func (c *Classifier) validate() error {
 		}
 		if uint64(nd.a)+uint64(nd.b) > nNodes {
 			return fmt.Errorf("node %d: child span [%d,+%d) out of range (%d nodes)", i, nd.a, nd.b, nNodes)
+		}
+		for ch := nd.a; ch < nd.a+nd.b; ch++ {
+			if err := reach(ch); err != nil {
+				return fmt.Errorf("node %d: %w", i, err)
+			}
 		}
 		return nil
 	}

@@ -34,7 +34,9 @@
 package compiled
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"neurocuts/internal/rule"
@@ -123,7 +125,8 @@ type Classifier struct {
 	cutDescs []cutDesc
 	// cutPoints holds boundary spans referenced by kindCustomCut nodes.
 	cutPoints []uint64
-	// roots indexes the root node of each compiled tree.
+	// roots indexes the root node of each compiled tree, in the order the
+	// lookups push them: both walk the last one first (see orderRoots).
 	roots []uint32
 
 	stats Stats
@@ -170,6 +173,65 @@ func (c *Classifier) Packed() []rule.Packed { return c.packed }
 // priorities and IDs. Engine warm starts use it as the update base.
 func (c *Classifier) RuleSet() *rule.Set {
 	return rule.NewSetKeepPriorities(c.rules)
+}
+
+// probeRules is how many rules orderRoots samples at most.
+const probeRules = 1024
+
+// orderRoots permutes c.roots into the order the walks visit the trees in.
+// Both walks take c.roots last first, and which tree's leaf is scanned first
+// decides how many rules the running best cuts off in the others, so the
+// tree that most often holds a packet's winner goes last.
+//
+// Traffic is modelled the way ClassBench traces draw it, from inside the
+// rules: one packet at the low corner of every ⌈n/probeRules⌉-th rule walks
+// each tree alone, and the tree holding its best match wins it. Trees rank
+// by wins; ties go by node index, the highest walked first, which is how
+// Compile's trees were walked before they were ranked. The order is a
+// function of the slabs alone, never of the stored root list, so Save
+// writes the roots in node order and Load derives the walk order again.
+func (c *Classifier) orderRoots() {
+	slices.Sort(c.roots)
+	if len(c.roots) < 2 || len(c.rules) == 0 {
+		return
+	}
+	type rootWins struct {
+		root uint32
+		wins int
+	}
+	ranked := make([]rootWins, len(c.roots))
+	for j, r := range c.roots {
+		ranked[j].root = r
+	}
+	stack := make([]uint32, 0, lookupStackSize)
+	step := (len(c.rules) + probeRules - 1) / probeRules
+	for i := 0; i < len(c.rules); i += step {
+		p := lowCorner(&c.rules[i])
+		best, winner := noMatch, -1
+		for j, r := range c.roots {
+			if b := uint32(c.lookupIndex(p, append(stack[:0], r))); b < best {
+				best, winner = b, j
+			}
+		}
+		if winner >= 0 {
+			ranked[winner].wins++
+		}
+	}
+	slices.SortStableFunc(ranked, func(a, b rootWins) int { return cmp.Compare(a.wins, b.wins) })
+	for j := range ranked {
+		c.roots[j] = ranked[j].root
+	}
+}
+
+// lowCorner is the packet at the low end of every one of r's ranges.
+func lowCorner(r *rule.Rule) rule.Packet {
+	return rule.Packet{
+		SrcIP:   uint32(r.Ranges[rule.DimSrcIP].Lo),
+		DstIP:   uint32(r.Ranges[rule.DimDstIP].Lo),
+		SrcPort: uint16(r.Ranges[rule.DimSrcPort].Lo),
+		DstPort: uint16(r.Ranges[rule.DimDstPort].Lo),
+		Proto:   uint8(r.Ranges[rule.DimProto].Lo),
+	}
 }
 
 // computeStats fills c.stats: sizes, worst-case lookup cost and the

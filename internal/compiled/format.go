@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"neurocuts/internal/rule"
 )
@@ -88,8 +89,10 @@ func Save(w io.Writer, c *Classifier, meta Metadata) error {
 		buf = putU64(buf, uint64(int64(r.Priority)))
 		buf = putU64(buf, uint64(int64(r.ID)))
 	}
+	// The roots go out in node order, as Compile emits them: the walk order
+	// is derived (orderRoots), not stored, so it costs the format nothing.
 	buf = putU32(buf, uint32(len(c.roots)))
-	for _, r := range c.roots {
+	for _, r := range slices.Sorted(slices.Values(c.roots)) {
 		buf = putU32(buf, r)
 	}
 	buf = putU32(buf, uint32(len(c.nodes)))
@@ -281,6 +284,7 @@ func LoadBytes(data []byte) (*Classifier, Metadata, error) {
 	}
 	c.nodes = alignNodeSlab(c.nodes)
 	c.packed = rule.PackRules(c.rules)
+	c.orderRoots()
 	c.computeStats()
 	return c, meta, nil
 }

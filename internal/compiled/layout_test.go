@@ -121,3 +121,33 @@ func TestValidateRejectsUnorderedLeaf(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsSharedNodes pins the forest invariant: a node reached
+// from two parents, or listed as a root twice, is refused. A slab with shared
+// subtrees passes every span check, yet a chain of them makes one walk — a
+// lookup, or Load's root-order probe — revisit nodes exponentially often.
+func TestValidateRejectsSharedNodes(t *testing.T) {
+	leaf := node{kind: kindLeaf, a: 0, b: 1}
+	cases := []struct {
+		name  string
+		nodes []node
+		roots []uint32
+		ok    bool
+	}{
+		{"forest", []node{{kind: kindPartition, a: 2, b: 2}, leaf, leaf, leaf}, []uint32{0, 1}, true},
+		{"shared child", []node{{kind: kindPartition, a: 1, b: 2}, {kind: kindPartition, a: 2, b: 2}, leaf, leaf}, []uint32{0}, false},
+		{"root is a child", []node{{kind: kindPartition, a: 1, b: 2}, leaf, leaf}, []uint32{0, 2}, false},
+		{"root twice", []node{leaf}, []uint32{0, 0}, false},
+	}
+	for _, tc := range cases {
+		c := &Classifier{
+			rules:     []rule.Rule{rule.NewWildcardRule(0)},
+			leafRules: []uint32{0},
+			nodes:     tc.nodes,
+			roots:     tc.roots,
+		}
+		if err := c.validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -12,7 +12,7 @@ const lookupStackSize = 128
 // exceeds lookupStackSize, so even pathological trees look up without a
 // per-call allocation once the freelist is warm. A buffered channel rather
 // than sync.Pool so the allocs/op guarantee also holds under the race
-// detector (Pool randomly drops Puts there); see batchScratches.
+// detector (Pool randomly drops Puts there).
 var overflowStacks = make(chan *[]uint32, 16)
 
 func getOverflowStack(minCap int) *[]uint32 {
@@ -52,13 +52,17 @@ func (c *Classifier) Lookup(p rule.Packet) (rule.Rule, bool) {
 // push pending node indices onto a small stack. Leaf rule spans ascend by
 // rule index, so a leaf scan stops at the first match and whole leaves are
 // skipped once a better match is already held.
+//
+// The roots are pushed in stored order and popped last first, so the tree
+// orderRoots found most often holding the winner is scanned first and its
+// match cuts the other trees' scans short.
 func (c *Classifier) LookupIndex(p rule.Packet) int {
 	var stackArr [lookupStackSize]uint32
 	if c.stats.MaxStack <= lookupStackSize {
-		return c.lookupIndex(p, stackArr[:0])
+		return c.lookupIndex(p, append(stackArr[:0], c.roots...))
 	}
 	sp := getOverflowStack(c.stats.MaxStack)
-	best := c.lookupIndex(p, (*sp)[:0])
+	best := c.lookupIndex(p, append((*sp)[:0], c.roots...))
 	putOverflowStack(sp)
 	return best
 }
@@ -123,12 +127,11 @@ func b2i(b bool) int {
 	return 0
 }
 
-// lookupIndex is the traversal core behind LookupIndex; the caller supplies
-// the (empty) stack so the fixed-size fast path and the pooled overflow path
-// share one implementation.
+// lookupIndex is the traversal core behind LookupIndex. The caller supplies
+// the stack holding the roots to walk, so the fixed-size fast path, the
+// pooled overflow path and orderRoots' one-tree probes share one
+// implementation.
 func (c *Classifier) lookupIndex(p rule.Packet, stack []uint32) int {
-	stack = append(stack, c.roots...)
-
 	var v [rule.NumDims]uint64
 	setFields(&v, p)
 	k := p.Key()
