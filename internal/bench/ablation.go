@@ -67,11 +67,10 @@ func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResul
 		}
 		row := ApproachRow{Scenario: sc}
 		for _, name := range baselineBackends {
-			cls, err := engine.NewWithOptions(name, set, engine.Options{Binth: opts.Binth})
+			_, m, err := engine.NewWithOptions(name, set, engine.Options{Binth: opts.Binth})
 			if err != nil {
 				return out, fmt.Errorf("%s: %s: %w", sc.Name(), engine.DisplayName(name), err)
 			}
-			m := cls.Metrics()
 			row.Results = append(row.Results, ApproachResult{
 				Approach:    engine.DisplayName(name),
 				LookupCost:  m.LookupCost,

@@ -151,11 +151,10 @@ var baselineBackends = []string{"hicuts", "hypercuts", "efficuts", "cutsplit"}
 func runBaselines(set *rule.Set, binth int) ([]AlgorithmResult, error) {
 	var out []AlgorithmResult
 	for _, name := range baselineBackends {
-		cls, err := engine.NewWithOptions(name, set, engine.Options{Binth: binth})
+		_, m, err := engine.NewWithOptions(name, set, engine.Options{Binth: binth})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", engine.DisplayName(name), err)
 		}
-		m := cls.Metrics()
 		out = append(out, AlgorithmResult{engine.DisplayName(name), m.LookupCost, m.BytesPerRule, m.MemoryBytes})
 	}
 	return out, nil

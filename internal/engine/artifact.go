@@ -51,7 +51,6 @@ func loadArtifactSnap(path string, binth int) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading artifact %s: %w", path, err)
 	}
-	cls := &compiledClassifier{c: c, m: compiledMetrics(meta.Backend, c)}
 	var build Builder
 	if entry, err := lookupBackend(meta.Backend); err == nil {
 		build = entry.build
@@ -59,7 +58,7 @@ func loadArtifactSnap(path string, binth int) (*snapshot, error) {
 	if meta.Binth > 0 {
 		binth = meta.Binth
 	}
-	return &snapshot{cls: cls, set: c.RuleSet(), version: 1, rulesGen: 1, backend: meta.Backend, binth: binth, build: build, baseCls: cls}, nil
+	return &snapshot{c: c, m: compiledMetrics(meta.Backend, c), set: c.RuleSet(), version: 1, rulesGen: 1, backend: meta.Backend, binth: binth, build: build}, nil
 }
 
 // ArtifactMetadata returns the metadata SaveArtifact would stamp on the
@@ -74,8 +73,8 @@ func (e *Engine) artifactMetadata(s *snapshot) compiled.Metadata {
 }
 
 // SaveArtifact persists the current snapshot's compiled classifier (and its
-// rule set) as a versioned artifact at path. It fails for the one backend
-// that has no compiled form, linear. Any pending overlay updates are
+// rule set) as a versioned artifact at path; every backend, linear search's
+// one-leaf tree included, serves that form. Any pending overlay updates are
 // first folded in by a synchronous compaction so the artifact embodies every
 // acknowledged update.
 //
@@ -97,7 +96,7 @@ func (e *Engine) SaveArtifact(path string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.snap.Load()
-	if s.ov != nil {
+	if s.view != nil {
 		t0 := time.Now()
 		ns, err := e.rebuild(s)
 		if err != nil {
@@ -106,11 +105,7 @@ func (e *Engine) SaveArtifact(path string) error {
 		e.publishCompaction(ns, t0)
 		s = ns
 	}
-	cp, ok := s.cls.(CompiledProvider)
-	if !ok {
-		return fmt.Errorf("engine: backend %q has no compiled artifact form", s.backend)
-	}
-	if err := compiled.SaveFile(path, cp.Compiled(), e.artifactMetadata(s)); err != nil {
+	if err := compiled.SaveFile(path, s.c, e.artifactMetadata(s)); err != nil {
 		return err
 	}
 	if e.journal != nil && (samePath(JournalPathFor(path), e.journal.Path()) || samePath(path, e.artifactPath)) {

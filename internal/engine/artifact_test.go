@@ -51,8 +51,8 @@ var poisonedErr = errors.New("build path invoked")
 func init() {
 	// A backend whose build always fails: artifacts stamped with this name
 	// can only serve if the warm-start path truly skips building.
-	Register("poisoned-test-backend", "Poisoned", func(set *rule.Set, opts Options) (Classifier, error) {
-		return nil, poisonedErr
+	Register("poisoned-test-backend", "Poisoned", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+		return nil, Metrics{}, poisonedErr
 	})
 }
 
@@ -129,13 +129,21 @@ func TestWarmStartUnknownBackend(t *testing.T) {
 
 // TestEngineSaveLoadArtifact round-trips an engine-built classifier through
 // SaveArtifact / NewEngineFromArtifact / LoadArtifact and checks the
-// results and update behaviour are preserved.
+// results and update behaviour are preserved — for a tree backend and for
+// linear search, whose one-leaf compiled form saves like any other. A save
+// with a pending overlay folds it in through the backend's own builder.
 func TestEngineSaveLoadArtifact(t *testing.T) {
+	for _, backend := range []string{"hicuts", "linear"} {
+		t.Run(backend, func(t *testing.T) { testEngineSaveLoadArtifact(t, backend) })
+	}
+}
+
+func testEngineSaveLoadArtifact(t *testing.T, backend string) {
 	set := artifactTestSet(t, 250)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "hicuts.ncaf")
+	path := filepath.Join(dir, backend+".ncaf")
 
-	src, err := NewEngine("hicuts", set, Options{})
+	src, err := NewEngine(backend, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +157,8 @@ func TestEngineSaveLoadArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer warm.Close()
-	if warm.Backend() != "hicuts" {
-		t.Fatalf("backend = %q, want hicuts", warm.Backend())
+	if warm.Backend() != backend {
+		t.Fatalf("backend = %q, want %s", warm.Backend(), backend)
 	}
 	packets := make([]rule.Packet, 0, 2000)
 	for _, e := range classbench.GenerateTrace(set, 2000, 21) {
@@ -190,23 +198,37 @@ func TestEngineSaveLoadArtifact(t *testing.T) {
 			t.Fatalf("after LoadArtifact, packet %v diverges", p)
 		}
 	}
-}
 
-// TestSaveArtifactUnsupportedBackend: backends with no compiled form
-// refuse to save, with or without a pending overlay to fold in first.
-func TestSaveArtifactUnsupportedBackend(t *testing.T) {
-	set := artifactTestSet(t, 50)
-	eng, err := NewEngine("linear", set, Options{})
+	// A save with a pending overlay compacts it through the backend's
+	// builder first (linear's reports its own cost model, not the loaded
+	// one-leaf form's single visit), and the saved list warm-starts to
+	// linear search's answers.
+	if _, err := warm.Insert(0, rule.NewWildcardRule(0)); err != nil {
+		t.Fatal(err)
+	}
+	updated := filepath.Join(dir, backend+"-updated.ncaf")
+	if err := warm.SaveArtifact(updated); err != nil {
+		t.Fatalf("SaveArtifact with a pending overlay: %v", err)
+	}
+	if st := warm.UpdaterStats(); st.Compactions != 1 || st.OverlayRules != 0 {
+		t.Fatalf("stats after saving a pending overlay = %+v, want one compaction and no overlay", st)
+	}
+	if m := warm.Metrics(); m.Backend != backend || backend == "linear" && m.LookupCost != warm.Len() {
+		t.Fatalf("metrics after the compaction = %+v, want the %s builder's", m, backend)
+	}
+	re, err := NewEngineFromArtifact(updated, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	for _, when := range []string{"clean", "after an update"} {
-		if err := eng.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); err == nil || !strings.Contains(err.Error(), "no compiled artifact form") {
-			t.Fatalf("linear backend, %s: SaveArtifact err = %v, want 'no compiled artifact form'", when, err)
-		}
-		if _, err := eng.Insert(0, rule.NewWildcardRule(0)); err != nil {
-			t.Fatal(err)
+	defer re.Close()
+	list := re.Rules()
+	if re.Backend() != backend || list.Len() != set.Len()+1 {
+		t.Fatalf("re-loaded backend %q with %d rules, want %s with %d", re.Backend(), list.Len(), backend, set.Len()+1)
+	}
+	for _, p := range packets {
+		want := list.MatchIndex(p)
+		if got, ok := re.Classify(p); ok != (want >= 0) || ok && got.Priority != want {
+			t.Fatalf("re-loaded artifact, packet %v: got (%d, %v), linear search says %d", p, got.Priority, ok, want)
 		}
 	}
 }

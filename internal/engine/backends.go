@@ -15,75 +15,23 @@ import (
 	"neurocuts/internal/tree"
 )
 
-// linearClassifier is the linear-search reference: a lookup scans the rule
-// list in priority order. LookupBatch is a sequential loop.
-type linearClassifier struct {
-	set *rule.Set
-}
-
-// linearRuleBytes models one stored rule for the linear-search backend:
-// five 16-byte ranges plus priority and ID.
-const linearRuleBytes = rule.NumDims*16 + 16
-
-func (l *linearClassifier) Lookup(p rule.Packet) int32 { return int32(l.set.MatchIndex(p)) }
-
-func (l *linearClassifier) LookupBatch(ps []rule.Packet, pos []int32) {
-	for i, p := range ps {
-		pos[i] = int32(l.set.MatchIndex(p))
-	}
-}
-
-func (l *linearClassifier) Metrics() Metrics {
-	n := l.set.Len()
-	return Metrics{
-		Backend:      "linear",
-		Rules:        n,
-		LookupCost:   n,
-		MemoryBytes:  n * linearRuleBytes,
-		BytesPerRule: linearRuleBytes,
-		Entries:      n,
-	}
-}
-
-// compiledClassifier serves lookups from the immutable flat-array form that
-// Compile produces. This is the serve path for every tree backend: the
-// pointer-linked build tree is discarded after compilation, and the same
-// object is what SaveArtifact persists and warm starts reload. Its positions
-// are indices into Rules(), which is the snapshot's rule list.
-type compiledClassifier struct {
-	c *compiled.Classifier
-	m Metrics
-}
-
-func (a *compiledClassifier) Lookup(p rule.Packet) int32 { return int32(a.c.LookupIndex(p)) }
-
-// LookupBatch serves the whole span through the compiled frontier walk
-// (compiled.LookupBatch): a group of packets advances through each tree
-// together instead of one dependent-load chain at a time.
-func (a *compiledClassifier) LookupBatch(ps []rule.Packet, pos []int32) { a.c.LookupBatch(ps, pos) }
-
-func (a *compiledClassifier) Metrics() Metrics { return a.m }
-
-// Compiled exposes the artifact-ready form (the CompiledProvider interface).
-func (a *compiledClassifier) Compiled() *compiled.Classifier { return a.c }
-
-// CompiledProvider is implemented by classifiers that serve from a compiled
-// flat-array form; Engine.SaveArtifact requires it.
-type CompiledProvider interface {
-	Compiled() *compiled.Classifier
-}
-
-// newTreeClassifier is the shared back half of every tree backend: compute
-// the paper's tree metrics once, then compile the trees into the flat
-// serving form.
-func newTreeClassifier(backend string, set *rule.Set, trees []*tree.Tree) (Classifier, error) {
-	m := treeMetrics(backend, set.Len(), tree.MultiMetrics(trees))
-	cc, err := compiled.Compile(set, trees...)
+// compileTrees is the shared back half of every backend: it compiles the
+// trees into the flat serving form — the one form every snapshot serves,
+// SaveArtifact persists and warm starts reload — and adds its real size to
+// the backend's metrics m. The pointer-linked trees are discarded after.
+func compileTrees(set *rule.Set, m Metrics, trees ...*tree.Tree) (*compiled.Classifier, Metrics, error) {
+	c, err := compiled.Compile(set, trees...)
 	if err != nil {
-		return nil, fmt.Errorf("engine: compiling %s: %w", backend, err)
+		return nil, Metrics{}, fmt.Errorf("engine: compiling %s: %w", m.Backend, err)
 	}
-	m.CompiledBytes = cc.Stats().MemoryBytes
-	return &compiledClassifier{c: cc, m: m}, nil
+	m.CompiledBytes = c.Stats().MemoryBytes
+	return c, m, nil
+}
+
+// newTreeClassifier computes the paper's tree metrics once, then compiles
+// the trees.
+func newTreeClassifier(backend string, set *rule.Set, trees []*tree.Tree) (*compiled.Classifier, Metrics, error) {
+	return compileTrees(set, treeMetrics(backend, set.Len(), tree.MultiMetrics(trees)), trees...)
 }
 
 // compiledMetrics derives engine metrics from a compiled classifier alone
@@ -117,51 +65,58 @@ func treeMetrics(backend string, rules int, m tree.Metrics) Metrics {
 }
 
 func init() {
-	Register("linear", "Linear", func(set *rule.Set, opts Options) (Classifier, error) {
-		return &linearClassifier{set: set}, nil
+	// Linear search is the tree with no cuts: one leaf holding every rule,
+	// compiled like any other. Its metrics stay linear search's cost model —
+	// every rule scanned, each stored once as five 16-byte ranges plus
+	// priority and ID — not the one-leaf form's single node visit.
+	Register("linear", "Linear", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+		const ruleBytes = rule.NumDims*16 + 16
+		n := set.Len()
+		m := Metrics{Backend: "linear", Rules: n, LookupCost: n, MemoryBytes: n * ruleBytes, BytesPerRule: ruleBytes, Entries: n}
+		return compileTrees(set, m, tree.New(set, opts.Binth))
 	})
 
-	Register("hicuts", "HiCuts", func(set *rule.Set, opts Options) (Classifier, error) {
+	Register("hicuts", "HiCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 		cfg := hicuts.DefaultConfig()
 		cfg.Binth = opts.Binth
 		t, err := hicuts.Build(set, cfg)
 		if err != nil {
-			return nil, err
+			return nil, Metrics{}, err
 		}
 		return newTreeClassifier("hicuts", set, []*tree.Tree{t})
 	})
 
-	Register("hypercuts", "HyperCuts", func(set *rule.Set, opts Options) (Classifier, error) {
+	Register("hypercuts", "HyperCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 		cfg := hypercuts.DefaultConfig()
 		cfg.Binth = opts.Binth
 		t, err := hypercuts.Build(set, cfg)
 		if err != nil {
-			return nil, err
+			return nil, Metrics{}, err
 		}
 		return newTreeClassifier("hypercuts", set, []*tree.Tree{t})
 	})
 
-	Register("efficuts", "EffiCuts", func(set *rule.Set, opts Options) (Classifier, error) {
+	Register("efficuts", "EffiCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 		cfg := efficuts.DefaultConfig()
 		cfg.Binth = opts.Binth
 		c, err := efficuts.Build(set, cfg)
 		if err != nil {
-			return nil, err
+			return nil, Metrics{}, err
 		}
 		return newTreeClassifier("efficuts", set, c.Trees)
 	})
 
-	Register("cutsplit", "CutSplit", func(set *rule.Set, opts Options) (Classifier, error) {
+	Register("cutsplit", "CutSplit", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 		cfg := cutsplit.DefaultConfig()
 		cfg.Binth = opts.Binth
 		c, err := cutsplit.Build(set, cfg)
 		if err != nil {
-			return nil, err
+			return nil, Metrics{}, err
 		}
 		return newTreeClassifier("cutsplit", set, c.Trees)
 	})
 
-	Register("neurocuts", "NeuroCuts", func(set *rule.Set, opts Options) (Classifier, error) {
+	Register("neurocuts", "NeuroCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 		cfg := core.Scaled(1000)
 		cfg.Binth = opts.Binth
 		if opts.TimeSpaceCoeffSet {
@@ -180,11 +135,11 @@ func init() {
 		}
 		trainer := core.NewTrainer(set, cfg)
 		if _, err := trainer.Train(); err != nil {
-			return nil, err
+			return nil, Metrics{}, err
 		}
 		t, _ := trainer.BestTree()
 		if t == nil {
-			return nil, errors.New("engine: neurocuts training produced no tree")
+			return nil, Metrics{}, errors.New("engine: neurocuts training produced no tree")
 		}
 		return newTreeClassifier("neurocuts", set, []*tree.Tree{t})
 	})

@@ -1,17 +1,18 @@
 // Package engine unifies every packet-classification backend in this
-// repository behind one interface and one serving runtime.
+// repository behind one serving form and one serving runtime.
 //
 // The served classification data structures are the learned NeuroCuts
 // trees, the paper's hand-tuned baselines (HiCuts / HyperCuts / EffiCuts /
 // CutSplit) and the linear-search reference. Each builder has its own Build
 // shape. This package gives them a common face:
 //
-//   - Classifier is the uniform lookup interface (Lookup, LookupBatch,
-//     Metrics): a lookup answers with the winner's position in the rule
-//     list, not the rule. backends.go registers every algorithm in a
-//     name-keyed registry, so callers select backends by string ("hicuts",
-//     "linear", ...) instead of switching over packages.
-//   - Engine wraps a Classifier with a serving runtime: lookups (single
+//   - Every backend's Builder ends in the same compiled.Classifier, the
+//     flat-array form a lookup answers with a position in the rule list,
+//     not a rule; linear search is the tree with no cuts, one leaf holding
+//     every rule. backends.go registers every algorithm in a name-keyed
+//     registry, so callers select backends by string ("hicuts", "linear",
+//     ...) instead of switching over packages.
+//   - Engine serves that compiled classifier with a runtime: lookups (single
 //     and batch) run to completion on the caller behind an optional
 //     lock-free flow cache, so parallelism comes only from concurrent
 //     callers, and rule updates (Insert / Delete) land in a delta overlay
@@ -33,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/telemetry"
 	"neurocuts/internal/updater"
@@ -46,9 +48,7 @@ type Result struct {
 	OK bool
 }
 
-// Metrics is the backend-independent cost summary every classifier reports.
-// Fields that do not apply to a backend are zero (e.g. CompiledBytes for
-// linear search).
+// Metrics is the backend-independent cost summary every backend reports.
 type Metrics struct {
 	// Backend is the registry name of the backend ("hicuts", "linear", ...).
 	Backend string
@@ -66,48 +66,41 @@ type Metrics struct {
 	// replication factor.
 	Entries int
 	// CompiledBytes is the actual footprint of the compiled flat-array
-	// serving form for tree backends (0 for backends without one).
-	// MemoryBytes stays the paper's modelled cost so figures remain
-	// comparable across PRs.
+	// serving form, linear search's one-leaf tree included. MemoryBytes
+	// stays the paper's modelled cost so figures remain comparable across
+	// PRs.
 	CompiledBytes int
 }
 
-// Classifier is the uniform interface every backend satisfies. It
-// answers with positions in the rule list it serves (the snapshot's), so no
-// rule is copied until the Engine's edge materializes a Result.
-type Classifier interface {
-	// Lookup returns the position of the highest-priority rule matching p,
-	// or -1.
-	Lookup(p rule.Packet) int32
-	// LookupBatch writes Lookup(ps[i]) to pos[i] for every i. pos must be
-	// at least as long as ps.
-	LookupBatch(ps []rule.Packet, pos []int32)
-	// Metrics summarises the backend's cost profile.
-	Metrics() Metrics
-}
-
-// snapshot is one immutable (classifier, rule set) generation. Readers load
-// it once per operation so a concurrent swap can never tear a lookup. The
-// backend identity travels with the snapshot because LoadArtifact can swap
-// in a classifier built by a different backend.
+// snapshot is one immutable rule-list generation and what serves it: the
+// compiled classifier over its base list and, while updates are pending, the
+// overlay view over that base. Readers load it once per operation so a
+// concurrent swap can never tear a lookup. The backend identity travels with
+// the snapshot because LoadArtifact can swap in a classifier built by a
+// different backend.
 type snapshot struct {
-	cls Classifier
-	// set is the rule list of a snapshot with no overlay. It is nil when ov
-	// is set: an overlay snapshot's positions are answered through its view,
-	// and its list is materialized only when asked for (rules).
+	// c is the compiled classifier over set: every backend's serving form.
+	c *compiled.Classifier
+	// m is c's metrics: the backend's build-time figures, or the compiled
+	// form's own for a loaded artifact. Rules is the base's count.
+	m Metrics
+	// set is the base rule list c was built over (and an overlay base
+	// indexes); with no view it is the snapshot's rule list.
 	set *rule.Set
-	// ov is the overlay classifier an overlay snapshot serves (cls == ov),
-	// nil otherwise.
-	ov      *overlayClassifier
+	// view serves the snapshot while updates are pending over the base, nil
+	// otherwise. Its positions index its merged list, which is then the
+	// snapshot's: merged materializes it, once, only when asked for (rules).
+	view    *updater.View
+	merged  func() *rule.Set
 	version uint64
 	// rulesGen tags flow-cache entries. It advances with every snapshot
 	// whose rule list differs from its predecessor's and stays put across a
 	// compaction, which republishes the same list under a new version — so
 	// cached rule positions stay valid exactly as long as they are right.
 	rulesGen uint64
-	// backend is the registry name of the backend that produced cls.
+	// backend is the registry name of the backend that produced c.
 	backend string
-	// binth is the leaf threshold cls was built with: the engine's option
+	// binth is the leaf threshold c was built with: the engine's option
 	// for a cold build, the artifact's metadata for a warm start. A
 	// compaction rebuilds with it and SaveArtifact stamps it.
 	binth int
@@ -116,13 +109,31 @@ type snapshot struct {
 	// registered; such engines serve lookups and take updates, but their
 	// overlay can never be folded (compactOnce records the failure).
 	build Builder
-	// baseCls is the underlying built classifier. It equals cls except when
-	// a delta overlay is being served on top of it (then cls is an
-	// *overlayClassifier wrapping baseCls).
-	baseCls Classifier
-	// base is the overlay's view-derivation base. It is nil until the first
-	// update needs it (baseSnapLocked) and is replaced on every compaction.
+	// base is the overlay's view-derivation base over c. It is nil until the
+	// first update needs it (baseSnapLocked) and is replaced on every
+	// compaction.
 	base *updater.Base
+}
+
+// lookup returns the position of p's winner in the snapshot's rule list, or
+// -1.
+func (s *snapshot) lookup(p rule.Packet) int32 {
+	if s.view != nil {
+		return s.view.Lookup(p)
+	}
+	return int32(s.c.LookupIndex(p))
+}
+
+// lookupBatch writes lookup(ps[i]) to pos[i] for every i: the compiled
+// frontier walk over the whole span (compiled.LookupBatch), under the view's
+// batched merge when updates are pending. pos must be at least as long as
+// ps.
+func (s *snapshot) lookupBatch(ps []rule.Packet, pos []int32) {
+	if s.view != nil {
+		s.view.LookupBatch(ps, pos)
+		return
+	}
+	s.c.LookupBatch(ps, pos)
 }
 
 // Engine serves a registered backend with cached lookups that run on the
@@ -217,8 +228,8 @@ type View struct {
 func (e *Engine) CurrentView() View { return View{s: e.snap.Load()} }
 
 // ClassifyBatch classifies ps[i] into out[i] against the pinned snapshot,
-// uncached and on the caller. The backend sees the whole span at once, so
-// compiled tree snapshots serve it through the frontier walk instead of one
+// uncached and on the caller. The compiled classifier sees the whole span at
+// once, so it serves it through the frontier walk instead of one
 // dependent-load chain per packet. out must be at least as long as ps.
 func (v View) ClassifyBatch(ps []rule.Packet, out []Result) { v.s.classifyUncached(ps, out) }
 
@@ -289,11 +300,11 @@ func NewEngine(name string, set *rule.Set, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cls, err := entry.build(set, opts)
+	c, m, err := entry.build(set, opts)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(&snapshot{cls: cls, set: set, version: 1, rulesGen: 1, backend: entry.name, binth: opts.Binth, build: entry.build, baseCls: cls}, opts)
+	return newEngine(&snapshot{c: c, m: m, set: set, version: 1, rulesGen: 1, backend: entry.name, binth: opts.Binth, build: entry.build}, opts)
 }
 
 // newEngine wraps a first snapshot in an Engine: the flow cache, the next
@@ -343,35 +354,28 @@ func (e *Engine) Len() int { return e.snap.Load().len() }
 // rules returns the snapshot's rule list: the flat one, or an overlay
 // snapshot's, materialized through its view once.
 func (s *snapshot) rules() *rule.Set {
-	if s.ov == nil {
+	if s.view == nil {
 		return s.set
 	}
-	o := s.ov
-	o.once.Do(func() { o.merged = o.view.Merged() })
-	return o.merged
+	return s.merged()
 }
 
 // len returns the snapshot's rule count.
 func (s *snapshot) len() int {
-	if s.ov != nil {
-		return s.ov.view.Len()
+	if s.view != nil {
+		return s.view.Len()
 	}
 	return s.set.Len()
 }
 
 // source returns what the snapshot's positions are materialized from: its
-// flat rule list, or an overlay snapshot's view.
-func (s *snapshot) source() ([]rule.Rule, *updater.View) {
-	if s.ov != nil {
-		return nil, s.ov.view
-	}
-	return s.set.Rules(), nil
-}
+// view when it has one (put tries it first), its flat rule list otherwise.
+func (s *snapshot) source() ([]rule.Rule, *updater.View) { return s.set.Rules(), s.view }
 
 // Classify looks up one packet in the current snapshot, consulting the flow
 // cache first when one is configured. The path performs zero heap
-// allocations for the backends alloc_test.go pins: linear and the compiled
-// tree backends, with or without a pending overlay.
+// allocations for every backend (alloc_test.go pins linear and a tree), with
+// or without a pending overlay.
 func (e *Engine) Classify(p rule.Packet) (rule.Rule, bool) {
 	e.lookups.Add(1)
 	s := e.snap.Load()
@@ -388,12 +392,12 @@ func (e *Engine) classifyOne(s *snapshot, p rule.Packet) (r rule.Rule, ok, hit b
 	var idx int32
 	var h uint64
 	if c := e.cache; c == nil {
-		idx = s.cls.Lookup(p)
+		idx = s.lookup(p)
 	} else if idx, hit, h = c.Get(p, s.rulesGen); hit {
 		c.Count(1, 0)
 	} else {
 		c.Count(0, 1)
-		idx = s.cls.Lookup(p)
+		idx = s.lookup(p)
 		c.Put(h, p, s.rulesGen, idx)
 	}
 	r, ok = s.rule(idx)
@@ -406,8 +410,8 @@ func (s *snapshot) rule(idx int32) (rule.Rule, bool) {
 	switch {
 	case idx < 0:
 		return rule.Rule{}, false
-	case s.ov != nil:
-		return s.ov.view.Rule(int(idx)), true
+	case s.view != nil:
+		return s.view.Rule(int(idx)), true
 	}
 	return s.set.Rule(int(idx)), true
 }
@@ -428,7 +432,7 @@ func put(r *Result, rules []rule.Rule, v *updater.View, idx int32) {
 }
 
 // missScratch holds one batch's cache misses so they can be classified as a
-// single backend batch (and so reach the compiled backends' frontier walk)
+// single backend batch (and so reach the compiled frontier walk)
 // instead of one packet at a time; an uncached batch is all misses and uses
 // only idx, for its positions.
 type missScratch struct {
@@ -468,8 +472,8 @@ func putMissScratch(ms *missScratch) {
 
 // classifyCached serves ps through the flow cache c. A hit is one set probe
 // and one copy out of the rule list; the misses are gathered so the backend
-// sees one dense span — compiled classifiers run their frontier walk even
-// behind the cache. Each miss's position fills the cache under the hash its
+// sees one dense span — the compiled frontier walk runs even behind the
+// cache. Each miss's position fills the cache under the hash its
 // probe computed, and its rule is copied once, into out.
 func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result) {
 	ms := getMissScratch(len(ps))
@@ -488,7 +492,7 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result) 
 	if miss > 0 {
 		// The probe answers are all read: the front of idx takes the misses'.
 		mps, midx := ms.ps[:miss], idx[:miss]
-		s.cls.LookupBatch(mps, midx)
+		s.lookupBatch(mps, midx)
 		for j, ix := range midx {
 			put(&out[ms.pos[j]], rules, v, ix)
 			c.Put(ms.h[j], mps[j], s.rulesGen, ix)
@@ -498,8 +502,14 @@ func (s *snapshot) classifyCached(c *FlowCache, ps []rule.Packet, out []Result) 
 	putMissScratch(ms)
 }
 
-// Metrics reports the current snapshot's metrics.
-func (e *Engine) Metrics() Metrics { return e.snap.Load().cls.Metrics() }
+// Metrics reports the current snapshot's metrics, with Rules its live rule
+// count.
+func (e *Engine) Metrics() Metrics {
+	s := e.snap.Load()
+	m := s.m
+	m.Rules = s.len()
+	return m
+}
 
 // ClassifyBatch classifies every packet of the batch against one coherent
 // snapshot, running to completion on the caller: the flow cache (when
@@ -526,7 +536,7 @@ func (e *Engine) classifyBatch(s *snapshot, ps []rule.Packet, out []Result) {
 func (s *snapshot) classifyUncached(ps []rule.Packet, out []Result) {
 	ms := getMissScratch(len(ps))
 	pos := ms.idx[:len(ps)]
-	s.cls.LookupBatch(ps, pos)
+	s.lookupBatch(ps, pos)
 	rules, v := s.source()
 	for i := range ps {
 		put(&out[i], rules, v, pos[i])

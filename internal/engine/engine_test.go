@@ -47,8 +47,8 @@ func TestBackendsRegistered(t *testing.T) {
 
 func TestNewUnknownBackend(t *testing.T) {
 	set := testSet(t, "acl1", 50)
-	if _, err := New("no-such-backend", set); err == nil {
-		t.Fatal("New with unknown backend: expected error")
+	if _, _, err := NewWithOptions("no-such-backend", set, Options{}); err == nil {
+		t.Fatal("NewWithOptions with unknown backend: expected error")
 	} else if !strings.Contains(err.Error(), "hicuts") {
 		t.Errorf("error should list known backends, got: %v", err)
 	}
@@ -66,11 +66,10 @@ func TestDisplayName(t *testing.T) {
 func TestMetricsPopulated(t *testing.T) {
 	set := testSet(t, "acl1", 100)
 	for _, name := range []string{"linear", "hicuts"} {
-		cls, err := New(name, set)
+		c, m, err := NewWithOptions(name, set, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		m := cls.Metrics()
 		if m.Backend != name {
 			t.Errorf("%s: Metrics().Backend = %q", name, m.Backend)
 		}
@@ -79,6 +78,17 @@ func TestMetricsPopulated(t *testing.T) {
 		}
 		if m.LookupCost <= 0 || m.MemoryBytes <= 0 || m.Entries <= 0 {
 			t.Errorf("%s: metrics not populated: %+v", name, m)
+		}
+		if m.CompiledBytes != c.Stats().MemoryBytes {
+			t.Errorf("%s: CompiledBytes = %d, want the compiled form's %d", name, m.CompiledBytes, c.Stats().MemoryBytes)
+		}
+		// Linear search serves a one-leaf compiled tree but keeps its own
+		// cost model: every rule scanned, 96 bytes each.
+		if n := set.Len(); name == "linear" {
+			want := Metrics{Backend: "linear", Rules: n, LookupCost: n, MemoryBytes: n * 96, BytesPerRule: 96, Entries: n, CompiledBytes: m.CompiledBytes}
+			if m != want {
+				t.Errorf("linear: metrics %+v, want %+v", m, want)
+			}
 		}
 	}
 }

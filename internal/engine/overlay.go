@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/updater"
 )
@@ -37,58 +38,27 @@ import (
 // Options.CompactThreshold is 0.
 const DefaultCompactThreshold = 256
 
-// overlayClassifier adapts an updater.View to the Classifier interface so
-// the engine's read path (flow cache, batch lookups) serves merged
-// base+overlay lookups unchanged. The view's positions index its merged
-// list, which is the snapshot's rule list; the view materializes them.
-type overlayClassifier struct {
-	view *updater.View
-	m    Metrics
-	// merged is the view's whole list, materialized by the snapshot's first
-	// rules() call (compaction, SaveArtifact, Engine.Rules) and kept.
-	once   sync.Once
-	merged *rule.Set
-}
-
-// newOverlaySnap returns the snapshot serving view over the built classifier
-// baseCls and its overlay base, with the backend identity of like.
-func newOverlaySnap(like *snapshot, view *updater.View, baseCls Classifier, base *updater.Base, version, rulesGen uint64) *snapshot {
-	m := baseCls.Metrics()
-	m.Rules = view.Len()
-	ov := &overlayClassifier{view: view, m: m}
-	return &snapshot{cls: ov, ov: ov, baseCls: baseCls, version: version, rulesGen: rulesGen,
-		backend: like.backend, binth: like.binth, build: like.build, base: base}
+// withView returns the snapshot serving view over s's base, with s's
+// identity.
+func (s *snapshot) withView(view *updater.View, version, rulesGen uint64) *snapshot {
+	return &snapshot{c: s.c, m: s.m, set: s.set, view: view, merged: sync.OnceValue(view.Merged), version: version, rulesGen: rulesGen,
+		backend: s.backend, binth: s.binth, build: s.build, base: s.base}
 }
 
 // overlayView returns the view the snapshot's next update derives from: its
 // own, or its base with nothing pending. s must have a base.
 func (s *snapshot) overlayView() *updater.View {
-	if s.ov != nil {
-		return s.ov.view
+	if s.view != nil {
+		return s.view
 	}
 	return s.base.View()
 }
 
-func (o *overlayClassifier) Lookup(p rule.Packet) int32 { return o.view.Lookup(p) }
-
-// LookupBatch serves the span through the view's batched merge, so the base
-// lookups underneath run as one backend batch (the compiled frontier walk
-// for tree backends) instead of one packet at a time.
-func (o *overlayClassifier) LookupBatch(ps []rule.Packet, pos []int32) { o.view.LookupBatch(ps, pos) }
-
-func (o *overlayClassifier) Metrics() Metrics { return o.m }
-
-// newBase wraps a built classifier as an overlay base, handing the updater
-// both its scalar and its batched position lookup, so merged views classify
-// spans through the backend's batch path. A compiled classifier is passed in
-// bare — compiled.LookupIndex and LookupBatch — and lends the base its packed
-// rule records, so tombstone rescans cost no second copy.
-func newBase(cls Classifier, set *rule.Set) (*updater.Base, error) {
-	if cp, ok := cls.(CompiledProvider); ok {
-		c := cp.Compiled()
-		return updater.NewBasePacked(set, c.LookupIndex, c.LookupBatch, c.Packed())
-	}
-	return updater.NewBasePacked(set, func(p rule.Packet) int { return int(cls.Lookup(p)) }, cls.LookupBatch, nil)
+// newBase wraps compiled classifier c over set as an overlay base: merged
+// views classify spans through its batch walk, and it lends the base its
+// packed rule records, so tombstone rescans cost no second copy.
+func newBase(c *compiled.Classifier, set *rule.Set) (*updater.Base, error) {
+	return updater.NewBasePacked(set, c.LookupIndex, c.LookupBatch, c.Packed())
 }
 
 // initUpdater finishes engine construction for the write path: it fixes the
@@ -151,7 +121,7 @@ func (e *Engine) baseSnapLocked() (*snapshot, error) {
 	if cur.base != nil {
 		return cur, nil
 	}
-	base, err := newBase(cur.baseCls, cur.set)
+	base, err := newBase(cur.c, cur.set)
 	if err != nil {
 		return cur, err
 	}
@@ -175,7 +145,7 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	if err != nil {
 		return fmt.Errorf("engine: journal replay: %w", err)
 	}
-	ns := newOverlaySnap(cur, view, cur.baseCls, cur.base, cur.version+uint64(len(ops)), cur.rulesGen+1)
+	ns := cur.withView(view, cur.version+uint64(len(ops)), cur.rulesGen+1)
 	e.snap.Store(ns)
 	if maxID >= e.nextID {
 		e.nextID = maxID + 1
@@ -189,7 +159,7 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 // journals the op and swaps the snapshot. Any rule fits the overlay, so no
 // update needs the backend's builder. Caller holds e.mu.
 func (e *Engine) applyOverlayLocked(cur *snapshot, view *updater.View, op updater.Op) (UpdateResult, error) {
-	ns := newOverlaySnap(cur, view, cur.baseCls, cur.base, cur.version+1, cur.rulesGen+1)
+	ns := cur.withView(view, cur.version+1, cur.rulesGen+1)
 	// Journal before publish: an update is acknowledged only once durable.
 	if e.journal != nil {
 		if err := e.journal.Append(op); err != nil {
@@ -204,10 +174,10 @@ func (e *Engine) applyOverlayLocked(cur *snapshot, view *updater.View, op update
 // pending is the snapshot's count of updates not yet folded into its base:
 // overlay rules plus tombstones.
 func (s *snapshot) pending() int {
-	if s.ov == nil {
+	if s.view == nil {
 		return 0
 	}
-	return s.ov.view.OverlayLen() + s.ov.view.Tombstones()
+	return s.view.OverlayLen() + s.view.Tombstones()
 }
 
 // afterOverlayPublish maintains the compaction triggers after a snapshot
@@ -290,15 +260,15 @@ func (e *Engine) rebuild(s *snapshot) (*snapshot, error) {
 	set := s.rules()
 	opts := e.opts
 	opts.Binth = s.binth
-	cls, err := s.build(set, opts)
+	c, m, err := s.build(set, opts)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBase(cls, set)
+	base, err := newBase(c, set)
 	if err != nil {
 		return nil, err
 	}
-	return &snapshot{cls: cls, baseCls: cls, set: set, version: s.version + 1, rulesGen: s.rulesGen,
+	return &snapshot{c: c, m: m, set: set, version: s.version + 1, rulesGen: s.rulesGen,
 		backend: s.backend, binth: s.binth, build: s.build, base: base}, nil
 }
 
@@ -340,7 +310,7 @@ func (e *Engine) compactOnce() {
 			e.noteCompactFailure(err)
 			return
 		}
-		ns = newOverlaySnap(now, view, ns.baseCls, ns.base, 0, 0)
+		ns = ns.withView(view, 0, 0)
 	}
 	// Either way the published rule list is now's, so the rules generation
 	// — and with it every flow-cache entry — carries over.
@@ -443,9 +413,9 @@ func (e *Engine) UpdaterStats() UpdaterStats {
 	if msg := e.lastCompactErr.Load(); msg != nil {
 		st.LastCompactError = *msg
 	}
-	if s.ov != nil {
-		st.OverlayRules = s.ov.view.OverlayLen()
-		st.Tombstones = s.ov.view.Tombstones()
+	if s.view != nil {
+		st.OverlayRules = s.view.OverlayLen()
+		st.Tombstones = s.view.Tombstones()
 	}
 	e.mu.Lock()
 	if e.journal != nil {

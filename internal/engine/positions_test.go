@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 )
 
@@ -58,7 +59,7 @@ func positionChurn(t *testing.T, eng *Engine, ps []rule.Packet) {
 }
 
 // positionShapes builds one engine per snapshot shape a lookup can be served
-// from. Each returns nil when the backend cannot take that shape.
+// from.
 var positionShapes = []struct {
 	name  string
 	start func(t *testing.T, backend string, set *rule.Set, ps []rule.Packet, opts Options) *Engine
@@ -93,10 +94,10 @@ var positionShapes = []struct {
 		s := eng.snap.Load()
 		ns := *s
 		var once sync.Once
-		ns.build = func(set *rule.Set, o Options) (Classifier, error) {
-			cls, err := s.build(set, o)
+		ns.build = func(set *rule.Set, o Options) (*compiled.Classifier, Metrics, error) {
+			c, m, err := s.build(set, o)
 			once.Do(func() { positionChurn(t, eng, ps[len(ps)/2:]) })
-			return cls, err
+			return c, m, err
 		}
 		eng.snap.Store(&ns)
 		eng.compactOnce()
@@ -111,9 +112,6 @@ var positionShapes = []struct {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		if _, ok := src.snap.Load().cls.(CompiledProvider); !ok {
-			return nil // no compiled form to save
-		}
 		path := filepath.Join(t.TempDir(), backend+".ncaf")
 		if err := src.SaveArtifact(path); err != nil {
 			t.Fatal(err)
@@ -165,9 +163,6 @@ func TestLookupPositionsMatchLinear(t *testing.T) {
 			}
 			for _, shape := range positionShapes {
 				eng := shape.start(t, backend, set, ps, Options{CompactThreshold: -1, Timesteps: 600, Workers: 2, Seed: 42})
-				if eng == nil {
-					continue
-				}
 				s := eng.snap.Load()
 				want := make([]int, len(ps))
 				for i, p := range ps {

@@ -7,10 +7,10 @@ import (
 	"sync"
 	"time"
 
-	"neurocuts/internal/tree"
-
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/telemetry"
+	"neurocuts/internal/tree"
 )
 
 // Options carries the build parameters shared across backends. The zero
@@ -109,8 +109,9 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Builder constructs a backend's classifier over a rule set.
-type Builder func(set *rule.Set, opts Options) (Classifier, error)
+// Builder constructs a backend's compiled classifier over a rule set, with
+// the backend's build-time metrics.
+type Builder func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error)
 
 // backendEntry is one registered backend.
 type backendEntry struct {
@@ -178,18 +179,13 @@ func DisplayName(name string) string {
 	return name
 }
 
-// New builds the named backend over the rule set with default options and
-// returns its Classifier. Use NewEngine for the flow cache and updates,
-// or NewWithOptions to tune build parameters.
-func New(name string, set *rule.Set) (Classifier, error) {
-	return NewWithOptions(name, set, Options{})
-}
-
-// NewWithOptions builds the named backend with explicit options.
-func NewWithOptions(name string, set *rule.Set, opts Options) (Classifier, error) {
+// NewWithOptions builds the named backend with explicit options and returns
+// its compiled classifier and build-time metrics. Use NewEngine for the
+// flow cache and updates.
+func NewWithOptions(name string, set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 	entry, err := lookupBackend(name)
 	if err != nil {
-		return nil, err
+		return nil, Metrics{}, err
 	}
 	return entry.build(set, opts.withDefaults())
 }

@@ -152,12 +152,6 @@ func (t *Tables) unpublish(name string) (*Engine, error) {
 	return old.Engine, nil
 }
 
-// Get returns the named table.
-func (t *Tables) Get(name string) (*Table, bool) {
-	tab, ok := t.state.Load().byName[name]
-	return tab, ok
-}
-
 // GetByID returns the table with the given wire ID. ID 0 resolves to the
 // default table.
 func (t *Tables) GetByID(id uint32) (*Table, bool) {

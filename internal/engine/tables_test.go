@@ -76,8 +76,8 @@ func TestTablesCreateGetDrop(t *testing.T) {
 	if err := tabs.Drop("fw"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tabs.Get("fw"); ok {
-		t.Fatal("dropped table still resolvable")
+	if got := tabs.List(); len(got) != 1 || got[0].Name != "acl" {
+		t.Fatalf("dropped table still listed: List() = %v", got)
 	}
 	if _, ok := tabs.GetByID(fwTab.ID); ok {
 		t.Fatal("dropped table still resolvable by ID")
@@ -179,10 +179,10 @@ func TestTablesDropRacingUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	jpath := filepath.Join(t.TempDir(), "acl.journal")
-	if _, err := tabs.Create("acl", journaledTestEngine(t, jpath)); err != nil {
+	tab, err := tabs.Create("acl", journaledTestEngine(t, jpath))
+	if err != nil {
 		t.Fatal(err)
 	}
-	tab, _ := tabs.Get("acl")
 	eng := tab.Engine
 	var trace []rule.Packet
 	for _, e := range classbench.GenerateTrace(eng.Rules(), 300, 5) {
@@ -257,7 +257,7 @@ func TestTablesDropRacingUpdates(t *testing.T) {
 	}
 
 	tabs.CloseAll()
-	if _, ok := tabs.Get("acl"); ok || eng.Version() != version || eng.Len() != final.Len() {
+	if _, ok := tabs.Default(); ok || eng.Version() != version || eng.Len() != final.Len() {
 		t.Fatal("CloseAll touched the dropped table")
 	}
 }

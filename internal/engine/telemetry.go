@@ -66,8 +66,8 @@ func (e *Engine) classifyBatchTimed(s *snapshot, ps []rule.Packet, out []Result)
 // entries pass ok=false (a span has no single winning rule).
 func (e *Engine) recordSlow(s *snapshot, start time.Time, ns int64, path uint32, packets int32, cacheHit bool, r rule.Rule, ok bool) {
 	overlay := false
-	if s.ov != nil && ok {
-		overlay = s.ov.view.FromOverlay(r.ID)
+	if s.view != nil && ok {
+		overlay = s.view.FromOverlay(r.ID)
 	}
 	ruleID := int32(-1)
 	if ok {
@@ -80,7 +80,7 @@ func (e *Engine) recordSlow(s *snapshot, start time.Time, ns int64, path uint32,
 		BackendID:     e.telBackendID.Load(),
 		PathID:        path,
 		Packets:       packets,
-		Visits:        int32(s.cls.Metrics().LookupCost),
+		Visits:        int32(s.m.LookupCost),
 		RuleID:        ruleID,
 		Version:       s.version,
 		CacheHit:      cacheHit,

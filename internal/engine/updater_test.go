@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/updater"
 )
@@ -34,7 +35,9 @@ func overlayTestSet(t testing.TB, size int) *rule.Set {
 func poisonBuild(e *Engine) {
 	s := e.snap.Load()
 	ns := *s
-	ns.build = func(set *rule.Set, opts Options) (Classifier, error) { return nil, poisonedErr }
+	ns.build = func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+		return nil, Metrics{}, poisonedErr
+	}
 	e.snap.Store(&ns)
 }
 
@@ -86,7 +89,7 @@ func TestOverlayUpdatesNeverBuild(t *testing.T) {
 var countedBuilds atomic.Int64
 
 func init() {
-	Register("counting-test-backend", "Counting", func(set *rule.Set, opts Options) (Classifier, error) {
+	Register("counting-test-backend", "Counting", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 		countedBuilds.Add(1)
 		return NewWithOptions("hicuts", set, opts)
 	})
@@ -414,6 +417,9 @@ func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	// Close waits for a compaction still in flight: on a loaded machine the
+	// first one can outlast the writer.
+	eng.Close()
 	if eng.UpdaterStats().Compactions == 0 {
 		t.Fatal("no compaction ran despite aggressive threshold")
 	}
@@ -437,7 +443,7 @@ func TestOverlayConcurrentReadersWritersCompactor(t *testing.T) {
 func ruleWrappersZeroAlloc(t *testing.T, eng *Engine, set *rule.Set, ps []rule.Packet) {
 	t.Helper()
 	s := eng.snap.Load()
-	cc := s.baseCls.(CompiledProvider).Compiled()
+	cc := s.c
 	idx, rules := make([]int32, len(ps)), cc.Rules()
 	base, err := updater.NewBaseBatch(set, cc.Lookup, func(ps []rule.Packet, rs []rule.Rule, oks []bool) {
 		cc.LookupBatch(ps, idx[:len(ps)])

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 )
 
@@ -124,7 +125,7 @@ var racingBuild atomic.Pointer[buildGate]
 type buildGate struct{ entered, release chan struct{} }
 
 func init() {
-	Register("racing-test-backend", "Racing", func(set *rule.Set, opts Options) (Classifier, error) {
+	Register("racing-test-backend", "Racing", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
 		if g := racingBuild.Load(); g != nil {
 			g.entered <- struct{}{}
 			<-g.release

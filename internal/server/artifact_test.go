@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -80,9 +81,10 @@ func TestSaveLoadEndpoints(t *testing.T) {
 	}
 }
 
-// TestArtifactEndpointsUnsupported: a backend with no compiled form answers
-// save with a protocol error, not a dropped connection.
-func TestArtifactEndpointsUnsupported(t *testing.T) {
+// TestArtifactEndpointErrors: a save the engine cannot write and a load of a
+// missing artifact are answered with protocol errors, not a dropped
+// connection.
+func TestArtifactEndpointErrors(t *testing.T) {
 	eng, _ := artifactTestEngine(t, "linear", 50)
 	srv := New(eng)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -91,10 +93,14 @@ func TestArtifactEndpointsUnsupported(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() }) // registered before the client's cleanup, so the client closes first
 	client := dialV2Test(t, addr.String())
-	// linear has no compiled form: SaveArtifact must fail cleanly over the
-	// wire.
-	if err := client.SaveArtifact(filepath.Join(t.TempDir(), "x.ncaf")); err == nil {
-		t.Fatal("save succeeded for a backend with no compiled form")
+	// A path under a regular file cannot be written: SaveArtifact must fail
+	// cleanly over the wire.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.SaveArtifact(filepath.Join(file, "x.ncaf")); err == nil {
+		t.Fatal("save succeeded under a regular file")
 	}
 	if _, _, err := client.LoadArtifact(filepath.Join(t.TempDir(), "missing.ncaf")); err == nil {
 		t.Fatal("load succeeded for a missing artifact")

@@ -264,7 +264,7 @@ func TestV2MultiTable(t *testing.T) {
 	}
 	c.UseTable(fwID)
 	if _, _, ok, _ := c.Classify(probe); ok {
-		fwTab, _ := tabs.Get("fw")
+		fwTab, _ := tabs.GetByID(fwID)
 		if _, really := fwTab.Engine.Classify(probe); !really {
 			t.Fatal("insert into acl leaked into fw")
 		}

@@ -41,7 +41,7 @@
 // loses at this size: ClassBench port ranges expand into prefix tuples, so
 // 256 rules spread over ~400 hash tables and every lookup pays one 40-byte
 // key hash per table whether or not the table can match. The Rule-shaped
-// entry points (NewBase, NewBaseBatch, View.Classify, View.ClassifyBatch) are
+// entry points (NewBaseBatch, View.Classify, View.ClassifyBatch) are
 // wrappers over the position path for callers that hold rules.
 //
 // A View is base + ops. It carries no rule list of its own: a per-position
@@ -82,7 +82,7 @@ import (
 )
 
 // LookupFunc is a base classifier's single-packet lookup in the Rule shape
-// NewBase and NewBaseBatch wrap: the wrapper turns the winner into its
+// NewBaseBatch wraps: the wrapper turns the winner into its
 // position with its Priority, which must therefore be its index in the base
 // rule set. A base lookup in either shape must return the overall best match
 // over the full base rule list — including rules the merged view has
@@ -121,16 +121,11 @@ type Base struct {
 	indexByID map[int]int
 }
 
-// NewBase wraps a built classifier's Rule-shaped lookup as an overlay base.
-// The set must be in canonical form (rule i has Priority i), which every
-// engine-built and artifact-loaded set satisfies.
-func NewBase(set *rule.Set, lookup LookupFunc) (*Base, error) {
-	return NewBaseBatch(set, lookup, nil)
-}
-
-// NewBaseBatch is NewBase with an additional Rule-shaped batched lookup,
-// which View.ClassifyBatch runs over whole spans into the caller's slices.
-// batch may be nil, in which case batches degrade to scalar lookups.
+// NewBaseBatch wraps a built classifier's Rule-shaped lookups as an overlay
+// base: lookup per packet, and batch, which View.ClassifyBatch runs over
+// whole spans into the caller's slices (nil: batches degrade to scalar
+// lookups). The set must be in canonical form (rule i has Priority i), which
+// every engine-built and artifact-loaded set satisfies.
 func NewBaseBatch(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Base, error) {
 	if lookup == nil {
 		return nil, errors.New("updater: base lookup is nil")

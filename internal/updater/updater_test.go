@@ -11,7 +11,7 @@ import (
 // reference semantics).
 func testBase(t *testing.T, set *rule.Set) *Base {
 	t.Helper()
-	b, err := NewBase(set, set.Match)
+	b, err := NewBaseBatch(set, set.Match, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +206,15 @@ func TestNewViewRejectsNonCanonical(t *testing.T) {
 // unique IDs.
 func TestNewBaseRejectsNonCanonical(t *testing.T) {
 	bad := rule.NewSetKeepPriorities([]rule.Rule{{Priority: 3, ID: 0}})
-	if _, err := NewBase(bad, bad.Match); err == nil {
+	if _, err := NewBaseBatch(bad, bad.Match, nil); err == nil {
 		t.Fatal("non-canonical base set accepted")
 	}
 	dup := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0), rule.NewWildcardRule(1)})
 	dup.Rules()[1].ID = dup.Rules()[0].ID
-	if _, err := NewBase(dup, dup.Match); err == nil {
+	if _, err := NewBaseBatch(dup, dup.Match, nil); err == nil {
 		t.Fatal("duplicate base IDs accepted")
 	}
-	if _, err := NewBase(rule.NewSet(nil), nil); err == nil {
+	if _, err := NewBaseBatch(rule.NewSet(nil), nil, nil); err == nil {
 		t.Fatal("nil lookup accepted")
 	}
 }
