@@ -24,6 +24,7 @@ import (
 
 	"neurocuts/internal/bench"
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/core"
 	"neurocuts/internal/cutsplit"
 	"neurocuts/internal/efficuts"
@@ -321,6 +322,17 @@ func lookupBench(b *testing.B, classify func(rule.Packet) (rule.Rule, bool), tra
 	}
 }
 
+// compiledLookup compiles trees over set into the form that serves them and
+// returns its lookup.
+func compiledLookup(b *testing.B, set *rule.Set, trees ...*tree.Tree) func(rule.Packet) (rule.Rule, bool) {
+	b.Helper()
+	c, err := compiled.Compile(set, trees...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c.Lookup
+}
+
 func BenchmarkLookupLinear(b *testing.B) {
 	set := benchSet(b, "acl1", 1000)
 	trace := classbench.GenerateTrace(set, 4096, 2)
@@ -334,7 +346,7 @@ func BenchmarkLookupHiCuts(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lookupBench(b, t.Classify, trace)
+	lookupBench(b, compiledLookup(b, set, t), trace)
 }
 
 func BenchmarkLookupEffiCuts(b *testing.B) {
@@ -344,7 +356,7 @@ func BenchmarkLookupEffiCuts(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lookupBench(b, c.Classify, trace)
+	lookupBench(b, compiledLookup(b, set, c.Trees...), trace)
 }
 
 func BenchmarkLookupCutSplit(b *testing.B) {
@@ -354,7 +366,7 @@ func BenchmarkLookupCutSplit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lookupBench(b, c.Classify, trace)
+	lookupBench(b, compiledLookup(b, set, c.Trees...), trace)
 }
 
 func BenchmarkLookupNeuroCuts(b *testing.B) {
@@ -369,7 +381,7 @@ func BenchmarkLookupNeuroCuts(b *testing.B) {
 		b.Fatal(err)
 	}
 	best, _ := trainer.BestTree()
-	lookupBench(b, best.Classify, trace)
+	lookupBench(b, compiledLookup(b, set, best), trace)
 }
 
 // ---------------------------------------------------------------------------
@@ -547,13 +559,14 @@ func BenchmarkPolicyInference(b *testing.B) {
 }
 
 // BenchmarkWireDecodeAndClassify measures the full datapath: decode a raw
-// IPv4/TCP header and classify the resulting key with a HiCuts tree.
+// IPv4/TCP header and classify the resulting key with a compiled HiCuts tree.
 func BenchmarkWireDecodeAndClassify(b *testing.B) {
 	set := benchSet(b, "acl1", 1000)
 	t, err := hicuts.Build(set, hicuts.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	classify := compiledLookup(b, set, t)
 	trace := classbench.GenerateTrace(set, 1024, 3)
 	wires := make([][]byte, len(trace))
 	for i, e := range trace {
@@ -574,7 +587,7 @@ func BenchmarkWireDecodeAndClassify(b *testing.B) {
 		if err := packet.DecodeInto(wires[i%len(wires)], &key); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := t.Classify(key); !ok {
+		if _, ok := classify(key); !ok {
 			b.Fatal("lookup missed")
 		}
 	}

@@ -195,7 +195,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 
 	if ingest {
-		eng, err := buildTable(stdout, specs[0], defaults)
+		eng, err := buildTable(stdout, specs[0], defaults, nil)
 		if err != nil {
 			return err
 		}

@@ -119,8 +119,10 @@ func specInt(kv map[string]string, key string, def int) (int, error) {
 	return n, nil
 }
 
-// buildTableEngine builds one table's engine from its spec.
-func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
+// buildTableEngine builds one table's engine from its spec. tabs, when not
+// nil, holds the tables already serving: a spec naming a journal one of them
+// appends to is refused before its engine opens the file.
+func buildTableEngine(spec tableSpec, d tableDefaults, tabs *engine.Tables) (*engine.Engine, error) {
 	kv := spec.kv
 	binth, err := specInt(kv, "binth", d.binth)
 	if err != nil {
@@ -145,6 +147,11 @@ func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
 		}
 		journalPath = engine.JournalPathFor(kv["artifact"])
 	}
+	if tabs != nil {
+		if err := tabs.CheckJournalFree(journalPath); err != nil {
+			return nil, err
+		}
+	}
 	opts := d.options()
 	opts.Binth, opts.Seed = binth, seed
 	opts.JournalPath, opts.TelemetryTable = journalPath, spec.name
@@ -164,8 +171,8 @@ func buildTableEngine(spec tableSpec, d tableDefaults) (*engine.Engine, error) {
 
 // buildTable builds one table's engine and reports how it started: a warm
 // start from an artifact, a replayed journal.
-func buildTable(stdout io.Writer, spec tableSpec, d tableDefaults) (*engine.Engine, error) {
-	eng, err := buildTableEngine(spec, d)
+func buildTable(stdout io.Writer, spec tableSpec, d tableDefaults, tabs *engine.Tables) (*engine.Engine, error) {
+	eng, err := buildTableEngine(spec, d, tabs)
 	if err != nil {
 		return nil, fmt.Errorf("table %q: %w", spec.name, err)
 	}
@@ -187,7 +194,7 @@ func serve(stdout io.Writer, specs []tableSpec, d tableDefaults, listen, adminAd
 	tabs := engine.NewTables()
 	defer tabs.CloseAll()
 	for _, s := range specs {
-		eng, err := buildTable(stdout, s, d)
+		eng, err := buildTable(stdout, s, d, tabs)
 		if err != nil {
 			return err
 		}
@@ -212,8 +219,8 @@ func serve(stdout io.Writer, specs []tableSpec, d tableDefaults, listen, adminAd
 	}
 	srv := server.NewTables(tabs)
 	srv.Telemetry = d.tel
-	// Tables created live over the wire share the process telemetry;
-	// their flight-recorder entries carry the instance's default table label.
+	// Tables created live over the wire share the process telemetry; the
+	// server labels each one's flight-recorder entries with its own name.
 	srv.TableCreateOptions = d.options()
 	addr, err := srv.Listen(listen)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -191,6 +192,46 @@ func TestSingleTableDaemonIsOneTable(t *testing.T) {
 	code, body := adminGet(t, adminAddr, "/tables")
 	if code != http.StatusOK || !strings.Contains(body, `"name": "default"`) || strings.Contains(body, `"name": "extra"`) {
 		t.Fatalf("/tables = %d %q, want the default table alone", code, body)
+	}
+}
+
+// TestTablesSharedJournalRefused: two -tables entries on one artifact with
+// journal:auto would append to one journal, so the daemon refuses to start,
+// naming the journal and the table that holds it.
+func TestTablesSharedJournalRefused(t *testing.T) {
+	artifact := filepath.Join(t.TempDir(), "acl.ncaf")
+	fam, err := classbench.FamilyByName("acl1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := engine.NewEngine("hicuts", classbench.Generate(fam, 100, 1), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SaveArtifact(artifact); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	listening := make(chan net.Addr, 1)
+	onListen = func(a net.Addr) { listening <- a }
+	t.Cleanup(func() { onListen = nil })
+	sig := make(chan os.Signal, 1)
+	errCh := make(chan error, 1)
+	spec := "a=artifact:" + artifact + ",journal:auto;b=artifact:" + artifact + ",journal:auto"
+	go func() { errCh <- run([]string{"-tables", spec, "-listen", "127.0.0.1:0"}, sig, io.Discard) }()
+	select {
+	case err := <-errCh:
+		journal := engine.JournalPathFor(artifact)
+		if err == nil || !strings.Contains(err.Error(), journal) || !strings.Contains(err.Error(), `"a"`) {
+			t.Fatalf("startup error = %v, want one naming %s and table \"a\"", err, journal)
+		}
+	case <-listening:
+		sig <- syscall.SIGTERM
+		<-errCh
+		t.Fatal("the daemon served two tables on one journal")
+	case <-time.After(30 * time.Second):
+		t.Fatal("the daemon neither failed nor started within 30s")
 	}
 }
 

@@ -158,7 +158,7 @@ func Figure10(scenarios []Scenario, opts Options) (Figure10Result, error) {
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", sc.Name(), err)
 		}
-		em := ef.Metrics()
+		em := tree.MultiMetrics(ef.Trees)
 
 		// NeuroCuts with only the EffiCuts partition allowed, optimising a
 		// blended objective (the Section 6.3 configuration).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 )
 
@@ -38,11 +39,14 @@ func TestTrainerWithTrafficTrace(t *testing.T) {
 	if objective <= 0 || objective > worst {
 		t.Errorf("objective %v out of range", objective)
 	}
-	// Correctness still holds.
+	// Correctness still holds in the compiled form.
+	c, err := compiled.Compile(set, best)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range traceEntries {
-		got, ok := best.Classify(e.Key)
-		if !ok || got.Priority != e.MatchRule {
-			t.Fatalf("traffic-trained tree misclassified %v", e.Key)
+		if got, want := c.LookupIndex(e.Key), set.MatchIndex(e.Key); got != want || got != e.MatchRule {
+			t.Fatalf("traffic-trained tree misclassified %v: compiled rule %d, linear rule %d", e.Key, got, want)
 		}
 	}
 }

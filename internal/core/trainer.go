@@ -76,9 +76,6 @@ func NewTrainer(s *rule.Set, cfg Config) *Trainer {
 	}
 }
 
-// Config returns the trainer's (defaulted) configuration.
-func (t *Trainer) Config() Config { return t.cfg }
-
 // Policy returns the underlying actor-critic network.
 func (t *Trainer) Policy() *nn.ActorCritic { return t.learner.Policy }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/env"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
@@ -83,7 +84,12 @@ func TestTrainerProducesCorrectTree(t *testing.T) {
 	if tr.TreesBuilt() == 0 || tr.TotalSteps() == 0 {
 		t.Error("counters not updated")
 	}
-	// The learned tree must classify identically to linear search.
+	// The learned tree, compiled, must classify identically to linear
+	// search.
+	c, err := compiled.Compile(set, best)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 1500; i++ {
 		p := rule.Packet{
@@ -91,10 +97,8 @@ func TestTrainerProducesCorrectTree(t *testing.T) {
 			SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(rng.Intn(65536)),
 			Proto: uint8(rng.Intn(256)),
 		}
-		want, okW := set.Match(p)
-		got, okG := best.Classify(p)
-		if okW != okG || (okW && got.Priority != want.Priority) {
-			t.Fatalf("mismatch on %v", p)
+		if got, want := c.LookupIndex(p), set.MatchIndex(p); got != want {
+			t.Fatalf("packet %v: compiled rule %d, linear rule %d", p, got, want)
 		}
 	}
 	// History invariants: timesteps increase, best objective never worsens.

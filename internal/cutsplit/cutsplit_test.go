@@ -5,13 +5,21 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
 
-func checkClassifierEquivalence(t *testing.T, c *Classifier, set *rule.Set, n int, seed int64) {
+// checkClassifierEquivalence compiles the classifier's trees, the form that serves them, and
+// checks its lookups against linear search on n random packets plus n/2
+// trace packets.
+func checkClassifierEquivalence(t *testing.T, cc *Classifier, set *rule.Set, n int, seed int64) {
 	t.Helper()
+	c, err := compiled.Compile(set, cc.Trees...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		p := rule.Packet{
@@ -21,16 +29,13 @@ func checkClassifierEquivalence(t *testing.T, c *Classifier, set *rule.Set, n in
 			DstPort: uint16(rng.Intn(65536)),
 			Proto:   uint8(rng.Intn(256)),
 		}
-		want, okWant := set.Match(p)
-		got, okGot := c.Classify(p)
-		if okWant != okGot || (okWant && want.Priority != got.Priority) {
-			t.Fatalf("packet %v: cutsplit (%v,%v) vs linear (%v,%v)", p, got.Priority, okGot, want.Priority, okWant)
+		if got, want := c.LookupIndex(p), set.MatchIndex(p); got != want {
+			t.Fatalf("packet %v: compiled cutsplit rule %d, linear rule %d", p, got, want)
 		}
 	}
 	for _, e := range classbench.GenerateTrace(set, n/2, seed+1) {
-		got, ok := c.Classify(e.Key)
-		if !ok || got.Priority != e.MatchRule {
-			t.Fatalf("trace packet %v: got %v/%v want %d", e.Key, got.Priority, ok, e.MatchRule)
+		if got, want := c.LookupIndex(e.Key), set.MatchIndex(e.Key); got != want || got != e.MatchRule {
+			t.Fatalf("trace packet %v: compiled cutsplit rule %d, linear rule %d, trace says %d", e.Key, got, want, e.MatchRule)
 		}
 	}
 }
@@ -92,7 +97,7 @@ func TestBuildSmallClassifiers(t *testing.T) {
 		if len(c.Trees) == 0 {
 			t.Fatalf("%s: no trees", fam)
 		}
-		m := c.Metrics()
+		m := tree.MultiMetrics(c.Trees)
 		if m.MemoryBytes <= 0 || m.ClassificationTime <= 0 {
 			t.Errorf("%s: degenerate metrics %+v", fam, m)
 		}
@@ -113,7 +118,7 @@ func TestCutSplitMemoryCompetitiveWithHiCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, hm := cs.Metrics(), hi.ComputeMetrics()
+	cm, hm := tree.MultiMetrics(cs.Trees), hi.ComputeMetrics()
 	if cm.MemoryBytes >= hm.MemoryBytes {
 		t.Errorf("CutSplit memory %d should beat HiCuts %d on fw4", cm.MemoryBytes, hm.MemoryBytes)
 	}

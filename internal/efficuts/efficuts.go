@@ -73,17 +73,6 @@ type Classifier struct {
 	Labels []string
 }
 
-// Classify returns the highest-priority rule matching p across all trees.
-func (c *Classifier) Classify(p rule.Packet) (rule.Rule, bool) {
-	return tree.ClassifyMulti(c.Trees, p)
-}
-
-// Metrics aggregates the metrics of all trees (time adds up because every
-// tree is consulted).
-func (c *Classifier) Metrics() tree.Metrics {
-	return tree.MultiMetrics(c.Trees)
-}
-
 // Build constructs the EffiCuts multi-tree classifier.
 func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 	if cfg.Binth <= 0 {

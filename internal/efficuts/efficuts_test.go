@@ -5,13 +5,21 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
 
-func checkClassifierEquivalence(t *testing.T, c *Classifier, set *rule.Set, n int, seed int64) {
+// checkClassifierEquivalence compiles the classifier's trees, the form that serves them, and
+// checks its lookups against linear search on n random packets plus n/2
+// trace packets.
+func checkClassifierEquivalence(t *testing.T, ec *Classifier, set *rule.Set, n int, seed int64) {
 	t.Helper()
+	c, err := compiled.Compile(set, ec.Trees...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		p := rule.Packet{
@@ -21,16 +29,13 @@ func checkClassifierEquivalence(t *testing.T, c *Classifier, set *rule.Set, n in
 			DstPort: uint16(rng.Intn(65536)),
 			Proto:   uint8(rng.Intn(256)),
 		}
-		want, okWant := set.Match(p)
-		got, okGot := c.Classify(p)
-		if okWant != okGot || (okWant && want.Priority != got.Priority) {
-			t.Fatalf("packet %v: efficuts (%v,%v) vs linear (%v,%v)", p, got.Priority, okGot, want.Priority, okWant)
+		if got, want := c.LookupIndex(p), set.MatchIndex(p); got != want {
+			t.Fatalf("packet %v: compiled efficuts rule %d, linear rule %d", p, got, want)
 		}
 	}
 	for _, e := range classbench.GenerateTrace(set, n/2, seed+1) {
-		got, ok := c.Classify(e.Key)
-		if !ok || got.Priority != e.MatchRule {
-			t.Fatalf("trace packet %v: got %v/%v want %d", e.Key, got.Priority, ok, e.MatchRule)
+		if got, want := c.LookupIndex(e.Key), set.MatchIndex(e.Key); got != want || got != e.MatchRule {
+			t.Fatalf("trace packet %v: compiled efficuts rule %d, linear rule %d, trace says %d", e.Key, got, want, e.MatchRule)
 		}
 	}
 }
@@ -93,7 +98,7 @@ func TestBuildSmallClassifiers(t *testing.T) {
 		if len(c.Trees) == 0 || len(c.Trees) != len(c.Labels) {
 			t.Fatalf("%s: %d trees / %d labels", fam, len(c.Trees), len(c.Labels))
 		}
-		m := c.Metrics()
+		m := tree.MultiMetrics(c.Trees)
 		if m.MemoryBytes <= 0 || m.ClassificationTime <= 0 {
 			t.Errorf("%s: degenerate metrics %+v", fam, m)
 		}
@@ -114,7 +119,7 @@ func TestEffiCutsReducesReplicationOnFirewalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, hm := effi.Metrics(), hi.ComputeMetrics()
+	em, hm := tree.MultiMetrics(effi.Trees), hi.ComputeMetrics()
 	if em.MemoryBytes >= hm.MemoryBytes {
 		t.Errorf("EffiCuts memory %d should beat HiCuts %d on fw3", em.MemoryBytes, hm.MemoryBytes)
 	}

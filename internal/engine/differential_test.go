@@ -4,15 +4,7 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
-	"neurocuts/internal/compiled"
-	"neurocuts/internal/core"
-	"neurocuts/internal/cutsplit"
-	"neurocuts/internal/efficuts"
-	"neurocuts/internal/env"
-	"neurocuts/internal/hicuts"
-	"neurocuts/internal/hypercuts"
 	"neurocuts/internal/rule"
-	"neurocuts/internal/tree"
 )
 
 // diffSample is one family's differential workload: a classifier, a packet
@@ -112,100 +104,5 @@ func TestDifferentialAllBackends(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// buildBackendTrees constructs each tree backend's pointer trees directly
-// (bypassing the engine), so the compiled form can be compared against the
-// original pointer-tree traversal it replaced.
-func buildBackendTrees(t *testing.T, set *rule.Set, opts Options) map[string][]*tree.Tree {
-	t.Helper()
-	out := map[string][]*tree.Tree{}
-
-	hcfg := hicuts.DefaultConfig()
-	ht, err := hicuts.Build(set, hcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["hicuts"] = []*tree.Tree{ht}
-
-	ycfg := hypercuts.DefaultConfig()
-	yt, err := hypercuts.Build(set, ycfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["hypercuts"] = []*tree.Tree{yt}
-
-	ec, err := efficuts.Build(set, efficuts.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["efficuts"] = ec.Trees
-
-	cs, err := cutsplit.Build(set, cutsplit.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["cutsplit"] = cs.Trees
-
-	if !testing.Short() {
-		cfg := core.Scaled(1000)
-		cfg.MaxTimesteps = opts.Timesteps
-		cfg.BatchTimesteps = maxInt(256, opts.Timesteps/10)
-		cfg.Workers = opts.Workers
-		cfg.Seed = opts.Seed
-		cfg.Partition = env.PartitionNone
-		trainer := core.NewTrainer(set, cfg)
-		if _, err := trainer.Train(); err != nil {
-			t.Fatal(err)
-		}
-		nt, _ := trainer.BestTree()
-		if nt == nil {
-			t.Fatal("neurocuts training produced no tree")
-		}
-		out["neurocuts"] = []*tree.Tree{nt}
-	}
-	return out
-}
-
-// TestDifferentialCompiledVsPointerTree is the three-way differential test
-// for every tree backend: the compiled flat-array Lookup, the original
-// pointer-tree traversal and reference linear search must agree on the full
-// 12k-packet sample.
-func TestDifferentialCompiledVsPointerTree(t *testing.T) {
-	samples := differentialSamples(t)
-	opts := Options{Timesteps: 600, Workers: 2, Seed: 42}.withDefaults()
-
-	for _, s := range samples {
-		trees := buildBackendTrees(t, s.set, opts)
-		for backend, ts := range trees {
-			cc, err := compiled.Compile(s.set, ts...)
-			if err != nil {
-				t.Fatalf("%s/%s: compile: %v", backend, s.family, err)
-			}
-			mismatches := 0
-			for i, p := range s.packets {
-				want := s.want[i]
-				ptr := -1
-				if r, ok := tree.ClassifyMulti(ts, p); ok {
-					ptr = r.Priority
-				}
-				comp := -1
-				if r, ok := cc.Lookup(p); ok {
-					comp = r.Priority
-				}
-				if ptr != want || comp != want {
-					mismatches++
-					if mismatches <= 5 {
-						t.Errorf("%s/%s: packet %d %v: linear=%d pointer=%d compiled=%d",
-							backend, s.family, i, p, want, ptr, comp)
-					}
-				}
-			}
-			if mismatches > 0 {
-				t.Fatalf("%s/%s: %d/%d packets diverge across the three lookup paths",
-					backend, s.family, mismatches, len(s.packets))
-			}
-		}
 	}
 }

@@ -95,7 +95,8 @@ const MaxTableNameLen = 255
 
 // Create adds a new table serving eng under name and returns it. The first
 // table created becomes the default and stays it. Creating a name that
-// already exists fails.
+// already exists fails, and so does an engine whose journal a live table's
+// engine already appends to (see CheckJournalFree).
 func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	if name == "" {
 		return nil, fmt.Errorf("engine: table name must not be empty")
@@ -109,6 +110,9 @@ func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	if _, dup := ns.byName[name]; dup {
 		return nil, fmt.Errorf("engine: table %q already exists", name)
 	}
+	if err := ns.journalFree(eng.opts.JournalPath); err != nil {
+		return nil, err
+	}
 	tab := &Table{Name: name, ID: t.nextID, Engine: eng}
 	t.nextID++
 	ns.byName[name] = tab
@@ -118,6 +122,29 @@ func (t *Tables) Create(name string, eng *Engine) (*Table, error) {
 	}
 	t.publishLocked(ns)
 	return tab, nil
+}
+
+// CheckJournalFree returns an error naming the journal and the live table
+// whose engine appends to it, or nil when no table holds the journal at
+// path (or path is empty). Call it before opening an engine on path: two
+// engines appending to one journal lose acknowledged updates at replay, and
+// opening a journal truncates a torn tail, which on a live journal can be an
+// append in flight.
+func (t *Tables) CheckJournalFree(path string) error {
+	return t.state.Load().journalFree(path)
+}
+
+// journalFree is CheckJournalFree over one generation of the table map.
+func (st *tableState) journalFree(path string) error {
+	if path == "" {
+		return nil
+	}
+	for name, tab := range st.byName {
+		if samePath(tab.Engine.opts.JournalPath, path) {
+			return fmt.Errorf("engine: journal %s is in use by table %q", path, name)
+		}
+	}
+	return nil
 }
 
 // Drop atomically removes the named table and closes its engine. Its wire

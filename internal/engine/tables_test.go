@@ -261,3 +261,60 @@ func TestTablesDropRacingUpdates(t *testing.T) {
 		t.Fatal("CloseAll touched the dropped table")
 	}
 }
+
+// TestTablesRefuseSharedJournal: a journal a live table's engine appends to
+// cannot back a second table. CheckJournalFree names the journal and its
+// table before a second engine opens the file, Create refuses an engine
+// opened on it anyway, and every update the live table acknowledged, before
+// and after the refusals, replays from the journal.
+func TestTablesRefuseSharedJournal(t *testing.T) {
+	tabs := NewTables()
+	defer tabs.CloseAll()
+	jpath := filepath.Join(t.TempDir(), "acl.journal")
+	tab, err := tabs.Create("acl", journaledTestEngine(t, jpath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := tab.Engine.Rules()
+	var acked []int
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			res, err := tab.Engine.Insert(i, set.Rule(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, res.ID)
+		}
+	}
+	insert(5)
+
+	if err := tabs.CheckJournalFree(filepath.Join(t.TempDir(), "other.journal")); err != nil {
+		t.Fatalf("an unused journal is reported held: %v", err)
+	}
+	err = tabs.CheckJournalFree(jpath)
+	if err == nil || !strings.Contains(err.Error(), jpath) || !strings.Contains(err.Error(), `"acl"`) {
+		t.Fatalf("CheckJournalFree(live journal) = %v, want an error naming %s and table \"acl\"", err, jpath)
+	}
+	second := journaledTestEngine(t, jpath)
+	if _, err := tabs.Create("acl-copy", second); err == nil || !strings.Contains(err.Error(), `"acl"`) {
+		t.Fatalf("Create over a held journal = %v, want an error naming table \"acl\"", err)
+	}
+	second.Close()
+	insert(5)
+
+	tabs.CloseAll()
+	re := journaledTestEngine(t, jpath)
+	defer re.Close()
+	live := map[int]bool{}
+	for _, r := range re.Rules().Rules() {
+		live[r.ID] = true
+	}
+	for _, id := range acked {
+		if !live[id] {
+			t.Fatalf("acknowledged rule %d lost: not replayed from the journal", id)
+		}
+	}
+	if got, want := re.Len(), set.Len()+len(acked); got != want {
+		t.Fatalf("replay serves %d rules, want %d", got, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
@@ -177,17 +178,19 @@ func TestRandomRolloutProducesValidTree(t *testing.T) {
 			t.Fatalf("experience %d lost the policy log-prob", i)
 		}
 	}
-	// The built tree classifies identically to linear search.
+	// The built tree, compiled, classifies identically to linear search.
+	c, err := compiled.Compile(set, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 1000; i++ {
 		p := rule.Packet{
 			SrcIP: rng.Uint32(), DstIP: rng.Uint32(),
 			SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(rng.Intn(65536)),
 			Proto: uint8(rng.Intn(256)),
 		}
-		want, okW := set.Match(p)
-		got, okG := tr.Classify(p)
-		if okW != okG || (okW && got.Priority != want.Priority) {
-			t.Fatalf("tree/linear mismatch on %v", p)
+		if got, want := c.LookupIndex(p), set.MatchIndex(p); got != want {
+			t.Fatalf("packet %v: compiled rule %d, linear rule %d", p, got, want)
 		}
 	}
 	// The root experience's return must equal the negated whole-tree

@@ -5,13 +5,21 @@ import (
 	"testing"
 
 	"neurocuts/internal/classbench"
+	"neurocuts/internal/compiled"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
 
+// checkTreeEquivalence compiles the tree, the form that serves it, and
+// checks its lookups against linear search on n random packets plus n/2
+// trace packets.
 func checkTreeEquivalence(t *testing.T, tr *tree.Tree, set *rule.Set, n int, seed int64) {
 	t.Helper()
+	c, err := compiled.Compile(set, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		p := rule.Packet{
@@ -21,16 +29,13 @@ func checkTreeEquivalence(t *testing.T, tr *tree.Tree, set *rule.Set, n int, see
 			DstPort: uint16(rng.Intn(65536)),
 			Proto:   uint8(rng.Intn(256)),
 		}
-		want, okWant := set.Match(p)
-		got, okGot := tr.Classify(p)
-		if okWant != okGot || (okWant && want.Priority != got.Priority) {
-			t.Fatalf("packet %v: tree (%v,%v) vs linear (%v,%v)", p, got.Priority, okGot, want.Priority, okWant)
+		if got, want := c.LookupIndex(p), set.MatchIndex(p); got != want {
+			t.Fatalf("packet %v: compiled rule %d, linear rule %d", p, got, want)
 		}
 	}
 	for _, e := range classbench.GenerateTrace(set, n/2, seed+1) {
-		got, ok := tr.Classify(e.Key)
-		if !ok || got.Priority != e.MatchRule {
-			t.Fatalf("trace packet %v: got %v/%v want %d", e.Key, got.Priority, ok, e.MatchRule)
+		if got, want := c.LookupIndex(e.Key), set.MatchIndex(e.Key); got != want || got != e.MatchRule {
+			t.Fatalf("trace packet %v: compiled rule %d, linear rule %d, trace says %d", e.Key, got, want, e.MatchRule)
 		}
 	}
 }

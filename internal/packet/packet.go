@@ -26,10 +26,9 @@ const (
 
 // Errors returned by the decoders.
 var (
-	ErrTruncated   = errors.New("packet: truncated header")
-	ErrNotIPv4     = errors.New("packet: not an IPv4 packet")
-	ErrBadIHL      = errors.New("packet: invalid IPv4 header length")
-	ErrUnsupported = errors.New("packet: unsupported transport protocol")
+	ErrTruncated = errors.New("packet: truncated header")
+	ErrNotIPv4   = errors.New("packet: not an IPv4 packet")
+	ErrBadIHL    = errors.New("packet: invalid IPv4 header length")
 )
 
 // IPv4Header is a decoded IPv4 header (the subset of fields relevant to

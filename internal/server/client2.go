@@ -72,9 +72,6 @@ func (c *ClientV2) Close() error { return c.conn.Close() }
 // server's default table). Use ResolveTable to map a name to an ID.
 func (c *ClientV2) UseTable(id uint32) { c.table = id }
 
-// Table returns the currently selected table ID.
-func (c *ClientV2) Table() uint32 { return c.table }
-
 // begin opens a request frame for the current table in c.enc; the op appends
 // its payload to the returned slice and passes it to roundTrip.
 func (c *ClientV2) begin(op uint8) []byte { return beginFrame(c.enc[:0], op, c.table) }

@@ -437,6 +437,7 @@ func (s *Server) frameCreateTable(f Frame) Frame {
 		return errorFrame(f.Table, "create-table needs a name and an artifact path")
 	}
 	opts := s.TableCreateOptions
+	opts.TelemetryTable = name
 	// A co-located journal is the artifact's crash-recovery companion: a
 	// table recreated from an artifact whose journal still holds acknowledged
 	// updates must replay them, not silently serve the stale checkpoint.
@@ -444,6 +445,11 @@ func (s *Server) frameCreateTable(f Frame) Frame {
 		if _, err := os.Stat(jp); err == nil {
 			opts.JournalPath = jp
 		}
+	}
+	// A journal a live table appends to is refused before this engine
+	// opens it.
+	if err := s.tables.CheckJournalFree(opts.JournalPath); err != nil {
+		return errorFrame(f.Table, err.Error())
 	}
 	eng, err := engine.NewEngineFromArtifact(artifact, opts)
 	if err != nil {

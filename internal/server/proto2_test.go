@@ -11,6 +11,7 @@ import (
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/telemetry"
 )
 
 func dialV2Test(t testing.TB, addr string) *ClientV2 {
@@ -383,6 +384,124 @@ func TestV2CreateTableReplaysJournal(t *testing.T) {
 	gotID, _, ok, err := c.Classify(rule.Packet{Proto: 212})
 	if err != nil || !ok || gotID != ins.ID {
 		t.Fatalf("journaled insert not served: id=%d ok=%v err=%v want id=%d", gotID, ok, err, ins.ID)
+	}
+}
+
+// savedArtifact saves a 120-rule hicuts engine as an artifact in a
+// fresh directory and returns its path; the co-located journal does not
+// exist yet.
+func savedArtifact(t *testing.T) string {
+	t.Helper()
+	artifact := filepath.Join(t.TempDir(), "policy.ncaf")
+	eng, _ := buildTestEngine(t, "acl1", "hicuts", 120)
+	defer eng.Close()
+	if err := eng.SaveArtifact(artifact); err != nil {
+		t.Fatal(err)
+	}
+	return artifact
+}
+
+// TestV2CreateTableRefusesHeldJournal: a wire create-table of an artifact
+// whose co-located journal a live table appends to returns an error frame
+// naming the journal and the table, and every update the live table
+// acknowledged, before and after the refusal, replays after a restart.
+func TestV2CreateTableRefusesHeldJournal(t *testing.T) {
+	artifact := savedArtifact(t)
+	journal := engine.JournalPathFor(artifact)
+	live, err := engine.NewEngineFromArtifact(artifact, engine.Options{JournalPath: journal, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs := engine.NewTables()
+	if _, err := tabs.Create("live", live); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewTables(tabs)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dialV2Test(t, addr.String())
+
+	acked := map[int]bool{}
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			r := rule.NewWildcardRule(-1)
+			r.Ranges[rule.DimProto] = rule.Range{Lo: uint64(200 + len(acked)), Hi: uint64(200 + len(acked))}
+			id, _, err := c.AddRule(0, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked[id] = true
+		}
+	}
+	insert(5)
+	_, _, err = c.CreateTable("copy", artifact)
+	if err == nil || !strings.Contains(err.Error(), journal) || !strings.Contains(err.Error(), `"live"`) {
+		t.Fatalf("create-table over a held journal: err = %v, want an error naming %s and table \"live\"", err, journal)
+	}
+	if _, err := c.ResolveTable("copy"); err == nil {
+		t.Fatal("the refused table is listed")
+	}
+	insert(5)
+
+	c.Close()
+	srv.Close()
+	tabs.CloseAll()
+	re, err := engine.NewEngineFromArtifact(artifact, engine.Options{JournalPath: journal, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	replayed := 0
+	for _, r := range re.Rules().Rules() {
+		if acked[r.ID] {
+			replayed++
+		}
+	}
+	if replayed != len(acked) || re.Len() != 120+len(acked) {
+		t.Fatalf("restart replayed %d of %d acknowledged inserts (%d rules, want %d)", replayed, len(acked), re.Len(), 120+len(acked))
+	}
+}
+
+// TestV2CreatedTableTelemetryLabel: a table created over the wire files its
+// slow lookups under its own name, the label /metrics gives it too.
+func TestV2CreatedTableTelemetryLabel(t *testing.T) {
+	artifact := savedArtifact(t)
+	tel := telemetry.New(telemetry.Config{})
+	tel.SetSlowThreshold(0)
+	def, _ := buildTestEngine(t, "fw2", "linear", 50)
+	tabs := engine.NewTables()
+	if _, err := tabs.Create("default", def); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewTables(tabs)
+	srv.TableCreateOptions = engine.Options{Telemetry: tel}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		tabs.CloseAll()
+	})
+	c := dialV2Test(t, addr.String())
+	id, _, err := c.CreateTable("fw", artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.UseTable(id)
+	if _, _, _, err := c.Classify(rule.Packet{Proto: 6}); err != nil {
+		t.Fatal(err)
+	}
+	es := tel.SlowEntries()
+	if len(es) == 0 {
+		t.Fatal("threshold 0 captured no slow lookup")
+	}
+	for _, e := range es {
+		if e.Table != "fw" {
+			t.Fatalf("created table's lookup filed under table %q, want \"fw\"", e.Table)
+		}
 	}
 }
 

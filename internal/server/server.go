@@ -69,7 +69,8 @@ type Server struct {
 	// TableCreateOptions is the engine option base for tables created over
 	// the wire (OpCreateTable), so wire-created tables inherit the daemon's
 	// engine defaults (binth, training budget, seed, flow cache, compaction)
-	// instead of zero options.
+	// instead of zero options. Each created engine's TelemetryTable is the
+	// table's own name.
 	// Set it before Listen; multi-table servers only.
 	TableCreateOptions engine.Options
 

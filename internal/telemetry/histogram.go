@@ -68,10 +68,6 @@ func (h *Histogram) RecordNanos(hint uint64, ns int64) {
 	h.stripes[hint&h.mask].counts[bucketOf(ns)].Add(1)
 }
 
-// Stripes returns the histogram's stripe count (after power-of-two
-// rounding).
-func (h *Histogram) Stripes() int { return len(h.stripes) }
-
 // Snapshot merges every stripe into one point-in-time bucket vector. The
 // merge reads each counter once with an atomic load; under concurrent
 // recording the result is a consistent-enough scrape (each bucket is exact

@@ -1,7 +1,5 @@
 package tree
 
-import "neurocuts/internal/rule"
-
 // Memory cost model, shared by every algorithm so that bytes-per-rule is
 // comparable across trees. The constants follow the accounting used by the
 // HiCuts/EffiCuts line of work: an internal node stores a small fixed header
@@ -147,21 +145,4 @@ func MultiMetrics(trees []*Tree) Metrics {
 		m.BytesPerRule = float64(m.MemoryBytes) / float64(ruleCount)
 	}
 	return m
-}
-
-// ClassifyMulti looks a packet up in every tree and returns the best
-// (lowest-priority-value) match across them, as required when the classifier
-// was split into per-partition trees.
-func ClassifyMulti(trees []*Tree, p rule.Packet) (rule.Rule, bool) {
-	var best rule.Rule
-	found := false
-	for _, t := range trees {
-		if r, ok := t.Classify(p); ok {
-			if !found || r.Priority < best.Priority {
-				best = r
-				found = true
-			}
-		}
-	}
-	return best, found
 }

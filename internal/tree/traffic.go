@@ -38,7 +38,9 @@ func (t *Tree) ComputeTrafficStats(packets []rule.Packet) *TrafficStats {
 }
 
 // accumulateVisits returns the number of node visits a lookup of p spends in
-// the subtree rooted at n, recording per-node statistics along the way.
+// the subtree rooted at n, recording per-node statistics along the way when
+// s is not nil. It is the package's one per-packet descent; serving lookups
+// run on the compiled form (internal/compiled).
 func (t *Tree) accumulateVisits(n *Node, p rule.Packet, s *TrafficStats) int {
 	visits := 1
 	switch {
@@ -53,8 +55,10 @@ func (t *Tree) accumulateVisits(n *Node, p rule.Packet, s *TrafficStats) int {
 			visits += t.accumulateVisits(c, p, s)
 		}
 	}
-	s.Count[n]++
-	s.Visits[n] += visits
+	if s != nil {
+		s.Count[n]++
+		s.Visits[n] += visits
+	}
 	return visits
 }
 
@@ -76,8 +80,67 @@ func (t *Tree) AverageLookupTime(packets []rule.Packet) float64 {
 	}
 	total := 0
 	for _, p := range packets {
-		_, visits, _ := t.ClassifyWithDepth(p)
-		total += visits
+		total += t.accumulateVisits(t.Root, p, nil)
 	}
 	return float64(total) / float64(len(packets))
+}
+
+// childForPacket locates the cut child whose box contains the packet.
+// Children of a cut node tile the parent box, so exactly one child matches;
+// nil is only possible for packets outside the node's box.
+func (n *Node) childForPacket(p rule.Packet) *Node {
+	if n.CustomCut {
+		return n.scanChildForPacket(p)
+	}
+	// Compute the child index arithmetically from the cut structure instead
+	// of scanning: children are laid out in mixed-radix order over CutDims.
+	idx := 0
+	for i, d := range n.CutDims {
+		pieceCount := n.CutCounts[i]
+		dimRange := n.Box[d]
+		v := p.Field(d)
+		if !dimRange.Contains(v) {
+			return nil
+		}
+		step := dimRange.Size() / uint64(pieceCount)
+		var piece int
+		if step == 0 {
+			piece = 0
+		} else {
+			piece = int((v - dimRange.Lo) / step)
+		}
+		if piece >= pieceCount {
+			piece = pieceCount - 1
+		}
+		idx = idx*pieceCount + piece
+	}
+	if idx < 0 || idx >= len(n.Children) {
+		return nil
+	}
+	child := n.Children[idx]
+	// The arithmetic index matches splitRange's equal-step layout except for
+	// the final remainder piece; verify and fall back to a scan if the value
+	// landed on a boundary handled differently.
+	for _, d := range n.CutDims {
+		if !child.Box[d].Contains(p.Field(d)) {
+			return n.scanChildForPacket(p)
+		}
+	}
+	return child
+}
+
+func (n *Node) scanChildForPacket(p rule.Packet) *Node {
+	for _, c := range n.Children {
+		inside := true
+		for _, d := range n.CutDims {
+			if !c.Box[d].Contains(p.Field(d)) {
+				inside = false
+				break
+			}
+		}
+		if inside {
+			return c
+		}
+	}
+	return nil
 }

@@ -74,8 +74,9 @@ type Node struct {
 	CutDims   []rule.Dimension
 	CutCounts []int
 	// CustomCut marks a cut whose pieces are not equal-sized (produced by
-	// CutAtPoints); lookups then locate the child by scanning child boxes
-	// instead of index arithmetic.
+	// CutAtPoints). Traffic accounting (childForPacket) then locates the
+	// child by scanning child boxes instead of index arithmetic; the
+	// compiled form recovers the boundaries from the child boxes.
 	CustomCut bool
 
 	// PartitionLabel optionally names the partition a child represents (used

@@ -272,8 +272,8 @@ func closedErr(err error) error {
 
 // Save persists the classifier as a versioned compiled artifact at path, so
 // a later Open(nil, WithArtifact(path)) — or any classifyd — can serve it
-// without rebuilding or retraining. It is available for tree backends
-// (hicuts, hypercuts, efficuts, cutsplit, neurocuts).
+// without rebuilding or retraining. Every backend saves, linear included (it
+// serves as a one-leaf compiled tree).
 func (c *Classifier) Save(path string) error {
 	if c.closed.Load() {
 		return ErrClosed
