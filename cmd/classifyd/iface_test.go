@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,6 +189,63 @@ func TestShmServeMode(t *testing.T) {
 	// A detached client now fails cleanly rather than stalling.
 	if err := shm.ClassifyBatchInto(ps[:1], viaShm); err == nil {
 		t.Fatal("classification against a shut-down ring succeeded")
+	}
+}
+
+// TestShmRingServesDaemonTables: the -shm ring's server serves the daemon's
+// tables. A table created through it is listed over TCP, its journal is
+// refused to a TCP create-table and a TCP table's journal to it, and the
+// daemon closes its engine at shutdown. The test reaches the ring's server
+// over a pipe; that the ring carries every frame as TCP does is
+// internal/iface's TestDifferentialShmVsTCP.
+func TestShmRingServesDaemonTables(t *testing.T) {
+	ringArtifact, ringJournal := journaledArtifact(t, "ring")
+	tcpArtifact, tcpJournal := journaledArtifact(t, "tcp")
+	ringSrv := make(chan *server.Server, 1)
+	onShmServer = func(s *server.Server) { ringSrv <- s }
+	t.Cleanup(func() { onShmServer = nil })
+	addr, sig, errCh, out := startDaemon(t, []string{
+		"-family", "acl1", "-size", "100", "-algo", "hicuts", "-listen", "127.0.0.1:0",
+		"-shm", filepath.Join(t.TempDir(), "ring"), "-shm-slots", "256",
+	})
+	cliEnd, srvEnd := net.Pipe()
+	go (<-ringSrv).ServeConn(srvEnd)
+	ring := server.NewClientV2(cliEnd)
+	defer ring.Close()
+	tcp := dialDaemon(t, addr)
+
+	if _, _, err := ring.CreateTable("viaring", ringArtifact); err != nil {
+		t.Fatalf("create-table through the ring's server: %v", err)
+	}
+	if _, err := tcp.ResolveTable("viaring"); err != nil {
+		t.Fatalf("the ring-created table is not listed over TCP: %v", err)
+	}
+	if _, _, err := tcp.CreateTable("viatcp", tcpArtifact); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cli               *server.ClientV2
+		artifact, journal string
+		holder            string
+	}{{tcp, ringArtifact, ringJournal, `"viaring"`}, {ring, tcpArtifact, tcpJournal, `"viatcp"`}} {
+		_, _, err := c.cli.CreateTable("again", c.artifact)
+		if err == nil || !strings.Contains(err.Error(), c.journal) || !strings.Contains(err.Error(), c.holder) {
+			t.Fatalf("create-table over a held journal: err = %v, want one naming %s and table %s", err, c.journal, c.holder)
+		}
+		if !fileOpen(t, c.journal) {
+			t.Fatalf("table %s does not hold %s open", c.holder, c.journal)
+		}
+	}
+
+	ring.Close()
+	sig <- syscall.SIGTERM
+	if err := <-errCh; err != nil {
+		t.Fatalf("daemon exit: %v\noutput:\n%s", err, out.String())
+	}
+	for _, j := range []string{ringJournal, tcpJournal} {
+		if fileOpen(t, j) {
+			t.Fatalf("%s still open after shutdown: a created table's engine was not closed", j)
+		}
 	}
 }
 

@@ -102,6 +102,10 @@ var onListen func(net.Addr)
 // onAdminListen, when set (by tests), receives the bound admin address.
 var onAdminListen func(net.Addr)
 
+// onShmServer, when set (by tests), receives the server behind the -shm
+// ring before the ring starts.
+var onShmServer func(*server.Server)
+
 // run is the daemon body, factored out of main so tests can drive it with
 // their own signal channel and capture its output. It returns nil on a
 // clean (drained) shutdown.

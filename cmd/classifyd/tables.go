@@ -187,9 +187,9 @@ func buildTable(stdout io.Writer, spec tableSpec, d tableDefaults, tabs *engine.
 	return eng, nil
 }
 
-// serve builds the tables, serves them over TCP (and, with shmPath, the
-// default table over a shared-memory ring) until a signal arrives, then
-// drains and closes every engine.
+// serve builds the tables, serves them over TCP (and, with shmPath, over a
+// shared-memory ring too) until a signal arrives, then drains and closes
+// every engine.
 func serve(stdout io.Writer, specs []tableSpec, d tableDefaults, listen, adminAddr, shmPath string, shmSlots int, drain time.Duration, sig <-chan os.Signal) error {
 	tabs := engine.NewTables()
 	defer tabs.CloseAll()
@@ -210,8 +210,16 @@ func serve(stdout io.Writer, specs []tableSpec, d tableDefaults, listen, adminAd
 
 	var ring *iface.ShmServer
 	if shmPath != "" {
+		// The ring's own server serves tabs, so a table created over the
+		// ring is listed over TCP, has its journal checked against every
+		// table's, and closes with the rest at shutdown.
+		ringSrv := server.NewTables(tabs)
+		ringSrv.TableCreateOptions = d.options()
+		if onShmServer != nil {
+			onShmServer(ringSrv)
+		}
 		var err error
-		if ring, err = iface.NewShmServer(shmPath, def.Engine, iface.ShmServerConfig{Slots: shmSlots}); err != nil {
+		if ring, err = iface.NewShmServerOn(shmPath, ringSrv, iface.ShmServerConfig{Slots: shmSlots}); err != nil {
 			return err
 		}
 		defer ring.Close()
@@ -230,7 +238,7 @@ func serve(stdout io.Writer, specs []tableSpec, d tableDefaults, listen, adminAd
 	// The admin plane (-admin) binds once the classification listener
 	// serves, and stops before it drains, so a scrape can never observe a
 	// half-started or half-shut-down daemon as healthy.
-	adm := admin.New(admin.Options{Tables: tabs, Server: srv, Telemetry: d.tel})
+	adm := admin.New(tabs, admin.Options{Server: srv, Telemetry: d.tel})
 	if adminAddr != "" {
 		bound, err := adm.Listen(adminAddr)
 		if err != nil {

@@ -129,28 +129,7 @@ func TestTablesDaemon(t *testing.T) {
 // dropped, and the drop closes its engine (its journal file is no longer
 // open). /tables lists the default table.
 func TestSingleTableDaemonIsOneTable(t *testing.T) {
-	dir := t.TempDir()
-	artifact := filepath.Join(dir, "extra.ncaf")
-	fam, err := classbench.FamilyByName("fw1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := engine.NewEngine("hicuts", classbench.Generate(fam, 100, 2), engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.SaveArtifact(artifact); err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
-	// A co-located journal: the wire-created table opens it, so its file
-	// descriptor shows whether the table's engine is open.
-	journal := engine.JournalPathFor(artifact)
-	j, err := engine.NewEngineFromArtifact(artifact, engine.Options{JournalPath: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	artifact, journal := journaledArtifact(t, "extra")
 
 	addr, adminAddr, sig, errCh, out := startDaemonWithAdmin(t, []string{
 		"-family", "acl1", "-size", "100", "-algo", "linear",
@@ -233,6 +212,34 @@ func TestTablesSharedJournalRefused(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("the daemon neither failed nor started within 30s")
 	}
+}
+
+// journaledArtifact saves a 100-rule fw1 HiCuts artifact named name in a
+// temporary directory, with a co-located journal: a table created from the
+// artifact over the wire opens that journal, so its file descriptor shows
+// whether the table's engine is open.
+func journaledArtifact(t *testing.T, name string) (artifact, journal string) {
+	t.Helper()
+	artifact = filepath.Join(t.TempDir(), name+".ncaf")
+	fam, err := classbench.FamilyByName("fw1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := engine.NewEngine("hicuts", classbench.Generate(fam, 100, 2), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SaveArtifact(artifact); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	journal = engine.JournalPathFor(artifact)
+	j, err := engine.NewEngineFromArtifact(artifact, engine.Options{JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	return artifact, journal
 }
 
 // fileOpen reports whether this process holds path open, from /proc.

@@ -20,6 +20,9 @@
 //	GET /debug/slow     slow-lookup flight recorder dump (JSON, worst-first)
 //	GET /debug/pprof/*  CPU/heap/goroutine/... profiles (net/http/pprof)
 //
+// Every table-facing endpoint reads the one engine.Tables New is given: a
+// daemon's table map, or the SDK's one engine as a one-table manager.
+//
 // When a telemetry instance is attached (Options.Telemetry), /metrics
 // additionally exposes native Prometheus histogram families — lookup,
 // update and server-request latency — rendered from the lock-free striped
@@ -48,15 +51,8 @@ import (
 	"neurocuts/internal/telemetry"
 )
 
-// Options selects the admin server's data sources. Tables supplies them for
-// a daemon; Engine is the embedded SDK's one engine, served as a one-table
-// manager. Neither set is also valid — the admin plane then exposes only
-// process-level metrics and pprof, which is what a bench run wants.
+// Options selects the admin server's optional data sources.
 type Options struct {
-	// Tables supplies per-table engine metrics and the /tables listing.
-	Tables *engine.Tables
-	// Engine, when Tables is nil, is served as the one table "default".
-	Engine *engine.Engine
 	// Server, when non-nil, contributes the wire server's request counters.
 	Server *server.Server
 	// Telemetry, when non-nil, contributes the latency histogram families
@@ -83,14 +79,12 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// New builds an admin server over the given sources.
-func New(opts Options) *Server {
-	tables := opts.Tables
-	if tables == nil && opts.Engine != nil {
-		tables = engine.NewTables()
-		// A valid name in an empty manager: Create cannot fail.
-		tables.Create("default", opts.Engine)
-	}
+// New builds an admin server over tables, which supply the per-table engine
+// metrics, the /tables listing and the default readiness check, and the
+// optional sources in opts. A daemon passes the tables it serves, the
+// embedded SDK its one engine as engine.SingleTable; an empty manager leaves
+// the process-level metrics and pprof, and /readyz answers 503.
+func New(tables *engine.Tables, opts Options) *Server {
 	return &Server{
 		tables: tables,
 		wire:   opts.Server,
@@ -190,20 +184,18 @@ type snapshot struct {
 // snapshot collects the current state of every source.
 func (s *Server) snapshot() snapshot {
 	snap := snapshot{start: s.start}
-	if s.tables != nil {
-		def, _ := s.tables.Default()
-		for _, tab := range s.tables.List() {
-			st := tab.Engine.Stats()
-			snap.tables = append(snap.tables, tableStat{
-				Name:    tab.Name,
-				ID:      tab.ID,
-				Default: def != nil && def.ID == tab.ID,
-				Backend: st.Backend,
-				Rules:   st.Rules,
-				Version: st.Version,
-				stats:   st,
-			})
-		}
+	def, _ := s.tables.Default()
+	for _, tab := range s.tables.List() {
+		st := tab.Engine.Stats()
+		snap.tables = append(snap.tables, tableStat{
+			Name:    tab.Name,
+			ID:      tab.ID,
+			Default: def != nil && def.ID == tab.ID,
+			Backend: st.Backend,
+			Rules:   st.Rules,
+			Version: st.Version,
+			stats:   st,
+		})
 	}
 	if s.wire != nil {
 		st := s.wire.Stats()
@@ -225,11 +217,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // readyErr reports why the daemon is not ready, or nil.
 func (s *Server) readyErr() error {
-	switch {
-	case s.ready != nil:
+	if s.ready != nil {
 		return s.ready()
-	case s.tables == nil:
-		return errors.New("no classification engine attached")
 	}
 	if _, ok := s.tables.Default(); !ok {
 		return errors.New("no default table")

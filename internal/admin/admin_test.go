@@ -104,7 +104,7 @@ func TestAdminMetricsMatchEngineStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	adm := New(Options{Engine: eng})
+	adm := New(engine.SingleTable(eng), Options{})
 	ts := httptest.NewServer(adm.Handler())
 	defer ts.Close()
 
@@ -174,7 +174,7 @@ func TestAdminHealthAndReady(t *testing.T) {
 	defer eng.Close()
 
 	t.Run("engine-mode", func(t *testing.T) {
-		ts := httptest.NewServer(New(Options{Engine: eng}).Handler())
+		ts := httptest.NewServer(New(engine.SingleTable(eng), Options{}).Handler())
 		defer ts.Close()
 		if code, body := get(t, ts, "/healthz"); code != http.StatusOK || strings.TrimSpace(body) != "ok" {
 			t.Fatalf("/healthz = %d %q", code, body)
@@ -185,16 +185,17 @@ func TestAdminHealthAndReady(t *testing.T) {
 	})
 
 	t.Run("no-sources", func(t *testing.T) {
-		ts := httptest.NewServer(New(Options{}).Handler())
+		ts := httptest.NewServer(New(engine.NewTables(), Options{}).Handler())
 		defer ts.Close()
 		if code, _ := get(t, ts, "/healthz"); code != http.StatusOK {
 			t.Fatalf("/healthz = %d, liveness must not depend on sources", code)
 		}
 		code, body := get(t, ts, "/readyz")
-		if code != http.StatusServiceUnavailable || !strings.Contains(body, "no classification engine") {
-			t.Fatalf("/readyz = %d %q, want 503 naming the missing engine", code, body)
+		if code != http.StatusServiceUnavailable || !strings.Contains(body, "no default table") {
+			t.Fatalf("/readyz = %d %q, want 503 naming the missing default table", code, body)
 		}
-		// Sourceless metrics still render a valid document (process metrics).
+		// Metrics over an empty manager still render a valid document
+		// (process metrics).
 		code, body = get(t, ts, "/metrics")
 		if code != http.StatusOK {
 			t.Fatalf("/metrics = %d", code)
@@ -205,9 +206,8 @@ func TestAdminHealthAndReady(t *testing.T) {
 	})
 
 	t.Run("ready-override", func(t *testing.T) {
-		ts := httptest.NewServer(New(Options{
-			Engine: eng,
-			Ready:  func() error { return errors.New("warm-up in progress") },
+		ts := httptest.NewServer(New(engine.SingleTable(eng), Options{
+			Ready: func() error { return errors.New("warm-up in progress") },
 		}).Handler())
 		defer ts.Close()
 		code, body := get(t, ts, "/readyz")
@@ -221,7 +221,7 @@ func TestAdminTablesMode(t *testing.T) {
 	tables := engine.NewTables()
 	defer tables.CloseAll()
 
-	adm := New(Options{Tables: tables})
+	adm := New(tables, Options{})
 	ts := httptest.NewServer(adm.Handler())
 	defer ts.Close()
 
@@ -310,7 +310,7 @@ func TestAdminListenShutdown(t *testing.T) {
 	}
 	defer eng.Close()
 
-	adm := New(Options{Engine: eng})
+	adm := New(engine.SingleTable(eng), Options{})
 	addr, err := adm.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestAdminTelemetryExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	adm := New(Options{Engine: eng, Telemetry: tel})
+	adm := New(engine.SingleTable(eng), Options{Telemetry: tel})
 	ts := httptest.NewServer(adm.Handler())
 	defer ts.Close()
 
@@ -431,7 +431,7 @@ func TestAdminTelemetryExposition(t *testing.T) {
 // answer (threshold -1, empty entries) rather than 404 when the daemon runs
 // without telemetry.
 func TestAdminSlowWithoutTelemetry(t *testing.T) {
-	ts := httptest.NewServer(New(Options{}).Handler())
+	ts := httptest.NewServer(New(engine.NewTables(), Options{}).Handler())
 	defer ts.Close()
 	code, body := get(t, ts, "/debug/slow")
 	if code != http.StatusOK {
@@ -453,7 +453,7 @@ func TestAdminSlowWithoutTelemetry(t *testing.T) {
 }
 
 func TestAdminPprofIndex(t *testing.T) {
-	ts := httptest.NewServer(New(Options{}).Handler())
+	ts := httptest.NewServer(New(engine.NewTables(), Options{}).Handler())
 	defer ts.Close()
 	code, body := get(t, ts, "/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {

@@ -3,6 +3,8 @@ package admin
 import (
 	"strings"
 	"testing"
+
+	"neurocuts/internal/engine"
 )
 
 const cleanDoc = `# HELP demo_requests_total Requests served.
@@ -160,7 +162,7 @@ func TestLintMetricsViolations(t *testing.T) {
 // TestLintMetricsAcceptsLiveRender pins the renderer and the linter to each
 // other: whatever renderMetrics produces for an empty snapshot must lint.
 func TestLintMetricsAcceptsLiveRender(t *testing.T) {
-	adm := New(Options{})
+	adm := New(engine.NewTables(), Options{})
 	out := renderMetrics(adm.snapshot())
 	if err := LintMetrics(out); err != nil {
 		t.Fatalf("renderMetrics output fails its own lint: %v\n%s", err, out)

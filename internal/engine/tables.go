@@ -60,6 +60,19 @@ func NewTables() *Tables {
 	return t
 }
 
+// SingleTable returns a manager holding eng as its one table, "default"
+// (ID 1), or an empty manager when eng is nil. It is how a front end serves
+// a lone engine. The caller keeps eng: it closes eng itself and must not
+// call CloseAll on the manager.
+func SingleTable(eng *Engine) *Tables {
+	t := NewTables()
+	if eng != nil {
+		// A valid name in an empty manager: Create cannot fail.
+		t.Create("default", eng)
+	}
+	return t
+}
+
 // clone copies the current state's maps so a mutation can be prepared
 // off-line. Caller holds t.mu.
 func (t *Tables) cloneLocked() *tableState {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -287,22 +289,32 @@ func TestShmGarbageClosesRing(t *testing.T) {
 	}
 }
 
-// slowClassifier delays every batch, announcing it on entered first.
-type slowClassifier struct {
-	*engine.Engine
-	entered chan struct{}
-	delay   time.Duration
+// withheldConn passes the first head bytes written through and holds the
+// rest back until release is closed.
+type withheldConn struct {
+	net.Conn
+	head    int
+	release chan struct{}
 }
 
-func (s slowClassifier) ClassifyBatch(ps []rule.Packet, out []engine.Result) {
-	s.entered <- struct{}{}
-	time.Sleep(s.delay)
-	s.Engine.ClassifyBatch(ps, out)
+func (w *withheldConn) Write(p []byte) (int, error) {
+	if w.head <= 0 {
+		return w.Conn.Write(p)
+	}
+	n, err := w.Conn.Write(p[:min(w.head, len(p))])
+	w.head -= n
+	if err != nil || n == len(p) {
+		return n, err
+	}
+	<-w.release
+	m, err := w.Conn.Write(p[n:])
+	return n + m, err
 }
 
-// TestShmCloseDrains pins TCP's drain contract on the ring: a batch being
-// classified when Close is called is answered in full before the region
-// closes, and Close returns within its drain bound.
+// TestShmCloseDrains pins TCP's drain contract on the ring: a batch whose
+// frame the server has begun to read when Close is called is read whole
+// and answered in full before the region closes, and Close returns within
+// its drain bound.
 func TestShmCloseDrains(t *testing.T) {
 	set := allocShmSet(t)
 	eng, err := engine.NewEngine("linear", set, engine.Options{})
@@ -310,10 +322,9 @@ func TestShmCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	const delay = 200 * time.Millisecond
-	slow := slowClassifier{Engine: eng, entered: make(chan struct{}, 1), delay: delay}
-	// 100 packets: the request frame is larger than the 1 KiB ring.
-	srv, err := NewShmServer(filepath.Join(t.TempDir(), "ring"), slow, ShmServerConfig{Slots: 64})
+	// 100 packets: the request frame (1 324 bytes) is larger than the
+	// 1 KiB ring.
+	srv, err := NewShmServer(filepath.Join(t.TempDir(), "ring"), eng, ShmServerConfig{Slots: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,20 +335,46 @@ func TestShmCloseDrains(t *testing.T) {
 	}
 	defer c.Close()
 
+	// A client speaking through a second client end of the region, whose
+	// request frame stops after head bytes.
+	const head = 512
+	conn := &withheldConn{Conn: newShmConn(&c.m, true, 10*time.Second), head: head, release: make(chan struct{})}
+	raw := server.NewClientV2(conn)
 	ps := allocShmPackets(t, set, 100)
 	got := make([]engine.Result, len(ps))
 	errc := make(chan error, 1)
-	go func() { errc <- c.ClassifyBatchInto(ps, got) }()
-	<-slow.entered
+	go func() { errc <- raw.ClassifyBatchInto(ps, got) }()
+
+	// The server has read the head once the request ring's read cursor
+	// reaches it.
+	for deadline := time.Now().Add(10 * time.Second); c.m.load(shmOffReqHead) != head; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server consumed %d request bytes, want %d", c.m.load(shmOffReqHead), head)
+		}
+		runtime.Gosched()
+	}
 	start := time.Now()
-	if err := srv.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	for !srv.closed.Load() {
+		runtime.Gosched()
+	}
+	// Hold the tail back well past the 50 ms read grace a drain gives an
+	// idle connection: a handler inside a request must not get it.
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a request half read", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(conn.release)
+	if err := <-errc; err != nil {
+		t.Fatalf("batch in flight at Close: %v", err)
+	}
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if d := time.Since(start); d >= shmDrainTimeout {
 		t.Fatalf("Close took %v, want under the %v drain bound", d, shmDrainTimeout)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("batch in flight at Close: %v", err)
 	}
 	want := make([]engine.Result, len(ps))
 	eng.ClassifyBatch(ps, want)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neurocuts/internal/engine"
 	"neurocuts/internal/server"
 )
 
@@ -48,8 +49,17 @@ type ShmServer struct {
 	done   chan struct{}
 }
 
-// NewShmServer creates the ring file at path and begins serving cls.
-func NewShmServer(path string, cls server.Classifier, cfg ShmServerConfig) (*ShmServer, error) {
+// NewShmServer creates the ring file at path and begins serving eng as the
+// one table of a server.New server. The caller closes eng after the ring.
+func NewShmServer(path string, eng *engine.Engine, cfg ShmServerConfig) (*ShmServer, error) {
+	return NewShmServerOn(path, server.New(eng), cfg)
+}
+
+// NewShmServerOn creates the ring file at path and begins serving srv's
+// tables through it. The ring owns srv: Close shuts srv down, so srv serves
+// nothing else. A daemon gives the ring its own server.NewTables over the
+// tables its TCP server serves, so both transports administer one set.
+func NewShmServerOn(path string, srv *server.Server, cfg ShmServerConfig) (*ShmServer, error) {
 	slots := cfg.Slots
 	if slots <= 0 {
 		slots = 4096
@@ -72,7 +82,7 @@ func NewShmServer(path string, cls server.Classifier, cfg ShmServerConfig) (*Shm
 		f.Close()
 		return nil, err
 	}
-	s := &ShmServer{f: f, path: path, srv: server.New(cls), done: make(chan struct{})}
+	s := &ShmServer{f: f, path: path, srv: srv, done: make(chan struct{})}
 	s.m = shmMap{data: data, size: uint64(size) * shmSlotBytes}
 	// The truncate zeroed the region, so the cursors already read 0. Write
 	// the handshake header, then flip the state to ready last — the state

@@ -42,7 +42,7 @@ type ClientV2 struct {
 	err error
 }
 
-// TableInfo describes one table of a multi-table server.
+// TableInfo describes one table a server serves.
 type TableInfo struct {
 	ID      uint32
 	Name    string
@@ -125,8 +125,8 @@ func (c *ClientV2) ResolveTable(name string) (uint32, error) {
 	return 0, fmt.Errorf("server: no table named %q", name)
 }
 
-// ListTables returns the server's tables. Single-table servers report one
-// default table on ID 0.
+// ListTables returns the server's tables, each under its manager-assigned
+// ID (never 0).
 func (c *ClientV2) ListTables() ([]TableInfo, error) {
 	resp, err := c.roundTrip(c.begin(OpListTables))
 	if err != nil {
@@ -290,7 +290,7 @@ func (c *ClientV2) Stats() (string, error) {
 	return string(resp.Payload), nil
 }
 
-// CreateTable asks a multi-table server to create a new table warm-started
+// CreateTable asks the server to create a new table warm-started
 // from the compiled artifact at path (on the server's filesystem). It
 // returns the new table's wire ID and rule count.
 func (c *ClientV2) CreateTable(name, artifactPath string) (id uint32, rules int, err error) {
@@ -309,7 +309,7 @@ func (c *ClientV2) CreateTable(name, artifactPath string) (id uint32, rules int,
 		int(binary.LittleEndian.Uint32(resp.Payload[4:8])), nil
 }
 
-// DropTable asks a multi-table server to drop the table with the given ID.
+// DropTable asks the server to drop the table with the given ID.
 func (c *ClientV2) DropTable(id uint32) error {
 	resp, err := c.roundTrip(beginFrame(c.enc[:0], OpDropTable, id))
 	if err != nil {

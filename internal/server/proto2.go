@@ -212,11 +212,11 @@ func (s *Server) respondFrame(f Frame) Frame {
 		return s.frameLoad(f)
 	case OpStats:
 		s.requests.Add(1)
-		cls, err := s.tableClassifier(f.Table)
+		eng, err := s.table(f.Table)
 		if err != nil {
 			return errorFrame(f.Table, err.Error())
 		}
-		return Frame{Op: OpStatsResult, Table: f.Table, Payload: []byte(s.statsLine(cls))}
+		return Frame{Op: OpStatsResult, Table: f.Table, Payload: []byte(s.statsLine(eng))}
 	case OpListTables:
 		s.requests.Add(1)
 		s.tableOps.Add(1)
@@ -237,7 +237,7 @@ func (s *Server) respondFrame(f Frame) Frame {
 // frameClassify appends the encoded answer to an OpClassify request to dst.
 func (s *Server) frameClassify(dst []byte, f Frame) []byte {
 	s.requests.Add(1)
-	cls, err := s.tableClassifier(f.Table)
+	eng, err := s.table(f.Table)
 	if err != nil {
 		return AppendFrame(dst, errorFrame(f.Table, err.Error()))
 	}
@@ -245,7 +245,7 @@ func (s *Server) frameClassify(dst []byte, f Frame) []byte {
 		s.parseFails.Add(1)
 		return AppendFrame(dst, errorFrame(f.Table, fmt.Sprintf("classify payload must be %d bytes, got %d", packedPacketLen, len(f.Payload))))
 	}
-	r, ok := cls.Classify(decodePacket(f.Payload))
+	r, ok := eng.Classify(decodePacket(f.Payload))
 	if ok {
 		s.matches.Add(1)
 	}
@@ -256,7 +256,7 @@ func (s *Server) frameClassify(dst []byte, f Frame) []byte {
 // frameBatch appends the encoded answer to an OpBatch request to dst,
 // classifying through the connection's scratch.
 func (s *Server) frameBatch(dst []byte, f Frame, bufs *v2Buffers) []byte {
-	cls, err := s.tableClassifier(f.Table)
+	eng, err := s.table(f.Table)
 	if err != nil {
 		s.requests.Add(1)
 		return AppendFrame(dst, errorFrame(f.Table, err.Error()))
@@ -283,7 +283,7 @@ func (s *Server) frameBatch(dst []byte, f Frame, bufs *v2Buffers) []byte {
 	for i := range packets {
 		packets[i] = decodePacket(body[i*packedPacketLen:])
 	}
-	cls.ClassifyBatch(packets, out)
+	eng.ClassifyBatch(packets, out)
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(beginFrame(dst, OpBatchResult, f.Table), uint32(n))
 	matched := 0
@@ -310,7 +310,7 @@ func updatedFrame(table uint32, id int, res engine.UpdateResult) Frame {
 func (s *Server) frameInsert(f Frame) Frame {
 	s.requests.Add(1)
 	s.updates.Add(1)
-	cls, err := s.tableClassifier(f.Table)
+	eng, err := s.table(f.Table)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -324,7 +324,7 @@ func (s *Server) frameInsert(f Frame) Frame {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "rule: "+err.Error())
 	}
-	res, err := cls.Insert(pos, r)
+	res, err := eng.Insert(pos, r)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -334,7 +334,7 @@ func (s *Server) frameInsert(f Frame) Frame {
 func (s *Server) frameDelete(f Frame) Frame {
 	s.requests.Add(1)
 	s.updates.Add(1)
-	cls, err := s.tableClassifier(f.Table)
+	eng, err := s.table(f.Table)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -343,7 +343,7 @@ func (s *Server) frameDelete(f Frame) Frame {
 		return errorFrame(f.Table, "delete payload must be 4 bytes")
 	}
 	id := int(int32(binary.LittleEndian.Uint32(f.Payload)))
-	res, err := cls.Delete(id)
+	res, err := eng.Delete(id)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -353,7 +353,7 @@ func (s *Server) frameDelete(f Frame) Frame {
 func (s *Server) frameSave(f Frame) Frame {
 	s.requests.Add(1)
 	s.artifactOps.Add(1)
-	cls, err := s.tableClassifier(f.Table)
+	eng, err := s.table(f.Table)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -362,7 +362,7 @@ func (s *Server) frameSave(f Frame) Frame {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "save needs a path payload")
 	}
-	if err := cls.SaveArtifact(path); err != nil {
+	if err := eng.SaveArtifact(path); err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
 	return updatedFrame(f.Table, -1, engine.UpdateResult{})
@@ -371,7 +371,7 @@ func (s *Server) frameSave(f Frame) Frame {
 func (s *Server) frameLoad(f Frame) Frame {
 	s.requests.Add(1)
 	s.artifactOps.Add(1)
-	cls, err := s.tableClassifier(f.Table)
+	eng, err := s.table(f.Table)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -380,7 +380,7 @@ func (s *Server) frameLoad(f Frame) Frame {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "load needs a path payload")
 	}
-	res, err := cls.LoadArtifact(path)
+	res, err := eng.LoadArtifact(path)
 	if err != nil {
 		return errorFrame(f.Table, err.Error())
 	}
@@ -388,39 +388,22 @@ func (s *Server) frameLoad(f Frame) Frame {
 }
 
 func (s *Server) frameListTables(f Frame) Frame {
-	type entry struct {
-		id   uint32
-		name string
-		def  bool
-	}
-	var entries []entry
-	if s.tables != nil {
-		def, _ := s.tables.Default()
-		for _, tab := range s.tables.List() {
-			entries = append(entries, entry{id: tab.ID, name: tab.Name, def: def != nil && def.ID == tab.ID})
-		}
-	} else {
-		// A single-table server presents its classifier as one default
-		// table on ID 0, so clients need no special case.
-		entries = []entry{{id: 0, name: "default", def: true}}
-	}
-	payload := binary.LittleEndian.AppendUint16(nil, uint16(len(entries)))
-	for _, e := range entries {
-		payload = binary.LittleEndian.AppendUint32(payload, e.id)
+	def, _ := s.tables.Default()
+	tabs := s.tables.List()
+	payload := binary.LittleEndian.AppendUint16(nil, uint16(len(tabs)))
+	for _, tab := range tabs {
+		payload = binary.LittleEndian.AppendUint32(payload, tab.ID)
 		flags := byte(0)
-		if e.def {
+		if def != nil && def.ID == tab.ID {
 			flags = 1
 		}
-		payload = append(payload, flags, byte(len(e.name)))
-		payload = append(payload, e.name...)
+		payload = append(payload, flags, byte(len(tab.Name)))
+		payload = append(payload, tab.Name...)
 	}
 	return Frame{Op: OpTableList, Table: f.Table, Payload: payload}
 }
 
 func (s *Server) frameCreateTable(f Frame) Frame {
-	if s.tables == nil {
-		return errorFrame(f.Table, "not a multi-table server")
-	}
 	if len(f.Payload) < 1 {
 		s.parseFails.Add(1)
 		return errorFrame(f.Table, "create-table payload too short")
@@ -466,9 +449,6 @@ func (s *Server) frameCreateTable(f Frame) Frame {
 }
 
 func (s *Server) frameDropTable(f Frame) Frame {
-	if s.tables == nil {
-		return errorFrame(f.Table, "not a multi-table server")
-	}
 	tab, ok := s.tables.GetByID(f.Table)
 	if !ok {
 		return errorFrame(f.Table, fmt.Sprintf("unknown table %d", f.Table))

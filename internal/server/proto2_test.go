@@ -286,52 +286,125 @@ func TestV2MultiTable(t *testing.T) {
 	}
 }
 
-// TestV2TableAdmin exercises create-from-artifact and drop over the wire.
+// TestV2TableAdmin administers tables over the wire on a two-table
+// NewTables server and on a New(eng) server, which serves eng as the one
+// table "default" of its own manager.
 func TestV2TableAdmin(t *testing.T) {
-	_, _, addr := startTablesServer(t)
-	c := dialV2Test(t, addr)
+	for _, tc := range []struct {
+		name   string
+		serve  func(t *testing.T) (addr string, def *engine.Engine)
+		defTab string
+		tables int
+	}{
+		{"tables", func(t *testing.T) (string, *engine.Engine) {
+			tabs, _, addr := startTablesServer(t)
+			def, _ := tabs.Default()
+			return addr, def.Engine
+		}, "acl", 2},
+		{"one-engine", func(t *testing.T) (string, *engine.Engine) {
+			eng, _ := buildTestEngine(t, "acl1", "hicuts", 200)
+			srv := New(eng)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				srv.Close()
+				eng.Close()
+			})
+			return addr.String(), eng
+		}, "default", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, defEng := tc.serve(t)
+			c := dialV2Test(t, addr)
 
-	// Save the default table as an artifact, then create a new table from it.
-	artifact := filepath.Join(t.TempDir(), "acl.ncaf")
-	c.UseTable(0)
-	if err := c.SaveArtifact(artifact); err != nil {
-		t.Fatal(err)
-	}
-	id, rules, err := c.CreateTable("acl-copy", artifact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rules != 200 {
-		t.Fatalf("created table has %d rules, want 200", rules)
-	}
-	tables, err := c.ListTables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 3 {
-		t.Fatalf("expected 3 tables after create, got %+v", tables)
-	}
-	// The new table serves lookups.
-	c.UseTable(id)
-	if _, err := c.Stats(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := c.Classify(rule.Packet{}); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate names are rejected.
-	if _, _, err := c.CreateTable("acl-copy", artifact); err == nil {
-		t.Fatal("duplicate create-table must fail")
-	}
-	if err := c.DropTable(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ResolveTable("acl-copy"); err == nil {
-		t.Fatal("dropped table still listed")
-	}
-	// Dropping the default table is refused.
-	if err := c.DropTable(0); err == nil {
-		t.Fatal("dropping the default table must fail")
+			// The default table is listed under its manager-assigned ID.
+			tables, err := c.ListTables()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var defID uint32
+			for _, tab := range tables {
+				if tab.Default {
+					defID = tab.ID
+					if tab.Name != tc.defTab || tab.ID == 0 {
+						t.Fatalf("default table %+v, want %q under a non-zero ID", tab, tc.defTab)
+					}
+				}
+			}
+			if len(tables) != tc.tables || defID == 0 {
+				t.Fatalf("tables %+v, want %d with a default", tables, tc.tables)
+			}
+
+			// Table 0 and the default's ID reach the same engine.
+			top := rule.NewWildcardRule(0)
+			top.Ranges[rule.DimProto] = rule.Range{Lo: 251, Hi: 251}
+			c.UseTable(defID)
+			topID, _, err := c.AddRule(0, top)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if defEng.Len() != 201 {
+				t.Fatalf("default engine has %d rules after an insert through ID %d, want 201", defEng.Len(), defID)
+			}
+			c.UseTable(0)
+			if id, _, ok, err := c.Classify(rule.Packet{Proto: 251}); err != nil || !ok || id != topID {
+				t.Fatalf("table 0 after insert through ID %d: id=%d ok=%v err=%v, want %d", defID, id, ok, err, topID)
+			}
+			if _, err := c.DeleteRule(topID); err != nil {
+				t.Fatal(err)
+			}
+
+			// Save the default table as an artifact, then create a new
+			// table from it.
+			artifact := filepath.Join(t.TempDir(), "acl.ncaf")
+			if err := c.SaveArtifact(artifact); err != nil {
+				t.Fatal(err)
+			}
+			id, rules, err := c.CreateTable("acl-copy", artifact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rules != 200 {
+				t.Fatalf("created table has %d rules, want 200", rules)
+			}
+			if tables, err = c.ListTables(); err != nil {
+				t.Fatal(err)
+			}
+			if len(tables) != tc.tables+1 {
+				t.Fatalf("expected %d tables after create, got %+v", tc.tables+1, tables)
+			}
+			// The new table serves lookups.
+			c.UseTable(id)
+			if _, err := c.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := c.Classify(rule.Packet{}); err != nil {
+				t.Fatal(err)
+			}
+			// Duplicate names are rejected.
+			if _, _, err := c.CreateTable("acl-copy", artifact); err == nil {
+				t.Fatal("duplicate create-table must fail")
+			}
+			if err := c.DropTable(id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.ResolveTable("acl-copy"); err == nil {
+				t.Fatal("dropped table still listed")
+			}
+			// Dropping the default table is refused, by 0 and by its ID.
+			for _, drop := range []uint32{0, defID} {
+				if err := c.DropTable(drop); err == nil {
+					t.Fatalf("dropping the default table as %d must fail", drop)
+				}
+			}
+			// A table the manager never assigned is unknown.
+			c.UseTable(99)
+			if _, _, _, err := c.Classify(rule.Packet{}); err == nil || !strings.Contains(err.Error(), "unknown table 99") {
+				t.Fatalf("table 99: err = %v, want unknown table 99", err)
+			}
+		})
 	}
 }
 

@@ -8,9 +8,9 @@
 // One handler serves every transport: TCP through Listen, any other
 // net.Conn (internal/iface's shared-memory ring) through ServeConn.
 //
-// The served classifier is an engine.Engine behind the Classifier
-// interface. One goroutine serves each connection and runs its lookups to
-// completion; the classifier lookup itself is read-only and shared, and
+// A server serves the tables of one engine.Tables; a lone engine is served
+// as a one-table manager (New). One goroutine serves each connection and
+// runs its lookups to completion; a lookup is read-only and shared, and
 // updates swap in new snapshots without blocking in-flight lookups.
 package server
 
@@ -24,25 +24,8 @@ import (
 	"time"
 
 	"neurocuts/internal/engine"
-	"neurocuts/internal/rule"
 	"neurocuts/internal/telemetry"
 )
-
-// Classifier is what the server serves: lookups, live updates (OpInsert,
-// OpDelete), compiled artifacts (OpSave, OpLoad) and the online-update
-// state OpStats reports. engine.Engine implements it with RCU snapshot
-// swaps; tests substitute fakes.
-type Classifier interface {
-	Classify(p rule.Packet) (rule.Rule, bool)
-	// ClassifyBatch classifies an OpBatch frame in one call against a
-	// single snapshot.
-	ClassifyBatch(ps []rule.Packet, out []engine.Result)
-	Insert(pos int, r rule.Rule) (engine.UpdateResult, error)
-	Delete(id int) (engine.UpdateResult, error)
-	SaveArtifact(path string) error
-	LoadArtifact(path string) (engine.UpdateResult, error)
-	UpdaterStats() engine.UpdaterStats
-}
 
 // MaxBatch bounds the packet count of one OpBatch frame.
 const MaxBatch = 65536
@@ -56,10 +39,8 @@ const DefaultBatchReadTimeout = 30 * time.Second
 // Server serves classification requests in the framed binary protocol (see
 // frame.go) on accepted TCP connections and on any conn handed to ServeConn.
 type Server struct {
-	classifier Classifier
-	// tables, when non-nil, makes this a multi-table server: frames
-	// addressed to table 0 go to the default table, other frames to the
-	// table their header names.
+	// tables is what the server serves: frames addressed to table 0 go to
+	// the default table, other frames to the table their header names.
 	tables *engine.Tables
 
 	// BatchReadTimeout overrides DefaultBatchReadTimeout when positive; a
@@ -70,8 +51,7 @@ type Server struct {
 	// the wire (OpCreateTable), so wire-created tables inherit the daemon's
 	// engine defaults (binth, training budget, seed, flow cache, compaction)
 	// instead of zero options. Each created engine's TelemetryTable is the
-	// table's own name.
-	// Set it before Listen; multi-table servers only.
+	// table's own name. Set it before Listen.
 	TableCreateOptions engine.Options
 
 	// Telemetry, when non-nil, records per-request handling latency into
@@ -99,32 +79,31 @@ type Server struct {
 	tableOps    atomic.Int64
 }
 
-// New creates a single-table server around the classifier.
-func New(c Classifier) *Server {
-	return &Server{classifier: c}
+// New serves eng as the one table "default" of its own manager
+// (engine.SingleTable). It does not take eng over: the caller closes eng
+// after the server. A table created over the wire joins that manager and
+// lives until it is dropped; nothing else closes it, so a caller whose
+// clients create tables serves its own manager with NewTables and closes
+// it with CloseAll.
+func New(eng *engine.Engine) *Server {
+	return NewTables(engine.SingleTable(eng))
 }
 
-// NewTables creates a multi-table server: frames addressed to table 0 serve
-// the manager's default table, and frames can address — and administer —
+// NewTables creates a server over t: frames addressed to table 0 serve the
+// manager's default table, and frames can address — and administer —
 // every table by ID.
 func NewTables(t *engine.Tables) *Server {
 	return &Server{tables: t}
 }
 
-// tableClassifier resolves the classifier a request addresses. Table 0 is
-// the default table; non-zero IDs exist only on multi-table servers.
-func (s *Server) tableClassifier(id uint32) (Classifier, error) {
-	if s.tables != nil {
-		tab, ok := s.tables.GetByID(id)
-		if !ok {
-			return nil, fmt.Errorf("unknown table %d", id)
-		}
-		return tab.Engine, nil
+// table resolves the engine a request addresses. Table 0 is the default
+// table.
+func (s *Server) table(id uint32) (*engine.Engine, error) {
+	tab, ok := s.tables.GetByID(id)
+	if !ok {
+		return nil, fmt.Errorf("unknown table %d", id)
 	}
-	if id != 0 {
-		return nil, fmt.Errorf("not a multi-table server (table %d unavailable)", id)
-	}
-	return s.classifier, nil
+	return tab.Engine, nil
 }
 
 // batchReadTimeout returns the effective deadline for reading the body of a
@@ -363,8 +342,8 @@ func (s *Server) Stats() Stats {
 // statsLine renders the one-line stats text OpStats answers with. The
 // online-update subsystem's state follows the leading request counters, so
 // clients that parse only those keep working.
-func (s *Server) statsLine(cls Classifier) string {
-	st, u := s.Stats(), cls.UpdaterStats()
+func (s *Server) statsLine(eng *engine.Engine) string {
+	st, u := s.Stats(), eng.UpdaterStats()
 	compacting := 0
 	if u.Compacting {
 		compacting = 1

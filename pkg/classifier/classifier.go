@@ -411,8 +411,8 @@ func (c *Classifier) Stats() Stats {
 // The handler reads live state on every request. After Close, /readyz
 // reports 503 and /metrics keeps serving the final counter values.
 func (c *Classifier) AdminHandler() http.Handler {
-	return admin.New(admin.Options{
-		Engine:    c.eng,
+	// A shared-memory handle has no local engine (nil): no table to list.
+	return admin.New(engine.SingleTable(c.eng), admin.Options{
 		Telemetry: c.tel,
 		Ready: func() error {
 			if c.closed.Load() {
