@@ -249,12 +249,60 @@ func TestShmRingServesDaemonTables(t *testing.T) {
 	}
 }
 
+// TestShmServesTables: a daemon started with -tables and -shm serves every
+// table over the ring: the ring's server lists both, and a client attached
+// to the ring file classifies against the default table as TCP does.
+func TestShmServesTables(t *testing.T) {
+	ringPath := filepath.Join(t.TempDir(), "ring")
+	ringSrv := make(chan *server.Server, 1)
+	onShmServer = func(s *server.Server) { ringSrv <- s }
+	t.Cleanup(func() { onShmServer = nil })
+	addr, sig, errCh, out := startDaemon(t, []string{
+		"-tables", "acl=backend:linear,family:acl1,size:150;fw=backend:linear,family:fw2,size:80",
+		"-listen", "127.0.0.1:0", "-shm", ringPath, "-shm-slots", "256",
+	})
+	cliEnd, srvEnd := net.Pipe()
+	go (<-ringSrv).ServeConn(srvEnd)
+	ring := server.NewClientV2(cliEnd)
+	defer ring.Close()
+	tables, err := ring.ListTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 2 || tables[0].Name != "acl" || !tables[0].Default || tables[1].Name != "fw" {
+		t.Fatalf("tables over the ring = %+v, want acl (default) and fw", tables)
+	}
+
+	shm, err := iface.OpenShmClient(ringPath, iface.ShmClientConfig{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("attach to ring: %v\noutput:\n%s", err, out.String())
+	}
+	defer shm.Close()
+	p := parsePacket(t, "10.0.0.1 192.168.1.1 1234 80 6")
+	id, prio, ok, err := shm.Classify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantID, wantPrio, wantOK, err := dialDaemon(t, addr).Classify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != wantID || prio != wantPrio || ok != wantOK {
+		t.Fatalf("ring answered id=%d prio=%d ok=%v, TCP id=%d prio=%d ok=%v", id, prio, ok, wantID, wantPrio, wantOK)
+	}
+
+	ring.Close()
+	sig <- syscall.SIGTERM
+	if err := <-errCh; err != nil {
+		t.Fatalf("daemon exit: %v\noutput:\n%s", err, out.String())
+	}
+}
+
 // TestIngestFlagValidation pins the flag cross-checks.
 func TestIngestFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-pcap", "a.pcap", "-capture", "eth0"},
 		{"-pcap-out", "out.pcap"},
-		{"-tables", "a=family:acl1,size:100", "-shm", "/tmp/ring"},
 		{"-tables", "a=family:acl1,size:100", "-pcap", "a.pcap"},
 	}
 	for _, args := range cases {

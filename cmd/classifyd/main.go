@@ -56,8 +56,9 @@
 //
 // Serve several independent rule sets — tables — from one daemon. Each
 // table gets its own engine (backend, rules, journal); clients address any
-// table by name, or the first (default) table when they name none. The
-// -pcap, -capture and -shm modes take the single table the flags describe:
+// table by name, or the first (default) table when they name none. -shm
+// serves every table over the ring as over TCP; the -pcap and -capture
+// modes take the single table the flags describe:
 //
 //	classifyd -tables "acl=backend:hicuts,family:acl1,size:1000;fw=backend:cutsplit,family:fw2,size:500"
 //	classifyd -query 127.0.0.1:9099 -list-tables
@@ -123,12 +124,12 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 		artifact  = fs.String("artifact", "", "warm-start: serve this compiled classifier artifact instead of building")
 		journal   = fs.String("journal", "", "durable update journal path (replayed at start; 'auto' co-locates with -artifact)")
 		compactAt = fs.Int("compact-threshold", 0, "pending updates that trigger background compaction (0 = default, <0 disables)")
-		tables    = fs.String("tables", "", "serve multiple named tables: \"name=key:val,...;name2=...\" (keys: backend, family, size, rules, artifact, journal; first table is the default)")
+		tables    = fs.String("tables", "", "serve multiple named tables: \"name=key:val,...;name2=...\" (keys: backend, family, size, rules, artifact, journal, binth, seed; first table is the default)")
 		pcapPath  = fs.String("pcap", "", "replay this pcap capture file through the classifier instead of serving")
 		pcapRate  = fs.Float64("pcap-rate", 0, "replay pacing: 0 = maximum rate, r = r times the recorded speed (1 reproduces the capture's timing)")
 		capture   = fs.String("capture", "", "classify live traffic captured from this network interface via AF_PACKET (linux, CAP_NET_RAW) instead of serving")
 		pcapOut   = fs.String("pcap-out", "", "while replaying or capturing, also write every ingested packet to this pcap fixture")
-		shmPath   = fs.String("shm", "", "additionally serve the wire protocol over a shared-memory ring at this file path (single-table mode)")
+		shmPath   = fs.String("shm", "", "additionally serve the wire protocol over a shared-memory ring at this file path")
 		shmSlots  = fs.Int("shm-slots", 0, "shared-memory ring capacity per direction in 16-byte units, rounded up to a power of two (0 = default 4096: 64 KiB); a larger frame streams through")
 		listen    = fs.String("listen", "127.0.0.1:9099", "address to serve on")
 		adminAddr = fs.String("admin", "", "serve the HTTP admin plane (Prometheus /metrics, /healthz, /readyz, /tables, /debug/slow, /debug/pprof/) on this address")
@@ -183,8 +184,8 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 	var specs []tableSpec
 	if *tables != "" {
-		if ingest || *shmPath != "" {
-			return fmt.Errorf("-pcap, -capture and -shm apply to single-table mode only")
+		if ingest {
+			return fmt.Errorf("-pcap and -capture apply to single-table mode only")
 		}
 		var err error
 		if specs, err = parseTableSpecs(*tables); err != nil {

@@ -18,7 +18,6 @@ package cutsplit
 
 import (
 	"fmt"
-	"sort"
 
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
@@ -80,7 +79,9 @@ func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 			continue
 		}
 		t := tree.NewFromRules(s.Rules(), g, cfg.Binth)
-		if err := buildNode(t, t.Root, dims[i], cfg); err != nil {
+		if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+			return cut(t, n, dims[i], cfg)
+		}); err != nil {
 			return nil, fmt.Errorf("cutsplit: building tree %q: %w", labels[i], err)
 		}
 		c.Trees = append(c.Trees, t)
@@ -127,45 +128,13 @@ func partitionRules(rules []rule.Rule, smallLen uint) ([][]int32, []string, [][]
 	return groups, labels, dims
 }
 
-// buildNode expands a node: FiCuts equal-sized cuts in the subset's small
+// cut expands a node: FiCuts equal-sized cuts in the subset's small
 // dimensions while the node is large, HyperSplit binary splits afterwards.
-func buildNode(t *tree.Tree, n *tree.Node, preCutDims []rule.Dimension, cfg Config) error {
-	if t.IsTerminal(n) {
-		return nil
-	}
-	if cfg.MaxDepth > 0 && n.Depth >= cfg.MaxDepth {
-		return nil
-	}
-	var children []*tree.Node
-	var err error
+func cut(t *tree.Tree, n *tree.Node, preCutDims []rule.Dimension, cfg Config) ([]*tree.Node, error) {
 	if len(preCutDims) > 0 && n.NumRules() > cfg.PreCutThreshold {
-		children, err = fiCut(t, n, preCutDims, cfg)
-	} else {
-		children, err = hyperSplit(t, n)
+		return fiCut(t, n, preCutDims, cfg)
 	}
-	if err != nil {
-		return err
-	}
-	if children == nil {
-		// No useful expansion exists; accept the oversized leaf.
-		return nil
-	}
-	progress := false
-	for _, c := range children {
-		if c.NumRules() < n.NumRules() {
-			progress = true
-			break
-		}
-	}
-	for _, c := range children {
-		if !progress && c.NumRules() == n.NumRules() {
-			continue
-		}
-		if err := buildNode(t, c, preCutDims, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return hyperSplit(t, n)
 }
 
 // fiCut performs one fixed equal-sized cut step across the subset's small
@@ -211,7 +180,7 @@ func hyperSplit(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
 		if n.Box[d].Size() < 2 {
 			continue
 		}
-		points := endpointCandidates(t, n, d)
+		points := t.Boundaries(n, d)
 		if len(points) == 0 {
 			continue
 		}
@@ -230,29 +199,4 @@ func hyperSplit(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
 		return nil, fmt.Errorf("cutsplit: HyperSplit at depth %d: %w", n.Depth, err)
 	}
 	return children, nil
-}
-
-// endpointCandidates returns the sorted split-point candidates for dim: the
-// clipped rule-range boundaries strictly inside the node's box.
-func endpointCandidates(t *tree.Tree, n *tree.Node, dim rule.Dimension) []uint64 {
-	box := n.Box[dim]
-	set := map[uint64]struct{}{}
-	for _, ri := range n.Rules {
-		rr, ok := t.Rules[ri].Ranges[dim].Intersect(box)
-		if !ok {
-			continue
-		}
-		if rr.Lo > box.Lo {
-			set[rr.Lo] = struct{}{}
-		}
-		if rr.Hi < box.Hi {
-			set[rr.Hi+1] = struct{}{}
-		}
-	}
-	out := make([]uint64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -85,7 +85,9 @@ func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 	c := &Classifier{}
 	for i, g := range groups {
 		t := tree.NewFromRules(s.Rules(), g, cfg.Binth)
-		if err := buildNode(t, t.Root, cfg); err != nil {
+		if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+			return cut(t, n, cfg)
+		}); err != nil {
 			return nil, fmt.Errorf("efficuts: building tree %q: %w", labels[i], err)
 		}
 		c.Trees = append(c.Trees, t)
@@ -216,51 +218,27 @@ func unionPattern(a, b Pattern) Pattern {
 	return out
 }
 
-// buildNode recursively expands a single category tree.
-func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
-	if t.IsTerminal(n) {
-		return nil
-	}
-	if cfg.MaxDepth > 0 && n.Depth >= cfg.MaxDepth {
-		return nil
-	}
+// cut expands a node of a category tree along the dimension
+// chooseDimension picks: an equi-dense cut, or an equal one when equi-dense
+// cuts are disabled or find no boundary. nil when no dimension can be cut.
+func cut(t *tree.Tree, n *tree.Node, cfg Config) ([]*tree.Node, error) {
 	dim, ok := chooseDimension(t, n)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	var children []*tree.Node
 	var err error
-	if cfg.EquiDense {
-		points := equiDensePoints(t, n, dim, cfg.MaxCuts)
-		if len(points) == 0 {
-			// Cannot place a meaningful boundary: fall back to an equal cut.
-			children, err = t.Cut(n, dim, 2)
-		} else {
-			children, err = t.CutAtPoints(n, dim, points)
-		}
+	if !cfg.EquiDense {
+		children, err = t.Cut(n, dim, equalCutCount(n, cfg))
+	} else if points := equiDensePoints(t, n, dim, cfg.MaxCuts); len(points) > 0 {
+		children, err = t.CutAtPoints(n, dim, points)
 	} else {
-		k := equalCutCount(n, cfg)
-		children, err = t.Cut(n, dim, k)
+		children, err = t.Cut(n, dim, 2)
 	}
 	if err != nil {
-		return fmt.Errorf("cut at depth %d: %w", n.Depth, err)
+		return nil, fmt.Errorf("cut at depth %d: %w", n.Depth, err)
 	}
-	progress := false
-	for _, c := range children {
-		if c.NumRules() < n.NumRules() {
-			progress = true
-			break
-		}
-	}
-	for _, c := range children {
-		if !progress && c.NumRules() == n.NumRules() {
-			continue
-		}
-		if err := buildNode(t, c, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return children, nil
 }
 
 // chooseDimension picks the cuttable dimension with the most distinct
@@ -285,31 +263,7 @@ func chooseDimension(t *tree.Tree, n *tree.Node) (rule.Dimension, bool) {
 // placed at rule-range endpoints so that each child receives a roughly equal
 // share of the node's rules.
 func equiDensePoints(t *tree.Tree, n *tree.Node, dim rule.Dimension, maxCuts int) []uint64 {
-	box := n.Box[dim]
-	// Candidate boundaries: the starts of rule ranges (clipped), plus the
-	// positions just after range ends, excluding the box's own start.
-	candSet := map[uint64]struct{}{}
-	for _, ri := range n.Rules {
-		rr, ok := t.Rules[ri].Ranges[dim].Intersect(box)
-		if !ok {
-			continue
-		}
-		if rr.Lo > box.Lo {
-			candSet[rr.Lo] = struct{}{}
-		}
-		if rr.Hi < box.Hi {
-			candSet[rr.Hi+1] = struct{}{}
-		}
-	}
-	if len(candSet) == 0 {
-		return nil
-	}
-	cands := make([]uint64, 0, len(candSet))
-	for v := range candSet {
-		cands = append(cands, v)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-
+	cands := t.Boundaries(n, dim)
 	want := maxCuts - 1
 	if want < 1 {
 		want = 1
@@ -320,11 +274,7 @@ func equiDensePoints(t *tree.Tree, n *tree.Node, dim rule.Dimension, maxCuts int
 	// Thin the candidate list evenly so the fan-out stays within maxCuts.
 	out := make([]uint64, 0, want)
 	for i := 1; i <= want; i++ {
-		idx := i * len(cands) / (want + 1)
-		if idx >= len(cands) {
-			idx = len(cands) - 1
-		}
-		v := cands[idx]
+		v := cands[i*len(cands)/(want+1)] // i <= want: always in range
 		if len(out) == 0 || v > out[len(out)-1] {
 			out = append(out, v)
 		}

@@ -54,51 +54,26 @@ func Build(s *rule.Set, cfg Config) (*tree.Tree, error) {
 		cfg.MaxCuts = 64
 	}
 	t := tree.New(s, cfg.Binth)
-	if err := buildNode(t, t.Root, cfg); err != nil {
+	if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+		return cut(t, n, cfg)
+	}); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
-	if t.IsTerminal(n) {
-		return nil
-	}
-	if cfg.MaxDepth > 0 && n.Depth >= cfg.MaxDepth {
-		// Accept an oversized leaf rather than recursing forever on a node
-		// whose rules cannot be separated (e.g. identical boxes).
-		return nil
-	}
+// cut expands n along the dimension chooseDimension picks, into the
+// fan-out chooseCutCount grows; nil when no dimension can be cut.
+func cut(t *tree.Tree, n *tree.Node, cfg Config) ([]*tree.Node, error) {
 	dim, ok := chooseDimension(t, n)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	k := chooseCutCount(t, n, dim, cfg)
-	if k < 2 {
-		return nil
-	}
-	children, err := t.Cut(n, dim, k)
+	children, err := t.Cut(n, dim, chooseCutCount(t, n, dim, cfg))
 	if err != nil {
-		return fmt.Errorf("hicuts: cutting node at depth %d: %w", n.Depth, err)
+		return nil, fmt.Errorf("hicuts: cutting node at depth %d: %w", n.Depth, err)
 	}
-	progress := false
-	for _, c := range children {
-		if c.NumRules() < n.NumRules() {
-			progress = true
-			break
-		}
-	}
-	for _, c := range children {
-		if !progress && c.NumRules() == n.NumRules() {
-			// No child got smaller: further cuts in this subtree cannot make
-			// progress either, so accept the oversized leaves.
-			continue
-		}
-		if err := buildNode(t, c, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return children, nil
 }
 
 // chooseDimension returns the dimension with the most distinct rule ranges

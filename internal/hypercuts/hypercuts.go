@@ -12,8 +12,10 @@
 package hypercuts
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
@@ -58,50 +60,31 @@ func Build(s *rule.Set, cfg Config) (*tree.Tree, error) {
 		cfg.MaxCutsPerDim = 16
 	}
 	t := tree.New(s, cfg.Binth)
-	if err := buildNode(t, t.Root, cfg); err != nil {
+	if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+		return cut(t, n, cfg)
+	}); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-func buildNode(t *tree.Tree, n *tree.Node, cfg Config) error {
-	if t.IsTerminal(n) {
-		return nil
-	}
-	if cfg.MaxDepth > 0 && n.Depth >= cfg.MaxDepth {
-		return nil
-	}
+// cut compacts n's region (when enabled), then cuts it along the
+// dimensions chooseDimensions picks with the fan-outs chooseCounts grows;
+// nil when no dimension separates the node's rules.
+func cut(t *tree.Tree, n *tree.Node, cfg Config) ([]*tree.Node, error) {
 	if cfg.RegionCompaction {
 		compactRegion(t, n)
 	}
 	candidates := chooseDimensions(t, n)
 	if len(candidates) == 0 {
-		return nil
+		return nil, nil
 	}
 	dims, counts := chooseCounts(n, candidates, cfg)
-	if len(dims) == 0 {
-		return nil
-	}
 	children, err := t.CutMulti(n, dims, counts)
 	if err != nil {
-		return fmt.Errorf("hypercuts: cutting node at depth %d: %w", n.Depth, err)
+		return nil, fmt.Errorf("hypercuts: cutting node at depth %d: %w", n.Depth, err)
 	}
-	progress := false
-	for _, c := range children {
-		if c.NumRules() < n.NumRules() {
-			progress = true
-			break
-		}
-	}
-	for _, c := range children {
-		if !progress && c.NumRules() == n.NumRules() {
-			continue
-		}
-		if err := buildNode(t, c, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return children, nil
 }
 
 // compactRegion shrinks the node's box in every dimension to the smallest
@@ -135,8 +118,10 @@ func compactRegion(t *tree.Tree, n *tree.Node) {
 }
 
 // chooseDimensions selects every cuttable dimension whose distinct-range
-// count is at least the mean across cuttable dimensions, capped at three
-// dimensions (larger products explode the fan-out without helping).
+// count is at least the mean across cuttable dimensions, capped at the three
+// highest counts, the earlier dimension winning a tie (larger products
+// explode the fan-out without helping). The highest count is never below
+// the mean, so some dimension is chosen whenever one has two ranges.
 func chooseDimensions(t *tree.Tree, n *tree.Node) []rule.Dimension {
 	type dimCount struct {
 		d rule.Dimension
@@ -159,43 +144,14 @@ func chooseDimensions(t *tree.Tree, n *tree.Node) []rule.Dimension {
 		return nil
 	}
 	mean := float64(sum) / float64(len(candidates))
+	chosen := slices.DeleteFunc(candidates, func(dc dimCount) bool { return float64(dc.c) < mean })
+	if len(chosen) > 3 {
+		slices.SortStableFunc(chosen, func(a, b dimCount) int { return cmp.Compare(b.c, a.c) })
+		chosen = chosen[:3]
+	}
 	var out []rule.Dimension
-	for _, dc := range candidates {
-		if float64(dc.c) >= mean {
-			out = append(out, dc.d)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, candidates[0].d)
-	}
-	if len(out) > 3 {
-		// Keep the three highest-count dimensions.
-		best := out
-		// Simple selection by repeatedly taking the max.
-		selected := make([]rule.Dimension, 0, 3)
-		used := map[rule.Dimension]bool{}
-		for len(selected) < 3 {
-			bestDim := best[0]
-			bestC := -1
-			for _, dc := range candidates {
-				if used[dc.d] {
-					continue
-				}
-				inOut := false
-				for _, d := range best {
-					if d == dc.d {
-						inOut = true
-						break
-					}
-				}
-				if inOut && dc.c > bestC {
-					bestDim, bestC = dc.d, dc.c
-				}
-			}
-			used[bestDim] = true
-			selected = append(selected, bestDim)
-		}
-		out = selected
+	for _, dc := range chosen {
+		out = append(out, dc.d)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"neurocuts/internal/rule"
@@ -100,6 +101,28 @@ func (t *Tree) CutAtPoints(n *Node, dim rule.Dimension, points []uint64) ([]*Nod
 	n.CutCounts = []int{len(pieces)}
 	n.CustomCut = true
 	return n.Children, nil
+}
+
+// Boundaries returns the distinct boundaries, ascending, that n's rules
+// offer CutAtPoints in dim: each rule range's low end and the value just
+// past its high end, clipped to the node's box, that lie strictly inside it.
+func (t *Tree) Boundaries(n *Node, dim rule.Dimension) []uint64 {
+	box := n.Box[dim]
+	out := make([]uint64, 0, 2*len(n.Rules))
+	for _, ri := range n.Rules {
+		rr, ok := t.Rules[ri].Ranges[dim].Intersect(box)
+		if !ok {
+			continue
+		}
+		if rr.Lo > box.Lo {
+			out = append(out, rr.Lo)
+		}
+		if rr.Hi < box.Hi {
+			out = append(out, rr.Hi+1)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Partition splits node n's rules into the given disjoint groups — each a

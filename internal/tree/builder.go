@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 
 	"neurocuts/internal/rule"
 )
@@ -9,8 +10,8 @@ import (
 // Builder drives the incremental, depth-first construction of a decision
 // tree one node at a time. This is the interface the NeuroCuts environment
 // uses: GrowTreeDFS in Algorithm 1 maps to Current / Apply* / advance here.
-// The baselines use it too, which keeps every algorithm on the same code
-// path for node expansion and termination.
+// Grow runs the hand-tuned heuristics on the same stack, so every algorithm
+// expands nodes in the same order.
 type Builder struct {
 	tree *Tree
 	// stack holds nodes awaiting processing in DFS order (top = next).
@@ -22,11 +23,48 @@ type Builder struct {
 // NewBuilder creates a builder over a fresh tree for the classifier.
 func NewBuilder(s *rule.Set, binth int) *Builder {
 	t := New(s, binth)
+	return builderAt(t, t.Root)
+}
+
+// builderAt creates a builder that expands n's subtree of t.
+func builderAt(t *Tree, n *Node) *Builder {
 	b := &Builder{tree: t}
-	if !t.IsTerminal(t.Root) {
-		b.stack = append(b.stack, t.Root)
+	if !t.IsTerminal(n) {
+		b.stack = append(b.stack, n)
 	}
 	return b
+}
+
+// Grow expands n and its descendants depth-first, in the order a Builder
+// takes them, asking cut for the children of every node that needs
+// expanding. Grow owns the termination rules every heuristic shares:
+//   - a node within the leaf threshold stays a leaf;
+//   - a node at maxDepth or deeper stays a leaf (when maxDepth > 0), and cut
+//     is not called for it;
+//   - nil children from cut accept the node as an oversized leaf;
+//   - when no child holds fewer rules than the node, the node keeps its
+//     children but none of them is expanded: cuts below cannot make
+//     progress either.
+//
+// A cut error stops the build and is returned as is.
+func Grow(t *Tree, n *Node, maxDepth int, cut func(*Node) ([]*Node, error)) error {
+	b := builderAt(t, n)
+	for cur := b.Current(); cur != nil; cur = b.Current() {
+		if maxDepth > 0 && cur.Depth >= maxDepth {
+			b.Skip()
+			continue
+		}
+		children, err := cut(cur)
+		if err != nil {
+			return err
+		}
+		if !slices.ContainsFunc(children, func(c *Node) bool { return c.NumRules() < cur.NumRules() }) {
+			b.Skip()
+			continue
+		}
+		b.advance(children)
+	}
+	return nil
 }
 
 // Tree returns the tree under construction.
@@ -53,40 +91,27 @@ func (b *Builder) Pending() int { return len(b.stack) }
 // ApplyCut expands the current node with a single-dimension cut and advances
 // to the next non-terminal leaf.
 func (b *Builder) ApplyCut(dim rule.Dimension, k int) error {
-	n := b.Current()
-	if n == nil {
-		return fmt.Errorf("tree: builder is done")
-	}
-	children, err := b.tree.Cut(n, dim, k)
-	if err != nil {
-		return err
-	}
-	b.advance(children)
-	return nil
+	return b.apply(func(n *Node) ([]*Node, error) { return b.tree.Cut(n, dim, k) })
 }
 
 // ApplyPartition expands the current node with an explicit rule partition.
 func (b *Builder) ApplyPartition(groups [][]int32, labels []string) error {
-	n := b.Current()
-	if n == nil {
-		return fmt.Errorf("tree: builder is done")
-	}
-	children, err := b.tree.Partition(n, groups, labels)
-	if err != nil {
-		return err
-	}
-	b.advance(children)
-	return nil
+	return b.apply(func(n *Node) ([]*Node, error) { return b.tree.Partition(n, groups, labels) })
 }
 
 // ApplyPartitionByCoverage expands the current node with the simple
 // coverage-threshold partition.
 func (b *Builder) ApplyPartitionByCoverage(dim rule.Dimension, threshold float64) error {
+	return b.apply(func(n *Node) ([]*Node, error) { return b.tree.PartitionByCoverage(n, dim, threshold) })
+}
+
+// apply expands the current node with expand and advances past it.
+func (b *Builder) apply(expand func(*Node) ([]*Node, error)) error {
 	n := b.Current()
 	if n == nil {
 		return fmt.Errorf("tree: builder is done")
 	}
-	children, err := b.tree.PartitionByCoverage(n, dim, threshold)
+	children, err := expand(n)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"neurocuts/internal/classbench"
@@ -243,6 +245,172 @@ func TestBuilderTerminalRoot(t *testing.T) {
 	}
 	if err := b.ApplyPartitionByCoverage(rule.DimSrcIP, 0.5); err == nil {
 		t.Error("coverage partition on done builder should fail")
+	}
+}
+
+// TestGrow pins the one loop every heuristic grows its tree with: the
+// Builder's pre-order, and each termination rule Grow owns.
+func TestGrow(t *testing.T) {
+	set := rule.NewSet(fig2Rules())
+	// fig2Cut is TestBuilderDFSOrder's schedule: four SrcPort pieces at the
+	// root, DstPort halves below.
+	fig2Cut := func(tr *Tree, n *Node) ([]*Node, error) {
+		if n.Depth == 0 {
+			return tr.Cut(n, rule.DimSrcPort, 4)
+		}
+		return tr.Cut(n, rule.DimDstPort, 2)
+	}
+
+	t.Run("builder order", func(t *testing.T) {
+		b := NewBuilder(set, 2)
+		var want []*Node
+		for n := b.Current(); n != nil; n = b.Current() {
+			want = append(want, n)
+			var err error
+			if n.Depth == 0 {
+				err = b.ApplyCut(rule.DimSrcPort, 4)
+			} else {
+				err = b.ApplyCut(rule.DimDstPort, 2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr := New(set, 2)
+		var got []*Node
+		err := Grow(tr, tr.Root, 0, func(n *Node) ([]*Node, error) {
+			got = append(got, n)
+			return fig2Cut(tr, n)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.IsComplete() || tr.NodeCount() != b.Tree().NodeCount() {
+			t.Fatalf("Grow built %d nodes (complete %v), the Builder %d", tr.NodeCount(), tr.IsComplete(), b.Tree().NodeCount())
+		}
+		// The two trees are built alike, so the k-th expansion must be the
+		// same node of each: compare their places in pre-order, which must
+		// ascend.
+		index := func(tr *Tree) map[*Node]int {
+			m := map[*Node]int{}
+			tr.Walk(func(n *Node) bool { m[n] = len(m); return true })
+			return m
+		}
+		gi, wi := index(tr), index(b.Tree())
+		if len(got) != len(want) || len(got) < 3 {
+			t.Fatalf("Grow expanded %d nodes, the Builder %d", len(got), len(want))
+		}
+		for i := range got {
+			if i > 0 && gi[got[i]] <= gi[got[i-1]] {
+				t.Fatalf("expansion %d is pre-order node %d, after node %d", i, gi[got[i]], gi[got[i-1]])
+			}
+			if gi[got[i]] != wi[want[i]] {
+				t.Fatalf("expansion %d: Grow took pre-order node %d, the Builder %d", i, gi[got[i]], wi[want[i]])
+			}
+		}
+	})
+
+	t.Run("no child smaller", func(t *testing.T) {
+		// Three rules wide in SrcPort, disjoint in DstPort: a SrcPort cut
+		// hands every child all three.
+		var rules []rule.Rule
+		for i := range 3 {
+			r := rule.NewWildcardRule(i)
+			r.Ranges[rule.DimDstPort] = rule.Range{Lo: uint64(i) * 100, Hi: uint64(i)*100 + 9}
+			rules = append(rules, r)
+		}
+		tr := New(rule.NewSet(rules), 1)
+		calls := 0
+		err := Grow(tr, tr.Root, 0, func(n *Node) ([]*Node, error) {
+			calls++
+			return tr.Cut(n, rule.DimSrcPort, 2)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || len(tr.Root.Children) != 2 {
+			t.Fatalf("cut called %d times, root has %d children; want 1 call and the root keeping both", calls, len(tr.Root.Children))
+		}
+		for _, c := range tr.Root.Children {
+			if c.NumRules() != 3 || !c.IsLeaf() {
+				t.Fatalf("child holds %d rules, leaf %v: want all 3, unexpanded", c.NumRules(), c.IsLeaf())
+			}
+		}
+	})
+
+	t.Run("max depth", func(t *testing.T) {
+		for _, maxDepth := range []int{1, 2} {
+			tr := New(set, 1)
+			err := Grow(tr, tr.Root, maxDepth, func(n *Node) ([]*Node, error) {
+				if n.Depth >= maxDepth {
+					t.Fatalf("cut called at depth %d, max %d", n.Depth, maxDepth)
+				}
+				return fig2Cut(tr, n)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.MaxDepth() != maxDepth || tr.IsComplete() {
+				t.Fatalf("max depth %d: tree depth %d, complete %v; want depth %d, unfinished leaves", maxDepth, tr.MaxDepth(), tr.IsComplete(), maxDepth)
+			}
+		}
+	})
+
+	t.Run("nil children", func(t *testing.T) {
+		tr := New(set, 2)
+		calls := 0
+		err := Grow(tr, tr.Root, 0, func(*Node) ([]*Node, error) { calls++; return nil, nil })
+		if err != nil || calls != 1 || !tr.Root.IsLeaf() || tr.IsComplete() {
+			t.Fatalf("err %v, %d calls, root leaf %v: want the root accepted as an oversized leaf after one call", err, calls, tr.Root.IsLeaf())
+		}
+	})
+
+	t.Run("cut error", func(t *testing.T) {
+		tr := New(set, 2)
+		boom := errors.New("boom")
+		calls := 0
+		err := Grow(tr, tr.Root, 0, func(n *Node) ([]*Node, error) {
+			if calls++; calls == 3 {
+				return nil, boom
+			}
+			return fig2Cut(tr, n)
+		})
+		if !errors.Is(err, boom) || calls != 3 {
+			t.Fatalf("err %v after %d calls, want boom after 3", err, calls)
+		}
+	})
+
+	t.Run("terminal start", func(t *testing.T) {
+		tr := New(set, 6)
+		err := Grow(tr, tr.Root, 0, func(*Node) ([]*Node, error) {
+			t.Fatal("cut called on a node within the leaf threshold")
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestBoundaries pins the split points a node's rules offer: clipped range
+// ends strictly inside the box, distinct and ascending.
+func TestBoundaries(t *testing.T) {
+	tr := New(rule.NewSet(fig2Rules()), 2)
+	const x = 4096 // one Figure 2 unit
+	if got, want := tr.Boundaries(tr.Root, rule.DimSrcPort), []uint64{4 * x, 8 * x, 12 * x}; !slices.Equal(got, want) {
+		t.Fatalf("root SrcPort boundaries = %v, want %v", got, want)
+	}
+	children, err := tr.Cut(tr.Root, rule.DimSrcPort, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The left half [0, 8x) keeps R0, R1, R3 and R4: R0's low end and R3's
+	// end are inside it; R0's end at 8x is the box's own end.
+	if got, want := tr.Boundaries(children[0], rule.DimSrcPort), []uint64{4 * x}; !slices.Equal(got, want) {
+		t.Fatalf("left half SrcPort boundaries = %v, want %v", got, want)
+	}
+	if got := tr.Boundaries(&Node{Box: tr.Root.Box}, rule.DimSrcPort); len(got) != 0 {
+		t.Fatalf("a node without rules offers boundaries %v", got)
 	}
 }
 
