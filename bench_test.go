@@ -33,9 +33,9 @@ import (
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/hypercuts"
 	"neurocuts/internal/iface"
+	"neurocuts/internal/nn"
 	"neurocuts/internal/packet"
 	"neurocuts/internal/rule"
-	"neurocuts/internal/tcam"
 	"neurocuts/internal/telemetry"
 	"neurocuts/internal/tree"
 	"neurocuts/internal/tss"
@@ -148,7 +148,7 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkApproachAblation runs the decision-tree vs TSS vs TCAM ablation.
+// BenchmarkApproachAblation runs the decision-tree vs TSS ablation.
 func BenchmarkApproachAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := bench.ApproachAblation(benchScenarios(), benchOptions())
@@ -239,17 +239,6 @@ func BenchmarkTSSBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkTCAMBuild(b *testing.B) {
-	set := benchSet(b, "acl1", 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tcam.Build(set, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLookupTSS(b *testing.B) {
 	set := benchSet(b, "acl1", 1000)
 	trace := classbench.GenerateTrace(set, 4096, 2)
@@ -278,11 +267,11 @@ func BenchmarkEnvRollout(b *testing.B) {
 			if err := e.Step(dim, rng.Intn(env.NumCutActions), env.Experience{}); err != nil {
 				b.Fatal(err)
 			}
+			steps++
 		}
 		if _, _, err := e.FinishRollout(); err != nil {
 			b.Fatal(err)
 		}
-		steps += e.Steps()
 	}
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 }
@@ -546,11 +535,8 @@ func BenchmarkEngineParallel(b *testing.B) {
 func BenchmarkPolicyInference(b *testing.B) {
 	set := benchSet(b, "acl1", 200)
 	cfg := core.DefaultConfig()
-	cfg.Workers = 1
-	trainer := core.NewTrainer(set, cfg)
-	e := env.New(set, env.Config{})
-	obs := e.Observation(e.Current())
-	policy := trainer.Policy()
+	policy := nn.NewActorCritic(env.ObsSize, rule.NumDims, env.NumActions, cfg.HiddenLayers, rand.New(rand.NewSource(cfg.Seed)))
+	obs, _ := env.New(set, env.Config{}).Observe()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -820,7 +806,7 @@ func BenchmarkGatePcapReplay(b *testing.B) {
 // the other reads that drift as overhead (-26% to +2% over eight runs).
 func BenchmarkGateTelemetryOverhead(b *testing.B) {
 	const batches, batch, rounds = 96, 512, 9
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	tel.SetSlowThreshold(0)
 	set, off := gateEngine(b, "acl1", 10_000, engine.Options{})
 	_, armed := gateEngine(b, "acl1", 10_000, engine.Options{Telemetry: tel})

@@ -166,7 +166,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	// for it. One shared instance serves every layer of the process.
 	var tel *telemetry.Telemetry
 	if *adminAddr != "" || *slowThr >= 0 {
-		tel = telemetry.New(telemetry.Config{})
+		tel = telemetry.New()
 		tel.SetSlowThreshold(slowThr.Nanoseconds())
 	}
 

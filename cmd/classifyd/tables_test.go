@@ -25,7 +25,7 @@ import (
 // and a field that stops reaching the options (or a new field nobody wired)
 // fails.
 func TestTableDefaultsOptions(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	d := tableDefaults{binth: 8, timesteps: 700, seed: 9, flowCache: 512, compactAt: 33, tel: tel}
 	want := engine.Options{Binth: 8, Timesteps: 700, Seed: 9, FlowCacheEntries: 512, CompactThreshold: 33, Telemetry: tel}
 	if got := d.options(); got != want {
@@ -296,9 +296,9 @@ func TestTablesFlowCache(t *testing.T) {
 	}
 }
 
-// TestRetiredBackendsRejected: TSS and TCAM are ablation baselines only.
-// Naming either as a serving backend — to the daemon or to the SDK — fails
-// with the unknown-backend error, which lists exactly the six served
+// TestRetiredBackendsRejected: tss is an ablation baseline, not a serving
+// backend, and tcam names none. Naming either to the daemon or to the SDK
+// fails with the unknown-backend error, which lists exactly the six served
 // backends.
 func TestRetiredBackendsRejected(t *testing.T) {
 	const have = "(have: cutsplit, efficuts, hicuts, hypercuts, linear, neurocuts)"

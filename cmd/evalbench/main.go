@@ -158,7 +158,7 @@ func main() {
 		})
 	}
 	if all || want == "ablation" {
-		run("Approach ablation (trees vs TSS vs TCAM)", func() error {
+		run("Approach ablation (trees vs TSS)", func() error {
 			res, err := bench.ApproachAblation(scenarios, opts)
 			if err != nil {
 				return err

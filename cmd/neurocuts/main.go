@@ -68,7 +68,7 @@ func main() {
 	cfg.Binth = *binth
 	cfg.MaxTimesteps = *timesteps
 	cfg.BatchTimesteps = *batch
-	cfg.MaxTimestepsPerRollout = *rollout
+	cfg.MaxStepsPerRollout = *rollout
 	cfg.MaxDepth = *maxDepth
 	cfg.Workers = *workers
 	cfg.Seed = *seed

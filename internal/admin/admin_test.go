@@ -342,7 +342,7 @@ func TestAdminListenShutdown(t *testing.T) {
 // matching the real traffic) and /debug/slow dumps the flight recorder.
 func TestAdminTelemetryExposition(t *testing.T) {
 	set := adminTestSet(t, 200)
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	tel.SetSlowThreshold(0) // capture everything
 	eng, err := engine.NewEngine("linear", set, engine.Options{
 		Telemetry: tel,

@@ -10,18 +10,16 @@ import (
 	"neurocuts/internal/engine"
 	"neurocuts/internal/env"
 	"neurocuts/internal/rule"
-	"neurocuts/internal/tcam"
 	"neurocuts/internal/tss"
 )
 
 // This file holds the ablation studies that go beyond the paper's figures:
 //
-//   - ApproachAblation places the decision-tree algorithms next to the two
-//     alternative classification approaches the paper's introduction and
-//     related-work sections discuss — Tuple Space Search (hash tables, O(1)
-//     updates, lookup cost grows with the number of tuples) and TCAM
-//     (constant time, entry expansion and power cost) — on the same
-//     classifiers, quantifying the trade-offs that motivate decision trees.
+//   - ApproachAblation places the decision-tree algorithms next to Tuple
+//     Space Search, the hash-table approach the paper's related-work section
+//     discusses (O(1) updates, lookup cost grows with the number of tuples),
+//     on the same classifiers, quantifying the trade-offs that motivate
+//     decision trees.
 //   - TrafficAblation compares worst-case-trained NeuroCuts against
 //     traffic-aware NeuroCuts (the average-time objective from the paper's
 //     conclusion) on skewed traces.
@@ -29,7 +27,7 @@ import (
 // ApproachRow is one classifier's comparison across approaches.
 type ApproachRow struct {
 	Scenario Scenario
-	// Entries per approach (tree nodes / TSS entries / TCAM entries).
+	// Entries per approach (tree nodes / TSS entries).
 	Results []ApproachResult
 }
 
@@ -37,13 +35,13 @@ type ApproachRow struct {
 type ApproachResult struct {
 	Approach string
 	// LookupCost is the approach's sequential lookup cost: node visits for
-	// trees, tuple probes for TSS, 1 for TCAM.
+	// trees, tuple probes for TSS.
 	LookupCost int
 	// MemoryBytes is the modelled memory footprint (tree bytes, TSS table
-	// bytes, TCAM entry bits / 8).
+	// bytes).
 	MemoryBytes int
-	// Entries is the number of stored elements (tree rule refs, TSS/TCAM
-	// entries after expansion).
+	// Entries is the number of stored elements (tree rule refs, TSS
+	// entries).
 	Entries int
 }
 
@@ -53,10 +51,9 @@ type ApproachAblationResult struct {
 }
 
 // ApproachAblation builds the four tree baselines through the engine
-// registry, and Tuple Space Search and TCAM directly from their packages,
-// over every scenario and reads their modelled costs. Wall clock is
-// deliberately absent: a software TCAM's measures nothing, and the trees'
-// belong to the repository benchmark (benchmarks/e2e).
+// registry, and Tuple Space Search directly from its package, over every
+// scenario and reads their modelled costs. Wall clock is deliberately
+// absent: the trees' belongs to the repository benchmark (benchmarks/e2e).
 func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResult, error) {
 	opts = opts.withDefaults()
 	var out ApproachAblationResult
@@ -82,14 +79,9 @@ func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResul
 		if err != nil {
 			return out, fmt.Errorf("%s: TSS: %w", sc.Name(), err)
 		}
-		tc, err := tcam.Build(set, 0)
-		if err != nil {
-			return out, fmt.Errorf("%s: TCAM: %w", sc.Name(), err)
-		}
-		tm, cm := ts.Metrics(), tc.Metrics()
+		tm := ts.Metrics()
 		row.Results = append(row.Results,
-			ApproachResult{Approach: "TSS", LookupCost: tm.Tuples, MemoryBytes: tm.MemoryBytes, Entries: tm.Entries},
-			ApproachResult{Approach: "TCAM", LookupCost: cm.LookupTime, MemoryBytes: cm.Bits / 8, Entries: cm.Entries})
+			ApproachResult{Approach: "TSS", LookupCost: tm.Tuples, MemoryBytes: tm.MemoryBytes, Entries: tm.Entries})
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
@@ -97,7 +89,7 @@ func ApproachAblation(scenarios []Scenario, opts Options) (ApproachAblationResul
 
 // Write renders the ablation as a text table.
 func (a ApproachAblationResult) Write(w io.Writer) {
-	fmt.Fprintln(w, "Ablation: decision trees vs Tuple Space Search vs TCAM")
+	fmt.Fprintln(w, "Ablation: decision trees vs Tuple Space Search")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "classifier\tapproach\tlookup cost\tmemory bytes\tentries")
 	for _, row := range a.Rows {

@@ -132,8 +132,6 @@ func (r Row) Get(name string) (AlgorithmResult, bool) {
 
 // Algorithm display names used across the harness.
 const (
-	NameHiCuts         = "HiCuts"
-	NameHyperCuts      = "HyperCuts"
 	NameEffiCuts       = "EffiCuts"
 	NameCutSplit       = "CutSplit"
 	NameNeuroCuts      = "NeuroCuts"
@@ -174,7 +172,7 @@ func neuroCutsConfig(o Options, c float64, scale env.RewardScale, part env.Parti
 	// large that it slows down the initial phase of training"). Untruncated
 	// rollouts from the random initial policy would otherwise swallow the
 	// whole batch budget.
-	cfg.MaxTimestepsPerRollout = clampInt(2*o.Size, 500, 15000)
+	cfg.MaxStepsPerRollout = clampInt(2*o.Size, 500, 15000)
 	cfg.Workers = o.Workers
 	cfg.Seed = seed
 	return cfg

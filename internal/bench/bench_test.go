@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"neurocuts/internal/engine"
 )
 
 // microOptions keeps harness tests fast: tiny classifiers and tiny training
@@ -89,8 +91,8 @@ func TestRunBaselines(t *testing.T) {
 			t.Errorf("%s: degenerate result %+v", r.Algorithm, r)
 		}
 	}
-	for _, want := range []string{NameHiCuts, NameHyperCuts, NameEffiCuts, NameCutSplit} {
-		if !names[want] {
+	for _, name := range baselineBackends {
+		if want := engine.DisplayName(name); !names[want] {
 			t.Errorf("missing %s", want)
 		}
 	}

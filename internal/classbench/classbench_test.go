@@ -49,11 +49,13 @@ func TestGenerateBasicProperties(t *testing.T) {
 		if s.Len() < 150 || s.Len() > 200 {
 			t.Errorf("%s: generated %d rules, want close to 200", f.Name, s.Len())
 		}
-		if !s.HasDefaultRule() {
+		if !hasDefaultRule(s) {
 			t.Errorf("%s: missing default rule", f.Name)
 		}
-		if err := s.Validate(); err != nil {
-			t.Errorf("%s: invalid rules: %v", f.Name, err)
+		for i, r := range s.Rules() {
+			if err := r.Validate(); err != nil {
+				t.Errorf("%s: invalid rule %d: %v", f.Name, i, err)
+			}
 		}
 	}
 }
@@ -88,26 +90,58 @@ func TestFamilySignatures(t *testing.T) {
 	// firewall seeds must have far more source-IP wildcards than ACL seeds.
 	acl, _ := FamilyByName("acl1")
 	fw, _ := FamilyByName("fw1")
-	aclStats := Generate(acl, 1000, 3).ComputeStats()
-	fwStats := Generate(fw, 1000, 3).ComputeStats()
+	aclSet, fwSet := Generate(acl, 1000, 3), Generate(fw, 1000, 3)
+	aclSrc, aclAll := wildcards(aclSet)
+	fwSrc, fwAll := wildcards(fwSet)
 
-	if fwStats.WildcardFraction[rule.DimSrcIP] <= aclStats.WildcardFraction[rule.DimSrcIP] {
-		t.Errorf("fw src wildcard fraction (%v) should exceed acl (%v)",
-			fwStats.WildcardFraction[rule.DimSrcIP], aclStats.WildcardFraction[rule.DimSrcIP])
+	if fwSrc <= aclSrc {
+		t.Errorf("fw src wildcards (%d) should exceed acl (%d)", fwSrc, aclSrc)
 	}
-	if fwStats.AvgWildcards <= aclStats.AvgWildcards {
-		t.Errorf("fw avg wildcards (%v) should exceed acl (%v)", fwStats.AvgWildcards, aclStats.AvgWildcards)
+	if float64(fwAll)/float64(fwSet.Len()) <= float64(aclAll)/float64(aclSet.Len()) {
+		t.Errorf("fw avg wildcards (%d/%d) should exceed acl (%d/%d)", fwAll, fwSet.Len(), aclAll, aclSet.Len())
 	}
 	// ACL classifiers should carry plenty of distinct, specific IP prefixes.
-	if aclStats.DistinctRanges[rule.DimSrcIP] < 100 {
-		t.Errorf("acl1 has only %d distinct src ranges", aclStats.DistinctRanges[rule.DimSrcIP])
+	members := make([]int32, aclSet.Len())
+	for i := range members {
+		members[i] = int32(i)
 	}
+	if n := rule.DistinctRangeCount(aclSet.Rules(), members, rule.DimSrcIP); n < 100 {
+		t.Errorf("acl1 has only %d distinct src ranges", n)
+	}
+}
+
+// wildcards counts s's rules that leave the source address unconstrained,
+// and the wildcard dimensions of all its rules.
+func wildcards(s *rule.Set) (src, all int) {
+	for _, r := range s.Rules() {
+		for _, d := range rule.Dimensions() {
+			if r.Ranges[d].IsFull(d) {
+				all++
+				if d == rule.DimSrcIP {
+					src++
+				}
+			}
+		}
+	}
+	return src, all
+}
+
+// hasDefaultRule reports whether s's lowest-priority rule matches every
+// packet.
+func hasDefaultRule(s *rule.Set) bool {
+	last := s.Rule(s.Len() - 1)
+	for _, d := range rule.Dimensions() {
+		if !last.Ranges[d].IsFull(d) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestGenerateSizeOneAndClamping(t *testing.T) {
 	f, _ := FamilyByName("ipc1")
 	s := Generate(f, 0, 1)
-	if s.Len() != 1 || !s.HasDefaultRule() {
+	if s.Len() != 1 || !hasDefaultRule(s) {
 		t.Fatalf("size-0 generation = %d rules", s.Len())
 	}
 	s = Generate(f, 1, 1)

@@ -46,8 +46,7 @@ func FuzzParseRule(f *testing.F) {
 			return
 		}
 		// Accepted rules must be structurally valid...
-		set := rule.NewSet([]rule.Rule{r})
-		if err := set.Validate(); err != nil {
+		if err := r.Validate(); err != nil {
 			t.Fatalf("parse of %q accepted an invalid rule: %v", line, err)
 		}
 		// ...and port/proto fields must round-trip exactly through the

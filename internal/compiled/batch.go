@@ -6,10 +6,6 @@ import "neurocuts/internal/rule"
 // together.
 const batchGroup = 32
 
-// BatchGroup exports G for the differential tests probing batch lengths
-// around it.
-const BatchGroup = batchGroup
-
 // walkCap is the fixed capacity of a group's frontier: the walkers one group
 // may put on one tree — one per packet, plus one per extra partition child
 // met on the way down. A group that would need more falls back to the scalar

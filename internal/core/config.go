@@ -11,7 +11,6 @@ import (
 
 	"neurocuts/internal/env"
 	"neurocuts/internal/rl"
-	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
 
@@ -20,22 +19,12 @@ import (
 // with budgets reduced for laptop-scale runs (the shape of the results is
 // preserved, only the search budget shrinks).
 type Config struct {
-	// TimeSpaceCoeff is c in Equation 5 (1 = optimise classification time,
-	// 0 = optimise memory footprint).
-	TimeSpaceCoeff float64
-	// Partition selects the allowed top-node partitioning
-	// ({none, simple, EffiCuts} in Table 1).
-	Partition env.PartitionMode
-	// Scale is the reward scaling function f ({x, log(x)} in Table 1).
-	Scale env.RewardScale
-	// Binth is the leaf threshold of the generated trees.
-	Binth int
+	// Config holds the environment's hyperparameters (Table 1's c, f,
+	// top-node partitioning, rollout and depth truncation, plus Binth and
+	// the traffic-aware objective's trace). Each rollout's env.New applies
+	// their defaults.
+	env.Config
 
-	// MaxTimestepsPerRollout truncates a single tree rollout
-	// ({1000, 5000, 15000} in Table 1).
-	MaxTimestepsPerRollout int
-	// MaxDepth truncates subtrees deeper than this ({100, 500} in Table 1).
-	MaxDepth int
 	// MaxTimesteps is the total training budget in environment steps
 	// (10,000,000 in Table 1).
 	MaxTimesteps int
@@ -59,28 +48,25 @@ type Config struct {
 	Workers int
 	// Seed makes training reproducible.
 	Seed int64
-
-	// TrafficTrace, when non-empty, optimises the average classification
-	// time over these packets instead of the worst case — the traffic-aware
-	// objective the paper's conclusion proposes as future work.
-	TrafficTrace []rule.Packet
 }
 
 // DefaultConfig returns the full-scale hyperparameters of Table 1.
 func DefaultConfig() Config {
 	return Config{
-		TimeSpaceCoeff:         1.0,
-		Partition:              env.PartitionNone,
-		Scale:                  env.ScaleLinear,
-		Binth:                  tree.DefaultBinth,
-		MaxTimestepsPerRollout: 15000,
-		MaxDepth:               100,
-		MaxTimesteps:           10_000_000,
-		BatchTimesteps:         60_000,
-		HiddenLayers:           []int{512, 512},
-		PPO:                    rl.DefaultConfig(),
-		Workers:                4,
-		Seed:                   1,
+		Config: env.Config{
+			TimeSpaceCoeff:     1.0,
+			Partition:          env.PartitionNone,
+			Scale:              env.ScaleLinear,
+			Binth:              tree.DefaultBinth,
+			MaxStepsPerRollout: 15000,
+			MaxDepth:           100,
+		},
+		MaxTimesteps:   10_000_000,
+		BatchTimesteps: 60_000,
+		HiddenLayers:   []int{512, 512},
+		PPO:            rl.DefaultConfig(),
+		Workers:        4,
+		Seed:           1,
 	}
 }
 
@@ -94,7 +80,7 @@ func Scaled(divisor int) Config {
 	}
 	cfg.MaxTimesteps = max(2000, cfg.MaxTimesteps/divisor)
 	cfg.BatchTimesteps = max(256, cfg.BatchTimesteps/divisor)
-	cfg.MaxTimestepsPerRollout = max(500, cfg.MaxTimestepsPerRollout/divisor)
+	cfg.MaxStepsPerRollout = max(500, cfg.MaxStepsPerRollout/divisor)
 	cfg.HiddenLayers = []int{64, 64}
 	cfg.PPO.MinibatchSize = 128
 	cfg.PPO.Epochs = 5
@@ -103,22 +89,9 @@ func Scaled(divisor int) Config {
 	return cfg
 }
 
+// withDefaults fills the trainer's own zero fields; the environment's are
+// env.New's to default.
 func (c Config) withDefaults() Config {
-	if c.TimeSpaceCoeff < 0 {
-		c.TimeSpaceCoeff = 0
-	}
-	if c.TimeSpaceCoeff > 1 {
-		c.TimeSpaceCoeff = 1
-	}
-	if c.Binth <= 0 {
-		c.Binth = tree.DefaultBinth
-	}
-	if c.MaxTimestepsPerRollout <= 0 {
-		c.MaxTimestepsPerRollout = 5000
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 100
-	}
 	if c.MaxTimesteps <= 0 {
 		c.MaxTimesteps = 100_000
 	}
@@ -140,32 +113,4 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	return c
-}
-
-// envConfig derives the environment configuration from the trainer
-// configuration.
-func (c Config) envConfig() env.Config {
-	return env.Config{
-		TimeSpaceCoeff:     c.TimeSpaceCoeff,
-		Scale:              c.Scale,
-		Partition:          c.Partition,
-		Binth:              c.Binth,
-		MaxStepsPerRollout: c.MaxTimestepsPerRollout,
-		MaxDepth:           c.MaxDepth,
-		TrafficTrace:       c.TrafficTrace,
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -76,9 +76,6 @@ func NewTrainer(s *rule.Set, cfg Config) *Trainer {
 	}
 }
 
-// Policy returns the underlying actor-critic network.
-func (t *Trainer) Policy() *nn.ActorCritic { return t.learner.Policy }
-
 // BestTree returns the best tree found so far and its objective value
 // (lower is better), or nil before any rollout completed. The tree may be
 // incomplete — its ComputeMetrics().UnfinishedLeaves says so — because the
@@ -171,7 +168,7 @@ func (t *Trainer) collectBatch() ([]rl.Sample, IterationStats) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := env.New(t.set, t.cfg.envConfig())
+			e := env.New(t.set, t.cfg.Config)
 			for j := range jobs {
 				res := t.runRollout(e, rand.New(rand.NewSource(base+int64(j)*7919)), false)
 				mu.Lock()
@@ -306,7 +303,7 @@ func (t *Trainer) Train() ([]IterationStats, error) {
 // Figure 6's tree-variation visualisation and for evaluation). greedy=true
 // takes the mode of the policy instead of sampling.
 func (t *Trainer) SampleTree(seed int64, greedy bool) (*tree.Tree, tree.Metrics) {
-	e := env.New(t.set, t.cfg.envConfig())
+	e := env.New(t.set, t.cfg.Config)
 	res := t.runRollout(e, rand.New(rand.NewSource(seed)), greedy)
 	return res.tr, res.metrics
 }

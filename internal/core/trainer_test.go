@@ -14,6 +14,7 @@ import (
 	"neurocuts/internal/env"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/tree"
 )
 
 // tinyConfig returns a training configuration small enough for unit tests
@@ -22,7 +23,7 @@ func tinyConfig() Config {
 	cfg := Scaled(1000)
 	cfg.MaxTimesteps = 600
 	cfg.BatchTimesteps = 200
-	cfg.MaxTimestepsPerRollout = 400
+	cfg.MaxStepsPerRollout = 400
 	cfg.HiddenLayers = []int{32}
 	cfg.Workers = 2
 	cfg.PPO.Epochs = 2
@@ -51,8 +52,8 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.PPO.LearningRate != 5e-5 || cfg.PPO.ClipParam != 0.3 {
 		t.Errorf("PPO params %+v", cfg.PPO)
 	}
-	if cfg.MaxTimestepsPerRollout != 15000 {
-		t.Errorf("rollout truncation %d", cfg.MaxTimestepsPerRollout)
+	if cfg.MaxStepsPerRollout != 15000 {
+		t.Errorf("rollout truncation %d", cfg.MaxStepsPerRollout)
 	}
 	// Scaled keeps the algorithm but shrinks budgets.
 	s := Scaled(100)
@@ -219,16 +220,15 @@ func TestTrainerRespectsIterationCap(t *testing.T) {
 	}
 }
 
+// TestConfigWithDefaults: withDefaults fills the trainer's own fields and
+// leaves the embedded environment fields to env.New, which clamps and
+// defaults them once (env's TestConfigClamping).
 func TestConfigWithDefaults(t *testing.T) {
-	cfg := Config{TimeSpaceCoeff: 5}.withDefaults()
-	if cfg.TimeSpaceCoeff != 1 {
-		t.Error("coefficient should clamp")
+	cfg := Config{Config: env.Config{TimeSpaceCoeff: 5}}.withDefaults()
+	if cfg.TimeSpaceCoeff != 5 || cfg.Binth != 0 || cfg.MaxStepsPerRollout != 0 || cfg.MaxDepth != 0 {
+		t.Errorf("withDefaults changed environment fields: %+v", cfg.Config)
 	}
-	cfg = Config{TimeSpaceCoeff: -1}.withDefaults()
-	if cfg.TimeSpaceCoeff != 0 {
-		t.Error("coefficient should clamp to zero")
-	}
-	if cfg.Binth <= 0 || cfg.Workers <= 0 || cfg.MaxTimesteps <= 0 || len(cfg.HiddenLayers) == 0 {
+	if cfg.Workers <= 0 || cfg.MaxTimesteps <= 0 || cfg.BatchTimesteps <= 0 || len(cfg.HiddenLayers) == 0 || cfg.Seed == 0 {
 		t.Error("defaults missing")
 	}
 	if cfg.PPO.LearningRate <= 0 {
@@ -296,7 +296,7 @@ func TestTrainerGolden(t *testing.T) {
 		}
 		h := fnv.New64()
 		var buf [8]byte
-		for _, l := range tr.Policy().Layers() {
+		for _, l := range tr.learner.Policy.Layers() {
 			for _, p := range l.Params() {
 				for _, w := range p {
 					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
@@ -321,19 +321,26 @@ func TestHistoryReportsTruncatedBest(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxTimesteps = 60
 	cfg.BatchTimesteps = 20
-	cfg.MaxTimestepsPerRollout = 20
+	cfg.MaxStepsPerRollout = 20
 	trainer := NewTrainer(set, cfg)
 	history, err := trainer.Train()
 	if err != nil {
 		t.Fatal(err)
 	}
 	best, _ := trainer.BestTree()
-	if best.IsComplete() {
+	unfinished := 0
+	best.Walk(func(n *tree.Node) bool {
+		if n.IsLeaf() && !best.IsTerminal(n) {
+			unfinished++
+		}
+		return true
+	})
+	if unfinished == 0 {
 		t.Fatal("a 20-step rollout over 2000 rules finished")
 	}
 	m := best.ComputeMetrics()
-	if m.UnfinishedLeaves != len(best.UnfinishedLeaves()) || m.UnfinishedLeaves == 0 || m.MaxLeafRules <= cfg.Binth {
-		t.Errorf("unfinished leaves %d (tree says %d), largest leaf %d", m.UnfinishedLeaves, len(best.UnfinishedLeaves()), m.MaxLeafRules)
+	if m.UnfinishedLeaves != unfinished || m.MaxLeafRules <= cfg.Binth {
+		t.Errorf("unfinished leaves %d (tree says %d), largest leaf %d", m.UnfinishedLeaves, unfinished, m.MaxLeafRules)
 	}
 	last := history[len(history)-1]
 	if !last.BestTruncated || last.BestUnfinishedLeaves != m.UnfinishedLeaves || last.BestMaxLeafRules != m.MaxLeafRules {

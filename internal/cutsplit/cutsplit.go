@@ -176,11 +176,12 @@ func hyperSplit(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
 	bestDim := rule.DimSrcIP
 	var bestPoint uint64
 	bestScore := -1
+	var points []uint64
 	for _, d := range rule.Dimensions() {
 		if n.Box[d].Size() < 2 {
 			continue
 		}
-		points := t.Boundaries(n, d)
+		points = t.Boundaries(points[:0], n, d)
 		if len(points) == 0 {
 			continue
 		}

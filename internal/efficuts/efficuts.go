@@ -263,7 +263,7 @@ func chooseDimension(t *tree.Tree, n *tree.Node) (rule.Dimension, bool) {
 // placed at rule-range endpoints so that each child receives a roughly equal
 // share of the node's rules.
 func equiDensePoints(t *tree.Tree, n *tree.Node, dim rule.Dimension, maxCuts int) []uint64 {
-	cands := t.Boundaries(n, dim)
+	cands := t.Boundaries(nil, n, dim)
 	want := maxCuts - 1
 	if want < 1 {
 		want = 1

@@ -142,7 +142,7 @@ func TestZeroAllocBatchInline(t *testing.T) {
 // every single lookup and every batch span records a histogram sample AND
 // a flight-recorder entry.
 func allocTestTelemetry() *telemetry.Telemetry {
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	tel.SetSlowThreshold(0)
 	return tel
 }

@@ -294,7 +294,7 @@ func TestReplayPastThresholdCompactsWithTelemetry(t *testing.T) {
 	want := first.Rules()
 	first.Close()
 
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	eng, err := NewEngine("linear", set, Options{JournalPath: journal, JournalNoSync: true, CompactThreshold: 8, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ const (
 // partition action.
 const SimplePartitionThreshold = 0.5
 
-// Observation layout (documented sizes; see Observation for the encoding):
+// Observation layout (documented sizes; see encode for the encoding):
 // 208 bits of binary range bounds, 8-level coverage-band one-hots per
 // dimension, a partition-identity one-hot, and the action mask. The paper's
 // encoding is 278 bits with a slightly different partition-threshold
@@ -114,18 +114,6 @@ type Config struct {
 	// in the paper's conclusion. Nodes no trace packet reaches fall back to
 	// their worst-case time.
 	TrafficTrace []rule.Packet
-}
-
-// DefaultConfig returns a configuration suitable for 1k-scale classifiers.
-func DefaultConfig() Config {
-	return Config{
-		TimeSpaceCoeff:     1.0,
-		Scale:              ScaleLinear,
-		Partition:          PartitionNone,
-		Binth:              tree.DefaultBinth,
-		MaxStepsPerRollout: 5000,
-		MaxDepth:           100,
-	}
 }
 
 // Env is a NeuroCuts environment bound to one classifier.
@@ -199,9 +187,6 @@ func New(s *rule.Set, cfg Config) *Env {
 	return e
 }
 
-// Config returns the environment's configuration.
-func (e *Env) Config() Config { return e.cfg }
-
 // Reset starts a fresh rollout: a new tree containing only the root.
 func (e *Env) Reset() {
 	e.builder = tree.NewBuilder(e.set, e.cfg.Binth)
@@ -218,15 +203,6 @@ func (e *Env) Done() bool { return e.builder.Done() }
 
 // Truncated reports whether the last rollout hit a truncation limit.
 func (e *Env) Truncated() bool { return e.truncated }
-
-// Steps returns the number of actions taken in the current rollout.
-func (e *Env) Steps() int { return e.steps }
-
-// Tree returns the tree under construction (or the finished tree).
-func (e *Env) Tree() *tree.Tree { return e.builder.Tree() }
-
-// Current returns the node the next action will expand (nil when done).
-func (e *Env) Current() *tree.Node { return e.builder.Current() }
 
 // ActionMask returns the mask over the action head for the given node:
 // cut actions are always allowed; partition actions are allowed only at the
@@ -248,22 +224,6 @@ func (e *Env) ActionMask(n *tree.Node) [NumActions]bool {
 	return mask
 }
 
-// Observation encodes a node as the fixed-length vector the policy consumes:
-//
-//   - For every dimension, the binary expansion of the node box's lower and
-//     upper bounds (32+32, 32+32, 16+16, 16+16, 8+8 bits), normalised to
-//     {0,1} values. This is the BinaryString(Range_min)+BinaryString(Range_max)
-//     component of Appendix A.
-//   - For every dimension, an 8-level one-hot of the fraction of the node's
-//     rules that are "large" (cover more than half) in that dimension — the
-//     partition-related signal of Appendix A.
-//   - A one-hot of the EffiCuts partition identity of the node (slot 0 means
-//     "not inside an EffiCuts partition", slots 1-9 identify the category).
-//   - The action mask itself, so the policy can see which actions are legal.
-func (e *Env) Observation(n *tree.Node) []float64 {
-	return e.encode(n, e.ActionMask(n))
-}
-
 // Observe returns the observation and action mask of the current node — what
 // the policy needs to choose the next Step, which records both as they are.
 // There is no current node once the rollout is Done.
@@ -277,7 +237,19 @@ func (e *Env) Observe() ([]float64, [NumActions]bool) {
 	return e.seenObs, e.seenMask
 }
 
-// encode builds the observation of n given its action mask.
+// encode builds the observation of n given its action mask: the
+// fixed-length vector the policy consumes.
+//
+//   - For every dimension, the binary expansion of the node box's lower and
+//     upper bounds (32+32, 32+32, 16+16, 16+16, 8+8 bits), normalised to
+//     {0,1} values. This is the BinaryString(Range_min)+BinaryString(Range_max)
+//     component of Appendix A.
+//   - For every dimension, an 8-level one-hot of the fraction of the node's
+//     rules that are "large" (cover more than half) in that dimension — the
+//     partition-related signal of Appendix A.
+//   - A one-hot of the EffiCuts partition identity of the node (slot 0 means
+//     "not inside an EffiCuts partition", slots 1-9 identify the category).
+//   - The action mask itself, so the policy can see which actions are legal.
 func (e *Env) encode(n *tree.Node, mask [NumActions]bool) []float64 {
 	obs := make([]float64, ObsSize)
 	pos := 0

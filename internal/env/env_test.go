@@ -40,9 +40,9 @@ func TestPartitionModeString(t *testing.T) {
 
 func TestObservationEncoding(t *testing.T) {
 	set := testSet(t, "acl1", 100, 1)
-	e := New(set, DefaultConfig())
-	root := e.Current()
-	obs := e.Observation(root)
+	e := New(set, Config{TimeSpaceCoeff: 1})
+	root := e.builder.Current()
+	obs := e.encode(root, e.ActionMask(root))
 	if len(obs) != ObsSize {
 		t.Fatalf("obs size %d, want %d", len(obs), ObsSize)
 	}
@@ -92,10 +92,10 @@ func TestObservationEncoding(t *testing.T) {
 func TestActionMaskModes(t *testing.T) {
 	set := testSet(t, "fw1", 100, 1)
 	for _, mode := range []PartitionMode{PartitionNone, PartitionSimple, PartitionEffiCuts} {
-		cfg := DefaultConfig()
+		cfg := Config{TimeSpaceCoeff: 1}
 		cfg.Partition = mode
 		e := New(set, cfg)
-		mask := e.ActionMask(e.Current())
+		mask := e.ActionMask(e.builder.Current())
 		if len(mask) != NumActions {
 			t.Fatalf("mask size %d", len(mask))
 		}
@@ -108,7 +108,7 @@ func TestActionMaskModes(t *testing.T) {
 		if err := e.Step(rule.DimSrcIP, 1, Experience{}); err != nil {
 			t.Fatal(err)
 		}
-		if cur := e.Current(); cur != nil {
+		if cur := e.builder.Current(); cur != nil {
 			childMask := e.ActionMask(cur)
 			if childMask[ActSimplePartition] || childMask[ActEffiCutsPartition] {
 				t.Errorf("mode %s: partition allowed below the root", mode)
@@ -119,7 +119,7 @@ func TestActionMaskModes(t *testing.T) {
 
 func TestStepErrors(t *testing.T) {
 	set := testSet(t, "acl2", 80, 2)
-	e := New(set, DefaultConfig())
+	e := New(set, Config{TimeSpaceCoeff: 1})
 	if err := e.Step(rule.DimSrcIP, NumActions, Experience{}); err == nil {
 		t.Error("out-of-range action should fail")
 	}
@@ -134,7 +134,7 @@ func TestStepErrors(t *testing.T) {
 // randomRollout drives the environment with uniformly random legal actions.
 func randomRollout(e *Env, rng *rand.Rand) {
 	for !e.Done() {
-		n := e.Current()
+		n := e.builder.Current()
 		mask := e.ActionMask(n)
 		var legal []int
 		for i, ok := range mask {
@@ -152,7 +152,7 @@ func randomRollout(e *Env, rng *rand.Rand) {
 
 func TestRandomRolloutProducesValidTree(t *testing.T) {
 	set := testSet(t, "acl1", 200, 3)
-	cfg := DefaultConfig()
+	cfg := Config{TimeSpaceCoeff: 1}
 	cfg.MaxStepsPerRollout = 2000
 	e := New(set, cfg)
 	rng := rand.New(rand.NewSource(1))
@@ -162,8 +162,8 @@ func TestRandomRolloutProducesValidTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exps) == 0 || len(exps) != e.Steps() {
-		t.Fatalf("experiences %d, steps %d", len(exps), e.Steps())
+	if len(exps) == 0 || len(exps) != e.steps {
+		t.Fatalf("experiences %d, steps %d", len(exps), e.steps)
 	}
 	// Every experience must carry a finite negative return and the policy
 	// pass-through fields.
@@ -212,15 +212,15 @@ func TestRandomRolloutProducesValidTree(t *testing.T) {
 // Rule.Coverage over the node's rules gives.
 func TestObserveFeedsStep(t *testing.T) {
 	set := testSet(t, "fw1", 300, 4)
-	e := New(set, DefaultConfig())
+	e := New(set, Config{TimeSpaceCoeff: 1})
 	rng := rand.New(rand.NewSource(2))
 	for step := 0; !e.Done() && step < 200; step++ {
-		n := e.Current()
+		n := e.builder.Current()
 		obs, mask := e.Observe()
 		if mask != e.ActionMask(n) {
 			t.Fatalf("step %d: Observe mask %v, ActionMask %v", step, mask, e.ActionMask(n))
 		}
-		direct := e.Observation(n)
+		direct := e.encode(n, e.ActionMask(n))
 		for i := range obs {
 			if obs[i] != direct[i] {
 				t.Fatalf("step %d: Observe[%d] = %v, Observation = %v", step, i, obs[i], direct[i])
@@ -250,7 +250,7 @@ func TestObserveFeedsStep(t *testing.T) {
 
 func TestFinishRolloutBeforeDoneFails(t *testing.T) {
 	set := testSet(t, "acl1", 200, 3)
-	e := New(set, DefaultConfig())
+	e := New(set, Config{TimeSpaceCoeff: 1})
 	if _, _, err := e.FinishRollout(); err == nil {
 		t.Error("unfinished rollout should not finish")
 	}
@@ -258,7 +258,7 @@ func TestFinishRolloutBeforeDoneFails(t *testing.T) {
 
 func TestStepOnFinishedRolloutFails(t *testing.T) {
 	set := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)})
-	e := New(set, DefaultConfig())
+	e := New(set, Config{TimeSpaceCoeff: 1})
 	if !e.Done() {
 		t.Fatal("tiny classifier should be done immediately")
 	}
@@ -272,7 +272,7 @@ func TestStepOnFinishedRolloutFails(t *testing.T) {
 
 func TestRolloutTruncationBySteps(t *testing.T) {
 	set := testSet(t, "fw2", 400, 4)
-	cfg := DefaultConfig()
+	cfg := Config{TimeSpaceCoeff: 1}
 	cfg.MaxStepsPerRollout = 10
 	e := New(set, cfg)
 	rng := rand.New(rand.NewSource(2))
@@ -280,8 +280,8 @@ func TestRolloutTruncationBySteps(t *testing.T) {
 	if !e.Truncated() {
 		t.Error("rollout should have been truncated")
 	}
-	if e.Steps() > 10 {
-		t.Errorf("steps %d exceed the limit", e.Steps())
+	if e.steps > 10 {
+		t.Errorf("steps %d exceed the limit", e.steps)
 	}
 	if _, _, err := e.FinishRollout(); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestRolloutTruncationBySteps(t *testing.T) {
 
 func TestRolloutTruncationByDepth(t *testing.T) {
 	set := testSet(t, "fw5", 300, 5)
-	cfg := DefaultConfig()
+	cfg := Config{TimeSpaceCoeff: 1}
 	cfg.MaxDepth = 3
 	cfg.MaxStepsPerRollout = 100000
 	e := New(set, cfg)
@@ -300,14 +300,14 @@ func TestRolloutTruncationByDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.MaxDepth() > 3 {
-		t.Errorf("tree depth %d exceeds the truncation depth", tr.MaxDepth())
+	if d := tr.ComputeMetrics().MaxDepth; d > 3 {
+		t.Errorf("tree depth %d exceeds the truncation depth", d)
 	}
 }
 
 func TestSimplePartitionAction(t *testing.T) {
 	set := testSet(t, "fw1", 200, 6)
-	cfg := DefaultConfig()
+	cfg := Config{TimeSpaceCoeff: 1}
 	cfg.Partition = PartitionSimple
 	e := New(set, cfg)
 	// The source-IP dimension of a firewall set has both large and small
@@ -315,12 +315,12 @@ func TestSimplePartitionAction(t *testing.T) {
 	if err := e.Step(rule.DimSrcIP, ActSimplePartition, Experience{}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Tree().Root.Kind != tree.KindPartition {
-		t.Errorf("root kind = %s, want partition", e.Tree().Root.Kind)
+	if e.builder.Tree().Root.Kind != tree.KindPartition {
+		t.Errorf("root kind = %s, want partition", e.builder.Tree().Root.Kind)
 	}
 	// Both sides of a simple partition sit in identity slot 1.
-	for i, c := range e.Tree().Root.Children {
-		if id := e.Observation(c)[208+40 : 208+40+10]; id[1] != 1 {
+	for i, c := range e.builder.Tree().Root.Children {
+		if id := e.encode(c, e.ActionMask(c))[208+40 : 208+40+10]; id[1] != 1 {
 			t.Errorf("simple-partition child %d identity block = %v, want slot 1", i, id)
 		}
 	}
@@ -328,7 +328,7 @@ func TestSimplePartitionAction(t *testing.T) {
 
 func TestEffiCutsPartitionAction(t *testing.T) {
 	set := testSet(t, "fw3", 200, 7)
-	cfg := DefaultConfig()
+	cfg := Config{TimeSpaceCoeff: 1}
 	cfg.Partition = PartitionEffiCuts
 	cfg.TimeSpaceCoeff = 0
 	cfg.Scale = ScaleLog
@@ -336,7 +336,7 @@ func TestEffiCutsPartitionAction(t *testing.T) {
 	if err := e.Step(rule.DimSrcIP, ActEffiCutsPartition, Experience{}); err != nil {
 		t.Fatal(err)
 	}
-	root := e.Tree().Root
+	root := e.builder.Tree().Root
 	if root.Kind != tree.KindPartition {
 		t.Fatalf("root kind = %s", root.Kind)
 	}
@@ -346,7 +346,7 @@ func TestEffiCutsPartitionAction(t *testing.T) {
 		if c.PartitionLabel == "" {
 			t.Error("partition child lost its label")
 		}
-		obs := e.Observation(c)
+		obs := e.encode(c, e.ActionMask(c))
 		idBlock := obs[208+40 : 208+40+10]
 		if idBlock[0] != 0 {
 			t.Error("partition child should not be in slot 0")
@@ -355,7 +355,7 @@ func TestEffiCutsPartitionAction(t *testing.T) {
 	// Category i (label "effi-<i>") sits in slot i+1, the last slot taking
 	// the overflow.
 	for i, c := range root.Children {
-		if id := e.Observation(c)[208+40 : 208+40+10]; id[min(i+1, 9)] != 1 {
+		if id := e.encode(c, e.ActionMask(c))[208+40 : 208+40+10]; id[min(i+1, 9)] != 1 {
 			t.Errorf("category %d (%s) identity block = %v", i, c.PartitionLabel, id)
 		}
 	}
@@ -375,15 +375,15 @@ func TestEffiCutsPartitionAction(t *testing.T) {
 
 func TestRepairDimension(t *testing.T) {
 	set := testSet(t, "acl3", 100, 8)
-	e := New(set, DefaultConfig())
-	n := e.Current()
+	e := New(set, Config{TimeSpaceCoeff: 1})
+	n := e.builder.Current()
 	// A narrow protocol box cannot be cut; the environment repairs the
 	// choice to a cuttable dimension.
 	n.Box[rule.DimProto] = rule.Range{Lo: 6, Hi: 6}
 	if err := e.Step(rule.DimProto, 0, Experience{}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Tree().Root.CutDims[0] == rule.DimProto {
+	if e.builder.Tree().Root.CutDims[0] == rule.DimProto {
 		t.Error("uncuttable dimension was not repaired")
 	}
 }
@@ -391,31 +391,31 @@ func TestRepairDimension(t *testing.T) {
 func TestConfigClamping(t *testing.T) {
 	set := testSet(t, "acl1", 50, 9)
 	e := New(set, Config{TimeSpaceCoeff: 7})
-	if e.Config().TimeSpaceCoeff != 1 {
+	if e.cfg.TimeSpaceCoeff != 1 {
 		t.Error("coefficient should clamp to 1")
 	}
 	e = New(set, Config{TimeSpaceCoeff: -3})
-	if e.Config().TimeSpaceCoeff != 0 {
+	if e.cfg.TimeSpaceCoeff != 0 {
 		t.Error("coefficient should clamp to 0")
 	}
-	if e.Config().Binth != tree.DefaultBinth || e.Config().MaxDepth <= 0 || e.Config().MaxStepsPerRollout <= 0 {
+	if e.cfg.Binth != tree.DefaultBinth || e.cfg.MaxDepth <= 0 || e.cfg.MaxStepsPerRollout <= 0 {
 		t.Error("defaults not applied")
 	}
 }
 
 func TestResetClearsState(t *testing.T) {
 	set := testSet(t, "ipc1", 150, 10)
-	e := New(set, DefaultConfig())
+	e := New(set, Config{TimeSpaceCoeff: 1})
 	rng := rand.New(rand.NewSource(4))
 	randomRollout(e, rng)
-	if e.Steps() == 0 {
+	if e.steps == 0 {
 		t.Fatal("rollout did nothing")
 	}
 	e.Reset()
-	if e.Steps() != 0 || e.Done() || e.Truncated() {
+	if e.steps != 0 || e.Done() || e.Truncated() {
 		t.Error("reset did not clear state")
 	}
-	if e.Current() != e.Tree().Root {
+	if e.builder.Current() != e.builder.Tree().Root {
 		t.Error("reset should start at a fresh root")
 	}
 }

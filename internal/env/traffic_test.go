@@ -22,7 +22,7 @@ func TestTrafficAwareObjective(t *testing.T) {
 		packets[i] = e.Key
 	}
 
-	cfg := DefaultConfig()
+	cfg := Config{TimeSpaceCoeff: 1}
 	cfg.TrafficTrace = packets
 	e := New(set, cfg)
 	rng := rand.New(rand.NewSource(5))
@@ -46,7 +46,7 @@ func TestTrafficAwareObjective(t *testing.T) {
 
 	// Without the trace, the same tree scores its worst-case time, which can
 	// only be larger or equal.
-	plain := New(set, DefaultConfig())
+	plain := New(set, Config{TimeSpaceCoeff: 1})
 	if got := plain.TreeObjective(tr); got < avg-1e-9 {
 		t.Errorf("worst-case objective %v below average %v", got, avg)
 	}
@@ -59,7 +59,7 @@ func TestTrafficAwareUnreachedNodesFallBack(t *testing.T) {
 	set := classbench.Generate(fam, 150, 6)
 	// A single-packet trace reaches only one path; everything else falls
 	// back to worst-case time.
-	cfg := DefaultConfig()
+	cfg := Config{TimeSpaceCoeff: 1}
 	cfg.TrafficTrace = []rule.Packet{{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}}
 	e := New(set, cfg)
 	rng := rand.New(rand.NewSource(7))

@@ -99,8 +99,8 @@ func TestBuildTinyClassifierIsLeafOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NodeCount() != 1 {
-		t.Errorf("tiny classifier should stay a single leaf, got %d nodes", tr.NodeCount())
+	if n := tr.ComputeMetrics().Nodes; n != 1 {
+		t.Errorf("tiny classifier should stay a single leaf, got %d nodes", n)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestDepthLimitRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.MaxDepth(); got > 6 {
+	if got := tr.ComputeMetrics().MaxDepth; got > 6 {
 		t.Errorf("depth %d exceeds MaxDepth 6", got)
 	}
 	checkTreeEquivalence(t, tr, set, 800, 21)
@@ -174,7 +174,7 @@ func spaceMeasureRef(t *tree.Tree, n *tree.Node, dim rule.Dimension, k int) floa
 		}
 		piece := rule.Range{Lo: lo, Hi: hi}
 		for _, ri := range n.Rules {
-			if t.Rules[ri].Ranges[dim].Overlaps(piece) {
+			if _, ok := t.Rules[ri].Ranges[dim].Intersect(piece); ok {
 				total++
 			}
 		}

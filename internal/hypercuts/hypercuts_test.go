@@ -55,7 +55,7 @@ func TestBuildSmallClassifiers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
-		if tr.NodeCount() < 2 {
+		if tr.ComputeMetrics().Nodes < 2 {
 			t.Errorf("%s: tree did not grow", fam)
 		}
 		checkTreeEquivalence(t, tr, set, 1500, 7)
@@ -171,8 +171,8 @@ func TestDepthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.MaxDepth() > 5 {
-		t.Errorf("depth %d exceeds limit", tr.MaxDepth())
+	if d := tr.ComputeMetrics().MaxDepth; d > 5 {
+		t.Errorf("depth %d exceeds limit", d)
 	}
 	checkTreeEquivalence(t, tr, set, 800, 14)
 }

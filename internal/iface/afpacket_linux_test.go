@@ -13,6 +13,9 @@ import (
 	"neurocuts/internal/rule"
 )
 
+// classifyd reads the skipped-frame count through this method set.
+var _ interface{ Stats() SourceStats } = (*AFPacketSource)(nil)
+
 // TestAFPacketLoopbackSmoke captures its own UDP traffic on the loopback
 // interface and checks the decoded 5-tuples. Without CAP_NET_RAW (ordinary
 // CI users, unprivileged sandboxes) the socket call fails with EPERM/EACCES

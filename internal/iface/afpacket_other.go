@@ -3,10 +3,15 @@
 package iface
 
 import (
+	"errors"
 	"time"
 
 	"neurocuts/internal/rule"
 )
+
+// ErrAFPacketUnsupported is returned by OpenAFPacket on non-Linux
+// platforms.
+var ErrAFPacketUnsupported = errors.New("iface: AF_PACKET capture requires linux")
 
 // AFPacketConfig configures a live capture (Linux only; present everywhere
 // so callers compile unconditionally).

@@ -2,6 +2,7 @@ package iface
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -54,6 +55,29 @@ func TestZeroAllocPcapRead(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: pcap ReadBatch allocates %.1f allocs/op, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestZeroAllocWritePacket pins PcapWriter.WritePacket at zero heap
+// allocations: the frame is synthesised in the writer's scratch buffer.
+func TestZeroAllocWritePacket(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under -race; the alloc gate runs in the non-race CI pass")
+	}
+	pw, err := NewPcapWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := mixedTrace()
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pw.WritePacket(uint64(i), entries[i%len(entries)].Key); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("PcapWriter.WritePacket allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -60,7 +60,7 @@ func FuzzPcapRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := pw2.WriteFrame(uint64(time.Second), nil); err != nil {
+	if err := pw2.writeRecord(uint64(time.Second), nil); err != nil {
 		f.Fatal(err)
 	}
 	ip, err := packet.Serialize(keys[0])
@@ -74,7 +74,7 @@ func FuzzPcapRead(f *testing.F) {
 	}
 	frame = binary.BigEndian.AppendUint16(frame, etherTypeIPv4)
 	frame = append(frame, ip...)
-	if err := pw2.WriteFrame(2*uint64(time.Second), frame); err != nil {
+	if err := pw2.writeRecord(2*uint64(time.Second), frame); err != nil {
 		f.Fatal(err)
 	}
 	if err := pw2.Flush(); err != nil {
@@ -103,13 +103,13 @@ func FuzzPcapRead(f *testing.F) {
 			return
 		}
 		ps := make([]rule.Packet, 16)
-		prevOff := r.Offset()
+		prevOff := r.off
 		for i := 0; ; i++ {
 			if i > len(data)+16 {
 				t.Fatalf("ReadBatch made no progress after %d iterations (len(data)=%d)", i, len(data))
 			}
 			n, err := r.ReadBatch(ps)
-			if off := r.Offset(); off < prevOff {
+			if off := r.off; off < prevOff {
 				t.Fatalf("stream offset went backwards: %d -> %d", prevOff, off)
 			} else {
 				prevOff = off

@@ -67,15 +67,9 @@ var (
 	// ErrLinkType is returned for capture link types this package cannot
 	// decode (anything but Ethernet and raw IP).
 	ErrLinkType = errors.New("iface: unsupported pcap link type")
-	// ErrShmUnsupported is returned by the shared-memory transport on
-	// platforms without mmap support.
-	ErrShmUnsupported = errors.New("iface: shared-memory transport unsupported on this platform")
 	// ErrShmClosed is returned by shm operations after the peer shut the
 	// ring down.
 	ErrShmClosed = errors.New("iface: shared-memory ring closed by peer")
-	// ErrAFPacketUnsupported is returned by OpenAFPacket on non-Linux
-	// platforms.
-	ErrAFPacketUnsupported = errors.New("iface: AF_PACKET capture requires linux")
 )
 
 // CanonicalKey returns the wire-expressible form of a classification key:

@@ -2,7 +2,14 @@
 
 package iface
 
-import "os"
+import (
+	"errors"
+	"os"
+)
+
+// ErrShmUnsupported is returned by the shared-memory transport on
+// platforms without mmap support.
+var ErrShmUnsupported = errors.New("iface: shared-memory transport unsupported on this platform")
 
 // mmapFile fails on platforms without shared file mappings; the
 // shared-memory transport is unavailable there (ErrShmUnsupported).

@@ -180,9 +180,6 @@ func (p *PcapReader) u32(b []byte) uint32 {
 // Stats returns the reader's running counters.
 func (p *PcapReader) Stats() SourceStats { return p.stats }
 
-// Offset returns the stream offset of the next unread byte.
-func (p *PcapReader) Offset() int64 { return p.off }
-
 // ErrPacketTooLarge wraps records whose captured length exceeds
 // PcapConfig.MaxPacketBytes.
 var ErrPacketTooLarge = errors.New("iface: pcap record exceeds MaxPacketBytes")

@@ -215,8 +215,8 @@ func diffPcapVia(data []byte, cfg PcapConfig, batch int, wrap func(io.Reader) io
 				return fmt.Errorf("call %d: key %d = %+v, reference %+v", call, i, gp[i], wp[i])
 			}
 		}
-		if got.Offset() != want.off {
-			return fmt.Errorf("call %d: Offset() = %d, reference %d", call, got.Offset(), want.off)
+		if got.off != want.off {
+			return fmt.Errorf("call %d: offset %d, reference %d", call, got.off, want.off)
 		}
 		if got.Stats() != want.stats {
 			return fmt.Errorf("call %d: Stats() = %+v, reference %+v", call, got.Stats(), want.stats)
@@ -505,8 +505,8 @@ func TestPcapReadCallsPerWindow(t *testing.T) {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		ps := make([]rule.Packet, len(frames)+1) // room to spare: one call reaches the end
-		if n, err := r.ReadBatch(ps); err != nil || n == 0 || r.Offset() != int64(len(data)) {
-			t.Fatalf("%s: ReadBatch = (%d, %v) at offset %d of %d", v.name, n, err, r.Offset(), len(data))
+		if n, err := r.ReadBatch(ps); err != nil || n == 0 || r.off != int64(len(data)) {
+			t.Fatalf("%s: ReadBatch = (%d, %v) at offset %d of %d", v.name, n, err, r.off, len(data))
 		}
 		bound := (len(data)+pcapWindow-1)/pcapWindow + 1
 		if cr.calls > bound {

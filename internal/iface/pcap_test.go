@@ -2,7 +2,9 @@ package iface
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -124,7 +126,7 @@ func TestPcapVLAN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pw.WriteFrame(uint64(time.Second), buildFrame(t, key, tags...)); err != nil {
+		if err := pw.writeRecord(uint64(time.Second), buildFrame(t, key, tags...)); err != nil {
 			t.Fatal(err)
 		}
 		if err := pw.Flush(); err != nil {
@@ -156,11 +158,11 @@ func TestPcapSkipsNonIPv4(t *testing.T) {
 	binary.BigEndian.PutUint16(ipv6[12:14], 0x86DD)
 	runt := []byte{1, 2, 3}
 	for _, f := range [][]byte{arp, ipv6, runt} {
-		if err := pw.WriteFrame(uint64(time.Second), f); err != nil {
+		if err := pw.writeRecord(uint64(time.Second), f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pw.WriteFrame(2*uint64(time.Second), buildFrame(t, key)); err != nil {
+	if err := pw.writeRecord(2*uint64(time.Second), buildFrame(t, key)); err != nil {
 		t.Fatal(err)
 	}
 	if err := pw.Flush(); err != nil {
@@ -507,4 +509,36 @@ func BenchmarkPcapReadBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(entries)), "ns/pkt")
+}
+
+// mixedTrace is 400 keys from a fixed LCG, cycling through TCP, UDP, ICMP
+// and GRE (a protocol without a modelled transport header).
+func mixedTrace() []packet.TraceEntry {
+	protos := []uint8{packet.ProtoTCP, packet.ProtoUDP, packet.ProtoICMP, 47}
+	entries := make([]packet.TraceEntry, 400)
+	x := uint64(7)
+	for i := range entries {
+		x = x*6364136223846793005 + 1442695040888963407
+		entries[i].Key = rule.Packet{
+			SrcIP: uint32(x >> 32), DstIP: uint32(x),
+			SrcPort: uint16(x >> 17), DstPort: uint16(x >> 40),
+			Proto: protos[i%len(protos)],
+		}
+	}
+	return entries
+}
+
+// TestWriteTracePcapBytes pins WriteTracePcap's output on a mixed
+// TCP/UDP/ICMP/GRE trace to the bytes it wrote when PcapWriter laid out
+// the IPv4 and transport headers itself, before it shared
+// packet.SerializeTo with packet.Serialize.
+func TestWriteTracePcapBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteTracePcap(&buf, mixedTrace()); err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSum = 22824, "fe00482865e22c22320dadad67b303aec04eb58b9101e38bd94e3a995df25076"
+	if sum := sha256.Sum256(buf.Bytes()); buf.Len() != wantLen || hex.EncodeToString(sum[:]) != wantSum {
+		t.Fatalf("WriteTracePcap wrote %d bytes, sha256 %x; want %d bytes, sha256 %s", buf.Len(), sum, wantLen, wantSum)
+	}
 }

@@ -19,7 +19,7 @@ type PcapWriter struct {
 	bw *bufio.Writer
 	// scratch holds one serialized frame: Ethernet header + IPv4 + the
 	// longest transport header.
-	scratch [14 + 60 + 20]byte
+	scratch [14 + packet.MaxSerializedLen]byte
 	recHdr  [pcapRecordHeaderLen]byte
 }
 
@@ -52,55 +52,18 @@ func (w *PcapWriter) writeRecord(tsNanos uint64, frame []byte) error {
 	return err
 }
 
-// WriteFrame records a raw Ethernet frame as captured.
-func (w *PcapWriter) WriteFrame(tsNanos uint64, frame []byte) error {
-	return w.writeRecord(tsNanos, frame)
-}
-
 // WritePacket synthesises a minimal Ethernet/IPv4/transport frame realising
 // the 5-tuple key and records it at the given capture timestamp.
 func (w *PcapWriter) WritePacket(tsNanos uint64, key rule.Packet) error {
 	frame := w.scratch[:]
 	// Ethernet: zero MACs, IPv4 ethertype.
-	for i := 0; i < 12; i++ {
-		frame[i] = 0
-	}
+	clear(frame[:12])
 	binary.BigEndian.PutUint16(frame[12:14], etherTypeIPv4)
-	var transportLen int
-	switch key.Proto {
-	case packet.ProtoTCP:
-		transportLen = 20
-	case packet.ProtoUDP:
-		transportLen = 8
-	}
-	ip := packet.IPv4Header{
-		Version:  4,
-		IHL:      5,
-		Length:   uint16(20 + transportLen),
-		TTL:      64,
-		Protocol: key.Proto,
-		SrcIP:    key.SrcIP,
-		DstIP:    key.DstIP,
-	}
-	n, err := ip.SerializeTo(frame[14:])
+	n, err := packet.SerializeTo(frame[14:], key)
 	if err != nil {
 		return err
 	}
-	off := 14 + n
-	switch key.Proto {
-	case packet.ProtoTCP:
-		tcp := packet.TCPHeader{SrcPort: key.SrcPort, DstPort: key.DstPort, DataOffset: 5, Flags: 0x02, Window: 65535}
-		n, err = tcp.SerializeTo(frame[off:])
-	case packet.ProtoUDP:
-		udp := packet.UDPHeader{SrcPort: key.SrcPort, DstPort: key.DstPort, Length: 8}
-		n, err = udp.SerializeTo(frame[off:])
-	default:
-		n = 0
-	}
-	if err != nil {
-		return err
-	}
-	return w.writeRecord(tsNanos, frame[:off+n])
+	return w.writeRecord(tsNanos, frame[:14+n])
 }
 
 // Flush flushes buffered records to the underlying writer.

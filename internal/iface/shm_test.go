@@ -472,18 +472,18 @@ func TestShmSlotRounding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Slots() != 128 {
-		t.Fatalf("client slots = %d, want 128", c.Slots())
+	if c.m.slots() != 128 {
+		t.Fatalf("client slots = %d, want 128", c.m.slots())
 	}
 }
 
 // TestDifferentialShmVsTCP holds the ring to TCP over the whole protocol:
 // the same script — ping, classify, batches of 1, 257 and 5 000 packets, an
-// insert at the top, a classify it wins, its delete, stats, and frames
+// insert at the top, a classify it wins, its delete, list-tables, and frames
 // addressed to an unknown table — runs through a server.ClientV2 on each
 // transport, and every answer and error text must be identical. The two
 // servers front twin engines built from one rule set, so inserted IDs,
-// versions and stats lines match too. The 8 KiB ring is smaller than the
+// versions and table lists match too. The 8 KiB ring is smaller than the
 // 5 000-packet frame (65 KB): the frame wraps and its writer blocks mid-frame.
 func TestDifferentialShmVsTCP(t *testing.T) {
 	fam, err := classbench.FamilyByName("fw1")
@@ -557,8 +557,8 @@ func TestDifferentialShmVsTCP(t *testing.T) {
 		}
 		version, err = c.DeleteRule(newID)
 		note("delete", version, err)
-		st, err := c.Stats()
-		note("stats", st, err)
+		tables, err := c.ListTables()
+		note("list tables", tables, err)
 		c.UseTable(7)
 		_, _, _, err = c.Classify(ps[0])
 		note("classify unknown table", err)

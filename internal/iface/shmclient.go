@@ -109,9 +109,6 @@ func (c *ShmClient) detach() {
 	c.f = nil
 }
 
-// Slots returns the attached ring's capacity in 16-byte units per direction.
-func (c *ShmClient) Slots() int { return c.m.slots() }
-
 // ClassifyBatchInto classifies ps[i] into out[i] through the ring. out must
 // be at least as long as ps. Results carry the winning rule's ID and
 // priority (the ranges stay on the serving side, as over TCP).

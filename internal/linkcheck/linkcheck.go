@@ -12,11 +12,16 @@
 //
 // Commands rot the same way: a package is deleted and the `go run ./cmd/x`
 // lines in the README, the verify notes and CI keep looking plausible.
-// CheckCommands resolves every ./package argument of a go run|build|test
+// checkCommands resolves every ./package argument of a go run|build|test
 // command to a directory that holds Go files, and every name in a go test
 // -run/-fuzz/-bench pattern to a function in those packages: go test exits 0
 // with "no tests to run" when a pattern matches nothing, so a renamed test
 // would otherwise silently un-run the CI step that names it.
+//
+// Code rots a third way: the last caller of an export goes and the export
+// stays, kept alive by its own tests. deadExports (exports.go) type-checks
+// the module and reports every exported symbol under internal/ that no
+// non-test file uses, unless an explicit allow-list names it.
 package linkcheck
 
 import (
@@ -43,15 +48,15 @@ var codeFenceRE = regexp.MustCompile("(?ms)^```.*?^```[ \t]*$")
 // inlineCodeRE strips `inline code` spans for the same reason.
 var inlineCodeRE = regexp.MustCompile("`[^`\n]*`")
 
-// Problem is one broken reference.
+// Problem is one broken reference or dead export.
 type Problem struct {
-	File   string // markdown file containing the link
-	Link   string // the link target as written
-	Reason string
+	File    string // the file (file:line for an export) it was found in
+	Subject string // the link target or argument as written, or the symbol
+	Reason  string
 }
 
 func (p Problem) String() string {
-	return fmt.Sprintf("%s: link %q: %s", p.File, p.Link, p.Reason)
+	return fmt.Sprintf("%s: %q: %s", p.File, p.Subject, p.Reason)
 }
 
 // slugify reproduces GitHub's heading-anchor algorithm closely enough for
@@ -104,9 +109,9 @@ func external(target string) bool {
 		strings.HasPrefix(target, "//")
 }
 
-// CheckFiles validates every relative link in the given Markdown files
+// checkFiles validates every relative link in the given Markdown files
 // (paths relative to root) and returns one Problem per broken reference.
-func CheckFiles(root string, files []string) ([]Problem, error) {
+func checkFiles(root string, files []string) ([]Problem, error) {
 	var problems []Problem
 	for _, rel := range files {
 		raw, err := os.ReadFile(filepath.Join(root, rel))
@@ -246,13 +251,13 @@ func holdsGo(dir string, deep bool) bool {
 	return found
 }
 
-// CheckCommands finds the go run|build|test commands in the given files
+// checkCommands finds the go run|build|test commands in the given files
 // (Markdown, code fences included, or shell-bearing YAML; paths relative to
 // root, which the commands are taken to run from) and returns one Problem
 // per ./package argument that names no directory holding Go files, and one
 // per -run/-fuzz/-bench alternative that selects nothing in the packages the
 // command names (commands over a /... tree are not searched).
-func CheckCommands(root string, files []string) ([]Problem, error) {
+func checkCommands(root string, files []string) ([]Problem, error) {
 	var problems []Problem
 	for _, rel := range files {
 		raw, err := os.ReadFile(filepath.Join(root, rel))

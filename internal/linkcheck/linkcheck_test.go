@@ -66,7 +66,7 @@ func markdownFiles(t *testing.T, root string) []string {
 func TestMarkdownLinks(t *testing.T) {
 	root := repoRoot(t)
 	files := markdownFiles(t, root)
-	problems, err := CheckFiles(root, files)
+	problems, err := checkFiles(root, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCommandPackagePaths(t *testing.T) {
 			files = append(files, f)
 		}
 	}
-	problems, err := CheckCommands(root, files)
+	problems, err := checkCommands(root, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestCheckFilesCatchesBreakage(t *testing.T) {
 		"```",
 	}, "\n"))
 	write("b.md", "# Beta\n")
-	problems, err := CheckFiles(dir, []string{"a.md", "b.md"})
+	problems, err := checkFiles(dir, []string{"a.md", "b.md"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := map[string]bool{}
 	for _, p := range problems {
-		bad[p.Link] = true
+		bad[p.Subject] = true
 	}
 	for _, want := range []string{"missing.md", "b.md#nope", "#omega"} {
 		if !bad[want] {
@@ -181,15 +181,68 @@ func TestCheckCommandsCatchesBreakage(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "a.md"), []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	problems, err := CheckCommands(dir, []string{"a.md"})
+	problems, err := checkCommands(dir, []string{"a.md"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	for _, p := range problems {
-		got = append(got, p.Link)
+		got = append(got, p.Subject)
 	}
 	if want := "./cmd/gone ./internal/libb TestB ./docs/... FuzzRenamed"; strings.Join(got, " ") != want {
+		t.Errorf("problems = %v, want %s", problems, want)
+	}
+}
+
+// exportAllow lists the exports under internal/ that no non-test Go file
+// uses but that stay exported, each with its reason.
+var exportAllow = map[string]string{
+	"internal/server.ClientV2.CreateTable":       "client half of a served op; the tests drive the server through it",
+	"internal/server.ClientV2.DropTable":         "client half of a served op; the tests drive the server through it",
+	"internal/core.Trainer.LoadCheckpoint":       "reads what neurocuts -checkpoint writes",
+	"internal/packet.IPv4Header.DecodeFromBytes": "reference decoder the pcap differential tests hold the in-place one to",
+	"internal/packet.TCPHeader.DecodeFromBytes":  "reference decoder the pcap differential tests hold the in-place one to",
+	"internal/packet.UDPHeader.DecodeFromBytes":  "reference decoder the pcap differential tests hold the in-place one to",
+	"internal/packet.ProtoICMP":                  "enum member beside ProtoTCP and ProtoUDP",
+	"internal/classbench.PortExact":              "enum member of the port-class kinds",
+}
+
+// TestDeadExports is the gate against exports nothing calls: every exported
+// package-level symbol and method under internal/ is used by a non-test Go
+// file of the module (benchmarks/ included), implements an interface
+// method, or is on exportAllow. Delete such a symbol, or unexport it when
+// only its own package's tests need it.
+func TestDeadExports(t *testing.T) {
+	problems, err := deadExports(repoRoot(t), exportAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p.String())
+	}
+}
+
+// TestDeadExportsCatchesBreakage runs the check over testdata/deadexports:
+// an export nothing calls and one only its package's test calls are
+// reported with file:line; an allow-listed one, a String method
+// (fmt.Stringer) and a method called only through an interface literal are
+// not; an allow-list entry naming a used symbol is.
+func TestDeadExportsCatchesBreakage(t *testing.T) {
+	problems, err := deadExports(filepath.Join("testdata", "deadexports"), map[string]string{
+		"internal/lib.Allowed": "fixture",
+		"internal/lib.Name":    "fixture: used, so a stale entry",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range problems {
+		got = append(got, p.File+" "+p.Subject)
+	}
+	want := "internal/lib/lib.go:7 internal/lib.Unused|" +
+		"internal/lib/lib.go:18 internal/lib.OnlyTested|" +
+		"allow-list internal/lib.Name"
+	if strings.Join(got, "|") != want {
 		t.Errorf("problems = %v, want %s", problems, want)
 	}
 }

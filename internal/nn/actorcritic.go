@@ -134,29 +134,6 @@ func (ac *ActorCritic) ZeroGrad() {
 	}
 }
 
-// NumParams returns the total number of trainable parameters.
-func (ac *ActorCritic) NumParams() int {
-	n := 0
-	for _, l := range ac.Layers() {
-		n += len(l.W) + len(l.B)
-	}
-	return n
-}
-
-// Clone returns a deep copy of the network (weights only; gradients start at
-// zero).
-func (ac *ActorCritic) Clone() *ActorCritic {
-	data, err := ac.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("nn: cloning network: %v", err))
-	}
-	out := &ActorCritic{}
-	if err := out.UnmarshalBinary(data); err != nil {
-		panic(fmt.Sprintf("nn: cloning network: %v", err))
-	}
-	return out
-}
-
 // snapshot is the gob wire format for checkpoints.
 type snapshot struct {
 	ObsSize, NumDims, NumActs int

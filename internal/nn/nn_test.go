@@ -217,7 +217,7 @@ func TestActorCriticForwardShapes(t *testing.T) {
 	if math.IsNaN(cache.Value) {
 		t.Fatal("NaN value")
 	}
-	if ac.NumParams() == 0 {
+	if len(ac.Layers()) == 0 || len(ac.Layers()[0].W) == 0 {
 		t.Fatal("no parameters")
 	}
 	assertPanic(t, func() { ac.Forward(make([]float64, 3)) })
@@ -305,21 +305,30 @@ func TestActorCriticSaveLoadClone(t *testing.T) {
 	if math.Abs(before.Value-after.Value) > 1e-12 {
 		t.Fatal("restored value differs")
 	}
-
-	clone := ac.Clone()
-	cloneOut := clone.Forward(obs)
-	if math.Abs(cloneOut.Value-before.Value) > 1e-12 {
-		t.Fatal("clone differs")
-	}
-	// Mutating the clone must not affect the original.
-	clone.Layers()[0].W[0] += 1
+	// The restored network is a clone: mutating it must not affect the
+	// original.
+	restored.Layers()[0].W[0] += 1
 	if math.Abs(ac.Forward(obs).Value-before.Value) > 1e-12 {
-		t.Fatal("clone shares storage with original")
+		t.Fatal("restored network shares storage with original")
 	}
 
 	if err := restored.UnmarshalBinary([]byte("garbage")); err == nil {
 		t.Error("garbage checkpoint should fail")
 	}
+}
+
+// clone deep-copies ac through its checkpoint encoding.
+func clone(t *testing.T, ac *ActorCritic) *ActorCritic {
+	t.Helper()
+	data, err := ac.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &ActorCritic{}
+	if err := out.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestAdamReducesLoss(t *testing.T) {
@@ -479,7 +488,7 @@ func TestFirstLayerBitExact(t *testing.T) {
 				l.B[i] = rng.NormFloat64() * 0.1
 			}
 		}
-		ref := ac.Clone()
+		ref := clone(t, ac)
 		observations := [][]float64{make([]float64, obsSize)}
 		for s := 0; s < 60; s++ {
 			obs := make([]float64, obsSize)

@@ -272,20 +272,36 @@ func Decode(data []byte) (rule.Packet, error) {
 	return key, err
 }
 
+// MaxSerializedLen is the longest packet SerializeTo writes: an IPv4
+// header and a TCP header.
+const MaxSerializedLen = 20 + 20
+
 // Serialize builds a minimal wire-format IPv4 packet (no payload beyond the
 // transport header) realising the given 5-tuple key. The inverse of Decode.
 func Serialize(key rule.Packet) ([]byte, error) {
+	var buf [MaxSerializedLen]byte
+	n, err := SerializeTo(buf[:], key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), buf[:n]...), nil
+}
+
+// SerializeTo writes Serialize's packet for key into buf, which must hold
+// it (MaxSerializedLen bytes always do), and returns its length: an IPv4
+// header, then a TCP or UDP header for those protocols.
+func SerializeTo(buf []byte, key rule.Packet) (int, error) {
 	var transportLen int
 	switch key.Proto {
 	case ProtoTCP:
 		transportLen = 20
 	case ProtoUDP:
 		transportLen = 8
-	default:
-		transportLen = 0
 	}
 	total := 20 + transportLen
-	buf := make([]byte, total)
+	if len(buf) < total {
+		return 0, ErrTruncated
+	}
 	ip := IPv4Header{
 		Version:  4,
 		IHL:      5,
@@ -296,19 +312,19 @@ func Serialize(key rule.Packet) ([]byte, error) {
 		DstIP:    key.DstIP,
 	}
 	if _, err := ip.SerializeTo(buf[:20]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	switch key.Proto {
 	case ProtoTCP:
 		tcp := TCPHeader{SrcPort: key.SrcPort, DstPort: key.DstPort, DataOffset: 5, Flags: 0x02, Window: 65535}
 		if _, err := tcp.SerializeTo(buf[20:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 	case ProtoUDP:
 		udp := UDPHeader{SrcPort: key.SrcPort, DstPort: key.DstPort, Length: 8}
 		if _, err := udp.SerializeTo(buf[20:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	return buf, nil
+	return total, nil
 }

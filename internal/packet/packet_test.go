@@ -322,3 +322,23 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// TestSerializeToBuffer: SerializeTo writes Serialize's bytes into the
+// caller's buffer, and refuses a buffer too short for the packet.
+func TestSerializeToBuffer(t *testing.T) {
+	for _, proto := range []uint8{ProtoTCP, ProtoUDP, ProtoICMP} {
+		key := rule.Packet{SrcIP: 0x0A000001, DstIP: 0xC0A80101, SrcPort: 1234, DstPort: 80, Proto: proto}
+		want, err := Serialize(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf [MaxSerializedLen]byte
+		n, err := SerializeTo(buf[:], key)
+		if err != nil || !bytes.Equal(buf[:n], want) {
+			t.Fatalf("proto %d: SerializeTo = % x, %v; Serialize = % x", proto, buf[:n], err, want)
+		}
+		if _, err := SerializeTo(buf[:len(want)-1], key); err != ErrTruncated {
+			t.Errorf("proto %d: short buffer: err %v, want ErrTruncated", proto, err)
+		}
+	}
+}

@@ -103,9 +103,6 @@ func New(policy *nn.ActorCritic, cfg Config) *PPO {
 	return &PPO{Policy: policy, cfg: cfg, opt: opt}
 }
 
-// Config returns the learner's configuration.
-func (p *PPO) Config() Config { return p.cfg }
-
 // Decision is the result of sampling the policy at one observation.
 type Decision struct {
 	// Dim and Act are the sampled head indices.

@@ -62,7 +62,7 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	policy := nn.NewActorCritic(2, 2, 2, []int{4}, rng)
 	p := New(policy, Config{})
-	cfg := p.Config()
+	cfg := p.cfg
 	if cfg.LearningRate <= 0 || cfg.Epochs <= 0 || cfg.MinibatchSize <= 0 || cfg.ValueCoeff <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}

@@ -37,17 +37,17 @@ func TestParseClassBench(t *testing.T) {
 		t.Errorf("rule 0 proto = %s", r0.Ranges[DimProto])
 	}
 	r1 := s.Rule(1)
-	if !r1.IsWildcard(DimSrcIP) || !r1.IsWildcard(DimDstIP) {
+	if !r1.Ranges[DimSrcIP].IsFull(DimSrcIP) || !r1.Ranges[DimDstIP].IsFull(DimDstIP) {
 		t.Error("rule 1 should have wildcard IPs")
 	}
 	if r1.Ranges[DimSrcPort] != (Range{Lo: 53, Hi: 53}) {
 		t.Errorf("rule 1 sport = %s", r1.Ranges[DimSrcPort])
 	}
 	r2 := s.Rule(2)
-	if !r2.IsWildcard(DimProto) {
+	if !r2.Ranges[DimProto].IsFull(DimProto) {
 		t.Error("rule 2 proto/0x00 mask should be wildcard")
 	}
-	if !s.HasDefaultRule() {
+	if !hasDefaultRule(s) {
 		t.Error("rule 3 should be the default rule")
 	}
 }

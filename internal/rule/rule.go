@@ -89,11 +89,6 @@ func (r Range) Contains(v uint64) bool {
 	return v >= r.Lo && v <= r.Hi
 }
 
-// Overlaps reports whether r and o share at least one value.
-func (r Range) Overlaps(o Range) bool {
-	return r.Lo <= o.Hi && o.Lo <= r.Hi
-}
-
 // Covers reports whether r fully contains o.
 func (r Range) Covers(o Range) bool {
 	return r.Lo <= o.Lo && o.Hi <= r.Hi
@@ -248,44 +243,6 @@ func (r Rule) Matches(p Packet) bool {
 	return true
 }
 
-// OverlapsBox reports whether the rule's hyper-rectangle intersects the box
-// described by ranges (one per dimension). This is the test used when
-// assigning rules to decision-tree nodes.
-func (r Rule) OverlapsBox(box [NumDims]Range) bool {
-	for _, d := range Dimensions() {
-		if !r.Ranges[d].Overlaps(box[d]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Overlaps reports whether two rules' hyper-rectangles intersect.
-func (r Rule) Overlaps(o Rule) bool {
-	for _, d := range Dimensions() {
-		if !r.Ranges[d].Overlaps(o.Ranges[d]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Covers reports whether r's hyper-rectangle fully contains o's.
-func (r Rule) Covers(o Rule) bool {
-	for _, d := range Dimensions() {
-		if !r.Ranges[d].Covers(o.Ranges[d]) {
-			return false
-		}
-	}
-	return true
-}
-
-// IsWildcard reports whether the rule leaves dimension d completely
-// unconstrained.
-func (r Rule) IsWildcard(d Dimension) bool {
-	return r.Ranges[d].IsFull(d)
-}
-
 // Coverage returns the fraction of dimension d's space covered by the rule,
 // in [0, 1]. EffiCuts calls a field "large" when this exceeds a threshold
 // (0.5 in the original paper).
@@ -294,8 +251,8 @@ func (r Rule) Coverage(d Dimension) float64 {
 }
 
 // Validate checks the rule for basic well-formedness: every range must
-// satisfy Lo <= Hi and fit inside its dimension. Set.Validate, the public
-// SDK and the binary wire protocol all gate on this one definition.
+// satisfy Lo <= Hi and fit inside its dimension. The public SDK and the
+// binary wire protocol both gate on this one definition.
 func (r Rule) Validate() error {
 	for _, d := range Dimensions() {
 		rg := r.Ranges[d]
@@ -307,12 +264,6 @@ func (r Rule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Equal reports whether two rules have identical ranges (ignoring priority
-// and ID).
-func (r Rule) Equal(o Rule) bool {
-	return r.Ranges == o.Ranges
 }
 
 // String renders the rule in a compact human-readable form.

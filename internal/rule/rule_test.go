@@ -60,10 +60,10 @@ func TestRangeBasics(t *testing.T) {
 	if got := (Range{Lo: 5, Hi: 3}).Size(); got != 0 {
 		t.Errorf("inverted range size = %d, want 0", got)
 	}
-	if !r.Overlaps(Range{Lo: 20, Hi: 30}) {
-		t.Error("ranges sharing an endpoint overlap")
+	if got, ok := r.Intersect(Range{Lo: 20, Hi: 30}); !ok || got != (Range{Lo: 20, Hi: 20}) {
+		t.Error("ranges sharing an endpoint overlap in it")
 	}
-	if r.Overlaps(Range{Lo: 21, Hi: 30}) {
+	if _, ok := r.Intersect(Range{Lo: 21, Hi: 30}); ok {
 		t.Error("disjoint ranges must not overlap")
 	}
 	if !r.Covers(Range{Lo: 12, Hi: 18}) || r.Covers(Range{Lo: 12, Hi: 22}) {
@@ -185,7 +185,7 @@ func TestPaperFigure1(t *testing.T) {
 	r2 := NewWildcardRule(2) // default rule
 
 	set := NewSet([]Rule{r0, r1, r2})
-	if !set.HasDefaultRule() {
+	if !hasDefaultRule(set) {
 		t.Fatal("classifier should have a default rule")
 	}
 
@@ -210,6 +210,8 @@ func TestPaperFigure1(t *testing.T) {
 	}
 }
 
+// TestRuleBoxOperations: what a tree node does with a rule's ranges against
+// its box, dimension by dimension — overlap, and clipping to the box.
 func TestRuleBoxOperations(t *testing.T) {
 	r := NewWildcardRule(0)
 	r.Ranges[DimSrcPort] = Range{Lo: 100, Hi: 200}
@@ -219,19 +221,50 @@ func TestRuleBoxOperations(t *testing.T) {
 		box[d] = FullRange(d)
 	}
 	box[DimSrcPort] = Range{Lo: 150, Hi: 300}
-	if !r.OverlapsBox(box) {
+	if !overlapsBox(r, box) {
 		t.Error("rule should overlap box sharing [150,200]")
 	}
+	if clipped, ok := r.Ranges[DimSrcPort].Intersect(box[DimSrcPort]); !ok || clipped != (Range{Lo: 150, Hi: 200}) {
+		t.Errorf("clip to box = %v, %v; want [150,200]", clipped, ok)
+	}
 	box[DimSrcPort] = Range{Lo: 300, Hi: 400}
-	if r.OverlapsBox(box) {
+	if overlapsBox(r, box) {
 		t.Error("disjoint box should not overlap")
 	}
+	if _, ok := r.Ranges[DimSrcPort].Intersect(box[DimSrcPort]); ok {
+		t.Error("clip to a disjoint box should be empty")
+	}
+}
+
+// overlapsBox reports whether r's ranges intersect box in every dimension.
+func overlapsBox(r Rule, box [NumDims]Range) bool {
+	for _, d := range Dimensions() {
+		if _, ok := r.Ranges[d].Intersect(box[d]); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// hasDefaultRule reports whether s's lowest-priority rule matches every
+// packet.
+func hasDefaultRule(s *Set) bool {
+	if s.Len() == 0 {
+		return false
+	}
+	last := s.Rule(s.Len() - 1)
+	for _, d := range Dimensions() {
+		if !last.Ranges[d].IsFull(d) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRuleWildcardsAndCoverage(t *testing.T) {
 	r := NewWildcardRule(0)
 	r.Ranges[DimProto] = Range{Lo: 6, Hi: 6}
-	if r.IsWildcard(DimProto) {
+	if r.Ranges[DimProto].IsFull(DimProto) {
 		t.Error("proto no longer wildcard")
 	}
 	if got := r.Coverage(DimProto); got > 0.004 {
@@ -239,26 +272,6 @@ func TestRuleWildcardsAndCoverage(t *testing.T) {
 	}
 	if got := r.Coverage(DimSrcIP); got != 1.0 {
 		t.Errorf("full coverage = %v", got)
-	}
-}
-
-func TestRuleOverlapsCoversEqual(t *testing.T) {
-	a := NewWildcardRule(0)
-	a.Ranges[DimSrcPort] = Range{Lo: 0, Hi: 100}
-	b := NewWildcardRule(1)
-	b.Ranges[DimSrcPort] = Range{Lo: 50, Hi: 150}
-	c := NewWildcardRule(2)
-	c.Ranges[DimSrcPort] = Range{Lo: 200, Hi: 300}
-
-	if !a.Overlaps(b) || a.Overlaps(c) {
-		t.Error("overlap detection wrong")
-	}
-	full := NewWildcardRule(3)
-	if !full.Covers(a) || a.Covers(full) {
-		t.Error("covers detection wrong")
-	}
-	if !a.Equal(a) || a.Equal(b) {
-		t.Error("equality detection wrong")
 	}
 }
 
@@ -299,7 +312,7 @@ func TestPropertyMatchEqualsBoxOverlap(t *testing.T) {
 			v := p.Field(d)
 			box[d] = Range{Lo: v, Hi: v}
 		}
-		return r.Matches(p) == r.OverlapsBox(box)
+		return r.Matches(p) == overlapsBox(r, box)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -318,9 +331,9 @@ func TestPropertyIntersect(t *testing.T) {
 			return false
 		}
 		if !ok1 {
-			return !r1.Overlaps(r2)
+			return r1.Hi < r2.Lo || r2.Hi < r1.Lo
 		}
-		return i1 == i2 && r1.Covers(i1) && r2.Covers(i1) && r1.Overlaps(r2)
+		return i1 == i2 && r1.Covers(i1) && r2.Covers(i1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

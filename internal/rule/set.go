@@ -2,7 +2,6 @@ package rule
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -84,30 +83,6 @@ func (s *Set) MatchIndex(p Packet) int {
 	return -1
 }
 
-// HasDefaultRule reports whether the lowest-priority rule matches every
-// packet, guaranteeing that Match always succeeds.
-func (s *Set) HasDefaultRule() bool {
-	if len(s.rules) == 0 {
-		return false
-	}
-	last := s.rules[len(s.rules)-1]
-	for _, d := range Dimensions() {
-		if !last.IsWildcard(d) {
-			return false
-		}
-	}
-	return true
-}
-
-// Append adds a rule at the end (lowest priority) of the classifier.
-func (s *Set) Append(r Rule) {
-	r.Priority = len(s.rules)
-	if r.ID == 0 {
-		r.ID = r.Priority
-	}
-	s.rules = append(s.rules, r)
-}
-
 // Insert places a rule at the given priority position, shifting later rules
 // down. Priorities are renumbered to stay equal to list indices.
 func (s *Set) Insert(pos int, r Rule) {
@@ -134,52 +109,6 @@ func (s *Set) Remove(i int) {
 	for j := range s.rules {
 		s.rules[j].Priority = j
 	}
-}
-
-// Stats summarises the structural characteristics of a classifier that the
-// hand-tuned heuristics key on.
-type Stats struct {
-	// NumRules is the classifier size.
-	NumRules int
-	// DistinctRanges[d] counts distinct (Lo,Hi) pairs in dimension d.
-	DistinctRanges [NumDims]int
-	// WildcardFraction[d] is the fraction of rules leaving d unconstrained.
-	WildcardFraction [NumDims]float64
-	// LargeFraction[d] is the fraction of rules whose coverage of d exceeds
-	// 0.5 (the EffiCuts "largeness" threshold).
-	LargeFraction [NumDims]float64
-	// AvgWildcards is the mean number of wildcard dimensions per rule.
-	AvgWildcards float64
-}
-
-// ComputeStats scans the classifier once and returns its Stats.
-func (s *Set) ComputeStats() Stats {
-	var st Stats
-	st.NumRules = len(s.rules)
-	if st.NumRules == 0 {
-		return st
-	}
-	totalWild := 0
-	for _, d := range Dimensions() {
-		seen := make(map[Range]struct{})
-		wild := 0
-		large := 0
-		for _, r := range s.rules {
-			seen[r.Ranges[d]] = struct{}{}
-			if r.IsWildcard(d) {
-				wild++
-			}
-			if r.Coverage(d) > 0.5 {
-				large++
-			}
-		}
-		st.DistinctRanges[d] = len(seen)
-		st.WildcardFraction[d] = float64(wild) / float64(st.NumRules)
-		st.LargeFraction[d] = float64(large) / float64(st.NumRules)
-		totalWild += wild
-	}
-	st.AvgWildcards = float64(totalWild) / float64(st.NumRules)
-	return st
 }
 
 // DistinctRangeCount returns the number of distinct ranges the rules at
@@ -243,15 +172,4 @@ func DistinctValueCount(rules []Rule, members []int32, d Dimension, box Range) i
 		}
 	}
 	return len(seen)
-}
-
-// Validate checks basic well-formedness of the classifier: every rule must
-// pass Rule.Validate. It returns the first problem found, or nil.
-func (s *Set) Validate() error {
-	for i, r := range s.rules {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("rule %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -22,7 +22,7 @@ func TestSetBasics(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if !s.HasDefaultRule() {
+	if !hasDefaultRule(s) {
 		t.Fatal("default rule missing")
 	}
 	for i, r := range s.Rules() {
@@ -33,8 +33,10 @@ func TestSetBasics(t *testing.T) {
 	if s.Rule(2).Ranges[DimProto].Lo != 17 {
 		t.Error("Rule(2) wrong")
 	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
+	for i, r := range s.Rules() {
+		if err := r.Validate(); err != nil {
+			t.Errorf("rule %d: Validate: %v", i, err)
+		}
 	}
 }
 
@@ -63,7 +65,7 @@ func TestSetMatch(t *testing.T) {
 	if empty.MatchIndex(p) != -1 {
 		t.Error("empty set MatchIndex != -1")
 	}
-	if empty.HasDefaultRule() {
+	if hasDefaultRule(empty) {
 		t.Error("empty set has default rule")
 	}
 }
@@ -110,15 +112,6 @@ func TestSetInsertRemove(t *testing.T) {
 	}
 }
 
-func TestSetAppend(t *testing.T) {
-	s := NewSet(nil)
-	s.Append(NewWildcardRule(0))
-	s.Append(NewWildcardRule(0))
-	if s.Len() != 2 || s.Rule(1).Priority != 1 {
-		t.Fatalf("append bookkeeping wrong: %+v", s.Rules())
-	}
-}
-
 func TestNewSetKeepPriorities(t *testing.T) {
 	a := NewWildcardRule(5)
 	a.ID = 100
@@ -127,37 +120,6 @@ func TestNewSetKeepPriorities(t *testing.T) {
 	s := NewSetKeepPriorities([]Rule{a, b})
 	if s.Rule(0).Priority != 2 || s.Rule(0).ID != 200 {
 		t.Fatalf("sorting by priority failed: %+v", s.Rules())
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	r0 := NewWildcardRule(0)
-	r0.Ranges[DimSrcIP] = PrefixRange(0x0A000000, 8, 32)
-	r1 := NewWildcardRule(1)
-	r1.Ranges[DimSrcIP] = PrefixRange(0x0A000000, 8, 32)
-	r1.Ranges[DimProto] = Range{Lo: 6, Hi: 6}
-	r2 := NewWildcardRule(2)
-
-	s := NewSet([]Rule{r0, r1, r2})
-	st := s.ComputeStats()
-	if st.NumRules != 3 {
-		t.Fatalf("NumRules = %d", st.NumRules)
-	}
-	if st.DistinctRanges[DimSrcIP] != 2 {
-		t.Errorf("DistinctRanges[SrcIP] = %d, want 2", st.DistinctRanges[DimSrcIP])
-	}
-	if st.WildcardFraction[DimSrcIP] < 0.3 || st.WildcardFraction[DimSrcIP] > 0.34 {
-		t.Errorf("WildcardFraction[SrcIP] = %v", st.WildcardFraction[DimSrcIP])
-	}
-	if st.LargeFraction[DimDstIP] != 1.0 {
-		t.Errorf("LargeFraction[DstIP] = %v", st.LargeFraction[DimDstIP])
-	}
-	if st.AvgWildcards <= 0 {
-		t.Errorf("AvgWildcards = %v", st.AvgWildcards)
-	}
-	// Empty set stats.
-	if got := NewSet(nil).ComputeStats(); got.NumRules != 0 {
-		t.Errorf("empty stats = %+v", got)
 	}
 }
 
@@ -188,14 +150,12 @@ func TestDistinctCounts(t *testing.T) {
 func TestValidateCatchesBadRules(t *testing.T) {
 	bad := NewWildcardRule(0)
 	bad.Ranges[DimSrcPort] = Range{Lo: 10, Hi: 5}
-	s := NewSet([]Rule{bad})
-	if err := s.Validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("inverted range not caught")
 	}
 	bad2 := NewWildcardRule(0)
 	bad2.Ranges[DimProto] = Range{Lo: 0, Hi: 300}
-	s2 := NewSet([]Rule{bad2})
-	if err := s2.Validate(); err == nil {
+	if err := bad2.Validate(); err == nil {
 		t.Error("overflow range not caught")
 	}
 }

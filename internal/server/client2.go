@@ -276,20 +276,6 @@ func (c *ClientV2) LoadArtifact(path string) (version uint64, rules int, err err
 	return version, rules, err
 }
 
-// Stats returns the server's one-line stats summary for the current table
-// ("stats requests=N matches=N parse-failures=N", plus the online-update
-// fields when the table has them).
-func (c *ClientV2) Stats() (string, error) {
-	resp, err := c.roundTrip(c.begin(OpStats))
-	if err != nil {
-		return "", err
-	}
-	if resp.Op != OpStatsResult {
-		return "", errors.New("server: malformed stats response")
-	}
-	return string(resp.Payload), nil
-}
-
 // CreateTable asks the server to create a new table warm-started
 // from the compiled artifact at path (on the server's filesystem). It
 // returns the new table's wire ID and rule count.

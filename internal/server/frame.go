@@ -70,9 +70,10 @@ const (
 	OpSave uint8 = 6
 	// OpLoad carries an artifact path; answered with OpUpdated (id -1).
 	OpLoad uint8 = 7
-	// OpStats has an empty payload; answered with OpStatsResult (one line of
-	// "key=value" text, see Server.statsLine).
-	OpStats uint8 = 8
+	// 8 and 68 stay unassigned, so a stats request from an older client
+	// gets OpError rather than another op's answer; the counters are the
+	// admin plane's /metrics.
+
 	// OpListTables has an empty payload; answered with OpTableList.
 	OpListTables uint8 = 9
 	// OpCreateTable carries uint8 nameLen + name + artifact path. The server
@@ -98,8 +99,6 @@ const (
 	// OpUpdated answers OpInsert/OpDelete/OpSave/OpLoad: int32 affected rule
 	// ID (-1 when not applicable) + uint64 version + uint32 live rule count.
 	OpUpdated uint8 = 67
-	// OpStatsResult answers OpStats with the stats line as text.
-	OpStatsResult uint8 = 68
 	// OpTableList answers OpListTables: uint16 n, then per table uint32 ID +
 	// uint8 flags (1 = default) + uint8 nameLen + name.
 	OpTableList uint8 = 69

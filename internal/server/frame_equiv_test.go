@@ -63,9 +63,9 @@ func refReadFrame(r io.Reader) (Frame, error) {
 	return Frame{Op: hdr[5], Table: binary.LittleEndian.Uint32(hdr[8:12]), Payload: rest[:payloadLen]}, nil
 }
 
-var allOps = []uint8{OpPing, OpClassify, OpBatch, OpInsert, OpDelete, OpSave, OpLoad, OpStats,
+var allOps = []uint8{OpPing, OpClassify, OpBatch, OpInsert, OpDelete, OpSave, OpLoad,
 	OpListTables, OpCreateTable, OpDropTable, OpPong, OpResult, OpBatchResult, OpUpdated,
-	OpStatsResult, OpTableList, OpTableInfo, OpError}
+	OpTableList, OpTableInfo, OpError}
 
 // TestFrameEncodersMatchReference holds the one encoder — beginFrame, a
 // payload appended in place, endFrame, and AppendFrame over them — to the

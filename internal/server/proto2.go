@@ -1,8 +1,8 @@
 package server
 
 // Server side of the wire protocol (see frame.go for the frame layout):
-// classification, pipelined batches, live updates, artifact save/load,
-// stats and table administration. Each frame names the table it operates
+// classification, pipelined batches, live updates, artifact save/load and
+// table administration. Each frame names the table it operates
 // on, so one connection can query and administer many rule sets
 // concurrently.
 
@@ -210,13 +210,6 @@ func (s *Server) respondFrame(f Frame) Frame {
 		return s.frameSave(f)
 	case OpLoad:
 		return s.frameLoad(f)
-	case OpStats:
-		s.requests.Add(1)
-		eng, err := s.table(f.Table)
-		if err != nil {
-			return errorFrame(f.Table, err.Error())
-		}
-		return Frame{Op: OpStatsResult, Table: f.Table, Payload: []byte(s.statsLine(eng))}
 	case OpListTables:
 		s.requests.Add(1)
 		s.tableOps.Add(1)

@@ -72,7 +72,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Op: OpPing},
 		{Op: OpClassify, Table: 7, Payload: appendPacket(nil, rule.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 5})},
 		{Op: OpError, Table: 0xFFFFFFFF, Payload: bytes.Repeat([]byte{0xAB}, 1000)},
-		{Op: OpStats, Payload: []byte{}},
+		{Op: OpListTables, Payload: []byte{}},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -377,9 +377,6 @@ func TestV2TableAdmin(t *testing.T) {
 			}
 			// The new table serves lookups.
 			c.UseTable(id)
-			if _, err := c.Stats(); err != nil {
-				t.Fatal(err)
-			}
 			if _, _, _, err := c.Classify(rule.Packet{}); err != nil {
 				t.Fatal(err)
 			}
@@ -541,7 +538,7 @@ func TestV2CreateTableRefusesHeldJournal(t *testing.T) {
 // slow lookups under its own name, the label /metrics gives it too.
 func TestV2CreatedTableTelemetryLabel(t *testing.T) {
 	artifact := savedArtifact(t)
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	tel.SetSlowThreshold(0)
 	def, _ := buildTestEngine(t, "fw2", "linear", 50)
 	tabs := engine.NewTables()

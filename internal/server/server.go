@@ -338,17 +338,3 @@ func (s *Server) Stats() Stats {
 		ActiveConns: active,
 	}
 }
-
-// statsLine renders the one-line stats text OpStats answers with. The
-// online-update subsystem's state follows the leading request counters, so
-// clients that parse only those keep working.
-func (s *Server) statsLine(eng *engine.Engine) string {
-	st, u := s.Stats(), eng.UpdaterStats()
-	compacting := 0
-	if u.Compacting {
-		compacting = 1
-	}
-	return fmt.Sprintf("stats requests=%d matches=%d parse-failures=%d overlay=%d tombstones=%d rules=%d generation=%d compactions=%d compacting=%d journal-records=%d",
-		st.Requests, st.Matches, st.ParseFails,
-		u.OverlayRules, u.Tombstones, u.Rules, u.Version, u.Compactions, compacting, u.JournalRecords)
-}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"neurocuts/internal/classbench"
@@ -10,19 +9,9 @@ import (
 	"neurocuts/internal/rule"
 )
 
-// statsRequest returns the stats line as a fresh connection sees it.
-func statsRequest(t *testing.T, addr string) string {
-	t.Helper()
-	line, err := dialV2Test(t, addr).Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return line
-}
-
-// TestStatsExposesUpdaterState: an engine surfaces overlay size, tombstones,
-// generation, compaction and journal state through the stats request; live
-// insert/delete through the protocol move those fields.
+// TestStatsExposesUpdaterState: live insert/delete through the protocol
+// move the served engine's overlay, tombstone, generation and journal state
+// (what the admin plane's /metrics exports) and the server's update counter.
 func TestStatsExposesUpdaterState(t *testing.T) {
 	fam, err := classbench.FamilyByName("acl1")
 	if err != nil {
@@ -43,11 +32,9 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	resp := statsRequest(t, addr.String())
-	for _, field := range []string{"overlay=0", "tombstones=0", "rules=150", "compactions=0", "journal-records=0"} {
-		if !strings.Contains(resp, field) {
-			t.Fatalf("stats %q missing %q", resp, field)
-		}
+	before := eng.UpdaterStats()
+	if before.OverlayRules != 0 || before.Tombstones != 0 || before.Rules != 150 || before.Compactions != 0 || before.JournalRecords != 0 {
+		t.Fatalf("fresh engine stats %+v", before)
 	}
 
 	c := dialV2Test(t, addr.String())
@@ -58,14 +45,15 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 	if _, err := c.DeleteRule(set.Rule(3).ID); err != nil {
 		t.Fatal(err)
 	}
-	resp = statsRequest(t, addr.String())
-	for _, field := range []string{"overlay=1", "tombstones=1", "rules=150", "journal-records=2"} {
-		if !strings.Contains(resp, field) {
-			t.Fatalf("stats after updates %q missing %q", resp, field)
-		}
+	after := eng.UpdaterStats()
+	if after.OverlayRules != 1 || after.Tombstones != 1 || after.Rules != 150 || after.JournalRecords != 2 {
+		t.Fatalf("stats after updates %+v", after)
 	}
-	if !strings.Contains(resp, "generation=") {
-		t.Fatalf("stats %q missing generation", resp)
+	if after.Version <= before.Version {
+		t.Fatalf("generation %d did not advance from %d", after.Version, before.Version)
+	}
+	if st := srv.Stats(); st.Updates != 2 {
+		t.Fatalf("server counted %d updates, want 2", st.Updates)
 	}
 	// The added rule must be live through the overlay.
 	p, err := rule.ParsePacket("10.1.2.3 4.5.6.7 1234 80 6")
@@ -75,21 +63,5 @@ func TestStatsExposesUpdaterState(t *testing.T) {
 	gotID, _, ok, err := c.Classify(p)
 	if err != nil || !ok || gotID != id {
 		t.Fatalf("overlay-inserted rule not served: id=%d ok=%v err=%v want id=%d", gotID, ok, err, id)
-	}
-}
-
-// TestStatsPlainEngineUnchanged: an engine built with no update option keeps
-// the three leading fields and carries the overlay fields like any other —
-// there is one write path, so there is one line shape.
-func TestStatsPlainEngineUnchanged(t *testing.T) {
-	_, _, addr := startEngineServer(t, "linear")
-	resp := statsRequest(t, addr)
-	if !strings.HasPrefix(resp, "stats requests=") {
-		t.Fatalf("plain stats line changed shape: %q", resp)
-	}
-	for _, field := range []string{"overlay=0", "tombstones=0", "compactions=0", "journal-records=0"} {
-		if !strings.Contains(resp, field) {
-			t.Fatalf("stats %q missing %q", resp, field)
-		}
 	}
 }

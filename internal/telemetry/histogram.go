@@ -89,14 +89,6 @@ type HistogramSnapshot struct {
 	Counts [NumBuckets]uint64
 }
 
-// Merge adds another snapshot's buckets into s (per-shard instances merged
-// at scrape time).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for b := 0; b < NumBuckets; b++ {
-		s.Counts[b] += o.Counts[b]
-	}
-}
-
 // Count returns the total number of recorded samples.
 func (s HistogramSnapshot) Count() uint64 {
 	var n uint64

@@ -72,29 +72,20 @@ func TestHistogramRecordAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeCorrectness is the per-shard merge pin: recording the
-// same sample stream into many striped instances (one per simulated shard)
-// and merging their snapshots must equal a single instance fed everything.
+// TestHistogramMergeCorrectness is the stripe merge pin: a sample stream
+// spread over eight stripes, merged at snapshot time, must equal a single
+// stripe fed everything.
 func TestHistogramMergeCorrectness(t *testing.T) {
-	const shards = 8
-	single := NewHistogram(1)
-	perShard := make([]*Histogram, shards)
-	for i := range perShard {
-		perShard[i] = NewHistogram(4)
-	}
+	single, striped := NewHistogram(1), NewHistogram(8)
 	rng := uint64(42)
 	for i := 0; i < 10000; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		ns := int64(rng >> 34)
 		single.RecordNanos(rng, ns)
-		perShard[i%shards].RecordNanos(rng, ns)
+		striped.RecordNanos(rng, ns)
 	}
-	var merged HistogramSnapshot
-	for _, h := range perShard {
-		merged.Merge(h.Snapshot())
-	}
-	if merged != single.Snapshot() {
-		t.Fatalf("merged per-shard snapshot differs from single instance:\nmerged: %v\nsingle: %v",
+	if merged := striped.Snapshot(); merged != single.Snapshot() {
+		t.Fatalf("merged 8-stripe snapshot differs from single stripe:\nmerged: %v\nsingle: %v",
 			merged.Counts, single.Snapshot().Counts)
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 func TestRecorderRoundTrip(t *testing.T) {
-	tel := New(Config{SlowRing: 16})
+	tel := New()
+	tel.Slow = NewRecorder(16)
 	tbl := tel.Intern("default")
 	be := tel.Intern("hicuts")
 	tel.Slow.Record(Sample{
@@ -60,7 +61,7 @@ func TestRecorderWrapKeepsMostRecent(t *testing.T) {
 }
 
 func TestRecorderThreshold(t *testing.T) {
-	tel := New(Config{})
+	tel := New()
 	if tel.SlowEnough(1) {
 		t.Fatal("recorder must start disabled")
 	}

@@ -29,22 +29,10 @@ import (
 // Pre-seeded intern IDs for the serving paths. New pre-seeds these in
 // order, so the constants hold for every Telemetry instance.
 const (
-	PathNone uint32 = iota
+	pathNone uint32 = iota
 	PathSingle
 	PathBatch
 )
-
-// Config sizes a Telemetry instance. The zero value selects defaults.
-type Config struct {
-	// Stripes is the per-histogram stripe count, rounded up to a power of
-	// two (0 selects GOMAXPROCS rounded up, capped at 64). More stripes
-	// cost memory (34 counters per stripe) and buy less cross-core
-	// contention.
-	Stripes int
-	// SlowRing is the flight recorder's slot count, rounded up to a power
-	// of two (0 selects 256).
-	SlowRing int
-}
 
 // Telemetry aggregates the process's serving histograms and the slow
 // flight recorder. All methods are safe for concurrent use; the recording
@@ -84,20 +72,13 @@ type Telemetry struct {
 	strIDs map[string]uint32
 }
 
-// New builds a Telemetry instance. The slow threshold starts disabled;
+// New builds a Telemetry instance. The serving histograms get one stripe
+// per GOMAXPROCS (rounded up to a power of two, at most 64): more stripes
+// cost memory (34 counters each) and buy less cross-core contention. The
+// flight recorder holds 256 samples. The slow threshold starts disabled;
 // enable it with SetSlowThreshold.
-func New(cfg Config) *Telemetry {
-	stripes := cfg.Stripes
-	if stripes <= 0 {
-		stripes = runtime.GOMAXPROCS(0)
-		if stripes > 64 {
-			stripes = 64
-		}
-	}
-	ring := cfg.SlowRing
-	if ring <= 0 {
-		ring = 256
-	}
+func New() *Telemetry {
+	stripes := min(runtime.GOMAXPROCS(0), 64)
 	t := &Telemetry{
 		Lookup:       NewHistogram(stripes),
 		LookupBatch:  NewHistogram(stripes),
@@ -105,7 +86,7 @@ func New(cfg Config) *Telemetry {
 		UpdateDelete: NewHistogram(1),
 		Compaction:   NewHistogram(1),
 		ServerV2:     NewHistogram(stripes),
-		Slow:         NewRecorder(ring),
+		Slow:         NewRecorder(256),
 		strIDs:       map[string]uint32{},
 	}
 	t.slowNanos.Store(-1)

@@ -5,7 +5,7 @@ import (
 )
 
 func TestTelemetryFamilies(t *testing.T) {
-	tel := New(Config{})
+	tel := New()
 	tel.Lookup.RecordNanos(0, 100)
 	tel.LookupBatch.RecordNanos(1, 2000)
 	tel.UpdateInsert.RecordNanos(0, 40000)
@@ -39,8 +39,8 @@ func TestTelemetryFamilies(t *testing.T) {
 }
 
 func TestInternStability(t *testing.T) {
-	tel := New(Config{})
-	if tel.Intern("single") != PathSingle || tel.Intern("batch") != PathBatch || tel.Intern("") != PathNone {
+	tel := New()
+	if tel.Intern("single") != PathSingle || tel.Intern("batch") != PathBatch || tel.Intern("") != pathNone {
 		t.Fatal("pre-seeded path IDs do not match the Path constants")
 	}
 	a := tel.Intern("tableA")
@@ -58,7 +58,7 @@ func TestInternStability(t *testing.T) {
 // TestRecordingZeroAlloc pins the recording primitives themselves at zero
 // allocations — the serving-path pins in engine build on this.
 func TestRecordingZeroAlloc(t *testing.T) {
-	tel := New(Config{})
+	tel := New()
 	tel.SetSlowThreshold(0)
 	tbl := tel.Intern("default")
 	if allocs := testing.AllocsPerRun(1000, func() {

@@ -103,12 +103,15 @@ func (t *Tree) CutAtPoints(n *Node, dim rule.Dimension, points []uint64) ([]*Nod
 	return n.Children, nil
 }
 
-// Boundaries returns the distinct boundaries, ascending, that n's rules
-// offer CutAtPoints in dim: each rule range's low end and the value just
-// past its high end, clipped to the node's box, that lie strictly inside it.
-func (t *Tree) Boundaries(n *Node, dim rule.Dimension) []uint64 {
+// Boundaries appends to dst, and returns, the distinct boundaries,
+// ascending, that n's rules offer CutAtPoints in dim: each rule range's low
+// end and the value just past its high end, clipped to the node's box, that
+// lie strictly inside it. A caller asking for several dimensions passes the
+// last result back as dst[:0] to reuse its storage.
+func (t *Tree) Boundaries(dst []uint64, n *Node, dim rule.Dimension) []uint64 {
 	box := n.Box[dim]
-	out := make([]uint64, 0, 2*len(n.Rules))
+	start := len(dst)
+	out := slices.Grow(dst, 2*len(n.Rules))
 	for _, ri := range n.Rules {
 		rr, ok := t.Rules[ri].Ranges[dim].Intersect(box)
 		if !ok {
@@ -121,8 +124,8 @@ func (t *Tree) Boundaries(n *Node, dim rule.Dimension) []uint64 {
 			out = append(out, rr.Hi+1)
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	slices.Sort(out[start:])
+	return append(out[:start], slices.Compact(out[start:])...)
 }
 
 // Partition splits node n's rules into the given disjoint groups — each a

@@ -16,8 +16,6 @@ type Builder struct {
 	tree *Tree
 	// stack holds nodes awaiting processing in DFS order (top = next).
 	stack []*Node
-	// steps counts how many actions have been applied.
-	steps int
 }
 
 // NewBuilder creates a builder over a fresh tree for the classifier.
@@ -70,9 +68,6 @@ func Grow(t *Tree, n *Node, maxDepth int, cut func(*Node) ([]*Node, error)) erro
 // Tree returns the tree under construction.
 func (b *Builder) Tree() *Tree { return b.tree }
 
-// Steps returns how many actions have been applied so far.
-func (b *Builder) Steps() int { return b.steps }
-
 // Done reports whether every remaining leaf satisfies the leaf threshold.
 func (b *Builder) Done() bool { return len(b.stack) == 0 }
 
@@ -84,9 +79,6 @@ func (b *Builder) Current() *Node {
 	}
 	return b.stack[len(b.stack)-1]
 }
-
-// Pending returns how many non-terminal leaves are queued for expansion.
-func (b *Builder) Pending() int { return len(b.stack) }
 
 // ApplyCut expands the current node with a single-dimension cut and advances
 // to the next non-terminal leaf.
@@ -131,7 +123,6 @@ func (b *Builder) Skip() {
 // advance pops the expanded node and pushes its non-terminal children in
 // reverse order so that the first child is processed next (depth-first).
 func (b *Builder) advance(children []*Node) {
-	b.steps++
 	b.stack = b.stack[:len(b.stack)-1]
 	for i := len(children) - 1; i >= 0; i-- {
 		if !b.tree.IsTerminal(children[i]) {

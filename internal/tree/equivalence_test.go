@@ -81,7 +81,7 @@ func TestPaperFigure2(t *testing.T) {
 		}
 	}
 
-	if !tr.IsComplete() {
+	if tr.ComputeMetrics().UnfinishedLeaves != 0 {
 		t.Error("tree should be complete with binth=2")
 	}
 	m := tr.ComputeMetrics()
@@ -144,7 +144,7 @@ func TestPaperFigure3(t *testing.T) {
 		}
 	}
 
-	if !tr.IsComplete() {
+	if tr.ComputeMetrics().UnfinishedLeaves != 0 {
 		t.Error("partitioned tree should be complete")
 	}
 	m := tr.ComputeMetrics()

@@ -16,14 +16,14 @@ func assignRulesRef(rules []rule.Rule, box [rule.NumDims]rule.Range) []rule.Rule
 	prune := len(rules) <= redundancyLimit
 	var out []rule.Rule
 	for _, r := range rules {
-		if !r.OverlapsBox(box) {
+		if !overlapsBoxRef(r, box) {
 			continue
 		}
 		if prune {
 			clipped := clipToBoxRef(r, box)
 			redundant := false
 			for _, kept := range out {
-				if clipToBoxRef(kept, box).Covers(clipped) {
+				if coversRef(clipToBoxRef(kept, box), clipped) {
 					redundant = true
 					break
 				}
@@ -35,6 +35,26 @@ func assignRulesRef(rules []rule.Rule, box [rule.NumDims]rule.Range) []rule.Rule
 		out = append(out, r)
 	}
 	return out
+}
+
+// overlapsBoxRef and coversRef are rule.Rule's OverlapsBox and Covers as
+// the reference used them.
+func overlapsBoxRef(r rule.Rule, box [rule.NumDims]rule.Range) bool {
+	for _, d := range rule.Dimensions() {
+		if _, ok := r.Ranges[d].Intersect(box[d]); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func coversRef(r, o rule.Rule) bool {
+	for _, d := range rule.Dimensions() {
+		if !r.Ranges[d].Covers(o.Ranges[d]) {
+			return false
+		}
+	}
+	return true
 }
 
 func clipToBoxRef(r rule.Rule, box [rule.NumDims]rule.Range) rule.Rule {

@@ -87,9 +87,11 @@ func TestAverageNeverExceedsWorstCase(t *testing.T) {
 	fam, _ := classbench.FamilyByName("acl1")
 	set := classbench.Generate(fam, 200, 4)
 	b := NewBuilder(set, 8)
-	for !b.Done() && b.Steps() < 300 {
-		if err := b.ApplyCut(rule.Dimensions()[b.Steps()%rule.NumDims], 8); err != nil {
+	for steps := 0; !b.Done() && steps < 300; {
+		if err := b.ApplyCut(rule.Dimensions()[steps%rule.NumDims], 8); err != nil {
 			b.Skip()
+		} else {
+			steps++
 		}
 	}
 	tr := b.Tree()

@@ -171,64 +171,6 @@ func (t *Tree) Walk(fn func(*Node) bool) {
 	}
 }
 
-// NodeCount returns the total number of nodes in the tree.
-func (t *Tree) NodeCount() int {
-	count := 0
-	t.Walk(func(*Node) bool { count++; return true })
-	return count
-}
-
-// LeafCount returns the number of leaves in the tree.
-func (t *Tree) LeafCount() int {
-	count := 0
-	t.Walk(func(n *Node) bool {
-		if n.IsLeaf() {
-			count++
-		}
-		return true
-	})
-	return count
-}
-
-// UnfinishedLeaves returns, in DFS order, the leaves that still hold more
-// rules than the leaf threshold and therefore need further expansion.
-func (t *Tree) UnfinishedLeaves() []*Node {
-	var out []*Node
-	t.Walk(func(n *Node) bool {
-		if n.IsLeaf() && !t.IsTerminal(n) {
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
-}
-
-// IsComplete reports whether every leaf satisfies the leaf threshold.
-func (t *Tree) IsComplete() bool {
-	complete := true
-	t.Walk(func(n *Node) bool {
-		if n.IsLeaf() && !t.IsTerminal(n) {
-			complete = false
-			return false
-		}
-		return true
-	})
-	return complete
-}
-
-// MaxDepth returns the maximum node depth in the tree (root = 0, so a
-// root-only tree has depth 0).
-func (t *Tree) MaxDepth() int {
-	max := 0
-	t.Walk(func(n *Node) bool {
-		if n.Depth > max {
-			max = n.Depth
-		}
-		return true
-	})
-	return max
-}
-
 // LevelSizes returns the number of nodes at each depth level, index = depth.
 // This is the data plotted in Figure 5 of the paper.
 func (t *Tree) LevelSizes() []int {

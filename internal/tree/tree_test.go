@@ -169,8 +169,8 @@ func TestLevelSizesAndHistogram(t *testing.T) {
 	if hist[1][rule.DimDstPort] != 4 {
 		t.Errorf("level 1 histogram = %v", hist[1])
 	}
-	if tr.NodeCount() != 13 || tr.LeafCount() != 8 {
-		t.Errorf("nodes/leaves = %d/%d", tr.NodeCount(), tr.LeafCount())
+	if m := tr.ComputeMetrics(); m.Nodes != 13 || m.Leaves != 8 {
+		t.Errorf("nodes/leaves = %d/%d", m.Nodes, m.Leaves)
 	}
 }
 
@@ -188,18 +188,13 @@ func TestBuilderDFSOrder(t *testing.T) {
 	if b.Current() != b.Tree().Root.Children[0] {
 		t.Fatal("builder did not descend depth-first")
 	}
-	steps := 1
 	for !b.Done() {
 		if err := b.ApplyCut(rule.DimDstPort, 2); err != nil {
 			t.Fatal(err)
 		}
-		steps++
 	}
-	if !b.Tree().IsComplete() {
+	if b.Tree().ComputeMetrics().UnfinishedLeaves != 0 {
 		t.Error("builder finished with incomplete tree")
-	}
-	if b.Steps() != steps {
-		t.Errorf("Steps = %d, want %d", b.Steps(), steps)
 	}
 	if b.Current() != nil {
 		t.Error("Current should be nil when done")
@@ -215,14 +210,14 @@ func TestBuilderSkipAndPartition(t *testing.T) {
 	if err := b.ApplyPartitionByCoverage(rule.DimSrcPort, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if b.Pending() == 0 {
+	if b.Done() {
 		t.Fatal("children should be pending")
 	}
 	// Skip everything: the tree stays incomplete but the builder terminates.
 	for !b.Done() {
 		b.Skip()
 	}
-	if b.Tree().IsComplete() {
+	if b.Tree().ComputeMetrics().UnfinishedLeaves == 0 {
 		t.Error("skipped tree should be incomplete")
 	}
 	b.Skip() // no-op on a finished builder
@@ -285,8 +280,8 @@ func TestGrow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tr.IsComplete() || tr.NodeCount() != b.Tree().NodeCount() {
-			t.Fatalf("Grow built %d nodes (complete %v), the Builder %d", tr.NodeCount(), tr.IsComplete(), b.Tree().NodeCount())
+		if m, want := tr.ComputeMetrics(), b.Tree().ComputeMetrics(); m.UnfinishedLeaves != 0 || m.Nodes != want.Nodes {
+			t.Fatalf("Grow built %d nodes (%d unfinished leaves), the Builder %d", m.Nodes, m.UnfinishedLeaves, want.Nodes)
 		}
 		// The two trees are built alike, so the k-th expansion must be the
 		// same node of each: compare their places in pre-order, which must
@@ -350,8 +345,8 @@ func TestGrow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.MaxDepth() != maxDepth || tr.IsComplete() {
-				t.Fatalf("max depth %d: tree depth %d, complete %v; want depth %d, unfinished leaves", maxDepth, tr.MaxDepth(), tr.IsComplete(), maxDepth)
+			if m := tr.ComputeMetrics(); m.MaxDepth != maxDepth || m.UnfinishedLeaves == 0 {
+				t.Fatalf("max depth %d: tree depth %d, %d unfinished leaves; want depth %d, unfinished leaves", maxDepth, m.MaxDepth, m.UnfinishedLeaves, maxDepth)
 			}
 		}
 	})
@@ -360,7 +355,7 @@ func TestGrow(t *testing.T) {
 		tr := New(set, 2)
 		calls := 0
 		err := Grow(tr, tr.Root, 0, func(*Node) ([]*Node, error) { calls++; return nil, nil })
-		if err != nil || calls != 1 || !tr.Root.IsLeaf() || tr.IsComplete() {
+		if err != nil || calls != 1 || !tr.Root.IsLeaf() || tr.ComputeMetrics().UnfinishedLeaves != 1 {
 			t.Fatalf("err %v, %d calls, root leaf %v: want the root accepted as an oversized leaf after one call", err, calls, tr.Root.IsLeaf())
 		}
 	})
@@ -397,7 +392,7 @@ func TestGrow(t *testing.T) {
 func TestBoundaries(t *testing.T) {
 	tr := New(rule.NewSet(fig2Rules()), 2)
 	const x = 4096 // one Figure 2 unit
-	if got, want := tr.Boundaries(tr.Root, rule.DimSrcPort), []uint64{4 * x, 8 * x, 12 * x}; !slices.Equal(got, want) {
+	if got, want := tr.Boundaries(nil, tr.Root, rule.DimSrcPort), []uint64{4 * x, 8 * x, 12 * x}; !slices.Equal(got, want) {
 		t.Fatalf("root SrcPort boundaries = %v, want %v", got, want)
 	}
 	children, err := tr.Cut(tr.Root, rule.DimSrcPort, 2)
@@ -406,10 +401,10 @@ func TestBoundaries(t *testing.T) {
 	}
 	// The left half [0, 8x) keeps R0, R1, R3 and R4: R0's low end and R3's
 	// end are inside it; R0's end at 8x is the box's own end.
-	if got, want := tr.Boundaries(children[0], rule.DimSrcPort), []uint64{4 * x}; !slices.Equal(got, want) {
+	if got, want := tr.Boundaries(nil, children[0], rule.DimSrcPort), []uint64{4 * x}; !slices.Equal(got, want) {
 		t.Fatalf("left half SrcPort boundaries = %v, want %v", got, want)
 	}
-	if got := tr.Boundaries(&Node{Box: tr.Root.Box}, rule.DimSrcPort); len(got) != 0 {
+	if got := tr.Boundaries(nil, &Node{Box: tr.Root.Box}, rule.DimSrcPort); len(got) != 0 {
 		t.Fatalf("a node without rules offers boundaries %v", got)
 	}
 }
@@ -457,16 +452,20 @@ func TestUnfinishedLeaves(t *testing.T) {
 	fam, _ := classbench.FamilyByName("fw1")
 	set := classbench.Generate(fam, 100, 1)
 	tr := New(set, 8)
-	if got := len(tr.UnfinishedLeaves()); got != 1 {
+	if got := tr.ComputeMetrics().UnfinishedLeaves; got != 1 {
 		t.Fatalf("unfinished leaves = %d", got)
 	}
-	if _, err := tr.Cut(tr.Root, rule.DimDstIP, 8); err != nil {
+	children, err := tr.Cut(tr.Root, rule.DimDstIP, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	unfinished := tr.UnfinishedLeaves()
-	for _, n := range unfinished {
-		if tr.IsTerminal(n) || !n.IsLeaf() {
-			t.Error("unfinished leaf misreported")
+	want := 0
+	for _, n := range children {
+		if !tr.IsTerminal(n) {
+			want++
 		}
+	}
+	if got := tr.ComputeMetrics().UnfinishedLeaves; got != want || want == 0 {
+		t.Errorf("unfinished leaves = %d, want the %d children over binth", got, want)
 	}
 }

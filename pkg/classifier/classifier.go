@@ -142,7 +142,7 @@ func Open(rules *RuleSet, opts ...Option) (*Classifier, error) {
 	}
 	var tel *telemetry.Telemetry
 	if cfg.telemetry {
-		tel = telemetry.New(telemetry.Config{})
+		tel = telemetry.New()
 		if cfg.slowSet {
 			tel.SetSlowThreshold(cfg.slowThreshold.Nanoseconds())
 		}
