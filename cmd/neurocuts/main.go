@@ -142,8 +142,9 @@ func main() {
 			fatal(err)
 		}
 		st := cc.Stats()
-		fmt.Printf("compiled artifact written to %s (%d nodes, %d rule refs, %d bytes serve form, schema v%d)\n",
-			*saveArt, st.Nodes, st.LeafRuleRefs, st.MemoryBytes, compiled.SchemaVersion)
+		fmt.Printf("compiled artifact written to %s (%d nodes, %d rule refs, %d bytes serve form = %d nodes + %d leaf spans + %d cut geometry + %d packed rules, schema v%d)\n",
+			*saveArt, st.Nodes, st.LeafRuleRefs, st.MemoryBytes,
+			st.NodeBytes, st.LeafSpanBytes, st.CutBytes, st.PackedBytes, compiled.SchemaVersion)
 	}
 }
 

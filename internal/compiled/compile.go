@@ -30,10 +30,9 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 	}
 	c := &Classifier{rules: set.Rules()}
 
-	// BFS across all trees: the pointer queue parallels c.nodes, children
-	// are appended contiguously when their parent is processed, so child
-	// spans are contiguous and child indices always exceed the parent's.
-	var queue []*tree.Node
+	// One walk sizes the slabs, so the BFS below appends without regrowing
+	// them: appending from empty allocates several times their final size.
+	var nNodes, nRefs, nDescs, nPoints int
 	for ti, t := range trees {
 		if t == nil || t.Root == nil {
 			return nil, fmt.Errorf("compiled: tree %d is nil", ti)
@@ -43,6 +42,30 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 				return nil, err
 			}
 		}
+		t.Walk(func(n *tree.Node) bool {
+			nNodes++
+			switch {
+			case n.IsLeaf():
+				nRefs += len(n.Rules)
+			case n.Kind != tree.KindCut:
+			case n.CustomCut:
+				nPoints += len(n.Children) - 1
+			default:
+				nDescs += len(n.CutDims)
+			}
+			return true
+		})
+	}
+	c.nodes = make([]node, 0, nNodes)
+	c.leafRules = make([]uint32, 0, nRefs)
+	c.cutDescs = make([]cutDesc, 0, nDescs)
+	c.cutPoints = make([]uint64, 0, nPoints)
+
+	// BFS across all trees: the pointer queue parallels c.nodes, children
+	// are appended contiguously when their parent is processed, so child
+	// spans are contiguous and child indices always exceed the parent's.
+	queue := make([]*tree.Node, 0, nNodes)
+	for _, t := range trees {
 		c.roots = append(c.roots, uint32(len(queue)))
 		queue = append(queue, t.Root)
 		c.nodes = append(c.nodes, node{})
@@ -55,13 +78,10 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 		c.nodes[i] = nd
 	}
 
-	c.nodes = alignNodeSlab(c.nodes)
-	c.packed = rule.PackRules(c.rules)
 	if err := c.validate(); err != nil {
 		return nil, fmt.Errorf("compiled: internal inconsistency: %w", err)
 	}
-	c.orderRoots()
-	c.computeStats()
+	c.deriveServing()
 	return c, nil
 }
 

@@ -12,15 +12,18 @@
 //     contiguous index span (child indices are always greater than the
 //     parent's, so traversal provably terminates);
 //   - leaves reference rules as spans into one shared []uint32 slab of
-//     indices into the classifier's rule list, so rule replication costs 4
-//     bytes per reference. A tree node's rule list is the same thing —
-//     positions in the list the tree was built over — so Compile copies
-//     leaf lists out as they stand and only checks that the list is the
-//     set's;
+//     indices into the classifier's rule list. A tree node's rule list is
+//     the same thing — positions in the list the tree was built over — so
+//     Compile copies leaf lists out as they stand and only checks that the
+//     list is the set's. The serving slab stores each distinct leaf list
+//     once and every leaf with that list points at the one copy
+//     (shareLeafSpans), so rule replication costs 4 bytes per reference of a
+//     distinct list, not per leaf;
 //   - cut geometry (origin, step, fan-out per dimension) is stored in flat
-//     descriptor arrays, and rules are additionally packed into the 32-byte
-//     match-only records of rule.Packed, so the leaf scan touches nothing
-//     but small integers and spends one branch per rule.
+//     descriptor arrays — only for multi-dimension cuts, a single-dimension
+//     cut's geometry lives in its node — and rules are additionally packed
+//     into the 32-byte match-only records of rule.Packed, so the leaf scan
+//     touches nothing but small integers and spends one branch per rule.
 //
 // Lookup is iterative and allocation-free: a fixed-size index stack replaces
 // recursion (partition nodes and multi-tree classifiers push work onto it),
@@ -30,12 +33,17 @@
 // The compiled form is also the repository's on-disk artifact: Save/Load
 // give it a versioned, length-prefixed, checksummed binary encoding so a
 // tree trained or built once can be served by later processes without
-// rebuilding (see format.go).
+// rebuilding (see format.go). The artifact holds the canonical layout —
+// every leaf's own span in node order, every cut's descriptors, the roots in
+// node order — and the serving layout (shared spans, the multi-dimension
+// descriptors alone, the walk order) is derived from it on Compile and Load
+// alike (deriveServing), so artifacts do not depend on how it is derived.
 package compiled
 
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"unsafe"
 
@@ -68,11 +76,13 @@ const (
 // The first cut descriptor of a kindCut node is denormalized inline
 // (dim0/lo0/step0): single-dimension cuts — the overwhelmingly common case —
 // dispatch without touching the cutDescs slab at all, because their fan-out
-// equals the child count b. Multi-dimension cuts still read their full
+// equals the child count b, and the serving cutDescs slab keeps no
+// descriptor for them. Multi-dimension cuts still read their full
 // descriptor span. The boundary count of a kindCustomCut node is always its
 // child count minus one, so it is not stored. Both facts keep the on-disk
-// record (which still carries an explicit cutN) derivable, so the artifact
-// schema is unchanged; Load reconstructs the inline fields (deriveInline).
+// record (which still carries an explicit cutN and every cut's descriptors)
+// derivable, so the artifact schema is unchanged; Load reconstructs the
+// inline fields (deriveInline) and Save the descriptors (canonical).
 type node struct {
 	kind uint8
 	// ndims is the cut-dimension count for kindCut and the single cut
@@ -86,8 +96,9 @@ type node struct {
 	// b is the leaf-rule count (leaf) or child count. For kindCustomCut the
 	// boundary point count is b-1.
 	b uint32
-	// cut is the first cut-descriptor index (kindCut) or the first boundary
-	// point index (kindCustomCut).
+	// cut is the first cut-descriptor index (kindCut over several
+	// dimensions; 0 for one) or the first boundary point index
+	// (kindCustomCut).
 	cut uint32
 	// lo0/step0 are the first cut descriptor's origin and step for kindCut,
 	// with a step of 0 normalized to MaxUint64 so piece computation divides
@@ -119,9 +130,11 @@ type Classifier struct {
 	packed []rule.Packed
 	// nodes is the flat node slab across all trees, children contiguous.
 	nodes []node
-	// leafRules is the shared slab of rule indices referenced by leaves.
+	// leafRules is the shared slab of rule indices referenced by leaves,
+	// each distinct leaf list stored once (see shareLeafSpans).
 	leafRules []uint32
-	// cutDescs holds equal-cut geometry spans referenced by kindCut nodes.
+	// cutDescs holds the equal-cut geometry spans of multi-dimension kindCut
+	// nodes; a single-dimension cut's geometry is inline in its node.
 	cutDescs []cutDesc
 	// cutPoints holds boundary spans referenced by kindCustomCut nodes.
 	cutPoints []uint64
@@ -142,8 +155,9 @@ type Stats struct {
 	Roots int
 	// Rules is the size of the shared rule list.
 	Rules int
-	// LeafRuleRefs is the total number of leaf rule references (RuleRefs /
-	// Rules is the replication factor).
+	// LeafRuleRefs is the total number of leaf rule references, counted per
+	// leaf whether or not its list is shared (LeafRuleRefs / Rules is the
+	// replication factor).
 	LeafRuleRefs int
 	// MaxStack is the worst-case traversal stack occupancy, computed at
 	// compile time; lookups below lookupStackSize run allocation-free.
@@ -151,10 +165,20 @@ type Stats struct {
 	// WorstCaseVisits is the worst-case number of node visits per lookup
 	// (max over cut children, sum over partition children and roots).
 	WorstCaseVisits int
-	// MemoryBytes is the actual byte size of the serving arrays (nodes,
-	// leaf-rule slab, cut geometry, packed rules), excluding the full
-	// rule.Rule list kept for returning matches.
+	// MemoryBytes is the actual byte size of the serving arrays, excluding
+	// the full rule.Rule list kept for returning matches: the sum of the
+	// four figures below.
 	MemoryBytes int
+	// NodeBytes is the node slab and the root list.
+	NodeBytes int
+	// LeafSpanBytes is the leaf-rule slab: 4 bytes per rule reference of
+	// each distinct leaf list, however many leaves share it.
+	LeafSpanBytes int
+	// CutBytes is the cut geometry kept outside the nodes: multi-dimension
+	// cut descriptors and equi-dense boundary points.
+	CutBytes int
+	// PackedBytes is the packed match records, 32 bytes per rule.
+	PackedBytes int
 }
 
 // Stats returns the classifier's structural summary.
@@ -173,6 +197,111 @@ func (c *Classifier) Packed() []rule.Packed { return c.packed }
 // priorities and IDs. Engine warm starts use it as the update base.
 func (c *Classifier) RuleSet() *rule.Set {
 	return rule.NewSetKeepPriorities(c.rules)
+}
+
+// deriveServing turns validated canonical slabs — what Compile emits and an
+// artifact stores — into the serving layout: the node slab on a cache-line
+// boundary, the packed rules, each distinct leaf list stored once, only the
+// multi-dimension cut descriptors, and the walk order of the roots. The
+// served trees do not change: every leaf reads the same rule list and every
+// cut dispatches to the same child. Compile and Load both end here, so a
+// loaded artifact serves exactly what its compiled original did.
+func (c *Classifier) deriveServing() {
+	c.nodes = alignNodeSlab(c.nodes)
+	c.packed = rule.PackRules(c.rules)
+	c.shareLeafSpans(spanHash())
+	c.keepMultiCutDescs()
+	c.orderRoots()
+	c.computeStats()
+}
+
+// shareLeafSpans rebuilds c.leafRules so each distinct leaf rule list is
+// stored once: the first leaf in node order keeps its copy, and every later
+// leaf with the same list points its span at that copy. A leaf shares only
+// when its list hashes like an earlier one and equals it element by element,
+// so two lists that differ anywhere, in length included, never share; a
+// leaf whose hash some other list took first keeps its own copy. The new
+// slab is allocated at its exact size, so the canonical one is left to the
+// collector. The hash is an argument so that a test can make lists collide.
+func (c *Classifier) shareLeafSpans(hash func([]uint32) uint64) {
+	// first maps a list's hash to the first leaf holding a list with it.
+	first := make(map[uint64]uint32, len(c.nodes))
+	// owner[i] is the leaf whose copy leaf i reads: itself or an earlier one.
+	owner := make([]uint32, len(c.nodes))
+	distinct := 0
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		if nd.kind != kindLeaf {
+			continue
+		}
+		span := c.leafRules[nd.a : nd.a+nd.b]
+		h := hash(span)
+		if o, ok := first[h]; ok {
+			if on := &c.nodes[o]; slices.Equal(c.leafRules[on.a:on.a+on.b], span) {
+				owner[i] = o
+				continue
+			}
+		} else {
+			first[h] = uint32(i)
+		}
+		owner[i] = uint32(i)
+		distinct += len(span)
+	}
+	// Owners precede the leaves that share their copy, so by the time a
+	// sharing leaf is reached its owner's span is already in the new slab.
+	slab := make([]uint32, 0, distinct)
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		if nd.kind != kindLeaf {
+			continue
+		}
+		if o := owner[i]; o != uint32(i) {
+			nd.a = c.nodes[o].a
+			continue
+		}
+		a := uint32(len(slab))
+		slab = append(slab, c.leafRules[nd.a:nd.a+nd.b]...)
+		nd.a = a
+	}
+	c.leafRules = slab
+}
+
+// spanHash returns a hash of leaf rule lists that reads a list's bytes in
+// place, without copying them, under a fresh seed.
+func spanHash() func([]uint32) uint64 {
+	seed := maphash.MakeSeed()
+	return func(span []uint32) uint64 {
+		return maphash.Bytes(seed, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(span))), 4*len(span)))
+	}
+}
+
+// keepMultiCutDescs drops the descriptors of single-dimension cuts from
+// c.cutDescs: such a node dispatches from its inline dim0/lo0/step0 and its
+// child count, so the serving slab keeps only what multi-dimension cuts read,
+// and their cut indices are rewritten into it. Save rebuilds the canonical
+// descriptor slab from the nodes (canonical).
+func (c *Classifier) keepMultiCutDescs() {
+	n := 0
+	for i := range c.nodes {
+		if nd := &c.nodes[i]; nd.kind == kindCut && nd.ndims > 1 {
+			n += int(nd.ndims)
+		}
+	}
+	descs := make([]cutDesc, 0, n)
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		if nd.kind != kindCut {
+			continue
+		}
+		if nd.ndims == 1 {
+			nd.cut = 0
+			continue
+		}
+		cut := uint32(len(descs))
+		descs = append(descs, c.cutDescs[nd.cut:nd.cut+uint32(nd.ndims)]...)
+		nd.cut = cut
+	}
+	c.cutDescs = descs
 }
 
 // probeRules is how many rules orderRoots samples at most.
@@ -292,12 +421,11 @@ func (c *Classifier) computeStats() {
 		}
 		st.WorstCaseVisits += visits[r]
 	}
-	st.MemoryBytes = len(c.nodes)*nodeBytes +
-		len(c.leafRules)*4 +
-		len(c.cutDescs)*cutDescBytes +
-		len(c.cutPoints)*8 +
-		len(c.packed)*packedRuleBytes +
-		len(c.roots)*4
+	st.NodeBytes = len(c.nodes)*nodeBytes + len(c.roots)*4
+	st.LeafSpanBytes = len(c.leafRules) * 4
+	st.CutBytes = len(c.cutDescs)*cutDescBytes + len(c.cutPoints)*8
+	st.PackedBytes = len(c.packed) * packedRuleBytes
+	st.MemoryBytes = st.NodeBytes + st.LeafSpanBytes + st.CutBytes + st.PackedBytes
 	c.stats = st
 }
 

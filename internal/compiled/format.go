@@ -68,8 +68,92 @@ const (
 	cutDescRecordBytes = 1 + 4 + 8 + 8
 )
 
-// Save writes the classifier and its metadata as a versioned artifact.
+// Save writes the classifier and its metadata as a versioned artifact, in
+// the canonical layout (see canonical): what Compile built, byte for byte,
+// however the serving layout shares spans.
 func Save(w io.Writer, c *Classifier, meta Metadata) error {
+	k, err := c.canonical()
+	if err != nil {
+		return err
+	}
+	return encode(w, k, meta)
+}
+
+// canonical returns c in the artifact's layout, sharing c's rules and
+// boundary points: the roots in node order, every leaf's own span in node
+// order with a as the running offset, and every cut's descriptors in node
+// order, a single-dimension cut's rebuilt from its node as {dim0, b, lo0,
+// step0}. A step0 of MaxUint64 is normStep's image of a zero step and goes
+// out as 0; Compile emits neither. Compile emits exactly this layout, so
+// the artifact does not depend on how deriveServing derives the serving
+// one.
+func (c *Classifier) canonical() (*Classifier, error) {
+	k := &Classifier{
+		rules:     c.rules,
+		nodes:     slices.Clone(c.nodes),
+		cutPoints: c.cutPoints,
+		// The walk order is derived (orderRoots), not stored, so it costs
+		// the format nothing.
+		roots: slices.Sorted(slices.Values(c.roots)),
+	}
+	refs, err := c.canonicalRefs()
+	if err != nil {
+		return nil, err
+	}
+	descs := 0
+	for i := range k.nodes {
+		if nd := &k.nodes[i]; nd.kind == kindCut {
+			descs += int(nd.ndims)
+		}
+	}
+	k.leafRules = make([]uint32, 0, refs)
+	k.cutDescs = make([]cutDesc, 0, descs)
+	for i := range k.nodes {
+		switch nd := &k.nodes[i]; nd.kind {
+		case kindLeaf:
+			span := c.leafRules[nd.a : nd.a+nd.b]
+			nd.a = uint32(len(k.leafRules))
+			k.leafRules = append(k.leafRules, span...)
+		case kindCut:
+			if nd.ndims == 1 {
+				step := nd.step0
+				if step == ^uint64(0) {
+					step = 0
+				}
+				nd.cut = uint32(len(k.cutDescs))
+				k.cutDescs = append(k.cutDescs, cutDesc{lo: nd.lo0, step: step, count: nd.b, dim: nd.dim0})
+				continue
+			}
+			span := c.cutDescs[nd.cut : nd.cut+uint32(nd.ndims)]
+			nd.cut = uint32(len(k.cutDescs))
+			k.cutDescs = append(k.cutDescs, span...)
+		}
+	}
+	return k, nil
+}
+
+// canonicalRefs counts c's leaf rule references, the length of its
+// canonical leaf slab, and refuses a count beyond what an artifact can hold.
+// Leaves may share and overlap spans, so the count can outgrow the slab they
+// read: Save checks it before spelling the slab out, and Load before
+// deriving the shared slab, whose distinct lists it bounds in turn. So
+// neither allocates more than the artifact limit for it, and Load accepts
+// only what Save can write back.
+func (c *Classifier) canonicalRefs() (uint64, error) {
+	var refs uint64
+	for i := range c.nodes {
+		if nd := &c.nodes[i]; nd.kind == kindLeaf {
+			refs += uint64(nd.b)
+		}
+	}
+	if refs*4 > MaxArtifactBytes {
+		return 0, fmt.Errorf("compiled: %d leaf rule references exceed the %d-byte artifact limit", refs, MaxArtifactBytes)
+	}
+	return refs, nil
+}
+
+// encode writes c's slabs as they stand, with meta, as an artifact.
+func encode(w io.Writer, c *Classifier, meta Metadata) error {
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("compiled: encoding metadata: %w", err)
@@ -89,10 +173,8 @@ func Save(w io.Writer, c *Classifier, meta Metadata) error {
 		buf = putU64(buf, uint64(int64(r.Priority)))
 		buf = putU64(buf, uint64(int64(r.ID)))
 	}
-	// The roots go out in node order, as Compile emits them: the walk order
-	// is derived (orderRoots), not stored, so it costs the format nothing.
 	buf = putU32(buf, uint32(len(c.roots)))
-	for _, r := range slices.Sorted(slices.Values(c.roots)) {
+	for _, r := range c.roots {
 		buf = putU32(buf, r)
 	}
 	buf = putU32(buf, uint32(len(c.nodes)))
@@ -274,18 +356,18 @@ func LoadBytes(data []byte) (*Classifier, Metadata, error) {
 		return nil, meta, fmt.Errorf("compiled: %d trailing bytes after artifact body", len(d.b)-d.off)
 	}
 	// The artifact stores only the canonical descriptor slab; reconstruct the
-	// denormalized per-node dispatch fields before validating, then move the
-	// slab to its cache-line-aligned home.
+	// denormalized per-node dispatch fields before validating, then derive
+	// the serving layout as Compile does.
 	if err := c.deriveInline(); err != nil {
+		return nil, meta, fmt.Errorf("compiled: invalid artifact: %w", err)
+	}
+	if _, err := c.canonicalRefs(); err != nil {
 		return nil, meta, fmt.Errorf("compiled: invalid artifact: %w", err)
 	}
 	if err := c.validate(); err != nil {
 		return nil, meta, fmt.Errorf("compiled: invalid artifact: %w", err)
 	}
-	c.nodes = alignNodeSlab(c.nodes)
-	c.packed = rule.PackRules(c.rules)
-	c.orderRoots()
-	c.computeStats()
+	c.deriveServing()
 	return c, meta, nil
 }
 

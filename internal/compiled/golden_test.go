@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"neurocuts/internal/classbench"
@@ -143,6 +144,75 @@ func TestGoldenTrees(t *testing.T) {
 		got := goldenCell(t, want.family, want.backend, want.size)
 		if got != want {
 			t.Errorf("tree changed:\n got  %v\n want %v", got, want)
+		}
+	}
+}
+
+// TestServingLayout holds the serving layout Compile derives to the
+// canonical one on every golden cell: each leaf reads exactly the rule list
+// of its tree leaf (Compile numbers nodes breadth-first across the trees,
+// roots first), MemoryBytes is the sum of its four parts, and Load(Save(c))
+// serves from the same slabs with the same stats. The cells TestGoldenTrees
+// skips in -short are skipped here too.
+func TestServingLayout(t *testing.T) {
+	for _, cell := range goldenTable {
+		if testing.Short() && (cell.size > 1000 || cell.backend == "neurocuts") {
+			continue
+		}
+		name := fmt.Sprintf("%s/%s/%d", cell.family, cell.backend, cell.size)
+		fam, err := classbench.FamilyByName(cell.family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := classbench.Generate(fam, cell.size, 1)
+		trees := goldenTrees(t, cell.backend, set)
+		c, err := compiled.Compile(set, trees...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		var queue []*tree.Node
+		for _, tr := range trees {
+			queue = append(queue, tr.Root)
+		}
+		var want [][]uint32
+		for i := 0; i < len(queue); i++ {
+			n := queue[i]
+			if !n.IsLeaf() {
+				queue = append(queue, n.Children...)
+				continue
+			}
+			list := make([]uint32, len(n.Rules))
+			for j, ri := range n.Rules {
+				list[j] = uint32(ri)
+			}
+			want = append(want, list)
+		}
+		got := compiled.LeafLists(c)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d leaves served, the trees have %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: leaf %d reads %v, its tree leaf holds %v", name, i, got[i], want[i])
+			}
+		}
+
+		st := c.Stats()
+		if sum := st.NodeBytes + st.LeafSpanBytes + st.CutBytes + st.PackedBytes; st.MemoryBytes != sum {
+			t.Errorf("%s: MemoryBytes %d, its parts sum to %d (%+v)", name, st.MemoryBytes, sum, st)
+		}
+
+		var buf bytes.Buffer
+		if err := compiled.Save(&buf, c, compiled.Metadata{Backend: cell.backend, Rules: set.Len()}); err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := compiled.LoadBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !compiled.SameSlabs(l, c) || l.Stats() != st {
+			t.Errorf("%s: Load(Save(c)) serves from other slabs (stats %+v, compiled %+v)", name, l.Stats(), st)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package compiled
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -149,5 +153,254 @@ func TestValidateRejectsSharedNodes(t *testing.T) {
 		if err := c.validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: validate = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+// compileHiCuts compiles the HiCuts tree over the first n rules of acl1
+// (generator seed 1, as the golden trees are built).
+func compileHiCuts(t *testing.T, n int) (*Classifier, *rule.Set) {
+	t.Helper()
+	fam, err := classbench.FamilyByName("acl1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := classbench.Generate(fam, n, 1)
+	tr, err := hicuts.Build(set, hicuts.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(set, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, set
+}
+
+// TestShareLeafSpansKeepsDistinctLists pins what shareLeafSpans merges:
+// equal lists only. Lists that differ in one rule, or only in length (a
+// prefix, a suffix), keep their own copies; a repeat reads its first copy.
+// Every ascending pair and triple of 16 rules is listed twice. Under the
+// real hash each distinct list is stored exactly once; under a hash that is
+// the list's length, every list collides with all others of its length, and
+// only the element-by-element check keeps them apart.
+func TestShareLeafSpansKeepsDistinctLists(t *testing.T) {
+	lists := [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1}, {0, 1, 2}, {1, 2}, {}, {0, 1, 3}, {}}
+	for x := uint32(0); x < 16; x++ {
+		for y := x + 1; y < 16; y++ {
+			lists = append(lists, []uint32{x, y}, []uint32{x, y})
+			for z := y + 1; z < 16; z++ {
+				lists = append(lists, []uint32{x, y, z}, []uint32{x, y, z})
+			}
+		}
+	}
+	share := func(hash func([]uint32) uint64) *Classifier {
+		c := &Classifier{nodes: []node{{kind: kindPartition, a: 1, b: uint32(len(lists))}}}
+		for _, l := range lists {
+			c.nodes = append(c.nodes, node{kind: kindLeaf, a: uint32(len(c.leafRules)), b: uint32(len(l))})
+			c.leafRules = append(c.leafRules, l...)
+		}
+		c.shareLeafSpans(hash)
+		for i, l := range lists {
+			nd := &c.nodes[1+i]
+			if got := c.leafRules[nd.a : nd.a+nd.b]; !slices.Equal(got, l) {
+				t.Fatalf("leaf %d reads %v, holds %v", i, got, l)
+			}
+		}
+		return c
+	}
+
+	c := share(spanHash())
+	first := map[string]uint32{}
+	distinct := 0
+	for i, l := range lists {
+		nd := &c.nodes[1+i]
+		key := fmt.Sprint(l)
+		if a, ok := first[key]; ok && len(l) > 0 && a != nd.a {
+			t.Errorf("list %v stored twice (spans at %d and %d)", l, a, nd.a)
+		} else if !ok {
+			first[key] = nd.a
+			distinct += len(l)
+		}
+	}
+	if len(c.leafRules) != distinct || cap(c.leafRules) != distinct {
+		t.Errorf("slab holds %d refs (capacity %d), want the %d of the distinct lists", len(c.leafRules), cap(c.leafRules), distinct)
+	}
+
+	share(func(span []uint32) uint64 { return uint64(len(span)) })
+}
+
+// TestLoadSharedSpansArtifact feeds Load an artifact edited by hand so that
+// its leaves share spans — every repeat points at one copy, and every
+// one-rule leaf at the first occurrence of its rule, inside another leaf's
+// list. It must load to the compiled classifier's own slabs, answer like
+// linear search, and save back to the canonical bytes.
+func TestLoadSharedSpansArtifact(t *testing.T) {
+	c, set := compileHiCuts(t, 1000)
+	meta := Metadata{Backend: "hicuts", Rules: set.Len()}
+	var canon bytes.Buffer
+	if err := Save(&canon, c, meta); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := c.canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.leafRules = c.leafRules
+	overlaps := 0
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		if nd.kind != kindLeaf {
+			continue
+		}
+		nd.a = c.nodes[i].a
+		if nd.b == 1 {
+			if p := slices.Index(e.leafRules, e.leafRules[nd.a]); p != int(nd.a) {
+				nd.a = uint32(p)
+				overlaps++
+			}
+		}
+	}
+	if overlaps == 0 || len(e.leafRules) >= c.stats.LeafRuleRefs {
+		t.Fatalf("edited artifact shares nothing (%d overlapping leaves, %d of %d refs stored)", overlaps, len(e.leafRules), c.stats.LeafRuleRefs)
+	}
+	var edited bytes.Buffer
+	if err := encode(&edited, e, meta); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := LoadBytes(edited.Bytes())
+	if err != nil {
+		t.Fatalf("hand-shared artifact refused: %v", err)
+	}
+	if !slices.Equal(l.leafRules, c.leafRules) || !slices.Equal(l.nodes, c.nodes) {
+		t.Error("hand-shared artifact loads to other slabs than the compiled classifier's")
+	}
+	for _, p := range classbench.GenerateTrace(set, 5000, 2) {
+		if got, want := l.LookupIndex(p.Key), set.MatchIndex(p.Key); got != want {
+			t.Fatalf("packet %v: loaded %d, linear search %d", p.Key, got, want)
+		}
+	}
+	var again bytes.Buffer
+	if err := Save(&again, l, meta); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), canon.Bytes()) {
+		t.Error("hand-shared artifact saves back to other bytes than the canonical ones")
+	}
+}
+
+// TestSharedSpansShrinkHiCuts10k pins the saving on the acl1 HiCuts 10k
+// table: the serving form, with shared leaf spans and no single-dimension
+// cut descriptors, is at least 11 bytes per rule smaller than the canonical
+// layout it is derived from, and keeps no cut geometry at all, since every
+// HiCuts cut is over one dimension.
+func TestSharedSpansShrinkHiCuts10k(t *testing.T) {
+	c, set := compileHiCuts(t, 10000)
+	k, err := c.canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.packed = c.packed
+	k.computeStats()
+	saved := float64(k.stats.MemoryBytes-c.stats.MemoryBytes) / float64(set.Len())
+	t.Logf("acl1 HiCuts 10k: %.2f B/rule canonical, %.2f served (leaf spans %.2f -> %.2f, cut geometry %.2f -> %.2f)",
+		float64(k.stats.MemoryBytes)/float64(set.Len()), float64(c.stats.MemoryBytes)/float64(set.Len()),
+		float64(k.stats.LeafSpanBytes)/float64(set.Len()), float64(c.stats.LeafSpanBytes)/float64(set.Len()),
+		float64(k.stats.CutBytes)/float64(set.Len()), float64(c.stats.CutBytes)/float64(set.Len()))
+	if saved < 11 {
+		t.Errorf("serving form saves %.2f B/rule over the canonical layout, want at least 11", saved)
+	}
+	if len(c.cutDescs) != 0 || k.stats.CutBytes == 0 {
+		t.Errorf("serving form keeps %d cut descriptors of single-dimension cuts (canonical %d B)", len(c.cutDescs), k.stats.CutBytes)
+	}
+}
+
+// TestSaveKeepsZeroStep checks the one descriptor value the inline fields
+// do not hold as stored: a zero step, which normStep serves as MaxUint64.
+// An artifact whose single-dimension cut has step 0 saves back to its own
+// bytes.
+func TestSaveKeepsZeroStep(t *testing.T) {
+	c, set := compileHiCuts(t, 1000)
+	k, err := c.canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.cutDescs[0].step = 0
+	var art bytes.Buffer
+	if err := encode(&art, k, Metadata{Rules: set.Len()}); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := LoadBytes(art.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := Save(&again, l, Metadata{Rules: set.Len()}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), art.Bytes()) {
+		t.Error("a zero cut step does not survive Load and Save")
+	}
+}
+
+// TestSaveRefusesOversizedCanonical checks Save's bound on a classifier
+// whose leaves share one span more often than an artifact could spell out:
+// it errors before allocating the canonical slab.
+func TestSaveRefusesOversizedCanonical(t *testing.T) {
+	const rules, leaves = 1 << 12, 1<<16 + 1 // 4 B * 2^12 * (2^16+1) > 1 GiB
+	c := &Classifier{
+		nodes:     []node{{kind: kindPartition, a: 1, b: leaves}},
+		leafRules: make([]uint32, rules),
+		roots:     []uint32{0},
+	}
+	for range leaves {
+		c.nodes = append(c.nodes, node{kind: kindLeaf, a: 0, b: rules})
+	}
+	if err := Save(&bytes.Buffer{}, c, Metadata{}); err == nil {
+		t.Fatal("Save spelled out a canonical slab beyond the artifact limit")
+	}
+}
+
+// TestLoadRefusesOversizedCanonical feeds Load a small artifact, edited by
+// hand, whose leaves all read one span of every rule: a few megabytes that
+// spell more leaf rule references than an artifact can hold. Load refuses
+// it, as Save would refuse to write it, before validating the leaves or
+// deriving a slab from them. Sixteen such leaves load to a slab of one copy
+// of the list.
+func TestLoadRefusesOversizedCanonical(t *testing.T) {
+	const rules = 1 << 12
+	rs := make([]rule.Rule, rules)
+	for i := range rs {
+		rs[i] = rule.NewWildcardRule(i)
+	}
+	artifact := func(leaves int) []byte {
+		c := &Classifier{
+			rules:     rs,
+			nodes:     []node{{kind: kindPartition, a: 1, b: uint32(leaves)}},
+			leafRules: make([]uint32, rules),
+			roots:     []uint32{0},
+		}
+		for i := range c.leafRules {
+			c.leafRules[i] = uint32(i)
+		}
+		for range leaves {
+			c.nodes = append(c.nodes, node{kind: kindLeaf, a: 0, b: rules})
+		}
+		var buf bytes.Buffer
+		if err := encode(&buf, c, Metadata{Rules: rules}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	const limit = MaxArtifactBytes / (4 * rules) // 2^16 leaves
+	if _, _, err := LoadBytes(artifact(limit + 1)); err == nil || !strings.Contains(err.Error(), "leaf rule references") {
+		t.Fatalf("Load of an artifact whose canonical leaf slab exceeds the artifact limit: %v", err)
+	}
+	c, _, err := LoadBytes(artifact(16))
+	if err != nil {
+		t.Fatalf("16 leaves sharing one span refused: %v", err)
+	}
+	if len(c.leafRules) != rules || c.Stats().LeafRuleRefs != 16*rules {
+		t.Errorf("loaded slab holds %d refs for %d references, want %d", len(c.leafRules), c.Stats().LeafRuleRefs, rules)
 	}
 }

@@ -33,7 +33,11 @@ func countCompares(c *Classifier, roots []uint32, p rule.Packet) (best uint32, c
 			nd := &c.nodes[cur]
 			switch nd.kind {
 			case kindCut:
-				cur = c.multiCutChild(nd, &v)
+				if nd.ndims == 1 {
+					cur = nd.a + cutPiece(v[nd.dim0], nd.lo0, nd.step0, nd.b)
+				} else {
+					cur = c.multiCutChild(nd, &v)
+				}
 			case kindCustomCut:
 				cur = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], v[nd.ndims]))
 			case kindLeaf:
