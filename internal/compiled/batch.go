@@ -90,7 +90,11 @@ func (c *Classifier) walkGroup(s *walkScratch, ps []rule.Packet, out []int32) bo
 				nd := &c.nodes[w.node]
 				switch nd.kind {
 				case kindLeaf:
-					s.best[w.pkt] = c.scanLeaf(nd, s.keys[w.pkt], s.best[w.pkt])
+					if c.leafRules16 != nil {
+						s.best[w.pkt] = scanRefs(c, c.leafRules16[nd.a:nd.a+nd.b], &s.keys[w.pkt], s.best[w.pkt])
+					} else {
+						s.best[w.pkt] = scanRefs(c, c.leafRules[nd.a:nd.a+nd.b], &s.keys[w.pkt], s.best[w.pkt])
+					}
 					continue
 				case kindCut:
 					if nd.ndims == 1 {

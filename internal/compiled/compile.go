@@ -59,7 +59,7 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 	c.nodes = make([]node, 0, nNodes)
 	c.leafRules = make([]uint32, 0, nRefs)
 	c.cutDescs = make([]cutDesc, 0, nDescs)
-	c.cutPoints = make([]uint64, 0, nPoints)
+	c.cutPoints64 = make([]uint64, 0, nPoints)
 
 	// BFS across all trees: the pointer queue parallels c.nodes, children
 	// are appended contiguously when their parent is processed, so child
@@ -134,7 +134,7 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 		dim := pn.CutDims[0]
 		nd.kind = kindCustomCut
 		nd.ndims = uint8(dim)
-		nd.cut = uint32(len(c.cutPoints))
+		nd.cut = uint32(len(c.cutPoints64))
 		// The boundary count is implied: nd.b - 1.
 		// Recover the boundaries from the child boxes: child j starts at
 		// its own Lo, so the points are the Lo of children 1..k-1.
@@ -144,7 +144,7 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 			if p <= prev {
 				return node{}, fmt.Errorf("compiled: custom cut boundaries not increasing (%d after %d)", p, prev)
 			}
-			c.cutPoints = append(c.cutPoints, p)
+			c.cutPoints64 = append(c.cutPoints64, p)
 			prev = p
 		}
 		return nd, nil
@@ -190,18 +190,20 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 // validate checks every structural invariant the lookup path relies on:
 // all spans in bounds, child indices strictly greater than the parent's
 // (termination), no node reached twice (a forest), cut fan-outs consistent
-// with child counts, boundary points increasing, leaf spans strictly
-// ascending by rule index (the rule list is priority-sorted, so list
-// position is what "better match" means — across leaves and trees too,
-// which is how tied priorities resolve to the first in the list exactly like
-// rule.Set.MatchIndex), and rule ranges within their dimension widths. Load calls it on untrusted bytes; Compile calls it as a
-// cheap self-check.
+// with child counts, boundary points increasing and within their
+// dimension's range (deriveServing narrows them to 32 bits), leaf spans
+// strictly ascending by rule index (the rule list is priority-sorted, so
+// list position is what "better match" means — across leaves and trees
+// too, which is how tied priorities resolve to the first in the list
+// exactly like rule.Set.MatchIndex), and rule ranges within their dimension
+// widths. Load calls it on untrusted bytes; Compile calls it as a cheap
+// self-check.
 func (c *Classifier) validate() error {
 	nNodes := uint64(len(c.nodes))
 	nLeafRules := uint64(len(c.leafRules))
 	nRules := uint64(len(c.rules))
 	nDescs := uint64(len(c.cutDescs))
-	nPoints := uint64(len(c.cutPoints))
+	nPoints := uint64(len(c.cutPoints64))
 
 	for i, r := range c.rules {
 		for _, d := range rule.Dimensions() {
@@ -316,11 +318,15 @@ func (c *Classifier) validate() error {
 			if cutN == 0 || uint64(nd.cut)+uint64(cutN) > nPoints {
 				return fmt.Errorf("node %d: boundary span out of range", i)
 			}
+			dim := rule.Dimension(nd.ndims)
 			prev := uint64(0)
 			for k := uint32(0); k < cutN; k++ {
-				p := c.cutPoints[nd.cut+k]
+				p := c.cutPoints64[nd.cut+k]
 				if k > 0 && p <= prev {
 					return fmt.Errorf("node %d: boundaries not strictly increasing", i)
+				}
+				if p > dim.MaxValue() {
+					return fmt.Errorf("node %d: boundary %d beyond %s's range", i, p, dim)
 				}
 				prev = p
 			}

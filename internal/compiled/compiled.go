@@ -11,19 +11,22 @@
 //   - nodes live in one []node slab in BFS order, children of a node are a
 //     contiguous index span (child indices are always greater than the
 //     parent's, so traversal provably terminates);
-//   - leaves reference rules as spans into one shared []uint32 slab of
-//     indices into the classifier's rule list. A tree node's rule list is
-//     the same thing — positions in the list the tree was built over — so
-//     Compile copies leaf lists out as they stand and only checks that the
-//     list is the set's. The serving slab stores each distinct leaf list
-//     once and every leaf with that list points at the one copy
-//     (shareLeafSpans), so rule replication costs 4 bytes per reference of a
-//     distinct list, not per leaf;
+//   - leaves reference rules as spans into one shared slab of indices into
+//     the classifier's rule list. A tree node's rule list is the same thing
+//     — positions in the list the tree was built over — so Compile copies
+//     leaf lists out as they stand and only checks that the list is the
+//     set's. The serving slab stores each distinct leaf list once and every
+//     leaf with that list points at the one copy (shareLeafSpans), and it
+//     holds 16-bit indices for a table of at most 65 536 rules, 32-bit ones
+//     only above that; so rule replication costs 2 bytes (4 on a wider
+//     table) per reference of a distinct list, not 4 per leaf;
 //   - cut geometry (origin, step, fan-out per dimension) is stored in flat
 //     descriptor arrays — only for multi-dimension cuts, a single-dimension
-//     cut's geometry lives in its node — and rules are additionally packed
-//     into the 32-byte match-only records of rule.Packed, so the leaf scan
-//     touches nothing but small integers and spends one branch per rule.
+//     cut's geometry lives in its node — equi-dense boundary points are
+//     32-bit, the width of the widest packet field, and rules are
+//     additionally packed into the 32-byte match-only records of
+//     rule.Packed, so the leaf scan touches nothing but small integers and
+//     spends one branch per rule.
 //
 // Lookup is iterative and allocation-free: a fixed-size index stack replaces
 // recursion (partition nodes and multi-tree classifiers push work onto it),
@@ -34,10 +37,12 @@
 // give it a versioned, length-prefixed, checksummed binary encoding so a
 // tree trained or built once can be served by later processes without
 // rebuilding (see format.go). The artifact holds the canonical layout —
-// every leaf's own span in node order, every cut's descriptors, the roots in
-// node order — and the serving layout (shared spans, the multi-dimension
-// descriptors alone, the walk order) is derived from it on Compile and Load
-// alike (deriveServing), so artifacts do not depend on how it is derived.
+// every leaf's own span in node order as 32-bit indices, every cut's
+// descriptors, 64-bit boundary points, the roots in node order — and the
+// serving layout (shared, narrowed spans, 32-bit points, the
+// multi-dimension descriptors alone, the walk order) is derived from it on
+// Compile and Load alike (deriveServing), so artifacts do not depend on how
+// it is derived.
 package compiled
 
 import (
@@ -130,14 +135,27 @@ type Classifier struct {
 	packed []rule.Packed
 	// nodes is the flat node slab across all trees, children contiguous.
 	nodes []node
-	// leafRules is the shared slab of rule indices referenced by leaves,
-	// each distinct leaf list stored once (see shareLeafSpans).
+	// leafRules is the slab of rule indices referenced by leaves, as 32
+	// bits. Compile and Load fill it in the canonical layout, every leaf's
+	// own span; deriveServing leaves it serving each distinct leaf list once
+	// (see shareLeafSpans) for a table of more than maxNarrowRules rules,
+	// and nil otherwise.
 	leafRules []uint32
+	// leafRules16 is the serving leaf slab of a table of at most
+	// maxNarrowRules rules, each distinct leaf list once as 16-bit rule
+	// indices; nil for a wider table. Exactly one of the two serves.
+	leafRules16 []uint16
 	// cutDescs holds the equal-cut geometry spans of multi-dimension kindCut
 	// nodes; a single-dimension cut's geometry is inline in its node.
 	cutDescs []cutDesc
-	// cutPoints holds boundary spans referenced by kindCustomCut nodes.
-	cutPoints []uint64
+	// cutPoints holds the boundary spans referenced by kindCustomCut nodes,
+	// as 32 bits: validate holds every point to its dimension's range, and
+	// no packet field is wider.
+	cutPoints []uint32
+	// cutPoints64 is the canonical boundary slab, 64-bit like the
+	// artifact's: Compile and Load fill it, and deriveServing narrows it
+	// into cutPoints and drops it.
+	cutPoints64 []uint64
 	// roots indexes the root node of each compiled tree, in the order the
 	// lookups push them: both walk the last one first (see orderRoots).
 	roots []uint32
@@ -171,11 +189,13 @@ type Stats struct {
 	MemoryBytes int
 	// NodeBytes is the node slab and the root list.
 	NodeBytes int
-	// LeafSpanBytes is the leaf-rule slab: 4 bytes per rule reference of
-	// each distinct leaf list, however many leaves share it.
+	// LeafSpanBytes is the leaf-rule slab: per rule reference of each
+	// distinct leaf list, however many leaves share it, 2 bytes for a table
+	// of at most 65 536 rules and 4 above that.
 	LeafSpanBytes int
 	// CutBytes is the cut geometry kept outside the nodes: multi-dimension
-	// cut descriptors and equi-dense boundary points.
+	// cut descriptors (24 bytes each) and equi-dense boundary points (4
+	// bytes each).
 	CutBytes int
 	// PackedBytes is the packed match records, 32 bytes per rule.
 	PackedBytes int
@@ -201,7 +221,8 @@ func (c *Classifier) RuleSet() *rule.Set {
 
 // deriveServing turns validated canonical slabs — what Compile emits and an
 // artifact stores — into the serving layout: the node slab on a cache-line
-// boundary, the packed rules, each distinct leaf list stored once, only the
+// boundary, the packed rules, each distinct leaf list stored once in the
+// narrowest rule index that fits, 32-bit boundary points, only the
 // multi-dimension cut descriptors, and the walk order of the roots. The
 // served trees do not change: every leaf reads the same rule list and every
 // cut dispatches to the same child. Compile and Load both end here, so a
@@ -210,19 +231,30 @@ func (c *Classifier) deriveServing() {
 	c.nodes = alignNodeSlab(c.nodes)
 	c.packed = rule.PackRules(c.rules)
 	c.shareLeafSpans(spanHash())
+	c.narrowCutPoints()
 	c.keepMultiCutDescs()
 	c.orderRoots()
 	c.computeStats()
 }
 
-// shareLeafSpans rebuilds c.leafRules so each distinct leaf rule list is
-// stored once: the first leaf in node order keeps its copy, and every later
-// leaf with the same list points its span at that copy. A leaf shares only
-// when its list hashes like an earlier one and equals it element by element,
-// so two lists that differ anywhere, in length included, never share; a
-// leaf whose hash some other list took first keeps its own copy. The new
-// slab is allocated at its exact size, so the canonical one is left to the
-// collector. The hash is an argument so that a test can make lists collide.
+// maxNarrowRules is the most rules a table may have for its leaves to
+// reference them by 16-bit index.
+const maxNarrowRules = 1 << 16
+
+// leafRef is the element of a serving leaf slab: a rule index.
+type leafRef interface{ ~uint16 | ~uint32 }
+
+// shareLeafSpans replaces the canonical c.leafRules by the serving slab,
+// which stores each distinct leaf rule list once: the first leaf in node
+// order keeps its copy, and every later leaf with the same list points its
+// span at that copy. A leaf shares only when its list hashes like an earlier
+// one and equals it element by element, so two lists that differ anywhere,
+// in length included, never share; a leaf whose hash some other list took
+// first keeps its own copy. A table of at most maxNarrowRules rules is
+// served from 16-bit indices (c.leafRules16, and c.leafRules goes nil), a
+// wider one from 32-bit ones. The new slab is allocated at its exact size,
+// so the canonical one is left to the collector. The hash is an argument so
+// that a test can make lists collide.
 func (c *Classifier) shareLeafSpans(hash func([]uint32) uint64) {
 	// first maps a list's hash to the first leaf holding a list with it.
 	first := make(map[uint64]uint32, len(c.nodes))
@@ -247,9 +279,21 @@ func (c *Classifier) shareLeafSpans(hash func([]uint32) uint64) {
 		owner[i] = uint32(i)
 		distinct += len(span)
 	}
+	if len(c.rules) <= maxNarrowRules {
+		c.leafRules16 = distinctSpans[uint16](c, owner, distinct)
+		c.leafRules = nil
+	} else {
+		c.leafRules = distinctSpans[uint32](c, owner, distinct)
+	}
+}
+
+// distinctSpans copies the lists of the leaves that own theirs out of the
+// canonical slab, into a new one of exactly distinct references, and points
+// every leaf's span into it.
+func distinctSpans[R leafRef](c *Classifier, owner []uint32, distinct int) []R {
 	// Owners precede the leaves that share their copy, so by the time a
 	// sharing leaf is reached its owner's span is already in the new slab.
-	slab := make([]uint32, 0, distinct)
+	slab := make([]R, 0, distinct)
 	for i := range c.nodes {
 		nd := &c.nodes[i]
 		if nd.kind != kindLeaf {
@@ -260,10 +304,24 @@ func (c *Classifier) shareLeafSpans(hash func([]uint32) uint64) {
 			continue
 		}
 		a := uint32(len(slab))
-		slab = append(slab, c.leafRules[nd.a:nd.a+nd.b]...)
+		for _, ri := range c.leafRules[nd.a : nd.a+nd.b] {
+			slab = append(slab, R(ri))
+		}
 		nd.a = a
 	}
-	c.leafRules = slab
+	return slab
+}
+
+// appendLeaf appends the rule list of leaf nd, as the lookups read it from
+// the serving slab, to dst as 32-bit indices.
+func (c *Classifier) appendLeaf(dst []uint32, nd *node) []uint32 {
+	if c.leafRules16 == nil {
+		return append(dst, c.leafRules[nd.a:nd.a+nd.b]...)
+	}
+	for _, ri := range c.leafRules16[nd.a : nd.a+nd.b] {
+		dst = append(dst, uint32(ri))
+	}
+	return dst
 }
 
 // spanHash returns a hash of leaf rule lists that reads a list's bytes in
@@ -273,6 +331,17 @@ func spanHash() func([]uint32) uint64 {
 	return func(span []uint32) uint64 {
 		return maphash.Bytes(seed, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(span))), 4*len(span)))
 	}
+}
+
+// narrowCutPoints replaces the canonical 64-bit boundary points by the
+// 32-bit serving slab. validate has held every point to its dimension's
+// range, so none is truncated.
+func (c *Classifier) narrowCutPoints() {
+	c.cutPoints = make([]uint32, len(c.cutPoints64))
+	for i, p := range c.cutPoints64 {
+		c.cutPoints[i] = uint32(p)
+	}
+	c.cutPoints64 = nil
 }
 
 // keepMultiCutDescs drops the descriptors of single-dimension cuts from
@@ -422,8 +491,8 @@ func (c *Classifier) computeStats() {
 		st.WorstCaseVisits += visits[r]
 	}
 	st.NodeBytes = len(c.nodes)*nodeBytes + len(c.roots)*4
-	st.LeafSpanBytes = len(c.leafRules) * 4
-	st.CutBytes = len(c.cutDescs)*cutDescBytes + len(c.cutPoints)*8
+	st.LeafSpanBytes = len(c.leafRules)*4 + len(c.leafRules16)*2
+	st.CutBytes = len(c.cutDescs)*cutDescBytes + len(c.cutPoints)*4
 	st.PackedBytes = len(c.packed) * packedRuleBytes
 	st.MemoryBytes = st.NodeBytes + st.LeafSpanBytes + st.CutBytes + st.PackedBytes
 	c.stats = st

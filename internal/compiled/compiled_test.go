@@ -2,6 +2,7 @@ package compiled_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"strconv"
 	"strings"
@@ -299,6 +300,50 @@ func TestLoadRejectsMalformed(t *testing.T) {
 			if _, _, err := compiled.LoadBytes(bad); err == nil {
 				t.Fatalf("accepted bit flip at offset %d", off)
 			}
+		}
+	})
+	t.Run("boundary-beyond-dimension", func(t *testing.T) {
+		ec, err := efficuts.Build(set, efficuts.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Compile numbers nodes breadth-first across the trees, and the
+		// artifact ends with the boundary points in node order: the last
+		// point is the last boundary of the last custom cut so numbered.
+		var queue []*tree.Node
+		for _, tr := range ec.Trees {
+			queue = append(queue, tr.Root)
+		}
+		var last *tree.Node
+		for i := 0; i < len(queue); i++ {
+			n := queue[i]
+			queue = append(queue, n.Children...)
+			if !n.IsLeaf() && n.CustomCut {
+				last = n
+			}
+		}
+		if last == nil {
+			t.Fatal("EffiCuts built no custom cut")
+		}
+		ce, err := compiled.Compile(set, ec.Trees...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var art bytes.Buffer
+		if err := compiled.Save(&art, ce, compiled.Metadata{Backend: "efficuts", Rules: set.Len()}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := compiled.LoadBytes(art.Bytes()); err != nil {
+			t.Fatalf("valid artifact rejected: %v", err)
+		}
+		// Past its dimension's range, the point stays above the ones before
+		// it: only the range check can refuse it.
+		dim := last.CutDims[0]
+		bad := art.Bytes()
+		binary.LittleEndian.PutUint64(bad[len(bad)-12:], dim.MaxValue()+1)
+		fixChecksum(bad)
+		if _, _, err := compiled.LoadBytes(bad); err == nil || !strings.Contains(err.Error(), "beyond") {
+			t.Fatalf("boundary %d in %s: Load = %v, want an out-of-range boundary error", dim.MaxValue()+1, dim, err)
 		}
 	})
 	t.Run("version-skew", func(t *testing.T) {

@@ -79,22 +79,25 @@ func Save(w io.Writer, c *Classifier, meta Metadata) error {
 	return encode(w, k, meta)
 }
 
-// canonical returns c in the artifact's layout, sharing c's rules and
-// boundary points: the roots in node order, every leaf's own span in node
-// order with a as the running offset, and every cut's descriptors in node
-// order, a single-dimension cut's rebuilt from its node as {dim0, b, lo0,
-// step0}. A step0 of MaxUint64 is normStep's image of a zero step and goes
-// out as 0; Compile emits neither. Compile emits exactly this layout, so
-// the artifact does not depend on how deriveServing derives the serving
-// one.
+// canonical returns c in the artifact's layout, sharing c's rules: the roots
+// in node order, every leaf's own span in node order as 32-bit indices with
+// a as the running offset, every cut's descriptors in node order, a
+// single-dimension cut's rebuilt from its node as {dim0, b, lo0, step0}, and
+// the boundary points as 64 bits. A step0 of MaxUint64 is normStep's image
+// of a zero step and goes out as 0; Compile emits neither. Compile emits
+// exactly this layout, so the artifact does not depend on how deriveServing
+// derives the serving one.
 func (c *Classifier) canonical() (*Classifier, error) {
 	k := &Classifier{
-		rules:     c.rules,
-		nodes:     slices.Clone(c.nodes),
-		cutPoints: c.cutPoints,
+		rules:       c.rules,
+		nodes:       slices.Clone(c.nodes),
+		cutPoints64: make([]uint64, len(c.cutPoints)),
 		// The walk order is derived (orderRoots), not stored, so it costs
 		// the format nothing.
 		roots: slices.Sorted(slices.Values(c.roots)),
+	}
+	for i, p := range c.cutPoints {
+		k.cutPoints64[i] = uint64(p)
 	}
 	refs, err := c.canonicalRefs()
 	if err != nil {
@@ -111,9 +114,9 @@ func (c *Classifier) canonical() (*Classifier, error) {
 	for i := range k.nodes {
 		switch nd := &k.nodes[i]; nd.kind {
 		case kindLeaf:
-			span := c.leafRules[nd.a : nd.a+nd.b]
-			nd.a = uint32(len(k.leafRules))
-			k.leafRules = append(k.leafRules, span...)
+			a := uint32(len(k.leafRules))
+			k.leafRules = c.appendLeaf(k.leafRules, nd)
+			nd.a = a
 		case kindCut:
 			if nd.ndims == 1 {
 				step := nd.step0
@@ -205,8 +208,8 @@ func encode(w io.Writer, c *Classifier, meta Metadata) error {
 		buf = putU64(buf, d.lo)
 		buf = putU64(buf, d.step)
 	}
-	buf = putU32(buf, uint32(len(c.cutPoints)))
-	for _, p := range c.cutPoints {
+	buf = putU32(buf, uint32(len(c.cutPoints64)))
+	for _, p := range c.cutPoints64 {
 		buf = putU64(buf, p)
 	}
 	buf = putU32(buf, crc32.ChecksumIEEE(buf))
@@ -344,9 +347,9 @@ func LoadBytes(data []byte) (*Classifier, Metadata, error) {
 		}
 	}
 	if n := d.count(8); d.err == nil {
-		c.cutPoints = make([]uint64, n)
-		for i := range c.cutPoints {
-			c.cutPoints[i] = d.u64()
+		c.cutPoints64 = make([]uint64, n)
+		for i := range c.cutPoints64 {
+			c.cutPoints64[i] = d.u64()
 		}
 	}
 	if d.err != nil {

@@ -151,9 +151,11 @@ func TestGoldenTrees(t *testing.T) {
 // TestServingLayout holds the serving layout Compile derives to the
 // canonical one on every golden cell: each leaf reads exactly the rule list
 // of its tree leaf (Compile numbers nodes breadth-first across the trees,
-// roots first), MemoryBytes is the sum of its four parts, and Load(Save(c))
-// serves from the same slabs with the same stats. The cells TestGoldenTrees
-// skips in -short are skipped here too.
+// roots first), MemoryBytes is the sum of its four parts, each part is what
+// its slabs really hold (length times the size of the element type of the
+// slice itself, so no width is assumed), and Load(Save(c)) serves from the
+// same slabs with the same stats. The cells TestGoldenTrees skips in -short
+// are skipped here too.
 func TestServingLayout(t *testing.T) {
 	for _, cell := range goldenTable {
 		if testing.Short() && (cell.size > 1000 || cell.backend == "neurocuts") {
@@ -201,6 +203,11 @@ func TestServingLayout(t *testing.T) {
 		st := c.Stats()
 		if sum := st.NodeBytes + st.LeafSpanBytes + st.CutBytes + st.PackedBytes; st.MemoryBytes != sum {
 			t.Errorf("%s: MemoryBytes %d, its parts sum to %d (%+v)", name, st.MemoryBytes, sum, st)
+		}
+		if nodes, spans, cuts, packed := compiled.SlabBytes(c); nodes != st.NodeBytes || spans != st.LeafSpanBytes ||
+			cuts != st.CutBytes || packed != st.PackedBytes {
+			t.Errorf("%s: the slabs hold %d/%d/%d/%d node/leaf-span/cut/packed bytes, Stats counts %d/%d/%d/%d",
+				name, nodes, spans, cuts, packed, st.NodeBytes, st.LeafSpanBytes, st.CutBytes, st.PackedBytes)
 		}
 
 		var buf bytes.Buffer

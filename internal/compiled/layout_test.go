@@ -3,6 +3,7 @@ package compiled
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/tree"
 )
 
 // TestNodeLayout pins the hot-struct geometry the traversals are built
@@ -66,7 +68,7 @@ func TestNodeSlabAlignment(t *testing.T) {
 }
 
 // TestLeafSpansIndexOrdered pins the property the early-exit leaf scan
-// (scanLeaf, scalar and batch alike) depends on: every leaf's rule span is
+// (scanRefs, scalar and batch alike) depends on: every leaf's rule span is
 // contiguous in the shared slab and strictly ascending by rule index.
 // validate() enforces it on load; this test keeps the guarantee visible (and
 // tested) against a real compiled tree.
@@ -91,9 +93,10 @@ func TestLeafSpansIndexOrdered(t *testing.T) {
 			continue
 		}
 		leaves++
-		for j := nd.a + 1; j < nd.a+nd.b; j++ {
-			if c.leafRules[j] <= c.leafRules[j-1] {
-				t.Fatalf("node %d: leaf span not ascending by rule index (%d after %d)", i, c.leafRules[j], c.leafRules[j-1])
+		span := c.appendLeaf(nil, nd)
+		for j := 1; j < len(span); j++ {
+			if span[j] <= span[j-1] {
+				t.Fatalf("node %d: leaf span not ascending by rule index (%d after %d)", i, span[j], span[j-1])
 			}
 		}
 	}
@@ -202,7 +205,7 @@ func TestShareLeafSpansKeepsDistinctLists(t *testing.T) {
 		c.shareLeafSpans(hash)
 		for i, l := range lists {
 			nd := &c.nodes[1+i]
-			if got := c.leafRules[nd.a : nd.a+nd.b]; !slices.Equal(got, l) {
+			if got := c.appendLeaf(nil, nd); !slices.Equal(got, l) {
 				t.Fatalf("leaf %d reads %v, holds %v", i, got, l)
 			}
 		}
@@ -222,8 +225,9 @@ func TestShareLeafSpansKeepsDistinctLists(t *testing.T) {
 			distinct += len(l)
 		}
 	}
-	if len(c.leafRules) != distinct || cap(c.leafRules) != distinct {
-		t.Errorf("slab holds %d refs (capacity %d), want the %d of the distinct lists", len(c.leafRules), cap(c.leafRules), distinct)
+	if len(c.leafRules16) != distinct || cap(c.leafRules16) != distinct || c.leafRules != nil {
+		t.Errorf("16-bit slab holds %d refs (capacity %d, 32-bit slab %d), want the %d of the distinct lists",
+			len(c.leafRules16), cap(c.leafRules16), len(c.leafRules), distinct)
 	}
 
 	share(func(span []uint32) uint64 { return uint64(len(span)) })
@@ -246,7 +250,10 @@ func TestLoadSharedSpansArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.leafRules = c.leafRules
+	e.leafRules = make([]uint32, len(c.leafRules16))
+	for i, ri := range c.leafRules16 {
+		e.leafRules[i] = uint32(ri)
+	}
 	overlaps := 0
 	for i := range e.nodes {
 		nd := &e.nodes[i]
@@ -272,7 +279,7 @@ func TestLoadSharedSpansArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hand-shared artifact refused: %v", err)
 	}
-	if !slices.Equal(l.leafRules, c.leafRules) || !slices.Equal(l.nodes, c.nodes) {
+	if !slices.Equal(l.leafRules16, c.leafRules16) || !slices.Equal(l.nodes, c.nodes) {
 		t.Error("hand-shared artifact loads to other slabs than the compiled classifier's")
 	}
 	for _, p := range classbench.GenerateTrace(set, 5000, 2) {
@@ -289,11 +296,69 @@ func TestLoadSharedSpansArtifact(t *testing.T) {
 	}
 }
 
+// TestLeafRefWidthFollowsRuleCount serves the two tables on either side of
+// the 16-bit bound, each as one root leaf of every acl1 rule: 65 536 rules
+// from 16-bit references, 65 537 from 32-bit ones. The acl1 generator ends
+// each table with a catch-all, which wins every uniformly random packet, so
+// a 65 537-rule table read through 16 bits would answer them with rule 0.
+// Both tables answer a trace like linear search, and Save(Load(Save(c)))
+// is Save(c).
+func TestLeafRefWidthFollowsRuleCount(t *testing.T) {
+	fam, err := classbench.FamilyByName("acl1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{maxNarrowRules, maxNarrowRules + 1} {
+		set := classbench.Generate(fam, n, 1)
+		c, err := Compile(set, tree.New(set, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wide := n > maxNarrowRules; wide != (c.leafRules16 == nil) || len(c.leafRules)+len(c.leafRules16) != n {
+			t.Fatalf("%d rules: served from %d 16-bit and %d 32-bit references", n, len(c.leafRules16), len(c.leafRules))
+		}
+
+		var ps []rule.Packet
+		for _, e := range classbench.GenerateTrace(set, 64, 2) {
+			ps = append(ps, e.Key)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for range 16 {
+			ps = append(ps, rule.Packet{SrcIP: rng.Uint32(), DstIP: rng.Uint32(),
+				SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: uint8(rng.Uint32())})
+		}
+		got := make([]int32, len(ps))
+		c.LookupBatch(ps, got)
+		for i, p := range ps {
+			if want := set.MatchIndex(p); c.LookupIndex(p) != want || int(got[i]) != want {
+				t.Fatalf("%d rules, packet %v: scalar %d, batch %d, linear search %d", n, p, c.LookupIndex(p), got[i], want)
+			}
+		}
+
+		meta := Metadata{Backend: "linear", Rules: n}
+		var first, second bytes.Buffer
+		if err := Save(&first, c, meta); err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := LoadBytes(first.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Save(&second, l, meta); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%d rules: Save(Load(Save(c))) differs from Save(c)", n)
+		}
+	}
+}
+
 // TestSharedSpansShrinkHiCuts10k pins the saving on the acl1 HiCuts 10k
-// table: the serving form, with shared leaf spans and no single-dimension
-// cut descriptors, is at least 11 bytes per rule smaller than the canonical
-// layout it is derived from, and keeps no cut geometry at all, since every
-// HiCuts cut is over one dimension.
+// table: the serving form, with shared 16-bit leaf spans and no
+// single-dimension cut descriptors, is at least 28 bytes per rule smaller
+// than the canonical layout it is derived from (117.83 → 89.72 B/rule), and
+// keeps no cut geometry at all, since every HiCuts cut is over one
+// dimension.
 func TestSharedSpansShrinkHiCuts10k(t *testing.T) {
 	c, set := compileHiCuts(t, 10000)
 	k, err := c.canonical()
@@ -307,8 +372,8 @@ func TestSharedSpansShrinkHiCuts10k(t *testing.T) {
 		float64(k.stats.MemoryBytes)/float64(set.Len()), float64(c.stats.MemoryBytes)/float64(set.Len()),
 		float64(k.stats.LeafSpanBytes)/float64(set.Len()), float64(c.stats.LeafSpanBytes)/float64(set.Len()),
 		float64(k.stats.CutBytes)/float64(set.Len()), float64(c.stats.CutBytes)/float64(set.Len()))
-	if saved < 11 {
-		t.Errorf("serving form saves %.2f B/rule over the canonical layout, want at least 11", saved)
+	if saved < 28 {
+		t.Errorf("serving form saves %.2f B/rule over the canonical layout, want at least 28", saved)
 	}
 	if len(c.cutDescs) != 0 || k.stats.CutBytes == 0 {
 		t.Errorf("serving form keeps %d cut descriptors of single-dimension cuts (canonical %d B)", len(c.cutDescs), k.stats.CutBytes)
@@ -400,7 +465,7 @@ func TestLoadRefusesOversizedCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("16 leaves sharing one span refused: %v", err)
 	}
-	if len(c.leafRules) != rules || c.Stats().LeafRuleRefs != 16*rules {
-		t.Errorf("loaded slab holds %d refs for %d references, want %d", len(c.leafRules), c.Stats().LeafRuleRefs, rules)
+	if len(c.leafRules16) != rules || c.Stats().LeafRuleRefs != 16*rules {
+		t.Errorf("loaded slab holds %d refs for %d references, want %d", len(c.leafRules16), c.Stats().LeafRuleRefs, rules)
 	}
 }

@@ -109,13 +109,13 @@ func (c *Classifier) multiCutChild(nd *node, v *[rule.NumDims]uint64) uint32 {
 // its trip count depends on len(pts) alone and each step is a conditional
 // add — because which half a packet falls in is a coin toss no predictor
 // wins. It inlines into both traversals.
-func countLE(pts []uint64, v uint64) int {
+func countLE(pts []uint32, v uint64) int {
 	// The answer stays within [base, base+n].
 	base := 0
 	for n := len(pts); n > 1; n -= n >> 1 {
-		base += n >> 1 & -b2i(pts[base+n>>1-1] <= v)
+		base += n >> 1 & -b2i(uint64(pts[base+n>>1-1]) <= v)
 	}
-	return base + b2i(pts[base] <= v)
+	return base + b2i(uint64(pts[base]) <= v)
 }
 
 // b2i is 1 for true and 0 for false; the compiler emits a flag-to-register
@@ -157,7 +157,12 @@ func (c *Classifier) lookupIndex(p rule.Packet, stack []uint32) int {
 				cur = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], v[nd.ndims]))
 
 			case kindLeaf:
-				best = c.scanLeaf(nd, k, best)
+				// One slab serves the table: the branch never changes course.
+				if c.leafRules16 != nil {
+					best = scanRefs(c, c.leafRules16[nd.a:nd.a+nd.b], &k, best)
+				} else {
+					best = scanRefs(c, c.leafRules[nd.a:nd.a+nd.b], &k, best)
+				}
 				break descend
 
 			default: // kindPartition: every child holds part of the rules.
@@ -175,18 +180,20 @@ func (c *Classifier) lookupIndex(p rule.Packet, stack []uint32) int {
 // rule index and converts to the -1 the lookups report.
 const noMatch = ^uint32(0)
 
-// scanLeaf returns the first rule of leaf nd that matches k and sits ahead of
-// best in the rule list, or best when there is none. The span ascends by rule
-// index, so nothing past the first rule at or behind best can improve on it.
-// Every leaf scan of the package, scalar and batched, is this loop.
-func (c *Classifier) scanLeaf(nd *node, k rule.PackedKey, best uint32) uint32 {
+// scanRefs is the leaf scan, the one loop every leaf scan of the package
+// runs, scalar and batched, over either width of serving slab (see
+// shareLeafSpans): it returns the first rule of refs that matches k and sits
+// ahead of best in c's rule list, or best when there is none. A leaf's span
+// ascends by rule index, so nothing past the first rule at or behind best
+// can improve on it.
+func scanRefs[R leafRef](c *Classifier, refs []R, k *rule.PackedKey, best uint32) uint32 {
 	packed := c.packed
-	for _, ri := range c.leafRules[nd.a : nd.a+nd.b] {
-		if ri >= best {
+	for _, r := range refs {
+		if uint32(r) >= best {
 			break
 		}
-		if packed[ri].Matches(k) {
-			return ri
+		if packed[r].Matches(*k) {
+			return uint32(r)
 		}
 	}
 	return best

@@ -17,8 +17,9 @@ import (
 
 // countCompares is a counting twin of lookupIndex: it walks p through the
 // trees of roots the way the scalar lookup does (pushed in order, popped
-// last first) and returns the best rule index with the number of rules the
-// leaf scans compared the packet against.
+// last first), scanning each leaf with the lookups' own scanRefs, and
+// returns the best rule index with the number of rules the leaf scans
+// compared the packet against.
 func countCompares(c *Classifier, roots []uint32, p rule.Packet) (best uint32, compares int) {
 	stack := slices.Clone(roots)
 	var v [rule.NumDims]uint64
@@ -41,15 +42,15 @@ func countCompares(c *Classifier, roots []uint32, p rule.Packet) (best uint32, c
 			case kindCustomCut:
 				cur = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], v[nd.ndims]))
 			case kindLeaf:
-				for _, ri := range c.leafRules[nd.a : nd.a+nd.b] {
-					if ri >= best {
-						break
-					}
+				// The scan compares k with every rule of the ascending span
+				// ahead of the best it starts from, up to the one it matches.
+				span := c.appendLeaf(nil, nd)
+				prev := best
+				best = scanRefs(c, span, &k, best)
+				ahead, _ := slices.BinarySearch(span, best)
+				compares += ahead
+				if best != prev {
 					compares++
-					if c.packed[ri].Matches(k) {
-						best = ri
-						break
-					}
 				}
 				break descend
 			default:

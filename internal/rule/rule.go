@@ -234,7 +234,7 @@ func NewWildcardRule(priority int) Rule {
 }
 
 // Matches reports whether the packet satisfies every dimension of the rule.
-func (r Rule) Matches(p Packet) bool {
+func (r *Rule) Matches(p Packet) bool {
 	for _, d := range Dimensions() {
 		if !r.Ranges[d].Contains(p.Field(d)) {
 			return false

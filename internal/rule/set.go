@@ -65,9 +65,9 @@ func (s *Set) Clone() *Set {
 // highest-priority rule matching p and true, or the zero Rule and false when
 // no rule matches. Decision-tree classifiers are validated against this.
 func (s *Set) Match(p Packet) (Rule, bool) {
-	for _, r := range s.rules {
-		if r.Matches(p) {
-			return r, true
+	for i := range s.rules {
+		if s.rules[i].Matches(p) {
+			return s.rules[i], true
 		}
 	}
 	return Rule{}, false
@@ -75,8 +75,8 @@ func (s *Set) Match(p Packet) (Rule, bool) {
 
 // MatchIndex is like Match but returns the rule's index, or -1.
 func (s *Set) MatchIndex(p Packet) int {
-	for i, r := range s.rules {
-		if r.Matches(p) {
+	for i := range s.rules {
+		if s.rules[i].Matches(p) {
 			return i
 		}
 	}
