@@ -88,28 +88,27 @@ func (c *Classifier) walkGroup(s *walkScratch, ps []rule.Packet, out []int32) bo
 			m := 0
 			for _, w := range front[:n] {
 				nd := &c.nodes[w.node]
-				switch nd.kind {
+				switch nd.kind() {
 				case kindLeaf:
 					if c.leafRules16 != nil {
-						s.best[w.pkt] = scanRefs(c, c.leafRules16[nd.a:nd.a+nd.b], &s.keys[w.pkt], s.best[w.pkt])
+						s.best[w.pkt] = scanRefs(c, c.leafRules16[nd.a:nd.a+nd.count()], &s.keys[w.pkt], s.best[w.pkt])
 					} else {
-						s.best[w.pkt] = scanRefs(c, c.leafRules[nd.a:nd.a+nd.b], &s.keys[w.pkt], s.best[w.pkt])
+						s.best[w.pkt] = scanRefs(c, c.leafRules[nd.a:nd.a+nd.count()], &s.keys[w.pkt], s.best[w.pkt])
 					}
 					continue
-				case kindCut:
-					if nd.ndims == 1 {
-						w.node = nd.a + cutPiece(s.vals[w.pkt][nd.dim0], nd.lo0, nd.step0, nd.b)
-					} else {
-						w.node = c.multiCutChild(nd, &s.vals[w.pkt])
-					}
 				case kindCustomCut:
-					w.node = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], s.vals[w.pkt][nd.ndims]))
+					w.node = nd.a + uint32(countLE(c.cutPoints[nd.lo:nd.lo+nd.count()-1], s.vals[w.pkt][nd.dim()]))
+				case kindCut:
+					w.node = nd.a + cutPiece(uint32(s.vals[w.pkt][nd.dim()]), nd.lo, nd.step, nd.count())
+				case kindDescCut:
+					w.node = c.descCutChild(nd, &s.vals[w.pkt])
 				default: // kindPartition: every child holds part of the rules.
-					created += int(nd.b) - 1
+					kids := nd.count()
+					created += int(kids) - 1
 					if created > walkCap {
 						return false
 					}
-					for j := uint32(1); j < nd.b; j++ {
+					for j := uint32(1); j < kids; j++ {
 						next[m] = walker{node: nd.a + j, pkt: w.pkt}
 						m++
 					}

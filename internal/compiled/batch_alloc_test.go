@@ -16,24 +16,23 @@ import (
 // outgrows the fixed lookup stack and the walk's fixed frontier.
 func partitionChain(t *testing.T, depth int) *Classifier {
 	t.Helper()
-	c := &Classifier{nodes: make([]node, 2*depth+1), roots: []uint32{0}}
+	c := &Classifier{canonNodes: make([]canonNode, 2*depth+1), roots: []uint32{0}}
 	for i := 0; i <= depth; i++ {
 		r := rule.NewWildcardRule(i)
 		r.ID = i
 		if i < depth {
 			r.Ranges[rule.DimDstPort] = rule.Range{Lo: uint64(i), Hi: uint64(i)}
-			c.nodes[2*i] = node{kind: kindPartition, a: uint32(2*i + 1), b: 2}
+			c.canonNodes[2*i] = canonNode{kind: kindPartition, a: uint32(2*i + 1), b: 2}
 		}
 		c.rules = append(c.rules, r)
 		c.leafRules = append(c.leafRules, uint32(i))
 		leaf := min(2*i+1, 2*depth)
-		c.nodes[leaf] = node{kind: kindLeaf, a: uint32(i), b: 1}
+		c.canonNodes[leaf] = canonNode{kind: kindLeaf, a: uint32(i), b: 1}
 	}
 	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
-	c.packed = rule.PackRules(c.rules)
-	c.computeStats()
+	c.deriveServing()
 	return c
 }
 

@@ -15,7 +15,9 @@ import (
 // so that list must be the set's: a tree over the set's own slice is taken
 // at its word, any other has every rule its leaves reference compared with
 // the set's rule at that position. Multi-tree backends pass all their trees
-// and lookups take the best match across them.
+// and lookups take the best match across them. A node with 2^26 or more
+// children or leaf rules is refused with an error: a serving node cannot
+// count them (see packB).
 //
 // The classifier keeps the set's rule slice rather than a copy of it — like
 // the trees, it holds the rule list once — so the set must not be modified
@@ -56,26 +58,27 @@ func Compile(set *rule.Set, trees ...*tree.Tree) (*Classifier, error) {
 			return true
 		})
 	}
-	c.nodes = make([]node, 0, nNodes)
+	c.canonNodes = make([]canonNode, 0, nNodes)
 	c.leafRules = make([]uint32, 0, nRefs)
 	c.cutDescs = make([]cutDesc, 0, nDescs)
 	c.cutPoints64 = make([]uint64, 0, nPoints)
 
-	// BFS across all trees: the pointer queue parallels c.nodes, children
-	// are appended contiguously when their parent is processed, so child
-	// spans are contiguous and child indices always exceed the parent's.
+	// BFS across all trees: the pointer queue parallels c.canonNodes,
+	// children are appended contiguously when their parent is processed, so
+	// child spans are contiguous and child indices always exceed the
+	// parent's.
 	queue := make([]*tree.Node, 0, nNodes)
 	for _, t := range trees {
 		c.roots = append(c.roots, uint32(len(queue)))
 		queue = append(queue, t.Root)
-		c.nodes = append(c.nodes, node{})
+		c.canonNodes = append(c.canonNodes, canonNode{})
 	}
 	for i := 0; i < len(queue); i++ {
 		nd, err := c.compileNode(queue[i], &queue)
 		if err != nil {
 			return nil, err
 		}
-		c.nodes[i] = nd
+		c.canonNodes[i] = nd
 	}
 
 	if err := c.validate(); err != nil {
@@ -105,10 +108,10 @@ func checkLeafRules(t *tree.Tree, rules []rule.Rule) error {
 }
 
 // compileNode converts one pointer node, appending its children to the
-// shared BFS queue (and reserving their slots in c.nodes).
-func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, error) {
+// shared BFS queue (and reserving their slots in c.canonNodes).
+func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (canonNode, error) {
 	if pn.IsLeaf() {
-		nd := node{kind: kindLeaf, a: uint32(len(c.leafRules)), b: uint32(len(pn.Rules))}
+		nd := canonNode{kind: kindLeaf, a: uint32(len(c.leafRules)), b: uint32(len(pn.Rules))}
 		for _, ri := range pn.Rules {
 			c.leafRules = append(c.leafRules, uint32(ri)) // range and order are validate's to check
 		}
@@ -118,9 +121,9 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 	childLo := uint32(len(*queue))
 	for _, ch := range pn.Children {
 		*queue = append(*queue, ch)
-		c.nodes = append(c.nodes, node{})
+		c.canonNodes = append(c.canonNodes, canonNode{})
 	}
-	nd := node{a: childLo, b: uint32(len(pn.Children))}
+	nd := canonNode{a: childLo, b: uint32(len(pn.Children))}
 
 	switch {
 	case pn.Kind == tree.KindPartition:
@@ -129,7 +132,7 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 
 	case pn.Kind == tree.KindCut && pn.CustomCut:
 		if len(pn.CutDims) != 1 {
-			return node{}, fmt.Errorf("compiled: custom cut over %d dimensions", len(pn.CutDims))
+			return canonNode{}, fmt.Errorf("compiled: custom cut over %d dimensions", len(pn.CutDims))
 		}
 		dim := pn.CutDims[0]
 		nd.kind = kindCustomCut
@@ -142,7 +145,7 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 		for _, ch := range pn.Children[1:] {
 			p := ch.Box[dim].Lo
 			if p <= prev {
-				return node{}, fmt.Errorf("compiled: custom cut boundaries not increasing (%d after %d)", p, prev)
+				return canonNode{}, fmt.Errorf("compiled: custom cut boundaries not increasing (%d after %d)", p, prev)
 			}
 			c.cutPoints64 = append(c.cutPoints64, p)
 			prev = p
@@ -151,7 +154,7 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 
 	case pn.Kind == tree.KindCut:
 		if len(pn.CutDims) == 0 || len(pn.CutDims) != len(pn.CutCounts) {
-			return node{}, fmt.Errorf("compiled: malformed cut node (%d dims, %d counts)", len(pn.CutDims), len(pn.CutCounts))
+			return canonNode{}, fmt.Errorf("compiled: malformed cut node (%d dims, %d counts)", len(pn.CutDims), len(pn.CutCounts))
 		}
 		nd.kind = kindCut
 		nd.ndims = uint8(len(pn.CutDims))
@@ -160,7 +163,7 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 		for i, d := range pn.CutDims {
 			count := pn.CutCounts[i]
 			if count < 1 {
-				return node{}, fmt.Errorf("compiled: cut count %d in %s", count, d)
+				return canonNode{}, fmt.Errorf("compiled: cut count %d in %s", count, d)
 			}
 			box := pn.Box[d]
 			c.cutDescs = append(c.cutDescs, cutDesc{
@@ -172,26 +175,22 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 			product *= count
 		}
 		if product != len(pn.Children) {
-			return node{}, fmt.Errorf("compiled: cut fan-out %d does not match %d children", product, len(pn.Children))
+			return canonNode{}, fmt.Errorf("compiled: cut fan-out %d does not match %d children", product, len(pn.Children))
 		}
-		// Denormalize the first descriptor into the node so single-dimension
-		// cuts dispatch from the node's own cache line.
-		d0 := &c.cutDescs[nd.cut]
-		nd.dim0 = d0.dim
-		nd.lo0 = d0.lo
-		nd.step0 = normStep(d0.step)
 		return nd, nil
 
 	default:
-		return node{}, fmt.Errorf("compiled: unknown node kind %v", pn.Kind)
+		return canonNode{}, fmt.Errorf("compiled: unknown node kind %v", pn.Kind)
 	}
 }
 
-// validate checks every structural invariant the lookup path relies on:
-// all spans in bounds, child indices strictly greater than the parent's
+// validate checks every structural invariant the lookup path relies on, on
+// the canonical slabs: every count within a serving node's 26 bits, no cut
+// fields on a leaf or partition, all spans in bounds, child indices strictly
+// greater than the parent's
 // (termination), no node reached twice (a forest), cut fan-outs consistent
-// with child counts, boundary points increasing and within their
-// dimension's range (deriveServing narrows them to 32 bits), leaf spans
+// with child counts, cut origins and boundary points within their
+// dimension's range (deriveServing narrows both to 32 bits), leaf spans
 // strictly ascending by rule index (the rule list is priority-sorted, so
 // list position is what "better match" means — across leaves and trees
 // too, which is how tied priorities resolve to the first in the list
@@ -199,7 +198,7 @@ func (c *Classifier) compileNode(pn *tree.Node, queue *[]*tree.Node) (node, erro
 // widths. Load calls it on untrusted bytes; Compile calls it as a cheap
 // self-check.
 func (c *Classifier) validate() error {
-	nNodes := uint64(len(c.nodes))
+	nNodes := uint64(len(c.canonNodes))
 	nLeafRules := uint64(len(c.leafRules))
 	nRules := uint64(len(c.rules))
 	nDescs := uint64(len(c.cutDescs))
@@ -242,7 +241,7 @@ func (c *Classifier) validate() error {
 		}
 	}
 
-	checkChildren := func(i int, nd *node) error {
+	checkChildren := func(i int, nd *canonNode) error {
 		if nd.b == 0 {
 			return fmt.Errorf("node %d: internal node with no children", i)
 		}
@@ -260,8 +259,16 @@ func (c *Classifier) validate() error {
 		return nil
 	}
 
-	for i := range c.nodes {
-		nd := &c.nodes[i]
+	for i := range c.canonNodes {
+		nd := &c.canonNodes[i]
+		if _, err := packB(nd.kind, 0, nd.b); err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
+		}
+		// A serving leaf or partition keeps no cut fields, so Save could not
+		// write back a record that sets them.
+		if (nd.kind == kindLeaf || nd.kind == kindPartition) && (nd.ndims != 0 || nd.cut != 0) {
+			return fmt.Errorf("node %d: kind %d record sets cut fields (%d, %d)", i, nd.kind, nd.ndims, nd.cut)
+		}
 		switch nd.kind {
 		case kindLeaf:
 			if uint64(nd.a)+uint64(nd.b) > nLeafRules {
@@ -295,6 +302,9 @@ func (c *Classifier) validate() error {
 				if d.count == 0 {
 					return fmt.Errorf("node %d: zero cut count", i)
 				}
+				if dim := rule.Dimension(d.dim); d.lo > dim.MaxValue() {
+					return fmt.Errorf("node %d: cut origin %d beyond %s's range", i, d.lo, dim)
+				}
 				product *= uint64(d.count)
 				if product > nNodes {
 					return fmt.Errorf("node %d: cut fan-out %d exceeds node count", i, product)
@@ -302,10 +312,6 @@ func (c *Classifier) validate() error {
 			}
 			if product != uint64(nd.b) {
 				return fmt.Errorf("node %d: cut fan-out %d does not match %d children", i, product, nd.b)
-			}
-			d0 := c.cutDescs[nd.cut]
-			if nd.dim0 != d0.dim || nd.lo0 != d0.lo || nd.step0 != normStep(d0.step) {
-				return fmt.Errorf("node %d: inline cut descriptor out of sync with slab", i)
 			}
 		case kindCustomCut:
 			if err := checkChildren(i, nd); err != nil {

@@ -8,9 +8,9 @@
 // and partition nodes force recursion. Compile flattens one or more finished
 // trees into contiguous arrays:
 //
-//   - nodes live in one []node slab in BFS order, children of a node are a
-//     contiguous index span (child indices are always greater than the
-//     parent's, so traversal provably terminates);
+//   - nodes live in one []node slab in BFS order, 16 bytes each, children of
+//     a node are a contiguous index span (child indices are always greater
+//     than the parent's, so traversal provably terminates);
 //   - leaves reference rules as spans into one shared slab of indices into
 //     the classifier's rule list. A tree node's rule list is the same thing
 //     — positions in the list the tree was built over — so Compile copies
@@ -21,12 +21,12 @@
 //     only above that; so rule replication costs 2 bytes (4 on a wider
 //     table) per reference of a distinct list, not 4 per leaf;
 //   - cut geometry (origin, step, fan-out per dimension) is stored in flat
-//     descriptor arrays — only for multi-dimension cuts, a single-dimension
-//     cut's geometry lives in its node — equi-dense boundary points are
-//     32-bit, the width of the widest packet field, and rules are
-//     additionally packed into the 32-byte match-only records of
-//     rule.Packed, so the leaf scan touches nothing but small integers and
-//     spends one branch per rule.
+//     descriptor arrays — only for the cuts whose geometry does not fit a
+//     node, a single-dimension cut's origin and step live in its node as
+//     two 32-bit words — equi-dense boundary points are 32-bit, the width
+//     of the widest packet field, and rules are additionally packed into
+//     the 32-byte match-only records of rule.Packed, so the leaf scan
+//     touches nothing but small integers and spends one branch per rule.
 //
 // Lookup is iterative and allocation-free: a fixed-size index stack replaces
 // recursion (partition nodes and multi-tree classifiers push work onto it),
@@ -39,23 +39,25 @@
 // rebuilding (see format.go). The artifact holds the canonical layout —
 // every leaf's own span in node order as 32-bit indices, every cut's
 // descriptors, 64-bit boundary points, the roots in node order — and the
-// serving layout (shared, narrowed spans, 32-bit points, the
-// multi-dimension descriptors alone, the walk order) is derived from it on
-// Compile and Load alike (deriveServing), so artifacts do not depend on how
-// it is derived.
+// serving layout (shared, narrowed spans, 32-bit points, 16-byte nodes with
+// inline cut geometry, the other cuts' descriptors alone, the walk order) is
+// derived from it on Compile and Load alike (deriveServing), so artifacts do
+// not depend on how it is derived.
 package compiled
 
 import (
 	"cmp"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"slices"
 	"unsafe"
 
 	"neurocuts/internal/rule"
 )
 
-// Node kinds of the flat representation.
+// Node kinds. The first four are the artifact's: Compile emits them and an
+// artifact records them. kindDescCut exists in the serving slab alone.
 const (
 	// kindLeaf scans its rule span linearly.
 	kindLeaf uint8 = iota
@@ -68,49 +70,76 @@ const (
 	// kindPartition pushes every child: each holds a disjoint rule subset
 	// over the same box, so all must be consulted.
 	kindPartition
-
-	kindMax = kindPartition
+	// kindDescCut is a kindCut served from its descriptors in cutDescs: one
+	// over several dimensions, or over one whose step does not fit a node's
+	// 32-bit word (see packNodes).
+	kindDescCut
 )
 
-// node is one flat tree node, packed to exactly 32 bytes so two nodes share
-// each 64-byte cache line and every dispatch-relevant field of a node is
-// reachable from one line fill (pinned by TestNodeLayout). The a/b fields
-// are overloaded by kind: leaves use them as a span into the leaf-rule slab,
-// internal nodes as a span of child node indices.
+// node is one serving tree node, packed to 16 bytes so four nodes share each
+// 64-byte cache line and a node's dispatch reads one line (pinned by
+// TestNodeLayout).
 //
-// The first cut descriptor of a kindCut node is denormalized inline
-// (dim0/lo0/step0): single-dimension cuts — the overwhelmingly common case —
-// dispatch without touching the cutDescs slab at all, because their fan-out
-// equals the child count b, and the serving cutDescs slab keeps no
-// descriptor for them. Multi-dimension cuts still read their full
-// descriptor span. The boundary count of a kindCustomCut node is always its
-// child count minus one, so it is not stored. Both facts keep the on-disk
-// record (which still carries an explicit cutN and every cut's descriptors)
-// derivable, so the artifact schema is unchanged; Load reconstructs the
-// inline fields (deriveInline) and Save the descriptors (canonical).
+// b holds the node's kind in its top three bits, its cut dimension in the
+// three below, and its count in the low countBits: the leaf-rule count of a
+// leaf, the child count of any other node. a is the first leaf-rule index of
+// a leaf and the first child index of any other node. lo and step hold the
+// cut geometry, by kind:
+//
+//   - kindCut, a single-dimension equal cut: the origin and the step, with
+//     the count as the fan-out, so it dispatches without touching another
+//     slab;
+//   - kindCustomCut: lo is the index of the first of its count-1 boundary
+//     points in cutPoints;
+//   - kindDescCut: lo is the index of its first descriptor in cutDescs, and
+//     the dimension bits hold the number of descriptors;
+//   - leaves and partitions: both are 0.
+//
+// The artifact records the canonical canonNode instead: deriveServing packs
+// it into this form and canonical widens it back, so the artifact schema
+// does not depend on it.
 type node struct {
+	a, b     uint32
+	lo, step uint32
+}
+
+// countBits is the width of a node's count; kind and dimension take the six
+// bits of b above it. Any forest Load accepts has fewer than 2^26 nodes
+// (18-byte records within the artifact limit) and fewer than 2^24 rules
+// (96 bytes each), so every count it holds fits.
+const (
+	countBits = 26
+	countMask = 1<<countBits - 1
+	kindShift = countBits + 3
+)
+
+func (nd *node) kind() uint8   { return uint8(nd.b >> kindShift) }
+func (nd *node) dim() uint8    { return uint8(nd.b>>countBits) & 7 }
+func (nd *node) count() uint32 { return nd.b & countMask }
+
+// packB packs a node's kind, dimension and count into its b word. It refuses
+// a count the word cannot hold beside the other two.
+func packB(kind, dim uint8, count uint32) (uint32, error) {
+	if count > countMask {
+		return 0, fmt.Errorf("count %d does not fit a node header (at most %d)", count, countMask)
+	}
+	return uint32(kind)<<kindShift | uint32(dim)<<countBits | count, nil
+}
+
+// canonNode is a node as the artifact records it: Compile emits it, Load
+// decodes it, validate checks it and deriveServing packs it into a node.
+type canonNode struct {
 	kind uint8
-	// ndims is the cut-dimension count for kindCut and the single cut
-	// dimension index for kindCustomCut; unused otherwise.
+	// ndims is the cut-dimension count of a kindCut node and the cut
+	// dimension of a kindCustomCut one; 0 otherwise.
 	ndims uint8
-	// dim0 is the first cut dimension for kindCut (== cutDescs[cut].dim).
-	dim0 uint8
-	_    uint8
-	// a is the first leaf-rule index (leaf) or first child node index.
-	a uint32
-	// b is the leaf-rule count (leaf) or child count. For kindCustomCut the
-	// boundary point count is b-1.
-	b uint32
-	// cut is the first cut-descriptor index (kindCut over several
-	// dimensions; 0 for one) or the first boundary point index
-	// (kindCustomCut).
+	// a is the first leaf-rule index (leaf) or first child node index; b is
+	// the leaf-rule count (leaf) or child count. A kindCustomCut node has
+	// b-1 boundary points.
+	a, b uint32
+	// cut is the first cut-descriptor index (kindCut) or the first boundary
+	// point index (kindCustomCut); 0 otherwise.
 	cut uint32
-	// lo0/step0 are the first cut descriptor's origin and step for kindCut,
-	// with a step of 0 normalized to MaxUint64 so piece computation divides
-	// unconditionally (see cutPiece); packet field values are at most 32-bit,
-	// so the normalized divide still always yields piece 0.
-	lo0   uint64
-	step0 uint64
 }
 
 // cutDesc describes an equal-sized cut in one dimension: piece index is
@@ -133,8 +162,12 @@ type Classifier struct {
 	// carries no priority: the rule list is priority-sorted, so a rule's
 	// index is its rank, and leaf spans ascend by index (see validate).
 	packed []rule.Packed
-	// nodes is the flat node slab across all trees, children contiguous.
+	// nodes is the serving node slab across all trees, children contiguous.
 	nodes []node
+	// canonNodes is the canonical node slab, as the artifact records it:
+	// Compile and Load fill it, and deriveServing packs it into nodes and
+	// drops it.
+	canonNodes []canonNode
 	// leafRules is the slab of rule indices referenced by leaves, as 32
 	// bits. Compile and Load fill it in the canonical layout, every leaf's
 	// own span; deriveServing leaves it serving each distinct leaf list once
@@ -145,8 +178,10 @@ type Classifier struct {
 	// maxNarrowRules rules, each distinct leaf list once as 16-bit rule
 	// indices; nil for a wider table. Exactly one of the two serves.
 	leafRules16 []uint16
-	// cutDescs holds the equal-cut geometry spans of multi-dimension kindCut
-	// nodes; a single-dimension cut's geometry is inline in its node.
+	// cutDescs holds the equal-cut geometry spans: every kindCut node's in
+	// the canonical layout, only kindDescCut nodes' in the serving one (a
+	// single-dimension cut whose step fits 32 bits keeps its geometry in its
+	// node).
 	cutDescs []cutDesc
 	// cutPoints holds the boundary spans referenced by kindCustomCut nodes,
 	// as 32 bits: validate holds every point to its dimension's range, and
@@ -187,14 +222,16 @@ type Stats struct {
 	// the full rule.Rule list kept for returning matches: the sum of the
 	// four figures below.
 	MemoryBytes int
-	// NodeBytes is the node slab and the root list.
+	// NodeBytes is the node slab, 16 bytes per node, and the root list, 4
+	// bytes per root.
 	NodeBytes int
 	// LeafSpanBytes is the leaf-rule slab: per rule reference of each
 	// distinct leaf list, however many leaves share it, 2 bytes for a table
 	// of at most 65 536 rules and 4 above that.
 	LeafSpanBytes int
-	// CutBytes is the cut geometry kept outside the nodes: multi-dimension
-	// cut descriptors (24 bytes each) and equi-dense boundary points (4
+	// CutBytes is the cut geometry kept outside the nodes: the descriptors
+	// of multi-dimension cuts and of single-dimension cuts whose step does
+	// not fit 32 bits (24 bytes each), and equi-dense boundary points (4
 	// bytes each).
 	CutBytes int
 	// PackedBytes is the packed match records, 32 bytes per rule.
@@ -220,19 +257,19 @@ func (c *Classifier) RuleSet() *rule.Set {
 }
 
 // deriveServing turns validated canonical slabs — what Compile emits and an
-// artifact stores — into the serving layout: the node slab on a cache-line
-// boundary, the packed rules, each distinct leaf list stored once in the
-// narrowest rule index that fits, 32-bit boundary points, only the
-// multi-dimension cut descriptors, and the walk order of the roots. The
-// served trees do not change: every leaf reads the same rule list and every
-// cut dispatches to the same child. Compile and Load both end here, so a
-// loaded artifact serves exactly what its compiled original did.
+// artifact stores — into the serving layout: the packed rules, each distinct
+// leaf list stored once in the narrowest rule index that fits, 32-bit
+// boundary points, 16-byte nodes on a cache-line boundary with their cut
+// geometry inline where it fits, only the descriptors of the cuts whose
+// geometry does not, and the walk order of the roots. The served trees do
+// not change: every leaf reads the same rule list and every cut dispatches
+// to the same child. Compile and Load both end here, so a loaded artifact
+// serves exactly what its compiled original did.
 func (c *Classifier) deriveServing() {
-	c.nodes = alignNodeSlab(c.nodes)
 	c.packed = rule.PackRules(c.rules)
 	c.shareLeafSpans(spanHash())
 	c.narrowCutPoints()
-	c.keepMultiCutDescs()
+	c.packNodes()
 	c.orderRoots()
 	c.computeStats()
 }
@@ -257,19 +294,19 @@ type leafRef interface{ ~uint16 | ~uint32 }
 // that a test can make lists collide.
 func (c *Classifier) shareLeafSpans(hash func([]uint32) uint64) {
 	// first maps a list's hash to the first leaf holding a list with it.
-	first := make(map[uint64]uint32, len(c.nodes))
+	first := make(map[uint64]uint32, len(c.canonNodes))
 	// owner[i] is the leaf whose copy leaf i reads: itself or an earlier one.
-	owner := make([]uint32, len(c.nodes))
+	owner := make([]uint32, len(c.canonNodes))
 	distinct := 0
-	for i := range c.nodes {
-		nd := &c.nodes[i]
+	for i := range c.canonNodes {
+		nd := &c.canonNodes[i]
 		if nd.kind != kindLeaf {
 			continue
 		}
 		span := c.leafRules[nd.a : nd.a+nd.b]
 		h := hash(span)
 		if o, ok := first[h]; ok {
-			if on := &c.nodes[o]; slices.Equal(c.leafRules[on.a:on.a+on.b], span) {
+			if on := &c.canonNodes[o]; slices.Equal(c.leafRules[on.a:on.a+on.b], span) {
 				owner[i] = o
 				continue
 			}
@@ -294,13 +331,13 @@ func distinctSpans[R leafRef](c *Classifier, owner []uint32, distinct int) []R {
 	// Owners precede the leaves that share their copy, so by the time a
 	// sharing leaf is reached its owner's span is already in the new slab.
 	slab := make([]R, 0, distinct)
-	for i := range c.nodes {
-		nd := &c.nodes[i]
+	for i := range c.canonNodes {
+		nd := &c.canonNodes[i]
 		if nd.kind != kindLeaf {
 			continue
 		}
 		if o := owner[i]; o != uint32(i) {
-			nd.a = c.nodes[o].a
+			nd.a = c.canonNodes[o].a
 			continue
 		}
 		a := uint32(len(slab))
@@ -312,13 +349,13 @@ func distinctSpans[R leafRef](c *Classifier, owner []uint32, distinct int) []R {
 	return slab
 }
 
-// appendLeaf appends the rule list of leaf nd, as the lookups read it from
-// the serving slab, to dst as 32-bit indices.
-func (c *Classifier) appendLeaf(dst []uint32, nd *node) []uint32 {
+// appendLeaf appends the rule list of the leaf span [a, a+n), as the lookups
+// read it from the serving slab, to dst as 32-bit indices.
+func (c *Classifier) appendLeaf(dst []uint32, a, n uint32) []uint32 {
 	if c.leafRules16 == nil {
-		return append(dst, c.leafRules[nd.a:nd.a+nd.b]...)
+		return append(dst, c.leafRules[a:a+n]...)
 	}
-	for _, ri := range c.leafRules16[nd.a : nd.a+nd.b] {
+	for _, ri := range c.leafRules16[a : a+n] {
 		dst = append(dst, uint32(ri))
 	}
 	return dst
@@ -344,33 +381,47 @@ func (c *Classifier) narrowCutPoints() {
 	c.cutPoints64 = nil
 }
 
-// keepMultiCutDescs drops the descriptors of single-dimension cuts from
-// c.cutDescs: such a node dispatches from its inline dim0/lo0/step0 and its
-// child count, so the serving slab keeps only what multi-dimension cuts read,
-// and their cut indices are rewritten into it. Save rebuilds the canonical
-// descriptor slab from the nodes (canonical).
-func (c *Classifier) keepMultiCutDescs() {
+// packNodes packs the canonical nodes into the serving slab and drops them.
+// A single-dimension cut whose step fits 32 bits keeps its geometry in its
+// node and loses its descriptor; every other equal cut becomes a kindDescCut
+// whose descriptors move into the serving c.cutDescs, which keeps nothing
+// else. A zero step, or one of 2^32 or more such as a fan-out-1 cut over a
+// whole address field, does not fit. validate has held every count below
+// 2^26, every dimension to its range and every origin to its dimension's, so
+// nothing is truncated. canonical rebuilds the canonical slabs.
+func (c *Classifier) packNodes() {
 	n := 0
-	for i := range c.nodes {
-		if nd := &c.nodes[i]; nd.kind == kindCut && nd.ndims > 1 {
-			n += int(nd.ndims)
+	for i := range c.canonNodes {
+		if kn := &c.canonNodes[i]; kn.kind == kindCut && !c.inlineCut(kn) {
+			n += int(kn.ndims)
 		}
 	}
 	descs := make([]cutDesc, 0, n)
-	for i := range c.nodes {
-		nd := &c.nodes[i]
-		if nd.kind != kindCut {
-			continue
+	nodes := makeNodeSlab(len(c.canonNodes))
+	for i := range c.canonNodes {
+		kn, nd := &c.canonNodes[i], &nodes[i]
+		kind, dim := kn.kind, uint8(0)
+		nd.a = kn.a
+		switch {
+		case kn.kind == kindCustomCut:
+			dim, nd.lo = kn.ndims, kn.cut
+		case kn.kind == kindCut && c.inlineCut(kn):
+			d := &c.cutDescs[kn.cut]
+			dim, nd.lo, nd.step = d.dim, uint32(d.lo), uint32(d.step)
+		case kn.kind == kindCut:
+			kind, dim, nd.lo = kindDescCut, kn.ndims, uint32(len(descs))
+			descs = append(descs, c.cutDescs[kn.cut:kn.cut+uint32(kn.ndims)]...)
 		}
-		if nd.ndims == 1 {
-			nd.cut = 0
-			continue
-		}
-		cut := uint32(len(descs))
-		descs = append(descs, c.cutDescs[nd.cut:nd.cut+uint32(nd.ndims)]...)
-		nd.cut = cut
+		nd.b, _ = packB(kind, dim, kn.b) // validate has refused a count that does not fit
 	}
-	c.cutDescs = descs
+	c.nodes, c.cutDescs, c.canonNodes = nodes, descs, nil
+}
+
+// inlineCut reports whether the canonical cut kn dispatches from its node:
+// it cuts one dimension, with a step from 1 to 2^32-1.
+func (c *Classifier) inlineCut(kn *canonNode) bool {
+	step := c.cutDescs[kn.cut].step
+	return kn.ndims == 1 && step >= 1 && step <= math.MaxUint32
 }
 
 // probeRules is how many rules orderRoots samples at most.
@@ -447,14 +498,14 @@ func (c *Classifier) computeStats() {
 	visits := make([]int, len(c.nodes))
 	for i := len(c.nodes) - 1; i >= 0; i-- {
 		nd := &c.nodes[i]
-		switch nd.kind {
+		switch nd.kind() {
 		case kindLeaf:
 			st.Leaves++
-			st.LeafRuleRefs += int(nd.b)
+			st.LeafRuleRefs += int(nd.count())
 			visits[i] = 1
-		case kindCut, kindCustomCut:
+		case kindCut, kindCustomCut, kindDescCut:
 			maxG, maxV := 0, 0
-			for j := uint32(0); j < nd.b; j++ {
+			for j := uint32(0); j < nd.count(); j++ {
 				ci := nd.a + j
 				if g := growth[ci]; g > maxG {
 					maxG = g
@@ -466,7 +517,7 @@ func (c *Classifier) computeStats() {
 			growth[i] = maxG
 			visits[i] = 1 + maxV
 		default: // kindPartition
-			k := int(nd.b)
+			k := int(nd.count())
 			g := k // momentary occupancy right after pushing all children
 			sum := 0
 			// Children are pushed in order a..a+k-1 and popped LIFO, so the
@@ -501,57 +552,33 @@ func (c *Classifier) computeStats() {
 // In-memory sizes used for the MemoryBytes accounting (kept in sync with
 // the struct definitions above; padded sizes, pinned by TestNodeLayout).
 const (
-	nodeBytes       = 32
+	nodeBytes       = 16
 	cutDescBytes    = 24
 	packedRuleBytes = 32
 )
 
 // nodeLineAlign is the byte alignment of the node slab: one cache line, so
-// node pairs never straddle a line boundary.
+// a node never straddles a line boundary.
 const nodeLineAlign = 64
 
-// alignNodeSlab copies nodes into a 64-byte-aligned backing array. Go slice
-// allocations only guarantee the element alignment (8 bytes here), so the
-// slab is carved out of an over-allocated byte buffer instead; the interior
-// pointer keeps the buffer alive and node contains no pointers, so the cast
-// is GC-safe.
-func alignNodeSlab(nodes []node) []node {
-	if len(nodes) == 0 {
-		return nodes
+// makeNodeSlab allocates a zeroed slab of n nodes on a 64-byte boundary. Go
+// slice allocations only guarantee the element alignment (4 bytes here), so
+// the slab is carved out of an over-allocated byte buffer instead; the
+// interior pointer keeps the buffer alive and node contains no pointers, so
+// the cast is GC-safe.
+func makeNodeSlab(n int) []node {
+	if n == 0 {
+		return nil
 	}
-	buf := make([]byte, len(nodes)*nodeBytes+nodeLineAlign-1)
+	buf := make([]byte, n*nodeBytes+nodeLineAlign-1)
 	off := 0
 	if rem := uintptr(unsafe.Pointer(&buf[0])) % nodeLineAlign; rem != 0 {
 		off = int(nodeLineAlign - rem)
 	}
-	out := unsafe.Slice((*node)(unsafe.Pointer(&buf[off])), len(nodes))
-	copy(out, nodes)
-	return out
+	return unsafe.Slice((*node)(unsafe.Pointer(&buf[off])), n)
 }
 
-// deriveInline reconstructs the denormalized per-node fields (dim0, lo0,
-// step0) from the cut-descriptor slab. Compile fills them directly; Load
-// calls this after decoding, because the artifact stores only the canonical
-// descriptor slab. It bounds-checks the descriptor span itself so it is safe
-// on untrusted input ahead of full validation.
-func (c *Classifier) deriveInline() error {
-	for i := range c.nodes {
-		nd := &c.nodes[i]
-		if nd.kind != kindCut {
-			continue
-		}
-		if nd.ndims == 0 || uint64(nd.cut)+uint64(nd.ndims) > uint64(len(c.cutDescs)) {
-			return fmt.Errorf("node %d: cut descriptor span out of range", i)
-		}
-		d := &c.cutDescs[nd.cut]
-		nd.dim0 = d.dim
-		nd.lo0 = d.lo
-		nd.step0 = normStep(d.step)
-	}
-	return nil
-}
-
-// normStep maps a zero cut step to MaxUint64 so the hot path can divide
+// normStep maps a zero cut step to MaxUint64 so descCutChild can divide
 // without a zero guard: packet field values fit 32 bits, so (v-lo)/MaxUint64
 // is 0 whenever v > lo, which is exactly the piece a zero-step descriptor
 // selects. Compile never emits a zero step (splitRange guarantees step >= 1),

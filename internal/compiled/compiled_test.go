@@ -346,6 +346,49 @@ func TestLoadRejectsMalformed(t *testing.T) {
 			t.Fatalf("boundary %d in %s: Load = %v, want an out-of-range boundary error", dim.MaxValue()+1, dim, err)
 		}
 	})
+	t.Run("cut-origin-beyond-dimension", func(t *testing.T) {
+		// A HiCuts artifact has no boundary points, so it ends with its last
+		// cut descriptor {u8 dim, u32 count, u64 lo, u64 step}, a zero point
+		// count and the checksum.
+		if n := binary.LittleEndian.Uint32(valid[len(valid)-8:]); n != 0 {
+			t.Fatalf("HiCuts artifact holds %d boundary points", n)
+		}
+		desc := len(valid) - 8 - 21
+		dim := rule.Dimension(valid[desc])
+		// Past its dimension's range, the origin still dispatches every
+		// packet to piece 0: only the range check can refuse it, and a
+		// 32-bit inline origin would truncate it.
+		bad := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(bad[desc+5:], dim.MaxValue()+1)
+		fixChecksum(bad)
+		if _, _, err := compiled.LoadBytes(bad); err == nil || !strings.Contains(err.Error(), "origin") {
+			t.Fatalf("cut origin %d in %s: Load = %v, want an out-of-range origin error", dim.MaxValue()+1, dim, err)
+		}
+	})
+	t.Run("leaf-record-with-cut-fields", func(t *testing.T) {
+		// The node records follow magic, version, metadata, the 96-byte rule
+		// records and the roots; each is {u8 kind, u8 ndims, u32 a, u32 b,
+		// u32 cut, u32 cutN}. A serving leaf has no field for a cut
+		// dimension, so a leaf record that sets one is refused rather than
+		// saved back without it.
+		off := 12 + int(binary.LittleEndian.Uint32(valid[8:]))
+		off += 4 + int(binary.LittleEndian.Uint32(valid[off:]))*96
+		off += 4 + int(binary.LittleEndian.Uint32(valid[off:]))*4
+		n := int(binary.LittleEndian.Uint32(valid[off:]))
+		off += 4
+		for i := 0; i < n && valid[off] != 0; i++ {
+			off += 18
+		}
+		if valid[off] != 0 {
+			t.Fatal("HiCuts artifact has no leaf record")
+		}
+		bad := append([]byte(nil), valid...)
+		bad[off+1] = 1
+		fixChecksum(bad)
+		if _, _, err := compiled.LoadBytes(bad); err == nil || !strings.Contains(err.Error(), "cut fields") {
+			t.Fatalf("leaf record with a cut dimension: Load = %v, want a cut fields error", err)
+		}
+	})
 	t.Run("version-skew", func(t *testing.T) {
 		bad := versionSkewed(valid, compiled.SchemaVersion+1)
 		_, _, err := compiled.LoadBytes(bad)

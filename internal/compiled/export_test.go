@@ -14,8 +14,8 @@ const BatchGroup = batchGroup
 func LeafLists(c *Classifier) [][]uint32 {
 	var lists [][]uint32
 	for i := range c.nodes {
-		if nd := &c.nodes[i]; nd.kind == kindLeaf {
-			lists = append(lists, c.appendLeaf(nil, nd))
+		if nd := &c.nodes[i]; nd.kind() == kindLeaf {
+			lists = append(lists, c.appendLeaf(nil, nd.a, nd.count()))
 		}
 	}
 	return lists

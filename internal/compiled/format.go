@@ -79,18 +79,17 @@ func Save(w io.Writer, c *Classifier, meta Metadata) error {
 	return encode(w, k, meta)
 }
 
-// canonical returns c in the artifact's layout, sharing c's rules: the roots
-// in node order, every leaf's own span in node order as 32-bit indices with
-// a as the running offset, every cut's descriptors in node order, a
-// single-dimension cut's rebuilt from its node as {dim0, b, lo0, step0}, and
-// the boundary points as 64 bits. A step0 of MaxUint64 is normStep's image
-// of a zero step and goes out as 0; Compile emits neither. Compile emits
-// exactly this layout, so the artifact does not depend on how deriveServing
-// derives the serving one.
+// canonical returns c in the artifact's layout, sharing c's rules: the
+// canonical nodes, the roots in node order, every leaf's own span in node
+// order as 32-bit indices with a as the running offset, every cut's
+// descriptors in node order, a cut with inline geometry's rebuilt from its
+// node as {dim, count, lo, step}, and the boundary points as 64 bits. Compile
+// emits exactly this layout, so the artifact does not depend on how
+// deriveServing derives the serving one.
 func (c *Classifier) canonical() (*Classifier, error) {
 	k := &Classifier{
 		rules:       c.rules,
-		nodes:       slices.Clone(c.nodes),
+		canonNodes:  make([]canonNode, len(c.nodes)),
 		cutPoints64: make([]uint64, len(c.cutPoints)),
 		// The walk order is derived (orderRoots), not stored, so it costs
 		// the format nothing.
@@ -104,32 +103,31 @@ func (c *Classifier) canonical() (*Classifier, error) {
 		return nil, err
 	}
 	descs := 0
-	for i := range k.nodes {
-		if nd := &k.nodes[i]; nd.kind == kindCut {
-			descs += int(nd.ndims)
+	for i := range c.nodes {
+		switch nd := &c.nodes[i]; nd.kind() {
+		case kindCut:
+			descs++
+		case kindDescCut:
+			descs += int(nd.dim())
 		}
 	}
 	k.leafRules = make([]uint32, 0, refs)
 	k.cutDescs = make([]cutDesc, 0, descs)
-	for i := range k.nodes {
-		switch nd := &k.nodes[i]; nd.kind {
+	for i := range c.nodes {
+		nd, kn := &c.nodes[i], &k.canonNodes[i]
+		kn.kind, kn.a, kn.b = nd.kind(), nd.a, nd.count()
+		switch kn.kind {
 		case kindLeaf:
-			a := uint32(len(k.leafRules))
-			k.leafRules = c.appendLeaf(k.leafRules, nd)
-			nd.a = a
+			kn.a = uint32(len(k.leafRules))
+			k.leafRules = c.appendLeaf(k.leafRules, nd.a, kn.b)
 		case kindCut:
-			if nd.ndims == 1 {
-				step := nd.step0
-				if step == ^uint64(0) {
-					step = 0
-				}
-				nd.cut = uint32(len(k.cutDescs))
-				k.cutDescs = append(k.cutDescs, cutDesc{lo: nd.lo0, step: step, count: nd.b, dim: nd.dim0})
-				continue
-			}
-			span := c.cutDescs[nd.cut : nd.cut+uint32(nd.ndims)]
-			nd.cut = uint32(len(k.cutDescs))
-			k.cutDescs = append(k.cutDescs, span...)
+			kn.ndims, kn.cut = 1, uint32(len(k.cutDescs))
+			k.cutDescs = append(k.cutDescs, cutDesc{lo: uint64(nd.lo), step: uint64(nd.step), count: kn.b, dim: nd.dim()})
+		case kindDescCut:
+			kn.kind, kn.ndims, kn.cut = kindCut, nd.dim(), uint32(len(k.cutDescs))
+			k.cutDescs = append(k.cutDescs, c.cutDescs[nd.lo:nd.lo+uint32(kn.ndims)]...)
+		case kindCustomCut:
+			kn.ndims, kn.cut = nd.dim(), nd.lo
 		}
 	}
 	return k, nil
@@ -141,11 +139,17 @@ func (c *Classifier) canonical() (*Classifier, error) {
 // read: Save checks it before spelling the slab out, and Load before
 // deriving the shared slab, whose distinct lists it bounds in turn. So
 // neither allocates more than the artifact limit for it, and Load accepts
-// only what Save can write back.
+// only what Save can write back. c holds one of its node slabs: the serving
+// one when Save calls, the canonical one when Load does.
 func (c *Classifier) canonicalRefs() (uint64, error) {
 	var refs uint64
 	for i := range c.nodes {
-		if nd := &c.nodes[i]; nd.kind == kindLeaf {
+		if nd := &c.nodes[i]; nd.kind() == kindLeaf {
+			refs += uint64(nd.count())
+		}
+	}
+	for i := range c.canonNodes {
+		if nd := &c.canonNodes[i]; nd.kind == kindLeaf {
 			refs += uint64(nd.b)
 		}
 	}
@@ -180,16 +184,16 @@ func encode(w io.Writer, c *Classifier, meta Metadata) error {
 	for _, r := range c.roots {
 		buf = putU32(buf, r)
 	}
-	buf = putU32(buf, uint32(len(c.nodes)))
-	for i := range c.nodes {
-		nd := &c.nodes[i]
+	buf = putU32(buf, uint32(len(c.canonNodes)))
+	for i := range c.canonNodes {
+		nd := &c.canonNodes[i]
 		buf = append(buf, nd.kind, nd.ndims)
 		buf = putU32(buf, nd.a)
 		buf = putU32(buf, nd.b)
 		buf = putU32(buf, nd.cut)
 		// The boundary count is implied by the child count in memory but the
 		// record keeps an explicit cutN field, byte-identical to artifacts
-		// written before the 32-byte in-memory node repack.
+		// written before the node stopped storing it.
 		cutN := uint32(0)
 		if nd.kind == kindCustomCut {
 			cutN = nd.b - 1
@@ -314,9 +318,9 @@ func LoadBytes(data []byte) (*Classifier, Metadata, error) {
 		}
 	}
 	if n := d.count(nodeRecordBytes); d.err == nil {
-		c.nodes = make([]node, n)
-		for i := range c.nodes {
-			nd := &c.nodes[i]
+		c.canonNodes = make([]canonNode, n)
+		for i := range c.canonNodes {
+			nd := &c.canonNodes[i]
 			nd.kind = d.u8()
 			nd.ndims = d.u8()
 			nd.a = d.u32()
@@ -358,12 +362,8 @@ func LoadBytes(data []byte) (*Classifier, Metadata, error) {
 	if d.off != len(d.b) {
 		return nil, meta, fmt.Errorf("compiled: %d trailing bytes after artifact body", len(d.b)-d.off)
 	}
-	// The artifact stores only the canonical descriptor slab; reconstruct the
-	// denormalized per-node dispatch fields before validating, then derive
-	// the serving layout as Compile does.
-	if err := c.deriveInline(); err != nil {
-		return nil, meta, fmt.Errorf("compiled: invalid artifact: %w", err)
-	}
+	// The artifact holds the canonical layout: validate it, then derive the
+	// serving layout as Compile does.
 	if _, err := c.canonicalRefs(); err != nil {
 		return nil, meta, fmt.Errorf("compiled: invalid artifact: %w", err)
 	}

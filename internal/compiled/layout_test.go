@@ -16,20 +16,20 @@ import (
 )
 
 // TestNodeLayout pins the hot-struct geometry the traversals are built
-// around: a 32-byte node (two per cache line, so one line fill exposes every
-// dispatch-relevant field), a 32-byte packed match record, and accounting
-// constants that match the real struct sizes. A future field addition that
-// silently fattens either struct fails here instead of quietly halving the
-// nodes-per-line density.
+// around: a 16-byte node (four per cache line, so one line fill exposes every
+// dispatch-relevant field of a node), a 32-byte packed match record, and
+// accounting constants that match the real struct sizes. A future field
+// addition that silently fattens either struct fails here instead of quietly
+// halving the nodes-per-line density.
 func TestNodeLayout(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != nodeBytes {
-		t.Errorf("node size = %d bytes, layout pinned at %d", got, nodeBytes)
+	if got := unsafe.Sizeof(node{}); got != 16 || nodeBytes != 16 {
+		t.Errorf("node size = %d bytes, accounting uses %d, layout pinned at 16", got, nodeBytes)
 	}
-	if got := unsafe.Alignof(node{}); got != 8 {
-		t.Errorf("node alignment = %d, want 8", got)
+	if got := unsafe.Alignof(node{}); got != 4 {
+		t.Errorf("node alignment = %d, want 4", got)
 	}
-	if nodeLineAlign%nodeBytes != 0 {
-		t.Errorf("node size %d does not pack the %d-byte line evenly", nodeBytes, nodeLineAlign)
+	if nodeLineAlign%nodeBytes != 0 || nodeLineAlign/nodeBytes != 4 {
+		t.Errorf("node size %d does not pack the %d-byte line four to a line", nodeBytes, nodeLineAlign)
 	}
 	if got := unsafe.Sizeof(rule.Packed{}); got != packedRuleBytes {
 		t.Errorf("rule.Packed size = %d bytes, layout pinned at %d", got, packedRuleBytes)
@@ -39,20 +39,15 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
-// TestNodeSlabAlignment asserts alignNodeSlab really lands the slab on a
-// cache-line boundary (Go slice allocations alone only guarantee 8) and
-// preserves the node contents.
+// TestNodeSlabAlignment asserts makeNodeSlab really lands the slab on a
+// cache-line boundary (Go slice allocations alone only guarantee 4 for a
+// node) and hands out n zeroed nodes that do not overlap.
 func TestNodeSlabAlignment(t *testing.T) {
-	if got := alignNodeSlab(nil); got != nil {
-		t.Errorf("empty slab should pass through, got %v", got)
+	if got := makeNodeSlab(0); got != nil {
+		t.Errorf("empty slab should be nil, got %v", got)
 	}
 	for _, n := range []int{1, 2, 3, 17, 1024} {
-		src := make([]node, n)
-		for i := range src {
-			src[i].a = uint32(i + 1)
-			src[i].lo0 = uint64(i) << 32
-		}
-		slab := alignNodeSlab(src)
+		slab := makeNodeSlab(n)
 		if len(slab) != n {
 			t.Fatalf("n=%d: slab length %d", n, len(slab))
 		}
@@ -60,10 +55,50 @@ func TestNodeSlabAlignment(t *testing.T) {
 			t.Errorf("n=%d: slab at %#x not %d-byte aligned", n, addr, nodeLineAlign)
 		}
 		for i := range slab {
-			if slab[i].a != uint32(i+1) || slab[i].lo0 != uint64(i)<<32 {
-				t.Fatalf("n=%d: node %d corrupted by aligned copy", n, i)
+			if slab[i] != (node{}) {
+				t.Fatalf("n=%d: node %d not zeroed", n, i)
+			}
+			slab[i] = node{a: uint32(i + 1), step: ^uint32(i)}
+		}
+		for i := range slab {
+			if slab[i] != (node{a: uint32(i + 1), step: ^uint32(i)}) {
+				t.Fatalf("n=%d: node %d overwritten by a neighbour", n, i)
 			}
 		}
+	}
+}
+
+// TestNodeHeaderBound pins what a node's b word holds: kind, dimension and
+// a count up to 2^26-1 come back as packed, and a count of 2^26 is refused
+// by packB and by validate, which Compile and Load both run, before any span
+// check that would need that many nodes to pass.
+func TestNodeHeaderBound(t *testing.T) {
+	for _, kind := range []uint8{kindLeaf, kindCut, kindCustomCut, kindPartition, kindDescCut} {
+		for dim := uint8(0); dim <= rule.NumDims; dim++ {
+			for _, count := range []uint32{0, 1, countMask} {
+				b, err := packB(kind, dim, count)
+				nd := node{b: b}
+				if err != nil || nd.kind() != kind || nd.dim() != dim || nd.count() != count {
+					t.Fatalf("packB(%d, %d, %d) = %#x, %v: reads kind %d, dimension %d, count %d",
+						kind, dim, count, b, err, nd.kind(), nd.dim(), nd.count())
+				}
+			}
+		}
+	}
+	if countMask != 1<<26-1 {
+		t.Errorf("count mask %#x, want 26 bits", countMask)
+	}
+	if _, err := packB(kindPartition, 0, 1<<26); err == nil {
+		t.Error("packB took a count of 2^26")
+	}
+	c := &Classifier{
+		rules:      []rule.Rule{rule.NewWildcardRule(0)},
+		leafRules:  []uint32{0},
+		canonNodes: []canonNode{{kind: kindPartition, a: 1, b: 1 << 26}, {kind: kindLeaf, a: 0, b: 1}},
+		roots:      []uint32{0},
+	}
+	if err := c.validate(); err == nil || !strings.Contains(err.Error(), "node header") {
+		t.Errorf("validate of a node with 2^26 children: %v, want a node header error", err)
 	}
 }
 
@@ -89,11 +124,11 @@ func TestLeafSpansIndexOrdered(t *testing.T) {
 	leaves := 0
 	for i := range c.nodes {
 		nd := &c.nodes[i]
-		if nd.kind != kindLeaf {
+		if nd.kind() != kindLeaf {
 			continue
 		}
 		leaves++
-		span := c.appendLeaf(nil, nd)
+		span := c.appendLeaf(nil, nd.a, nd.count())
 		for j := 1; j < len(span); j++ {
 			if span[j] <= span[j-1] {
 				t.Fatalf("node %d: leaf span not ascending by rule index (%d after %d)", i, span[j], span[j-1])
@@ -113,9 +148,9 @@ func TestValidateRejectsUnorderedLeaf(t *testing.T) {
 	a, b := rule.NewWildcardRule(5), rule.NewWildcardRule(5)
 	a.ID, b.ID = 1, 2
 	c := &Classifier{
-		rules: []rule.Rule{a, b},
-		nodes: []node{{kind: kindLeaf, a: 0, b: 2}},
-		roots: []uint32{0},
+		rules:      []rule.Rule{a, b},
+		canonNodes: []canonNode{{kind: kindLeaf, a: 0, b: 2}},
+		roots:      []uint32{0},
 	}
 	c.leafRules = []uint32{0, 1}
 	if err := c.validate(); err != nil {
@@ -134,24 +169,24 @@ func TestValidateRejectsUnorderedLeaf(t *testing.T) {
 // subtrees passes every span check, yet a chain of them makes one walk — a
 // lookup, or Load's root-order probe — revisit nodes exponentially often.
 func TestValidateRejectsSharedNodes(t *testing.T) {
-	leaf := node{kind: kindLeaf, a: 0, b: 1}
+	leaf := canonNode{kind: kindLeaf, a: 0, b: 1}
 	cases := []struct {
 		name  string
-		nodes []node
+		nodes []canonNode
 		roots []uint32
 		ok    bool
 	}{
-		{"forest", []node{{kind: kindPartition, a: 2, b: 2}, leaf, leaf, leaf}, []uint32{0, 1}, true},
-		{"shared child", []node{{kind: kindPartition, a: 1, b: 2}, {kind: kindPartition, a: 2, b: 2}, leaf, leaf}, []uint32{0}, false},
-		{"root is a child", []node{{kind: kindPartition, a: 1, b: 2}, leaf, leaf}, []uint32{0, 2}, false},
-		{"root twice", []node{leaf}, []uint32{0, 0}, false},
+		{"forest", []canonNode{{kind: kindPartition, a: 2, b: 2}, leaf, leaf, leaf}, []uint32{0, 1}, true},
+		{"shared child", []canonNode{{kind: kindPartition, a: 1, b: 2}, {kind: kindPartition, a: 2, b: 2}, leaf, leaf}, []uint32{0}, false},
+		{"root is a child", []canonNode{{kind: kindPartition, a: 1, b: 2}, leaf, leaf}, []uint32{0, 2}, false},
+		{"root twice", []canonNode{leaf}, []uint32{0, 0}, false},
 	}
 	for _, tc := range cases {
 		c := &Classifier{
-			rules:     []rule.Rule{rule.NewWildcardRule(0)},
-			leafRules: []uint32{0},
-			nodes:     tc.nodes,
-			roots:     tc.roots,
+			rules:      []rule.Rule{rule.NewWildcardRule(0)},
+			leafRules:  []uint32{0},
+			canonNodes: tc.nodes,
+			roots:      tc.roots,
 		}
 		if err := c.validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: validate = %v, want ok=%v", tc.name, err, tc.ok)
@@ -197,15 +232,15 @@ func TestShareLeafSpansKeepsDistinctLists(t *testing.T) {
 		}
 	}
 	share := func(hash func([]uint32) uint64) *Classifier {
-		c := &Classifier{nodes: []node{{kind: kindPartition, a: 1, b: uint32(len(lists))}}}
+		c := &Classifier{canonNodes: []canonNode{{kind: kindPartition, a: 1, b: uint32(len(lists))}}}
 		for _, l := range lists {
-			c.nodes = append(c.nodes, node{kind: kindLeaf, a: uint32(len(c.leafRules)), b: uint32(len(l))})
+			c.canonNodes = append(c.canonNodes, canonNode{kind: kindLeaf, a: uint32(len(c.leafRules)), b: uint32(len(l))})
 			c.leafRules = append(c.leafRules, l...)
 		}
 		c.shareLeafSpans(hash)
 		for i, l := range lists {
-			nd := &c.nodes[1+i]
-			if got := c.appendLeaf(nil, nd); !slices.Equal(got, l) {
+			nd := &c.canonNodes[1+i]
+			if got := c.appendLeaf(nil, nd.a, nd.b); !slices.Equal(got, l) {
 				t.Fatalf("leaf %d reads %v, holds %v", i, got, l)
 			}
 		}
@@ -216,7 +251,7 @@ func TestShareLeafSpansKeepsDistinctLists(t *testing.T) {
 	first := map[string]uint32{}
 	distinct := 0
 	for i, l := range lists {
-		nd := &c.nodes[1+i]
+		nd := &c.canonNodes[1+i]
 		key := fmt.Sprint(l)
 		if a, ok := first[key]; ok && len(l) > 0 && a != nd.a {
 			t.Errorf("list %v stored twice (spans at %d and %d)", l, a, nd.a)
@@ -255,8 +290,8 @@ func TestLoadSharedSpansArtifact(t *testing.T) {
 		e.leafRules[i] = uint32(ri)
 	}
 	overlaps := 0
-	for i := range e.nodes {
-		nd := &e.nodes[i]
+	for i := range e.canonNodes {
+		nd := &e.canonNodes[i]
 		if nd.kind != kindLeaf {
 			continue
 		}
@@ -354,58 +389,133 @@ func TestLeafRefWidthFollowsRuleCount(t *testing.T) {
 }
 
 // TestSharedSpansShrinkHiCuts10k pins the saving on the acl1 HiCuts 10k
-// table: the serving form, with shared 16-bit leaf spans and no
-// single-dimension cut descriptors, is at least 28 bytes per rule smaller
-// than the canonical layout it is derived from (117.83 → 89.72 B/rule), and
-// keeps no cut geometry at all, since every HiCuts cut is over one
-// dimension.
+// table: the serving form's leaf spans and cut geometry, with shared 16-bit
+// leaf spans and no single-dimension cut descriptors, take at least 28 bytes
+// per rule less than the canonical layout's 32-bit leaf spans and 24-byte
+// descriptors (35.70 → 7.59 B/rule); it keeps no cut geometry at all, since
+// every HiCuts cut is over one dimension with a step that fits its node; and
+// its nodes take 16 bytes each (25.06 B/rule with the root, 50.13 at 32
+// bytes a node).
 func TestSharedSpansShrinkHiCuts10k(t *testing.T) {
 	c, set := compileHiCuts(t, 10000)
 	k, err := c.canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.packed = c.packed
-	k.computeStats()
-	saved := float64(k.stats.MemoryBytes-c.stats.MemoryBytes) / float64(set.Len())
-	t.Logf("acl1 HiCuts 10k: %.2f B/rule canonical, %.2f served (leaf spans %.2f -> %.2f, cut geometry %.2f -> %.2f)",
-		float64(k.stats.MemoryBytes)/float64(set.Len()), float64(c.stats.MemoryBytes)/float64(set.Len()),
-		float64(k.stats.LeafSpanBytes)/float64(set.Len()), float64(c.stats.LeafSpanBytes)/float64(set.Len()),
-		float64(k.stats.CutBytes)/float64(set.Len()), float64(c.stats.CutBytes)/float64(set.Len()))
-	if saved < 28 {
-		t.Errorf("serving form saves %.2f B/rule over the canonical layout, want at least 28", saved)
+	perRule := func(bytes int) float64 { return float64(bytes) / float64(set.Len()) }
+	canon := perRule(sliceBytes(k.leafRules) + sliceBytes(k.cutDescs) + sliceBytes(k.cutPoints64))
+	served := perRule(c.stats.LeafSpanBytes + c.stats.CutBytes)
+	t.Logf("acl1 HiCuts 10k: leaf spans and cut geometry %.2f B/rule canonical, %.2f served; nodes %.2f B/rule served, %.2f at 32 bytes a node",
+		canon, served, perRule(c.stats.NodeBytes), perRule(len(c.nodes)*32+len(c.roots)*4))
+	if canon-served < 28 {
+		t.Errorf("serving form saves %.2f B/rule over the canonical layout, want at least 28", canon-served)
 	}
-	if len(c.cutDescs) != 0 || k.stats.CutBytes == 0 {
-		t.Errorf("serving form keeps %d cut descriptors of single-dimension cuts (canonical %d B)", len(c.cutDescs), k.stats.CutBytes)
+	if len(c.cutDescs) != 0 || len(k.cutDescs) == 0 {
+		t.Errorf("serving form keeps %d cut descriptors of single-dimension cuts (canonical %d)", len(c.cutDescs), len(k.cutDescs))
+	}
+	if c.stats.NodeBytes != 16*len(c.nodes)+4*len(c.roots) {
+		t.Errorf("node bytes %d for %d nodes and %d roots, want 16 a node", c.stats.NodeBytes, len(c.nodes), len(c.roots))
 	}
 }
 
-// TestSaveKeepsZeroStep checks the one descriptor value the inline fields
-// do not hold as stored: a zero step, which normStep serves as MaxUint64.
-// An artifact whose single-dimension cut has step 0 saves back to its own
-// bytes.
+// TestSaveKeepsZeroStep checks the single-dimension cuts that keep their
+// descriptor, because their step does not fit a node's 32-bit word: a step
+// of 2^32, which Compile emits for a fan-out-1 cut over the whole SrcIP
+// field, and a step of 0, which only an artifact holds and normStep serves
+// as MaxUint64. The acl1 HiCuts 1k tree under such a root cut is served
+// from the cut's descriptor, answers like linear search, scalar and
+// batched, on a trace and on packets at the ends of every field's range,
+// and its artifact saves back to its own bytes after Load.
 func TestSaveKeepsZeroStep(t *testing.T) {
-	c, set := compileHiCuts(t, 1000)
+	fam, err := classbench.FamilyByName("acl1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := classbench.Generate(fam, 1000, 1)
+	tr, err := hicuts.Build(set, hicuts.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tr.Root
+	tr.Root = &tree.Node{Box: root.Box, Rules: root.Rules, Kind: tree.KindCut,
+		CutDims: []rule.Dimension{rule.DimSrcIP}, CutCounts: []int{1}, Children: []*tree.Node{root}}
+	c, err := Compile(set, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	k, err := c.canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.cutDescs[0].step = 0
-	var art bytes.Buffer
-	if err := encode(&art, k, Metadata{Rules: set.Len()}); err != nil {
-		t.Fatal(err)
+	d := &k.cutDescs[k.canonNodes[0].cut]
+	if d.step != 1<<32 || d.count != 1 || d.dim != uint8(rule.DimSrcIP) || c.nodes[0].kind() != kindDescCut {
+		t.Fatalf("root cut compiled to %+v, served as kind %d; want a fan-out-1 SrcIP cut of step 2^32 served from its descriptor",
+			*d, c.nodes[0].kind())
 	}
-	l, _, err := LoadBytes(art.Bytes())
+
+	var ps []rule.Packet
+	for _, e := range classbench.GenerateTrace(set, 4096, 2) {
+		ps = append(ps, e.Key)
+	}
+	for ends := range 1 << rule.NumDims {
+		var p rule.Packet
+		if ends&1 != 0 {
+			p.SrcIP = ^uint32(0)
+		}
+		if ends&2 != 0 {
+			p.DstIP = ^uint32(0)
+		}
+		if ends&4 != 0 {
+			p.SrcPort = ^uint16(0)
+		}
+		if ends&8 != 0 {
+			p.DstPort = ^uint16(0)
+		}
+		if ends&16 != 0 {
+			p.Proto = ^uint8(0)
+		}
+		ps = append(ps, p)
+	}
+	got := make([]int32, len(ps))
+	meta := Metadata{Backend: "hicuts", Rules: set.Len()}
+	for _, step := range []uint64{1 << 32, 0} {
+		d.step = step
+		var art bytes.Buffer
+		if err := encode(&art, k, meta); err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := LoadBytes(art.Bytes())
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if l.nodes[0].kind() != kindDescCut || len(l.cutDescs) != 1 {
+			t.Errorf("step %d: root served as kind %d with %d descriptors, want from its one descriptor",
+				step, l.nodes[0].kind(), len(l.cutDescs))
+		}
+		l.LookupBatch(ps, got)
+		for i, p := range ps {
+			if want := set.MatchIndex(p); l.LookupIndex(p) != want || int(got[i]) != want {
+				t.Fatalf("step %d, packet %v: scalar %d, batch %d, linear search %d", step, p, l.LookupIndex(p), got[i], want)
+			}
+		}
+		var again bytes.Buffer
+		if err := Save(&again, l, meta); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), art.Bytes()) {
+			t.Errorf("a cut step of %d does not survive Load and Save", step)
+		}
+	}
+}
+
+// mustPackB is packB for a count the test knows fits.
+func mustPackB(t *testing.T, kind uint8, count uint32) uint32 {
+	t.Helper()
+	b, err := packB(kind, 0, count)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if err := Save(&again, l, Metadata{Rules: set.Len()}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), art.Bytes()) {
-		t.Error("a zero cut step does not survive Load and Save")
-	}
+	return b
 }
 
 // TestSaveRefusesOversizedCanonical checks Save's bound on a classifier
@@ -414,12 +524,12 @@ func TestSaveKeepsZeroStep(t *testing.T) {
 func TestSaveRefusesOversizedCanonical(t *testing.T) {
 	const rules, leaves = 1 << 12, 1<<16 + 1 // 4 B * 2^12 * (2^16+1) > 1 GiB
 	c := &Classifier{
-		nodes:     []node{{kind: kindPartition, a: 1, b: leaves}},
+		nodes:     []node{{a: 1, b: mustPackB(t, kindPartition, leaves)}},
 		leafRules: make([]uint32, rules),
 		roots:     []uint32{0},
 	}
 	for range leaves {
-		c.nodes = append(c.nodes, node{kind: kindLeaf, a: 0, b: rules})
+		c.nodes = append(c.nodes, node{a: 0, b: mustPackB(t, kindLeaf, rules)})
 	}
 	if err := Save(&bytes.Buffer{}, c, Metadata{}); err == nil {
 		t.Fatal("Save spelled out a canonical slab beyond the artifact limit")
@@ -440,16 +550,16 @@ func TestLoadRefusesOversizedCanonical(t *testing.T) {
 	}
 	artifact := func(leaves int) []byte {
 		c := &Classifier{
-			rules:     rs,
-			nodes:     []node{{kind: kindPartition, a: 1, b: uint32(leaves)}},
-			leafRules: make([]uint32, rules),
-			roots:     []uint32{0},
+			rules:      rs,
+			canonNodes: []canonNode{{kind: kindPartition, a: 1, b: uint32(leaves)}},
+			leafRules:  make([]uint32, rules),
+			roots:      []uint32{0},
 		}
 		for i := range c.leafRules {
 			c.leafRules[i] = uint32(i)
 		}
 		for range leaves {
-			c.nodes = append(c.nodes, node{kind: kindLeaf, a: 0, b: rules})
+			c.canonNodes = append(c.canonNodes, canonNode{kind: kindLeaf, a: 0, b: rules})
 		}
 		var buf bytes.Buffer
 		if err := encode(&buf, c, Metadata{Rules: rules}); err != nil {

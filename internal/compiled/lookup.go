@@ -68,11 +68,13 @@ func (c *Classifier) LookupIndex(p rule.Packet) int {
 }
 
 // cutPiece locates the piece index of value v under an equal-sized cut with
-// origin lo, normalized step (see normStep) and the given fan-out. It is
+// origin lo, a non-zero step (see normStep) and the given fan-out. It is
 // branch-free — the clamp and the v<=lo guard compile to conditional moves —
 // and mirrors tree.childForPacket exactly: piece 0 when v <= lo, otherwise
-// (v-lo)/step with the final piece absorbing the division remainder.
-func cutPiece(v, lo, step uint64, count uint32) uint32 {
+// (v-lo)/step with the final piece absorbing the division remainder. An
+// inline cut divides 32-bit words, the packet field and its node's origin
+// and step; a descriptor's step may need 64 bits.
+func cutPiece[W uint32 | uint64](v, lo, step W, count uint32) uint32 {
 	q := uint32((v - lo) / step)
 	if q > count-1 {
 		q = count - 1
@@ -93,11 +95,11 @@ func setFields(v *[rule.NumDims]uint64, p rule.Packet) {
 	v[rule.DimProto] = uint64(p.Proto)
 }
 
-// multiCutChild locates the child of a multi-dimension equal cut: the pieces
-// of every cut dimension fold into one mixed-radix child offset.
-func (c *Classifier) multiCutChild(nd *node, v *[rule.NumDims]uint64) uint32 {
+// descCutChild locates the child of a kindDescCut node from its descriptors:
+// the pieces of every cut dimension fold into one mixed-radix child offset.
+func (c *Classifier) descCutChild(nd *node, v *[rule.NumDims]uint64) uint32 {
 	idx := uint32(0)
-	for _, d := range c.cutDescs[nd.cut : nd.cut+uint32(nd.ndims)] {
+	for _, d := range c.cutDescs[nd.lo : nd.lo+uint32(nd.dim())] {
 		idx = idx*d.count + cutPiece(v[d.dim], d.lo, normStep(d.step), d.count)
 	}
 	return nd.a + idx
@@ -142,31 +144,30 @@ func (c *Classifier) lookupIndex(p rule.Packet, stack []uint32) int {
 	descend:
 		for {
 			nd := &c.nodes[cur]
-			switch nd.kind {
+			switch nd.kind() {
 			case kindCut:
-				if nd.ndims == 1 {
-					// Single-dimension cut: the fan-out is the child count
-					// and the descriptor is inline, so dispatch touches only
-					// the node's own cache line.
-					cur = nd.a + cutPiece(v[nd.dim0], nd.lo0, nd.step0, nd.b)
-				} else {
-					cur = c.multiCutChild(nd, &v)
-				}
+				// Single-dimension cut: the fan-out is the child count and
+				// the geometry is inline, so dispatch touches only the
+				// node's own cache line.
+				cur = nd.a + cutPiece(uint32(v[nd.dim()]), nd.lo, nd.step, nd.count())
 
 			case kindCustomCut:
-				cur = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], v[nd.ndims]))
+				cur = nd.a + uint32(countLE(c.cutPoints[nd.lo:nd.lo+nd.count()-1], v[nd.dim()]))
 
 			case kindLeaf:
 				// One slab serves the table: the branch never changes course.
 				if c.leafRules16 != nil {
-					best = scanRefs(c, c.leafRules16[nd.a:nd.a+nd.b], &k, best)
+					best = scanRefs(c, c.leafRules16[nd.a:nd.a+nd.count()], &k, best)
 				} else {
-					best = scanRefs(c, c.leafRules[nd.a:nd.a+nd.b], &k, best)
+					best = scanRefs(c, c.leafRules[nd.a:nd.a+nd.count()], &k, best)
 				}
 				break descend
 
+			case kindDescCut:
+				cur = c.descCutChild(nd, &v)
+
 			default: // kindPartition: every child holds part of the rules.
-				for j := uint32(0); j < nd.b; j++ {
+				for j := uint32(0); j < nd.count(); j++ {
 					stack = append(stack, nd.a+j)
 				}
 				break descend

@@ -32,19 +32,17 @@ func countCompares(c *Classifier, roots []uint32, p rule.Packet) (best uint32, c
 	descend:
 		for {
 			nd := &c.nodes[cur]
-			switch nd.kind {
+			switch nd.kind() {
 			case kindCut:
-				if nd.ndims == 1 {
-					cur = nd.a + cutPiece(v[nd.dim0], nd.lo0, nd.step0, nd.b)
-				} else {
-					cur = c.multiCutChild(nd, &v)
-				}
+				cur = nd.a + cutPiece(uint32(v[nd.dim()]), nd.lo, nd.step, nd.count())
+			case kindDescCut:
+				cur = c.descCutChild(nd, &v)
 			case kindCustomCut:
-				cur = nd.a + uint32(countLE(c.cutPoints[nd.cut:nd.cut+nd.b-1], v[nd.ndims]))
+				cur = nd.a + uint32(countLE(c.cutPoints[nd.lo:nd.lo+nd.count()-1], v[nd.dim()]))
 			case kindLeaf:
 				// The scan compares k with every rule of the ascending span
 				// ahead of the best it starts from, up to the one it matches.
-				span := c.appendLeaf(nil, nd)
+				span := c.appendLeaf(nil, nd.a, nd.count())
 				prev := best
 				best = scanRefs(c, span, &k, best)
 				ahead, _ := slices.BinarySearch(span, best)
@@ -54,7 +52,7 @@ func countCompares(c *Classifier, roots []uint32, p rule.Packet) (best uint32, c
 				}
 				break descend
 			default:
-				for j := uint32(0); j < nd.b; j++ {
+				for j := uint32(0); j < nd.count(); j++ {
 					stack = append(stack, nd.a+j)
 				}
 				break descend
