@@ -285,7 +285,6 @@ func BenchmarkNeuroCutsTrainingIteration(b *testing.B) {
 		cfg := core.Scaled(1000)
 		cfg.MaxTimesteps = 400
 		cfg.BatchTimesteps = 400
-		cfg.MaxIterations = 1
 		cfg.Workers = 2
 		cfg.Seed = int64(i + 1)
 		trainer := core.NewTrainer(set, cfg)

@@ -320,7 +320,7 @@ func openIngestSource(pcapPath string, rate float64, capture string) (iface.Sour
 		}
 		return src, fmt.Sprintf("replay of %s", pcapPath), nil
 	}
-	src, err := iface.OpenAFPacket(capture, iface.AFPacketConfig{})
+	src, err := iface.OpenAFPacket(capture)
 	if err != nil {
 		return nil, "", err
 	}

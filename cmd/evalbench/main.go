@@ -52,7 +52,7 @@ func main() {
 		Workers:        *workers,
 	}
 	if opts.BatchTimesteps == 0 {
-		opts.BatchTimesteps = maxInt(200, *timesteps/5)
+		opts.BatchTimesteps = max(200, *timesteps/5)
 	}
 
 	scenarios := bench.DefaultScenarios(*size)
@@ -197,11 +197,4 @@ func main() {
 		}
 		fmt.Printf("wrote JSON results to %s\n", *jsonOut)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

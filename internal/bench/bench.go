@@ -172,20 +172,10 @@ func neuroCutsConfig(o Options, c float64, scale env.RewardScale, part env.Parti
 	// large that it slows down the initial phase of training"). Untruncated
 	// rollouts from the random initial policy would otherwise swallow the
 	// whole batch budget.
-	cfg.MaxStepsPerRollout = clampInt(2*o.Size, 500, 15000)
+	cfg.MaxStepsPerRollout = min(max(2*o.Size, 500), 15000)
 	cfg.Workers = o.Workers
 	cfg.Seed = seed
 	return cfg
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // trainNeuroCuts trains NeuroCuts with the given objective and returns the

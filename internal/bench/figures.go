@@ -6,9 +6,8 @@ import (
 	"text/tabwriter"
 
 	"neurocuts/internal/core"
-	"neurocuts/internal/efficuts"
+	"neurocuts/internal/engine"
 	"neurocuts/internal/env"
-	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
 	"neurocuts/internal/tree"
 )
@@ -152,13 +151,10 @@ func Figure10(scenarios []Scenario, opts Options) (Figure10Result, error) {
 		if err != nil {
 			return out, err
 		}
-		ecfg := efficuts.DefaultConfig()
-		ecfg.Binth = opts.Binth
-		ef, err := efficuts.Build(set, ecfg)
+		_, em, err := engine.NewWithOptions("efficuts", set, engine.Options{Binth: opts.Binth})
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", sc.Name(), err)
 		}
-		em := tree.MultiMetrics(ef.Trees)
 
 		// NeuroCuts with only the EffiCuts partition allowed, optimising a
 		// blended objective (the Section 6.3 configuration).
@@ -172,7 +168,7 @@ func Figure10(scenarios []Scenario, opts Options) (Figure10Result, error) {
 		ncSpace = append(ncSpace, float64(nc.MemoryBytes))
 		efSpace = append(efSpace, float64(em.MemoryBytes))
 		ncTime = append(ncTime, float64(nc.Time))
-		efTime = append(efTime, float64(em.ClassificationTime))
+		efTime = append(efTime, float64(em.LookupCost))
 	}
 	out.SpaceImprovements = sortedImprovements(ncSpace, efSpace)
 	out.TimeImprovements = sortedImprovements(ncTime, efTime)
@@ -328,13 +324,11 @@ func Figure5(sc Scenario, opts Options) (Figure5Result, error) {
 	out.Snapshots = append(out.Snapshots, snapshot("converged", best))
 
 	// HiCuts comparison (Figure 5b).
-	hcfg := hicuts.DefaultConfig()
-	hcfg.Binth = opts.Binth
-	hi, err := hicuts.Build(set, hcfg)
+	hi, err := engine.BuildTrees("hicuts", set, engine.Options{Binth: opts.Binth})
 	if err != nil {
 		return out, err
 	}
-	out.Snapshots = append(out.Snapshots, snapshot("HiCuts", hi))
+	out.Snapshots = append(out.Snapshots, snapshot("HiCuts", hi[0]))
 	return out, nil
 }
 

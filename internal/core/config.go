@@ -31,9 +31,6 @@ type Config struct {
 	// BatchTimesteps is the number of environment steps collected per PPO
 	// update (60,000 in Table 1).
 	BatchTimesteps int
-	// MaxIterations optionally caps the number of PPO updates regardless of
-	// the timestep budget (0 means no cap).
-	MaxIterations int
 
 	// HiddenLayers is the policy network trunk layout ([512, 512] in
 	// Table 1; weight sharing between the actor and critic is implicit in

@@ -261,15 +261,14 @@ func (t *Trainer) recordTree(res rolloutResult) {
 	}
 }
 
-// Train runs training until the timestep budget (or iteration cap) is
-// exhausted and returns the per-iteration history. The best tree is
-// available from BestTree afterwards.
+// Train runs training until the timestep budget is exhausted and returns
+// the per-iteration history. The best tree is available from BestTree
+// afterwards.
 func (t *Trainer) Train() ([]IterationStats, error) {
 	iteration := 0
 	for {
 		t.mu.Lock()
-		done := t.totalSteps >= t.cfg.MaxTimesteps ||
-			(t.cfg.MaxIterations > 0 && iteration >= t.cfg.MaxIterations)
+		done := t.totalSteps >= t.cfg.MaxTimesteps
 		t.mu.Unlock()
 		if done {
 			break

@@ -205,21 +205,6 @@ func TestSpaceOptimizedConfigUsesLogScale(t *testing.T) {
 	}
 }
 
-func TestTrainerRespectsIterationCap(t *testing.T) {
-	set := testSet(t, "ipc1", 100, 6)
-	cfg := tinyConfig()
-	cfg.MaxIterations = 1
-	cfg.MaxTimesteps = 1 << 30
-	tr := NewTrainer(set, cfg)
-	history, err := tr.Train()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(history) != 1 {
-		t.Errorf("ran %d iterations, want 1", len(history))
-	}
-}
-
 // TestConfigWithDefaults: withDefaults fills the trainer's own fields and
 // leaves the embedded environment fields to env.New, which clamps and
 // defaults them once (env's TestConfigClamping).

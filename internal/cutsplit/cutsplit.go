@@ -23,31 +23,26 @@ import (
 	"neurocuts/internal/tree"
 )
 
-// Config holds the CutSplit tuning knobs.
-type Config struct {
-	// Binth is the leaf threshold.
-	Binth int
-	// SmallPrefixLen is the minimum prefix length for an IP field to count
+// The heuristic's fixed parameters.
+const (
+	// smallPrefixLen is the minimum prefix length for an IP field to count
 	// as "small" (the original paper uses 16).
-	SmallPrefixLen uint
-	// PreCutThreshold is the node size below which construction switches
-	// from FiCuts equal-sized cutting to HyperSplit splitting.
-	PreCutThreshold int
-	// MaxCuts caps the fan-out of one FiCuts step.
-	MaxCuts int
-	// MaxDepth aborts pathological constructions; 0 means no limit.
-	MaxDepth int
+	smallPrefixLen = 16
+	// maxCuts caps the fan-out of one FiCuts step.
+	maxCuts = 32
+	// maxDepth aborts pathological constructions.
+	maxDepth = 256
+)
+
+// Config holds the CutSplit build parameters.
+type Config struct {
+	// Binth is the leaf threshold (0 selects tree.DefaultBinth).
+	Binth int
 }
 
 // DefaultConfig returns the standard CutSplit configuration.
 func DefaultConfig() Config {
-	return Config{
-		Binth:           tree.DefaultBinth,
-		SmallPrefixLen:  16,
-		PreCutThreshold: 64,
-		MaxCuts:         32,
-		MaxDepth:        256,
-	}
+	return Config{Binth: tree.DefaultBinth}
 }
 
 // Classifier is the multi-tree classifier CutSplit produces.
@@ -63,24 +58,16 @@ func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 	if cfg.Binth <= 0 {
 		cfg.Binth = tree.DefaultBinth
 	}
-	if cfg.SmallPrefixLen == 0 {
-		cfg.SmallPrefixLen = 16
-	}
-	if cfg.PreCutThreshold <= cfg.Binth {
-		cfg.PreCutThreshold = cfg.Binth * 4
-	}
-	if cfg.MaxCuts < 2 {
-		cfg.MaxCuts = 32
-	}
-	groups, labels, dims := partitionRules(s.Rules(), cfg.SmallPrefixLen)
+	threshold := preCutThreshold(cfg.Binth)
+	groups, labels, dims := partitionRules(s.Rules())
 	c := &Classifier{}
 	for i, g := range groups {
 		if len(g) == 0 {
 			continue
 		}
 		t := tree.NewFromRules(s.Rules(), g, cfg.Binth)
-		if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
-			return cut(t, n, dims[i], cfg)
+		if err := tree.Grow(t, t.Root, maxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+			return cut(t, n, dims[i], threshold)
 		}); err != nil {
 			return nil, fmt.Errorf("cutsplit: building tree %q: %w", labels[i], err)
 		}
@@ -90,22 +77,32 @@ func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 	return c, nil
 }
 
+// preCutThreshold is the node size above which construction cuts with
+// FiCuts and at or below which it splits with HyperSplit: 64, or four leaves'
+// worth of rules when the leaf threshold is 64 or more.
+func preCutThreshold(binth int) int {
+	if binth >= 64 {
+		return 4 * binth
+	}
+	return 64
+}
+
 // isSmall reports whether the rule's range in an IP dimension is at least as
-// specific as a /smallLen prefix.
-func isSmall(r rule.Rule, d rule.Dimension, smallLen uint) bool {
-	maxSize := uint64(1) << (d.Bits() - smallLen)
+// specific as a /smallPrefixLen prefix.
+func isSmall(r rule.Rule, d rule.Dimension) bool {
+	maxSize := uint64(1) << (d.Bits() - smallPrefixLen)
 	return r.Ranges[d].Size() <= maxSize
 }
 
 // partitionRules splits rules into the CutSplit subsets — each a list of
 // ascending positions in rules — and records, per subset, the dimensions
 // FiCuts should pre-cut.
-func partitionRules(rules []rule.Rule, smallLen uint) ([][]int32, []string, [][]rule.Dimension) {
+func partitionRules(rules []rule.Rule) ([][]int32, []string, [][]rule.Dimension) {
 	var saDA, sa, da, big []int32
 	for i, r := range rules {
 		ri := int32(i)
-		srcSmall := isSmall(r, rule.DimSrcIP, smallLen)
-		dstSmall := isSmall(r, rule.DimDstIP, smallLen)
+		srcSmall := isSmall(r, rule.DimSrcIP)
+		dstSmall := isSmall(r, rule.DimDstIP)
 		switch {
 		case srcSmall && dstSmall:
 			saDA = append(saDA, ri)
@@ -130,17 +127,17 @@ func partitionRules(rules []rule.Rule, smallLen uint) ([][]int32, []string, [][]
 
 // cut expands a node: FiCuts equal-sized cuts in the subset's small
 // dimensions while the node is large, HyperSplit binary splits afterwards.
-func cut(t *tree.Tree, n *tree.Node, preCutDims []rule.Dimension, cfg Config) ([]*tree.Node, error) {
-	if len(preCutDims) > 0 && n.NumRules() > cfg.PreCutThreshold {
-		return fiCut(t, n, preCutDims, cfg)
+func cut(t *tree.Tree, n *tree.Node, preCutDims []rule.Dimension, threshold int) ([]*tree.Node, error) {
+	if len(preCutDims) > 0 && n.NumRules() > threshold {
+		return fiCut(t, n, preCutDims)
 	}
 	return hyperSplit(t, n)
 }
 
 // fiCut performs one fixed equal-sized cut step across the subset's small
 // dimensions (cutting each into the same power-of-two fan-out, bounded by
-// MaxCuts and the number of rules).
-func fiCut(t *tree.Tree, n *tree.Node, dims []rule.Dimension, cfg Config) ([]*tree.Node, error) {
+// maxCuts and the number of rules).
+func fiCut(t *tree.Tree, n *tree.Node, dims []rule.Dimension) ([]*tree.Node, error) {
 	var usable []rule.Dimension
 	for _, d := range dims {
 		if n.Box[d].Size() >= 2 {
@@ -151,11 +148,8 @@ func fiCut(t *tree.Tree, n *tree.Node, dims []rule.Dimension, cfg Config) ([]*tr
 		return hyperSplit(t, n)
 	}
 	k := 4
-	for k*k*len(usable) < n.NumRules() && k*2 <= cfg.MaxCuts {
+	for k*k*len(usable) < n.NumRules() && k*2 <= maxCuts {
 		k *= 2
-	}
-	if k > cfg.MaxCuts {
-		k = cfg.MaxCuts
 	}
 	counts := make([]int, len(usable))
 	for i := range counts {

@@ -1,6 +1,8 @@
 package cutsplit
 
 import (
+	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -42,19 +44,19 @@ func checkClassifierEquivalence(t *testing.T, cc *Classifier, set *rule.Set, n i
 
 func TestIsSmall(t *testing.T) {
 	r := rule.NewWildcardRule(0)
-	if isSmall(r, rule.DimSrcIP, 16) {
+	if isSmall(r, rule.DimSrcIP) {
 		t.Error("wildcard should not be small")
 	}
 	r.Ranges[rule.DimSrcIP] = rule.PrefixRange(0x0A000000, 24, 32)
-	if !isSmall(r, rule.DimSrcIP, 16) {
+	if !isSmall(r, rule.DimSrcIP) {
 		t.Error("/24 should be small at threshold 16")
 	}
 	r.Ranges[rule.DimSrcIP] = rule.PrefixRange(0x0A000000, 8, 32)
-	if isSmall(r, rule.DimSrcIP, 16) {
+	if isSmall(r, rule.DimSrcIP) {
 		t.Error("/8 should not be small at threshold 16")
 	}
 	r.Ranges[rule.DimSrcIP] = rule.PrefixRange(0x0A000000, 16, 32)
-	if !isSmall(r, rule.DimSrcIP, 16) {
+	if !isSmall(r, rule.DimSrcIP) {
 		t.Error("/16 exactly should be small")
 	}
 }
@@ -62,7 +64,7 @@ func TestIsSmall(t *testing.T) {
 func TestPartitionRules(t *testing.T) {
 	f, _ := classbench.FamilyByName("fw1")
 	set := classbench.Generate(f, 400, 1)
-	groups, labels, dims := partitionRules(set.Rules(), 16)
+	groups, labels, dims := partitionRules(set.Rules())
 	if len(groups) != 4 || len(labels) != 4 || len(dims) != 4 {
 		t.Fatalf("expected 4 subsets, got %d/%d/%d", len(groups), len(labels), len(dims))
 	}
@@ -125,23 +127,32 @@ func TestCutSplitMemoryCompetitiveWithHiCuts(t *testing.T) {
 	checkClassifierEquivalence(t, cs, set, 800, 4)
 }
 
+// TestHyperSplitNodesHaveTwoChildren: in a default build every cut node
+// HyperSplit made — each node of the "big" tree, and each node of another
+// tree at or below the pre-cut threshold — is a binary split.
 func TestHyperSplitNodesHaveTwoChildren(t *testing.T) {
-	f, _ := classbench.FamilyByName("acl3")
-	set := classbench.Generate(f, 200, 2)
-	cfg := DefaultConfig()
-	cfg.PreCutThreshold = 1 << 30 // force HyperSplit everywhere
-	c, err := Build(set, cfg)
+	f, _ := classbench.FamilyByName("fw1")
+	set := classbench.Generate(f, 500, 2)
+	c, err := Build(set, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range c.Trees {
+	threshold, splits := preCutThreshold(tree.DefaultBinth), 0
+	for i, tr := range c.Trees {
 		tr.Walk(func(n *tree.Node) bool {
-			if n.Kind == tree.KindCut && len(n.Children) != 2 {
-				t.Errorf("HyperSplit node has %d children", len(n.Children))
+			if n.Kind != tree.KindCut || (c.Labels[i] != "big" && n.NumRules() > threshold) {
+				return true
+			}
+			splits++
+			if len(n.Children) != 2 {
+				t.Errorf("%s: HyperSplit node has %d children", c.Labels[i], len(n.Children))
 				return false
 			}
 			return true
 		})
+	}
+	if splits == 0 {
+		t.Fatal("the build made no HyperSplit node")
 	}
 	checkClassifierEquivalence(t, c, set, 800, 5)
 }
@@ -187,4 +198,49 @@ func TestEmptySubsetsAreSkipped(t *testing.T) {
 		t.Errorf("expected only the big tree, got %v", c.Labels)
 	}
 	checkClassifierEquivalence(t, c, set, 500, 10)
+}
+
+// cutsplitPin is one CutSplit build above the leaf thresholds the other
+// tests use: the paper's tree metrics and the CRC-32 of the saved artifact.
+type cutsplitPin struct {
+	family              string
+	binth               int
+	nodes, leaves, refs int
+	time, bytes         int
+	crc                 uint32
+}
+
+// TestPreCutThresholdFollowsBinth holds CutSplit builds at leaf thresholds
+// of 64 and 100, where the FiCuts/HyperSplit switch is 4*Binth rather than
+// 64 rules, to their recorded trees. A flat threshold of 64 builds other
+// trees for every row.
+func TestPreCutThresholdFollowsBinth(t *testing.T) {
+	pins := []cutsplitPin{
+		{"fw1", 64, 1070, 1063, 1912, 9, 36680, 0xb2aeb099},
+		{"fw1", 100, 1062, 1059, 1996, 7, 37192, 0xb3db6d23},
+		{"ipc1", 64, 1066, 1061, 2000, 8, 37304, 0xba395693},
+		{"ipc1", 100, 1062, 1059, 2000, 7, 37224, 0xa9f142e0},
+	}
+	for _, want := range pins {
+		f, _ := classbench.FamilyByName(want.family)
+		set := classbench.Generate(f, 2000, 1)
+		c, err := Build(set, Config{Binth: want.binth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := tree.MultiMetrics(c.Trees)
+		cc, err := compiled.Compile(set, c.Trees...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := compiled.Save(&buf, cc, compiled.Metadata{Backend: "cutsplit", Rules: set.Len()}); err != nil {
+			t.Fatal(err)
+		}
+		got := cutsplitPin{want.family, want.binth, m.Nodes, m.Leaves, m.RuleRefs, m.ClassificationTime, m.MemoryBytes,
+			crc32.ChecksumIEEE(buf.Bytes()[:buf.Len()-4])} // the last four bytes are the artifact's own checksum
+		if got != want {
+			t.Errorf("tree changed:\n got  %+v\n want %+v", got, want)
+		}
+	}
 }

@@ -34,33 +34,23 @@ import (
 // "large" in a dimension (0.5 in the original paper).
 const LargenessFraction = 0.5
 
-// Config holds the EffiCuts tuning knobs.
+// The heuristic's fixed parameters.
+const (
+	// maxCuts caps the fan-out of an equi-dense cut.
+	maxCuts = 16
+	// maxDepth aborts pathological constructions.
+	maxDepth = 256
+)
+
+// Config holds the EffiCuts build parameters.
 type Config struct {
-	// Binth is the leaf threshold.
+	// Binth is the leaf threshold (0 selects tree.DefaultBinth).
 	Binth int
-	// MaxCuts caps the fan-out of an equi-dense cut.
-	MaxCuts int
-	// MaxDepth aborts pathological constructions; 0 means no limit.
-	MaxDepth int
-	// EnableTreeMerging merges categories that differ only in large
-	// dimensions (on in DefaultConfig); disabling it yields one tree per
-	// distinct largeness pattern.
-	EnableTreeMerging bool
-	// EquiDense selects equi-dense cuts; when false the per-tree builder
-	// falls back to equal-sized cuts (used for the ablation in Section 6.3
-	// where EffiCuts' special cut types are disabled).
-	EquiDense bool
 }
 
 // DefaultConfig returns the standard EffiCuts configuration.
 func DefaultConfig() Config {
-	return Config{
-		Binth:             tree.DefaultBinth,
-		MaxCuts:           16,
-		MaxDepth:          256,
-		EnableTreeMerging: true,
-		EquiDense:         true,
-	}
+	return Config{Binth: tree.DefaultBinth}
 }
 
 // Classifier is the multi-tree classifier EffiCuts produces: one decision
@@ -78,15 +68,12 @@ func Build(s *rule.Set, cfg Config) (*Classifier, error) {
 	if cfg.Binth <= 0 {
 		cfg.Binth = tree.DefaultBinth
 	}
-	if cfg.MaxCuts < 2 {
-		cfg.MaxCuts = 16
-	}
-	groups, labels := PartitionRules(s.Rules(), tree.AllRules(s.Len()), cfg.EnableTreeMerging)
+	groups, labels := PartitionRules(s.Rules(), tree.AllRules(s.Len()))
 	c := &Classifier{}
 	for i, g := range groups {
 		t := tree.NewFromRules(s.Rules(), g, cfg.Binth)
-		if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
-			return cut(t, n, cfg)
+		if err := tree.Grow(t, t.Root, maxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+			return cut(t, n)
 		}); err != nil {
 			return nil, fmt.Errorf("efficuts: building tree %q: %w", labels[i], err)
 		}
@@ -130,7 +117,7 @@ const MaxMergedTrees = 8
 
 // PartitionRules splits the rules at positions members of rules (a node's
 // rule list, or tree.AllRules for a whole classifier) into separable
-// categories by largeness pattern, optionally merging categories. It returns
+// categories by largeness pattern, then merges categories. It returns
 // the rule groups (each a list of ascending positions in rules, which is
 // priority order) and a label per group. The groups are returned in a
 // deterministic order (by label).
@@ -141,7 +128,7 @@ const MaxMergedTrees = 8
 // extra replication introduced by the merge is bounded. Merging repeatedly
 // joins the smallest compatible pair until at most MaxMergedTrees categories
 // remain or no compatible pair exists.
-func PartitionRules(rules []rule.Rule, members []int32, merge bool) ([][]int32, []string) {
+func PartitionRules(rules []rule.Rule, members []int32) ([][]int32, []string) {
 	byPattern := map[Pattern][]int32{}
 	for _, ri := range members {
 		p := PatternOf(rules[ri])
@@ -157,35 +144,33 @@ func PartitionRules(rules []rule.Rule, members []int32, merge bool) ([][]int32, 
 	}
 	sort.Slice(cats, func(i, j int) bool { return cats[i].pattern.String() < cats[j].pattern.String() })
 
-	if merge {
-		for len(cats) > MaxMergedTrees {
-			bestI, bestJ := -1, -1
-			bestSize := 0
-			for i := 0; i < len(cats); i++ {
-				for j := i + 1; j < len(cats); j++ {
-					if patternDistance(cats[i].pattern, cats[j].pattern) != 1 {
-						continue
-					}
-					size := len(cats[i].rules) + len(cats[j].rules)
-					if bestI < 0 || size < bestSize {
-						bestI, bestJ, bestSize = i, j, size
-					}
+	for len(cats) > MaxMergedTrees {
+		bestI, bestJ := -1, -1
+		bestSize := 0
+		for i := 0; i < len(cats); i++ {
+			for j := i + 1; j < len(cats); j++ {
+				if patternDistance(cats[i].pattern, cats[j].pattern) != 1 {
+					continue
+				}
+				size := len(cats[i].rules) + len(cats[j].rules)
+				if bestI < 0 || size < bestSize {
+					bestI, bestJ, bestSize = i, j, size
 				}
 			}
-			if bestI < 0 {
-				break
-			}
-			merged := category{
-				pattern: unionPattern(cats[bestI].pattern, cats[bestJ].pattern),
-				rules:   append(append([]int32(nil), cats[bestI].rules...), cats[bestJ].rules...),
-			}
-			// Remove j first (larger index), then i, then append the merge.
-			cats = append(cats[:bestJ], cats[bestJ+1:]...)
-			cats = append(cats[:bestI], cats[bestI+1:]...)
-			cats = append(cats, merged)
 		}
-		sort.Slice(cats, func(i, j int) bool { return cats[i].pattern.String() < cats[j].pattern.String() })
+		if bestI < 0 {
+			break
+		}
+		merged := category{
+			pattern: unionPattern(cats[bestI].pattern, cats[bestJ].pattern),
+			rules:   append(append([]int32(nil), cats[bestI].rules...), cats[bestJ].rules...),
+		}
+		// Remove j first (larger index), then i, then append the merge.
+		cats = append(cats[:bestJ], cats[bestJ+1:]...)
+		cats = append(cats[:bestI], cats[bestI+1:]...)
+		cats = append(cats, merged)
 	}
+	sort.Slice(cats, func(i, j int) bool { return cats[i].pattern.String() < cats[j].pattern.String() })
 
 	out := make([][]int32, 0, len(cats))
 	labels := make([]string, 0, len(cats))
@@ -219,18 +204,16 @@ func unionPattern(a, b Pattern) Pattern {
 }
 
 // cut expands a node of a category tree along the dimension
-// chooseDimension picks: an equi-dense cut, or an equal one when equi-dense
-// cuts are disabled or find no boundary. nil when no dimension can be cut.
-func cut(t *tree.Tree, n *tree.Node, cfg Config) ([]*tree.Node, error) {
+// chooseDimension picks: an equi-dense cut, or a binary equal one when
+// equi-dense cuts find no boundary. nil when no dimension can be cut.
+func cut(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
 	dim, ok := chooseDimension(t, n)
 	if !ok {
 		return nil, nil
 	}
 	var children []*tree.Node
 	var err error
-	if !cfg.EquiDense {
-		children, err = t.Cut(n, dim, equalCutCount(n, cfg))
-	} else if points := equiDensePoints(t, n, dim, cfg.MaxCuts); len(points) > 0 {
+	if points := equiDensePoints(t, n, dim); len(points) > 0 {
 		children, err = t.CutAtPoints(n, dim, points)
 	} else {
 		children, err = t.Cut(n, dim, 2)
@@ -262,12 +245,9 @@ func chooseDimension(t *tree.Tree, n *tree.Node) (rule.Dimension, bool) {
 // equiDensePoints returns up to maxCuts-1 cut boundaries for dimension dim
 // placed at rule-range endpoints so that each child receives a roughly equal
 // share of the node's rules.
-func equiDensePoints(t *tree.Tree, n *tree.Node, dim rule.Dimension, maxCuts int) []uint64 {
+func equiDensePoints(t *tree.Tree, n *tree.Node, dim rule.Dimension) []uint64 {
 	cands := t.Boundaries(nil, n, dim)
-	want := maxCuts - 1
-	if want < 1 {
-		want = 1
-	}
+	const want = maxCuts - 1
 	if len(cands) <= want {
 		return cands
 	}
@@ -280,20 +260,4 @@ func equiDensePoints(t *tree.Tree, n *tree.Node, dim rule.Dimension, maxCuts int
 		}
 	}
 	return out
-}
-
-// equalCutCount picks the equal-size fan-out used when equi-dense cuts are
-// disabled.
-func equalCutCount(n *tree.Node, cfg Config) int {
-	k := 4
-	for k*k < n.NumRules() && k*2 <= cfg.MaxCuts {
-		k *= 2
-	}
-	if k > cfg.MaxCuts {
-		k = cfg.MaxCuts
-	}
-	if k < 2 {
-		k = 2
-	}
-	return k
 }

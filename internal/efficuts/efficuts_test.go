@@ -57,7 +57,7 @@ func TestPatternOf(t *testing.T) {
 func TestPartitionRules(t *testing.T) {
 	f, _ := classbench.FamilyByName("fw1")
 	set := classbench.Generate(f, 300, 1)
-	groups, labels := PartitionRules(set.Rules(), tree.AllRules(set.Len()), true)
+	groups, labels := PartitionRules(set.Rules(), tree.AllRules(set.Len()))
 	if len(groups) != len(labels) {
 		t.Fatal("groups/labels mismatch")
 	}
@@ -79,11 +79,6 @@ func TestPartitionRules(t *testing.T) {
 	}
 	if total != set.Len() {
 		t.Errorf("partition lost rules: %d vs %d", total, set.Len())
-	}
-	// Without merging there are at least as many categories.
-	unmerged, _ := PartitionRules(set.Rules(), tree.AllRules(set.Len()), false)
-	if len(unmerged) < len(groups) {
-		t.Errorf("unmerged categories (%d) should be >= merged (%d)", len(unmerged), len(groups))
 	}
 }
 
@@ -133,24 +128,10 @@ func TestEffiCutsReducesReplicationOnFirewalls(t *testing.T) {
 	}
 }
 
-func TestEquiDenseVsEqualCuts(t *testing.T) {
-	// Disabling the equi-dense cuts (the Section 6.3 ablation) must still
-	// produce a correct classifier.
-	f, _ := classbench.FamilyByName("acl4")
-	set := classbench.Generate(f, 250, 5)
-	cfg := DefaultConfig()
-	cfg.EquiDense = false
-	c, err := Build(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkClassifierEquivalence(t, c, set, 1000, 6)
-}
-
 func TestBuildZeroConfig(t *testing.T) {
 	f, _ := classbench.FamilyByName("ipc2")
 	set := classbench.Generate(f, 150, 4)
-	c, err := Build(set, Config{EquiDense: true, EnableTreeMerging: true})
+	c, err := Build(set, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +155,9 @@ func TestEquiDensePointsRespectMaxCuts(t *testing.T) {
 	f, _ := classbench.FamilyByName("acl1")
 	set := classbench.Generate(f, 400, 2)
 	tr := tree.New(set, 16)
-	points := equiDensePoints(tr, tr.Root, rule.DimSrcIP, 8)
-	if len(points) > 7 {
-		t.Errorf("got %d points for maxCuts=8", len(points))
+	points := equiDensePoints(tr, tr.Root, rule.DimSrcIP)
+	if len(points) == 0 || len(points) > maxCuts-1 {
+		t.Errorf("got %d points for maxCuts=%d", len(points), maxCuts)
 	}
 	for i := 1; i < len(points); i++ {
 		if points[i] <= points[i-1] {
@@ -185,7 +166,7 @@ func TestEquiDensePointsRespectMaxCuts(t *testing.T) {
 	}
 	// A node with no endpoints inside its box yields no points.
 	empty := tree.New(rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)}), 16)
-	if got := equiDensePoints(empty, empty.Root, rule.DimSrcIP, 8); len(got) != 0 {
+	if got := equiDensePoints(empty, empty.Root, rule.DimSrcIP); len(got) != 0 {
 		t.Errorf("wildcard-only node produced points %v", got)
 	}
 }
@@ -193,15 +174,13 @@ func TestEquiDensePointsRespectMaxCuts(t *testing.T) {
 func TestPatternStringAndMetricsOnLabels(t *testing.T) {
 	f, _ := classbench.FamilyByName("fw2")
 	set := classbench.Generate(f, 200, 6)
-	cfg := DefaultConfig()
-	cfg.EnableTreeMerging = false
-	c, err := Build(set, cfg)
+	c, err := Build(set, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range c.Labels {
 		if len(l) != rule.NumDims {
-			t.Errorf("unmerged label %q should be a pattern string", l)
+			t.Errorf("merged label %q should be a pattern string", l)
 		}
 	}
 	checkClassifierEquivalence(t, c, set, 600, 10)

@@ -51,14 +51,14 @@ func loadArtifactSnap(path string, binth int) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading artifact %s: %w", path, err)
 	}
-	var build Builder
-	if entry, err := lookupBackend(meta.Backend); err == nil {
-		build = entry.build
-	}
 	if meta.Binth > 0 {
 		binth = meta.Binth
 	}
-	return &snapshot{c: c, m: compiledMetrics(meta.Backend, c), set: c.RuleSet(), version: 1, rulesGen: 1, backend: meta.Backend, binth: binth, build: build}, nil
+	s := &snapshot{c: c, m: compiledMetrics(meta.Backend, c), set: c.RuleSet(), version: 1, rulesGen: 1, backend: meta.Backend, binth: binth}
+	if entry, err := lookupBackend(meta.Backend); err == nil {
+		s.build = entry.build
+	}
+	return s, nil
 }
 
 // ArtifactMetadata returns the metadata SaveArtifact would stamp on the

@@ -10,6 +10,7 @@ import (
 	"neurocuts/internal/compiled"
 	"neurocuts/internal/hicuts"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/tree"
 )
 
 // saveTestArtifact builds a HiCuts tree over the set, compiles it and
@@ -51,8 +52,8 @@ var poisonedErr = errors.New("build path invoked")
 func init() {
 	// A backend whose build always fails: artifacts stamped with this name
 	// can only serve if the warm-start path truly skips building.
-	Register("poisoned-test-backend", "Poisoned", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
-		return nil, Metrics{}, poisonedErr
+	register("poisoned-test-backend", "Poisoned", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
+		return nil, poisonedErr
 	})
 }
 

@@ -15,23 +15,35 @@ import (
 	"neurocuts/internal/tree"
 )
 
-// compileTrees is the shared back half of every backend: it compiles the
-// trees into the flat serving form — the one form every snapshot serves,
-// SaveArtifact persists and warm starts reload — and adds its real size to
-// the backend's metrics m. The pointer-linked trees are discarded after.
-func compileTrees(set *rule.Set, m Metrics, trees ...*tree.Tree) (*compiled.Classifier, Metrics, error) {
+// build is the one build step every backend shares: it grows the backend's
+// trees, computes the paper's tree metrics once — linear search keeps its
+// own cost model — and compiles the trees into the flat serving form, the
+// one form every snapshot serves, SaveArtifact persists and warm starts
+// reload, adding its real size to the metrics. The pointer-linked trees are
+// discarded after.
+func (b backendEntry) build(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	trees, err := b.trees(set, opts)
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	m := linearMetrics(set.Len())
+	if b.name != "linear" {
+		m = treeMetrics(b.name, set.Len(), tree.MultiMetrics(trees))
+	}
 	c, err := compiled.Compile(set, trees...)
 	if err != nil {
-		return nil, Metrics{}, fmt.Errorf("engine: compiling %s: %w", m.Backend, err)
+		return nil, Metrics{}, fmt.Errorf("engine: compiling %s: %w", b.name, err)
 	}
 	m.CompiledBytes = c.Stats().MemoryBytes
 	return c, m, nil
 }
 
-// newTreeClassifier computes the paper's tree metrics once, then compiles
-// the trees.
-func newTreeClassifier(backend string, set *rule.Set, trees []*tree.Tree) (*compiled.Classifier, Metrics, error) {
-	return compileTrees(set, treeMetrics(backend, set.Len(), tree.MultiMetrics(trees)), trees...)
+// linearMetrics is linear search's cost model: every rule scanned, each
+// stored once as five 16-byte ranges plus priority and ID — not the
+// one-leaf form's single node visit.
+func linearMetrics(n int) Metrics {
+	const ruleBytes = rule.NumDims*16 + 16
+	return Metrics{Backend: "linear", Rules: n, LookupCost: n, MemoryBytes: n * ruleBytes, BytesPerRule: ruleBytes, Entries: n}
 }
 
 // compiledMetrics derives engine metrics from a compiled classifier alone
@@ -66,57 +78,46 @@ func treeMetrics(backend string, rules int, m tree.Metrics) Metrics {
 
 func init() {
 	// Linear search is the tree with no cuts: one leaf holding every rule,
-	// compiled like any other. Its metrics stay linear search's cost model —
-	// every rule scanned, each stored once as five 16-byte ranges plus
-	// priority and ID — not the one-leaf form's single node visit.
-	Register("linear", "Linear", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
-		const ruleBytes = rule.NumDims*16 + 16
-		n := set.Len()
-		m := Metrics{Backend: "linear", Rules: n, LookupCost: n, MemoryBytes: n * ruleBytes, BytesPerRule: ruleBytes, Entries: n}
-		return compileTrees(set, m, tree.New(set, opts.Binth))
+	// compiled like any other.
+	register("linear", "Linear", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
+		return []*tree.Tree{tree.New(set, opts.Binth)}, nil
 	})
 
-	Register("hicuts", "HiCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	register("hicuts", "HiCuts", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
 		cfg := hicuts.DefaultConfig()
 		cfg.Binth = opts.Binth
 		t, err := hicuts.Build(set, cfg)
-		if err != nil {
-			return nil, Metrics{}, err
-		}
-		return newTreeClassifier("hicuts", set, []*tree.Tree{t})
+		return []*tree.Tree{t}, err
 	})
 
-	Register("hypercuts", "HyperCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	register("hypercuts", "HyperCuts", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
 		cfg := hypercuts.DefaultConfig()
 		cfg.Binth = opts.Binth
 		t, err := hypercuts.Build(set, cfg)
-		if err != nil {
-			return nil, Metrics{}, err
-		}
-		return newTreeClassifier("hypercuts", set, []*tree.Tree{t})
+		return []*tree.Tree{t}, err
 	})
 
-	Register("efficuts", "EffiCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	register("efficuts", "EffiCuts", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
 		cfg := efficuts.DefaultConfig()
 		cfg.Binth = opts.Binth
 		c, err := efficuts.Build(set, cfg)
 		if err != nil {
-			return nil, Metrics{}, err
+			return nil, err
 		}
-		return newTreeClassifier("efficuts", set, c.Trees)
+		return c.Trees, nil
 	})
 
-	Register("cutsplit", "CutSplit", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	register("cutsplit", "CutSplit", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
 		cfg := cutsplit.DefaultConfig()
 		cfg.Binth = opts.Binth
 		c, err := cutsplit.Build(set, cfg)
 		if err != nil {
-			return nil, Metrics{}, err
+			return nil, err
 		}
-		return newTreeClassifier("cutsplit", set, c.Trees)
+		return c.Trees, nil
 	})
 
-	Register("neurocuts", "NeuroCuts", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	register("neurocuts", "NeuroCuts", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
 		cfg := core.Scaled(1000)
 		cfg.Binth = opts.Binth
 		if opts.TimeSpaceCoeffSet {
@@ -126,7 +127,7 @@ func init() {
 			cfg.Scale = env.ScaleLog
 		}
 		cfg.MaxTimesteps = opts.Timesteps
-		cfg.BatchTimesteps = maxInt(256, opts.Timesteps/10)
+		cfg.BatchTimesteps = max(256, opts.Timesteps/10)
 		cfg.Workers = opts.Workers
 		cfg.Seed = opts.Seed
 		cfg.Partition = env.PartitionNone
@@ -135,19 +136,12 @@ func init() {
 		}
 		trainer := core.NewTrainer(set, cfg)
 		if _, err := trainer.Train(); err != nil {
-			return nil, Metrics{}, err
+			return nil, err
 		}
 		t, _ := trainer.BestTree()
 		if t == nil {
-			return nil, Metrics{}, errors.New("engine: neurocuts training produced no tree")
+			return nil, errors.New("engine: neurocuts training produced no tree")
 		}
-		return newTreeClassifier("neurocuts", set, []*tree.Tree{t})
+		return []*tree.Tree{t}, nil
 	})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,12 +6,13 @@
 // CutSplit) and the linear-search reference. Each builder has its own Build
 // shape. This package gives them a common face:
 //
-//   - Every backend's Builder ends in the same compiled.Classifier, the
-//     flat-array form a lookup answers with a position in the rule list,
-//     not a rule; linear search is the tree with no cuts, one leaf holding
-//     every rule. backends.go registers every algorithm in a name-keyed
-//     registry, so callers select backends by string ("hicuts", "linear",
-//     ...) instead of switching over packages.
+//   - Every backend is a tree builder, and one build step turns its trees
+//     into the same compiled.Classifier, the flat-array form a lookup
+//     answers with a position in the rule list, not a rule; linear search
+//     is the tree with no cuts, one leaf holding every rule. backends.go
+//     registers every algorithm in a name-keyed registry, so callers select
+//     backends by string ("hicuts", "linear", ...) instead of switching
+//     over packages; BuildTrees hands out the trees themselves.
 //   - Engine serves that compiled classifier with a runtime: lookups (single
 //     and batch) run to completion on the caller behind an optional
 //     lock-free flow cache, so parallelism comes only from concurrent
@@ -104,11 +105,12 @@ type snapshot struct {
 	// for a cold build, the artifact's metadata for a warm start. A
 	// compaction rebuilds with it and SaveArtifact stamps it.
 	binth int
-	// build rebuilds the backend when a compaction folds the overlay in. It
-	// is nil for engines warm-started from an artifact whose backend is not
-	// registered; such engines serve lookups and take updates, but their
-	// overlay can never be folded (compactOnce records the failure).
-	build Builder
+	// build rebuilds the backend when a compaction folds the overlay in: its
+	// registry entry's build step. It is nil for engines warm-started from
+	// an artifact whose backend is not registered; such engines serve
+	// lookups and take updates, but their overlay can never be folded
+	// (compactOnce records the failure).
+	build func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error)
 	// base is the overlay's view-derivation base over c. It is nil until the
 	// first update needs it (baseSnapLocked) and is replaced on every
 	// compaction.

@@ -2,9 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"neurocuts/internal/compiled"
@@ -109,70 +109,47 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Builder constructs a backend's compiled classifier over a rule set, with
-// the backend's build-time metrics.
-type Builder func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error)
+// treeBuilder grows a backend's decision trees over a rule set.
+type treeBuilder func(set *rule.Set, opts Options) ([]*tree.Tree, error)
 
 // backendEntry is one registered backend.
 type backendEntry struct {
 	name    string
 	display string
-	build   Builder
+	trees   treeBuilder
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]backendEntry{}
-)
+// registry holds every backend. It is filled only by package init
+// functions, so it is read without a lock.
+var registry = map[string]backendEntry{}
 
-// Register adds a backend to the registry under a lower-case name with a
-// human-facing display name. It panics on duplicate registration, matching
-// the behaviour of database/sql.Register.
-func Register(name, display string, build Builder) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
+// register adds a backend to the registry under a lower-case name with a
+// human-facing display name. It panics on duplicate registration.
+func register(name, display string, trees treeBuilder) {
 	key := strings.ToLower(name)
 	if _, dup := registry[key]; dup {
 		panic(fmt.Sprintf("engine: backend %q registered twice", key))
 	}
-	registry[key] = backendEntry{name: key, display: display, build: build}
+	registry[key] = backendEntry{name: key, display: display, trees: trees}
 }
 
 func lookupBackend(name string) (backendEntry, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	entry, ok := registry[strings.ToLower(name)]
 	if !ok {
-		// Inline the name list: calling Backends() here would re-enter the
-		// read lock, which deadlocks if a writer is queued between the two.
-		names := make([]string, 0, len(registry))
-		for n := range registry {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		return backendEntry{}, fmt.Errorf("engine: unknown backend %q (have: %s)",
-			name, strings.Join(names, ", "))
+			name, strings.Join(Backends(), ", "))
 	}
 	return entry, nil
 }
 
 // Backends returns the registered backend names, sorted.
 func Backends() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // DisplayName returns the backend's human-facing name ("hicuts" ->
 // "HiCuts"), or the input unchanged when the name is not registered.
 func DisplayName(name string) string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	if entry, ok := registry[strings.ToLower(name)]; ok {
 		return entry.display
 	}
@@ -188,4 +165,15 @@ func NewWithOptions(name string, set *rule.Set, opts Options) (*compiled.Classif
 		return nil, Metrics{}, err
 	}
 	return entry.build(set, opts.withDefaults())
+}
+
+// BuildTrees grows the named backend's decision trees with the options the
+// engine builds it with, before compilation: for callers that study the
+// trees themselves (their shape, per-level cuts) rather than serve them.
+func BuildTrees(name string, set *rule.Set, opts Options) ([]*tree.Tree, error) {
+	entry, err := lookupBackend(name)
+	if err != nil {
+		return nil, err
+	}
+	return entry.trees(set, opts.withDefaults())
 }

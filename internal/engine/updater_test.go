@@ -16,6 +16,7 @@ import (
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/tree"
 	"neurocuts/internal/updater"
 )
 
@@ -84,14 +85,14 @@ func TestOverlayUpdatesNeverBuild(t *testing.T) {
 	}
 }
 
-// countedBuilds counts calls to the counting test backend's Builder, which
-// otherwise builds a HiCuts tree.
+// countedBuilds counts calls to the counting test backend's tree builder,
+// which otherwise builds a HiCuts tree.
 var countedBuilds atomic.Int64
 
 func init() {
-	Register("counting-test-backend", "Counting", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	register("counting-test-backend", "Counting", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
 		countedBuilds.Add(1)
-		return NewWithOptions("hicuts", set, opts)
+		return BuildTrees("hicuts", set, opts)
 	})
 }
 

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"neurocuts/internal/compiled"
 	"neurocuts/internal/rule"
+	"neurocuts/internal/tree"
 )
 
 // writeCostEngine returns a linear-backend engine over an n-rule table whose
@@ -125,12 +125,12 @@ var racingBuild atomic.Pointer[buildGate]
 type buildGate struct{ entered, release chan struct{} }
 
 func init() {
-	Register("racing-test-backend", "Racing", func(set *rule.Set, opts Options) (*compiled.Classifier, Metrics, error) {
+	register("racing-test-backend", "Racing", func(set *rule.Set, opts Options) ([]*tree.Tree, error) {
 		if g := racingBuild.Load(); g != nil {
 			g.entered <- struct{}{}
 			<-g.release
 		}
-		return NewWithOptions("hicuts", set, opts)
+		return BuildTrees("hicuts", set, opts)
 	})
 }
 

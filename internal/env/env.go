@@ -359,7 +359,7 @@ func (e *Env) Step(dim rule.Dimension, act int, exp Experience) error {
 			applied = true
 		}
 	case act == ActEffiCutsPartition:
-		groups, _ := efficuts.PartitionRules(e.set.Rules(), n.Rules, true)
+		groups, _ := efficuts.PartitionRules(e.set.Rules(), n.Rules)
 		if len(groups) >= 2 {
 			labels := make([]string, len(groups))
 			for i := range labels {

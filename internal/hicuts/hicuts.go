@@ -22,24 +22,29 @@ import (
 	"neurocuts/internal/tree"
 )
 
-// Config holds the HiCuts tuning knobs.
-type Config struct {
-	// Binth is the leaf threshold (maximum rules per leaf).
-	Binth int
-	// SpFac is the space-measure factor controlling how aggressively a node
+// The heuristic's fixed parameters, as in the paper's evaluation setting.
+const (
+	// spFac is the space-measure factor controlling how aggressively a node
 	// may be cut. The original paper uses values between 1 and 8; 2 is the
 	// common default.
-	SpFac float64
-	// MaxCuts caps the fan-out of a single node.
-	MaxCuts int
-	// MaxDepth aborts pathological constructions; 0 means no limit.
-	MaxDepth int
+	spFac = 2.0
+	// maxCuts caps the fan-out of a single node.
+	maxCuts = 64
+	// maxDepth aborts pathological constructions.
+	maxDepth = 256
+)
+
+// Config holds the HiCuts build parameters.
+type Config struct {
+	// Binth is the leaf threshold (maximum rules per leaf; 0 selects
+	// tree.DefaultBinth).
+	Binth int
 }
 
 // DefaultConfig returns the configuration used in the paper's evaluation
 // setting.
 func DefaultConfig() Config {
-	return Config{Binth: tree.DefaultBinth, SpFac: 2.0, MaxCuts: 64, MaxDepth: 256}
+	return Config{Binth: tree.DefaultBinth}
 }
 
 // Build constructs a HiCuts decision tree for the classifier.
@@ -47,15 +52,9 @@ func Build(s *rule.Set, cfg Config) (*tree.Tree, error) {
 	if cfg.Binth <= 0 {
 		cfg.Binth = tree.DefaultBinth
 	}
-	if cfg.SpFac <= 0 {
-		cfg.SpFac = 2.0
-	}
-	if cfg.MaxCuts < 2 {
-		cfg.MaxCuts = 64
-	}
 	t := tree.New(s, cfg.Binth)
-	if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
-		return cut(t, n, cfg)
+	if err := tree.Grow(t, t.Root, maxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+		return cut(t, n)
 	}); err != nil {
 		return nil, err
 	}
@@ -64,12 +63,12 @@ func Build(s *rule.Set, cfg Config) (*tree.Tree, error) {
 
 // cut expands n along the dimension chooseDimension picks, into the
 // fan-out chooseCutCount grows; nil when no dimension can be cut.
-func cut(t *tree.Tree, n *tree.Node, cfg Config) ([]*tree.Node, error) {
+func cut(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
 	dim, ok := chooseDimension(t, n)
 	if !ok {
 		return nil, nil
 	}
-	children, err := t.Cut(n, dim, chooseCutCount(t, n, dim, cfg))
+	children, err := t.Cut(n, dim, chooseCutCount(t, n, dim))
 	if err != nil {
 		return nil, fmt.Errorf("hicuts: cutting node at depth %d: %w", n.Depth, err)
 	}
@@ -98,8 +97,8 @@ func chooseDimension(t *tree.Tree, n *tree.Node) (rule.Dimension, bool) {
 // chooseCutCount grows the fan-out geometrically from 4 (or the square root
 // of the rule count, whichever is larger) while the space measure stays
 // within the spfac budget.
-func chooseCutCount(t *tree.Tree, n *tree.Node, dim rule.Dimension, cfg Config) int {
-	budget := cfg.SpFac * float64(n.NumRules())
+func chooseCutCount(t *tree.Tree, n *tree.Node, dim rule.Dimension) int {
+	budget := spFac * float64(n.NumRules())
 	// Initial guess from the original paper: max(4, sqrt(#rules)).
 	k := 4
 	for k*k < n.NumRules() {
@@ -108,8 +107,8 @@ func chooseCutCount(t *tree.Tree, n *tree.Node, dim rule.Dimension, cfg Config) 
 	if k < 4 {
 		k = 4
 	}
-	if k > cfg.MaxCuts {
-		k = cfg.MaxCuts
+	if k > maxCuts {
+		k = maxCuts
 	}
 	// Shrink if even the initial guess blows the budget, then try doubling.
 	for k >= 2 && spaceMeasure(t, n, dim, k) > budget {
@@ -118,7 +117,7 @@ func chooseCutCount(t *tree.Tree, n *tree.Node, dim rule.Dimension, cfg Config) 
 	if k < 2 {
 		return 2
 	}
-	for k*2 <= cfg.MaxCuts && spaceMeasure(t, n, dim, k*2) <= budget {
+	for k*2 <= maxCuts && spaceMeasure(t, n, dim, k*2) <= budget {
 		k *= 2
 	}
 	return k

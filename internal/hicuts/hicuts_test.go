@@ -41,7 +41,7 @@ func checkTreeEquivalence(t *testing.T, tr *tree.Tree, set *rule.Set, n int, see
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Binth != tree.DefaultBinth || cfg.SpFac != 2.0 || cfg.MaxCuts < 2 {
+	if cfg.Binth != tree.DefaultBinth {
 		t.Errorf("unexpected default config %+v", cfg)
 	}
 }
@@ -61,7 +61,7 @@ func TestBuildSmallClassifiers(t *testing.T) {
 		if m.ClassificationTime < 2 {
 			t.Errorf("%s: implausible classification time %d", fam, m.ClassificationTime)
 		}
-		if m.MaxDepth > DefaultConfig().MaxDepth {
+		if m.MaxDepth > maxDepth {
 			t.Errorf("%s: depth %d exceeds limit", fam, m.MaxDepth)
 		}
 		// Every HiCuts internal node cuts exactly one dimension.
@@ -112,45 +112,11 @@ func TestBuildAllWildcardRulesTerminates(t *testing.T) {
 		rules[i] = rule.NewWildcardRule(i)
 	}
 	set := rule.NewSet(rules)
-	tr, err := Build(set, Config{Binth: 8, SpFac: 2, MaxCuts: 16, MaxDepth: 32})
+	tr, err := Build(set, Config{Binth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkTreeEquivalence(t, tr, set, 200, 5)
-}
-
-func TestSpFacControlsTreeSize(t *testing.T) {
-	f, _ := classbench.FamilyByName("acl3")
-	set := classbench.Generate(f, 400, 4)
-	small, err := Build(set, Config{Binth: 16, SpFac: 1.2, MaxCuts: 64, MaxDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Build(set, Config{Binth: 16, SpFac: 8, MaxCuts: 64, MaxDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, mb := small.ComputeMetrics(), big.ComputeMetrics()
-	// A larger space budget buys fan-out, which should not make the tree
-	// deeper; usually it is shallower (that is the whole point of spfac).
-	if mb.ClassificationTime > ms.ClassificationTime {
-		t.Errorf("spfac=8 time %d worse than spfac=1.2 time %d", mb.ClassificationTime, ms.ClassificationTime)
-	}
-	checkTreeEquivalence(t, small, set, 500, 11)
-	checkTreeEquivalence(t, big, set, 500, 12)
-}
-
-func TestDepthLimitRespected(t *testing.T) {
-	f, _ := classbench.FamilyByName("fw5")
-	set := classbench.Generate(f, 500, 9)
-	tr, err := Build(set, Config{Binth: 2, SpFac: 1.5, MaxCuts: 4, MaxDepth: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.ComputeMetrics().MaxDepth; got > 6 {
-		t.Errorf("depth %d exceeds MaxDepth 6", got)
-	}
-	checkTreeEquivalence(t, tr, set, 800, 21)
 }
 
 // spaceMeasureRef is spaceMeasure as it was before the one-pass count,

@@ -21,31 +21,26 @@ import (
 	"neurocuts/internal/tree"
 )
 
-// Config holds the HyperCuts tuning knobs.
+// The heuristic's fixed parameters.
+const (
+	// spFac is the space-measure factor bounding the total fan-out of a
+	// node: the number of children may not exceed spFac * sqrt(rules).
+	spFac = 4.0
+	// maxCutsPerDim caps the per-dimension fan-out.
+	maxCutsPerDim = 16
+	// maxDepth aborts pathological constructions.
+	maxDepth = 256
+)
+
+// Config holds the HyperCuts build parameters.
 type Config struct {
-	// Binth is the leaf threshold.
+	// Binth is the leaf threshold (0 selects tree.DefaultBinth).
 	Binth int
-	// SpFac is the space-measure factor bounding the total fan-out of a
-	// node: the number of children may not exceed SpFac * sqrt(rules).
-	SpFac float64
-	// MaxCutsPerDim caps the per-dimension fan-out.
-	MaxCutsPerDim int
-	// MaxDepth aborts pathological constructions; 0 means no limit.
-	MaxDepth int
-	// RegionCompaction enables shrinking node boxes to their rules' bounding
-	// box before cutting (on by default in DefaultConfig).
-	RegionCompaction bool
 }
 
 // DefaultConfig returns the standard HyperCuts configuration.
 func DefaultConfig() Config {
-	return Config{
-		Binth:            tree.DefaultBinth,
-		SpFac:            4.0,
-		MaxCutsPerDim:    16,
-		MaxDepth:         256,
-		RegionCompaction: true,
-	}
+	return Config{Binth: tree.DefaultBinth}
 }
 
 // Build constructs a HyperCuts decision tree for the classifier.
@@ -53,33 +48,25 @@ func Build(s *rule.Set, cfg Config) (*tree.Tree, error) {
 	if cfg.Binth <= 0 {
 		cfg.Binth = tree.DefaultBinth
 	}
-	if cfg.SpFac <= 0 {
-		cfg.SpFac = 4.0
-	}
-	if cfg.MaxCutsPerDim < 2 {
-		cfg.MaxCutsPerDim = 16
-	}
 	t := tree.New(s, cfg.Binth)
-	if err := tree.Grow(t, t.Root, cfg.MaxDepth, func(n *tree.Node) ([]*tree.Node, error) {
-		return cut(t, n, cfg)
+	if err := tree.Grow(t, t.Root, maxDepth, func(n *tree.Node) ([]*tree.Node, error) {
+		return cut(t, n)
 	}); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// cut compacts n's region (when enabled), then cuts it along the
-// dimensions chooseDimensions picks with the fan-outs chooseCounts grows;
-// nil when no dimension separates the node's rules.
-func cut(t *tree.Tree, n *tree.Node, cfg Config) ([]*tree.Node, error) {
-	if cfg.RegionCompaction {
-		compactRegion(t, n)
-	}
+// cut compacts n's region, then cuts it along the dimensions
+// chooseDimensions picks with the fan-outs chooseCounts grows; nil when no
+// dimension separates the node's rules.
+func cut(t *tree.Tree, n *tree.Node) ([]*tree.Node, error) {
+	compactRegion(t, n)
 	candidates := chooseDimensions(t, n)
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	dims, counts := chooseCounts(n, candidates, cfg)
+	dims, counts := chooseCounts(n, candidates)
 	children, err := t.CutMulti(n, dims, counts)
 	if err != nil {
 		return nil, fmt.Errorf("hypercuts: cutting node at depth %d: %w", n.Depth, err)
@@ -160,8 +147,8 @@ func chooseDimensions(t *tree.Tree, n *tree.Node) []rule.Dimension {
 // across the chosen dimensions, doubling the per-dimension fan-out
 // round-robin while the budget allows. It returns the dimensions that ended
 // up with a fan-out of at least 2 and their counts.
-func chooseCounts(n *tree.Node, dims []rule.Dimension, cfg Config) ([]rule.Dimension, []int) {
-	budget := cfg.SpFac * math.Sqrt(float64(n.NumRules()))
+func chooseCounts(n *tree.Node, dims []rule.Dimension) ([]rule.Dimension, []int) {
+	budget := spFac * math.Sqrt(float64(n.NumRules()))
 	if budget < 4 {
 		budget = 4
 	}
@@ -173,7 +160,7 @@ func chooseCounts(n *tree.Node, dims []rule.Dimension, cfg Config) ([]rule.Dimen
 	for {
 		grew := false
 		for i, d := range dims {
-			if counts[i]*2 > cfg.MaxCutsPerDim {
+			if counts[i]*2 > maxCutsPerDim {
 				continue
 			}
 			if uint64(counts[i]*2) > n.Box[d].Size() {

@@ -42,7 +42,7 @@ func checkTreeEquivalence(t *testing.T, tr *tree.Tree, set *rule.Set, n int, see
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Binth != tree.DefaultBinth || !cfg.RegionCompaction || cfg.SpFac <= 0 {
+	if cfg.Binth != tree.DefaultBinth {
 		t.Errorf("unexpected defaults %+v", cfg)
 	}
 }
@@ -106,8 +106,8 @@ func TestHyperCutsShallowerThanHiCutsOnACL(t *testing.T) {
 }
 
 func TestRegionCompaction(t *testing.T) {
-	// All rules live in a small corner of the space; with compaction the
-	// root box shrinks before cutting.
+	// All rules live in a small corner of the space; region compaction
+	// shrinks the root box before cutting.
 	rules := make([]rule.Rule, 0, 40)
 	for i := 0; i < 39; i++ {
 		r := rule.NewWildcardRule(i)
@@ -116,9 +116,7 @@ func TestRegionCompaction(t *testing.T) {
 		rules = append(rules, r)
 	}
 	set := rule.NewSet(rules) // deliberately no default rule
-	cfg := DefaultConfig()
-	cfg.Binth = 4
-	tr, err := Build(set, cfg)
+	tr, err := Build(set, Config{Binth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,16 +124,6 @@ func TestRegionCompaction(t *testing.T) {
 		t.Error("region compaction should have shrunk the root box")
 	}
 	checkTreeEquivalence(t, tr, set, 1000, 9)
-
-	cfg.RegionCompaction = false
-	tr2, err := Build(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr2.Root.Box[rule.DimSrcIP].IsFull(rule.DimSrcIP) {
-		t.Error("without compaction the root box must stay full")
-	}
-	checkTreeEquivalence(t, tr2, set, 1000, 10)
 }
 
 func TestZeroConfigDefaults(t *testing.T) {
@@ -154,25 +142,9 @@ func TestUnseparableRulesTerminate(t *testing.T) {
 		rules[i] = rule.NewWildcardRule(i)
 	}
 	set := rule.NewSet(rules)
-	tr, err := Build(set, Config{Binth: 8, SpFac: 4, MaxCutsPerDim: 8, MaxDepth: 16})
+	tr, err := Build(set, Config{Binth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkTreeEquivalence(t, tr, set, 200, 8)
-}
-
-func TestDepthLimit(t *testing.T) {
-	f, _ := classbench.FamilyByName("fw1")
-	set := classbench.Generate(f, 400, 7)
-	cfg := DefaultConfig()
-	cfg.MaxDepth = 5
-	cfg.Binth = 2
-	tr, err := Build(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tr.ComputeMetrics().MaxDepth; d > 5 {
-		t.Errorf("depth %d exceeds limit", d)
-	}
-	checkTreeEquivalence(t, tr, set, 800, 14)
 }

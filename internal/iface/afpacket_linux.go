@@ -13,15 +13,14 @@ import (
 	"neurocuts/internal/rule"
 )
 
-// AFPacketConfig configures a live capture.
-type AFPacketConfig struct {
-	// PollTimeout bounds how long one empty socket read blocks; it is the
-	// ceiling on ReadBatch's added latency for a partially filled batch and
-	// on how often a quiet capture loop gets control back (default 10ms).
-	PollTimeout time.Duration
-	// SnapLen is the per-frame read buffer size (default 65536).
-	SnapLen int
-}
+const (
+	// afPacketPollTimeout bounds how long one empty socket read blocks; it
+	// is the ceiling on ReadBatch's added latency for a partially filled
+	// batch and on how often a quiet capture loop gets control back.
+	afPacketPollTimeout = 10 * time.Millisecond
+	// afPacketSnapLen is the per-frame read buffer size.
+	afPacketSnapLen = 65536
+)
 
 // AFPacketSource captures live frames from a Linux network interface
 // through an AF_PACKET raw socket and decodes them into classification
@@ -39,13 +38,7 @@ func htons(v uint16) uint16 { return v<<8 | v>>8 }
 
 // OpenAFPacket opens a raw capture socket bound to the named interface
 // (every interface when name is empty).
-func OpenAFPacket(name string, cfg AFPacketConfig) (*AFPacketSource, error) {
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = 10 * time.Millisecond
-	}
-	if cfg.SnapLen <= 0 {
-		cfg.SnapLen = 65536
-	}
+func OpenAFPacket(name string) (*AFPacketSource, error) {
 	fd, err := syscall.Socket(syscall.AF_PACKET, syscall.SOCK_RAW, int(htons(syscall.ETH_P_ALL)))
 	if err != nil {
 		return nil, fmt.Errorf("iface: AF_PACKET socket (CAP_NET_RAW required): %w", err)
@@ -62,12 +55,12 @@ func OpenAFPacket(name string, cfg AFPacketConfig) (*AFPacketSource, error) {
 			return nil, fmt.Errorf("iface: bind %q: %w", name, err)
 		}
 	}
-	tv := syscall.NsecToTimeval(cfg.PollTimeout.Nanoseconds())
+	tv := syscall.NsecToTimeval(afPacketPollTimeout.Nanoseconds())
 	if err := syscall.SetsockoptTimeval(fd, syscall.SOL_SOCKET, syscall.SO_RCVTIMEO, &tv); err != nil {
 		syscall.Close(fd)
 		return nil, os.NewSyscallError("setsockopt SO_RCVTIMEO", err)
 	}
-	return &AFPacketSource{fd: fd, frame: make([]byte, cfg.SnapLen)}, nil
+	return &AFPacketSource{fd: fd, frame: make([]byte, afPacketSnapLen)}, nil
 }
 
 // ReadBatch implements Source for live capture: it fills ps with frames

@@ -21,7 +21,7 @@ var _ interface{ Stats() SourceStats } = (*AFPacketSource)(nil)
 // CI users, unprivileged sandboxes) the socket call fails with EPERM/EACCES
 // and the test skips — the capability, not the code, is absent.
 func TestAFPacketLoopbackSmoke(t *testing.T) {
-	src, err := OpenAFPacket("lo", AFPacketConfig{PollTimeout: 50 * time.Millisecond})
+	src, err := OpenAFPacket("lo")
 	if err != nil {
 		if errors.Is(err, syscall.EPERM) || errors.Is(err, syscall.EACCES) {
 			t.Skipf("no CAP_NET_RAW: %v", err)
@@ -71,7 +71,7 @@ func TestAFPacketLoopbackSmoke(t *testing.T) {
 // TestAFPacketBadInterface pins the error path for a nonexistent interface
 // (still requires the socket to open, so it skips without the capability).
 func TestAFPacketBadInterface(t *testing.T) {
-	_, err := OpenAFPacket("definitely-not-a-real-interface0", AFPacketConfig{})
+	_, err := OpenAFPacket("definitely-not-a-real-interface0")
 	if err == nil {
 		t.Fatal("open of a nonexistent interface succeeded")
 	}

@@ -4,7 +4,6 @@ package iface
 
 import (
 	"errors"
-	"time"
 
 	"neurocuts/internal/rule"
 )
@@ -13,21 +12,12 @@ import (
 // platforms.
 var ErrAFPacketUnsupported = errors.New("iface: AF_PACKET capture requires linux")
 
-// AFPacketConfig configures a live capture (Linux only; present everywhere
-// so callers compile unconditionally).
-type AFPacketConfig struct {
-	// PollTimeout bounds how long one empty socket read blocks.
-	PollTimeout time.Duration
-	// SnapLen is the per-frame read buffer size.
-	SnapLen int
-}
-
 // AFPacketSource is the non-Linux stub of the live capture source; it can
 // never be constructed.
 type AFPacketSource struct{}
 
 // OpenAFPacket fails with ErrAFPacketUnsupported on non-Linux platforms.
-func OpenAFPacket(name string, cfg AFPacketConfig) (*AFPacketSource, error) {
+func OpenAFPacket(name string) (*AFPacketSource, error) {
 	return nil, ErrAFPacketUnsupported
 }
 
